@@ -2,9 +2,9 @@
 
 The paper measures 403-16,444 ms for physical UDT vs 20.7-289.7 ms
 for virtual transformation (a 10-60x gap), both linear in graph size.
-The same ordering and gap appear here: UDT walks every high-degree
-node's edge list, while the virtual node array is a vectorised O(|V|)
-construction.
+The same ordering appears here with a narrower gap (3x-9x): UDT
+rewrites the whole CSR in vectorised O(|E|) passes, while the virtual
+node array is a vectorised O(|V|) construction.
 """
 
 from repro.bench import table7_transform_time

@@ -249,10 +249,11 @@ def table7_transform_time(
 ) -> ExperimentReport:
     """Table 7: host-side transformation wall-clock, physical vs virtual.
 
-    Physical UDT walks every high-degree node's edges; virtual
-    transformation only builds the virtual node array — the paper
-    reports one to two orders of magnitude between them, and the same
-    gap appears here.
+    Physical UDT rewrites the whole CSR — a few vectorised O(|E|)
+    passes — while virtual transformation only builds the O(|V|)
+    virtual node array, so physical costs several times more on every
+    dataset.  Both are array code here, so the gap is roughly the
+    average degree (3x-9x), narrower than the paper's 19x-57x.
     """
     report = ExperimentReport("Table 7", "transformation time cost (host ms)")
     for name in dataset_names():

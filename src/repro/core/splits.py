@@ -28,12 +28,15 @@ Implementation notes
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
-from repro.core.types import TransformResult
-from repro.core.udt import _FamilyEdges, _run_split
+from repro.core._pack import pack_with_mask
+from repro.core.types import TransformResult, TransformStats
 from repro.core.weights import DumbWeight
 from repro.errors import TransformError
+from repro.graph.csr import NODE_DTYPE, WEIGHT_DTYPE
 
 
 def _check_bound(degree_bound: int) -> None:
@@ -142,3 +145,109 @@ def star_transform(
         return fam
 
     return _run_split(graph, degree_bound, dumb_weight, build)
+
+
+class _FamilyEdges:
+    """Mutable edge accumulator for one family under construction."""
+
+    __slots__ = ("first_new_id", "num_new", "src", "dst", "wgt", "mask", "hops")
+
+    def __init__(self, first_new_id: int) -> None:
+        self.first_new_id = first_new_id
+        self.num_new = 0
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.wgt: List[float] = []
+        self.mask: List[bool] = []
+        self.hops = 0
+
+    def new_node(self) -> int:
+        node = self.first_new_id + self.num_new
+        self.num_new += 1
+        return node
+
+    def add_edge(self, src: int, dst: int, weight: float, is_new: bool) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.wgt.append(weight)
+        self.mask.append(is_new)
+
+    @property
+    def num_new_edges(self) -> int:
+        return sum(self.mask)
+
+
+def _run_split(graph, degree_bound, dumb_weight, family_builder) -> TransformResult:
+    """Shared driver: apply ``family_builder`` to each high-degree node.
+
+    The clique/circular/star transforms differ only in how a single
+    family is wired.
+    """
+    n = graph.num_nodes
+    degrees = graph.out_degrees()
+    high = np.flatnonzero(degrees > degree_bound)
+
+    weighted_out = dumb_weight is not DumbWeight.NONE or graph.is_weighted
+    if graph.is_weighted:
+        base_weights = graph.weights
+    else:
+        # Promote unweighted input: original edges weigh 1 (BFS hop).
+        base_weights = np.ones(graph.num_edges, dtype=WEIGHT_DTYPE)
+    if dumb_weight is DumbWeight.NONE:
+        dumb_value = 0.0  # written only into weighted outputs (CC ignores)
+    else:
+        dumb_value = dumb_weight.value_for_new_edges
+
+    # Edges of nodes that are NOT split survive verbatim.
+    keep_mask = np.repeat(degrees <= degree_bound, degrees)
+    src_parts = [graph.edge_sources()[keep_mask]]
+    dst_parts = [graph.targets[keep_mask]]
+    wgt_parts = [base_weights[keep_mask]]
+    msk_parts = [np.zeros(int(keep_mask.sum()), dtype=bool)]
+
+    next_id = n
+    total_new_nodes = 0
+    total_new_edges = 0
+    max_hops = 0
+    origin_tail: List[np.ndarray] = []
+
+    for root in high:
+        fam = family_builder(
+            int(root),
+            graph.neighbors(int(root)),
+            base_weights[graph.offsets[root] : graph.offsets[root + 1]],
+            degree_bound,
+            next_id,
+            dumb_value,
+        )
+        src_parts.append(np.asarray(fam.src, dtype=NODE_DTYPE))
+        dst_parts.append(np.asarray(fam.dst, dtype=NODE_DTYPE))
+        wgt_parts.append(np.asarray(fam.wgt, dtype=WEIGHT_DTYPE))
+        msk_parts.append(np.asarray(fam.mask, dtype=bool))
+        if fam.num_new:
+            origin_tail.append(np.full(fam.num_new, root, dtype=NODE_DTYPE))
+        next_id += fam.num_new
+        total_new_nodes += fam.num_new
+        total_new_edges += fam.num_new_edges
+        max_hops = max(max_hops, fam.hops)
+
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    wgt = np.concatenate(wgt_parts) if weighted_out else None
+    msk = np.concatenate(msk_parts)
+    new_graph, sorted_mask = pack_with_mask(src, dst, wgt, msk, next_id)
+
+    return TransformResult(
+        graph=new_graph,
+        node_origin=np.concatenate([np.arange(n, dtype=NODE_DTYPE)] + origin_tail),
+        new_edge_mask=sorted_mask,
+        num_original_nodes=n,
+        stats=TransformStats(
+            degree_bound=degree_bound,
+            num_families=len(high),
+            new_nodes=total_new_nodes,
+            new_edges=total_new_edges,
+            max_degree_after=new_graph.max_out_degree(),
+            max_family_hops=max_hops,
+        ),
+    )

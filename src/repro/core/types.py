@@ -93,15 +93,12 @@ class TransformResult:
         Only originals that were actually split appear; the family
         array includes the root itself.
         """
-        out: Dict[int, np.ndarray] = {}
         n = self.num_original_nodes
-        split_members = np.arange(n, self.graph.num_nodes)
-        if len(split_members) == 0:
-            return out
         origins = self.node_origin[n:]
-        for root in np.unique(origins):
-            members = split_members[origins == root]
-            out[int(root)] = np.concatenate(
-                [np.asarray([root], dtype=np.int64), members]
-            )
-        return out
+        # One stable sort groups split nodes by root, ids ascending.
+        order = np.argsort(origins, kind="stable")
+        roots, starts = np.unique(origins[order], return_index=True)
+        return {
+            int(root): np.concatenate([np.asarray([root], dtype=np.int64), members])
+            for root, members in zip(roots, np.split(order + n, starts[1:]))
+        }

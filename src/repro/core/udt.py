@@ -2,8 +2,26 @@
 
 UDT splits every node whose outdegree exceeds the degree bound ``K``
 into a tree of split nodes, each of degree exactly ``K`` (except
-possibly the root), by repeatedly popping ``K`` pending children off a
-queue, attaching them to a fresh node, and pushing that node back.
+possibly the root).  Algorithm 1 states this with a queue: pop ``K``
+pending children, attach them to a fresh node, push that node back,
+until at most ``K`` remain for the root.  The queue's history is fixed
+by ``(d, K)``, so it is addressed in closed form, not simulated.
+
+For a family of degree ``d > K`` the queue is a sequence of ``d + m``
+*positions*, ``m = ceil((d - K) / (K - 1))`` new nodes
+(:func:`repro.core.analysis.udt_new_nodes`):
+
+* positions ``0 .. d-1`` are the original out-edges in CSR order,
+  position ``d + j`` is new node ``j`` (edge weight: the dumb weight);
+* position ``p`` is consumed by new node ``p // K`` when ``p < m*K``,
+  otherwise by the root, each parent's edges in position order;
+* a family's new nodes get consecutive ids, so their ``K``-edge rows
+  are contiguous in the output CSR: position ``p < m*K`` lands at
+  ``row_start(first new node) + p``, the rest at
+  ``row_start(root) + p - m*K``.
+
+Every edge therefore moves by one of two per-family shifts, and the
+output CSR is written directly with prefix sums and ``np.repeat``.
 The construction guarantees (§3.2):
 
 * **P1** — UDT is a split transformation (Definition 2);
@@ -19,12 +37,8 @@ for bottleneck metrics.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Tuple
-
 import numpy as np
 
-from repro.core._pack import pack_with_mask
 from repro.core.types import TransformResult, TransformStats
 from repro.core.weights import DumbWeight
 from repro.errors import TransformError
@@ -44,7 +58,7 @@ def udt_transform(
     graph:
         Input graph.  May be weighted or unweighted.
     degree_bound:
-        ``K >= 1``.  After the transformation every node's outdegree
+        ``K >= 2``.  After the transformation every node's outdegree
         is at most ``K``.
     dumb_weight:
         Weight policy for tree-internal (new) edges.  With
@@ -68,163 +82,82 @@ def udt_transform(
     """
     if degree_bound < 2:
         raise TransformError(f"UDT requires degree bound K >= 2, got {degree_bound}")
-    return _run_split(graph, degree_bound, dumb_weight, _udt_family)
+    k, n, num_edges = degree_bound, graph.num_nodes, graph.num_edges
+    old_offsets, degrees = graph.offsets, graph.out_degrees()
 
+    roots = np.flatnonzero(degrees > k)
+    d = degrees[roots]
+    m = -((k - d) // (k - 1))  # ceil((d - K) / (K - 1)) new nodes per family
+    consumed = m * k  # positions below this feed new nodes, the rest the root
+    new_before = np.cumsum(m) - m  # new nodes created by earlier families
+    num_new = int(m.sum())
 
-# ---------------------------------------------------------------------------
-# Family builders share a tiny unit vocabulary:
-# a *unit* is (target_id, weight, is_new_edge, height).  Original
-# out-edges start as (t, w, False, 0); a freshly created split node is
-# pushed back as (new_id, dumb, True, h).  When a parent pops a unit it
-# emits edge parent->target with the unit's weight/mask.
-# ---------------------------------------------------------------------------
+    new_degrees = np.concatenate([degrees, np.full(num_new, k, dtype=NODE_DTYPE)])
+    new_degrees[roots] = d + m - consumed
+    offsets = np.zeros(n + num_new + 1, dtype=NODE_DTYPE)
+    np.cumsum(new_degrees, out=offsets[1:])
+    tree_start = offsets[n + new_before]  # row of each family's first new node
+    root_start = offsets[roots] - consumed
 
-Unit = Tuple[int, float, bool, int]
+    # Rows of unsplit nodes move as one run; a root's row splits into
+    # the run its new nodes consume and the run it keeps.
+    runs = np.zeros((n, 2), dtype=NODE_DTYPE)
+    shifts = np.zeros((n, 2), dtype=NODE_DTYPE)
+    runs[:, 0] = degrees
+    shifts[:, 0] = offsets[:n] - old_offsets[:n]
+    in_tree = np.minimum(d, consumed)  # original edges that feed new nodes
+    runs[roots, 0] = in_tree
+    runs[roots, 1] = d - in_tree
+    shifts[roots, 0] = tree_start - old_offsets[roots]
+    shifts[roots, 1] = root_start - old_offsets[roots]
+    edge_slot = np.arange(num_edges, dtype=NODE_DTYPE)
+    edge_slot += np.repeat(shifts.ravel(), runs.ravel())
 
+    # New node number g (counted across families, id n + g) is position
+    # d + g - new_before of its family: the same two runs per family.
+    links_in_tree = consumed - in_tree
+    runs = np.stack([links_in_tree, m - links_in_tree], axis=1)
+    shifts = np.stack([tree_start, root_start], axis=1) + (d - new_before)[:, None]
+    link_slot = np.arange(num_new, dtype=NODE_DTYPE)
+    link_slot += np.repeat(shifts.ravel(), runs.ravel())
 
-def _udt_family(
-    root: int,
-    neighbor_ids: np.ndarray,
-    neighbor_weights: np.ndarray,
-    degree_bound: int,
-    next_node_id: int,
-    dumb_value: float,
-) -> "_FamilyEdges":
-    """Algorithm 1 for one high-degree node.
-
-    Returns the family's edges and bookkeeping.  ``next_node_id`` is
-    the id assigned to the first split node created here.
-    """
-    queue: "deque[Unit]" = deque(
-        (int(t), float(w), False, 0)
-        for t, w in zip(neighbor_ids, neighbor_weights)
-    )
-    fam = _FamilyEdges(next_node_id)
-    k = degree_bound
-    while len(queue) > k:
-        new_node = fam.new_node()
-        height = 0
-        for _ in range(k):
-            target, weight, is_new, h = queue.popleft()
-            fam.add_edge(new_node, target, weight, is_new)
-            height = max(height, h)
-        queue.append((new_node, dumb_value, True, height + 1))
-    height = 0
-    while queue:
-        target, weight, is_new, h = queue.popleft()
-        fam.add_edge(root, target, weight, is_new)
-        height = max(height, h)
-    fam.hops = height
-    return fam
-
-
-class _FamilyEdges:
-    """Mutable edge accumulator for one family under construction."""
-
-    __slots__ = ("first_new_id", "num_new", "src", "dst", "wgt", "mask", "hops")
-
-    def __init__(self, first_new_id: int) -> None:
-        self.first_new_id = first_new_id
-        self.num_new = 0
-        self.src: List[int] = []
-        self.dst: List[int] = []
-        self.wgt: List[float] = []
-        self.mask: List[bool] = []
-        self.hops = 0
-
-    def new_node(self) -> int:
-        node = self.first_new_id + self.num_new
-        self.num_new += 1
-        return node
-
-    def add_edge(self, src: int, dst: int, weight: float, is_new: bool) -> None:
-        self.src.append(src)
-        self.dst.append(dst)
-        self.wgt.append(weight)
-        self.mask.append(is_new)
-
-    @property
-    def num_new_edges(self) -> int:
-        return sum(self.mask)
-
-
-def _run_split(graph, degree_bound, dumb_weight, family_builder) -> TransformResult:
-    """Shared driver: apply ``family_builder`` to each high-degree node.
-
-    Used by UDT here and by the clique/circular/star transforms in
-    :mod:`repro.core.splits` — they differ only in how a single
-    family is wired.
-    """
-    n = graph.num_nodes
-    degrees = graph.out_degrees()
-    high = np.flatnonzero(degrees > degree_bound)
-
-    weighted_out = dumb_weight is not DumbWeight.NONE or graph.is_weighted
-    if graph.is_weighted:
-        base_weights = graph.weights
-    else:
-        # Promote unweighted input: original edges weigh 1 (BFS hop).
-        base_weights = np.ones(graph.num_edges, dtype=WEIGHT_DTYPE)
-    if dumb_weight is DumbWeight.NONE:
-        dumb_value = 0.0  # written only into weighted outputs (CC ignores)
-    else:
-        dumb_value = dumb_weight.value_for_new_edges
-
-    # Edges of nodes that are NOT split survive verbatim.
-    keep_mask = np.repeat(degrees <= degree_bound, degrees)
-    src_parts = [graph.edge_sources()[keep_mask]]
-    dst_parts = [graph.targets[keep_mask]]
-    wgt_parts = [base_weights[keep_mask]]
-    msk_parts = [np.zeros(int(keep_mask.sum()), dtype=bool)]
-
-    next_id = n
-    total_new_nodes = 0
-    total_new_edges = 0
-    max_hops = 0
-    origin_tail: List[np.ndarray] = []
-
-    for root in high:
-        fam = family_builder(
-            int(root),
-            graph.neighbors(int(root)),
-            base_weights[graph.offsets[root] : graph.offsets[root + 1]],
-            degree_bound,
-            next_id,
-            dumb_value,
+    targets = np.empty(num_edges + num_new, dtype=NODE_DTYPE)
+    targets[edge_slot] = graph.targets
+    targets[link_slot] = np.arange(n, n + num_new, dtype=NODE_DTYPE)
+    new_edge_mask = np.zeros(num_edges + num_new, dtype=bool)
+    new_edge_mask[link_slot] = True
+    weights = None
+    if graph.is_weighted or dumb_weight is not DumbWeight.NONE:
+        # Unweighted input is promoted: original edges weigh 1 (BFS hop).
+        # Under NONE the dumb value is never read (CC ignores weights).
+        weights = np.empty(num_edges + num_new, dtype=WEIGHT_DTYPE)
+        weights[edge_slot] = graph.weights if graph.is_weighted else 1.0
+        weights[link_slot] = (
+            0.0 if dumb_weight is DumbWeight.NONE else dumb_weight.value_for_new_edges
         )
-        src_parts.append(np.asarray(fam.src, dtype=NODE_DTYPE))
-        dst_parts.append(np.asarray(fam.dst, dtype=NODE_DTYPE))
-        wgt_parts.append(np.asarray(fam.wgt, dtype=WEIGHT_DTYPE))
-        msk_parts.append(np.asarray(fam.mask, dtype=bool))
-        if fam.num_new:
-            origin_tail.append(np.full(fam.num_new, root, dtype=NODE_DTYPE))
-        next_id += fam.num_new
-        total_new_nodes += fam.num_new
-        total_new_edges += fam.num_new_edges
-        max_hops = max(max_hops, fam.hops)
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    wgt = np.concatenate(wgt_parts) if weighted_out else None
-    msk = np.concatenate(msk_parts)
-    new_graph, sorted_mask = pack_with_mask(src, dst, wgt, msk, next_id)
+    # Heights never decrease along the positions, so a parent is one
+    # higher than the last position it consumes.  Walk down from the
+    # root's last position: O(log_K d_max) iterations.
+    hops = np.zeros(len(roots), dtype=NODE_DTYPE)
+    last = d + m - 1
+    while (on_new_node := last >= d).any():
+        hops += on_new_node
+        last = np.where(on_new_node, (last - d + 1) * k - 1, last)
 
-    node_origin = np.concatenate(
-        [np.arange(n, dtype=NODE_DTYPE)] + origin_tail
-    ) if origin_tail else np.arange(n, dtype=NODE_DTYPE)
-
-    stats = TransformStats(
-        degree_bound=degree_bound,
-        num_families=len(high),
-        new_nodes=total_new_nodes,
-        new_edges=total_new_edges,
-        max_degree_after=new_graph.max_out_degree(),
-        max_family_hops=max_hops,
-    )
     return TransformResult(
-        graph=new_graph,
-        node_origin=node_origin,
-        new_edge_mask=sorted_mask,
+        graph=CSRGraph(offsets, targets, weights, validate=False),
+        node_origin=np.concatenate(
+            [np.arange(n, dtype=NODE_DTYPE), np.repeat(roots, m)]
+        ),
+        new_edge_mask=new_edge_mask,
         num_original_nodes=n,
-        stats=stats,
+        stats=TransformStats(
+            degree_bound=degree_bound,
+            num_families=len(roots),
+            new_nodes=num_new,
+            new_edges=num_new,
+            max_degree_after=int(new_degrees.max(initial=0)),
+            max_family_hops=int(hops.max(initial=0)),
+        ),
     )

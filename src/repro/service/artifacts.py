@@ -7,8 +7,8 @@ metadata the cache needs: a content-addressed key, a byte size for
 budget accounting, and a lossless ``.npz`` round-trip so artifacts
 evicted from memory can be reloaded from disk *without redoing any
 transform work* (the point of the cache; Table 7 shows UDT costing
-10-60x the virtual transform, and both are pure overhead on a warm
-path).
+10-60x the virtual transform in the paper, 3-9x here, and both are
+pure overhead on a warm path).
 """
 
 from __future__ import annotations

@@ -97,7 +97,9 @@ class TestSpaceTables:
 
 class TestTable7:
     def test_virtual_much_cheaper(self):
-        report = table7_transform_time(scale=0.25, repeats=1)
+        # best-of-15 per side: both builds are sub-millisecond here, and
+        # one host hiccup on a single 45 us virtual timing is worth 2x
+        report = table7_transform_time(scale=0.25, repeats=15)
         assert report.extras["min_ratio"] > 3.0
 
 

@@ -15,7 +15,15 @@ from repro.core.properties import check_split_transformation
 from repro.core.udt import udt_transform
 from repro.core.weights import DumbWeight
 from repro.errors import TransformError
-from repro.graph.generators import rmat, star
+from repro.graph.builder import from_edge_list
+from repro.graph.generators import (
+    configuration_power_law,
+    erdos_renyi,
+    grid_2d,
+    rmat,
+    star,
+)
+from tests.udt_reference import udt_transform_reference
 
 
 class TestFigure6Example:
@@ -176,3 +184,135 @@ def test_udt_random_graph_contract(seed, k):
     result = udt_transform(graph, k)
     check_split_transformation(graph, result)
     assert result.graph.max_out_degree() <= k
+
+
+# ---------------------------------------------------------------------------
+# Differential suite: the closed-form construction against the literal
+# Algorithm 1 queue (tests/udt_reference.py), bit for bit.
+# ---------------------------------------------------------------------------
+def assert_bitwise_equal(got, want):
+    """Arrays, dtypes, stats and fingerprint all agree."""
+    pairs = [
+        (got.graph.offsets, want.graph.offsets),
+        (got.graph.targets, want.graph.targets),
+        (got.graph.weights, want.graph.weights),
+        (got.node_origin, want.node_origin),
+        (got.new_edge_mask, want.new_edge_mask),
+    ]
+    for a, b in pairs:
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    assert got.num_original_nodes == want.num_original_nodes
+    assert got.stats == want.stats
+    assert got.graph.fingerprint() == want.graph.fingerprint()
+
+
+def assert_closed_form_properties(graph, result, k):
+    """P1-P3 stated without building anything: only (d, K) arithmetic."""
+    old = graph.out_degrees()
+    new = result.graph.out_degrees()
+    split_degrees = old[old > k]
+    assert new.max(initial=0) <= k
+    assert result.stats.num_families == len(split_degrees)
+    assert result.stats.new_nodes == sum(udt_new_nodes(int(d), k) for d in split_degrees)
+    assert result.stats.new_edges == result.stats.new_nodes
+    assert result.stats.max_family_hops == max(
+        (udt_tree_height(int(d), k) for d in split_degrees), default=0
+    )
+    # at most one residual (degree < K) member per split family
+    in_split_family = (old > k)[result.node_origin]
+    residuals = np.bincount(
+        result.node_origin[in_split_family & (new < k)], minlength=graph.num_nodes
+    )
+    assert residuals.max(initial=0) <= 1
+
+
+@st.composite
+def graphs(draw):
+    """Generator graphs incl. the degenerate shapes UDT must survive."""
+    kind = draw(
+        st.sampled_from(
+            ["empty", "edgeless", "regular", "rmat", "multi", "loops", "powerlaw", "star"]
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    weights = draw(st.sampled_from([None, (1, 9)]))
+    if kind == "empty":
+        return from_edge_list([], weighted=weights is not None)
+    if kind == "edgeless":
+        return from_edge_list([], num_nodes=5, weighted=weights is not None)
+    if kind == "regular":  # no high-degree node for any K >= 4
+        return grid_2d(4, 5, weight_range=weights, seed=seed)
+    if kind == "rmat":
+        return rmat(50, 500, seed=seed, weight_range=weights)
+    if kind == "multi":  # parallel edges survive
+        return rmat(30, 400, seed=seed, weight_range=weights, dedup=False)
+    if kind == "loops":  # G(n, m) draws self-loops and multi-edges
+        return erdos_renyi(12, 150, seed=seed, weight_range=weights)
+    if kind == "powerlaw":
+        return configuration_power_law(
+            60, max_degree=55, seed=seed, weight_range=weights
+        )
+    return star(
+        draw(st.integers(min_value=0, max_value=70)), weight_range=weights, seed=seed
+    )
+
+
+@given(
+    graph=graphs(),
+    k=st.integers(min_value=2, max_value=12),
+    dumb_weight=st.sampled_from(list(DumbWeight)),
+)
+@settings(max_examples=150, deadline=None)
+def test_matches_queue_oracle(graph, k, dumb_weight):
+    result = udt_transform(graph, k, dumb_weight=dumb_weight)
+    assert_bitwise_equal(
+        result, udt_transform_reference(graph, k, dumb_weight=dumb_weight)
+    )
+    assert_closed_form_properties(graph, result, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+@pytest.mark.parametrize("weights", [None, (1, 9)])
+@pytest.mark.parametrize("dumb_weight", list(DumbWeight))
+def test_star_at_every_new_node_boundary(k, weights, dumb_weight):
+    """d = K (no split), K+1 (first split), and every d up to the one
+    that needs a fourth new node, so each step of m is crossed."""
+    new_nodes = []
+    for d in range(k, k + 3 * (k - 1) + 2):
+        graph = star(d, weight_range=weights, seed=d)
+        result = udt_transform(graph, k, dumb_weight=dumb_weight)
+        assert_bitwise_equal(
+            result, udt_transform_reference(graph, k, dumb_weight=dumb_weight)
+        )
+        assert_closed_form_properties(graph, result, k)
+        new_nodes.append(result.stats.new_nodes)
+    assert new_nodes[:2] == [0, 1]
+    assert sorted(set(new_nodes)) == [0, 1, 2, 3, 4]
+
+
+def test_oracle_rejects_k_below_two_like_udt(powerlaw_graph):
+    for transform in (udt_transform, udt_transform_reference):
+        with pytest.raises(TransformError, match="K >= 2"):
+            transform(powerlaw_graph, 1)
+
+
+def test_families_unchanged(powerlaw_graph):
+    """families() groups with one sort; same dict as the per-root scan."""
+    result = udt_transform(powerlaw_graph, 4)
+    n = result.num_original_nodes
+    split_ids = np.arange(n, result.graph.num_nodes)
+    origins = result.node_origin[n:]
+    want = {
+        int(root): np.concatenate([[root], split_ids[origins == root]])
+        for root in np.unique(origins)
+    }
+    got = result.families()
+    assert list(got) == list(want) and len(got) == result.stats.num_families
+    for root, members in want.items():
+        assert got[root].dtype == np.int64
+        assert np.array_equal(got[root], members)
+    assert udt_transform(powerlaw_graph, 10_000).families() == {}

@@ -23,10 +23,10 @@ Fixture design (see ``tests/traces/README.md``):
     Every analytic the service knows, single- and multi-source,
     varied K — the broad regression net.
 ``degraded.jsonl``
-    The deadline paths, made deterministic by construction: udt
-    queries on a graph large enough that the cold build estimate
-    (x2 safety) always exceeds their 0.1s budget (degrade to raw
-    CSR), then a wall of cold builds saturating every worker, then a
+    The deadline paths, made deterministic by construction: a udt
+    query under a 0.1s budget (enough for its cold build; the digest
+    is the same if the planner degrades it to the raw CSR instead),
+    then a wall of cold builds saturating every worker, then a
     10 microsecond deadline that is always already expired when a
     dispatcher finally dequeues it ("timed out in queue").  Digests
     cover values + error text only, so both outcomes replay stably.
@@ -147,11 +147,10 @@ def degraded(outdir: Path) -> None:
         return rng.randrange(graph.num_nodes)
 
     requests = []
-    # Head of the stream, workers idle: dequeued in microseconds, but
-    # the cold udt build estimate (x2 safety) dwarfs the 0.1s budget,
-    # so the planner degrades to the raw CSR every time.  Degradation
-    # is invisible to the digest (same answers), so a warm-cache
-    # replay pass that does NOT degrade still matches.  One
+    # Head of the stream, workers idle: dequeued in microseconds with
+    # a 0.1s budget, which funds the cold udt build (2.4 ms padded estimate).
+    # Degradation is invisible to the digest (same answers), so the
+    # head replays stably whichever plan runs.  One
     # multi-source request, not three single-source ones: a single
     # request is a single batch under every replay submission window,
     # so it can never queue behind its own siblings and expire.
