@@ -89,14 +89,15 @@ def bc(
             break
         dst = targets[eidx]
         src = batch.sources_per_edge()
-        # settle the next level
-        fresh = dst[levels[dst] < 0]
-        if len(fresh):
-            levels[np.unique(fresh)] = level + 1
+        # settle the next level; dedupe through a mask (a scan, where
+        # numpy >= 2.3's hash-based np.unique costs ~20x one)
+        fresh = np.zeros(n, dtype=bool)
+        fresh[dst[levels[dst] < 0]] = True
+        frontier = np.flatnonzero(fresh)
+        levels[frontier] = level + 1
         # accumulate sigma over edges landing exactly one level down
         on_level = levels[dst] == level + 1
         np.add.at(sigma, dst[on_level], sigma[src[on_level]])
-        frontier = np.unique(fresh)
         level += 1
 
     # ---------------- backward phase ----------------

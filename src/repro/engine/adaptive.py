@@ -20,14 +20,13 @@ both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.engine import kernels
 from repro.engine.program import PushProgram, ReduceOp
-from repro.engine.push import EngineOptions, EngineResult
+from repro.engine.push import EngineOptions, EngineResult, PushStep
 from repro.engine.schedule import NodeScheduler, Scheduler
 from repro.errors import EngineError
 from repro.gpu.simulator import GPUSimulator
@@ -84,12 +83,14 @@ def run_adaptive(
     if program.reduce not in (ReduceOp.MIN, ReduceOp.MAX):
         raise EngineError("adaptive direction switching requires a monotone "
                           "(MIN/MAX) program")
-    if program.needs_weights and graph.weights is None:
-        raise EngineError(f"program {program.name!r} needs edge weights")
     n = graph.num_nodes
     if reverse is None:
         reverse = graph.reverse()
-    push_scheduler = NodeScheduler(graph)
+    push_step = PushStep(
+        NodeScheduler(graph), program,
+        replace(options, sync_relaxation_blocks=1), simulator,
+    )
+    backend, spec = push_step.backend, push_step.spec
     if pull_scheduler is None:
         pull_scheduler = NodeScheduler(reverse)
 
@@ -103,10 +104,7 @@ def run_adaptive(
         from repro.engine import costmodel
 
         pull_threshold = costmodel.get_profile().pull_threshold()
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=graph.num_edges
-    )
-    spec = kernels.spec_for(program) if backend.jit else None
+    read = values.copy()
 
     converged = False
     iterations = pushes = pulls = 0
@@ -117,7 +115,6 @@ def run_adaptive(
             converged = True
             break
         iterations += 1
-        before = values.copy()
         frontier_edges = int(degrees[frontier].sum())
 
         if frontier_edges > pull_threshold * total_edges:
@@ -128,34 +125,25 @@ def run_adaptive(
                 simulator.record_iteration(batch.trace())
             edges_processed += batch.total_edges
             if batch.total_edges and not backend.try_pull(
-                spec, values, before, batch, reverse.targets, reverse.weights
+                spec, values, read, batch, reverse.targets, reverse.weights
             ):
                 eidx = batch.edge_indices()
-                neighbor_vals = before[reverse.targets[eidx]]
+                neighbor_vals = read[reverse.targets[eidx]]
                 w = reverse.weights[eidx] if reverse.weights is not None else None
                 candidates = program.relax(neighbor_vals, w)
                 program.reduce.scatter(values, batch.sources_per_edge(), candidates)
+            changed = np.flatnonzero(values != read)
         else:
             # ---- push the frontier ---------------------------------
             pushes += 1
-            batch = push_scheduler.batch(frontier)
-            if simulator is not None:
-                simulator.record_iteration(batch.trace())
-            edges_processed += batch.total_edges
-            if batch.total_edges and not backend.try_push(
-                spec, values, before, batch, graph.targets, graph.weights
-            ):
-                eidx = batch.edge_indices()
-                src_vals = before[batch.sources_per_edge()]
-                w = graph.weights[eidx] if graph.weights is not None else None
-                candidates = program.relax(src_vals, w)
-                program.reduce.scatter(values, graph.targets[eidx], candidates)
+            changed, edges = push_step(values, read, frontier)
+            edges_processed += edges
 
-        changed = np.flatnonzero(values != before)
         if len(changed) == 0:
             converged = True
             break
-        frontier = changed.astype(NODE_DTYPE)
+        read[changed] = values[changed]
+        frontier = changed
 
     if not converged and options.require_convergence:
         raise EngineError(

@@ -58,7 +58,11 @@ class Frontier:
         self._ids = None
         self._mask = None
         if ids is not None:
-            ids = np.unique(np.asarray(ids, dtype=NODE_DTYPE))
+            ids = np.asarray(ids, dtype=NODE_DTYPE)
+            if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+                # hash-based np.unique (numpy >= 2.3) costs ~20x a
+                # sort; the engines hand back strictly increasing ids
+                ids = np.unique(ids)
             if len(ids) and (ids[0] < 0 or ids[-1] >= num_nodes):
                 raise EngineError("frontier ids out of range")
             self._ids = ids
@@ -109,7 +113,7 @@ class Frontier:
         if self._ids is not None and occupancy >= self.dense_threshold:
             mask = np.zeros(self.num_nodes, dtype=bool)
             mask[self._ids] = True
-            self._mask, self._ids = mask, None
+            self._mask = mask  # ids stay cached for :meth:`ids`
         elif self._mask is not None and occupancy < self.dense_threshold:
             self._ids, self._mask = np.flatnonzero(self._mask).astype(NODE_DTYPE), None
 

@@ -2,14 +2,16 @@
 
 The engines' hot path is always the same shape: gather each active
 thread's edges, relax along every edge, and scatter-reduce candidates
-into destination values.  The numpy realisation of that shape pays
-for several full-edge-array temporaries per launch (``edge_indices``,
-``sources_per_edge``, the gathered source values, the relax result)
-before ``ufunc.at`` even runs.  A compiled kernel walks the thread
-descriptors directly — one pass over the edges, zero temporaries —
-and produces **bitwise identical** results because it performs the
-exact same float operations in the exact same order ``ufunc.at``
-would.
+into destination values.  The numpy *fallback* realises that shape
+with several full-edge-array temporaries per launch
+(``edge_indices``, ``sources_per_edge``, the gathered source values,
+the relax result) before ``ufunc.at`` even runs.  A compiled kernel
+makes one pass over the edges with zero temporaries; the push
+superstep (``push_step``) also indexes the virtual-node array itself,
+as Algorithms 2-3 do, and returns the changed destinations — the
+next frontier.  Results are **bitwise identical**: the compiled loops
+perform the exact same float operations in the exact same order
+``ufunc.at`` would.
 
 Three backends are registered:
 
@@ -46,9 +48,10 @@ Safety gates (any failure falls back to numpy, never errors):
   caught *statically* before a fused kernel could disagree with it;
 * the program must not override ``filter_pushes`` or ``lane_relax``
   (a fused kernel cannot honor arbitrary Python hooks);
-* arrays must be C-contiguous ``float64``/``int64`` and the batch
-  must carry per-thread owners (``phys``); warp-segmentation batches
-  decline;
+* arrays must be C-contiguous ``float64``/``int64``; batch hooks
+  need per-thread owners (``phys``) and the push superstep needs a
+  :meth:`~repro.engine.schedule.Scheduler.walk_layout`, so
+  warp-segmentation launches decline;
 * the read array must not alias the write array (synchronization
   relaxation re-reads values mid-launch, which only the buffered
   numpy path reproduces).
@@ -61,6 +64,7 @@ KERN001 of ``repro analyze --strict`` fails the build otherwise.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -140,29 +144,48 @@ def spec_for(program: PushProgram) -> Optional[KernelSpec]:
 # slot order (exactly `strided_ranges_to_indices`), and the fold is
 # the same comparison / addition `ufunc.at` applies element-wise.
 
-def _push_kernel(v, rv, phys, counts, starts, strides, targets, w,
-                 has_w, relax, reduce_):
-    for t in range(phys.shape[0]):
-        s = rv[phys[t]]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            if relax == 0:
-                c = s + (w[e] if has_w else 1.0)
-            elif relax == 1:
-                c = min(s, w[e])
-            else:
-                c = s
-            d = targets[e]
-            if reduce_ == 0:
-                if c < v[d]:
+def _push_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
+                      relax, reduce_, mark, changed):
+    # one superstep over a schedule.WalkLayout -> (changed count, edges)
+    cnt = 0
+    edges = 0
+    for i in range(active.shape[0]):
+        p = active[i]
+        s = rv[p]
+        base = off[p]
+        end = off[p + 1]
+        edges += end - base
+        fam = fv[p + 1] - fv[p] if has_fv else 1
+        for r in range(fam):
+            for e in range(base + r, end, fam):
+                if relax == 0:
+                    c = s + (w[e] if has_w else 1.0)
+                elif relax == 1:
+                    c = min(s, w[e])
+                else:
+                    c = s
+                d = targets[e]
+                if reduce_ == 0:
+                    wrote = c < v[d]
+                elif reduce_ == 1:
+                    wrote = c > v[d]
+                else:
+                    wrote = True
+                    c += v[d]
+                if wrote:
                     v[d] = c
-            elif reduce_ == 1:
-                if c > v[d]:
-                    v[d] = c
-            else:
-                v[d] += c
+                    if mark[d] == 0:
+                        mark[d] = 1
+                        changed[cnt] = d
+                        cnt += 1
+    kept = 0
+    for i in range(cnt):
+        d = changed[i]
+        mark[d] = 0
+        if v[d] != rv[d]:
+            changed[kept] = d
+            kept += 1
+    return kept, edges
 
 
 def _pull_kernel(v, rv, own, counts, starts, strides, in_sources, w,
@@ -249,15 +272,32 @@ def _u64(a: np.ndarray) -> bool:
     return a.dtype == np.uint64 and a.flags.c_contiguous
 
 
+def _counted(hook):
+    """Count a JIT hook's outcome under the backend's lock (hooks run
+    on worker threads plus one per shard; a bare ``+=`` loses updates)."""
+
+    @functools.wraps(hook)
+    def counted(self, *args):
+        result = hook(self, *args)
+        with self._lock:
+            if result is None or result is False:
+                self.declined += 1
+            else:
+                self.engaged += 1
+        return result
+
+    return counted
+
+
 class KernelBackend:
     """One relax/reduce inner-loop implementation.
 
     The base class *is* the ``numpy`` backend: every ``try_*`` hook
     declines, which makes the engines run their canonical vectorised
     path.  Compiled backends override the hooks and return ``True``
-    when they handled the launch; any gate failure returns ``False``
-    and the engine falls back — so a backend can never change
-    results, only speed.
+    (``try_push_step``: its result) when they handled the launch; any
+    gate failure returns ``False`` (``None``) and the engine falls
+    back — so a backend can never change results, only speed.
     """
 
     #: registry key; must appear in KERNEL_BACKEND_EXPECTATIONS.
@@ -266,10 +306,11 @@ class KernelBackend:
     jit = False
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         #: launches handled by compiled kernels (parity tests assert
         #: the fused path actually engaged).
         self.engaged = 0
-        #: launches declined to the numpy path.
+        #: launches a JIT backend was offered and left to numpy.
         self.declined = 0
 
     def is_available(self) -> bool:
@@ -283,8 +324,11 @@ class KernelBackend:
     # engine's own (full ``targets``/``weights`` arrays, per-batch
     # descriptor arrays); the hook must not mutate anything but the
     # destination values.
-    def try_push(self, spec, values, read_values, batch, targets, weights) -> bool:
-        return False
+    def try_push_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int]]:
+        """One whole :class:`~repro.engine.push.PushStep`: ``(sorted
+        changed ids, edges)``, or ``None`` to decline."""
+        return None
 
     def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
         return False
@@ -303,20 +347,42 @@ class KernelBackend:
         """Shared admission checks for the batch-form hooks."""
         if spec is None or batch.phys is None:
             return False
+        if not (_i64(batch.phys) and _i64(batch.counts)
+                and _i64(batch.starts) and _i64(batch.strides)):
+            return False
+        return self._gate_values(spec, values, read_values, weights)
+
+    @staticmethod
+    def _gate_values(spec, values, read_values, weights) -> bool:
         if values is read_values:
             # synchronization relaxation re-reads mid-launch; only the
             # buffered numpy path reproduces that order.
             return False
-        if not (_f64(values) and _f64(read_values) and _i64(batch.phys)
-                and _i64(batch.counts) and _i64(batch.starts)
-                and _i64(batch.strides)):
+        if not (_f64(values) and _f64(read_values)):
             return False
         if weights is None:
-            if spec.needs_weights:
-                return False
-        elif not _f64(weights):
+            return not spec.needs_weights
+        return _f64(weights)
+
+    def _gate_step(self, spec, out, read, active, walk, targets, weights,
+                   scratch) -> bool:
+        """Admission checks for :meth:`try_push_step` — everything the
+        compiled walk dereferences is sized and bounded here."""
+        if spec is None or walk is None:
             return False
-        return True
+        n = len(walk.offsets) - 1
+        mark, changed = scratch
+        if not (_i64(active) and _i64(walk.offsets) and _i64(targets)
+                and (walk.family_starts is None
+                     or _i64(walk.family_starts)
+                     and walk.family_starts.shape == (n + 1,))
+                and out.shape == read.shape == (n,)
+                and mark.dtype == np.uint8 and mark.shape == (n,)
+                and _i64(changed) and changed.shape == (n + 1,)):
+            return False
+        if len(active) and (active.min() < 0 or active.max() >= n):
+            return False
+        return self._gate_values(spec, out, read, weights)
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -402,8 +468,7 @@ def resolve_backend(
 # C backend (system compiler + ctypes)
 # ----------------------------------------------------------------------
 #: the C transliteration of the reference kernels.  One function per
-#: shape; relax/reduce arrive as int flags that gcc's loop unswitching
-#: hoists out of the hot loops at -O3.
+#: shape; relax/reduce arrive as loop-invariant int flags.
 _C_SOURCE = r"""
 #include <stdint.h>
 
@@ -413,27 +478,52 @@ _C_SOURCE = r"""
     else                 (c) = (s); \
 } while (0)
 
-#define FOLD(v, d, c) do { \
-    if (reduce == 0)      { if ((c) < (v)[(d)]) (v)[(d)] = (c); } \
-    else if (reduce == 1) { if ((c) > (v)[(d)]) (v)[(d)] = (c); } \
-    else                  { (v)[(d)] += (c); } \
+/* HOT marks the two kernels serving spends its time in: hoisting the
+   loop-invariant relax/reduce flags out of their edge loops is worth
+   10-20 % on cache-resident graphs for ~0.02 s of compile each */
+#if defined(__GNUC__) && !defined(__clang__)
+#define HOT __attribute__((optimize("unswitch-loops")))
+#else
+#define HOT
+#endif
+
+/* `wrote` runs after every store (the superstep marks there) */
+#define FOLD(v, d, c, wrote) do { \
+    if (reduce == 0)      { if ((c) < (v)[(d)]) { (v)[(d)] = (c); wrote; } } \
+    else if (reduce == 1) { if ((c) > (v)[(d)]) { (v)[(d)] = (c); wrote; } } \
+    else                  { (v)[(d)] += (c); wrote; } \
 } while (0)
 
-void push_batch(double* v, const double* rv, const int64_t* phys,
-                const int64_t* counts, const int64_t* starts,
-                const int64_t* strides, const int64_t* targets,
-                const double* w, int64_t nthreads,
-                int has_w, int relax, int reduce) {
-    for (int64_t t = 0; t < nthreads; t++) {
-        const double s = rv[phys[t]];
-        const int64_t b = starts[t], st = strides[t], k = counts[t];
-        for (int64_t j = 0; j < k; j++) {
-            const int64_t e = b + j * st;
-            double c;
-            RELAX(c, s, e);
-            FOLD(v, targets[e], c);
+HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
+                  int64_t nactive, const int64_t* off, const int64_t* fv,
+                  const int64_t* targets, const double* w, uint8_t* mark,
+                  int64_t* changed, int64_t* edges,
+                  int has_w, int relax, int reduce) {
+    int64_t cnt = 0, kept = 0, total = 0;
+    for (int64_t i = 0; i < nactive; i++) {
+        const int64_t p = active[i], base = off[p], end = off[p + 1];
+        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
+        const double s = rv[p];
+        total += end - base;
+        for (int64_t r = 0; r < fam; r++) {
+            for (int64_t e = base + r; e < end; e += fam) {
+                const int64_t d = targets[e];
+                double c;
+                RELAX(c, s, e);
+                /* branch-free: first writes are a coin flip to predict
+                   (hence one spare slot at changed[n]) */
+                FOLD(v, d, c,
+                     changed[cnt] = d; cnt += !mark[d]; mark[d] = 1);
+            }
         }
     }
+    for (int64_t i = 0; i < cnt; i++) {
+        const int64_t d = changed[i];
+        mark[d] = 0;
+        if (v[d] != rv[d]) changed[kept++] = d;
+    }
+    *edges = total;
+    return kept;
 }
 
 void pull_batch(double* v, const double* rv, const int64_t* own,
@@ -448,12 +538,12 @@ void pull_batch(double* v, const double* rv, const int64_t* own,
             const int64_t e = b + j * st;
             double c;
             RELAX(c, rv[in_sources[e]], e);
-            FOLD(v, o, c);
+            FOLD(v, o, c, (void)0);
         }
     }
 }
 
-void push_lanes(double* vt, const double* rvt, int64_t lanes, int64_t n,
+HOT void push_lanes(double* vt, const double* rvt, int64_t lanes, int64_t n,
                 const int64_t* phys, const int64_t* counts,
                 const int64_t* starts, const int64_t* strides,
                 const int64_t* targets, const double* w, int64_t nthreads,
@@ -468,7 +558,7 @@ void push_lanes(double* vt, const double* rvt, int64_t lanes, int64_t n,
                 const int64_t e = b + j * st;
                 double c;
                 RELAX(c, s, e);
-                FOLD(v, targets[e], c);
+                FOLD(v, targets[e], c, (void)0);
             }
         }
     }
@@ -493,14 +583,6 @@ void edge_mul_add(double* out, const double* values, const int64_t* src,
         out[dst[e]] += values[src[e]] * scale[e];
     }
 }
-
-void scatter_reduce(double* v, const int64_t* idx, const double* c,
-                    int64_t n, int reduce) {
-    int relax = 2; (void)relax;
-    for (int64_t i = 0; i < n; i++) {
-        FOLD(v, idx[i], c[i]);
-    }
-}
 """
 
 
@@ -514,20 +596,23 @@ def _find_cc() -> Optional[str]:
 class CJitBackend(KernelBackend):
     """Kernels compiled once with the system C compiler.
 
-    The shared library is content-addressed by (source hash, compiler)
-    and cached under the repro cache dir, so the compile cost is paid
+    The shared library is content-addressed by (source, compiler,
+    flags) and cached under the repro cache dir, so the compile cost is paid
     once per machine, not per process.  Loading is lazy: the compiler
     is only invoked the first time a hook actually fires.
     """
 
     name = "cjit"
     jit = True
+    #: -O2, not -O3: every cold boot pays the compile (0.12 s against
+    #: 0.21 s), and what -O3 bought the hot loops — unswitching — the
+    #: source's HOT attribute asks for by name.
+    CFLAGS = ("-O2", "-fPIC", "-shared")
 
     def __init__(self) -> None:
         super().__init__()
         self._lib: Optional[ctypes.CDLL] = None
         self._failed: Optional[str] = None
-        self._lock = threading.Lock()
         #: wall seconds the one-time compile took (0 on cache hit).
         self.compile_seconds = 0.0
 
@@ -572,7 +657,7 @@ class CJitBackend(KernelBackend):
         if cc is None:
             raise EngineError("no C compiler on PATH")
         digest = hashlib.sha256(
-            (_C_SOURCE + "\0" + cc).encode()
+            "\0".join((_C_SOURCE, cc) + self.CFLAGS).encode()
         ).hexdigest()[:16]
         lib_dir = os.path.join(cache_dir(), "kernels")
         os.makedirs(lib_dir, exist_ok=True)
@@ -584,15 +669,19 @@ class CJitBackend(KernelBackend):
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(_C_SOURCE)
             subprocess.run(
-                [cc, "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path],
+                [cc, *self.CFLAGS, "-o", tmp_path, src_path],
                 check=True, capture_output=True, text=True,
             )
             os.replace(tmp_path, lib_path)  # atomic: racers see whole files
             self.compile_seconds = time.perf_counter() - started
         lib = ctypes.CDLL(lib_path)
-        for fn in ("push_batch", "pull_batch", "push_lanes", "or_batch",
-                   "edge_mul_add", "scatter_reduce"):
+        for fn in ("pull_batch", "push_lanes", "or_batch", "edge_mul_add"):
             getattr(lib, fn).restype = None
+        ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+        lib.push_step.restype = i64
+        lib.push_step.argtypes = (
+            [ptr] * 3 + [i64] + [ptr] * 7 + [i32] * 3
+        )
         return lib
 
     # -- hooks ----------------------------------------------------------
@@ -600,26 +689,29 @@ class CJitBackend(KernelBackend):
     def _ptr(a: np.ndarray) -> ctypes.c_void_p:
         return ctypes.c_void_p(a.ctypes.data)
 
-    def try_push(self, spec, values, read_values, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(targets):
-            return False
+    @_counted
+    def try_push_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int]]:
+        if not self._gate_step(spec, out, read, active, walk, targets,
+                               weights, scratch):
+            return None
         lib = self._ensure_lib()
         if lib is None:
-            return False
-        w = weights if weights is not None else values  # never read when has_w=0
-        lib.push_batch(
-            self._ptr(values), self._ptr(read_values), self._ptr(batch.phys),
-            self._ptr(batch.counts), self._ptr(batch.starts),
-            self._ptr(batch.strides), self._ptr(targets), self._ptr(w),
-            ctypes.c_int64(batch.num_threads),
-            ctypes.c_int(int(weights is not None)),
-            ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
+            return None
+        mark, changed = scratch
+        fv = walk.family_starts
+        w = weights if weights is not None else out  # never read when has_w=0
+        edges = ctypes.c_int64()
+        kept = lib.push_step(
+            out.ctypes.data, read.ctypes.data, active.ctypes.data,
+            len(active), walk.offsets.ctypes.data,
+            None if fv is None else fv.ctypes.data, targets.ctypes.data,
+            w.ctypes.data, mark.ctypes.data, changed.ctypes.data,
+            ctypes.byref(edges), weights is not None, spec.relax, spec.reduce,
         )
-        self.engaged += 1
-        return True
+        return np.sort(changed[:kept]), edges.value
 
+    @_counted
     def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
         if not self._gate_common(spec, values, read_values, batch, weights):
             return False
@@ -637,9 +729,9 @@ class CJitBackend(KernelBackend):
             ctypes.c_int(int(weights is not None)),
             ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
         )
-        self.engaged += 1
         return True
 
+    @_counted
     def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
         if not self._gate_common(spec, values_t, read_t, batch, weights):
             return False
@@ -660,9 +752,9 @@ class CJitBackend(KernelBackend):
             ctypes.c_int(int(weights is not None)),
             ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
         )
-        self.engaged += 1
         return True
 
+    @_counted
     def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
         if batch.phys is None:
             return False
@@ -681,9 +773,9 @@ class CJitBackend(KernelBackend):
             self._ptr(batch.strides), self._ptr(targets),
             ctypes.c_int64(batch.num_threads),
         )
-        self.engaged += 1
         return True
 
+    @_counted
     def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
         if not (_f64(out) and _f64(values) and _f64(scale)
                 and _i64(src) and _i64(dst)):
@@ -695,7 +787,6 @@ class CJitBackend(KernelBackend):
             self._ptr(out), self._ptr(values), self._ptr(src),
             self._ptr(dst), self._ptr(scale), ctypes.c_int64(len(src)),
         )
-        self.engaged += 1
         return True
 
 
@@ -719,7 +810,6 @@ class NumbaBackend(KernelBackend):
         super().__init__()
         self._kernels: Dict[str, object] = {}
         self._failed: Optional[str] = None
-        self._lock = threading.Lock()
         self.compile_seconds = 0.0
 
     def is_available(self) -> bool:
@@ -767,21 +857,25 @@ class NumbaBackend(KernelBackend):
 
     _EMPTY_W = np.empty(0, dtype=np.float64)
 
-    def try_push(self, spec, values, read_values, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(targets):
-            return False
-        kernel = self._kernel("push", _push_kernel)
+    @_counted
+    def try_push_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int]]:
+        if not self._gate_step(spec, out, read, active, walk, targets,
+                               weights, scratch):
+            return None
+        kernel = self._kernel("push_step", _push_step_kernel)
         if kernel is None:
-            return False
-        kernel(values, read_values, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
-        return True
+            return None
+        mark, changed = scratch
+        fv = walk.family_starts
+        kept, edges = kernel(
+            out, read, active, walk.offsets,
+            walk.offsets if fv is None else fv, fv is not None, targets,
+            weights if weights is not None else self._EMPTY_W,
+            weights is not None, spec.relax, spec.reduce, mark, changed)
+        return np.sort(changed[:kept]), int(edges)
 
+    @_counted
     def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
         if not self._gate_common(spec, values, read_values, batch, weights):
             return False
@@ -794,9 +888,9 @@ class NumbaBackend(KernelBackend):
                batch.strides, in_sources,
                weights if weights is not None else self._EMPTY_W,
                weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
         return True
 
+    @_counted
     def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
         if not self._gate_common(spec, values_t, read_t, batch, weights):
             return False
@@ -809,9 +903,9 @@ class NumbaBackend(KernelBackend):
                batch.strides, targets,
                weights if weights is not None else self._EMPTY_W,
                weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
         return True
 
+    @_counted
     def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
         if batch.phys is None:
             return False
@@ -826,9 +920,9 @@ class NumbaBackend(KernelBackend):
             return False
         kernel(new_w, frontier_w, batch.phys, batch.counts, batch.starts,
                batch.strides, targets)
-        self.engaged += 1
         return True
 
+    @_counted
     def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
         if not (_f64(out) and _f64(values) and _f64(scale)
                 and _i64(src) and _i64(dst)):
@@ -837,7 +931,6 @@ class NumbaBackend(KernelBackend):
         if kernel is None:
             return False
         kernel(out, values, src, dst, scale)
-        self.engaged += 1
         return True
 
 
@@ -845,6 +938,19 @@ class NumbaBackend(KernelBackend):
 NUMPY_BACKEND = register_backend(KernelBackend())
 CJIT_BACKEND = register_backend(CJitBackend())
 NUMBA_BACKEND = register_backend(NumbaBackend())
+
+
+def engagement() -> Tuple[str, int, int]:
+    """``(backend, engaged, declined)`` for this process: the backend
+    that handled the most launches (``"numpy"`` when none engaged) and
+    the launch counts summed over the registry."""
+    with _REGISTRY_LOCK:
+        backends = list(_REGISTRY.values())
+    return (
+        max(backends, key=lambda b: b.engaged).name,
+        sum(b.engaged for b in backends),
+        sum(b.declined for b in backends),
+    )
 
 
 def jit_backends() -> List[str]:

@@ -20,7 +20,7 @@ instead of ``O(E * S)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +98,84 @@ class EngineResult:
     lane_iterations: int = 0
 
 
+class PushStep:
+    """The push superstep — the one implementation every route runs.
+
+    ``step(out, read, active)`` relaxes the active nodes' edges from
+    ``read`` and folds the candidates into ``out`` (equal to ``read``
+    on entry), returning ``(changed, edges)``: the sorted ids whose
+    ``out`` now differs from ``read`` — the next frontier — and the
+    edges relaxed.  The caller commits (``read[changed] =
+    out[changed]``) or discards (the reverse) before the next step.
+
+    A JIT backend runs the whole step compiled, walking the
+    scheduler's ``walk_layout()`` in ``batch()`` order (same folds,
+    bitwise-equal values and changed sets).  Simulator runs,
+    ``sync_relaxation_blocks > 1`` (later blocks re-read ``out``),
+    unwalkable schedulers and any gate failure take the numpy path.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        program: PushProgram,
+        options: EngineOptions,
+        simulator: Optional[GPUSimulator] = None,
+    ) -> None:
+        graph = scheduler.graph
+        if options.sync_relaxation_blocks < 1:
+            raise EngineError("sync_relaxation_blocks must be >= 1")
+        if program.needs_weights and graph.weights is None:
+            raise EngineError(f"program {program.name!r} needs edge weights")
+        self.scheduler = scheduler
+        self.program = program
+        self.simulator = simulator
+        self.blocks = options.sync_relaxation_blocks
+        self.backend = kernels.resolve_backend(
+            options.kernel_backend, edges=graph.num_edges
+        )
+        self.spec = kernels.spec_for(program) if self.backend.jit else None
+        self.walk = (
+            scheduler.walk_layout()
+            if simulator is None and self.blocks == 1 else None
+        )
+        # per-run, never shared: the compiled walk's destination marks
+        # (all zero between steps) and changed-id buffer (+1 spare slot)
+        self.scratch = (
+            np.zeros(graph.num_nodes, dtype=np.uint8),
+            np.empty(graph.num_nodes + 1, dtype=NODE_DTYPE),
+        ) if self.backend.jit and self.walk is not None else None
+
+    def __call__(
+        self, out: np.ndarray, read: np.ndarray, active: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        graph = self.scheduler.graph
+        stepped = self.backend.try_push_step(
+            self.spec, out, read, active, self.walk,
+            graph.targets, graph.weights, self.scratch,
+        )
+        if stepped is not None:
+            return stepped
+        batch = self.scheduler.batch(active)
+        if self.simulator is not None:
+            self.simulator.record_iteration(batch.trace())
+        if self.blocks == 1:
+            _apply_batch(batch, self.program, out, read,
+                         graph.targets, graph.weights)
+        else:
+            bounds = np.linspace(
+                0, batch.num_threads, self.blocks + 1
+            ).astype(np.int64)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    # later blocks read values already updated: relaxation
+                    _apply_batch(
+                        batch.slice(int(lo), int(hi)), self.program,
+                        out, out, graph.targets, graph.weights,
+                    )
+        return np.flatnonzero(out != read), batch.total_edges
+
+
 def run_push(
     scheduler: Scheduler,
     program: PushProgram,
@@ -126,24 +204,14 @@ def run_push(
         given, each iteration's thread batch is costed and
         ``result.metrics`` carries the run totals.
     """
-    graph = scheduler.graph
-    n = graph.num_nodes
-    if options.sync_relaxation_blocks < 1:
-        raise EngineError("sync_relaxation_blocks must be >= 1")
-    if program.needs_weights and graph.weights is None:
-        raise EngineError(f"program {program.name!r} needs edge weights")
-
+    n = scheduler.graph.num_nodes
+    step = PushStep(scheduler, program, options, simulator)
     values = program.initial_values(n, source)
+    read = values.copy()
     frontier = Frontier.from_ids(
         n, program.initial_frontier(n, source),
         dense_threshold=options.dense_threshold,
     )
-    weights = graph.weights
-    targets = graph.targets
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=graph.num_edges
-    )
-    spec = kernels.spec_for(program) if backend.jit else None
 
     converged = False
     iterations = 0
@@ -157,38 +225,15 @@ def run_push(
             break
         if options.worklist and frontier.is_dense:
             dense_iterations += 1
-        batch = scheduler.batch(active)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+        changed, edges = step(values, read, active)
         iterations += 1
-        edges_processed += batch.total_edges
-
-        before = values.copy()
-        if options.sync_relaxation_blocks == 1:
-            _apply_batch(
-                batch, program, values, before, targets, weights,
-                backend=backend, spec=spec,
-            )
-        else:
-            bounds = np.linspace(
-                0, batch.num_threads, options.sync_relaxation_blocks + 1
-            ).astype(np.int64)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    # later blocks read values already updated: relaxation
-                    # (read aliases write, so fused backends decline)
-                    _apply_batch(
-                        batch.slice(int(lo), int(hi)),
-                        program, values, values, targets, weights,
-                        backend=backend, spec=spec,
-                    )
-
-        changed_mask = values != before
-        if not changed_mask.any():
+        edges_processed += edges
+        if len(changed) == 0:
             converged = True
             break
-        frontier = Frontier.from_mask(
-            n, changed_mask, dense_threshold=options.dense_threshold
+        read[changed] = values[changed]
+        frontier = Frontier.from_ids(
+            n, changed, dense_threshold=options.dense_threshold
         )
 
     if not converged and options.require_convergence:
@@ -508,27 +553,14 @@ def _apply_batch(
     read_values: np.ndarray,
     targets: np.ndarray,
     weights: Optional[np.ndarray],
-    *,
-    backend: Optional[KernelBackend] = None,
-    spec: Optional[KernelSpec] = None,
 ) -> None:
     """Relax one batch's edges and scatter-reduce into ``values``.
 
     ``read_values`` is the array source values are read from: the
     iteration-start snapshot under strict BSP, or ``values`` itself
     under synchronization relaxation.
-
-    When a JIT kernel backend accepts the launch, the whole gather /
-    relax / scatter runs fused in one pass over the thread descriptors
-    — bitwise identical to the numpy path below (same element order,
-    same folds).  Any gate failure (aliased read array, uncertified
-    program, wrong dtypes) falls through silently.
     """
     if batch.total_edges == 0:
-        return
-    if backend is not None and backend.try_push(
-        spec, values, read_values, batch, targets, weights
-    ):
         return
     eidx = batch.edge_indices()
     src_vals = read_values[batch.sources_per_edge()]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -113,6 +113,20 @@ class ThreadBatch:
         )
 
 
+class WalkLayout(NamedTuple):
+    """What a compiled superstep needs to walk a node's threads itself.
+
+    Without ``family_starts`` node ``p``'s CSR row is walked in order
+    (one thread per node, and how the default virtual layout's ranks
+    ``base + r * K + j`` tile it).  With it, ``p`` is a coalesced
+    family of ``fam = family_starts[p + 1] - family_starts[p]`` threads
+    walked rank by rank over slots ``base + r + j * fam``.
+    """
+
+    offsets: np.ndarray
+    family_starts: Optional[np.ndarray] = None
+
+
 class Scheduler(ABC):
     """Maps frontiers of physical nodes to thread batches."""
 
@@ -122,6 +136,11 @@ class Scheduler(ABC):
     @abstractmethod
     def batch(self, active: np.ndarray) -> ThreadBatch:
         """Thread batch covering the given active physical nodes."""
+
+    def walk_layout(self) -> Optional[WalkLayout]:
+        """The layout whose walk visits edges in :meth:`batch` order,
+        or ``None`` when threads are not per-node (warp segmentation)."""
+        return None
 
     def all_nodes(self) -> np.ndarray:
         """Convenience frontier: every node."""
@@ -135,6 +154,9 @@ class NodeScheduler(Scheduler):
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
+
+    def walk_layout(self) -> WalkLayout:
+        return WalkLayout(self.graph.offsets)
 
     def batch(self, active: np.ndarray) -> ThreadBatch:
         active = np.asarray(active, dtype=NODE_DTYPE)
@@ -156,6 +178,12 @@ class VirtualScheduler(Scheduler):
     def __init__(self, virtual: VirtualGraph) -> None:
         self.virtual = virtual
         self.graph = virtual.physical
+
+    def walk_layout(self) -> WalkLayout:
+        v = self.virtual
+        return WalkLayout(
+            self.graph.offsets, v.first_virtual if v.coalesced else None
+        )
 
     def batch(self, active: np.ndarray) -> ThreadBatch:
         active = np.asarray(active, dtype=NODE_DTYPE)
@@ -184,6 +212,11 @@ class MaxWarpScheduler(Scheduler):
         self.graph = graph
         self.w = int(virtual_warp_size)
 
+    def walk_layout(self) -> WalkLayout:
+        # a constant family of ``w`` coalesced lanes per node
+        lanes = np.arange(self.graph.num_nodes + 1, dtype=NODE_DTYPE) * self.w
+        return WalkLayout(self.graph.offsets, lanes)
+
     def batch(self, active: np.ndarray) -> ThreadBatch:
         active = np.asarray(active, dtype=NODE_DTYPE)
         w = self.w
@@ -208,6 +241,10 @@ class EdgeParallelScheduler(Scheduler):
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
+
+    def walk_layout(self) -> WalkLayout:
+        # per-edge threads in edge-array order fold in node-walk order
+        return WalkLayout(self.graph.offsets)
 
     def batch(self, active: np.ndarray) -> ThreadBatch:
         active = np.asarray(active, dtype=NODE_DTYPE)

@@ -13,6 +13,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.engine import kernels
 from repro.service.catalog import CatalogStats
 
 #: serving stages with recorded latencies, in pipeline order.
@@ -283,15 +284,21 @@ class ServiceMetrics:
                 for stage, samples in self._stage_samples.items()
             }
 
-    def summary(self) -> Dict[str, float]:
+    def summary(self) -> Dict[str, object]:
         """Flat dict for table formatting, like ``RunMetrics.summary``.
 
         Snapshots every counter under one lock acquisition so the
         reported fields are mutually consistent even while workers
-        record concurrently.
+        record concurrently.  The ``kernel_*`` fields are this
+        process's kernel-backend counters (shard threads included;
+        process-pool workers and remote shard hosts keep their own).
         """
+        kernel_backend, kernel_engaged, kernel_declined = kernels.engagement()
         with self._lock:
-            out: Dict[str, float] = {
+            out: Dict[str, object] = {
+                "kernel_backend": kernel_backend,
+                "kernel_engaged": kernel_engaged,
+                "kernel_declined": kernel_declined,
                 "queries_total": self.queries_total,
                 "queries_failed": self.queries_failed,
                 "queries_degraded": self.queries_degraded,

@@ -75,6 +75,8 @@ from repro.algorithms.programs import (
     SSSPProgram,
     SSWPProgram,
 )
+from repro.engine import kernels
+from repro.engine.push import EngineOptions, PushStep
 from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
 from repro.errors import (
     QuotaExhaustedError,
@@ -156,9 +158,10 @@ def _nbytes(*arrays: Optional[np.ndarray]) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class _MonotoneTask:
-    program: object
-    scheduler: Scheduler
+    step: PushStep
     values: np.ndarray
+    #: the step's write buffer; equals ``values`` between steps
+    pending: np.ndarray
 
 
 @dataclass
@@ -166,6 +169,7 @@ class _PageRankTask:
     src: np.ndarray
     dst: np.ndarray
     scale: np.ndarray
+    backend: kernels.KernelBackend
 
 
 class LocalShard:
@@ -212,14 +216,23 @@ class LocalShard:
         kind: str,
         degree_bound: int,
         source: Optional[int],
+        kernel_backend: Optional[str] = None,
     ) -> str:
-        """Initialise one monotone run; returns the overlay cache origin."""
+        """Initialise one monotone run; returns the overlay cache origin.
+
+        ``kernel_backend`` is the request's ``EngineOptions`` pin
+        (``None`` resolves as any engine run does, against this
+        slice's edge count).
+        """
         program = _PROGRAMS[algorithm]()
         scheduler, origin = self._scheduler_for(kind, degree_bound)
         values = program.initial_values(self.subgraph.num_nodes, source)
+        step = PushStep(
+            scheduler, program, EngineOptions(kernel_backend=kernel_backend)
+        )
         with self._lock:
             self._tasks[task] = _MonotoneTask(
-                program=program, scheduler=scheduler, values=values
+                step=step, values=values, pending=values.copy()
             )
         return origin
 
@@ -252,26 +265,21 @@ class LocalShard:
         shard's view identical to the router's.
         """
         state = self._monotone(task)
-        values = state.values
-        ids = np.asarray(ids, dtype=NODE_DTYPE)
+        values, pending = state.values, state.pending
+        ids = np.ascontiguousarray(ids, dtype=NODE_DTYPE)
         if len(ids):
             values[ids] = vals
-        batch = state.scheduler.batch(ids)
-        eidx = batch.edge_indices()
-        weights = self.subgraph.weights
-        candidates = state.program.relax(
-            values[batch.sources_per_edge()],
-            None if weights is None else weights[eidx],
-        )
-        updated = values.copy()
-        state.program.reduce.scatter(
-            updated, self.subgraph.targets[eidx], candidates
-        )
-        changed = np.flatnonzero(updated != values).astype(NODE_DTYPE)
-        return changed, updated[changed]
+            pending[ids] = vals
+        changed, _ = state.step(pending, values, ids)
+        improved = pending[changed]
+        pending[changed] = values[changed]
+        return changed, improved
 
     # -- pagerank ------------------------------------------------------
-    def pr_begin(self, task: int, inv_deg: np.ndarray) -> None:
+    def pr_begin(
+        self, task: int, inv_deg: np.ndarray,
+        kernel_backend: Optional[str] = None,
+    ) -> None:
         """Precompute this slice's scatter triple for a PageRank run.
 
         ``inv_deg`` is the *global* inverse outdegree vector (a shard
@@ -279,9 +287,13 @@ class LocalShard:
         router broadcasts it once per run).
         """
         src = self.subgraph.edge_sources()
+        backend = kernels.resolve_backend(
+            kernel_backend, edges=self.subgraph.num_edges
+        )
         with self._lock:
             self._tasks[task] = _PageRankTask(
-                src=src, dst=self.subgraph.targets, scale=inv_deg[src]
+                src=src, dst=self.subgraph.targets, scale=inv_deg[src],
+                backend=backend,
             )
 
     def pr_step(self, task: int, rank: np.ndarray) -> np.ndarray:
@@ -294,7 +306,10 @@ class LocalShard:
         """
         state = self._pagerank(task)
         contrib = np.zeros(self.subgraph.num_nodes)
-        np.add.at(contrib, state.dst, rank[state.src] * state.scale)
+        if not state.backend.try_edge_mul_add(
+            contrib, rank, state.src, state.dst, state.scale
+        ):
+            np.add.at(contrib, state.dst, rank[state.src] * state.scale)
         return contrib[self.owned]
 
     # -- lifecycle -----------------------------------------------------
@@ -372,6 +387,7 @@ class RemoteShardHandle:
         kind: str,
         degree_bound: int,
         source: Optional[int],
+        kernel_backend: Optional[str] = None,
     ) -> str:
         reply = self._call(
             {
@@ -382,6 +398,8 @@ class RemoteShardHandle:
                 "kind": kind,
                 "degree_bound": int(degree_bound),
                 "source": source,
+                # optional on the wire: null/absent = the host resolves
+                "kernel_backend": kernel_backend,
             }
         )
         return str(reply.get("cache", ""))
@@ -403,13 +421,17 @@ class RemoteShardHandle:
             _decode_array(reply["vals"]),  # type: ignore[arg-type]
         )
 
-    def pr_begin(self, task: int, inv_deg: np.ndarray) -> None:
+    def pr_begin(
+        self, task: int, inv_deg: np.ndarray,
+        kernel_backend: Optional[str] = None,
+    ) -> None:
         self._call(
             {
                 "op": "pr_begin",
                 "key": self.key,
                 "task": task,
                 "inv_deg": _encode_array(inv_deg),
+                "kernel_backend": kernel_backend,
             }
         )
 
@@ -519,6 +541,7 @@ def _host_dispatch(
             str(payload["kind"]),
             int(payload["degree_bound"]),
             None if source is None else int(source),
+            payload.get("kernel_backend"),  # type: ignore[arg-type]
         )
         return {"ok": True, "cache": origin}
     if op == "step":
@@ -529,7 +552,11 @@ def _host_dispatch(
         )
         return {"ok": True, "ids": _encode_array(ids), "vals": _encode_array(vals)}
     if op == "pr_begin":
-        shard.pr_begin(task, _decode_array(payload["inv_deg"]))  # type: ignore[arg-type]
+        shard.pr_begin(
+            task,
+            _decode_array(payload["inv_deg"]),  # type: ignore[arg-type]
+            payload.get("kernel_backend"),  # type: ignore[arg-type]
+        )
         return {"ok": True}
     if op == "pr_step":
         contrib = shard.pr_step(task, _decode_array(payload["rank"]))  # type: ignore[arg-type]
@@ -688,6 +715,7 @@ class ShardSet:
         sources: Tuple[int, ...],
         *,
         max_iterations: int = 100_000,
+        kernel_backend: Optional[str] = None,
         stats: Optional[ShardRunStats] = None,
     ) -> Dict[int, np.ndarray]:
         """Scatter-gather BSP to the fixpoint, one run per source.
@@ -701,7 +729,8 @@ class ShardSet:
         for source in sources or (None,):
             values = self._run_one_monotone(
                 algorithm, kind, degree_bound, source,
-                max_iterations=max_iterations, stats=stats,
+                max_iterations=max_iterations,
+                kernel_backend=kernel_backend, stats=stats,
             )
             per_source[-1 if source is None else int(source)] = values
         return per_source
@@ -714,6 +743,7 @@ class ShardSet:
         source: Optional[int],
         *,
         max_iterations: int,
+        kernel_backend: Optional[str],
         stats: ShardRunStats,
     ) -> np.ndarray:
         program = _PROGRAMS[algorithm]()
@@ -722,7 +752,7 @@ class ShardSet:
         task = next(_task_ids)
         origins = self._on_all(
             lambda shard: shard.begin(  # type: ignore[attr-defined]
-                task, algorithm, kind, degree_bound, source
+                task, algorithm, kind, degree_bound, source, kernel_backend
             )
         )
         stats.cache_origins.extend(str(origin) for origin in origins)
@@ -765,7 +795,10 @@ class ShardSet:
 
     # -- pagerank ------------------------------------------------------
     def run_pagerank(
-        self, *, stats: Optional[ShardRunStats] = None
+        self,
+        *,
+        kernel_backend: Optional[str] = None,
+        stats: Optional[ShardRunStats] = None,
     ) -> Dict[int, np.ndarray]:
         """Sharded PageRank on the untransformed prepared graph.
 
@@ -787,7 +820,9 @@ class ShardSet:
 
         task = next(_task_ids)
         self._on_all(
-            lambda shard: shard.pr_begin(task, inv_deg)  # type: ignore[attr-defined]
+            lambda shard: shard.pr_begin(  # type: ignore[attr-defined]
+                task, inv_deg, kernel_backend
+            )
         )
         try:
             for _ in range(PR_MAX_ITERATIONS):
@@ -1030,7 +1065,9 @@ class ShardedAnalyticsService(AnalyticsService):
         execute_start = time.perf_counter()
         stats = ShardRunStats()
         if algorithm == "pr":
-            per_source = shardset.run_pagerank(stats=stats)
+            per_source = shardset.run_pagerank(
+                kernel_backend=batch.options.kernel_backend, stats=stats
+            )
         else:
             per_source = shardset.run_monotone(
                 algorithm,
@@ -1038,6 +1075,7 @@ class ShardedAnalyticsService(AnalyticsService):
                 plan.degree_bound,
                 batch.sources,
                 max_iterations=batch.options.max_iterations,
+                kernel_backend=batch.options.kernel_backend,
                 stats=stats,
             )
         execute_s = time.perf_counter() - execute_start

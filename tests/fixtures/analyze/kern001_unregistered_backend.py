@@ -12,5 +12,5 @@ class RogueSimdBackend(KernelBackend):
     name = "simd-unproven"
     jit = True
 
-    def try_push(self, spec, values, read_values, batch, targets, weights):
+    def try_pull(self, spec, values, read_values, batch, in_sources, weights):
         return True

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
@@ -26,6 +28,7 @@ from repro.algorithms.pagerank import pagerank
 from repro.algorithms.programs import (
     BFSProgram,
     CCProgram,
+    PageRankProgram,
     SSSPProgram,
     SSWPProgram,
 )
@@ -35,11 +38,19 @@ from repro.core.applicability import KERNEL_BACKEND_EXPECTATIONS
 from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
 from repro.engine.pull import run_pull
-from repro.engine.push import EngineOptions, run_push, run_push_lanes
-from repro.engine.schedule import NodeScheduler
+from repro.core.virtual import virtual_transform
+from repro.engine.push import EngineOptions, PushStep, run_push, run_push_lanes
+from repro.engine.schedule import (
+    EdgeParallelScheduler,
+    MaxWarpScheduler,
+    NodeScheduler,
+    VirtualScheduler,
+    WarpSegmentationScheduler,
+)
 from repro.errors import EngineError
-from repro.graph.generators import rmat
+from repro.graph.generators import rmat, star
 from repro.service import replay_trace
+from tests.test_udt import graphs as generator_graphs
 
 TRACES = Path(__file__).parent / "traces"
 
@@ -266,6 +277,294 @@ class TestJitParity:
         report = replay_trace(str(TRACES / "mixed.jsonl"), workers=2)
         assert report.digests_checked == report.requests_submitted
         assert report.ok, "\n".join(str(m) for m in report.mismatches)
+
+
+# ----------------------------------------------------------------------
+# The compiled push superstep vs the numpy fallback
+# ----------------------------------------------------------------------
+STEP_KS = (1, 2, 3, 10)
+STEP_PROGRAMS = {
+    "bfs": BFSProgram, "sssp": SSSPProgram,
+    "sswp": SSWPProgram, "cc": CCProgram,
+}
+SCHEDULER_KINDS = ("node", "virtual", "virtual+", "maxwarp", "edge")
+
+
+#: the generator-graph strategy UDT's differential suite draws from
+#: (empty, edgeless, regular, rmat, multi-edge, self-loop, power-law,
+#: one-way star), plus two-way stars so a walk also leaves the hub
+step_graphs = st.one_of(
+    generator_graphs(),
+    st.builds(
+        lambda leaves, seed: star(
+            leaves, bidirectional=True, weight_range=(1, 9), seed=seed
+        ),
+        st.integers(min_value=0, max_value=25),
+        st.integers(min_value=0, max_value=2**16),
+    ),
+)
+
+
+def _scheduler(kind, graph, k):
+    if kind == "node":
+        return NodeScheduler(graph)
+    if kind == "edge":
+        return EdgeParallelScheduler(graph)
+    if kind == "maxwarp":
+        return MaxWarpScheduler(graph, k)
+    return VirtualScheduler(
+        virtual_transform(graph, k, coalesced=kind == "virtual+")
+    )
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _pinned_step(scheduler, program, backend):
+    step = PushStep(scheduler, program, EngineOptions(kernel_backend=backend))
+    assert step.backend.name == backend
+    return step
+
+
+def _lockstep(scheduler, program, source, step, *, max_steps=10_000):
+    """Run the numpy step and ``step`` side by side from the same
+    state; every superstep must agree on changed ids, edges and values.
+    Returns how many supersteps ran."""
+    n = scheduler.graph.num_nodes
+    ref = _pinned_step(scheduler, program, "numpy")
+    out = program.initial_values(n, source)
+    read = out.copy()
+    other_out, other_read = out.copy(), out.copy()
+    active = np.unique(program.initial_frontier(n, source))
+    steps = 0
+    while len(active) and steps < max_steps:
+        steps += 1
+        changed, edges = ref(out, read, active)
+        other_changed, other_edges = step(other_out, other_read, active)
+        assert _same_bits(changed, other_changed)
+        assert edges == other_edges
+        assert _same_bits(out, other_out)
+        read[changed] = out[changed]
+        other_read[changed] = other_out[changed]
+        active = changed
+    return steps
+
+
+def _interpreted_step(scheduler, program):
+    """The reference kernel numba compiles, run interpreted."""
+    graph = scheduler.graph
+    walk = scheduler.walk_layout()
+    fv = walk.family_starts
+    spec = kernels.spec_for(program)
+    mark = np.zeros(graph.num_nodes, dtype=np.uint8)
+    buf = np.empty(graph.num_nodes + 1, dtype=np.int64)
+
+    def step(out, read, active):
+        kept, edges = kernels._push_step_kernel(
+            out, read, active, walk.offsets,
+            walk.offsets if fv is None else fv, fv is not None,
+            graph.targets, graph.weights, True,
+            spec.relax, spec.reduce, mark, buf,
+        )
+        assert not mark.any()
+        return np.sort(buf[:kept]), edges
+
+    return step
+
+
+@pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+class TestPushStepDifferential:
+    """The compiled superstep against the numpy fallback, bit for bit."""
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=step_graphs,
+        k=st.sampled_from(STEP_KS),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        algorithm=st.sampled_from(sorted(STEP_PROGRAMS)),
+        source=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_superstep_matches(
+        self, backend, graph, k, kind, algorithm, source
+    ):
+        program = STEP_PROGRAMS[algorithm]()
+        if graph.num_nodes == 0 or (
+            program.needs_weights and graph.weights is None
+        ):
+            return
+        source = None if algorithm == "cc" else source % graph.num_nodes
+        scheduler = _scheduler(kind, graph, k)
+        jit = kernels.get_backend(backend)
+        engaged, declined = jit.engaged, jit.declined
+        steps = _lockstep(
+            scheduler, program, source,
+            _pinned_step(scheduler, program, backend),
+        )
+        # a silent decline would compare numpy with itself
+        assert jit.engaged - engaged == steps
+        assert jit.declined == declined
+
+        results = [
+            run_push(scheduler, program, source,
+                     options=EngineOptions(kernel_backend=name))
+            for name in ("numpy", backend)
+        ]
+        assert _same_bits(results[0].values, results[1].values)
+        for field in ("num_iterations", "edges_processed",
+                      "dense_iterations", "converged"):
+            assert getattr(results[0], field) == getattr(results[1], field)
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("k", STEP_KS)
+    @pytest.mark.parametrize("kind", ["virtual", "virtual+", "maxwarp"])
+    def test_star_at_family_boundaries(self, backend, k, kind):
+        for d in sorted({max(k - 1, 0), k, k + 1, 2 * k, 2 * k + 1}):
+            graph = star(d, bidirectional=True, weight_range=(1, 9), seed=d)
+            scheduler = _scheduler(kind, graph, k)
+            for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
+                source = None if program.name == "cc" else 0
+                step = _pinned_step(scheduler, program, backend)
+                assert _lockstep(scheduler, program, source, step) > 0
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+    def test_add_reduction_step_matches(self, graph, backend, kind):
+        # no monotone program reduces with ADD; drive one all-nodes
+        # PageRank-shaped step (zeros included: a fold that writes the
+        # same value back must not count as a change)
+        program = PageRankProgram()
+        scheduler = _scheduler(kind, graph, 3)
+        n = graph.num_nodes
+        rng = np.random.default_rng(3)
+        start = rng.random(n) * (rng.random(n) < 0.7)
+        outs = []
+        for name in ("numpy", backend):
+            step = PushStep(
+                scheduler, program, EngineOptions(kernel_backend=name)
+            )
+            out, read = start.copy(), start.copy()
+            changed, edges = step(out, read, scheduler.all_nodes())
+            outs.append((out, changed, edges))
+        assert _same_bits(outs[0][0], outs[1][0])
+        assert _same_bits(outs[0][1], outs[1][1])
+        assert outs[0][2] == outs[1][2] == graph.num_edges
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_declines_are_counted_and_fall_back(self, graph, backend):
+        jit = kernels.get_backend(backend)
+        options = EngineOptions(kernel_backend=backend)
+        baseline = run_push(
+            NodeScheduler(graph), SSSPProgram(), 0,
+            options=EngineOptions(kernel_backend="numpy"),
+        )
+        for scheduler, opts in (
+            # threads span nodes: no walk layout
+            (WarpSegmentationScheduler(graph), options),
+            # later blocks re-read the write array
+            (NodeScheduler(graph),
+             EngineOptions(kernel_backend=backend, sync_relaxation_blocks=3)),
+        ):
+            engaged, declined = jit.engaged, jit.declined
+            result = run_push(scheduler, SSSPProgram(), 0, options=opts)
+            assert jit.engaged == engaged
+            assert jit.declined - declined == result.num_iterations
+            assert _same_bits(result.values, baseline.values)
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_out_of_range_ids_never_reach_the_kernel(self, graph, backend):
+        step = PushStep(
+            NodeScheduler(graph), SSSPProgram(),
+            EngineOptions(kernel_backend=backend),
+        )
+        out = SSSPProgram().initial_values(graph.num_nodes, 0)
+        with pytest.raises(IndexError):
+            step(out, out.copy(), np.asarray([graph.num_nodes], dtype=np.int64))
+
+    def test_reference_kernel_matches_numpy(self):
+        # what numba compiles, interpreted: covers hosts without numba
+        graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
+        for kind in SCHEDULER_KINDS:
+            scheduler = _scheduler(kind, graph, 3)
+            for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
+                source = None if program.name == "cc" else 0
+                step = _interpreted_step(scheduler, program)
+                assert _lockstep(scheduler, program, source, step) > 0
+
+
+class TestWalkLayout:
+    @pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+    @pytest.mark.parametrize("k", STEP_KS)
+    def test_walk_visits_slots_in_batch_order(self, graph, kind, k):
+        scheduler = _scheduler(kind, graph, k)
+        walk = scheduler.walk_layout()
+        active = np.arange(0, graph.num_nodes, 3, dtype=np.int64)
+        slots = []
+        for p in active:
+            base, end = walk.offsets[p], walk.offsets[p + 1]
+            fam = 1
+            if walk.family_starts is not None:
+                fam = walk.family_starts[p + 1] - walk.family_starts[p]
+            for r in range(fam):
+                slots.extend(range(base + r, end, fam))
+        np.testing.assert_array_equal(
+            scheduler.batch(active).edge_indices(), slots
+        )
+
+    def test_warp_segmentation_cannot_be_walked(self, graph):
+        assert WarpSegmentationScheduler(graph).walk_layout() is None
+
+
+class TestEngagementCounters:
+    def test_concurrent_hooks_lose_no_counts(self):
+        import sys
+        import threading
+
+        class Half(kernels.KernelBackend):
+            jit = True
+
+            @kernels._counted
+            def try_pull(self, spec, *rest):
+                return spec  # True = engaged, False = declined
+
+        backend = Half()
+        per_thread, threads = 4000, 8
+
+        def hammer():
+            for i in range(per_thread):
+                backend.try_pull(i % 2 == 0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.engaged == backend.declined == per_thread * threads // 2
+
+    @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+    def test_engagement_names_the_backend_that_ran(self, graph):
+        _values("sssp", graph, JITS[0])
+        name, engaged, declined = kernels.engagement()
+        assert name in JITS and engaged > 0 and declined >= 0
+
+    def test_flags_are_part_of_the_library_digest(self, tmp_path, monkeypatch):
+        if not kernels.get_backend("cjit").is_available():
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        plain, debug = kernels.CJitBackend(), kernels.CJitBackend()
+        debug.CFLAGS = kernels.CJitBackend.CFLAGS + ("-g",)
+        assert plain._ensure_lib() is not None
+        assert debug._ensure_lib() is not None
+        libs = sorted((tmp_path / "kernels").glob("*.so"))
+        assert len(libs) == 2  # a flag change never reuses a stale .so
+        assert "-O2" in kernels.CJitBackend.CFLAGS
 
 
 class TestCalibrationCache:

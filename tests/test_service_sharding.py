@@ -20,6 +20,7 @@ import pytest
 
 from repro.baselines._run import run_algorithm
 from repro.baselines.base import prepare_graph
+from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.errors import QuotaExhaustedError, ServiceError, ShardLost
 from repro.graph.generators import rmat
@@ -37,12 +38,27 @@ from repro.service import (
     parse_quota_arg,
     replay_trace,
 )
-from repro.service.sharding import _PriorityWorkQueue
+from repro.service.sharding import (
+    _PriorityWorkQueue,
+    _encode_array,
+    _host_dispatch,
+)
 
 TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
 
 MONOTONE = ("bfs", "sssp", "sswp", "cc")
+#: kernel backends the shards can be pinned to on this machine
+KERNEL_BACKENDS = ["numpy"] + [
+    name for name in ("cjit",) if kernels.get_backend(name).is_available()
+]
+needs_cjit = pytest.mark.skipif(
+    "cjit" not in KERNEL_BACKENDS, reason="no C compiler"
+)
+
+
+def _engaged(name="cjit"):
+    return kernels.get_backend(name).engaged
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +173,179 @@ class TestScatterGatherParity:
             assert all(origin == "memory" for origin in warm.cache_origins)
         finally:
             shardset.close()
+
+
+class TestShardsRunTheEngineStep:
+    """Shards execute the engine's ``PushStep`` — compiled when the
+    backend engages — and honour the request's kernel-backend pin."""
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_plan_lattice_bitwise(self, graph, shards, backend):
+        for algorithm in MONOTONE:
+            prepared = prepare_graph(graph, algorithm)
+            sources = () if algorithm == "cc" else (0, 5)
+            want = {
+                -1 if s is None else s: run_algorithm(
+                    prepared, algorithm, s,
+                    EngineOptions(kernel_backend="numpy"), None,
+                )[0]
+                for s in sources or (None,)
+            }
+            shardset = ShardSet.build(prepared, shards)
+            try:
+                for kind in ("none", "virtual", "virtual+", "udt"):
+                    before = _engaged(backend)
+                    got = shardset.run_monotone(
+                        algorithm, kind, 4, sources, kernel_backend=backend
+                    )
+                    for key, values in want.items():
+                        assert got[key].tobytes() == values.tobytes(), (
+                            algorithm, kind, key
+                        )
+                    # engagement is asserted, not assumed
+                    assert (_engaged(backend) > before) == (backend != "numpy")
+            finally:
+                shardset.close()
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_pagerank_scatter_runs_on_the_pinned_backend(self, graph, backend):
+        prepared = prepare_graph(graph, "pr")
+        want, _, _ = run_algorithm(
+            prepared, "pr", None, EngineOptions(kernel_backend="numpy"), None
+        )
+        shardset = ShardSet.build(prepared, 3)
+        try:
+            before = _engaged(backend)
+            got = shardset.run_pagerank(kernel_backend=backend)[-1]
+            assert got.tobytes() == want.tobytes()
+            assert (_engaged(backend) > before) == (backend != "numpy")
+        finally:
+            shardset.close()
+
+    @needs_cjit
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_golden_traces_digest_clean_with_cjit_engaged(
+        self, name, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cjit")
+        before = _engaged()
+        service = ShardedAnalyticsService(shards=2, workers=2)
+        try:
+            report = replay_trace(str(TRACES / name), service=service)
+            summary = service.metrics.summary()
+        finally:
+            service.close()
+        assert report.ok, "\n".join(str(m) for m in report.mismatches)
+        assert summary["sharded_batches"] > 0
+        assert _engaged() > before
+        # ... and the server's own output says so
+        assert summary["kernel_backend"] == "cjit"
+        assert summary["kernel_engaged"] >= _engaged() - before
+
+    @needs_cjit
+    def test_per_request_pin_beats_the_environment(self, graph, monkeypatch):
+        service = ShardedAnalyticsService(shards=2, workers=1)
+
+        def run(pin):
+            before = _engaged()
+            result = service.submit(QueryRequest(
+                algorithm="sssp", graph=graph, sources=(0,), transform="none",
+                options=EngineOptions(kernel_backend=pin),
+            )).result(timeout=60)
+            assert result.ok, result.error
+            return result.values[0], _engaged() - before
+
+        try:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cjit")
+            pinned_numpy, engaged = run("numpy")
+            assert engaged == 0
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+            pinned_cjit, engaged = run("cjit")
+            assert engaged > 0
+            assert service.metrics.summary()["sharded_batches"] == 2
+        finally:
+            service.close()
+        assert pinned_numpy.tobytes() == pinned_cjit.tobytes()
+
+    def test_pin_crosses_the_shard_host_wire(self, graph, shard_host):
+        prepared = prepare_graph(graph, "sssp")
+        want, _, _ = run_algorithm(
+            prepared, "sssp", 0, EngineOptions(kernel_backend="numpy"), None
+        )
+        shardset = ShardSet.build(prepared, 2, remotes=[shard_host, shard_host])
+        try:
+            for backend in KERNEL_BACKENDS:
+                before = _engaged(backend)
+                got = shardset.run_monotone(
+                    "sssp", "virtual+", 4, (0,), kernel_backend=backend
+                )[0]
+                assert got.tobytes() == want.tobytes()
+                # the host serves from this process, so its launches count
+                assert (_engaged(backend) > before) == (backend != "numpy")
+            # the field reaches the host: it is what rejects a bad name
+            with pytest.raises(ServiceError, match="unknown kernel backend"):
+                shardset.run_monotone(
+                    "sssp", "none", 0, (0,), kernel_backend="simd-unproven"
+                )
+        finally:
+            shardset.close()
+
+    def test_host_resolves_as_before_without_the_field(self, graph):
+        prepared = prepare_graph(graph, "bfs")
+        shards = {}
+        part = inedge_partition(prepared, 2)[0]
+        assert _host_dispatch(shards, {
+            "op": "load", "key": "k", "shard": 0,
+            "offsets": _encode_array(part.subgraph.offsets),
+            "targets": _encode_array(part.subgraph.targets),
+            "owned": _encode_array(part.owned),
+        }) == {"ok": True}
+        reply = _host_dispatch(shards, {
+            "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
+            "kind": "none", "degree_bound": 0, "source": 0,
+        })
+        assert reply["ok"] is True
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_concurrent_batches_never_share_scratch(self, graph, backend):
+        prepared = prepare_graph(graph, "sssp")
+        sources = list(range(12))
+        want = {
+            s: run_algorithm(
+                prepared, "sssp", s, EngineOptions(kernel_backend="numpy"), None
+            )[0]
+            for s in sources
+        }
+        shardset = ShardSet.build(prepared, 2)
+        failures = []
+
+        def worker(mine):
+            try:
+                for _ in range(3):
+                    for kind in ("none", "virtual+"):
+                        got = shardset.run_monotone(
+                            "sssp", kind, 4, tuple(mine), kernel_backend=backend
+                        )
+                        for s in mine:
+                            if got[s].tobytes() != want[s].tobytes():
+                                failures.append((kind, s))
+            except Exception as exc:  # surfaced below, never swallowed
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(sources[i::4],))
+            for i in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            shardset.close()
+        assert failures == []
 
 
 class TestGoldenTracesSharded:
