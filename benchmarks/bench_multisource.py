@@ -3,10 +3,12 @@
 The acceptance bar for the lane engine: a 16-source hop-count batch
 on an R-MAT graph runs at least 2x faster than the same sources
 looped one scalar traversal at a time, while producing **bitwise
-identical** distance matrices.  Weighted (sssp) lanes are reported
-too; their win is pass-count, not wall-clock — numpy cannot fake the
-register-level lane vectorisation a GPU gets, so they are gated only
-on not collapsing.  The JSON artifact lands in ``results/``.
+identical** distance matrices.  Weighted (sssp) float lanes must win
+too, by less: every lane pays for every edge the union frontier
+schedules, so their gain is the shared edge walk and the vector fold,
+not a 64-to-1 bit packing.  Both sides run under production defaults
+(the compiled supersteps where a JIT backend is available).  The JSON
+artifact lands in ``results/``.
 """
 
 import os
@@ -27,21 +29,13 @@ def test_multisource_lanes(run_once, bench_scale):
     assert report.extras["all_bitwise_equal"]
     # the acceptance criterion at full scale; smoke runs on shrunken
     # graphs keep a margin for fixed overheads and runner noise
-    floor = 2.0 if bench_scale >= 1.0 else 1.2
-    assert report.extras["batch_speedup_16"] >= floor
-    # weighted lanes trade wall-clock parity for 16x fewer engine
-    # passes; guard against an outright collapse
-    assert report.extras["sssp_speedup_16"] >= 0.3
+    full = bench_scale >= 1.0
+    assert report.extras["batch_speedup_16"] >= (2.0 if full else 1.2)
+    # float lanes measure 1.7x at full scale (2.8x at smoke scale,
+    # where the value matrix stays cache-resident)
+    assert report.extras["sssp_speedup_16"] >= (1.2 if full else 1.0)
 
     # mode=auto (the measured cost model's pick) must never lose more
     # than a few percent to the best fixed mode; smoke scales keep a
     # wider margin because fixed overheads magnify timing noise
-    ceiling = 1.05 if bench_scale >= 1.0 else 1.5
-    assert report.extras["auto_worst_ratio"] <= ceiling
-    if bench_scale >= 1.0:
-        # on the full-scale bench graph the sssp lane engine's marginal
-        # per-lane cost exceeds a whole scalar pass, so the honest pick
-        # is the loop at every width — the regression the cost model
-        # exists to avoid
-        for count in report.column("sources")[:3]:
-            assert report.extras[f"sssp_auto_mode_{count}"] == "loop"
+    assert report.extras["auto_worst_ratio"] <= (1.05 if full else 1.5)

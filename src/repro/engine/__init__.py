@@ -17,7 +17,7 @@ simulated GPU:
 """
 
 from repro.engine.adaptive import AdaptiveOptions, AdaptiveResult, run_adaptive
-from repro.engine.frontier import DENSE_THRESHOLD, Frontier, LaneFrontier
+from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram, ReduceOp
 from repro.engine.push import EngineOptions, EngineResult, run_push, run_push_lanes
 from repro.engine.pull import run_pull, run_pull_lanes
@@ -33,7 +33,6 @@ from repro.engine.schedule import (
 
 __all__ = [
     "Frontier",
-    "LaneFrontier",
     "AdaptiveOptions",
     "AdaptiveResult",
     "run_adaptive",

@@ -2,8 +2,8 @@
 
 The engines expose several execution strategies whose crossover points
 are machine- and graph-dependent: lane-parallel multi-source passes vs
-a scalar loop (``results/multisource-lanes.json`` shows lanes *losing*
-below ~8 sources, and never winning for sssp), push vs pull direction
+a scalar loop (``results/multisource-lanes.json``: lanes lose at one
+or two sources and win above), push vs pull direction
 switching (``AdaptiveOptions.pull_threshold``), and the scalar numpy
 path vs a JIT kernel backend (:mod:`repro.engine.kernels`).  Instead
 of hard-coded heuristics, this module calibrates a small per-machine
@@ -103,8 +103,7 @@ class LaneFit:
         big enough that per-edge costs dominate the fixed overhead.
 
         ``inf`` when the loop always wins (the lane engine's marginal
-        per-lane cost exceeds a whole scalar pass — the measured sssp
-        regime)."""
+        per-lane cost exceeds a whole scalar pass)."""
         gain = self.loop_per_edge_s - self.lanes_marginal_per_edge_s
         if gain <= 0:
             return float("inf")
@@ -188,8 +187,9 @@ class CalibrationProfile:
         A single source is always a plain scalar run; above that the
         measured costs decide.  On small graphs the per-run overhead
         term makes lanes win at any width (S runs collapse into one);
-        on large graphs the per-edge fit decides — which is how the
-        sssp lane regression is avoided without a special case.
+        on large graphs the per-edge fit decides — a lane engine whose
+        marginal lane costs more than a scalar pass is never picked,
+        without a special case.
 
         The pick is deliberately loop-biased: lanes must predict at
         least :data:`LANE_PICK_MARGIN` cheaper.  Near the crossover the
@@ -323,41 +323,44 @@ class CalibrationProfile:
 
 
 #: the reference profile, measured by ``python -m repro calibrate``
-#: on the maintainers' CI machine (x86-64, numpy 2.x, system gcc).
-#: Encodes the measured regimes the bench data shows: bfs lanes cross
-#: over between 4 and 16 sources on edge-dominated graphs, sssp's lane
-#: marginal cost exceeds a scalar pass (loop always wins at scale),
-#: and the C JIT backend roughly triples scalar push throughput.  The
-#: strategy fits were taken under default backend resolution, i.e.
-#: they already include the JIT acceleration production runs get.
+#: on the maintainers' CI machine (x86-64, numpy 2.x, system gcc; each
+#: field the median of three runs).  Encodes the regimes the bench data
+#: shows since the lane engine has a compiled superstep: one more sssp
+#: lane costs about half a scalar pass and one more bit-packed bfs lane
+#: a sixteenth, so on edge-dominated graphs lanes win from two or three
+#: sources up (sssp's predicted gain clears ``LANE_PICK_MARGIN`` from
+#: S=2, bfs pays back its fixed union-walk cost by S=3), and the C JIT
+#: backend roughly triples scalar push throughput.  The strategy fits
+#: were taken under default backend resolution, i.e. they already
+#: include the JIT acceleration production runs get.
 BUILTIN_PROFILE = CalibrationProfile(
     version=PROFILE_VERSION,
     source="builtin",
     machine="reference",
-    created="2026-08-08",
+    created="2026-09-29",
     probe_nodes=20_000,
     probe_edges=292_277,
-    run_overhead_s=4.27e-04,
+    run_overhead_s=2.86e-04,
     scatter_medges_s=182.0,
     gather_medges_s=67.5,
     lane_pack_medges_s=68.9,
-    push_per_edge_s=4.43e-09,
+    push_per_edge_s=4.65e-09,
     pull_per_edge_s=2.64e-08,
     backend_edges_per_s={
-        "numpy": 5.84e07,
-        "cjit": 1.96e08,
+        "numpy": 6.62e07,
+        "cjit": 1.90e08,
     },
     jit_min_edges=4096,
     lanes={
         "bfs": LaneFit(
-            loop_per_edge_s=4.89e-09,
-            lanes_fixed_per_edge_s=1.35e-08,
-            lanes_marginal_per_edge_s=1.37e-09,
+            loop_per_edge_s=3.90e-09,
+            lanes_fixed_per_edge_s=6.61e-09,
+            lanes_marginal_per_edge_s=2.47e-10,
         ),
         "sssp": LaneFit(
-            loop_per_edge_s=8.86e-09,
+            loop_per_edge_s=8.69e-09,
             lanes_fixed_per_edge_s=1e-12,
-            lanes_marginal_per_edge_s=1.14e-08,
+            lanes_marginal_per_edge_s=4.72e-09,
         ),
     },
 )

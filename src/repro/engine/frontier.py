@@ -10,12 +10,9 @@ is both smaller and cheaper to build than a sorted id list.
 :class:`Frontier` encapsulates that switch; the push engine threads
 it through the BSP loop and reports how many iterations ran dense.
 
-:class:`LaneFrontier` is the multi-source generalisation: ``S``
-per-lane active sets sharing one *union* schedule.  The union is what
-the scheduler consumes (one edge gather serves every lane), while the
-per-lane view tracks which lanes are still live — a lane whose own
-frontier empties has reached its fixed point and never reactivates
-under a monotone program.
+The lane-parallel engine schedules the *union* of its ``S`` per-lane
+active sets through the same class (one edge walk serves every lane);
+which lanes are still live is counted by its superstep.
 """
 
 from __future__ import annotations
@@ -169,71 +166,3 @@ class Frontier:
         kind = "dense" if self.is_dense else "sparse"
         return f"Frontier({self.size}/{self.num_nodes}, {kind})"
 
-
-class LaneFrontier:
-    """``S`` per-lane active sets scheduled through one union frontier.
-
-    The union (a plain :class:`Frontier`, inheriting its sparse/dense
-    switching) is what schedulers consume; ``lane_active`` records
-    which lanes contributed at least one node, so engines can report
-    live-lane occupancy and detect per-lane convergence.  Immutable
-    value semantics, like :class:`Frontier`.
-    """
-
-    __slots__ = ("union", "num_lanes", "lane_active")
-
-    def __init__(self, union: Frontier, lane_active: np.ndarray) -> None:
-        self.union = union
-        self.lane_active = np.asarray(lane_active, dtype=bool)
-        self.num_lanes = len(self.lane_active)
-
-    @classmethod
-    def from_lane_mask(
-        cls, num_nodes: int, lane_mask: np.ndarray,
-        *, dense_threshold: float = DENSE_THRESHOLD,
-    ) -> "LaneFrontier":
-        """Build from a ``(num_nodes, S)`` boolean activity matrix."""
-        lane_mask = np.asarray(lane_mask, dtype=bool)
-        if lane_mask.ndim != 2 or lane_mask.shape[0] != num_nodes:
-            raise EngineError("lane mask must have shape (num_nodes, S)")
-        union = Frontier.from_mask(
-            num_nodes, lane_mask.any(axis=1), dense_threshold=dense_threshold
-        )
-        return cls(union, lane_mask.any(axis=0))
-
-    @classmethod
-    def from_union_ids(
-        cls, num_nodes: int, ids, num_lanes: int,
-        *, dense_threshold: float = DENSE_THRESHOLD,
-    ) -> "LaneFrontier":
-        """Build from union ids with every lane considered live
-        (iteration 0, where per-lane change data does not exist yet)."""
-        union = Frontier.from_ids(
-            num_nodes, ids, dense_threshold=dense_threshold
-        )
-        return cls(union, np.ones(num_lanes, dtype=bool))
-
-    def ids(self) -> np.ndarray:
-        """Sorted union of all lanes' active ids."""
-        return self.union.ids()
-
-    @property
-    def active_lanes(self) -> int:
-        """How many lanes still have at least one active node."""
-        return int(self.lane_active.sum())
-
-    @property
-    def is_dense(self) -> bool:
-        return self.union.is_dense
-
-    def __len__(self) -> int:
-        return self.union.size
-
-    def __bool__(self) -> bool:
-        return self.union.size > 0
-
-    def __repr__(self) -> str:
-        return (
-            f"LaneFrontier({self.union.size}/{self.union.num_nodes} nodes, "
-            f"{self.active_lanes}/{self.num_lanes} lanes)"
-        )

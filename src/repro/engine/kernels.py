@@ -9,9 +9,10 @@ the relax result) before ``ufunc.at`` even runs.  A compiled kernel
 makes one pass over the edges with zero temporaries; the push
 superstep (``push_step``) also indexes the virtual-node array itself,
 as Algorithms 2-3 do, and returns the changed destinations — the
-next frontier.  Results are **bitwise identical**: the compiled loops
-perform the exact same float operations in the exact same order
-``ufunc.at`` would.
+next frontier.  The lane supersteps (``push_lanes_step``, ``hop_step``)
+do the same for ``S`` sources at once, lanes innermost.  Results are
+**bitwise identical**: the compiled loops perform the exact same float
+operations in the exact same order ``ufunc.at`` would.
 
 Three backends are registered:
 
@@ -48,8 +49,9 @@ Safety gates (any failure falls back to numpy, never errors):
   caught *statically* before a fused kernel could disagree with it;
 * the program must not override ``filter_pushes`` or ``lane_relax``
   (a fused kernel cannot honor arbitrary Python hooks);
-* arrays must be C-contiguous ``float64``/``int64``; batch hooks
-  need per-thread owners (``phys``) and the push superstep needs a
+* arrays must be C-contiguous ``float64``/``int64`` (``uint64`` hop
+  masks, one word per node); the pull hook needs per-thread owners
+  (``phys``) and the supersteps a
   :meth:`~repro.engine.schedule.Scheduler.walk_layout`, so
   warp-segmentation launches decline;
 * the read array must not alias the write array (synchronization
@@ -96,6 +98,9 @@ _RELAX_CODES = {
     "propagation": RELAX_PROPAGATION,
 }
 _REDUCE_CODES = {"min": REDUCE_MIN, "max": REDUCE_MAX, "add": REDUCE_ADD}
+
+#: ``LANE_BITS[k]`` is lane ``k``'s bit in a packed hop-mask word.
+LANE_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class KernelSpec(NamedTuple):
@@ -213,43 +218,91 @@ def _pull_kernel(v, rv, own, counts, starts, strides, in_sources, w,
                 v[o] += c
 
 
-def _push_lanes_kernel(vt, rvt, phys, counts, starts, strides, targets, w,
-                       has_w, relax, reduce_):
-    lanes = vt.shape[0]
-    for lane in range(lanes):
-        v = vt[lane]
-        rv = rvt[lane]
-        for t in range(phys.shape[0]):
-            s = rv[phys[t]]
-            b = starts[t]
-            st = strides[t]
-            for j in range(counts[t]):
-                e = b + j * st
-                if relax == 0:
-                    c = s + (w[e] if has_w else 1.0)
-                elif relax == 1:
-                    c = min(s, w[e])
-                else:
-                    c = s
+def _push_lanes_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
+                            relax, reduce_, mark, changed, live):
+    # push_step over node-major (n, S) matrices: every touched row is
+    # compared and committed to rv -> (changed count, edges, live lanes)
+    lanes = v.shape[1]
+    cnt = 0
+    edges = 0
+    for i in range(active.shape[0]):
+        p = active[i]
+        base = off[p]
+        end = off[p + 1]
+        edges += end - base
+        fam = fv[p + 1] - fv[p] if has_fv else 1
+        for r in range(fam):
+            for e in range(base + r, end, fam):
                 d = targets[e]
-                if reduce_ == 0:
-                    if c < v[d]:
-                        v[d] = c
-                elif reduce_ == 1:
-                    if c > v[d]:
-                        v[d] = c
-                else:
-                    v[d] += c
+                wt = w[e] if has_w else 1.0
+                for k in range(lanes):
+                    s = rv[p, k]
+                    if relax == 0:
+                        c = s + wt
+                    elif relax == 1:
+                        c = min(s, wt)
+                    else:
+                        c = s
+                    if c < v[d, k] if reduce_ == 0 else c > v[d, k]:
+                        v[d, k] = c
+                if mark[d] == 0:
+                    mark[d] = 1
+                    changed[cnt] = d
+                    cnt += 1
+    live[:] = 0
+    kept = 0
+    for i in range(cnt):
+        d = changed[i]
+        mark[d] = 0
+        differs = False
+        for k in range(lanes):
+            if v[d, k] != rv[d, k]:
+                rv[d, k] = v[d, k]
+                live[k] = 1
+                differs = True
+        if differs:
+            changed[kept] = d
+            kept += 1
+    return kept, edges, live.sum()
 
 
-def _or_kernel(new_w, frontier_w, phys, counts, starts, strides, targets):
-    for t in range(phys.shape[0]):
-        bits = frontier_w[phys[t]]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            new_w[targets[e]] |= bits
+def _hop_step_kernel(new_w, frontier_w, visited, values, level, active, off,
+                     targets, mark, changed, bit):
+    # one MS-BFS level over single-word lane masks (bit[k] = 1 << k)
+    # -> (fresh count, edges, live lanes)
+    lanes = values.shape[1]
+    cnt = 0
+    edges = 0
+    for i in range(active.shape[0]):
+        p = active[i]
+        edges += off[p + 1] - off[p]
+        for e in range(off[p], off[p + 1]):
+            d = targets[e]
+            new_w[d] |= frontier_w[p]
+            if mark[d] == 0:
+                mark[d] = 1
+                changed[cnt] = d
+                cnt += 1
+    for i in range(active.shape[0]):
+        frontier_w[active[i]] = 0
+    kept = 0
+    live = 0
+    for i in range(cnt):
+        d = changed[i]
+        mark[d] = 0
+        new_w[d] &= ~visited[d]
+        if new_w[d]:
+            visited[d] |= new_w[d]
+            changed[kept] = d
+            kept += 1
+    for k in range(lanes):
+        seen = False
+        for i in range(kept):
+            if new_w[changed[i]] & bit[k]:
+                values[changed[i], k] = level
+                seen = True
+        live += seen
+    return kept, edges, live
 
 
 def _edge_mul_add_kernel(out, values, src, dst, scale):
@@ -333,18 +386,25 @@ class KernelBackend:
     def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
         return False
 
-    def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
-        return False
+    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
+        """One float-lane :class:`~repro.engine.push.LaneStep` over
+        ``(n, S)`` matrices, ``read`` rows committed: ``(sorted changed
+        ids, edges, lanes that changed)``, or ``None`` to decline."""
+        return None
 
-    def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
-        return False
+    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
+                     walk, targets, scratch,
+                     ) -> Optional[Tuple[np.ndarray, int, int]]:
+        """One bit-packed hop level of a ``LaneStep`` (same result)."""
+        return None
 
     def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
         return False
 
     # ------------------------------------------------------------------
     def _gate_common(self, spec, values, read_values, batch, weights) -> bool:
-        """Shared admission checks for the batch-form hooks."""
+        """Admission checks for :meth:`try_pull` (minus its in-edge array)."""
         if spec is None or batch.phys is None:
             return False
         if not (_i64(batch.phys) and _i64(batch.counts)
@@ -364,25 +424,56 @@ class KernelBackend:
             return not spec.needs_weights
         return _f64(weights)
 
-    def _gate_step(self, spec, out, read, active, walk, targets, weights,
-                   scratch) -> bool:
-        """Admission checks for :meth:`try_push_step` — everything the
-        compiled walk dereferences is sized and bounded here."""
-        if spec is None or walk is None:
-            return False
+    @staticmethod
+    def _gate_walk(active, walk, targets, scratch) -> int:
+        """The node count once everything a compiled walk dereferences
+        is sized and bounded, else ``-1``."""
+        if walk is None:
+            return -1
         n = len(walk.offsets) - 1
-        mark, changed = scratch
+        mark, changed = scratch[:2]
         if not (_i64(active) and _i64(walk.offsets) and _i64(targets)
                 and (walk.family_starts is None
                      or _i64(walk.family_starts)
                      and walk.family_starts.shape == (n + 1,))
-                and out.shape == read.shape == (n,)
                 and mark.dtype == np.uint8 and mark.shape == (n,)
                 and _i64(changed) and changed.shape == (n + 1,)):
-            return False
+            return -1
         if len(active) and (active.min() < 0 or active.max() >= n):
+            return -1
+        return n
+
+    def _gate_step(self, spec, out, read, active, walk, targets, weights,
+                   scratch) -> bool:
+        """Admission checks for :meth:`try_push_step`."""
+        n = self._gate_walk(active, walk, targets, scratch)
+        return (spec is not None and n >= 0
+                and out.shape == read.shape == (n,)
+                and self._gate_values(spec, out, read, weights))
+
+    def _gate_lanes(self, spec, out, read, active, walk, targets, weights,
+                    scratch) -> bool:
+        """Admission checks for :meth:`try_lane_step` (lanes only
+        fold idempotently: MIN or MAX)."""
+        n = self._gate_walk(active, walk, targets, scratch)
+        if spec is None or n < 0 or spec.reduce == REDUCE_ADD:
             return False
-        return self._gate_values(spec, out, read, weights)
+        live = scratch[2]
+        return (live.dtype == np.uint8 and live.ndim == 1 and len(live) > 0
+                and out.shape == read.shape == (n, len(live))
+                and self._gate_values(spec, out, read, weights))
+
+    def _gate_hops(self, new_w, frontier_w, visited, values, active, walk,
+                   targets, scratch) -> bool:
+        """Admission checks for :meth:`try_hop_step`: three distinct
+        single-word mask arrays and at most 64 lanes to stamp."""
+        n = self._gate_walk(active, walk, targets, scratch)
+        return (n >= 0 and _u64(new_w) and _u64(frontier_w) and _u64(visited)
+                and new_w.shape == frontier_w.shape == visited.shape == (n,)
+                and new_w is not frontier_w and new_w is not visited
+                and frontier_w is not visited
+                and _f64(values) and values.ndim == 2
+                and values.shape[0] == n and 0 < values.shape[1] <= 64)
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -472,19 +563,25 @@ def resolve_backend(
 _C_SOURCE = r"""
 #include <stdint.h>
 
-#define RELAX(c, s, e) do { \
-    if (relax == 0)      (c) = (s) + (has_w ? w[(e)] : 1.0); \
-    else if (relax == 1) (c) = ((s) < w[(e)] ? (s) : w[(e)]); \
+#define WEIGHT(e) (has_w ? w[(e)] : 1.0)
+#define RELAX(c, s, wt) do { \
+    if (relax == 0)      (c) = (s) + (wt); \
+    else if (relax == 1) (c) = ((s) < (wt) ? (s) : (wt)); \
     else                 (c) = (s); \
 } while (0)
 
-/* HOT marks the two kernels serving spends its time in: hoisting the
+/* HOT marks the kernels serving spends its time in: hoisting the
    loop-invariant relax/reduce flags out of their edge loops is worth
-   10-20 % on cache-resident graphs for ~0.02 s of compile each */
+   10-20 % on cache-resident graphs for ~0.02 s of compile each.
+   HOT_LANES also asks for vector code: a lane loop runs over S
+   consecutive doubles (-O2 alone leaves it scalar, 1.6x slower) */
 #if defined(__GNUC__) && !defined(__clang__)
 #define HOT __attribute__((optimize("unswitch-loops")))
+#define HOT_LANES __attribute__((optimize("unswitch-loops", \
+    "tree-vectorize", "vect-cost-model=dynamic")))
 #else
 #define HOT
+#define HOT_LANES
 #endif
 
 /* `wrote` runs after every store (the superstep marks there) */
@@ -497,7 +594,7 @@ _C_SOURCE = r"""
 HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
                   int64_t nactive, const int64_t* off, const int64_t* fv,
                   const int64_t* targets, const double* w, uint8_t* mark,
-                  int64_t* changed, int64_t* edges,
+                  int64_t* changed, int64_t* stats,
                   int has_w, int relax, int reduce) {
     int64_t cnt = 0, kept = 0, total = 0;
     for (int64_t i = 0; i < nactive; i++) {
@@ -509,7 +606,7 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
             for (int64_t e = base + r; e < end; e += fam) {
                 const int64_t d = targets[e];
                 double c;
-                RELAX(c, s, e);
+                RELAX(c, s, WEIGHT(e));
                 /* branch-free: first writes are a coin flip to predict
                    (hence one spare slot at changed[n]) */
                 FOLD(v, d, c,
@@ -522,7 +619,7 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
         mark[d] = 0;
         if (v[d] != rv[d]) changed[kept++] = d;
     }
-    *edges = total;
+    stats[0] = total;
     return kept;
 }
 
@@ -537,44 +634,100 @@ void pull_batch(double* v, const double* rv, const int64_t* own,
         for (int64_t j = 0; j < k; j++) {
             const int64_t e = b + j * st;
             double c;
-            RELAX(c, rv[in_sources[e]], e);
+            RELAX(c, rv[in_sources[e]], WEIGHT(e));
             FOLD(v, o, c, (void)0);
         }
     }
 }
 
-HOT void push_lanes(double* vt, const double* rvt, int64_t lanes, int64_t n,
-                const int64_t* phys, const int64_t* counts,
-                const int64_t* starts, const int64_t* strides,
-                const int64_t* targets, const double* w, int64_t nthreads,
-                int has_w, int relax, int reduce) {
-    for (int64_t lane = 0; lane < lanes; lane++) {
-        double* v = vt + lane * n;
-        const double* rv = rvt + lane * n;
-        for (int64_t t = 0; t < nthreads; t++) {
-            const double s = rv[phys[t]];
-            const int64_t b = starts[t], st = strides[t], k = counts[t];
-            for (int64_t j = 0; j < k; j++) {
-                const int64_t e = b + j * st;
-                double c;
-                RELAX(c, s, e);
-                FOLD(v, targets[e], c, (void)0);
+/* push_step over node-major (n, lanes) matrices, MIN/MAX only: one
+   targets[e]/w[e] load serves every lane.  Every touched row is then
+   compared, committed to rv and its differing lanes flagged live;
+   stats = {edges, live lanes} */
+HOT_LANES int64_t push_lanes_step(double* v, double* rv,
+                  const int64_t* active, int64_t nactive, const int64_t* off,
+                  const int64_t* fv, const int64_t* targets, const double* w,
+                  uint8_t* mark, int64_t* changed, int64_t* stats,
+                  int has_w, int relax, int reduce,
+                  int64_t lanes, uint8_t* live) {
+    int64_t cnt = 0, kept = 0, total = 0, nlive = 0;
+    for (int64_t i = 0; i < nactive; i++) {
+        const int64_t p = active[i], base = off[p], end = off[p + 1];
+        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
+        const double* restrict s = rv + p * lanes;
+        total += end - base;
+        for (int64_t r = 0; r < fam; r++) {
+            for (int64_t e = base + r; e < end; e += fam) {
+                const int64_t d = targets[e];
+                const double wt = WEIGHT(e);
+                double* restrict vd = v + d * lanes;
+                for (int64_t k = 0; k < lanes; k++) {
+                    double c;
+                    RELAX(c, s[k], wt);
+                    vd[k] = (reduce == 0 ? c < vd[k] : c > vd[k]) ? c : vd[k];
+                }
+                changed[cnt] = d; cnt += !mark[d]; mark[d] = 1;
             }
         }
     }
+    for (int64_t k = 0; k < lanes; k++) live[k] = 0;
+    for (int64_t i = 0; i < cnt; i++) {
+        const int64_t d = changed[i];
+        const double* restrict vd = v + d * lanes;
+        double* restrict rd = rv + d * lanes;
+        uint8_t differs = 0;
+        mark[d] = 0;
+        for (int64_t k = 0; k < lanes; k++) {
+            const uint8_t ne = vd[k] != rd[k];
+            live[k] |= ne; differs |= ne;
+            rd[k] = vd[k];
+        }
+        changed[kept] = d; kept += differs;
+    }
+    for (int64_t k = 0; k < lanes; k++) nlive += live[k];
+    stats[0] = total; stats[1] = nlive;
+    return kept;
 }
 
-void or_batch(uint64_t* new_w, const uint64_t* frontier_w,
-              const int64_t* phys, const int64_t* counts,
-              const int64_t* starts, const int64_t* strides,
-              const int64_t* targets, int64_t nthreads) {
-    for (int64_t t = 0; t < nthreads; t++) {
-        const uint64_t bits = frontier_w[phys[t]];
-        const int64_t b = starts[t], st = strides[t], k = counts[t];
-        for (int64_t j = 0; j < k; j++) {
-            new_w[targets[b + j * st]] |= bits;
+/* one MS-BFS level over single-word lane masks: OR frontier words
+   along the walk (any order: OR commutes), strip visited, stamp
+   `level` into each fresh (node, lane) cell; new_w is left holding the
+   next frontier, frontier_w zeroed.  stats as above */
+int64_t hop_step(uint64_t* new_w, uint64_t* frontier_w, uint64_t* visited,
+                 double* values, int64_t lanes, double level,
+                 const int64_t* active, int64_t nactive, const int64_t* off,
+                 const int64_t* targets, uint8_t* mark, int64_t* changed,
+                 int64_t* stats) {
+    /* a stray bit above `lanes` must not stamp outside its row */
+    const uint64_t in_row = lanes < 64 ? ((uint64_t)1 << lanes) - 1 : ~0ull;
+    int64_t cnt = 0, kept = 0, total = 0, nlive = 0;
+    uint64_t live = 0;
+    for (int64_t i = 0; i < nactive; i++) {
+        const int64_t p = active[i], end = off[p + 1];
+        const uint64_t bits = frontier_w[p];
+        total += end - off[p];
+        for (int64_t e = off[p]; e < end; e++) {
+            const int64_t d = targets[e];
+            new_w[d] |= bits;
+            changed[cnt] = d; cnt += !mark[d]; mark[d] = 1;
         }
     }
+    for (int64_t i = 0; i < nactive; i++) frontier_w[active[i]] = 0;
+    for (int64_t i = 0; i < cnt; i++) {
+        const int64_t d = changed[i];
+        uint64_t fresh = new_w[d] & ~visited[d] & in_row;
+        mark[d] = 0;
+        new_w[d] = fresh;
+        if (!fresh) continue;
+        visited[d] |= fresh; live |= fresh;
+        changed[kept++] = d;
+        do {
+            values[d * lanes + __builtin_ctzll(fresh)] = level;
+        } while (fresh &= fresh - 1);
+    }
+    for (; live; live &= live - 1) nlive++;
+    stats[0] = total; stats[1] = nlive;
+    return kept;
 }
 
 void edge_mul_add(double* out, const double* values, const int64_t* src,
@@ -675,19 +828,42 @@ class CJitBackend(KernelBackend):
             os.replace(tmp_path, lib_path)  # atomic: racers see whole files
             self.compile_seconds = time.perf_counter() - started
         lib = ctypes.CDLL(lib_path)
-        for fn in ("pull_batch", "push_lanes", "or_batch", "edge_mul_add"):
+        for fn in ("pull_batch", "edge_mul_add"):
             getattr(lib, fn).restype = None
         ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-        lib.push_step.restype = i64
-        lib.push_step.argtypes = (
-            [ptr] * 3 + [i64] + [ptr] * 7 + [i32] * 3
-        )
+        step = [ptr] * 3 + [i64] + [ptr] * 7 + [i32] * 3
+        for fn, argtypes in (
+            ("push_step", step),
+            ("push_lanes_step", step + [i64, ptr]),
+            ("hop_step", [ptr] * 4 + [i64, ctypes.c_double, ptr, i64]
+             + [ptr] * 5),
+        ):
+            getattr(lib, fn).restype = i64
+            getattr(lib, fn).argtypes = argtypes
         return lib
 
     # -- hooks ----------------------------------------------------------
     @staticmethod
     def _ptr(a: np.ndarray) -> ctypes.c_void_p:
         return ctypes.c_void_p(a.ctypes.data)
+
+    @staticmethod
+    def _walk(fn, spec, out, read, active, walk, targets, weights, scratch,
+              *lane_args):
+        """Call one of the two value supersteps (they share a prefix)
+        -> ``(sorted changed ids, stats)``."""
+        mark, changed = scratch[:2]
+        fv = walk.family_starts
+        w = weights if weights is not None else out  # never read when has_w=0
+        stats = (ctypes.c_int64 * 2)()
+        kept = fn(
+            out.ctypes.data, read.ctypes.data, active.ctypes.data,
+            len(active), walk.offsets.ctypes.data,
+            None if fv is None else fv.ctypes.data, targets.ctypes.data,
+            w.ctypes.data, mark.ctypes.data, changed.ctypes.data, stats,
+            weights is not None, spec.relax, spec.reduce, *lane_args,
+        )
+        return np.sort(changed[:kept]), stats
 
     @_counted
     def try_push_step(self, spec, out, read, active, walk, targets, weights,
@@ -698,18 +874,43 @@ class CJitBackend(KernelBackend):
         lib = self._ensure_lib()
         if lib is None:
             return None
-        mark, changed = scratch
-        fv = walk.family_starts
-        w = weights if weights is not None else out  # never read when has_w=0
-        edges = ctypes.c_int64()
-        kept = lib.push_step(
-            out.ctypes.data, read.ctypes.data, active.ctypes.data,
-            len(active), walk.offsets.ctypes.data,
-            None if fv is None else fv.ctypes.data, targets.ctypes.data,
-            w.ctypes.data, mark.ctypes.data, changed.ctypes.data,
-            ctypes.byref(edges), weights is not None, spec.relax, spec.reduce,
+        changed, stats = self._walk(lib.push_step, spec, out, read, active,
+                                    walk, targets, weights, scratch)
+        return changed, stats[0]
+
+    @_counted
+    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
+        if not self._gate_lanes(spec, out, read, active, walk, targets,
+                                weights, scratch):
+            return None
+        lib = self._ensure_lib()
+        if lib is None:
+            return None
+        changed, stats = self._walk(
+            lib.push_lanes_step, spec, out, read, active, walk, targets,
+            weights, scratch, out.shape[1], scratch[2].ctypes.data)
+        return changed, stats[0], stats[1]
+
+    @_counted
+    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
+                     walk, targets, scratch,
+                     ) -> Optional[Tuple[np.ndarray, int, int]]:
+        if not self._gate_hops(new_w, frontier_w, visited, values, active,
+                               walk, targets, scratch):
+            return None
+        lib = self._ensure_lib()
+        if lib is None:
+            return None
+        mark, changed = scratch[:2]
+        stats = (ctypes.c_int64 * 2)()
+        kept = lib.hop_step(
+            new_w.ctypes.data, frontier_w.ctypes.data, visited.ctypes.data,
+            values.ctypes.data, values.shape[1], level, active.ctypes.data,
+            len(active), walk.offsets.ctypes.data, targets.ctypes.data,
+            mark.ctypes.data, changed.ctypes.data, stats,
         )
-        return np.sort(changed[:kept]), edges.value
+        return np.sort(changed[:kept]), stats[0], stats[1]
 
     @_counted
     def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
@@ -728,50 +929,6 @@ class CJitBackend(KernelBackend):
             ctypes.c_int64(batch.num_threads),
             ctypes.c_int(int(weights is not None)),
             ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
-        )
-        return True
-
-    @_counted
-    def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values_t, read_t, batch, weights):
-            return False
-        if not _i64(targets) or values_t.ndim != 2:
-            return False
-        lib = self._ensure_lib()
-        if lib is None:
-            return False
-        lanes, n = values_t.shape
-        w = weights if weights is not None else values_t
-        lib.push_lanes(
-            self._ptr(values_t), self._ptr(read_t),
-            ctypes.c_int64(lanes), ctypes.c_int64(n),
-            self._ptr(batch.phys), self._ptr(batch.counts),
-            self._ptr(batch.starts), self._ptr(batch.strides),
-            self._ptr(targets), self._ptr(w),
-            ctypes.c_int64(batch.num_threads),
-            ctypes.c_int(int(weights is not None)),
-            ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
-        )
-        return True
-
-    @_counted
-    def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
-        if batch.phys is None:
-            return False
-        if not (_u64(new_w) and _u64(frontier_w) and _i64(batch.phys)
-                and _i64(batch.counts) and _i64(batch.starts)
-                and _i64(batch.strides) and _i64(targets)):
-            return False
-        if new_w.ndim != 1 or frontier_w.ndim != 1:
-            return False
-        lib = self._ensure_lib()
-        if lib is None:
-            return False
-        lib.or_batch(
-            self._ptr(new_w), self._ptr(frontier_w), self._ptr(batch.phys),
-            self._ptr(batch.counts), self._ptr(batch.starts),
-            self._ptr(batch.strides), self._ptr(targets),
-            ctypes.c_int64(batch.num_threads),
         )
         return True
 
@@ -891,36 +1048,38 @@ class NumbaBackend(KernelBackend):
         return True
 
     @_counted
-    def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values_t, read_t, batch, weights):
-            return False
-        if not _i64(targets) or values_t.ndim != 2:
-            return False
-        kernel = self._kernel("push_lanes", _push_lanes_kernel)
+    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
+        if not self._gate_lanes(spec, out, read, active, walk, targets,
+                                weights, scratch):
+            return None
+        kernel = self._kernel("push_lanes_step", _push_lanes_step_kernel)
         if kernel is None:
-            return False
-        kernel(values_t, read_t, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        return True
+            return None
+        mark, changed, live = scratch
+        fv = walk.family_starts
+        kept, edges, nlive = kernel(
+            out, read, active, walk.offsets,
+            walk.offsets if fv is None else fv, fv is not None, targets,
+            weights if weights is not None else self._EMPTY_W,
+            weights is not None, spec.relax, spec.reduce, mark, changed, live)
+        return np.sort(changed[:kept]), int(edges), int(nlive)
 
     @_counted
-    def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
-        if batch.phys is None:
-            return False
-        if not (_u64(new_w) and _u64(frontier_w) and _i64(batch.phys)
-                and _i64(batch.counts) and _i64(batch.starts)
-                and _i64(batch.strides) and _i64(targets)):
-            return False
-        if new_w.ndim != 1 or frontier_w.ndim != 1:
-            return False
-        kernel = self._kernel("or", _or_kernel)
+    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
+                     walk, targets, scratch,
+                     ) -> Optional[Tuple[np.ndarray, int, int]]:
+        if not self._gate_hops(new_w, frontier_w, visited, values, active,
+                               walk, targets, scratch):
+            return None
+        kernel = self._kernel("hop_step", _hop_step_kernel)
         if kernel is None:
-            return False
-        kernel(new_w, frontier_w, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets)
-        return True
+            return None
+        mark, changed = scratch[:2]
+        kept, edges, nlive = kernel(
+            new_w, frontier_w, visited, values, level, active, walk.offsets,
+            targets, mark, changed, LANE_BITS)
+        return np.sort(changed[:kept]), int(edges), int(nlive)
 
     @_counted
     def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:

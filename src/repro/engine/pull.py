@@ -158,8 +158,8 @@ def run_pull_lanes(
             num_lanes=0,
         )
 
-    # lane-major (S, n) internally, as in run_push_lanes: contiguous
-    # per-lane rows keep relax and scatter on ufunc.at's fast 1-D path
+    # lane-major (S, n) internally: contiguous per-lane rows keep
+    # relax and scatter on ufunc.at's fast 1-D path
     values_t = np.ascontiguousarray(program.initial_lane_values(n, sources).T)
     frontier = _influenced(
         forward_graph, program.initial_lane_frontier(n, sources)

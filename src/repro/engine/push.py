@@ -9,12 +9,12 @@ blocks so later blocks see values computed earlier in the same
 iteration.
 
 :func:`run_push_lanes` is the lane-parallel (multi-source) mode: one
-BSP pass carries ``S`` per-source lanes, values are an ``(n, S)``
-matrix, the frontier is the union of per-lane frontiers, and one edge
-gather serves every lane.  Unweighted hop-count programs additionally
-take an MS-BFS fast path whose per-node visited sets are bit-packed
-into ``uint64`` words, so frontier propagation costs ``O(E * S/64)``
-instead of ``O(E * S)``.
+BSP pass carries ``S`` per-source lanes, values are a node-major
+``(n, S)`` matrix, the frontier is the union of per-lane frontiers, and
+one edge walk serves every lane (:class:`LaneStep`).  Unweighted
+hop-count programs additionally take an MS-BFS fast path whose per-node
+visited sets are bit-packed into ``uint64`` words, so frontier
+propagation costs ``O(E * S/64)`` instead of ``O(E * S)``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.engine import kernels
-from repro.engine.frontier import DENSE_THRESHOLD, Frontier, LaneFrontier
-from repro.engine.kernels import KernelBackend, KernelSpec
+from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram
 from repro.engine.schedule import Scheduler, ThreadBatch
 from repro.gpu.metrics import RunMetrics
@@ -156,12 +155,18 @@ class PushStep:
         )
         if stepped is not None:
             return stepped
+        batch = self._launch(_apply_batch, out, read, active)
+        return np.flatnonzero(out != read), batch.total_edges
+
+    def _launch(self, apply, out, read, active) -> ThreadBatch:
+        """The numpy body's launch: schedule ``active``, cost it, and
+        ``apply`` the batch (in relaxation blocks when asked to)."""
+        graph = self.scheduler.graph
         batch = self.scheduler.batch(active)
         if self.simulator is not None:
             self.simulator.record_iteration(batch.trace())
         if self.blocks == 1:
-            _apply_batch(batch, self.program, out, read,
-                         graph.targets, graph.weights)
+            apply(batch, self.program, out, read, graph.targets, graph.weights)
         else:
             bounds = np.linspace(
                 0, batch.num_threads, self.blocks + 1
@@ -169,11 +174,116 @@ class PushStep:
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 if hi > lo:
                     # later blocks read values already updated: relaxation
-                    _apply_batch(
-                        batch.slice(int(lo), int(hi)), self.program,
-                        out, out, graph.targets, graph.weights,
-                    )
-        return np.flatnonzero(out != read), batch.total_edges
+                    apply(batch.slice(int(lo), int(hi)), self.program,
+                          out, out, graph.targets, graph.weights)
+        return batch
+
+
+class LaneStep(PushStep):
+    """The lane superstep: ``S`` sources ride one walk of the union
+    frontier.
+
+    ``step(active)`` advances every lane over the active nodes' edges
+    and returns ``(changed, edges, live)``: the sorted ids whose row of
+    ``values`` — node-major ``(n, S)``, column ``k`` is ``sources[k]``'s
+    scalar run — changed in any lane (the next union frontier), the
+    edges walked, and how many lanes changed anywhere.  The step owns
+    its state and commits it.
+
+    Float lanes fold every lane of a destination row per edge, then
+    compare and commit the touched rows.  Hop-count programs on
+    unweighted graphs (worklist, strict BSP) carry one *bit* per lane
+    instead: ``uint64`` frontier words are OR-ed along the walk,
+    stripped of ``visited`` and the level stamped into the fresh cells.
+    A JIT backend runs either whole step compiled under
+    :class:`PushStep`'s gates (hop masks wider than one word decline);
+    the numpy bodies below are the fallback.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        program: PushProgram,
+        sources: Sequence[int],
+        options: EngineOptions,
+        simulator: Optional[GPUSimulator] = None,
+    ) -> None:
+        super().__init__(scheduler, program, options, simulator)
+        n = scheduler.graph.num_nodes
+        num_lanes = len(sources)
+        self.hops = (
+            program.unit_hop_metric and scheduler.graph.weights is None
+            and options.worklist and self.blocks == 1
+        )
+        if self.hops:
+            src = np.asarray(sources, dtype=np.int64)
+            lanes = np.arange(num_lanes, dtype=np.int64)
+            self.values = np.full((n, num_lanes), np.inf)
+            self.values[src, lanes] = 0.0
+            frontier = np.zeros((n, max(1, (num_lanes + 63) // 64)),
+                                dtype=np.uint64)
+            np.bitwise_or.at(
+                frontier, (src, lanes // 64), kernels.LANE_BITS[lanes % 64]
+            )
+            if frontier.shape[1] == 1:
+                # single-word masks (the max_lanes=64 default) run on
+                # flat (n,) arrays: the only form the compiled step
+                # takes, and ufunc.at's fast path
+                frontier = frontier[:, 0]
+            #: frontier words, next-frontier words (zero), visited
+            self.words = [frontier, np.zeros_like(frontier), frontier.copy()]
+            self.level = 0
+        else:
+            self.values = np.ascontiguousarray(
+                program.initial_lane_values(n, sources)
+            )
+            self.read = self.values.copy()
+        if self.scratch is not None:
+            self.scratch += (np.zeros(num_lanes, dtype=np.uint8),)
+
+    def __call__(self, active: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        if self.hops:
+            return self._hop(active)
+        graph = self.scheduler.graph
+        out, read = self.values, self.read
+        stepped = self.backend.try_lane_step(
+            self.spec, out, read, active, self.walk,
+            graph.targets, graph.weights, self.scratch,
+        )
+        if stepped is not None:
+            return stepped
+        batch = self._launch(_apply_batch_lanes, out, read, active)
+        differs = out != read
+        changed = np.flatnonzero(differs.any(axis=1))
+        read[changed] = out[changed]
+        return changed, batch.total_edges, int(differs.any(axis=0).sum())
+
+    def _hop(self, active: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        frontier, new, visited = self.words
+        self.words = [new, frontier, visited]  # both bodies zero `frontier`
+        self.level += 1
+        stepped = self.backend.try_hop_step(
+            new, frontier, visited, self.values, float(self.level), active,
+            self.walk, self.scheduler.graph.targets, self.scratch,
+        )
+        if stepped is not None:
+            return stepped
+        batch = self._launch(_apply_or, new, frontier, active)
+        frontier[active] = 0
+        new &= ~visited
+        visited |= new
+        fresh = np.flatnonzero(new if new.ndim == 1 else new.any(axis=1))
+        # unpack only the freshly discovered rows into lane columns;
+        # the fill goes through a flat 1-D index (2-D fancy assignment
+        # pays a slow pair-iteration path)
+        num_lanes = self.values.shape[1]
+        bits = np.unpackbits(
+            new.reshape(len(new), -1)[fresh].view(np.uint8),
+            axis=1, bitorder="little",
+        )[:, :num_lanes]
+        rows, cols = np.nonzero(bits)
+        self.values.reshape(-1)[fresh[rows] * num_lanes + cols] = self.level
+        return fresh, batch.total_edges, int(bits.any(axis=0).sum())
 
 
 def run_push(
@@ -269,57 +379,25 @@ def run_push_lanes(
     Requires ``program.lane_safe`` (idempotent reduction); ADD-based
     programs would double-count the redundant pushes and are refused.
     """
-    graph = scheduler.graph
-    n = graph.num_nodes
+    n = scheduler.graph.num_nodes
     num_lanes = len(sources)
     if not program.lane_safe:
         raise EngineError(
             f"program {program.name!r} is not lane-safe: its "
             f"{program.reduce.value} reduction is not idempotent"
         )
-    if options.sync_relaxation_blocks < 1:
-        raise EngineError("sync_relaxation_blocks must be >= 1")
-    if program.needs_weights and graph.weights is None:
-        raise EngineError(f"program {program.name!r} needs edge weights")
-    if num_lanes == 0:
-        return EngineResult(
-            values=np.zeros((n, 0)), num_iterations=0, converged=True,
-            metrics=simulator.finish() if simulator is not None else None,
-            num_lanes=0,
-        )
-
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=graph.num_edges
-    )
-    spec = kernels.spec_for(program) if backend.jit else None
-
-    if (
-        program.unit_hop_metric
-        and graph.weights is None
-        and options.worklist
-        and options.sync_relaxation_blocks == 1
-    ):
-        return _run_bitpacked_hops(
-            scheduler, program, sources, options=options,
-            simulator=simulator, backend=backend,
-        )
-
-    # lane-major (S, n) layout internally: each lane's values live in
-    # one contiguous row, keeping the per-lane relax and scatter on
-    # ufunc.at's fast 1-D path (its 2-D form is ~100x slower/element)
-    values_t = np.ascontiguousarray(program.initial_lane_values(n, sources).T)
-    frontier = LaneFrontier.from_union_ids(
-        n, program.initial_lane_frontier(n, sources), num_lanes,
+    step = LaneStep(scheduler, program, sources, options, simulator)
+    frontier = Frontier.from_ids(
+        n, program.initial_lane_frontier(n, sources),
         dense_threshold=options.dense_threshold,
     )
-    weights = graph.weights
-    targets = graph.targets
 
     converged = False
     iterations = 0
     edges_processed = 0
     dense_iterations = 0
     lane_iterations = 0
+    live = num_lanes  # per-lane change data does not exist before step 1
 
     for _ in range(options.max_iterations):
         active = frontier.ids() if options.worklist else scheduler.all_nodes()
@@ -328,39 +406,15 @@ def run_push_lanes(
             break
         if options.worklist and frontier.is_dense:
             dense_iterations += 1
-        batch = scheduler.batch(active)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+        lane_iterations += live if options.worklist else num_lanes
+        changed, edges, live = step(active)
         iterations += 1
-        edges_processed += batch.total_edges
-        lane_iterations += (
-            frontier.active_lanes if options.worklist else num_lanes
-        )
-
-        before_t = values_t.copy()
-        if options.sync_relaxation_blocks == 1:
-            _apply_batch_lanes(
-                batch, program, values_t, before_t, targets, weights,
-                backend=backend, spec=spec,
-            )
-        else:
-            bounds = np.linspace(
-                0, batch.num_threads, options.sync_relaxation_blocks + 1
-            ).astype(np.int64)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    _apply_batch_lanes(
-                        batch.slice(int(lo), int(hi)),
-                        program, values_t, values_t, targets, weights,
-                        backend=backend, spec=spec,
-                    )
-
-        changed_t = values_t != before_t
-        if not changed_t.any():
+        edges_processed += edges
+        if len(changed) == 0:
             converged = True
             break
-        frontier = LaneFrontier.from_lane_mask(
-            n, changed_t.T, dense_threshold=options.dense_threshold
+        frontier = Frontier.from_ids(
+            n, changed, dense_threshold=options.dense_threshold
         )
 
     if not converged and options.require_convergence:
@@ -369,7 +423,7 @@ def run_push_lanes(
             f"{options.max_iterations} iterations"
         )
     return EngineResult(
-        values=np.ascontiguousarray(values_t.T),
+        values=step.values,
         num_iterations=iterations,
         converged=converged,
         metrics=simulator.finish() if simulator is not None else None,
@@ -383,167 +437,41 @@ def run_push_lanes(
 def _apply_batch_lanes(
     batch: ThreadBatch,
     program: PushProgram,
-    values_t: np.ndarray,
-    read_values_t: np.ndarray,
+    values: np.ndarray,
+    read_values: np.ndarray,
     targets: np.ndarray,
     weights: Optional[np.ndarray],
-    *,
-    backend: Optional[KernelBackend] = None,
-    spec: Optional[KernelSpec] = None,
 ) -> None:
-    """One launch, all lanes: a single edge gather feeds per-lane
-    fused relax + scatter.
+    """:func:`_apply_batch` over ``(n, S)`` matrices: one edge gather
+    feeds a fused relax + scatter per lane.
 
-    Values are lane-major ``(S, n)``.  Each lane's source values enter
-    ``lane_relax`` as an ``(E, 1)`` column — the same elementwise
-    arithmetic as a batched ``(E, S)`` call, so results are bitwise
-    identical — and its candidates scatter through ``ufunc.at``'s fast
-    contiguous 1-D path.  ``filter_pushes`` is deliberately not
-    consulted here: no lane-safe program defines one, and a scalar
-    mask cannot describe per-lane usefulness.
-
-    A JIT kernel backend can take the whole launch — all lanes, no
-    edge-array temporaries — and is bitwise identical (same gather
-    order, same folds); any gate failure falls through to numpy.
+    Each lane is a strided column view, which keeps the scatter on
+    ``ufunc.at``'s fast 1-D path (its 2-D form is ~100x slower per
+    element); the column enters ``lane_relax`` as ``(E, 1)`` — the same
+    elementwise arithmetic as a batched ``(E, S)`` call.
+    ``filter_pushes`` is deliberately not consulted: no lane-safe
+    program defines one, and a scalar mask cannot describe per-lane
+    usefulness.
     """
     if batch.total_edges == 0:
-        return
-    if backend is not None and backend.try_push_lanes(
-        spec, values_t, read_values_t, batch, targets, weights
-    ):
         return
     eidx = batch.edge_indices()
     spe = batch.sources_per_edge()
     dst = targets[eidx]
     w = weights[eidx][:, None] if weights is not None else None
-    for lane in range(values_t.shape[0]):
-        candidates = program.lane_relax(read_values_t[lane][spe][:, None], w)
-        program.reduce.scatter(values_t[lane], dst, candidates[:, 0])
+    for lane in range(values.shape[1]):
+        candidates = program.lane_relax(read_values[:, lane][spe][:, None], w)
+        program.reduce.scatter(values[:, lane], dst, candidates[:, 0])
 
 
-def _run_bitpacked_hops(
-    scheduler: Scheduler,
-    program: PushProgram,
-    sources: Sequence[int],
-    *,
-    options: EngineOptions,
-    simulator: Optional[GPUSimulator],
-    backend: Optional[KernelBackend] = None,
-) -> EngineResult:
-    """MS-BFS fast path: per-node visited sets bit-packed into uint64.
-
-    Level-synchronous BFS discovers each node at its exact hop count,
-    so the distance matrix equals the generic engine's fixed point
-    bitwise (hop counts are small integers, exactly representable).
-    Frontier propagation is an OR-scatter over ``ceil(S/64)`` words
-    per edge — 64 lanes ride one machine word.
-    """
-    graph = scheduler.graph
-    n = graph.num_nodes
-    num_lanes = len(sources)
-    words = (num_lanes + 63) // 64
-    targets = graph.targets
-
-    src_ids = np.asarray(sources, dtype=np.int64)
-    lanes = np.arange(num_lanes, dtype=np.int64)
-    visited = np.zeros((n, words), dtype=np.uint64)
-    frontier_bits = np.zeros((n, words), dtype=np.uint64)
-    np.bitwise_or.at(
-        frontier_bits,
-        (src_ids, lanes // 64),
-        np.uint64(1) << (lanes % 64).astype(np.uint64),
-    )
-    visited |= frontier_bits
-
-    values = np.full((n, num_lanes), np.inf)
-    values[src_ids, lanes] = 0.0
-    # single-word masks (the max_lanes=64 default) run on flat (n,)
-    # arrays: ufunc.at's contiguous 1-D loop and 1-D gathers are far
-    # faster than their 2-D forms
-    flat = words == 1
-
-    visited_w = visited[:, 0] if flat else visited
-    frontier_w = frontier_bits[:, 0] if flat else frontier_bits
-    values_flat = values.reshape(-1)
-
-    active = np.unique(src_ids).astype(NODE_DTYPE)
-    converged = False
-    iterations = 0
-    edges_processed = 0
-    dense_iterations = 0
-    lane_iterations = 0
-    level = 0
-
-    for _ in range(options.max_iterations):
-        if len(active) == 0:
-            converged = True
-            break
-        batch = scheduler.batch(active)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
-        iterations += 1
-        edges_processed += batch.total_edges
-        lane_iterations += _popcount(frontier_w[active])
-        if len(active) >= options.dense_threshold * max(n, 1):
-            dense_iterations += 1
-
-        new_w = np.zeros_like(visited_w)
-        if batch.total_edges:
-            # the OR is commutative and idempotent, so the fused
-            # kernel's edge order cannot matter — bitwise equal either
-            # way (the flat single-word form is the only one fused)
-            if not (flat and backend is not None and backend.try_or_scatter(
-                new_w, frontier_w, batch, targets
-            )):
-                eidx = batch.edge_indices()
-                np.bitwise_or.at(
-                    new_w, targets[eidx], frontier_w[batch.sources_per_edge()]
-                )
-        new_w &= ~visited_w
-        level += 1
-
-        fresh = np.flatnonzero(new_w if flat else new_w.any(axis=1))
-        if len(fresh) == 0:
-            converged = True
-            break
-        fresh_words = new_w[fresh]
-        np.bitwise_or.at(visited_w, fresh, fresh_words)
-        # unpack only the freshly discovered rows into lane columns;
-        # the fill goes through a flat 1-D index (2-D fancy assignment
-        # pays a slow pair-iteration path)
-        unpacked = np.unpackbits(
-            (fresh_words[:, None] if flat else fresh_words).view(np.uint8),
-            axis=1, bitorder="little",
-        )[:, :num_lanes]
-        rows, cols = np.nonzero(unpacked)
-        values_flat[fresh[rows] * num_lanes + cols] = float(level)
-        frontier_w = new_w
-        active = fresh.astype(NODE_DTYPE)
-
-    if not converged and options.require_convergence:
-        raise EngineError(
-            f"{program.name} (lanes) did not converge within "
-            f"{options.max_iterations} iterations"
+def _apply_or(batch, program, new_w, frontier_w, targets, weights) -> None:
+    """The hop step's launch: OR each thread's frontier word(s) into
+    its destinations (commutative and idempotent: any edge order)."""
+    if batch.total_edges:
+        np.bitwise_or.at(
+            new_w, targets[batch.edge_indices()],
+            frontier_w[batch.sources_per_edge()],
         )
-    return EngineResult(
-        values=values,
-        num_iterations=iterations,
-        converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
-        edges_processed=edges_processed,
-        dense_iterations=dense_iterations,
-        num_lanes=num_lanes,
-        lane_iterations=lane_iterations,
-    )
-
-
-def _popcount(bits: np.ndarray) -> int:
-    """Total set bits across a uint64 array (lanes live this level)."""
-    if bits.size == 0:
-        return 0
-    return int(
-        np.unpackbits(np.ascontiguousarray(bits).view(np.uint8)).sum()
-    )
 
 
 def _apply_batch(

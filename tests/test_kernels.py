@@ -39,7 +39,13 @@ from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
 from repro.engine.pull import run_pull
 from repro.core.virtual import virtual_transform
-from repro.engine.push import EngineOptions, PushStep, run_push, run_push_lanes
+from repro.engine.push import (
+    EngineOptions,
+    LaneStep,
+    PushStep,
+    run_push,
+    run_push_lanes,
+)
 from repro.engine.schedule import (
     EdgeParallelScheduler,
     MaxWarpScheduler,
@@ -214,6 +220,7 @@ class TestJitParity:
         sources = [0, 3, 7, 11]
         for weighted in (True, False):
             target = graph if weighted else graph.without_weights()
+            engaged_before = kernels.get_backend(backend).engaged
             base = multi_source_distances(
                 target, sources, weighted=weighted, mode="lanes",
                 options=EngineOptions(kernel_backend="numpy"),
@@ -222,6 +229,7 @@ class TestJitParity:
                 target, sources, weighted=weighted, mode="lanes",
                 options=EngineOptions(kernel_backend=backend),
             )
+            assert kernels.get_backend(backend).engaged > engaged_before
             np.testing.assert_array_equal(base, jit)
 
     @pytest.mark.parametrize("backend", JITS)
@@ -493,6 +501,292 @@ class TestPushStepDifferential:
                 assert _lockstep(scheduler, program, source, step) > 0
 
 
+# ----------------------------------------------------------------------
+# The compiled lane superstep vs its numpy bodies
+# ----------------------------------------------------------------------
+LANE_WIDTHS = (1, 2, 63, 64, 65)
+RESULT_COUNTERS = ("num_iterations", "edges_processed", "dense_iterations",
+                   "lane_iterations", "num_lanes", "converged")
+
+
+def _lane_sources(graph, width, seed):
+    rng = np.random.default_rng(seed)
+    return [int(s) for s in rng.integers(0, graph.num_nodes, size=width)]
+
+
+def _lane_lockstep(scheduler, program, sources, backend, *, max_steps=10_000):
+    """Step a numpy-bodied and a ``backend`` LaneStep side by side;
+    every superstep must agree on changed ids, edges, live lanes and
+    the whole value matrix.  Returns ``(supersteps, the other step)``."""
+    ref, other = (
+        LaneStep(scheduler, program, sources,
+                 EngineOptions(kernel_backend=name))
+        for name in ("numpy", backend)
+    )
+    assert other.backend.name == backend
+    n = scheduler.graph.num_nodes
+    active = np.unique(program.initial_lane_frontier(n, sources))
+    steps = 0
+    while len(active) and steps < max_steps:
+        steps += 1
+        changed, edges, live = ref(active)
+        other_changed, other_edges, other_live = other(active)
+        assert _same_bits(changed, other_changed)
+        assert (edges, live) == (other_edges, other_live)
+        assert _same_bits(ref.values, other.values)
+        active = changed
+    return steps, other
+
+
+def _interpreted_backend(monkeypatch):
+    """The numba backend's hooks over the *interpreted* reference
+    kernels, registered under its name: covers the kernels numba
+    compiles and their marshalling on hosts without numba."""
+    backend = kernels.NumbaBackend()
+    monkeypatch.setattr(backend, "is_available", lambda: True)
+    monkeypatch.setattr(backend, "_kernel", lambda key, py_func: py_func)
+    monkeypatch.setitem(kernels._REGISTRY, "numba", backend)
+    return backend
+
+
+@pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+class TestLaneStepDifferential:
+    """The compiled lane superstep against its numpy bodies, bit for
+    bit, and every column against the scalar engine."""
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=step_graphs,
+        k=st.sampled_from(STEP_KS),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        algorithm=st.sampled_from(sorted(STEP_PROGRAMS) + ["hops"]),
+        width=st.sampled_from(LANE_WIDTHS),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_superstep_matches(
+        self, backend, graph, k, kind, algorithm, width, seed
+    ):
+        if algorithm == "hops":  # bfs, bit-packed: needs no weights
+            algorithm, graph = "bfs", graph.without_weights()
+        program = STEP_PROGRAMS[algorithm]()
+        if graph.num_nodes == 0 or (
+            program.needs_weights and graph.weights is None
+        ):
+            return
+        scheduler = _scheduler(kind, graph, k)
+        sources = _lane_sources(graph, width, seed)
+        jit = kernels.get_backend(backend)
+        engaged, declined = jit.engaged, jit.declined
+        steps, step = _lane_lockstep(scheduler, program, sources, backend)
+        # bit masks wider than one word are the numpy body's; every
+        # other superstep must have run compiled, or the comparison
+        # above was numpy against itself
+        if step.hops and width > 64:
+            assert (jit.engaged, jit.declined) == (engaged, declined + steps)
+        else:
+            assert (jit.engaged, jit.declined) == (engaged + steps, declined)
+
+        results = [
+            run_push_lanes(scheduler, program, sources,
+                           options=EngineOptions(kernel_backend=name))
+            for name in ("numpy", backend)
+        ]
+        assert _same_bits(results[0].values, results[1].values)
+        for field in RESULT_COUNTERS:
+            assert getattr(results[0], field) == getattr(results[1], field)
+        assert results[1].num_iterations == steps
+        for lane in {0, width // 2, width - 1}:
+            scalar = run_push(
+                scheduler, program,
+                None if algorithm == "cc" else sources[lane],
+                options=EngineOptions(kernel_backend=backend),
+            )
+            assert _same_bits(
+                np.ascontiguousarray(results[1].values[:, lane]), scalar.values
+            )
+        if algorithm in ("bfs", "sssp"):
+            # through the front door: 65 sources are two lane blocks
+            rows = multi_source_distances(
+                scheduler, sources, weighted=algorithm == "sssp",
+                mode="lanes", options=EngineOptions(kernel_backend=backend),
+            )
+            assert _same_bits(rows, np.ascontiguousarray(results[1].values.T))
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("k", STEP_KS)
+    @pytest.mark.parametrize("kind", ["virtual", "virtual+", "maxwarp"])
+    def test_star_at_family_boundaries(self, backend, k, kind):
+        for d in sorted({max(k - 1, 0), k, k + 1, 2 * k, 2 * k + 1}):
+            graph = star(d, bidirectional=True, weight_range=(1, 9), seed=d)
+            scheduler = _scheduler(kind, graph, k)
+            sources = [0, d, d // 2]
+            for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
+                steps, _ = _lane_lockstep(scheduler, program, sources, backend)
+                assert steps > 0
+
+    def test_reference_kernels_match_numpy(self, monkeypatch):
+        # what numba compiles, interpreted, through numba's own hooks
+        interpreted = _interpreted_backend(monkeypatch)
+        graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
+        sources = [0, 7, 7, 31]
+        for kind in SCHEDULER_KINDS:
+            scheduler = _scheduler(kind, graph, 3)
+            for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
+                steps, _ = _lane_lockstep(scheduler, program, sources, "numba")
+                assert steps > 0
+        hop_scheduler = NodeScheduler(graph.without_weights())
+        steps, step = _lane_lockstep(
+            hop_scheduler, BFSProgram(), sources, "numba"
+        )
+        assert step.hops and steps > 0
+        assert interpreted.engaged > 0 and interpreted.declined == 0
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_declines_are_counted_and_fall_back(self, graph, backend):
+        jit = kernels.get_backend(backend)
+        sources = [0, 3, 7, 11]
+        for target, program in (
+            (graph, SSSPProgram()), (graph.without_weights(), BFSProgram()),
+        ):
+            baseline = run_push_lanes(
+                NodeScheduler(target), program, sources,
+                options=EngineOptions(kernel_backend="numpy"),
+            )
+            for scheduler, blocks in (
+                (WarpSegmentationScheduler(target), 1),  # no walk layout
+                (NodeScheduler(target), 3),  # later blocks re-read `out`
+            ):
+                engaged, declined = jit.engaged, jit.declined
+                result = run_push_lanes(
+                    scheduler, program, sources,
+                    options=EngineOptions(kernel_backend=backend,
+                                          sync_relaxation_blocks=blocks),
+                )
+                assert jit.engaged == engaged
+                assert jit.declined - declined == result.num_iterations
+                assert _same_bits(result.values, baseline.values)
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_bad_arguments_never_reach_the_kernels(self, graph, backend):
+        jit = kernels.get_backend(backend)
+        n = graph.num_nodes
+        options = EngineOptions(kernel_backend=backend)
+        step = LaneStep(NodeScheduler(graph), SSSPProgram(), [0, 3], options)
+        targets, weights = graph.targets, graph.weights
+        active = np.zeros(1, dtype=np.int64)
+
+        def lanes(out, read, active=active, scratch=step.scratch):
+            return jit.try_lane_step(step.spec, out, read, active, step.walk,
+                                     targets, weights, scratch)
+
+        out, read = step.values, step.read
+        declined = jit.declined
+        bad_live = step.scratch[:2] + (np.zeros(3, dtype=np.uint8),)
+        for refused in (
+            lanes(out, out),  # aliased: sync relaxation's numpy order
+            lanes(out.astype(np.float32), read),
+            lanes(out.T, read.T),  # lane-major: not the compiled layout
+            lanes(out, read, active=np.asarray([n], dtype=np.int64)),
+            lanes(out, read, active=np.asarray([-1], dtype=np.int64)),
+            lanes(out, read, active=active.astype(np.int32)),
+            lanes(out, read, scratch=bad_live),
+        ):
+            assert refused is None
+        assert jit.declined == declined + 7
+        assert lanes(out, read) is not None
+
+        hop = LaneStep(NodeScheduler(graph.without_weights()), BFSProgram(),
+                       [0, 3], options)
+        assert hop.hops
+        frontier, new, visited = hop.words
+
+        def hops(new, frontier, visited, values=hop.values, active=active):
+            return jit.try_hop_step(new, frontier, visited, values, 1.0,
+                                    active, hop.walk, targets, hop.scratch)
+
+        declined = jit.declined
+        for refused in (
+            hops(frontier, frontier, visited),
+            hops(new, frontier, frontier),
+            hops(new.astype(np.int64), frontier, visited),
+            hops(new, frontier, visited, values=np.zeros((n, 65))),
+            hops(new, frontier, visited, values=np.zeros((n + 1, 2))),
+            hops(new, frontier, visited,
+                 active=np.asarray([n], dtype=np.int64)),
+        ):
+            assert refused is None
+        assert jit.declined == declined + 6
+        assert hops(new, frontier, visited) is not None
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_concurrent_steps_share_no_scratch(self, graph, backend):
+        import sys
+        import threading
+
+        options = EngineOptions(kernel_backend=backend)
+        cases = [
+            (NodeScheduler(target), program, _lane_sources(graph, 24, seed))
+            for seed, (target, program) in enumerate((
+                (graph, SSSPProgram()), (graph.without_weights(), BFSProgram()),
+                (graph, SSWPProgram()), (graph, SSSPProgram()),
+            ))
+        ]
+        expected = [
+            run_push_lanes(*case, options=options).values for case in cases
+        ]
+        failures = []
+
+        def hammer(index):
+            for _ in range(15):
+                values = run_push_lanes(*cases[index], options=options).values
+                if not _same_bits(values, expected[index]):
+                    failures.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(i % len(cases),))
+                for i in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    def test_host_without_a_working_compiler_falls_back(
+        self, graph, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        broken = kernels.CJitBackend()
+        monkeypatch.setitem(kernels._REGISTRY, "cjit", broken)
+        sources = [0, 3, 7, 11]
+        for target, program in (
+            (graph, SSSPProgram()), (graph.without_weights(), BFSProgram()),
+        ):
+            baseline = run_push_lanes(
+                NodeScheduler(target), program, sources,
+                options=EngineOptions(kernel_backend="numpy"),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = run_push_lanes(
+                    NodeScheduler(target), program, sources,
+                    options=EngineOptions(kernel_backend="cjit"),
+                )
+            assert _same_bits(result.values, baseline.values)
+            for field in RESULT_COUNTERS:
+                assert getattr(result, field) == getattr(baseline, field)
+        assert broken.engaged == 0 and broken.declined > 0
+        assert "compile failed" in broken.availability_note()
+
+
 class TestWalkLayout:
     @pytest.mark.parametrize("kind", SCHEDULER_KINDS)
     @pytest.mark.parametrize("k", STEP_KS)
@@ -667,24 +961,37 @@ class TestCostModelPredictions:
                 algorithm=algorithm, num_sources=3, num_edges=self.TINY
             ) == "lanes"
 
-    def test_sssp_loops_at_every_width_at_scale(self):
-        # the honest fix for the sssp lane regression: the measured
-        # marginal per-lane cost exceeds a whole scalar pass
+    def test_sssp_lanes_win_at_scale(self):
+        # since the lane engine has a compiled superstep one more float
+        # lane costs about half a scalar pass: lanes from two sources up
         profile = costmodel.BUILTIN_PROFILE
-        assert profile.lanes["sssp"].crossover_sources == float("inf")
+        assert profile.lanes["sssp"].crossover_sources < 2
         for s in (2, 4, 16, 64, 256):
             assert profile.choose_multisource_mode(
+                algorithm="sssp", num_sources=s, num_edges=self.BIG
+            ) == "lanes"
+
+    def test_a_lane_engine_slower_than_the_loop_is_never_picked(self):
+        from dataclasses import replace
+
+        slow = replace(costmodel.BUILTIN_PROFILE, lanes={
+            "sssp": costmodel.LaneFit(8.86e-09, 1e-12, 1.14e-08),
+        })
+        assert slow.lanes["sssp"].crossover_sources == float("inf")
+        for s in (2, 16, 256):
+            assert slow.choose_multisource_mode(
                 algorithm="sssp", num_sources=s, num_edges=self.BIG
             ) == "loop"
 
     def test_bfs_lanes_win_wide_batches_at_scale(self):
+        # a bit-packed lane is nearly free; the union walk's fixed cost
+        # is paid back within the first few sources
         profile = costmodel.BUILTIN_PROFILE
-        assert profile.choose_multisource_mode(
-            algorithm="bfs", num_sources=2, num_edges=self.BIG
-        ) == "loop"
-        assert profile.choose_multisource_mode(
-            algorithm="bfs", num_sources=16, num_edges=self.BIG
-        ) == "lanes"
+        assert 1 < profile.lanes["bfs"].crossover_sources < 4
+        for s in (4, 16, 64):
+            assert profile.choose_multisource_mode(
+                algorithm="bfs", num_sources=s, num_edges=self.BIG
+            ) == "lanes"
 
     def test_pull_threshold_is_clamped(self):
         from dataclasses import replace

@@ -24,6 +24,7 @@ from repro.algorithms.programs import BFSProgram, PageRankProgram, SSSPProgram
 from repro.algorithms.sssp import sssp
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
+from repro.engine import kernels
 from repro.engine.pull import run_pull, run_pull_lanes
 from repro.engine.push import EngineOptions, run_push, run_push_lanes
 from repro.engine.schedule import NodeScheduler, VirtualScheduler
@@ -126,6 +127,30 @@ class TestLaneLoopEquivalence:
             assert np.array_equal(looped, lanes)
             results[name] = lanes
         assert np.array_equal(results["packed"], results["generic"])
+
+    @pytest.mark.parametrize("backend", ["numpy"] + kernels.jit_backends())
+    def test_both_lane_paths_count_live_lanes(self, backend):
+        """``lane_iterations`` sums the lanes still live per superstep
+        (``/ num_iterations`` = mean lane occupancy) on both paths.
+        Unit weights put bfs on the float lanes: the same traversal as
+        the bit-packed one, so every counter must agree."""
+        hop = make_graph(9, weighted=False)
+        unit = hop.with_weights(np.ones(hop.num_edges))
+        sources = pick_sources(hop, 9, count=64)
+        options = EngineOptions(kernel_backend=backend)
+        packed = run_push_lanes(
+            NodeScheduler(hop), BFSProgram(), sources, options=options
+        )
+        floats = run_push_lanes(
+            NodeScheduler(unit), BFSProgram(), sources, options=options
+        )
+        assert np.array_equal(packed.values, floats.values)
+        for field in ("num_iterations", "edges_processed",
+                      "dense_iterations", "lane_iterations", "num_lanes"):
+            assert getattr(packed, field) == getattr(floats, field)
+        # live lanes, not (node, lane) pairs: all 64 ride step 1, every
+        # later step at most that many
+        assert 64 < packed.lane_iterations <= 64 * packed.num_iterations
 
     def test_duplicate_sources_share_a_lane(self):
         graph = make_graph(2, weighted=False)
