@@ -19,12 +19,14 @@ the paper compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms._dispatch import Target, resolve_scheduler
+from repro.engine import kernels
 from repro.engine.push import EngineOptions
+from repro.engine.schedule import Scheduler
 from repro.gpu.metrics import RunMetrics
 from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import NODE_DTYPE
@@ -46,6 +48,93 @@ class BCResult:
     edges_processed: int = 0
 
 
+class BCStep:
+    """Brandes' two level steps over one scheduler.
+
+    ``forward(frontier, level)`` settles depth ``level`` below the
+    frontier and accumulates its ``sigma`` in the same walk, returning
+    ``(sorted next frontier, edges)``; ``backward(frontier)`` folds each
+    frontier node's dependency from its children one level down into
+    ``delta`` and returns the edges.  The step owns ``levels``,
+    ``sigma`` and ``delta``.
+
+    A JIT backend runs either step as one compiled call under
+    :class:`~repro.engine.push.PushStep`'s gates, walking the
+    scheduler's ``walk_layout()`` in ``batch()`` order — both steps
+    ADD, so the fold order is part of the answer.  Simulator runs (they
+    need the thread batch), unwalkable schedulers and any gate failure
+    take the numpy bodies.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        source: int,
+        options: EngineOptions,
+        simulator: Optional[GPUSimulator] = None,
+    ) -> None:
+        graph = scheduler.graph
+        n = graph.num_nodes
+        self.scheduler = scheduler
+        self.simulator = simulator
+        self.backend = kernels.resolve_backend(
+            options.kernel_backend, edges=graph.num_edges
+        )
+        self.walk = scheduler.walk_layout() if simulator is None else None
+        self.levels = np.full(n, -1, dtype=np.int64)
+        self.sigma = np.zeros(n, dtype=np.float64)
+        self.delta = np.zeros(n, dtype=np.float64)
+        self.levels[source] = 0
+        self.sigma[source] = 1.0
+        # the compiled forward step's discoveries, before sorting
+        self._found = np.empty(n, dtype=NODE_DTYPE)
+
+    def _launch(self, frontier: np.ndarray):
+        """The numpy bodies' launch -> ``(edges, dst, src)`` per edge."""
+        batch = self.scheduler.batch(frontier)
+        if self.simulator is not None:
+            self.simulator.record_iteration(batch.trace())
+        dst = self.scheduler.graph.targets[batch.edge_indices()]
+        return batch.total_edges, dst, batch.sources_per_edge()
+
+    def forward(self, frontier: np.ndarray, level: int) -> Tuple[np.ndarray, int]:
+        levels, sigma = self.levels, self.sigma
+        stepped = self.backend.try_bc_forward(
+            levels, sigma, frontier, level, self.walk,
+            self.scheduler.graph.targets, self._found,
+        )
+        if stepped is not None:
+            return stepped
+        edges, dst, src = self._launch(frontier)
+        # settle the level; dedupe through a mask (a scan, where
+        # numpy >= 2.3's hash-based np.unique costs ~20x one)
+        fresh = np.zeros(len(levels), dtype=bool)
+        fresh[dst[levels[dst] < 0]] = True
+        found = np.flatnonzero(fresh)
+        levels[found] = level
+        # accumulate sigma over edges landing exactly on it
+        on_level = levels[dst] == level
+        np.add.at(sigma, dst[on_level], sigma[src[on_level]])
+        return found, edges
+
+    def backward(self, frontier: np.ndarray) -> int:
+        levels, sigma, delta = self.levels, self.sigma, self.delta
+        stepped = self.backend.try_bc_backward(
+            levels, sigma, delta, frontier, self.walk,
+            self.scheduler.graph.targets,
+        )
+        if stepped is not None:
+            return stepped
+        edges, dst, src = self._launch(frontier)
+        down = (levels[dst] == levels[src] + 1) & (sigma[dst] > 0)
+        contrib = np.zeros(len(dst), dtype=np.float64)
+        contrib[down] = (
+            sigma[src[down]] / sigma[dst[down]] * (1.0 + delta[dst[down]])
+        )
+        np.add.at(delta, src, contrib)
+        return edges
+
+
 def bc(
     target: Target,
     source: int,
@@ -57,76 +146,33 @@ def bc(
 
     ``options.worklist`` is inherent here (both phases are
     frontier-driven by construction); ``options.max_iterations``
-    bounds the total level count.
+    bounds the forward phase's level count.
     """
-    scheduler = resolve_scheduler(target)
-    graph = scheduler.graph
-    n = graph.num_nodes
-    targets = graph.targets
-
-    levels = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    levels[source] = 0
-    sigma[source] = 1.0
-
+    step = BCStep(resolve_scheduler(target), source, options, simulator)
     level_frontiers = []
     frontier = np.asarray([source], dtype=NODE_DTYPE)
-    level = 0
     iterations = 0
     edges_processed = 0
 
     # ---------------- forward phase ----------------
     while len(frontier) and iterations < options.max_iterations:
         level_frontiers.append(frontier)
-        batch = scheduler.batch(frontier)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
         iterations += 1
-        edges_processed += batch.total_edges
-
-        eidx = batch.edge_indices()
-        if len(eidx) == 0:
-            break
-        dst = targets[eidx]
-        src = batch.sources_per_edge()
-        # settle the next level; dedupe through a mask (a scan, where
-        # numpy >= 2.3's hash-based np.unique costs ~20x one)
-        fresh = np.zeros(n, dtype=bool)
-        fresh[dst[levels[dst] < 0]] = True
-        frontier = np.flatnonzero(fresh)
-        levels[frontier] = level + 1
-        # accumulate sigma over edges landing exactly one level down
-        on_level = levels[dst] == level + 1
-        np.add.at(sigma, dst[on_level], sigma[src[on_level]])
-        level += 1
+        frontier, edges = step.forward(frontier, len(level_frontiers))
+        edges_processed += edges
 
     # ---------------- backward phase ----------------
-    delta = np.zeros(n, dtype=np.float64)
-    for frontier in reversed(level_frontiers[:-1] if len(level_frontiers) > 1 else []):
-        batch = scheduler.batch(frontier)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+    # the deepest level appended has nothing below it to collect
+    for frontier in reversed(level_frontiers[:-1]):
         iterations += 1
-        edges_processed += batch.total_edges
+        edges_processed += step.backward(frontier)
 
-        eidx = batch.edge_indices()
-        if len(eidx) == 0:
-            continue
-        dst = targets[eidx]
-        src = batch.sources_per_edge()
-        down = (levels[dst] == levels[src] + 1) & (sigma[dst] > 0)
-        contrib = np.zeros(len(eidx), dtype=np.float64)
-        contrib[down] = (
-            sigma[src[down]] / sigma[dst[down]] * (1.0 + delta[dst[down]])
-        )
-        np.add.at(delta, src, contrib)
-
-    centrality = delta.copy()
+    centrality = step.delta.copy()
     centrality[source] = 0.0
     return BCResult(
         centrality=centrality,
-        levels=levels,
-        sigma=sigma,
+        levels=step.levels,
+        sigma=step.sigma,
         num_iterations=iterations,
         converged=True,
         metrics=simulator.finish() if simulator is not None else None,

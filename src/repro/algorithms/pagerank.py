@@ -2,9 +2,10 @@
 
 PR differs from the monotone analytics: every node is processed every
 iteration (the paper singles this out as why push-based engines lose
-to pull/scan engines like CuSha on PR).  Each iteration scatters
-``rank[v] / outdeg(v)`` along every out-edge into a fresh contribution
-array, then applies damping and dangling-mass redistribution.
+to pull/scan engines like CuSha on PR).  Each iteration
+(:class:`~repro.engine.rank.RankStep`) scatters ``rank[v] / outdeg(v)``
+along every out-edge, then applies damping and dangling-mass
+redistribution.
 
 On a virtually transformed graph the scatter divides by the
 **physical** outdegree (Corollary 4 preserves it) and sibling virtual
@@ -19,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms._dispatch import Target, resolve_scheduler
-from repro.engine import kernels
 from repro.engine.push import EngineOptions, EngineResult
+from repro.engine.rank import RankStep, inverse_out_degrees
 from repro.gpu.simulator import GPUSimulator
 
 
@@ -46,42 +47,19 @@ def pagerank(
         return EngineResult(np.zeros(0), 0, True,
                             simulator.finish() if simulator else None, 0)
 
-    degrees = graph.out_degrees().astype(np.float64)
-    inv_deg = np.zeros(n)
-    nonzero = degrees > 0
-    inv_deg[nonzero] = 1.0 / degrees[nonzero]
-    dangling = ~nonzero
-
-    rank = np.full(n, 1.0 / n)
-    all_nodes = scheduler.all_nodes()
-    batch = scheduler.batch(all_nodes)  # PR's launch never changes
-    eidx = batch.edge_indices()
-    src = batch.sources_per_edge()
-    dst = graph.targets[eidx]
-    # the per-edge scatter factor never changes either, so the fused
-    # kernel's `rank[src[e]] * scale[e]` matches `rank[src] * inv_deg[src]`
-    # term for term in the same edge order — bitwise-identical sums
-    scale = np.ascontiguousarray(inv_deg[src])
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=graph.num_edges
+    step = RankStep(
+        scheduler, inverse_out_degrees(graph), damping=damping,
+        kernel_backend=options.kernel_backend, simulator=simulator,
     )
+    rank = np.full(n, 1.0 / n)
+    spare = np.empty(n)
 
     converged = False
     iterations = 0
-    edges_processed = 0
     for _ in range(max_iterations):
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
         iterations += 1
-        edges_processed += batch.total_edges
-
-        contrib = np.zeros(n)
-        if not backend.try_edge_mul_add(contrib, rank, src, dst, scale):
-            np.add.at(contrib, dst, rank[src] * inv_deg[src])
-        dangling_mass = rank[dangling].sum() / n
-        new_rank = (1.0 - damping) / n + damping * (contrib + dangling_mass)
-        delta = np.abs(new_rank - rank).sum()
-        rank = new_rank
+        delta = step(rank, spare)
+        rank, spare = spare, rank
         if delta < tolerance:
             converged = True
             break
@@ -91,5 +69,5 @@ def pagerank(
         num_iterations=iterations,
         converged=converged,
         metrics=simulator.finish() if simulator is not None else None,
-        edges_processed=edges_processed,
+        edges_processed=iterations * graph.num_edges,
     )

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms.bc import bc
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
 from repro.algorithms.pagerank import pagerank
@@ -30,10 +31,10 @@ from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.graph.generators import configuration_power_law, rmat
 
-#: the analytics swept: one per (relax, reduce) family the backends
-#: accelerate — additive/min, propagation/min, and the pagerank
-#: edge-multiply-add fast path.
-ALGORITHMS = ("bfs", "sssp", "cc", "pr")
+#: the analytics swept: one per compiled superstep the backends
+#: provide — additive/min and propagation/min push steps, the rank
+#: step and the two Brandes level steps.
+ALGORITHMS = ("bfs", "sssp", "cc", "pr", "bc")
 
 
 def _run(algorithm: str, graph, options: EngineOptions) -> np.ndarray:
@@ -45,6 +46,8 @@ def _run(algorithm: str, graph, options: EngineOptions) -> np.ndarray:
         return connected_components(graph, options=options).values
     if algorithm == "pr":
         return pagerank(graph, max_iterations=20, options=options).values
+    if algorithm == "bc":
+        return bc(graph, 0, options=options).centrality
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -66,12 +69,23 @@ def _time_backend(
     return values, best, backend.engaged - engaged_before
 
 
-def _cold_compile_seconds() -> float:
-    """Wall seconds for a from-scratch cjit compile.
+#: the C kernels a cold process compiles, by what it has served so far:
+#: single-source bfs / sssp / sswp / cc, then bc and pr, then
+#: multi-source batches and the pull engine.
+COMPILE_STAGES = (
+    ("single_source", ("push_step",)),
+    ("all_six", ("bc_forward", "rank_step")),
+    ("everything", ("push_lanes_step", "hop_step", "pull_batch")),
+)
 
-    The registered backend caches its shared library on disk *and* in
-    the process, so a fresh instance pointed at an empty cache dir is
-    the only honest way to measure the compile-included cost.
+
+def _cold_compile_seconds() -> Dict[str, float]:
+    """Cumulative wall seconds of from-scratch cjit compiles, per
+    :data:`COMPILE_STAGES` entry (kernels compile on first call).
+
+    The registered backend caches its shared libraries on disk *and*
+    in the process, so a fresh instance pointed at an empty cache dir
+    is the only honest way to measure the compile-included cost.
     """
     import tempfile
 
@@ -82,15 +96,17 @@ def _cold_compile_seconds() -> float:
         os.environ["REPRO_CACHE_DIR"] = tmp
         try:
             backend = CJitBackend()
-            start = time.perf_counter()
-            lib = backend._ensure_lib()
-            elapsed = time.perf_counter() - start
+            stages = {}
+            for stage, functions in COMPILE_STAGES:
+                if any(backend.function(fn) is None for fn in functions):
+                    return {}
+                stages[stage] = backend.compile_seconds
         finally:
             if saved is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:
                 os.environ["REPRO_CACHE_DIR"] = saved
-    return elapsed if lib is not None else float("nan")
+    return stages
 
 
 def kernel_backends(
@@ -106,8 +122,8 @@ def kernel_backends(
     Per (graph, algorithm) row: the numpy wall time, then one
     ``<backend>_s`` / ``<backend>_x`` pair per JIT backend (warm
     timings, bitwise-checked).  Extras carry the one-time costs
-    (``<backend>_first_run_s``, ``cjit_compile_s``) and the headline
-    ``best_jit_speedup``.
+    (``<backend>_first_run_s``, ``cjit_compile_<stage>_s``) and the
+    headline ``best_jit_speedup``.
     """
     n = max(256, int(num_nodes * scale))
     graphs = {
@@ -133,7 +149,8 @@ def kernel_backends(
         _run("sssp", tiny, EngineOptions(kernel_backend=name))
         report.extras[f"{name}_first_run_s"] = time.perf_counter() - start
     if "cjit" in jits:
-        report.extras["cjit_compile_s"] = _cold_compile_seconds()
+        for stage, seconds in _cold_compile_seconds().items():
+            report.extras[f"cjit_compile_{stage}_s"] = seconds
 
     all_equal = True
     all_engaged = True

@@ -10,8 +10,11 @@ makes one pass over the edges with zero temporaries; the push
 superstep (``push_step``) also indexes the virtual-node array itself,
 as Algorithms 2-3 do, and returns the changed destinations — the
 next frontier.  The lane supersteps (``push_lanes_step``, ``hop_step``)
-do the same for ``S`` sources at once, lanes innermost.  Results are
-**bitwise identical**: the compiled loops perform the exact same float
+do the same for ``S`` sources at once, lanes innermost; the two
+Brandes level steps (``bc_forward``, ``bc_backward``) and PageRank's
+iteration (``rank_launch`` once per run, then ``rank_step``) are the
+ADD-reduction analytics' supersteps.  Results are **bitwise
+identical**: the compiled loops perform the exact same float
 operations in the exact same order ``ufunc.at`` would.
 
 Three backends are registered:
@@ -22,13 +25,15 @@ Three backends are registered:
     canonical numpy implementation that every other backend is
     measured (and parity-tested) against.
 ``cjit``
-    Generates a small C source file covering every certified
-    (relax-class, reduction) pair, compiles it once with the system C
-    compiler into a cached shared library (under
-    :func:`repro.engine.costmodel.cache_dir`), and calls it through
-    :mod:`ctypes`.  Available wherever a C compiler is; the compile
-    is amortised across every subsequent run in the process *and*
-    across processes via the on-disk cache.
+    Generates small C source files covering every certified
+    (relax-class, reduction) pair, compiles each with the system C
+    compiler into its own cached shared library (under
+    :func:`repro.engine.costmodel.cache_dir`) the first time one of
+    its hooks fires, and calls it through :mod:`ctypes`.  Available
+    wherever a C compiler is; a process compiles only the kernels its
+    traffic calls, and each compile is amortised across every
+    subsequent run in the process *and* across processes via the
+    on-disk cache.
 ``numba``
     JIT-compiles the pure-Python reference kernels in this module
     with :func:`numba.njit`.  Auto-detected: when numba is not
@@ -101,6 +106,10 @@ _REDUCE_CODES = {"min": REDUCE_MIN, "max": REDUCE_MAX, "add": REDUCE_ADD}
 
 #: ``LANE_BITS[k]`` is lane ``k``'s bit in a packed hop-mask word.
 LANE_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+#: node and edge counts from which PageRank's flat ``int32`` launch
+#: cannot index the graph (the rank hooks decline; numpy runs).
+FLAT_LIMIT = 2**31
 
 
 class KernelSpec(NamedTuple):
@@ -305,9 +314,82 @@ def _hop_step_kernel(new_w, frontier_w, visited, values, level, active, off,
     return kept, edges, live
 
 
-def _edge_mul_add_kernel(out, values, src, dst, scale):
+def _bc_forward_kernel(levels, sigma, frontier, off, fv, has_fv, targets,
+                       level, found):
+    # one Brandes forward level: settle depth `level` below the frontier
+    # and count its shortest paths in the same walk -> (found, edges)
+    cnt = 0
+    edges = 0
+    for i in range(frontier.shape[0]):
+        p = frontier[i]
+        s = sigma[p]
+        base = off[p]
+        end = off[p + 1]
+        edges += end - base
+        fam = fv[p + 1] - fv[p] if has_fv else 1
+        for r in range(fam):
+            for e in range(base + r, end, fam):
+                d = targets[e]
+                if levels[d] < 0:
+                    levels[d] = level
+                    found[cnt] = d
+                    cnt += 1
+                if levels[d] == level:
+                    sigma[d] += s
+    return cnt, edges
+
+
+def _bc_backward_kernel(levels, sigma, delta, frontier, off, fv, has_fv,
+                        targets):
+    # one Brandes backward level: each frontier node's dependency from
+    # its children one level down -> edges
+    edges = 0
+    for i in range(frontier.shape[0]):
+        p = frontier[i]
+        s = sigma[p]
+        down = levels[p] + 1
+        acc = delta[p]
+        base = off[p]
+        end = off[p + 1]
+        edges += end - base
+        fam = fv[p + 1] - fv[p] if has_fv else 1
+        for r in range(fam):
+            for e in range(base + r, end, fam):
+                d = targets[e]
+                if levels[d] == down and sigma[d] > 0:
+                    acc += s / sigma[d] * (1.0 + delta[d])
+        delta[p] = acc
+    return edges
+
+
+def _rank_launch_kernel(off, fv, has_fv, targets, src, dst):
+    # PageRank's all-nodes launch, flattened once in batch() order
+    k = 0
+    for p in range(off.shape[0] - 1):
+        base = off[p]
+        end = off[p + 1]
+        fam = fv[p + 1] - fv[p] if has_fv else 1
+        for r in range(fam):
+            for e in range(base + r, end, fam):
+                src[k] = p
+                dst[k] = targets[e]
+                k += 1
+
+
+def _rank_step_kernel(rank, inv_deg, x, contrib, src, dst, damp, new_rank,
+                      diff, c0, damping, mass):
+    # one PageRank iteration over the flat launch; `damp` also applies
+    # the rank update and leaves |new - old| per node in `diff`
+    for i in range(rank.shape[0]):
+        x[i] = rank[i] * inv_deg[i]
+        contrib[i] = 0.0
     for e in range(src.shape[0]):
-        out[dst[e]] += values[src[e]] * scale[e]
+        contrib[dst[e]] += x[src[e]]
+    if damp:
+        for i in range(rank.shape[0]):
+            r = c0 + damping * (contrib[i] + mass)
+            new_rank[i] = r
+            diff[i] = abs(r - rank[i])
 
 
 # ----------------------------------------------------------------------
@@ -325,13 +407,27 @@ def _u64(a: np.ndarray) -> bool:
     return a.dtype == np.uint64 and a.flags.c_contiguous
 
 
+def _i32(a: np.ndarray) -> bool:
+    return a.dtype == np.int32 and a.flags.c_contiguous
+
+
+def _floats(n: int, *arrays: np.ndarray) -> bool:
+    """Distinct C-contiguous ``float64`` arrays of shape ``(n,)``."""
+    return (len({id(a) for a in arrays}) == len(arrays)
+            and all(_f64(a) and a.shape == (n,) for a in arrays))
+
+
+#: the empty frontier (what a whole-graph walk hands ``_gate_walk``).
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
 def _counted(hook):
     """Count a JIT hook's outcome under the backend's lock (hooks run
     on worker threads plus one per shard; a bare ``+=`` loses updates)."""
 
     @functools.wraps(hook)
-    def counted(self, *args):
-        result = hook(self, *args)
+    def counted(self, *args, **kwargs):
+        result = hook(self, *args, **kwargs)
         with self._lock:
             if result is None or result is False:
                 self.declined += 1
@@ -399,7 +495,29 @@ class KernelBackend:
         """One bit-packed hop level of a ``LaneStep`` (same result)."""
         return None
 
-    def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
+    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
+                       found) -> Optional[Tuple[np.ndarray, int]]:
+        """One forward level of :class:`~repro.algorithms.bc.BCStep`:
+        ``(sorted next frontier, edges)``, or ``None`` to decline."""
+        return None
+
+    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
+                        targets) -> Optional[int]:
+        """One backward level of the same step: the edges walked."""
+        return None
+
+    def try_rank_launch(
+        self, walk, targets
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Flat ``int32`` ``(src, dst)`` of the all-nodes launch in
+        ``batch()`` order, for :meth:`try_rank_step`."""
+        return None
+
+    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
+                      c0=0.0, damping=0.0, mass=0.0) -> bool:
+        """One :class:`~repro.engine.rank.RankStep` iteration: scatter
+        ``rank * inv_deg`` over ``launch`` into ``scratch``'s ``contrib``
+        and, given ``new_rank``, apply the rank update into it."""
         return False
 
     # ------------------------------------------------------------------
@@ -425,20 +543,22 @@ class KernelBackend:
         return _f64(weights)
 
     @staticmethod
-    def _gate_walk(active, walk, targets, scratch) -> int:
+    def _gate_walk(active, walk, targets, scratch=None) -> int:
         """The node count once everything a compiled walk dereferences
         is sized and bounded, else ``-1``."""
         if walk is None:
             return -1
         n = len(walk.offsets) - 1
-        mark, changed = scratch[:2]
         if not (_i64(active) and _i64(walk.offsets) and _i64(targets)
                 and (walk.family_starts is None
                      or _i64(walk.family_starts)
-                     and walk.family_starts.shape == (n + 1,))
-                and mark.dtype == np.uint8 and mark.shape == (n,)
-                and _i64(changed) and changed.shape == (n + 1,)):
+                     and walk.family_starts.shape == (n + 1,))):
             return -1
+        if scratch is not None:
+            mark, changed = scratch[:2]
+            if not (mark.dtype == np.uint8 and mark.shape == (n,)
+                    and _i64(changed) and changed.shape == (n + 1,)):
+                return -1
         if len(active) and (active.min() < 0 or active.max() >= n):
             return -1
         return n
@@ -474,6 +594,33 @@ class KernelBackend:
                 and frontier_w is not visited
                 and _f64(values) and values.ndim == 2
                 and values.shape[0] == n and 0 < values.shape[1] <= 64)
+
+    def _gate_bc(self, levels, frontier, walk, targets, *floats) -> bool:
+        """Admission checks for the two Brandes hooks."""
+        n = self._gate_walk(frontier, walk, targets)
+        return (n >= 0 and _i64(levels) and levels.shape == (n,)
+                and _floats(n, *floats))
+
+    def _gate_rank_launch(self, walk, targets) -> int:
+        """The node count when :meth:`try_rank_launch` can flatten the
+        whole graph into ``int32`` ids, else ``-1``."""
+        n = self._gate_walk(_NO_IDS, walk, targets)
+        if (n < 0 or max(n, len(targets)) >= FLAT_LIMIT
+                or walk.offsets[n] != len(targets)):
+            return -1
+        return n
+
+    @staticmethod
+    def _gate_rank(rank, inv_deg, launch, scratch, new_rank) -> bool:
+        """Admission checks for :meth:`try_rank_step` (``launch`` is
+        :meth:`try_rank_launch`'s, so its ids are in range)."""
+        if launch is None:
+            return False
+        src, dst = launch
+        out = () if new_rank is None else (new_rank,)
+        return (_i32(src) and _i32(dst) and src.ndim == 1
+                and src.shape == dst.shape
+                and _floats(len(rank), rank, inv_deg, *scratch, *out))
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -558,9 +705,9 @@ def resolve_backend(
 # ----------------------------------------------------------------------
 # C backend (system compiler + ctypes)
 # ----------------------------------------------------------------------
-#: the C transliteration of the reference kernels.  One function per
-#: shape; relax/reduce arrive as loop-invariant int flags.
-_C_SOURCE = r"""
+#: what every compile unit starts with.  relax/reduce arrive as
+#: loop-invariant int flags.
+_C_PRELUDE = r"""
 #include <stdint.h>
 
 #define WEIGHT(e) (has_w ? w[(e)] : 1.0)
@@ -590,7 +737,14 @@ _C_SOURCE = r"""
     else if (reduce == 1) { if ((c) > (v)[(d)]) { (v)[(d)] = (c); wrote; } } \
     else                  { (v)[(d)] += (c); wrote; } \
 } while (0)
+"""
 
+#: the C transliteration of the reference kernels, one compile unit —
+#: its own ``.so``, built the first time one of its functions is asked
+#: for — per kernel, or per pair of kernels only ever used together.
+_C_UNITS: Dict[str, str] = {}
+
+_C_UNITS["push_step"] = r"""
 HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
                   int64_t nactive, const int64_t* off, const int64_t* fv,
                   const int64_t* targets, const double* w, uint8_t* mark,
@@ -622,7 +776,9 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
     stats[0] = total;
     return kept;
 }
+"""
 
+_C_UNITS["pull_batch"] = r"""
 void pull_batch(double* v, const double* rv, const int64_t* own,
                 const int64_t* counts, const int64_t* starts,
                 const int64_t* strides, const int64_t* in_sources,
@@ -639,7 +795,9 @@ void pull_batch(double* v, const double* rv, const int64_t* own,
         }
     }
 }
+"""
 
+_C_UNITS["push_lanes_step"] = r"""
 /* push_step over node-major (n, lanes) matrices, MIN/MAX only: one
    targets[e]/w[e] load serves every lane.  Every touched row is then
    compared, committed to rv and its differing lanes flagged live;
@@ -688,7 +846,9 @@ HOT_LANES int64_t push_lanes_step(double* v, double* rv,
     stats[0] = total; stats[1] = nlive;
     return kept;
 }
+"""
 
+_C_UNITS["hop_step"] = r"""
 /* one MS-BFS level over single-word lane masks: OR frontier words
    along the walk (any order: OR commutes), strip visited, stamp
    `level` into each fresh (node, lane) cell; new_w is left holding the
@@ -729,14 +889,124 @@ int64_t hop_step(uint64_t* new_w, uint64_t* frontier_w, uint64_t* visited,
     stats[0] = total; stats[1] = nlive;
     return kept;
 }
+"""
 
-void edge_mul_add(double* out, const double* values, const int64_t* src,
-                  const int64_t* dst, const double* scale, int64_t nedges) {
-    for (int64_t e = 0; e < nedges; e++) {
-        out[dst[e]] += values[src[e]] * scale[e];
+_C_UNITS["bc"] = r"""
+/* one Brandes forward level: the first edge to reach an unsettled node
+   settles it at `level` (levels doubles as the mark) and every edge
+   landing on that level adds its source's path count, in walk order;
+   the frontier's own sigma is never written (it sits one level up) */
+int64_t bc_forward(int64_t* levels, double* sigma, const int64_t* frontier,
+                   int64_t nfrontier, const int64_t* off, const int64_t* fv,
+                   const int64_t* targets, int64_t level, int64_t* found,
+                   int64_t* stats) {
+    int64_t cnt = 0, total = 0;
+    for (int64_t i = 0; i < nfrontier; i++) {
+        const int64_t p = frontier[i], base = off[p], end = off[p + 1];
+        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
+        const double s = sigma[p];
+        total += end - base;
+        for (int64_t r = 0; r < fam; r++) {
+            for (int64_t e = base + r; e < end; e += fam) {
+                const int64_t d = targets[e];
+                if (levels[d] < 0) { levels[d] = level; found[cnt++] = d; }
+                if (levels[d] == level) sigma[d] += s;
+            }
+        }
+    }
+    stats[0] = total;
+    return cnt;
+}
+
+/* one Brandes backward level: a frontier node's dependency is summed
+   over its children one level down in walk order, in a register
+   (delta[p] is read by no edge of this level) */
+int64_t bc_backward(const int64_t* levels, const double* sigma, double* delta,
+                    const int64_t* frontier, int64_t nfrontier,
+                    const int64_t* off, const int64_t* fv,
+                    const int64_t* targets) {
+    int64_t total = 0;
+    for (int64_t i = 0; i < nfrontier; i++) {
+        const int64_t p = frontier[i], base = off[p], end = off[p + 1];
+        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
+        const int64_t down = levels[p] + 1;
+        const double s = sigma[p];
+        double acc = delta[p];
+        total += end - base;
+        for (int64_t r = 0; r < fam; r++) {
+            for (int64_t e = base + r; e < end; e += fam) {
+                const int64_t d = targets[e];
+                if (levels[d] == down && sigma[d] > 0) {
+                    const double q = s / sigma[d], o = 1.0 + delta[d];
+                    acc += q * o;
+                }
+            }
+        }
+        delta[p] = acc;
+    }
+    return total;
+}
+"""
+
+_C_UNITS["rank"] = r"""
+/* PageRank's launch never changes: flatten the all-nodes walk once per
+   run, so an iteration streams two int32 arrays instead of re-walking
+   families (the strided walk measured 1.6x slower per iteration) */
+void rank_launch(const int64_t* off, const int64_t* fv, const int64_t* targets,
+                 int64_t n, int32_t* src, int32_t* dst) {
+    int64_t k = 0;
+    for (int64_t p = 0; p < n; p++) {
+        const int64_t base = off[p], end = off[p + 1];
+        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
+        for (int64_t r = 0; r < fam; r++) {
+            for (int64_t e = base + r; e < end; e += fam) {
+                src[k] = (int32_t)p;
+                dst[k++] = (int32_t)targets[e];
+            }
+        }
+    }
+}
+
+/* one iteration: contrib[dst] += rank[src] * inv_deg[src] in launch
+   order, then (new_rank given) the damped update and |new - old| per
+   node; the caller sums diff pairwise, as numpy would */
+void rank_step(const double* rank, const double* inv_deg, double* x,
+               double* contrib, const int32_t* src, const int32_t* dst,
+               int64_t nedges, int64_t n, double* new_rank, double* diff,
+               double c0, double damping, double mass) {
+    for (int64_t i = 0; i < n; i++) {
+        x[i] = rank[i] * inv_deg[i];
+        contrib[i] = 0.0;
+    }
+    for (int64_t e = 0; e < nedges; e++) contrib[dst[e]] += x[src[e]];
+    if (!new_rank) return;
+    for (int64_t i = 0; i < n; i++) {
+        const double t = contrib[i] + mass, scaled = damping * t;
+        const double r = c0 + scaled;
+        new_rank[i] = r;
+        diff[i] = __builtin_fabs(r - rank[i]);
     }
 }
 """
+
+_PTR, _I64, _I32, _F64 = (
+    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double)
+_STEP_ARGS = [_PTR] * 3 + [_I64] + [_PTR] * 7 + [_I32] * 3
+
+#: C function -> (compile unit, restype, argtypes).
+_C_FUNCTIONS = {
+    "push_step": ("push_step", _I64, _STEP_ARGS),
+    "push_lanes_step": ("push_lanes_step", _I64, _STEP_ARGS + [_I64, _PTR]),
+    "hop_step": ("hop_step", _I64,
+                 [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5),
+    "pull_batch": ("pull_batch", None, [_PTR] * 8 + [_I64] + [_I32] * 3),
+    "bc_forward": ("bc", _I64,
+                   [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
+    "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),
+    "rank_launch": ("rank", None, [_PTR] * 3 + [_I64] + [_PTR] * 2),
+    "rank_step": ("rank", None,
+                  [_PTR] * 6 + [_I64] * 2 + [_PTR] * 2 + [_F64] * 3),
+}
 
 
 def _find_cc() -> Optional[str]:
@@ -747,32 +1017,35 @@ def _find_cc() -> Optional[str]:
 
 
 class CJitBackend(KernelBackend):
-    """Kernels compiled once with the system C compiler.
+    """Kernels compiled with the system C compiler, each the first
+    time it is called.
 
-    The shared library is content-addressed by (source, compiler,
-    flags) and cached under the repro cache dir, so the compile cost is paid
-    once per machine, not per process.  Loading is lazy: the compiler
-    is only invoked the first time a hook actually fires.
+    Every compile unit's shared library is content-addressed by
+    (source, compiler, flags) and cached under the repro cache dir, so
+    a kernel's compile cost is paid once per machine, not per process
+    — and never by a process whose traffic does not call it.
     """
 
     name = "cjit"
     jit = True
-    #: -O2, not -O3: every cold boot pays the compile (0.12 s against
-    #: 0.21 s), and what -O3 bought the hot loops — unswitching — the
-    #: source's HOT attribute asks for by name.
-    CFLAGS = ("-O2", "-fPIC", "-shared")
+    #: -O2, not -O3: every cold boot pays the compile, and what -O3
+    #: bought the hot loops — unswitching — the source's HOT attribute
+    #: asks for by name.  -ffp-contract=off: a `a * b + c` fused into
+    #: one FMA (where the target has one) rounds once, numpy twice.
+    CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
     def __init__(self) -> None:
         super().__init__()
-        self._lib: Optional[ctypes.CDLL] = None
+        #: bound C functions of the units loaded so far, by name.
+        self._functions: Dict[str, object] = {}
         self._failed: Optional[str] = None
-        #: wall seconds the one-time compile took (0 on cache hit).
+        #: wall seconds this process spent compiling (0 on cache hits).
         self.compile_seconds = 0.0
 
     # -- compilation ----------------------------------------------------
     def is_available(self) -> bool:
         with self._lock:
-            if self._lib is not None:
+            if self._functions:
                 return True
             if self._failed is not None:
                 return False
@@ -787,21 +1060,26 @@ class CJitBackend(KernelBackend):
             return "no C compiler on PATH (set $CC or install gcc/clang)"
         return "available"
 
-    def _ensure_lib(self) -> Optional[ctypes.CDLL]:
-        # an uncontended lock costs ~100ns — noise next to a launch
+    def function(self, name: str):
+        """The bound C function ``name``, its unit compiled (or loaded
+        from the cache) on first use; ``None`` once a compile failed."""
+        fn = self._functions.get(name)  # a loaded kernel takes no lock
+        if fn is not None:
+            return fn
+        unit = _C_FUNCTIONS[name][0]
         with self._lock:
-            if self._lib is None and self._failed is None:
+            if name not in self._functions and self._failed is None:
                 try:
-                    self._lib = self._compile()
+                    self._functions.update(self._load(unit))
                 except Exception as exc:  # compile trouble = degrade, never fail
                     self._failed = f"kernel compile failed: {exc}"
                     warnings.warn(
                         f"cjit backend disabled: {self._failed}",
                         RuntimeWarning, stacklevel=2,
                     )
-            return self._lib
+            return self._functions.get(name)
 
-    def _compile(self) -> ctypes.CDLL:
+    def _load(self, unit: str) -> Dict[str, object]:
         import time
 
         from repro.engine.costmodel import cache_dir
@@ -809,57 +1087,67 @@ class CJitBackend(KernelBackend):
         cc = _find_cc()
         if cc is None:
             raise EngineError("no C compiler on PATH")
+        source = _C_PRELUDE + _C_UNITS[unit]
         digest = hashlib.sha256(
-            "\0".join((_C_SOURCE, cc) + self.CFLAGS).encode()
+            "\0".join((source, cc) + self.CFLAGS).encode()
         ).hexdigest()[:16]
         lib_dir = os.path.join(cache_dir(), "kernels")
         os.makedirs(lib_dir, exist_ok=True)
-        lib_path = os.path.join(lib_dir, f"repro-kernels-{digest}.so")
-        if not os.path.exists(lib_path):
+        lib_path = os.path.join(lib_dir, f"repro-{unit}-{digest}.so")
+
+        def compile_unit() -> None:
             started = time.perf_counter()
-            src_path = os.path.join(lib_dir, f"repro-kernels-{digest}.c")
+            src_path = os.path.join(lib_dir, f"repro-{unit}-{digest}.c")
             tmp_path = f"{lib_path}.tmp.{os.getpid()}"
             with open(src_path, "w", encoding="utf-8") as fh:
-                fh.write(_C_SOURCE)
+                fh.write(source)
             subprocess.run(
                 [cc, *self.CFLAGS, "-o", tmp_path, src_path],
                 check=True, capture_output=True, text=True,
             )
             os.replace(tmp_path, lib_path)  # atomic: racers see whole files
-            self.compile_seconds = time.perf_counter() - started
-        lib = ctypes.CDLL(lib_path)
-        for fn in ("pull_batch", "edge_mul_add"):
-            getattr(lib, fn).restype = None
-        ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-        step = [ptr] * 3 + [i64] + [ptr] * 7 + [i32] * 3
-        for fn, argtypes in (
-            ("push_step", step),
-            ("push_lanes_step", step + [i64, ptr]),
-            ("hop_step", [ptr] * 4 + [i64, ctypes.c_double, ptr, i64]
-             + [ptr] * 5),
-        ):
-            getattr(lib, fn).restype = i64
-            getattr(lib, fn).argtypes = argtypes
-        return lib
+            self.compile_seconds += time.perf_counter() - started
+
+        def bind() -> Dict[str, object]:
+            lib = ctypes.CDLL(lib_path)
+            bound = {}
+            for name, (owner, restype, argtypes) in _C_FUNCTIONS.items():
+                if owner == unit:
+                    fn = bound[name] = getattr(lib, name)
+                    fn.restype, fn.argtypes = restype, argtypes
+            return bound
+
+        cached = os.path.exists(lib_path)
+        if not cached:
+            compile_unit()
+        try:
+            return bind()
+        except (OSError, AttributeError):
+            if not cached:
+                raise
+            # a truncated or foreign file under our name: rebuild it once
+            os.unlink(lib_path)
+            compile_unit()
+            return bind()
 
     # -- hooks ----------------------------------------------------------
     @staticmethod
-    def _ptr(a: np.ndarray) -> ctypes.c_void_p:
-        return ctypes.c_void_p(a.ctypes.data)
+    def _layout(walk, targets) -> Tuple[Optional[int], ...]:
+        """``off, fv, targets`` as every walking kernel takes them."""
+        fv = walk.family_starts
+        return (walk.offsets.ctypes.data,
+                None if fv is None else fv.ctypes.data, targets.ctypes.data)
 
-    @staticmethod
-    def _walk(fn, spec, out, read, active, walk, targets, weights, scratch,
-              *lane_args):
+    def _walk(self, fn, spec, out, read, active, walk, targets, weights,
+              scratch, *lane_args):
         """Call one of the two value supersteps (they share a prefix)
         -> ``(sorted changed ids, stats)``."""
         mark, changed = scratch[:2]
-        fv = walk.family_starts
         w = weights if weights is not None else out  # never read when has_w=0
         stats = (ctypes.c_int64 * 2)()
         kept = fn(
             out.ctypes.data, read.ctypes.data, active.ctypes.data,
-            len(active), walk.offsets.ctypes.data,
-            None if fv is None else fv.ctypes.data, targets.ctypes.data,
+            len(active), *self._layout(walk, targets),
             w.ctypes.data, mark.ctypes.data, changed.ctypes.data, stats,
             weights is not None, spec.relax, spec.reduce, *lane_args,
         )
@@ -871,11 +1159,11 @@ class CJitBackend(KernelBackend):
         if not self._gate_step(spec, out, read, active, walk, targets,
                                weights, scratch):
             return None
-        lib = self._ensure_lib()
-        if lib is None:
+        fn = self.function("push_step")
+        if fn is None:
             return None
-        changed, stats = self._walk(lib.push_step, spec, out, read, active,
-                                    walk, targets, weights, scratch)
+        changed, stats = self._walk(fn, spec, out, read, active, walk,
+                                    targets, weights, scratch)
         return changed, stats[0]
 
     @_counted
@@ -884,12 +1172,12 @@ class CJitBackend(KernelBackend):
         if not self._gate_lanes(spec, out, read, active, walk, targets,
                                 weights, scratch):
             return None
-        lib = self._ensure_lib()
-        if lib is None:
+        fn = self.function("push_lanes_step")
+        if fn is None:
             return None
         changed, stats = self._walk(
-            lib.push_lanes_step, spec, out, read, active, walk, targets,
-            weights, scratch, out.shape[1], scratch[2].ctypes.data)
+            fn, spec, out, read, active, walk, targets, weights, scratch,
+            out.shape[1], scratch[2].ctypes.data)
         return changed, stats[0], stats[1]
 
     @_counted
@@ -899,12 +1187,12 @@ class CJitBackend(KernelBackend):
         if not self._gate_hops(new_w, frontier_w, visited, values, active,
                                walk, targets, scratch):
             return None
-        lib = self._ensure_lib()
-        if lib is None:
+        fn = self.function("hop_step")
+        if fn is None:
             return None
         mark, changed = scratch[:2]
         stats = (ctypes.c_int64 * 2)()
-        kept = lib.hop_step(
+        kept = fn(
             new_w.ctypes.data, frontier_w.ctypes.data, visited.ctypes.data,
             values.ctypes.data, values.shape[1], level, active.ctypes.data,
             len(active), walk.offsets.ctypes.data, targets.ctypes.data,
@@ -918,32 +1206,77 @@ class CJitBackend(KernelBackend):
             return False
         if not _i64(in_sources):
             return False
-        lib = self._ensure_lib()
-        if lib is None:
+        fn = self.function("pull_batch")
+        if fn is None:
             return False
         w = weights if weights is not None else values
-        lib.pull_batch(
-            self._ptr(values), self._ptr(read_values), self._ptr(batch.phys),
-            self._ptr(batch.counts), self._ptr(batch.starts),
-            self._ptr(batch.strides), self._ptr(in_sources), self._ptr(w),
-            ctypes.c_int64(batch.num_threads),
-            ctypes.c_int(int(weights is not None)),
-            ctypes.c_int(spec.relax), ctypes.c_int(spec.reduce),
+        fn(
+            values.ctypes.data, read_values.ctypes.data,
+            batch.phys.ctypes.data, batch.counts.ctypes.data,
+            batch.starts.ctypes.data, batch.strides.ctypes.data,
+            in_sources.ctypes.data, w.ctypes.data, batch.num_threads,
+            weights is not None, spec.relax, spec.reduce,
         )
         return True
 
     @_counted
-    def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
-        if not (_f64(out) and _f64(values) and _f64(scale)
-                and _i64(src) and _i64(dst)):
-            return False
-        lib = self._ensure_lib()
-        if lib is None:
-            return False
-        lib.edge_mul_add(
-            self._ptr(out), self._ptr(values), self._ptr(src),
-            self._ptr(dst), self._ptr(scale), ctypes.c_int64(len(src)),
+    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
+                       found) -> Optional[Tuple[np.ndarray, int]]:
+        if not (self._gate_bc(levels, frontier, walk, targets, sigma)
+                and _i64(found) and found.shape == levels.shape):
+            return None
+        fn = self.function("bc_forward")
+        if fn is None:
+            return None
+        stats = (ctypes.c_int64 * 1)()
+        cnt = fn(
+            levels.ctypes.data, sigma.ctypes.data, frontier.ctypes.data,
+            len(frontier), *self._layout(walk, targets), level,
+            found.ctypes.data, stats,
         )
+        return np.sort(found[:cnt]), stats[0]
+
+    @_counted
+    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
+                        targets) -> Optional[int]:
+        if not self._gate_bc(levels, frontier, walk, targets, sigma, delta):
+            return None
+        fn = self.function("bc_backward")
+        if fn is None:
+            return None
+        return fn(
+            levels.ctypes.data, sigma.ctypes.data, delta.ctypes.data,
+            frontier.ctypes.data, len(frontier), *self._layout(walk, targets),
+        )
+
+    @_counted
+    def try_rank_launch(
+        self, walk, targets
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        n = self._gate_rank_launch(walk, targets)
+        if n < 0:
+            return None
+        fn = self.function("rank_launch")
+        if fn is None:
+            return None
+        src, dst = np.empty((2, len(targets)), dtype=np.int32)
+        fn(*self._layout(walk, targets), n, src.ctypes.data, dst.ctypes.data)
+        return src, dst
+
+    @_counted
+    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
+                      c0=0.0, damping=0.0, mass=0.0) -> bool:
+        if not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
+            return False
+        fn = self.function("rank_step")
+        if fn is None:
+            return False
+        src, dst = launch
+        x, contrib, diff = scratch
+        fn(rank.ctypes.data, inv_deg.ctypes.data, x.ctypes.data,
+           contrib.ctypes.data, src.ctypes.data, dst.ctypes.data, len(src),
+           len(rank), None if new_rank is None else new_rank.ctypes.data,
+           diff.ctypes.data, c0, damping, mass)
         return True
 
 
@@ -1014,6 +1347,14 @@ class NumbaBackend(KernelBackend):
 
     _EMPTY_W = np.empty(0, dtype=np.float64)
 
+    @staticmethod
+    def _layout(walk, targets):
+        """``off, fv, has_fv, targets`` as every walking kernel takes
+        them (numba cannot type a ``None`` array: pass any)."""
+        fv = walk.family_starts
+        return (walk.offsets, walk.offsets if fv is None else fv,
+                fv is not None, targets)
+
     @_counted
     def try_push_step(self, spec, out, read, active, walk, targets, weights,
                       scratch) -> Optional[Tuple[np.ndarray, int]]:
@@ -1024,10 +1365,8 @@ class NumbaBackend(KernelBackend):
         if kernel is None:
             return None
         mark, changed = scratch
-        fv = walk.family_starts
         kept, edges = kernel(
-            out, read, active, walk.offsets,
-            walk.offsets if fv is None else fv, fv is not None, targets,
+            out, read, active, *self._layout(walk, targets),
             weights if weights is not None else self._EMPTY_W,
             weights is not None, spec.relax, spec.reduce, mark, changed)
         return np.sort(changed[:kept]), int(edges)
@@ -1057,10 +1396,8 @@ class NumbaBackend(KernelBackend):
         if kernel is None:
             return None
         mark, changed, live = scratch
-        fv = walk.family_starts
         kept, edges, nlive = kernel(
-            out, read, active, walk.offsets,
-            walk.offsets if fv is None else fv, fv is not None, targets,
+            out, read, active, *self._layout(walk, targets),
             weights if weights is not None else self._EMPTY_W,
             weights is not None, spec.relax, spec.reduce, mark, changed, live)
         return np.sort(changed[:kept]), int(edges), int(nlive)
@@ -1082,14 +1419,53 @@ class NumbaBackend(KernelBackend):
         return np.sort(changed[:kept]), int(edges), int(nlive)
 
     @_counted
-    def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
-        if not (_f64(out) and _f64(values) and _f64(scale)
-                and _i64(src) and _i64(dst)):
+    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
+                       found) -> Optional[Tuple[np.ndarray, int]]:
+        if not (self._gate_bc(levels, frontier, walk, targets, sigma)
+                and _i64(found) and found.shape == levels.shape):
+            return None
+        kernel = self._kernel("bc_forward", _bc_forward_kernel)
+        if kernel is None:
+            return None
+        cnt, edges = kernel(levels, sigma, frontier,
+                            *self._layout(walk, targets), level, found)
+        return np.sort(found[:cnt]), int(edges)
+
+    @_counted
+    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
+                        targets) -> Optional[int]:
+        if not self._gate_bc(levels, frontier, walk, targets, sigma, delta):
+            return None
+        kernel = self._kernel("bc_backward", _bc_backward_kernel)
+        if kernel is None:
+            return None
+        return int(kernel(levels, sigma, delta, frontier,
+                          *self._layout(walk, targets)))
+
+    @_counted
+    def try_rank_launch(
+        self, walk, targets
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        if self._gate_rank_launch(walk, targets) < 0:
+            return None
+        kernel = self._kernel("rank_launch", _rank_launch_kernel)
+        if kernel is None:
+            return None
+        src, dst = np.empty((2, len(targets)), dtype=np.int32)
+        kernel(*self._layout(walk, targets), src, dst)
+        return src, dst
+
+    @_counted
+    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
+                      c0=0.0, damping=0.0, mass=0.0) -> bool:
+        if not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
             return False
-        kernel = self._kernel("edge_mul_add", _edge_mul_add_kernel)
+        kernel = self._kernel("rank_step", _rank_step_kernel)
         if kernel is None:
             return False
-        kernel(out, values, src, dst, scale)
+        x, contrib, diff = scratch
+        kernel(rank, inv_deg, x, contrib, *launch, new_rank is not None,
+               diff if new_rank is None else new_rank, diff, c0, damping, mass)
         return True
 
 

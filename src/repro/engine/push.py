@@ -28,7 +28,7 @@ from repro.errors import EngineError
 from repro.engine import kernels
 from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram
-from repro.engine.schedule import Scheduler, ThreadBatch
+from repro.engine.schedule import Scheduler, ThreadBatch, WalkLayout
 from repro.gpu.metrics import RunMetrics
 from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import NODE_DTYPE
@@ -108,9 +108,14 @@ class PushStep:
     out[changed]``) or discards (the reverse) before the next step.
 
     A JIT backend runs the whole step compiled, walking the
-    scheduler's ``walk_layout()`` in ``batch()`` order (same folds,
-    bitwise-equal values and changed sets).  Simulator runs,
-    ``sync_relaxation_blocks > 1`` (later blocks re-read ``out``),
+    scheduler's ``walk_layout()``.  An ADD step walks it in ``batch()``
+    order — the fold order is part of a float sum.  A MIN or MAX step
+    walks each row in order instead, whatever the layout: it folds the
+    same candidate multiset, all read from ``read``, and an idempotent
+    selection over a multiset has one result, so values and changed
+    sets cannot differ in a bit — and the coalesced stride, which buys
+    a GPU warp its memory transactions, costs a CPU 9-27 %.  Simulator
+    runs, ``sync_relaxation_blocks > 1`` (later blocks re-read ``out``),
     unwalkable schedulers and any gate failure take the numpy path.
     """
 
@@ -138,6 +143,9 @@ class PushStep:
             scheduler.walk_layout()
             if simulator is None and self.blocks == 1 else None
         )
+        if (self.walk is not None and self.spec is not None
+                and self.spec.reduce != kernels.REDUCE_ADD):
+            self.walk = WalkLayout(self.walk.offsets)
         # per-run, never shared: the compiled walk's destination marks
         # (all zero between steps) and changed-id buffer (+1 spare slot)
         self.scratch = (

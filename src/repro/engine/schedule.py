@@ -121,6 +121,11 @@ class WalkLayout(NamedTuple):
     ``base + r * K + j`` tile it).  With it, ``p`` is a coalesced
     family of ``fam = family_starts[p + 1] - family_starts[p]`` threads
     walked rank by rank over slots ``base + r + j * fam``.
+
+    The family walk reproduces ``batch()``'s edge order, which only an
+    ADD fold can observe; steps that fold with MIN or MAX drop
+    ``family_starts`` and walk every row in order (same result bit for
+    bit, and the stride is a GPU coalescing remedy a CPU pays for).
     """
 
     offsets: np.ndarray

@@ -75,8 +75,8 @@ from repro.algorithms.programs import (
     SSSPProgram,
     SSWPProgram,
 )
-from repro.engine import kernels
 from repro.engine.push import EngineOptions, PushStep
+from repro.engine.rank import RankStep, damp, inverse_out_degrees
 from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
 from repro.errors import (
     QuotaExhaustedError,
@@ -162,14 +162,6 @@ class _MonotoneTask:
     values: np.ndarray
     #: the step's write buffer; equals ``values`` between steps
     pending: np.ndarray
-
-
-@dataclass
-class _PageRankTask:
-    src: np.ndarray
-    dst: np.ndarray
-    scale: np.ndarray
-    backend: kernels.KernelBackend
 
 
 class LocalShard:
@@ -280,21 +272,18 @@ class LocalShard:
         self, task: int, inv_deg: np.ndarray,
         kernel_backend: Optional[str] = None,
     ) -> None:
-        """Precompute this slice's scatter triple for a PageRank run.
+        """Set up this slice's :class:`RankStep` for a PageRank run.
 
         ``inv_deg`` is the *global* inverse outdegree vector (a shard
         cannot derive full outdegrees from its in-edge slice, so the
         router broadcasts it once per run).
         """
-        src = self.subgraph.edge_sources()
-        backend = kernels.resolve_backend(
-            kernel_backend, edges=self.subgraph.num_edges
+        step = RankStep(
+            NodeScheduler(self.subgraph), inv_deg,
+            kernel_backend=kernel_backend,
         )
         with self._lock:
-            self._tasks[task] = _PageRankTask(
-                src=src, dst=self.subgraph.targets, scale=inv_deg[src],
-                backend=backend,
-            )
+            self._tasks[task] = step
 
     def pr_step(self, task: int, rank: np.ndarray) -> np.ndarray:
         """Scatter one iteration's contributions; returns ``contrib[owned]``.
@@ -304,13 +293,7 @@ class LocalShard:
         owned destination accumulates exactly the addition sequence
         the unsharded kernel performs — bitwise-equal partial sums.
         """
-        state = self._pagerank(task)
-        contrib = np.zeros(self.subgraph.num_nodes)
-        if not state.backend.try_edge_mul_add(
-            contrib, rank, state.src, state.dst, state.scale
-        ):
-            np.add.at(contrib, state.dst, rank[state.src] * state.scale)
-        return contrib[self.owned]
+        return self._pagerank(task).scatter(rank)[self.owned]
 
     # -- lifecycle -----------------------------------------------------
     def finish(self, task: int) -> None:
@@ -328,10 +311,10 @@ class LocalShard:
             raise ServiceError(f"shard {self.index}: unknown monotone task {task}")
         return state
 
-    def _pagerank(self, task: int) -> _PageRankTask:
+    def _pagerank(self, task: int) -> RankStep:
         with self._lock:
             state = self._tasks.get(task)
-        if not isinstance(state, _PageRankTask):
+        if not isinstance(state, RankStep):
             raise ServiceError(f"shard {self.index}: unknown pagerank task {task}")
         return state
 
@@ -811,12 +794,10 @@ class ShardSet:
         n = self.prepared.num_nodes
         if n == 0:
             return {-1: np.zeros(0)}
-        degrees = self.prepared.out_degrees().astype(np.float64)
-        inv_deg = np.zeros(n)
-        nonzero = degrees > 0
-        inv_deg[nonzero] = 1.0 / degrees[nonzero]
-        dangling = ~nonzero
+        inv_deg = inverse_out_degrees(self.prepared)
+        dangling = np.flatnonzero(inv_deg == 0)
         rank = np.full(n, 1.0 / n)
+        spare = np.empty(n)
 
         task = next(_task_ids)
         self._on_all(
@@ -838,12 +819,8 @@ class ShardSet:
                 stats.count_step(
                     self.shards, int(rank.nbytes) * len(self.shards) + returned
                 )
-                dangling_mass = rank[dangling].sum() / n
-                new_rank = (1.0 - PR_DAMPING) / n + PR_DAMPING * (
-                    contrib + dangling_mass
-                )
-                delta = np.abs(new_rank - rank).sum()
-                rank = new_rank
+                delta = damp(rank, contrib, dangling, PR_DAMPING, spare)
+                rank, spare = spare, rank
                 if delta < PR_TOLERANCE:
                     break
             return {-1: rank}

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bc import BCStep, bc
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
 from repro.algorithms.multi_source import multi_source_distances
@@ -46,6 +47,7 @@ from repro.engine.push import (
     run_push,
     run_push_lanes,
 )
+from repro.engine.rank import RankStep, inverse_out_degrees
 from repro.engine.schedule import (
     EdgeParallelScheduler,
     MaxWarpScheduler,
@@ -54,6 +56,8 @@ from repro.engine.schedule import (
     WarpSegmentationScheduler,
 )
 from repro.errors import EngineError
+from repro.gpu.simulator import GPUSimulator
+from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
 from repro.service import replay_trace
 from tests.test_udt import graphs as generator_graphs
@@ -90,6 +94,8 @@ def _values(algorithm, graph, backend):
         return connected_components(graph, options=options).values
     if algorithm == "pr":
         return pagerank(graph, max_iterations=15, options=options).values
+    if algorithm == "bc":
+        return bc(graph.without_weights(), 0, options=options).centrality
     raise AssertionError(algorithm)
 
 
@@ -206,7 +212,9 @@ class TestJitParity:
     """Bitwise parity of every available JIT backend with numpy."""
 
     @pytest.mark.parametrize("backend", JITS)
-    @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "sswp", "cc", "pr"])
+    @pytest.mark.parametrize(
+        "algorithm", ["bfs", "sssp", "sswp", "cc", "pr", "bc"]
+    )
     def test_push_parity_per_algorithm(self, graph, backend, algorithm):
         engaged_before = kernels.get_backend(backend).engaged
         jit_values = _values(algorithm, graph, backend)
@@ -787,6 +795,370 @@ class TestLaneStepDifferential:
         assert "compile failed" in broken.availability_note()
 
 
+# ----------------------------------------------------------------------
+# The ADD-reduction supersteps (Brandes' level steps, the rank step)
+# vs their numpy bodies
+# ----------------------------------------------------------------------
+#: K also takes the graph's own maximum degree (no node splits)
+ADD_KS = STEP_KS + ("d_max",)
+BC_COUNTERS = ("num_iterations", "edges_processed", "converged")
+
+
+def _add_scheduler(kind, graph, k):
+    if k == "d_max":
+        k = max(1, int(graph.out_degrees().max(initial=1)))
+    return _scheduler(kind, graph, min(k, 32) if kind == "maxwarp" else k)
+
+
+def _bc_lockstep(scheduler, source, backend):
+    """Run a numpy-bodied and a ``backend`` BCStep level by level;
+    frontiers, edges, levels, sigma and delta must agree after every
+    call.  Returns how many calls each step served."""
+    ref, other = (
+        BCStep(scheduler, source, EngineOptions(kernel_backend=name))
+        for name in ("numpy", backend)
+    )
+    assert other.backend.name == backend
+    frontier = np.asarray([source], dtype=np.int64)
+    frontiers = []
+    while len(frontier):
+        frontiers.append(frontier)
+        found, edges = ref.forward(frontier, len(frontiers))
+        other_found, other_edges = other.forward(frontier, len(frontiers))
+        assert _same_bits(found, other_found) and edges == other_edges
+        assert _same_bits(ref.levels, other.levels)
+        assert _same_bits(ref.sigma, other.sigma)
+        frontier = found
+    for frontier in reversed(frontiers[:-1]):
+        assert ref.backward(frontier) == other.backward(frontier)
+        assert _same_bits(ref.delta, other.delta)
+    return 2 * len(frontiers) - 1
+
+
+def _same_bc(a, b):
+    return (
+        _same_bits(a.centrality, b.centrality) and _same_bits(a.sigma, b.sigma)
+        and _same_bits(a.levels, b.levels)
+        and all(getattr(a, f) == getattr(b, f) for f in BC_COUNTERS)
+    )
+
+
+def _rank_lockstep(scheduler, backend, iterations=4):
+    """Iterate a numpy-bodied and a ``backend`` RankStep side by side;
+    the scatter, the new ranks and the L1 distance must agree bit for
+    bit every iteration.  Returns the ``backend`` step."""
+    graph = scheduler.graph
+    n = graph.num_nodes
+    inv_deg = inverse_out_degrees(graph)
+    ref, other = (
+        RankStep(scheduler, inv_deg, kernel_backend=name)
+        for name in ("numpy", backend)
+    )
+    assert other.backend.name == backend
+    rank = np.full(n, 1.0 / n)
+    for _ in range(iterations):
+        assert _same_bits(ref.scatter(rank), other.scatter(rank))
+        out, other_out = np.empty(n), np.empty(n)
+        assert ref(rank, out) == other(rank, other_out)
+        assert _same_bits(out, other_out)
+        rank = out
+    return other
+
+
+@pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+class TestAddStepDifferential:
+    """The compiled Brandes and PageRank steps against their numpy
+    bodies, bit for bit: both ADD, so the walk must reproduce
+    ``batch()``'s edge order on every layout."""
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=step_graphs,
+        k=st.sampled_from(ADD_KS),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        source=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_bc_level_matches(self, backend, graph, k, kind, source):
+        if graph.num_nodes == 0:
+            return
+        graph = graph.without_weights()
+        source %= graph.num_nodes
+        scheduler = _add_scheduler(kind, graph, k)
+        jit = kernels.get_backend(backend)
+        engaged, declined = jit.engaged, jit.declined
+        calls = _bc_lockstep(scheduler, source, backend)
+        # a silent decline would compare numpy with itself
+        assert (jit.engaged, jit.declined) == (engaged + calls, declined)
+        results = [
+            bc(scheduler, source, options=EngineOptions(kernel_backend=name))
+            for name in ("numpy", backend)
+        ]
+        assert _same_bc(*results)
+        assert results[1].num_iterations == calls
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=step_graphs,
+        k=st.sampled_from(ADD_KS),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_rank_iteration_matches(self, backend, graph, k, kind):
+        if graph.num_nodes == 0:
+            return
+        scheduler = _add_scheduler(kind, graph, k)
+        jit = kernels.get_backend(backend)
+        engaged, declined = jit.engaged, jit.declined
+        _rank_lockstep(scheduler, backend, iterations=4)
+        # the launch, then a scatter and a whole step per iteration
+        assert (jit.engaged, jit.declined) == (engaged + 9, declined)
+        results = [
+            pagerank(scheduler, max_iterations=12,
+                     options=EngineOptions(kernel_backend=name))
+            for name in ("numpy", backend)
+        ]
+        assert _same_bits(results[0].values, results[1].values)
+        for field in BC_COUNTERS:
+            assert getattr(results[0], field) == getattr(results[1], field)
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("k", STEP_KS)
+    @pytest.mark.parametrize("kind", ["virtual", "virtual+", "maxwarp"])
+    def test_star_at_family_boundaries(self, backend, k, kind):
+        for d in sorted({max(k - 1, 0), k, k + 1, 2 * k, 2 * k + 1}):
+            scheduler = _scheduler(kind, star(d, bidirectional=True), k)
+            assert _bc_lockstep(scheduler, 0, backend) > 0
+            _rank_lockstep(scheduler, backend)
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_degenerate_graphs(self, backend):
+        options = EngineOptions(kernel_backend=backend)
+        empty = pagerank(from_edge_list([]), options=options)
+        assert empty.converged and len(empty.values) == 0
+        for graph in (
+            from_edge_list([], num_nodes=5),  # isolated source, all dangling
+            from_edge_list([(0, 1), (1, 2), (2, 0)]),  # no dangling node
+            from_edge_list([(0, 0), (0, 1), (0, 1), (1, 1)]),  # loops, multi
+        ):
+            for kind in SCHEDULER_KINDS:
+                scheduler = _scheduler(kind, graph, 2)
+                assert _bc_lockstep(scheduler, 0, backend) > 0
+                step = _rank_lockstep(scheduler, backend)
+                assert len(step.dangling) in (0, graph.num_nodes - 1,
+                                              graph.num_nodes)
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_unflattenable_sizes_decline(self, graph, backend, monkeypatch):
+        # ids past int32: the launch declines and every iteration runs
+        # numpy (the sizes are mocked, not allocated)
+        jit = kernels.get_backend(backend)
+        baseline = pagerank(graph, max_iterations=6,
+                            options=EngineOptions(kernel_backend="numpy"))
+        for limit in (graph.num_nodes, graph.num_edges):
+            monkeypatch.setattr(kernels, "FLAT_LIMIT", limit)
+            engaged, declined = jit.engaged, jit.declined
+            result = pagerank(graph, max_iterations=6,
+                              options=EngineOptions(kernel_backend=backend))
+            assert (jit.engaged, jit.declined) == (engaged, declined + 1)
+            assert _same_bits(result.values, baseline.values)
+        monkeypatch.setattr(kernels, "FLAT_LIMIT", graph.num_edges + 1)
+        engaged = jit.engaged
+        pagerank(graph, max_iterations=6,
+                 options=EngineOptions(kernel_backend=backend))
+        assert jit.engaged == engaged + 7
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_numpy_routes_report_the_same_counters(self, graph, backend):
+        # warp segmentation and simulator runs decline (counted);
+        # bounded runs stop at the same level on both bodies
+        jit = kernels.get_backend(backend)
+        hop = graph.without_weights()
+        for target, simulated, bound in (
+            (WarpSegmentationScheduler(hop), False, 100_000),
+            (NodeScheduler(hop), True, 100_000),
+            (NodeScheduler(hop), False, 2),
+        ):
+            runs = []
+            for name in ("numpy", backend):
+                engaged, declined = jit.engaged, jit.declined
+                options = EngineOptions(kernel_backend=name,
+                                        max_iterations=bound)
+                runs.append((
+                    bc(target, 0, options=options,
+                       simulator=GPUSimulator() if simulated else None),
+                    pagerank(target, max_iterations=min(bound, 8),
+                             options=options,
+                             simulator=GPUSimulator() if simulated else None),
+                ))
+                if name == backend and bound > 2:
+                    assert jit.engaged == engaged
+                    assert (jit.declined - declined
+                            == runs[-1][0].num_iterations + 1)
+            (ref_bc, ref_pr), (jit_bc, jit_pr) = runs
+            assert _same_bc(ref_bc, jit_bc)
+            assert _same_bits(ref_pr.values, jit_pr.values)
+            for field in BC_COUNTERS:
+                assert getattr(ref_pr, field) == getattr(jit_pr, field)
+            if simulated:
+                assert ref_bc.metrics == jit_bc.metrics
+                assert ref_pr.metrics == jit_pr.metrics
+        assert ref_bc.num_iterations == 3  # two forward levels, one back
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_bad_arguments_never_reach_the_kernels(self, graph, backend):
+        jit = kernels.get_backend(backend)
+        hop = graph.without_weights()
+        n = hop.num_nodes
+        options = EngineOptions(kernel_backend=backend)
+        step = BCStep(NodeScheduler(hop), 0, options)
+        frontier = np.zeros(1, dtype=np.int64)
+        targets, walk = hop.targets, step.walk
+        declined = jit.declined
+        for refused in (
+            jit.try_bc_forward(step.levels.astype(np.int32), step.sigma,
+                               frontier, 1, walk, targets, step._found),
+            jit.try_bc_forward(step.levels, step.sigma[:-1], frontier, 1,
+                               walk, targets, step._found),
+            jit.try_bc_forward(step.levels, step.sigma, frontier, 1, walk,
+                               targets, step._found[:-1]),
+            jit.try_bc_forward(step.levels, step.sigma,
+                               np.asarray([n], dtype=np.int64), 1, walk,
+                               targets, step._found),
+            jit.try_bc_backward(step.levels, step.sigma, step.sigma, frontier,
+                                walk, targets),
+            jit.try_bc_backward(step.levels, step.sigma,
+                                step.delta.astype(np.float32), frontier,
+                                walk, targets),
+            jit.try_bc_backward(step.levels, step.sigma, step.delta,
+                                np.asarray([-1], dtype=np.int64), walk,
+                                targets),
+        ):
+            assert refused is None
+        assert jit.declined == declined + 7
+        assert jit.try_bc_forward(step.levels, step.sigma, frontier, 1, walk,
+                                  targets, step._found) is not None
+
+        rank_step = RankStep(NodeScheduler(hop), inverse_out_degrees(hop),
+                             kernel_backend=backend)
+        launch, scratch = rank_step.launch, rank_step.scratch
+        rank, out = np.full(n, 1.0 / n), np.empty(n)
+        inv_deg = rank_step.inv_deg
+        declined = jit.declined
+        for refused in (
+            jit.try_rank_step(rank, inv_deg, None, scratch),
+            jit.try_rank_step(rank, inv_deg, launch, scratch, rank),
+            jit.try_rank_step(rank, inv_deg, launch, scratch, scratch[1]),
+            jit.try_rank_step(rank[:-1], inv_deg, launch, scratch),
+            jit.try_rank_step(rank.astype(np.float32), inv_deg, launch,
+                              scratch),
+            jit.try_rank_step(rank, inv_deg,
+                              (launch[0].astype(np.int64), launch[1]), scratch),
+            jit.try_rank_step(rank, inv_deg, (launch[0][:-1], launch[1]),
+                              scratch),
+        ):
+            assert refused is False
+        assert jit.declined == declined + 7
+        assert jit.try_rank_step(rank, inv_deg, launch, scratch, out)
+
+    def test_reference_kernels_match_numpy(self, monkeypatch):
+        # what numba compiles, interpreted, through numba's own hooks
+        interpreted = _interpreted_backend(monkeypatch)
+        graph = rmat(40, 300, seed=9, dedup=False)
+        for kind in SCHEDULER_KINDS:
+            scheduler = _scheduler(kind, graph, 3)
+            assert _bc_lockstep(scheduler, 0, "numba") > 0
+            _rank_lockstep(scheduler, "numba")
+        assert interpreted.engaged > 0 and interpreted.declined == 0
+
+
+class TestInOrderWalk:
+    """MIN/MAX steps drop the family walk; ADD steps keep it."""
+
+    @pytest.mark.parametrize("kind", ["virtual+", "maxwarp"])
+    def test_only_add_steps_walk_in_batch_order(self, graph, kind):
+        scheduler = _scheduler(kind, graph, 3)
+        assert scheduler.walk_layout().family_starts is not None
+        options = EngineOptions(kernel_backend=JITS[0] if JITS else "numpy")
+        for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
+            walk = PushStep(scheduler, program, options).walk
+            assert walk.family_starts is None
+            assert walk.offsets is graph.offsets
+        lanes = LaneStep(scheduler, SSSPProgram(), [0, 1], options)
+        assert lanes.walk.family_starts is None
+        if JITS:
+            add = PushStep(scheduler, PageRankProgram(), options)
+            assert add.walk.family_starts is not None
+        assert BCStep(scheduler, 0, options).walk.family_starts is not None
+
+
+@pytest.mark.skipif(
+    not kernels.get_backend("cjit").is_available(), reason="no C compiler"
+)
+class TestCompileOnFirstCall:
+    @pytest.fixture
+    def backend(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        fresh = kernels.CJitBackend()
+        monkeypatch.setitem(kernels._REGISTRY, "cjit", fresh)
+        return fresh
+
+    @staticmethod
+    def _units(tmp_path):
+        return sorted(
+            lib.name.split("-")[1] for lib in (tmp_path / "kernels").glob("*.so")
+        )
+
+    def test_a_boot_compiles_only_what_its_traffic_calls(
+        self, graph, backend, tmp_path
+    ):
+        assert not (tmp_path / "kernels").exists()  # importing compiles nothing
+        _values("bfs", graph, "cjit")
+        assert self._units(tmp_path) == ["push_step"]
+        bfs_only = backend.compile_seconds
+        assert bfs_only > 0
+        _values("sssp", graph, "cjit")  # same kernel: nothing new
+        assert backend.compile_seconds == bfs_only
+        _values("bc", graph, "cjit")
+        _values("pr", graph, "cjit")
+        assert self._units(tmp_path) == ["bc", "push_step", "rank"]
+        # cumulative over the kernels this process compiled
+        assert backend.compile_seconds > bfs_only
+        # a second process finds them all in the cache
+        again = kernels.CJitBackend()
+        for name in ("push_step", "bc_forward", "rank_step"):
+            assert again.function(name) is not None
+        assert again.compile_seconds == 0
+
+    def test_every_function_belongs_to_a_unit(self):
+        assert {unit for unit, _, _ in kernels._C_FUNCTIONS.values()} == set(
+            kernels._C_UNITS
+        )
+
+    def test_corrupt_cached_library_is_rebuilt(
+        self, graph, backend, tmp_path, monkeypatch
+    ):
+        baseline = _values("sssp", graph, "numpy")
+        assert backend.function("push_step") is not None
+        (built,) = (tmp_path / "kernels").glob("*.so")
+        # the same name under another cache dir, torn mid-write (never
+        # truncate a library this process has mapped)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "torn"))
+        torn = tmp_path / "torn" / "kernels" / built.name
+        torn.parent.mkdir(parents=True)
+        torn.write_bytes(built.read_bytes()[:100])
+        survivor = kernels.CJitBackend()
+        monkeypatch.setitem(kernels._REGISTRY, "cjit", survivor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "cjit backend disabled"
+            values = _values("sssp", graph, "cjit")
+        assert _same_bits(values, baseline)
+        assert survivor.engaged > 0 and survivor.declined == 0
+        assert survivor.compile_seconds > 0  # rebuilt, once
+        assert survivor.is_available()
+        assert torn.stat().st_size == built.stat().st_size
+
+
 class TestWalkLayout:
     @pytest.mark.parametrize("kind", SCHEDULER_KINDS)
     @pytest.mark.parametrize("k", STEP_KS)
@@ -854,11 +1226,13 @@ class TestEngagementCounters:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         plain, debug = kernels.CJitBackend(), kernels.CJitBackend()
         debug.CFLAGS = kernels.CJitBackend.CFLAGS + ("-g",)
-        assert plain._ensure_lib() is not None
-        assert debug._ensure_lib() is not None
+        assert plain.function("push_step") is not None
+        assert debug.function("push_step") is not None
         libs = sorted((tmp_path / "kernels").glob("*.so"))
         assert len(libs) == 2  # a flag change never reuses a stale .so
         assert "-O2" in kernels.CJitBackend.CFLAGS
+        # a fused multiply-add rounds once where numpy rounds twice
+        assert "-ffp-contract=off" in kernels.CJitBackend.CFLAGS
 
 
 class TestCalibrationCache:

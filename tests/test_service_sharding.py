@@ -209,6 +209,27 @@ class TestShardsRunTheEngineStep:
                 shardset.close()
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_rank_step_bitwise_on_router_shards_and_single_engine(
+        self, graph, backend, shards
+    ):
+        # three users of one RankStep: the single engine's fused call,
+        # the shards' scatter half, the router's `damp`
+        prepared = prepare_graph(graph, "pr")
+        options = EngineOptions(kernel_backend=backend)
+        want, _, _ = run_algorithm(
+            prepared, "pr", None, EngineOptions(kernel_backend="numpy"), None
+        )
+        fused, _, _ = run_algorithm(prepared, "pr", None, options, None)
+        assert fused.tobytes() == want.tobytes()
+        shardset = ShardSet.build(prepared, shards)
+        try:
+            got = shardset.run_pagerank(kernel_backend=backend)[-1]
+            assert got.tobytes() == want.tobytes()
+        finally:
+            shardset.close()
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_pagerank_scatter_runs_on_the_pinned_backend(self, graph, backend):
         prepared = prepare_graph(graph, "pr")
         want, _, _ = run_algorithm(
