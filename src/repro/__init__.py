@@ -127,7 +127,7 @@ def run(
     ``bc``, ``pr``.  With ``simulate=True`` (default) the result's
     ``metrics`` carries the GPU cost model's timing/efficiency.
     """
-    from repro.baselines._run import run_algorithm
+    from repro.algorithms import run_algorithm
     from repro.gpu.simulator import GPUSimulator
 
     simulator = GPUSimulator() if simulate else None

@@ -36,8 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines import standard_methods
-from repro.baselines.base import ALGORITHMS
+from repro.algorithms import ALGORITHMS
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
@@ -108,6 +107,8 @@ def cmd_transform(args) -> int:
 
 
 def _pick_method(name: str, k_udt: int, k_v: int):
+    from repro.baselines import standard_methods
+
     for method in standard_methods(k_udt=k_udt, k_v=k_v):
         if method.name == name:
             return method
@@ -143,6 +144,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.baselines import standard_methods
+
     graph = _load(args.graph, scale=args.scale)
     spec = ALGORITHMS[args.algorithm]
     source = args.source
@@ -194,11 +197,8 @@ def _apply_kernel_backend(args) -> None:
         return
     from repro.engine import kernels
 
-    if choice != "auto" and choice not in kernels.registered_backends():
-        known = ", ".join(("auto",) + kernels.registered_backends())
-        raise TigrError(
-            f"unknown kernel backend {choice!r}; known: {known}"
-        )
+    if choice != "auto":
+        kernels.get_backend(choice)  # unregistered: a typed EngineError
     os.environ["REPRO_KERNEL_BACKEND"] = choice
 
 
@@ -652,6 +652,34 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+#: the flags ``query`` and ``serve`` share, declared once; each
+#: sub-parser places them (``--help`` prints in declaration order) and
+#: passes what differs per command through :func:`_service_flag`.
+_SERVICE_FLAGS = {
+    "--workers": dict(type=int),
+    "--backend": dict(
+        choices=("threads", "processes"), default=None,
+        help="execution backend (default: $REPRO_SERVICE_WORKERS "
+             "or threads; see docs/operations.md)"),
+    "--timeout": dict(type=float, default=None),
+    "--spill-dir": dict(default=None),
+    "--kernel-backend": dict(
+        default=None, metavar="NAME",
+        help="engine kernel backend: auto (cost model), numpy, "
+             "or the JIT backend cjit (docs/kernels.md); "
+             "default: $REPRO_KERNEL_BACKEND or auto"),
+    "--catalog-policy": dict(
+        choices=("lru", "gdsf"), default=None,
+        help="artifact-cache eviction policy (default: "
+             "$REPRO_CATALOG_POLICY or lru; "
+             "docs/cache-economics.md)"),
+}
+
+
+def _service_flag(parser, flag: str, **per_command) -> None:
+    parser.add_argument(flag, **{**_SERVICE_FLAGS[flag], **per_command})
+
+
 def build_parser() -> argparse.ArgumentParser:
     import repro
 
@@ -707,28 +735,19 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "none", "udt", "virtual", "virtual+"),
                    default="auto")
     p.add_argument("--k", type=int, default=None, help="degree bound override")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-request deadline in seconds")
+    _service_flag(p, "--timeout", help="per-request deadline in seconds")
     p.add_argument("--repeat", type=int, default=1,
                    help="submit the query N times (shows warm-cache hits)")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--backend", choices=("threads", "processes"), default=None,
-                   help="execution backend (default: $REPRO_SERVICE_WORKERS "
-                        "or threads; see docs/operations.md)")
-    p.add_argument("--spill-dir", default=None,
-                   help="directory for evicted-artifact .npz spill "
-                        "(with --backend processes, also the tier worker "
-                        "processes hydrate from)")
+    _service_flag(p, "--workers", default=2)
+    _service_flag(p, "--backend")
+    _service_flag(p, "--spill-dir",
+                  help="directory for evicted-artifact .npz spill "
+                       "(with --backend processes, also the tier worker "
+                       "processes hydrate from)")
     p.add_argument("--stats", action="store_true",
                    help="print service metrics after the run")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="engine kernel backend: auto (cost model), numpy, "
-                        "or a JIT backend like cjit/numba (docs/kernels.md); "
-                        "default: $REPRO_KERNEL_BACKEND or auto")
-    p.add_argument("--catalog-policy", choices=("lru", "gdsf"), default=None,
-                   help="artifact-cache eviction policy (default: "
-                        "$REPRO_CATALOG_POLICY or lru; "
-                        "docs/cache-economics.md)")
+    _service_flag(p, "--kernel-backend")
+    _service_flag(p, "--catalog-policy")
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_query)
 
@@ -774,22 +793,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of synthetic queries (default 64)")
     p.add_argument("--algorithms", default="bfs,sssp,pr",
                    help="comma-separated analytics to sample from")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--backend", choices=("threads", "processes"), default=None,
-                   help="execution backend (default: $REPRO_SERVICE_WORKERS "
-                        "or threads; see docs/operations.md)")
+    _service_flag(p, "--workers", default=4)
+    _service_flag(p, "--backend")
     p.add_argument("--queue-size", type=int, default=128)
     p.add_argument("--batch", type=int, default=16,
                    help="submission batch size (same-graph coalescing window)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="default per-request deadline in seconds")
+    _service_flag(p, "--timeout",
+                  help="default per-request deadline in seconds")
     p.add_argument("--cache-mb", type=int, default=256,
                    help="catalog memory budget in MiB")
-    p.add_argument("--spill-dir", default=None)
-    p.add_argument("--catalog-policy", choices=("lru", "gdsf"), default=None,
-                   help="artifact-cache eviction policy (default: "
-                        "$REPRO_CATALOG_POLICY or lru; "
-                        "docs/cache-economics.md)")
+    _service_flag(p, "--spill-dir")
+    _service_flag(p, "--catalog-policy")
     p.add_argument("--prewarm", default=None, metavar="PLAN",
                    help="pre-build the warm set a forecast plan names "
                         "(made by 'python -m repro forecast --out PLAN') "
@@ -806,10 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "immediately while warming in the background; "
                         "ignored with --http, where /v1/healthz reports "
                         "progress instead)")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="engine kernel backend: auto (cost model), numpy, "
-                        "or a JIT backend like cjit/numba (docs/kernels.md); "
-                        "default: $REPRO_KERNEL_BACKEND or auto")
+    _service_flag(p, "--kernel-backend")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="scatter-gather shardable analytics across N shard "
                         "executors (0 = single engine; docs/sharding.md)")

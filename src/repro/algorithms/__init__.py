@@ -9,7 +9,17 @@ Each analytic exists in two forms:
 * a **reference form** (:mod:`repro.algorithms.reference`) — classic
   sequential CPU implementations used as correctness oracles by the
   test suite and the benchmark harness.
+
+The package also answers for the six *by name* (:data:`ALGORITHMS`,
+:func:`prepare_graph`, :func:`run_algorithm`) — here, not under
+:mod:`repro.baselines` (which re-exports them), so that serving a
+query never imports the paper-reproduction method models.
 """
+
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.bc import bc, BCResult
 from repro.algorithms.bfs import bfs
@@ -30,8 +40,18 @@ from repro.algorithms.multi_source import (
 )
 from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
+from repro.engine.push import EngineOptions
+from repro.errors import EngineError
+from repro.gpu.metrics import RunMetrics
+from repro.gpu.simulator import GPUSimulator
+from repro.graph.builder import to_undirected
+from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "ALGORITHMS",
+    "AlgorithmSpec",
+    "prepare_graph",
+    "run_algorithm",
     "bfs",
     "sssp",
     "sswp",
@@ -51,3 +71,80 @@ __all__ = [
     "CCProgram",
     "PageRankProgram",
 ]
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """How one of the six analytics consumes its input graph."""
+
+    name: str
+    #: whether the run needs edge weights.
+    weighted: bool
+    #: whether a source node is required.
+    needs_source: bool
+    #: whether the graph is symmetrised first (CC convention).
+    symmetrize: bool = False
+
+
+#: The six analytics of §6.1, keyed by canonical name.
+ALGORITHMS: Dict[str, AlgorithmSpec] = {
+    "bfs": AlgorithmSpec("bfs", weighted=False, needs_source=True),
+    "sssp": AlgorithmSpec("sssp", weighted=True, needs_source=True),
+    "sswp": AlgorithmSpec("sswp", weighted=True, needs_source=True),
+    "cc": AlgorithmSpec("cc", weighted=False, needs_source=False, symmetrize=True),
+    "bc": AlgorithmSpec("bc", weighted=False, needs_source=True),
+    "pr": AlgorithmSpec("pr", weighted=False, needs_source=False),
+}
+
+
+def prepare_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
+    """Shape the input graph the way every method consumes it.
+
+    BFS/CC/BC/PR run unweighted; CC runs on the symmetrised graph
+    (weakly connected components); SSSP/SSWP require weights.  Doing
+    this once, identically for all methods, keeps Table 4 cells
+    comparable.
+    """
+    spec = ALGORITHMS.get(algorithm)
+    if spec is None:
+        raise EngineError(f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}")
+    g = graph
+    if spec.symmetrize:
+        g = to_undirected(g)
+    if spec.weighted:
+        if g.weights is None:
+            raise EngineError(f"{algorithm} requires a weighted graph")
+    else:
+        g = g.without_weights()
+    return g
+
+
+def run_algorithm(
+    target,
+    algorithm: str,
+    source: Optional[int],
+    options: EngineOptions,
+    simulator: Optional[GPUSimulator],
+) -> Tuple[np.ndarray, Optional[RunMetrics], int]:
+    """Run one analytic on any engine target.
+
+    Returns ``(values, metrics, iterations)``.  ``values`` are the
+    analytic's canonical output: distances, widths, labels, BC scores,
+    or PageRank scores.
+    """
+    if algorithm == "bfs":
+        r = bfs(target, source, options=options, simulator=simulator)
+    elif algorithm == "sssp":
+        r = sssp(target, source, options=options, simulator=simulator)
+    elif algorithm == "sswp":
+        r = sswp(target, source, options=options, simulator=simulator)
+    elif algorithm == "cc":
+        r = connected_components(target, options=options, simulator=simulator)
+    elif algorithm == "pr":
+        r = pagerank(target, options=options, simulator=simulator)
+    elif algorithm == "bc":
+        result = bc(target, source, options=options, simulator=simulator)
+        return result.centrality, result.metrics, result.num_iterations
+    else:
+        raise EngineError(f"unknown algorithm {algorithm!r}")
+    return r.values, r.metrics, r.num_iterations

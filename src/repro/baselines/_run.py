@@ -1,44 +1,6 @@
-"""Internal: dispatch an algorithm name onto a scheduler/target."""
+"""Internal: the method models' import path for
+:func:`repro.algorithms.run_algorithm`."""
 
-from __future__ import annotations
+from repro.algorithms import run_algorithm
 
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.algorithms import bc, bfs, connected_components, pagerank, sssp, sswp
-from repro.engine.push import EngineOptions
-from repro.errors import EngineError
-from repro.gpu.metrics import RunMetrics
-from repro.gpu.simulator import GPUSimulator
-
-
-def run_algorithm(
-    target,
-    algorithm: str,
-    source: Optional[int],
-    options: EngineOptions,
-    simulator: Optional[GPUSimulator],
-) -> Tuple[np.ndarray, Optional[RunMetrics], int]:
-    """Run one analytic on any engine target.
-
-    Returns ``(values, metrics, iterations)``.  ``values`` are the
-    analytic's canonical output: distances, widths, labels, BC scores,
-    or PageRank scores.
-    """
-    if algorithm == "bfs":
-        r = bfs(target, source, options=options, simulator=simulator)
-    elif algorithm == "sssp":
-        r = sssp(target, source, options=options, simulator=simulator)
-    elif algorithm == "sswp":
-        r = sswp(target, source, options=options, simulator=simulator)
-    elif algorithm == "cc":
-        r = connected_components(target, options=options, simulator=simulator)
-    elif algorithm == "pr":
-        r = pagerank(target, options=options, simulator=simulator)
-    elif algorithm == "bc":
-        result = bc(target, source, options=options, simulator=simulator)
-        return result.centrality, result.metrics, result.num_iterations
-    else:
-        raise EngineError(f"unknown algorithm {algorithm!r}")
-    return r.values, r.metrics, r.num_iterations
+__all__ = ["run_algorithm"]

@@ -9,57 +9,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.algorithms import (  # noqa: F401  (re-exported)
+    ALGORITHMS,
+    AlgorithmSpec,
+    prepare_graph,
+)
 from repro.errors import EngineError
 from repro.gpu.config import GPUConfig
 from repro.gpu.metrics import RunMetrics
-from repro.graph.builder import to_undirected
 from repro.graph.csr import CSRGraph
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """How one of the six analytics consumes its input graph."""
-
-    name: str
-    #: whether the run needs edge weights.
-    weighted: bool
-    #: whether a source node is required.
-    needs_source: bool
-    #: whether the graph is symmetrised first (CC convention).
-    symmetrize: bool = False
-
-
-#: The six analytics of §6.1, keyed by canonical name.
-ALGORITHMS: Dict[str, AlgorithmSpec] = {
-    "bfs": AlgorithmSpec("bfs", weighted=False, needs_source=True),
-    "sssp": AlgorithmSpec("sssp", weighted=True, needs_source=True),
-    "sswp": AlgorithmSpec("sswp", weighted=True, needs_source=True),
-    "cc": AlgorithmSpec("cc", weighted=False, needs_source=False, symmetrize=True),
-    "bc": AlgorithmSpec("bc", weighted=False, needs_source=True),
-    "pr": AlgorithmSpec("pr", weighted=False, needs_source=False),
-}
-
-
-def prepare_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
-    """Shape the input graph the way every method consumes it.
-
-    BFS/CC/BC/PR run unweighted; CC runs on the symmetrised graph
-    (weakly connected components); SSSP/SSWP require weights.  Doing
-    this once, identically for all methods, keeps Table 4 cells
-    comparable.
-    """
-    spec = ALGORITHMS.get(algorithm)
-    if spec is None:
-        raise EngineError(f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}")
-    g = graph
-    if spec.symmetrize:
-        g = to_undirected(g)
-    if spec.weighted:
-        if g.weights is None:
-            raise EngineError(f"{algorithm} requires a weighted graph")
-    else:
-        g = g.without_weights()
-    return g
 
 
 @dataclass

@@ -198,9 +198,6 @@ KERNEL_BACKEND_EXPECTATIONS: Dict[str, KernelBackendExpectation] = {
         KernelBackendExpectation(
             "cjit", jit=True, parity_fixture="tests/test_kernels.py"
         ),
-        KernelBackendExpectation(
-            "numba", jit=True, parity_fixture="tests/test_kernels.py"
-        ),
     ]
 }
 

@@ -20,7 +20,7 @@ from repro.engine.adaptive import AdaptiveOptions, AdaptiveResult, run_adaptive
 from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram, ReduceOp
 from repro.engine.push import EngineOptions, EngineResult, run_push, run_push_lanes
-from repro.engine.pull import run_pull, run_pull_lanes
+from repro.engine.pull import run_pull
 from repro.engine.schedule import (
     EdgeParallelScheduler,
     MaxWarpScheduler,
@@ -44,7 +44,6 @@ __all__ = [
     "run_push",
     "run_push_lanes",
     "run_pull",
-    "run_pull_lanes",
     "Scheduler",
     "ThreadBatch",
     "NodeScheduler",

@@ -234,8 +234,8 @@ class CalibrationProfile:
         Small graphs stay on numpy (per-launch dispatch overhead
         swamps the win); otherwise the measured edge throughputs rank
         the available candidates.  An available backend the profile
-        never measured (e.g. numba installed after calibration) is
-        assumed 2x numpy until a recalibration measures it.
+        never measured (e.g. registered after calibration) is assumed
+        2x numpy until a recalibration measures it.
         """
         names = [c for c in candidates if c != "numpy"]
         if not names or edges < self.jit_min_edges:

@@ -17,7 +17,8 @@ ADD-reduction analytics' supersteps.  Results are **bitwise
 identical**: the compiled loops perform the exact same float
 operations in the exact same order ``ufunc.at`` would.
 
-Three backends are registered:
+Two backends are registered — a kernel is its C unit, its ``cjit``
+hook and gate, and the numpy body its step class falls back to:
 
 ``numpy``
     The scalar baseline: the engines' own vectorised code path.  Its
@@ -34,11 +35,10 @@ Three backends are registered:
     traffic calls, and each compile is amortised across every
     subsequent run in the process *and* across processes via the
     on-disk cache.
-``numba``
-    JIT-compiles the pure-Python reference kernels in this module
-    with :func:`numba.njit`.  Auto-detected: when numba is not
-    installed the backend reports unavailable and resolution falls
-    back gracefully.
+
+The plain-loop spec the C units transliterate — Algorithms 2-3 line
+for line — lives with the tests (``tests/kernel_reference.py``), which
+drive it through these same hooks and gates beside both backends.
 
 Backend choice is per engine run: ``EngineOptions.kernel_backend``
 wins, else ``$REPRO_KERNEL_BACKEND``, else ``"auto"`` — which asks
@@ -86,8 +86,8 @@ from repro.core.applicability import PROGRAM_EXPECTATIONS
 from repro.engine.program import PushProgram
 from repro.errors import EngineError
 
-#: relax-body codes shared by every compiled backend (and the pure
-#: Python reference kernels below).
+#: relax-body codes shared by every compiled backend (and the spec
+#: kernels in ``tests/kernel_reference.py``).
 RELAX_ADDITIVE = 0     # c = src + w   (w = 1.0 on unweighted graphs)
 RELAX_WIDEST = 1       # c = min(src, w)
 RELAX_PROPAGATION = 2  # c = src
@@ -146,250 +146,6 @@ def spec_for(program: PushProgram) -> Optional[KernelSpec]:
     if relax is None or reduce_ is None:
         return None
     return KernelSpec(relax, reduce_)
-
-
-# ----------------------------------------------------------------------
-# Pure-Python reference kernels
-# ----------------------------------------------------------------------
-# These loops define, operation for operation, what every compiled
-# backend must do.  The numba backend JIT-compiles them directly; the
-# C backend is a transliteration.  They match the engines' vectorised
-# numpy path bitwise: the gather order is thread-by-thread in strided
-# slot order (exactly `strided_ranges_to_indices`), and the fold is
-# the same comparison / addition `ufunc.at` applies element-wise.
-
-def _push_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
-                      relax, reduce_, mark, changed):
-    # one superstep over a schedule.WalkLayout -> (changed count, edges)
-    cnt = 0
-    edges = 0
-    for i in range(active.shape[0]):
-        p = active[i]
-        s = rv[p]
-        base = off[p]
-        end = off[p + 1]
-        edges += end - base
-        fam = fv[p + 1] - fv[p] if has_fv else 1
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                if relax == 0:
-                    c = s + (w[e] if has_w else 1.0)
-                elif relax == 1:
-                    c = min(s, w[e])
-                else:
-                    c = s
-                d = targets[e]
-                if reduce_ == 0:
-                    wrote = c < v[d]
-                elif reduce_ == 1:
-                    wrote = c > v[d]
-                else:
-                    wrote = True
-                    c += v[d]
-                if wrote:
-                    v[d] = c
-                    if mark[d] == 0:
-                        mark[d] = 1
-                        changed[cnt] = d
-                        cnt += 1
-    kept = 0
-    for i in range(cnt):
-        d = changed[i]
-        mark[d] = 0
-        if v[d] != rv[d]:
-            changed[kept] = d
-            kept += 1
-    return kept, edges
-
-
-def _pull_kernel(v, rv, own, counts, starts, strides, in_sources, w,
-                 has_w, relax, reduce_):
-    for t in range(own.shape[0]):
-        o = own[t]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            s = rv[in_sources[e]]
-            if relax == 0:
-                c = s + (w[e] if has_w else 1.0)
-            elif relax == 1:
-                c = min(s, w[e])
-            else:
-                c = s
-            if reduce_ == 0:
-                if c < v[o]:
-                    v[o] = c
-            elif reduce_ == 1:
-                if c > v[o]:
-                    v[o] = c
-            else:
-                v[o] += c
-
-
-def _push_lanes_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
-                            relax, reduce_, mark, changed, live):
-    # push_step over node-major (n, S) matrices: every touched row is
-    # compared and committed to rv -> (changed count, edges, live lanes)
-    lanes = v.shape[1]
-    cnt = 0
-    edges = 0
-    for i in range(active.shape[0]):
-        p = active[i]
-        base = off[p]
-        end = off[p + 1]
-        edges += end - base
-        fam = fv[p + 1] - fv[p] if has_fv else 1
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                wt = w[e] if has_w else 1.0
-                for k in range(lanes):
-                    s = rv[p, k]
-                    if relax == 0:
-                        c = s + wt
-                    elif relax == 1:
-                        c = min(s, wt)
-                    else:
-                        c = s
-                    if c < v[d, k] if reduce_ == 0 else c > v[d, k]:
-                        v[d, k] = c
-                if mark[d] == 0:
-                    mark[d] = 1
-                    changed[cnt] = d
-                    cnt += 1
-    live[:] = 0
-    kept = 0
-    for i in range(cnt):
-        d = changed[i]
-        mark[d] = 0
-        differs = False
-        for k in range(lanes):
-            if v[d, k] != rv[d, k]:
-                rv[d, k] = v[d, k]
-                live[k] = 1
-                differs = True
-        if differs:
-            changed[kept] = d
-            kept += 1
-    return kept, edges, live.sum()
-
-
-def _hop_step_kernel(new_w, frontier_w, visited, values, level, active, off,
-                     targets, mark, changed, bit):
-    # one MS-BFS level over single-word lane masks (bit[k] = 1 << k)
-    # -> (fresh count, edges, live lanes)
-    lanes = values.shape[1]
-    cnt = 0
-    edges = 0
-    for i in range(active.shape[0]):
-        p = active[i]
-        edges += off[p + 1] - off[p]
-        for e in range(off[p], off[p + 1]):
-            d = targets[e]
-            new_w[d] |= frontier_w[p]
-            if mark[d] == 0:
-                mark[d] = 1
-                changed[cnt] = d
-                cnt += 1
-    for i in range(active.shape[0]):
-        frontier_w[active[i]] = 0
-    kept = 0
-    live = 0
-    for i in range(cnt):
-        d = changed[i]
-        mark[d] = 0
-        new_w[d] &= ~visited[d]
-        if new_w[d]:
-            visited[d] |= new_w[d]
-            changed[kept] = d
-            kept += 1
-    for k in range(lanes):
-        seen = False
-        for i in range(kept):
-            if new_w[changed[i]] & bit[k]:
-                values[changed[i], k] = level
-                seen = True
-        live += seen
-    return kept, edges, live
-
-
-def _bc_forward_kernel(levels, sigma, frontier, off, fv, has_fv, targets,
-                       level, found):
-    # one Brandes forward level: settle depth `level` below the frontier
-    # and count its shortest paths in the same walk -> (found, edges)
-    cnt = 0
-    edges = 0
-    for i in range(frontier.shape[0]):
-        p = frontier[i]
-        s = sigma[p]
-        base = off[p]
-        end = off[p + 1]
-        edges += end - base
-        fam = fv[p + 1] - fv[p] if has_fv else 1
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                if levels[d] < 0:
-                    levels[d] = level
-                    found[cnt] = d
-                    cnt += 1
-                if levels[d] == level:
-                    sigma[d] += s
-    return cnt, edges
-
-
-def _bc_backward_kernel(levels, sigma, delta, frontier, off, fv, has_fv,
-                        targets):
-    # one Brandes backward level: each frontier node's dependency from
-    # its children one level down -> edges
-    edges = 0
-    for i in range(frontier.shape[0]):
-        p = frontier[i]
-        s = sigma[p]
-        down = levels[p] + 1
-        acc = delta[p]
-        base = off[p]
-        end = off[p + 1]
-        edges += end - base
-        fam = fv[p + 1] - fv[p] if has_fv else 1
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                if levels[d] == down and sigma[d] > 0:
-                    acc += s / sigma[d] * (1.0 + delta[d])
-        delta[p] = acc
-    return edges
-
-
-def _rank_launch_kernel(off, fv, has_fv, targets, src, dst):
-    # PageRank's all-nodes launch, flattened once in batch() order
-    k = 0
-    for p in range(off.shape[0] - 1):
-        base = off[p]
-        end = off[p + 1]
-        fam = fv[p + 1] - fv[p] if has_fv else 1
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                src[k] = p
-                dst[k] = targets[e]
-                k += 1
-
-
-def _rank_step_kernel(rank, inv_deg, x, contrib, src, dst, damp, new_rank,
-                      diff, c0, damping, mass):
-    # one PageRank iteration over the flat launch; `damp` also applies
-    # the rank update and leaves |new - old| per node in `diff`
-    for i in range(rank.shape[0]):
-        x[i] = rank[i] * inv_deg[i]
-        contrib[i] = 0.0
-    for e in range(src.shape[0]):
-        contrib[dst[e]] += x[src[e]]
-    if damp:
-        for i in range(rank.shape[0]):
-            r = c0 + damping * (contrib[i] + mass)
-            new_rank[i] = r
-            diff[i] = abs(r - rank[i])
 
 
 # ----------------------------------------------------------------------
@@ -658,8 +414,8 @@ def get_backend(name: str) -> KernelBackend:
         backend = _REGISTRY.get(name)
     if backend is None:
         raise EngineError(
-            f"unknown kernel backend {name!r}; registered: "
-            + ", ".join(registered_backends())
+            f"unknown kernel backend {name!r}; known: "
+            + ", ".join(("auto",) + registered_backends())
         )
     return backend
 
@@ -676,9 +432,9 @@ def resolve_backend(
     ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.  ``auto`` asks the
     measured cost model which backend minimises predicted kernel time
     for a graph of ``edges`` edges.  A requested-but-unavailable
-    backend (numba not installed, no C compiler) warns once and falls
-    back to numpy — results are identical either way, so degrading is
-    always safe.
+    backend (no C compiler) warns once and falls back to numpy —
+    results are identical either way, so degrading is always safe.
+    An unregistered name raises (:func:`get_backend`).
     """
     if name is None:
         name = os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
@@ -739,7 +495,7 @@ _C_PRELUDE = r"""
 } while (0)
 """
 
-#: the C transliteration of the reference kernels, one compile unit —
+#: the C transliteration of the spec kernels, one compile unit —
 #: its own ``.so``, built the first time one of its functions is asked
 #: for — per kernel, or per pair of kernels only ever used together.
 _C_UNITS: Dict[str, str] = {}
@@ -1280,199 +1036,9 @@ class CJitBackend(KernelBackend):
         return True
 
 
-# ----------------------------------------------------------------------
-# Numba backend
-# ----------------------------------------------------------------------
-class NumbaBackend(KernelBackend):
-    """The reference kernels JIT-compiled with :func:`numba.njit`.
-
-    Optional: :meth:`is_available` probes for an importable numba
-    without importing it at module load.  Kernels compile lazily per
-    shape on first use; ``compile_seconds`` accumulates the one-time
-    cost so benches can report warm and compile-included timings
-    separately.
-    """
-
-    name = "numba"
-    jit = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._kernels: Dict[str, object] = {}
-        self._failed: Optional[str] = None
-        self.compile_seconds = 0.0
-
-    def is_available(self) -> bool:
-        with self._lock:
-            if self._kernels:
-                return True
-            if self._failed is not None:
-                return False
-        import importlib.util
-
-        try:
-            return importlib.util.find_spec("numba") is not None
-        except (ImportError, ValueError):
-            return False
-
-    def availability_note(self) -> str:
-        with self._lock:
-            failed = self._failed
-        if failed is not None:
-            return failed
-        return "numba is not installed (pip install numba)"
-
-    def _kernel(self, key: str, py_func):
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None or self._failed is not None:
-                return kernel
-            try:
-                import time
-
-                import numba
-
-                started = time.perf_counter()
-                kernel = numba.njit(cache=False)(py_func)
-                self.compile_seconds += time.perf_counter() - started
-            except Exception as exc:
-                self._failed = f"numba unavailable: {exc}"
-                warnings.warn(
-                    f"numba backend disabled: {self._failed}",
-                    RuntimeWarning, stacklevel=2,
-                )
-                return None
-            self._kernels[key] = kernel
-        return kernel
-
-    _EMPTY_W = np.empty(0, dtype=np.float64)
-
-    @staticmethod
-    def _layout(walk, targets):
-        """``off, fv, has_fv, targets`` as every walking kernel takes
-        them (numba cannot type a ``None`` array: pass any)."""
-        fv = walk.family_starts
-        return (walk.offsets, walk.offsets if fv is None else fv,
-                fv is not None, targets)
-
-    @_counted
-    def try_push_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int]]:
-        if not self._gate_step(spec, out, read, active, walk, targets,
-                               weights, scratch):
-            return None
-        kernel = self._kernel("push_step", _push_step_kernel)
-        if kernel is None:
-            return None
-        mark, changed = scratch
-        kept, edges = kernel(
-            out, read, active, *self._layout(walk, targets),
-            weights if weights is not None else self._EMPTY_W,
-            weights is not None, spec.relax, spec.reduce, mark, changed)
-        return np.sort(changed[:kept]), int(edges)
-
-    @_counted
-    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(in_sources):
-            return False
-        kernel = self._kernel("pull", _pull_kernel)
-        if kernel is None:
-            return False
-        kernel(values, read_values, batch.phys, batch.counts, batch.starts,
-               batch.strides, in_sources,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        return True
-
-    @_counted
-    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
-        if not self._gate_lanes(spec, out, read, active, walk, targets,
-                                weights, scratch):
-            return None
-        kernel = self._kernel("push_lanes_step", _push_lanes_step_kernel)
-        if kernel is None:
-            return None
-        mark, changed, live = scratch
-        kept, edges, nlive = kernel(
-            out, read, active, *self._layout(walk, targets),
-            weights if weights is not None else self._EMPTY_W,
-            weights is not None, spec.relax, spec.reduce, mark, changed, live)
-        return np.sort(changed[:kept]), int(edges), int(nlive)
-
-    @_counted
-    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
-                     walk, targets, scratch,
-                     ) -> Optional[Tuple[np.ndarray, int, int]]:
-        if not self._gate_hops(new_w, frontier_w, visited, values, active,
-                               walk, targets, scratch):
-            return None
-        kernel = self._kernel("hop_step", _hop_step_kernel)
-        if kernel is None:
-            return None
-        mark, changed = scratch[:2]
-        kept, edges, nlive = kernel(
-            new_w, frontier_w, visited, values, level, active, walk.offsets,
-            targets, mark, changed, LANE_BITS)
-        return np.sort(changed[:kept]), int(edges), int(nlive)
-
-    @_counted
-    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
-                       found) -> Optional[Tuple[np.ndarray, int]]:
-        if not (self._gate_bc(levels, frontier, walk, targets, sigma)
-                and _i64(found) and found.shape == levels.shape):
-            return None
-        kernel = self._kernel("bc_forward", _bc_forward_kernel)
-        if kernel is None:
-            return None
-        cnt, edges = kernel(levels, sigma, frontier,
-                            *self._layout(walk, targets), level, found)
-        return np.sort(found[:cnt]), int(edges)
-
-    @_counted
-    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
-                        targets) -> Optional[int]:
-        if not self._gate_bc(levels, frontier, walk, targets, sigma, delta):
-            return None
-        kernel = self._kernel("bc_backward", _bc_backward_kernel)
-        if kernel is None:
-            return None
-        return int(kernel(levels, sigma, delta, frontier,
-                          *self._layout(walk, targets)))
-
-    @_counted
-    def try_rank_launch(
-        self, walk, targets
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        if self._gate_rank_launch(walk, targets) < 0:
-            return None
-        kernel = self._kernel("rank_launch", _rank_launch_kernel)
-        if kernel is None:
-            return None
-        src, dst = np.empty((2, len(targets)), dtype=np.int32)
-        kernel(*self._layout(walk, targets), src, dst)
-        return src, dst
-
-    @_counted
-    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
-                      c0=0.0, damping=0.0, mass=0.0) -> bool:
-        if not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
-            return False
-        kernel = self._kernel("rank_step", _rank_step_kernel)
-        if kernel is None:
-            return False
-        x, contrib, diff = scratch
-        kernel(rank, inv_deg, x, contrib, *launch, new_rank is not None,
-               diff if new_rank is None else new_rank, diff, c0, damping, mass)
-        return True
-
-
-#: the default registry: the scalar baseline plus both JIT backends.
+#: the default registry: the scalar baseline plus the JIT backend.
 NUMPY_BACKEND = register_backend(KernelBackend())
 CJIT_BACKEND = register_backend(CJitBackend())
-NUMBA_BACKEND = register_backend(NumbaBackend())
 
 
 def engagement() -> Tuple[str, int, int]:

@@ -15,7 +15,7 @@ which MIN/MAX/ADD are, and which the test suite verifies.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -119,121 +119,6 @@ def run_pull(
         converged=converged,
         metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
-    )
-
-
-def run_pull_lanes(
-    scheduler: Scheduler,
-    program: PushProgram,
-    forward_graph: CSRGraph,
-    sources: Sequence[int],
-    *,
-    options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
-) -> EngineResult:
-    """Run a program in pull mode with a lane per source.
-
-    The union worklist makes a node re-gather whenever *any* lane's
-    in-neighborhood changed; lanes whose neighborhood is quiescent
-    re-fold values already incorporated, which the required idempotent
-    reduction absorbs — so column ``k`` equals the scalar
-    :func:`run_pull` for ``sources[k]`` bitwise.
-    """
-    reverse = scheduler.graph
-    n = reverse.num_nodes
-    num_lanes = len(sources)
-    if forward_graph.num_nodes != n:
-        raise EngineError("forward graph does not match the reverse graph")
-    if not program.lane_safe:
-        raise EngineError(
-            f"program {program.name!r} is not lane-safe: its "
-            f"{program.reduce.value} reduction is not idempotent"
-        )
-    if program.needs_weights and reverse.weights is None:
-        raise EngineError(f"program {program.name!r} needs edge weights")
-    if num_lanes == 0:
-        return EngineResult(
-            values=np.zeros((n, 0)), num_iterations=0, converged=True,
-            metrics=simulator.finish() if simulator is not None else None,
-            num_lanes=0,
-        )
-
-    # lane-major (S, n) internally: contiguous per-lane rows keep
-    # relax and scatter on ufunc.at's fast 1-D path
-    values_t = np.ascontiguousarray(program.initial_lane_values(n, sources).T)
-    frontier = _influenced(
-        forward_graph, program.initial_lane_frontier(n, sources)
-    )
-
-    weights = reverse.weights
-    in_sources = reverse.targets
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=reverse.num_edges
-    )
-    spec = kernels.spec_for(program) if backend.jit else None
-
-    converged = False
-    iterations = 0
-    edges_processed = 0
-    lane_iterations = 0
-
-    for _ in range(options.max_iterations):
-        active = frontier if options.worklist else scheduler.all_nodes()
-        if len(active) == 0:
-            converged = True
-            break
-        batch = scheduler.batch(active)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
-        iterations += 1
-        edges_processed += batch.total_edges
-        lane_iterations += num_lanes
-
-        before_t = values_t.copy()
-        if batch.total_edges:
-            # each lane is one scalar pull launch over contiguous row
-            # views; the fused kernel's gates are deterministic per
-            # launch shape, so lanes fuse all-or-nothing in practice —
-            # any declined lane still runs the numpy path below
-            pending = [
-                lane for lane in range(num_lanes)
-                if not backend.try_pull(
-                    spec, values_t[lane], before_t[lane], batch,
-                    in_sources, weights,
-                )
-            ]
-            if pending:
-                eidx = batch.edge_indices()
-                nbr = in_sources[eidx]
-                own = batch.sources_per_edge()
-                w = weights[eidx][:, None] if weights is not None else None
-                for lane in pending:
-                    candidates = program.lane_relax(
-                        before_t[lane][nbr][:, None], w
-                    )
-                    program.reduce.scatter(
-                        values_t[lane], own, candidates[:, 0]
-                    )
-
-        changed = np.flatnonzero((values_t != before_t).any(axis=0))
-        if len(changed) == 0:
-            converged = True
-            break
-        frontier = _influenced(forward_graph, changed)
-
-    if not converged and options.require_convergence:
-        raise EngineError(
-            f"{program.name} (pull lanes) did not converge within "
-            f"{options.max_iterations} iterations"
-        )
-    return EngineResult(
-        values=np.ascontiguousarray(values_t.T),
-        num_iterations=iterations,
-        converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
-        edges_processed=edges_processed,
-        num_lanes=num_lanes,
-        lane_iterations=lane_iterations,
     )
 
 

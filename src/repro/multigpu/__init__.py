@@ -15,7 +15,6 @@ imbalance, and Tigr still removes it.
 """
 
 from repro.multigpu.config import InterconnectConfig, MultiGPUConfig
-from repro.multigpu.engine import MultiGPUResult, run_multi_gpu
 from repro.multigpu.partition import (
     MirroredPartition,
     Partition,
@@ -43,3 +42,13 @@ __all__ = [
     "run_multi_gpu",
     "MultiGPUResult",
 ]
+
+
+def __getattr__(name: str):
+    # the simulated multi-device engine loads on first use: the serving
+    # tier imports this package for `partition` alone
+    if name in ("MultiGPUResult", "run_multi_gpu"):
+        from repro.multigpu import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,13 +21,13 @@ arriving to an empty bucket is answered ``429`` with a
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Awaitable, Callable, Dict, Iterable, Optional
+from typing import Awaitable, Callable, Iterable, Optional
 
 from repro.service.api.http import HttpRequest, Response
 from repro.service.api.protocol import error_payload
 from repro.service.metrics import ServiceMetrics
+from repro.service.routing import TokenBuckets
 
 #: a route handler / the continuation each middleware wraps.
 Handler = Callable[[HttpRequest], Awaitable[object]]
@@ -94,10 +94,8 @@ class RateLimit(Middleware):
     """Per-client token bucket; 429 + ``Retry-After`` when empty.
 
     ``rate`` tokens/second refill up to ``burst``; ``clock`` is
-    injectable so tests drive time by hand.  Buckets are created
-    lazily per client key and never expire — the key space is bounded
-    by the configured token set (or peer addresses), not by request
-    volume.
+    injectable so tests drive time by hand.  The buckets are
+    :class:`~repro.service.routing.TokenBuckets`, one per client key.
     """
 
     def __init__(
@@ -115,21 +113,11 @@ class RateLimit(Middleware):
         self.rate = float(rate)
         self.burst = float(burst)
         self.metrics = metrics
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, tuple] = {}  # key -> (tokens, stamp)
+        self._buckets = TokenBuckets(clock)
 
     def _take(self, key: str) -> float:
         """Try to spend one token; 0.0 on success, else seconds to wait."""
-        now = self.clock()
-        with self._lock:
-            tokens, stamp = self._buckets.get(key, (self.burst, now))
-            tokens = min(self.burst, tokens + (now - stamp) * self.rate)
-            if tokens >= 1.0:
-                self._buckets[key] = (tokens - 1.0, now)
-                return 0.0
-            self._buckets[key] = (tokens, now)
-            return (1.0 - tokens) / self.rate
+        return self._buckets.take(key, self.rate, self.burst)
 
     async def __call__(self, request: HttpRequest, nxt: Handler):
         if request.path in UNAUTHENTICATED_PATHS:

@@ -30,14 +30,13 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.algorithms import ALGORITHMS, run_algorithm
 from repro.algorithms._dispatch import resolve_scheduler
 from repro.algorithms.multi_source import (
     DEFAULT_MAX_LANES,
     multi_source_distances,
     resolve_multisource_mode,
 )
-from repro.baselines._run import run_algorithm
-from repro.baselines.base import ALGORITHMS
 from repro.engine.push import EngineOptions
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph

@@ -739,7 +739,7 @@ class Prewarmer:
 
 
 def _representative_request(entry: WarmEntry, graph: "CSRGraph"):
-    from repro.baselines.base import ALGORITHMS
+    from repro.algorithms import ALGORITHMS
     from repro.service.query import QueryRequest
 
     # Only the planner sees this request — node 0 stands in for the

@@ -60,7 +60,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.base import ALGORITHMS
+from repro.algorithms import ALGORITHMS
 from repro.errors import TraceFormatError, TraceVersionError
 from repro.graph.csr import CSRGraph
 from repro.service.query import QueryRequest, QueryResult

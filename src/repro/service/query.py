@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.baselines.base import ALGORITHMS
+from repro.algorithms import ALGORITHMS
 from repro.engine.push import EngineOptions
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import QuotaExhaustedError, ServiceError
@@ -48,12 +48,41 @@ PRIORITY_CLASSES: Dict[str, int] = {
 ROUTES = ("sharded", "single", "auto")
 
 
+class TokenBuckets:
+    """Token buckets by key: tenant quotas here, per-client rate
+    limits in the HTTP middleware.
+
+    A bucket is created full on first use, refills at ``rate``
+    tokens/second up to ``burst``, and is never dropped: the key space
+    is bounded by the configured tenants / tokens (or peer addresses),
+    not by request volume.  Tests inject ``clock``.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self._clock = clock
+        self._lock = threading.Lock()
+        #: key -> (tokens, last refill stamp)
+        self._buckets: Dict[str, Tuple[float, float]] = {}
+
+    def take(self, key: str, rate: float, burst: float) -> float:
+        """Try to spend one token; 0.0 on success, else seconds to wait."""
+        now = self._clock()
+        with self._lock:
+            tokens, stamp = self._buckets.get(key, (burst, now))
+            tokens = min(burst, tokens + (now - stamp) * rate)
+            if tokens >= 1.0:
+                self._buckets[key] = (tokens - 1.0, now)
+                return 0.0
+            self._buckets[key] = (tokens, now)
+            return (1.0 - tokens) / rate
+
+
 @dataclass(frozen=True)
 class TenantQuota:
     """Token-bucket admission budget for one tenant.
 
     ``rate`` tokens/second refill a bucket of depth ``burst``; every
-    admitted request spends one token.  The same shape as the HTTP
+    admitted request spends one token.  The same bucket as the HTTP
     middleware's per-client rate limit, but charged at *submission*
     (any entry point: HTTP, trace replay, direct calls), so a tenant
     cannot sidestep its budget by switching transports.
@@ -123,10 +152,7 @@ class RoutingPolicy:
         self.default_priority = int(default_priority)
         self.route = route
         self._min_sharded_edges = min_sharded_edges
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: tenant -> (tokens, last refill stamp)
-        self._buckets: Dict[str, Tuple[float, float]] = {}
+        self._buckets = TokenBuckets(clock)
 
     # ------------------------------------------------------------------
     # Quotas
@@ -146,15 +172,7 @@ class RoutingPolicy:
         quota = self.quotas.get(tenant)
         if quota is None:
             return 0.0
-        now = self._clock()
-        with self._lock:
-            tokens, stamp = self._buckets.get(tenant, (quota.burst, now))
-            tokens = min(quota.burst, tokens + (now - stamp) * quota.rate)
-            if tokens >= 1.0:
-                self._buckets[tenant] = (tokens - 1.0, now)
-                return 0.0
-            self._buckets[tenant] = (tokens, now)
-            return (1.0 - tokens) / quota.rate
+        return self._buckets.take(tenant, quota.rate, quota.burst)
 
     # ------------------------------------------------------------------
     # Priorities
@@ -209,14 +227,6 @@ class RoutingPolicy:
             "single",
             f"{num_edges} edges < break-even {threshold}",
         )
-
-
-@dataclass
-class ParsedPolicyArgs:
-    """CLI-shaped policy knobs (``--quota``/``--priority`` values)."""
-
-    quotas: Dict[str, TenantQuota] = field(default_factory=dict)
-    priorities: Dict[str, int] = field(default_factory=dict)
 
 
 def parse_quota_arg(value: str) -> Tuple[str, TenantQuota]:

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.base import ALGORITHMS, prepare_graph
+from repro.algorithms import ALGORITHMS, prepare_graph
 from repro.core.types import TransformResult
 from repro.errors import ServiceError, TigrError
 from repro.graph.csr import CSRGraph

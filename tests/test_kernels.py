@@ -60,12 +60,13 @@ from repro.gpu.simulator import GPUSimulator
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
 from repro.service import replay_trace
+from tests.kernel_reference import ReferenceBackend
 from tests.test_udt import graphs as generator_graphs
 
 TRACES = Path(__file__).parent / "traces"
 
 #: JIT backends this machine can actually run; parametrizing over the
-#: list keeps the suite green on boxes with no compiler and no numba.
+#: list keeps the suite green on boxes with no compiler.
 JITS = kernels.jit_backends()
 
 
@@ -101,7 +102,7 @@ def _values(algorithm, graph, backend):
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        assert {"numpy", "cjit", "numba"} <= set(kernels.registered_backends())
+        assert set(kernels.registered_backends()) == {"numpy", "cjit"}
 
     def test_every_backend_is_certified(self):
         # the runtime half of rule KERN001
@@ -172,39 +173,40 @@ class TestSpecFor:
         assert kernels.spec_for(FilteredSSSP()) is None
 
 
-class TestNumbaImportBlock:
-    """The numba backend must degrade, not crash, when numba is absent.
+class TestUnavailableJit:
+    """A requested JIT backend that cannot run must degrade, not crash;
+    a name that is not registered at all must fail loudly."""
 
-    The block is simulated by failing the module-finder probe, so the
-    test is meaningful both on machines without numba (tier-1) and in
-    the CI kernels job where numba is installed.
-    """
-
-    def test_absent_numba_reports_unavailable(self, monkeypatch):
-        import importlib.util
-
-        backend = kernels.NumbaBackend()
-
-        def missing(name, *args, **kwargs):
-            if name == "numba":
-                return None
-            return importlib.util.find_spec(name, *args, **kwargs)
-
-        monkeypatch.setattr(importlib.util, "find_spec", missing)
-        assert not backend.is_available()
-        assert "not installed" in backend.availability_note()
-
-    def test_engines_fall_back_when_numba_requested_but_absent(
+    def test_engines_fall_back_when_cjit_requested_but_absent(
         self, graph, monkeypatch
     ):
-        backend = kernels.NumbaBackend()
+        backend = kernels.CJitBackend()
         monkeypatch.setattr(backend, "is_available", lambda: False)
-        monkeypatch.setitem(kernels._REGISTRY, "numba", backend)
+        monkeypatch.setitem(kernels._REGISTRY, "cjit", backend)
         monkeypatch.setattr(kernels, "_warned_unavailable", set())
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            values = _values("sssp", graph, "numba")
+            values = _values("sssp", graph, "cjit")
         baseline = _values("sssp", graph, "numpy")
         np.testing.assert_array_equal(values, baseline)
+        assert backend.engaged == 0
+        # the warning fires once, not per run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _values("sssp", graph, "cjit")
+
+    def test_retired_backend_name_fails_loudly(self, graph, monkeypatch, capsys):
+        # a name old configs may still carry: it is a typo like any other
+        with pytest.raises(EngineError, match="known: auto, cjit, numpy"):
+            _values("sssp", graph, "numba")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+        with pytest.raises(EngineError, match="known: auto, cjit, numpy"):
+            sssp(graph, 0)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+        from repro.__main__ import main
+
+        assert main(["query", "bfs", "pokec", "--scale", "0.1",
+                     "--source", "0", "--kernel-backend", "numba"]) == 2
+        assert "known: auto, cjit, numpy" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
@@ -367,26 +369,15 @@ def _lockstep(scheduler, program, source, step, *, max_steps=10_000):
     return steps
 
 
-def _interpreted_step(scheduler, program):
-    """The reference kernel numba compiles, run interpreted."""
-    graph = scheduler.graph
-    walk = scheduler.walk_layout()
-    fv = walk.family_starts
-    spec = kernels.spec_for(program)
-    mark = np.zeros(graph.num_nodes, dtype=np.uint8)
-    buf = np.empty(graph.num_nodes + 1, dtype=np.int64)
-
-    def step(out, read, active):
-        kept, edges = kernels._push_step_kernel(
-            out, read, active, walk.offsets,
-            walk.offsets if fv is None else fv, fv is not None,
-            graph.targets, graph.weights, True,
-            spec.relax, spec.reduce, mark, buf,
-        )
-        assert not mark.any()
-        return np.sort(buf[:kept]), edges
-
-    return step
+@pytest.fixture
+def reference_backend(monkeypatch):
+    """The spec kernels (``tests/kernel_reference.py``) registered as
+    backend ``"reference"`` for one test: covers the loops the C units
+    transliterate and their marshalling through the production hooks
+    and gates."""
+    backend = ReferenceBackend()
+    monkeypatch.setitem(kernels._REGISTRY, backend.name, backend)
+    return backend
 
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
@@ -498,15 +489,26 @@ class TestPushStepDifferential:
         with pytest.raises(IndexError):
             step(out, out.copy(), np.asarray([graph.num_nodes], dtype=np.int64))
 
-    def test_reference_kernel_matches_numpy(self):
-        # what numba compiles, interpreted: covers hosts without numba
+    def test_reference_kernel_matches_numpy(self, reference_backend):
+        # the spec the C unit transliterates, through the same hook
         graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
                 source = None if program.name == "cc" else 0
-                step = _interpreted_step(scheduler, program)
+                step = _pinned_step(scheduler, program, "reference")
                 assert _lockstep(scheduler, program, source, step) > 0
+        # and the pull spec, whole runs over both in-edge schedulers
+        reverse = graph.reverse()
+        for scheduler in (NodeScheduler(reverse), _scheduler("virtual", reverse, 3)):
+            numpy_run, spec_run = (
+                run_pull(scheduler, SSSPProgram(), graph, 0,
+                         options=EngineOptions(kernel_backend=name))
+                for name in ("numpy", "reference")
+            )
+            assert _same_bits(numpy_run.values, spec_run.values)
+        assert reference_backend.engaged > 0
+        assert reference_backend.declined == 0
 
 
 # ----------------------------------------------------------------------
@@ -544,17 +546,6 @@ def _lane_lockstep(scheduler, program, sources, backend, *, max_steps=10_000):
         assert _same_bits(ref.values, other.values)
         active = changed
     return steps, other
-
-
-def _interpreted_backend(monkeypatch):
-    """The numba backend's hooks over the *interpreted* reference
-    kernels, registered under its name: covers the kernels numba
-    compiles and their marshalling on hosts without numba."""
-    backend = kernels.NumbaBackend()
-    monkeypatch.setattr(backend, "is_available", lambda: True)
-    monkeypatch.setattr(backend, "_kernel", lambda key, py_func: py_func)
-    monkeypatch.setitem(kernels._REGISTRY, "numba", backend)
-    return backend
 
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
@@ -633,22 +624,24 @@ class TestLaneStepDifferential:
                 steps, _ = _lane_lockstep(scheduler, program, sources, backend)
                 assert steps > 0
 
-    def test_reference_kernels_match_numpy(self, monkeypatch):
-        # what numba compiles, interpreted, through numba's own hooks
-        interpreted = _interpreted_backend(monkeypatch)
+    def test_reference_kernels_match_numpy(self, reference_backend):
+        # the specs the two lane units transliterate, through the hooks
         graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
         sources = [0, 7, 7, 31]
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
-                steps, _ = _lane_lockstep(scheduler, program, sources, "numba")
+                steps, _ = _lane_lockstep(
+                    scheduler, program, sources, "reference"
+                )
                 assert steps > 0
         hop_scheduler = NodeScheduler(graph.without_weights())
         steps, step = _lane_lockstep(
-            hop_scheduler, BFSProgram(), sources, "numba"
+            hop_scheduler, BFSProgram(), sources, "reference"
         )
         assert step.hops and steps > 0
-        assert interpreted.engaged > 0 and interpreted.declined == 0
+        assert reference_backend.engaged > 0
+        assert reference_backend.declined == 0
 
     @pytest.mark.parametrize("backend", JITS)
     def test_declines_are_counted_and_fall_back(self, graph, backend):
@@ -1061,15 +1054,15 @@ class TestAddStepDifferential:
         assert jit.declined == declined + 7
         assert jit.try_rank_step(rank, inv_deg, launch, scratch, out)
 
-    def test_reference_kernels_match_numpy(self, monkeypatch):
-        # what numba compiles, interpreted, through numba's own hooks
-        interpreted = _interpreted_backend(monkeypatch)
+    def test_reference_kernels_match_numpy(self, reference_backend):
+        # the specs the bc and rank units transliterate, through the hooks
         graph = rmat(40, 300, seed=9, dedup=False)
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
-            assert _bc_lockstep(scheduler, 0, "numba") > 0
-            _rank_lockstep(scheduler, "numba")
-        assert interpreted.engaged > 0 and interpreted.declined == 0
+            assert _bc_lockstep(scheduler, 0, "reference") > 0
+            _rank_lockstep(scheduler, "reference")
+        assert reference_backend.engaged > 0
+        assert reference_backend.declined == 0
 
 
 class TestInOrderWalk:
@@ -1391,5 +1384,5 @@ class TestCostModelPredictions:
         ) == "numpy"
         # a backend calibration never measured is assumed 2x numpy
         assert profile.choose_kernel_backend(
-            edges=self.BIG, candidates=("numba", "numpy")
-        ) == "numba"
+            edges=self.BIG, candidates=("never-measured", "numpy")
+        ) == "never-measured"

@@ -2,7 +2,7 @@
 
 The contract under test is exact: column ``k`` of a lane-parallel run
 is **bitwise identical** to the scalar run from ``sources[k]`` — on
-identity, UDT, and virtual targets, in push and pull mode, through the
+identity, UDT, and virtual targets, through the
 bit-packed BFS fast path and the generic float path, and through the
 derived analytics (closeness, approximate BC) and the serving layer's
 batch fan-out.  Every comparison here is ``np.array_equal``, never
@@ -25,7 +25,6 @@ from repro.algorithms.sssp import sssp
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.engine import kernels
-from repro.engine.pull import run_pull, run_pull_lanes
 from repro.engine.push import EngineOptions, run_push, run_push_lanes
 from repro.engine.schedule import NodeScheduler, VirtualScheduler
 from repro.errors import EngineError
@@ -91,19 +90,6 @@ class TestLaneLoopEquivalence:
             assert result.num_lanes == len(sources)
             for k, source in enumerate(sources):
                 scalar = run_push(scheduler, SSSPProgram(), source)
-                assert np.array_equal(result.values[:, k], scalar.values)
-
-    def test_pull_lane_columns_match_scalar_runs(self):
-        graph = make_graph(5, weighted=True)
-        reverse = graph.reverse()
-        sources = pick_sources(graph, 6)
-        for scheduler in (
-            NodeScheduler(reverse),
-            VirtualScheduler(virtual_transform(reverse, 4)),
-        ):
-            result = run_pull_lanes(scheduler, SSSPProgram(), graph, sources)
-            for k, source in enumerate(sources):
-                scalar = run_pull(scheduler, SSSPProgram(), graph, source)
                 assert np.array_equal(result.values[:, k], scalar.values)
 
     def test_bitpacked_and_generic_paths_agree(self):
@@ -194,18 +180,14 @@ class TestLaneLoopEquivalence:
             list(lane_blocks(10, 0))
 
     def test_unsafe_program_rejected(self):
-        """ADD reductions double-count under the union frontier; both
-        lane engines must refuse them (SPLIT006's runtime half)."""
+        """ADD reductions double-count under the union frontier; the
+        lane engine must refuse them (SPLIT006's runtime half)."""
         graph = make_graph(2, weighted=False)
         program = PageRankProgram()
         program.set_out_degrees(graph.out_degrees())
         assert not program.lane_safe
         with pytest.raises(EngineError, match="lane-safe"):
             run_push_lanes(NodeScheduler(graph), program, [0, 1])
-        with pytest.raises(EngineError, match="lane-safe"):
-            run_pull_lanes(
-                NodeScheduler(graph.reverse()), program, graph, [0, 1]
-            )
 
     def test_default_lane_relax_matches_scalar_columns(self):
         """The derived lane_relax must be the scalar relax applied per

@@ -3,6 +3,9 @@
 import http.client
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -447,3 +450,19 @@ class TestGoldenTraceOverHttp:
         )
         assert replayed.ok
         assert replayed.digests_checked == len(captured.results)
+
+
+def test_serving_never_imports_the_paper_reproduction_code():
+    # the fence: booting the service and its HTTP edge loads no method
+    # model, no bench module and no simulated multi-device engine
+    probe = (
+        "import sys, repro.service, repro.service.api\n"
+        "fenced = ('repro.baselines', 'repro.bench', 'repro.multigpu.engine')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(fenced)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
