@@ -346,10 +346,7 @@ def cmd_query(args) -> int:
                           f"range [{finite.min():.4g}, {finite.max():.4g}]"
                           if len(finite) else f"  values[{where}]: none finite")
         if args.stats:
-            print("service metrics:")
-            for key, value in service.metrics.summary().items():
-                print(f"  {key:28s} {value:.4g}"
-                      if isinstance(value, float) else f"  {key:28s} {value}")
+            _print_service_metrics(service)
     return 0
 
 
@@ -374,28 +371,29 @@ def _trace_graph_entry(name: str, scale: float, graph) -> dict:
     return {"fingerprint": graph.fingerprint()}
 
 
-def _make_service(args, catalog, *, recorder=None):
-    """Build the serve tier the flags ask for: plain or sharded.
+def _serve_catalog(args):
+    """The catalog ``serve`` runs on (``--cache-mb``, ``--spill-dir``)."""
+    from repro.service import GraphCatalog
 
-    ``--shards N`` (N >= 1) switches every serve mode — synthetic,
-    trace replay, HTTP — to the scatter-gather
-    :class:`~repro.service.sharding.ShardedAnalyticsService`, with
-    ``--shard-remote``/``--quota``/``--priority``/``--route`` layering
-    remote executors and tenant policy on top (docs/sharding.md).
-    """
-    from repro.service import AnalyticsService
-
-    kwargs = dict(
-        workers=args.workers, backend=args.backend,
-        queue_size=args.queue_size, default_timeout_s=args.timeout,
-        recorder=recorder,
+    return GraphCatalog(
+        memory_budget_bytes=args.cache_mb * 1024 * 1024,
+        spill_dir=args.spill_dir,
     )
-    shards = getattr(args, "shards", 0) or 0
-    if shards <= 0:
-        return AnalyticsService(catalog, **kwargs)
+
+
+def _make_service(args, catalog, *, recorder=None):
+    """Build the service the ``serve`` flags ask for.
+
+    One constructor call for every serve mode — synthetic, trace
+    replay, HTTP: ``--quota``/``--priority`` are admission policy and
+    apply everywhere; ``--shards N`` puts the scatter-gather tier
+    first in the place list, with ``--shard-remote``/``--route``
+    shaping it (docs/sharding.md); ``--backend processes`` adds the
+    pool behind it.
+    """
     from repro.service import (
+        AnalyticsService,
         RoutingPolicy,
-        ShardedAnalyticsService,
         parse_host_port,
         parse_priority_arg,
         parse_quota_arg,
@@ -406,15 +404,25 @@ def _make_service(args, catalog, *, recorder=None):
         priorities=dict(parse_priority_arg(v) for v in (args.priority or ())),
         route=args.route,
     )
-    remotes = tuple(parse_host_port(v) for v in (args.shard_remote or ()))
-    return ShardedAnalyticsService(
-        catalog, shards=shards, shard_remotes=remotes, policy=policy, **kwargs
+    return AnalyticsService(
+        catalog,
+        workers=args.workers, backend=args.backend,
+        queue_size=args.queue_size, default_timeout_s=args.timeout,
+        recorder=recorder, policy=policy, shards=max(args.shards, 0),
+        shard_remotes=tuple(parse_host_port(v) for v in (args.shard_remote or ())),
     )
+
+
+def _print_service_metrics(service) -> None:
+    print("service metrics:")
+    for key, value in service.metrics.summary().items():
+        print(f"  {key:28s} {value:.4g}"
+              if isinstance(value, float) else f"  {key:28s} {value}")
 
 
 def cmd_serve_trace(args) -> int:
     """``serve --trace``: drive the service from a recorded stream."""
-    from repro.service import GraphCatalog, TraceRecorder, load_trace, replay_trace
+    from repro.service import TraceRecorder, load_trace, replay_trace
 
     trace = load_trace(args.trace, on_malformed=args.malformed)
     overrides = {}
@@ -423,10 +431,7 @@ def cmd_serve_trace(args) -> int:
     recorder = None
     if args.record:
         recorder = TraceRecorder(args.record, graphs=trace.header.graphs)
-    catalog = GraphCatalog(
-        memory_budget_bytes=args.cache_mb * 1024 * 1024,
-        spill_dir=args.spill_dir,
-    )
+    catalog = _serve_catalog(args)
     try:
         with _make_service(args, catalog) as service:
             _start_prewarmer(args, service, overrides)
@@ -441,10 +446,7 @@ def cmd_serve_trace(args) -> int:
             )
             report.source = args.trace
             print(report.to_text())
-            print("service metrics:")
-            for key, value in service.metrics.summary().items():
-                print(f"  {key:28s} {value:.4g}"
-                      if isinstance(value, float) else f"  {key:28s} {value}")
+            _print_service_metrics(service)
     finally:
         if recorder is not None:
             recorder.close()
@@ -466,7 +468,6 @@ def _parse_host_port(spec: str) -> tuple:
 
 def cmd_serve_http(args) -> int:
     """``serve --http``: front the service with the HTTP/JSON API."""
-    from repro.service import GraphCatalog
     from repro.service.api import run_server
 
     host, port = _parse_host_port(args.http)
@@ -483,10 +484,7 @@ def cmd_serve_http(args) -> int:
             "serve --http needs a graph argument and/or --trace with "
             "graph recipes, else every query would answer 404"
         )
-    catalog = GraphCatalog(
-        memory_budget_bytes=args.cache_mb * 1024 * 1024,
-        spill_dir=args.spill_dir,
-    )
+    catalog = _serve_catalog(args)
     with _make_service(args, catalog) as service:
         for name, graph in graphs.items():
             service.register(name, graph)
@@ -521,17 +519,14 @@ def cmd_serve_http(args) -> int:
             burst=args.burst,
             prewarmer=prewarmer,
         )
-        print("service metrics:")
-        for key, value in service.metrics.summary().items():
-            print(f"  {key:28s} {value:.4g}"
-                  if isinstance(value, float) else f"  {key:28s} {value}")
+        _print_service_metrics(service)
     return 0
 
 
 def cmd_serve(args) -> int:
     import random
 
-    from repro.service import GraphCatalog, QueryRequest
+    from repro.service import QueryRequest
 
     _apply_kernel_backend(args)
     _apply_catalog_policy(args)
@@ -549,10 +544,7 @@ def cmd_serve(args) -> int:
             raise TigrError(
                 f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}"
             )
-    catalog = GraphCatalog(
-        memory_budget_bytes=args.cache_mb * 1024 * 1024,
-        spill_dir=args.spill_dir,
-    )
+    catalog = _serve_catalog(args)
     recorder = None
     if args.record:
         from repro.service import TraceRecorder
@@ -582,10 +574,7 @@ def cmd_serve(args) -> int:
         ok = sum(r.ok for r in results)
         print(f"served {ok}/{len(results)} queries in {elapsed:.3f}s "
               f"({ok / elapsed:.1f} queries/s, {args.workers} workers)")
-        print("service metrics:")
-        for key, value in service.metrics.summary().items():
-            print(f"  {key:28s} {value:.4g}"
-                  if isinstance(value, float) else f"  {key:28s} {value}")
+        _print_service_metrics(service)
     if recorder is not None:
         recorder.close()
         print(f"recorded {recorder.requests_recorded} request(s) / "
@@ -831,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quota", action="append", default=None,
                    metavar="TENANT=RATE[:BURST]",
                    help="token-bucket admission quota for one tenant "
-                        "(repeatable; unlisted tenants are unmetered)")
+                        "(repeatable; unlisted tenants are unmetered; "
+                        "enforced with or without --shards)")
     p.add_argument("--priority", action="append", default=None,
                    metavar="TENANT=CLASS",
                    help="priority class for one tenant: interactive, "

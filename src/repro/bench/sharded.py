@@ -2,11 +2,11 @@
 
 Not a paper table — the companion experiment to ``docs/sharding.md``:
 it drives one synthetic workload through
-:class:`~repro.service.sharding.ShardedAnalyticsService` at increasing
-shard counts and reports queries/sec, latency percentiles, and the
+:class:`~repro.service.AnalyticsService` at increasing ``shards=``
+counts and reports queries/sec, latency percentiles, and the
 scatter-gather accounting (supersteps, exchanged bytes).  The
-``shards=1`` row is the honest baseline: a single shard routes every
-batch to the plain single-engine path, so the remaining rows price
+``shards=1`` row is the honest baseline: a single-shard tier passes on
+every batch, which then runs the plain single-engine pipeline, so the remaining rows price
 exactly the scatter-gather machinery.
 
 Every row also *proves* the digest-parity contract as it measures: the
@@ -25,7 +25,7 @@ import numpy as np
 from repro.bench.report import ExperimentReport
 from repro.bench.service import _make_requests
 from repro.graph.datasets import load_dataset
-from repro.service import GraphCatalog, ShardedAnalyticsService, percentile
+from repro.service import AnalyticsService, GraphCatalog, percentile
 
 
 def sharded_scaling(
@@ -59,7 +59,7 @@ def sharded_scaling(
     baseline_values = None
     baseline_qps = None
     for shards in shard_counts:
-        with ShardedAnalyticsService(
+        with AnalyticsService(
             GraphCatalog(), shards=shards, workers=workers,
             queue_size=max(128, num_queries),
         ) as service:

@@ -91,7 +91,7 @@ class ServiceOverloadError(ServiceError):
 class QuotaExhaustedError(ServiceOverloadError):
     """A tenant spent its admission quota; the request was refused.
 
-    Raised by the sharded serving tier's routing policy
+    Raised at submission by the service's routing policy
     (:class:`repro.service.routing.RoutingPolicy`) when a tenant's
     token bucket is empty.  Per-tenant overload is distinct from
     service-wide overload so front ends can map it to HTTP 429 (the
@@ -134,10 +134,10 @@ class WorkerLost(ServiceError):
 
     Raised inside the serving layer's process backend when the pool
     reports a broken worker (crash, OOM kill) or a dispatched batch
-    exceeds its wait budget.  The executor catches it and *degrades*:
-    the batch is retried once in the submitting thread, and only if
-    that also fails do the affected tickets resolve with this error's
-    message.  Subclasses :class:`ServiceError` so existing blanket
+    exceeds its wait budget.  The service catches it and *degrades*:
+    the batch moves to its next place (the dispatcher thread), and
+    only with ``fallback=False`` do the affected tickets resolve with
+    this error's message.  Subclasses :class:`ServiceError` so existing blanket
     handlers keep working.
     """
 
@@ -153,11 +153,11 @@ class ShardLost(WorkerLost):
 
     The sharded tier's analogue of :class:`WorkerLost`: raised when an
     in-process shard executor errors or a remote shard host drops its
-    connection during a scatter-gather superstep.  The sharded router
-    catches it and degrades to an unsharded single-engine run (results
-    then carry ``degraded=True``), mirroring the process backend's
-    inline-retry contract.  Subclasses :class:`WorkerLost` so blanket
-    worker-failure handlers keep working.
+    connection during a scatter-gather superstep.  The service handles
+    it by the same rule as any lost place: the batch moves to the next
+    one (results then carry ``degraded=True``).  Subclasses
+    :class:`WorkerLost` so that rule — and any blanket worker-failure
+    handler — is one ``except``.
     """
 
     def __init__(self, reason: str, *, shard: int = -1, batch_size: int = 0) -> None:

@@ -12,11 +12,14 @@ graph library's value is its reusable runtime, not its kernels alone):
   :class:`QueryResult` envelopes, a planner built on
   :mod:`repro.core.selection` and :mod:`repro.core.applicability`,
   same-graph request batching with source dedup, and a bounded-queue
-  dispatcher pool with backpressure, per-request timeouts with
-  graceful degradation, and cancellation.  Two execution backends:
-  in-process threads (default) or a ``ProcessPoolExecutor`` whose
-  workers hydrate graphs and artifacts from a shared disk tier
-  (``backend="processes"``, :mod:`repro.service.workers`);
+  dispatcher pool with tenant quotas and priority classes at
+  admission, backpressure, per-request timeouts with graceful
+  degradation, and cancellation.  Where a batch runs is an ordered
+  list of places — shard tier (``shards=N``), a ``ProcessPoolExecutor``
+  whose workers hydrate graphs and artifacts from a shared disk tier
+  (``backend="processes"``, :mod:`repro.service.workers`), the
+  dispatcher thread — with one rule for a lost place: the next one
+  answers, ``degraded``;
 * :class:`ServiceMetrics` — cache hit rate, queue depth, and
   per-stage latency percentiles in the same reporting style as
   :mod:`repro.gpu.metrics`;
@@ -33,13 +36,14 @@ graph library's value is its reusable runtime, not its kernels alone):
   trace-replaying client), speaking the same trace-v1 wire schema;
   see ``docs/http-api.md``.  Imported lazily — ``import
   repro.service.api`` — so non-network users pay nothing for it;
-* :mod:`repro.service.sharding` / :mod:`repro.service.routing` —
-  the sharded serving tier: destination-partitioned shard executors
-  (in-process or remote over ``tcp://``), a scatter-gather router
-  whose per-algorithm reduces keep result digests bitwise-identical
-  to the single-engine path, and a policy layer with per-tenant
-  token quotas, priority classes, and cost-model-aware route
-  selection (``serve --shards N``); see ``docs/sharding.md``.
+* :mod:`repro.service.sharding` — the shard tier: destination-
+  partitioned shard executors (in-process or remote over ``tcp://``)
+  and a scatter-gather router whose per-algorithm reduces keep result
+  digests bitwise-identical to the single-engine path
+  (``serve --shards N``); see ``docs/sharding.md``;
+* :mod:`repro.service.routing` — the policy every service applies:
+  per-tenant token quotas, priority classes, and cost-model-aware
+  shard route selection.
 
 CLI: ``python -m repro query`` (one-shot), ``python -m repro serve``
 (synthetic workload driver, trace-driven via ``--trace``/``--record``,
@@ -77,7 +81,7 @@ from repro.service.executor import (
     BACKENDS,
     AnalyticsService,
     QueryTicket,
-    default_service,
+    ShardedAnalyticsService,
     resolve_backend,
 )
 from repro.service.ingest import (
@@ -116,7 +120,6 @@ from repro.service.sharding import (
     RemoteShardHandle,
     ShardHostServer,
     ShardSet,
-    ShardedAnalyticsService,
     parse_host_port,
 )
 from repro.service.workers import BatchOutcome, BatchSpec, execute_pipeline
@@ -131,7 +134,6 @@ __all__ = [
     "CATALOG_POLICY_ENV",
     "CatalogStats",
     "dataset_graph_entry",
-    "default_service",
     "DigestMismatch",
     "estimate_build_seconds",
     "EvictionPolicy",

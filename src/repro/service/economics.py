@@ -397,9 +397,9 @@ def forecast_trace(
     # Imported here, not at module top: the catalog imports this
     # module for its policy layer, and these pull the catalog back in.
     from repro.service.catalog import GraphCatalog
-    from repro.service.planner import estimate_build_seconds, plan_query
+    from repro.service.planner import estimate_build_seconds
     from repro.service.replay import resolve_trace_graphs
-    from repro.service.workers import prepare_for_algorithm
+    from repro.service.workers import plan_batch
 
     resolved = resolve_trace_graphs(trace, overrides=graphs)
     scratch = GraphCatalog()  # caches prepared graphs across requests
@@ -425,12 +425,12 @@ def forecast_trace(
         )
         cached_plan = plans.get(signature)
         if cached_plan is None:
-            graph = resolved[request.graph]
-            prepared = prepare_for_algorithm(
-                scratch, graph, request.algorithm
-            )
             try:
-                plan = plan_query(request.to_query_request(graph), prepared)
+                prepared, plan = plan_batch(
+                    scratch, resolved[request.graph], request.algorithm,
+                    request.sources, transform=request.transform,
+                    degree_bound=request.degree_bound,
+                )
             except TigrError:
                 # A request the planner rejects outright (e.g. udt on
                 # an inapplicable analytic) warms nothing.
@@ -664,7 +664,6 @@ class Prewarmer:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        from repro.graph.csr import CSRGraph  # noqa: F401  (typing aid)
         from repro.service.catalog import GraphCatalog
 
         # Process-backend workers hydrate from the shared disk tier and
@@ -709,16 +708,18 @@ class Prewarmer:
                     )
 
     def _warm_one(self, graph: "CSRGraph", entry: WarmEntry) -> None:
-        from repro.service.planner import plan_query
-        from repro.service.workers import (
-            prepare_for_algorithm,
-            transform_key,
-        )
+        from repro.algorithms import ALGORITHMS
+        from repro.service.workers import plan_batch, transform_key
 
         catalog = self.service.catalog
-        prepared = prepare_for_algorithm(catalog, graph, entry.algorithm)
-        request = _representative_request(entry, graph)
-        plan = plan_query(request, prepared)
+        # Only the planner sees the sources — node 0 stands in on
+        # source-rooted analytics, which never affects the plan (or
+        # therefore the artifact key).
+        prepared, plan = plan_batch(
+            catalog, graph, entry.algorithm,
+            (0,) if ALGORITHMS[entry.algorithm].needs_source else (),
+            transform=entry.transform, degree_bound=entry.degree_bound,
+        )
         if not plan.caches:
             with self._lock:
                 self.skipped += 1
@@ -736,20 +737,3 @@ class Prewarmer:
                 self.built += 1
             else:
                 self.already_warm += 1
-
-
-def _representative_request(entry: WarmEntry, graph: "CSRGraph"):
-    from repro.algorithms import ALGORITHMS
-    from repro.service.query import QueryRequest
-
-    # Only the planner sees this request — node 0 stands in for the
-    # source on source-rooted analytics, which never affects the plan
-    # (or therefore the artifact key).
-    sources = (0,) if ALGORITHMS[entry.algorithm].needs_source else ()
-    return QueryRequest(
-        algorithm=entry.algorithm,
-        graph=graph,
-        sources=sources,
-        transform=entry.transform,
-        degree_bound=entry.degree_bound or None,
-    )

@@ -1,41 +1,55 @@
 """AnalyticsService: concurrent, cache-backed query execution.
 
 The service owns a bounded submission queue, a pool of dispatcher
-threads, and an execution backend.  The full pipeline per work item
-is::
+threads, and the places a batch can run.  The full pipeline per work
+item is::
 
     submit -> [bounded queue] -> plan -> resolve artifact -> execute
                                   |            |
                         degradation on    GraphCatalog
                         tight deadlines   (LRU + spill)
 
-Two backends execute that pipeline (``backend=``, or the
-``REPRO_SERVICE_WORKERS`` environment variable):
+*Where* a batch executes is an ordered list of **places**, built once
+from the constructor arguments; :meth:`AnalyticsService._run_batch`
+walks it:
 
-* ``"threads"`` (default) — the pipeline runs in the dispatcher
-  threads against the service's own catalog.  numpy releases the GIL
-  often enough for useful overlap, and nothing is serialised or
-  copied.
-* ``"processes"`` — each dispatcher forwards its batch to a
-  ``ProcessPoolExecutor`` worker as a picklable
-  :class:`~repro.service.workers.BatchSpec`; workers hydrate graphs
-  and artifacts from a shared ``.npz`` disk tier and reply with
-  compact per-source arrays (:mod:`repro.service.workers`).  Heavy
-  concurrent traffic scales past the GIL at the price of IPC.  A
-  crashed or unresponsive worker degrades typed
-  (:class:`~repro.errors.WorkerLost`): the batch is retried once in
-  the dispatcher thread, and only a second failure reaches callers.
+1. **shard tier** (``shards=N``) — scatter-gather over destination-
+   partitioned shard executors, in-process or remote
+   (:class:`~repro.service.sharding.ShardTier`); *passes* on what it
+   cannot reproduce bitwise (bc, transformed PageRank) or the routing
+   policy steers away;
+2. **process pool** (``backend="processes"``, or the
+   ``REPRO_SERVICE_WORKERS`` environment variable) — the batch crosses
+   to a ``ProcessPoolExecutor`` worker as a picklable
+   :class:`~repro.service.workers.BatchSpec`; workers hydrate graphs
+   and artifacts from a shared ``.npz`` disk tier and reply with
+   compact per-source arrays (:mod:`repro.service.workers`).  Heavy
+   concurrent traffic scales past the GIL at the price of IPC;
+3. **this dispatcher thread** (always last) — the pipeline runs
+   against the service's own catalog.  numpy releases the GIL often
+   enough for useful overlap, and nothing is serialised or copied.
+
+One failure rule serves every place: a place that is *lost* mid-batch
+raises its typed error (:class:`~repro.errors.ShardLost`,
+:class:`~repro.errors.WorkerLost`), the batch moves to the next place,
+and its results carry ``degraded=True`` — a slower answer beats none.
+``fallback=False`` surfaces the first loss to callers instead.  The
+last place cannot be lost.
 
 Design points, each of which the tests pin down:
 
+* **admission** — each request charges one token against its tenant's
+  quota (:class:`~repro.service.routing.RoutingPolicy`; typed
+  :class:`~repro.errors.QuotaExhaustedError` -> HTTP 429) and the
+  queue drains by the policy's priority classes, FIFO within a class
+  — so with no priorities configured it *is* a FIFO;
 * **backpressure** — the queue is bounded; a non-blocking submit
   against a full queue raises :class:`~repro.errors.ServiceError`
   instead of buffering without limit;
 * **batching** — :meth:`submit_batch` coalesces same-graph requests
   into one plan + one artifact resolution + one deduplicated source
-  fan-out (see :mod:`repro.service.batching`); a batch crosses the
-  process boundary *intact*, so lane-parallel traversals still
-  collapse;
+  fan-out (see :mod:`repro.service.batching`); a batch reaches every
+  place *intact*, so lane-parallel traversals still collapse;
 * **timeouts** — a request still queued past its deadline fails fast;
   a cold-cache request whose remaining deadline cannot fund the
   transform build degrades to the untransformed CSR (correct answer,
@@ -53,6 +67,8 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import heapq
+import itertools
 import multiprocessing
 import os
 import queue
@@ -62,9 +78,10 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
+    QuotaExhaustedError,
     ServiceError,
     ServiceOverloadError,
     TigrError,
@@ -77,6 +94,8 @@ from repro.service.catalog import GraphCatalog
 from repro.service.ingest import TraceRecorder
 from repro.service.metrics import QueryRecord, ServiceMetrics
 from repro.service.query import QueryRequest, QueryResult, StageTimings
+from repro.service.routing import RoutingPolicy
+from repro.service.sharding import SHARD_OP_TIMEOUT_S, ShardTier
 from repro.service.workers import (
     BatchOutcome,
     BatchSpec,
@@ -171,16 +190,7 @@ class QueryTicket:
             if self._claimed or self._event.is_set():
                 return False
             self._cancelled = True
-        self._resolve(
-            QueryResult(
-                request_id=self.request.request_id,
-                algorithm=self.request.algorithm,
-                values={},
-                transform="none",
-                degree_bound=0,
-                error="cancelled",
-            )
-        )
+        self._resolve(self._failed("cancelled"))
         return True
 
     def result(self, timeout: Optional[float] = None) -> QueryResult:
@@ -257,6 +267,18 @@ class QueryTicket:
             pass  # observation must never fail serving
 
     # -- worker side ---------------------------------------------------
+    def _failed(self, message: str, *, queue_s: float = 0.0) -> QueryResult:
+        """The error answer for this ticket (no values, no transform)."""
+        return QueryResult(
+            request_id=self.request.request_id,
+            algorithm=self.request.algorithm,
+            values={},
+            transform="none",
+            degree_bound=0,
+            timings=StageTimings(queue_s=queue_s),
+            error=message,
+        )
+
     def _claim(self) -> bool:
         with self._lock:
             if self._cancelled:
@@ -288,6 +310,37 @@ class _WorkItem:
     enqueued_at: float = field(default_factory=time.perf_counter)
 
 
+class _PriorityWorkQueue(queue.Queue):
+    """A :class:`queue.Queue` whose backlog drains by priority class.
+
+    The service's submission queue: same bound, same ``Full``/``join``
+    semantics as a plain queue (only ``_init``/``_put``/``_get`` are
+    overridden), but ``get`` returns the lowest-priority-number item
+    first, FIFO within a class — so under a policy with one class
+    (the default) the ``(rank, seq)`` order *is* strict FIFO.  The
+    shutdown sentinel (``None``) sorts last so close() drains real
+    work before stopping workers.
+    """
+
+    def __init__(self, maxsize: int, priority_of: Callable[[object], int]) -> None:
+        self._priority_of = priority_of
+        self._seq = itertools.count()
+        super().__init__(maxsize)
+
+    def _init(self, maxsize: int) -> None:
+        self._heap: List[Tuple[float, int, object]] = []
+
+    def _qsize(self) -> int:
+        return len(self._heap)
+
+    def _put(self, item: object) -> None:
+        rank = float("inf") if item is None else float(self._priority_of(item))
+        heapq.heappush(self._heap, (rank, next(self._seq), item))
+
+    def _get(self) -> object:
+        return heapq.heappop(self._heap)[2]
+
+
 class _ProcessBackend:
     """Owns the ``ProcessPoolExecutor`` and its crash/timeout recovery.
 
@@ -295,8 +348,8 @@ class _ProcessBackend:
     ``ProcessPoolExecutor`` is thread-safe, so the only state this
     class guards is the pool handle itself, which is swapped out when
     a broken pool must be replaced.  A lost worker is reported as a
-    typed :class:`WorkerLost`; the *executor* decides what degradation
-    means (inline retry), keeping policy out of the plumbing.
+    typed :class:`WorkerLost`; the *service* decides what a loss means
+    (its one fallback rule), keeping policy out of the plumbing.
     """
 
     def __init__(
@@ -389,15 +442,31 @@ class _ProcessBackend:
             self._exported.add(fingerprint)
         return path
 
-    def run(self, spec: BatchSpec, wait_timeout: Optional[float]) -> "BatchOutcome":
-        """Execute a spec on some worker; raises :class:`WorkerLost`.
+    def run(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
+        """Execute a batch on some worker; raises :class:`WorkerLost`.
 
-        ``wait_timeout`` bounds how long the dispatcher waits for the
-        reply (``None`` waits forever — chosen only when no member of
-        the batch carries a deadline).  On a broken pool the pool is
-        replaced *before* raising, so the next batch meets a healthy
-        backend.
+        The batch crosses as a :class:`BatchSpec`.  The wait budget is
+        the tightest member deadline plus a grace period; with no
+        deadlines in the batch the dispatcher waits indefinitely (a
+        crash still surfaces immediately — only a silently wedged
+        worker needs the deadline to be detected).  On a broken pool
+        the pool is replaced *before* raising, so the next batch meets
+        a healthy backend.
         """
+        spec = BatchSpec(
+            graph_fingerprint=batch.graph.fingerprint(),
+            graph_path=self.export(batch.graph),
+            algorithm=batch.algorithm,
+            transform=batch.transform,
+            degree_bound=batch.degree_bound,
+            options=batch.options,
+            sources=batch.sources,
+            remaining_s=remaining_s,
+        )
+        wait_timeout = (
+            None if remaining_s == float("inf")
+            else max(remaining_s, 0.0) + WORKER_GRACE_S
+        )
         with self._lock:
             pool = self._pool
         if pool is None:
@@ -460,12 +529,13 @@ class AnalyticsService:
         persistent directory and worker cold starts skip transform
         work entirely.
     workers:
-        Worker count: dispatcher threads for the thread backend, and
-        additionally process-pool size for the process backend.
+        Dispatcher-thread count, and additionally the process-pool
+        size when ``backend="processes"``.
     backend:
-        ``"threads"`` or ``"processes"``; ``None`` reads the
-        ``REPRO_SERVICE_WORKERS`` environment variable and falls back
-        to threads.  See the module docstring and
+        ``"threads"`` or ``"processes"`` — whether a process pool sits
+        before the dispatcher thread in the place list; ``None`` reads
+        the ``REPRO_SERVICE_WORKERS`` environment variable and falls
+        back to threads.  See the module docstring and
         ``docs/operations.md`` for how to choose.
     queue_size:
         Bound of the submission queue — the backpressure knob.
@@ -476,12 +546,28 @@ class AnalyticsService:
         Multiprocessing start method for the process backend
         (default: ``fork`` where available, else ``spawn``;
         overridable via ``REPRO_SERVICE_MP_CONTEXT``).
-    process_fallback:
-        Whether a batch whose worker process is lost is retried once
-        in the dispatcher thread (``degraded=True`` on its results)
-        instead of failing with the :class:`WorkerLost` message.
+    fallback:
+        Whether a batch whose place is lost (:class:`~repro.errors.
+        ShardLost`, :class:`WorkerLost`) moves to the next place, ``degraded=True``
+        on its results, instead of failing with the loss's message.
         Defaults to on; tests switch it off to observe the typed
         failure.
+    shards:
+        Shard count of the scatter-gather tier; ``0`` (default) means
+        no tier.  A single shard passes everything on — the
+        degraded-operation mode the runbook describes.
+    shard_remotes:
+        ``(host, port)`` addresses of :class:`~repro.service.sharding.
+        ShardHostServer` instances; the first ``len(shard_remotes)``
+        shards run there, the rest in-process.
+    shard_op_timeout_s:
+        Seconds one remote shard operation may take before the shard
+        is declared lost.
+    policy:
+        A :class:`~repro.service.routing.RoutingPolicy` — tenant
+        quotas, priority classes, shard route choice; defaults to
+        unmetered tenants, one priority class and an always-shard
+        route.
     recorder:
         Optional :class:`~repro.service.ingest.TraceRecorder` wrapped
         around live traffic from the start: every submitted request is
@@ -500,13 +586,19 @@ class AnalyticsService:
         queue_size: int = 64,
         default_timeout_s: Optional[float] = None,
         mp_context: Optional[str] = None,
-        process_fallback: bool = True,
+        fallback: bool = True,
         recorder: Optional[TraceRecorder] = None,
+        shards: int = 0,
+        shard_remotes: Sequence[Tuple[str, int]] = (),
+        shard_op_timeout_s: float = SHARD_OP_TIMEOUT_S,
+        policy: Optional[RoutingPolicy] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
         if queue_size < 1:
             raise ServiceError(f"queue size must be >= 1, got {queue_size}")
+        if shards < 0:
+            raise ServiceError(f"shard count must be >= 0, got {shards}")
         self.catalog = catalog if catalog is not None else GraphCatalog()
         self.backend = resolve_backend(backend)
         self.metrics = ServiceMetrics(
@@ -515,12 +607,32 @@ class AnalyticsService:
             catalog_policy=self.catalog.policy,
         )
         self.default_timeout_s = default_timeout_s
-        self.process_fallback = bool(process_fallback)
+        self.fallback = bool(fallback)
+        self.policy = policy if policy is not None else RoutingPolicy()
         self._recorder = recorder
         self._graphs: Dict[str, CSRGraph] = {}
-        self._queue: "queue.Queue[Optional[_WorkItem]]" = self._make_queue(queue_size)
+        self._queue: "queue.Queue[Optional[_WorkItem]]" = _PriorityWorkQueue(
+            queue_size, self._priority_of
+        )
         self._stopped = False
         self._shared_tmp: Optional[str] = None
+        #: where a batch runs, in the order tried; the last cannot be lost
+        self._places: List[
+            Callable[[QueryBatch, float], Optional[BatchOutcome]]
+        ] = []
+        self._shards: Optional[ShardTier] = None
+        if shards:
+            self._shards = ShardTier(
+                shards,
+                remotes=shard_remotes,
+                op_timeout_s=shard_op_timeout_s,
+                policy=self.policy,
+                metrics=self.metrics,
+                catalog=self.catalog,
+                # late-bound: tests intercept preparation on the instance
+                prepare=lambda graph, algorithm: self._prepare(graph, algorithm),
+            )
+            self._places.append(self._shards.run)
         self._process: Optional[_ProcessBackend] = None
         if self.backend == "processes":
             # Shared state root: reuse the catalog's disk tier when it
@@ -539,6 +651,8 @@ class AnalyticsService:
                 metrics=self.metrics,
                 catalog_policy=self.catalog.policy,
             )
+            self._places.append(self._process.run)
+        self._places.append(self._run_here)
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"repro-serve-{i}", daemon=True)
             for i in range(workers)
@@ -561,15 +675,9 @@ class AnalyticsService:
         """
         return self._process.artifacts_dir if self._process is not None else None
 
-    def _make_queue(self, queue_size: int) -> "queue.Queue[Optional[_WorkItem]]":
-        """Build the submission queue; the subclass discipline hook.
-
-        The base service is strictly FIFO.  The sharded tier
-        (:mod:`repro.service.sharding`) overrides this with a priority
-        queue so its routing policy's priority classes order admission
-        — everything else about submission and dispatch is shared.
-        """
-        return queue.Queue(maxsize=queue_size)
+    def _priority_of(self, item: _WorkItem) -> int:
+        """A work item runs at its most urgent member's priority class."""
+        return min(self.policy.priority_for(t.request) for t in item.tickets)
 
     # ------------------------------------------------------------------
     # Graph registry
@@ -624,12 +732,27 @@ class AnalyticsService:
         deduplicated sources; each still gets its own ticket and its
         own :class:`QueryResult`.  Tickets are returned in request
         order.
+
+        Each request charges one token against its tenant's bucket as
+        it is admitted; the first refusal rejects the whole submission
+        (tokens already charged for earlier members stay spent — the
+        caller is over budget either way).
         """
         if self._stopped:
             raise ServiceError("service is stopped")
         if not requests:
             return []
-        requests = [self._with_default_timeout(r) for r in requests]
+        for request in requests:
+            wait_s = self.policy.try_admit(request.tenant)
+            if wait_s > 0.0:
+                self.metrics.quota_rejected_observed()
+                raise QuotaExhaustedError(request.tenant, retry_after_s=wait_s)
+        if self.default_timeout_s is not None:
+            requests = [
+                r if r.timeout_s is not None
+                else replace(r, timeout_s=self.default_timeout_s)
+                for r in requests
+            ]
         recorder = self._recorder
         if recorder is not None:
             for request in requests:
@@ -692,21 +815,6 @@ class AnalyticsService:
         recorder.record_result(ticket.request, result)
         self.metrics.trace_observed(results=1)
 
-    def _with_default_timeout(self, request: QueryRequest) -> QueryRequest:
-        if request.timeout_s is not None or self.default_timeout_s is None:
-            return request
-        return QueryRequest(
-            algorithm=request.algorithm,
-            graph=request.graph,
-            sources=request.sources,
-            transform=request.transform,
-            degree_bound=request.degree_bound,
-            timeout_s=self.default_timeout_s,
-            options=request.options,
-            tenant=request.tenant,
-            request_id=request.request_id,
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -750,12 +858,14 @@ class AnalyticsService:
         if wait:
             for thread in self._workers:
                 thread.join()
-            # Only a waited close tears the backend down: dispatchers
-            # are done, so no future can reach the pool or the shared
-            # directory afterwards.  A wait=False close leaves both to
-            # die with the (daemonised) interpreter.
+            # Only a waited close tears the places down: dispatchers
+            # are done, so no future can reach the pool, the shard sets
+            # or the shared directory afterwards.  A wait=False close
+            # leaves them to die with the (daemonised) interpreter.
             if self._process is not None:
                 self._process.close()
+            if self._shards is not None:
+                self._shards.drop()
             if self._shared_tmp is not None:
                 shutil.rmtree(self._shared_tmp, ignore_errors=True)
 
@@ -808,14 +918,7 @@ class AnalyticsService:
         if not live:
             return
 
-        batch = QueryBatch(
-            graph=item.batch.graph,
-            algorithm=item.batch.algorithm,
-            transform=item.batch.transform,
-            degree_bound=item.batch.degree_bound,
-            options=item.batch.options,
-            requests=[t.request for t in live],
-        )
+        batch = replace(item.batch, requests=[t.request for t in live])
         try:
             self._execute(batch, live, queue_s)
         except TigrError as exc:
@@ -885,18 +988,37 @@ class AnalyticsService:
             )
 
     def _run_batch(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        """Execute one coalesced batch; the subclass execution hook.
+        """Execute one coalesced batch at the first place that answers.
 
         Everything around it — claiming, queue-deadline expiry,
-        fan-out, ticket resolution, metrics attribution — is shared;
-        only *where the pipeline runs* differs between backends.  The
-        base implementation is the thread/process choice; the sharded
-        router (:class:`repro.service.sharding.ShardedAnalyticsService`)
-        overrides it to try the scatter-gather path first and falls
-        back here.
+        fan-out, ticket resolution, metrics attribution — does not
+        care *where the pipeline runs*; this walk is the only code
+        that does.  Each place returns a :class:`BatchOutcome`, passes
+        (``None``), or is lost with its typed error; after a loss the
+        answer is correct but arrived the degraded way, and is
+        surfaced exactly like deadline degradation (module docstring:
+        the one failure rule).
         """
-        if self._process is not None:
-            return self._execute_on_processes(batch, remaining_s)
+        *earlier, last = self._places
+        lost = False
+        for place in earlier:
+            try:
+                outcome = place(batch, remaining_s)
+            except WorkerLost:  # ShardLost is one
+                # (the loss itself is already counted by the place:
+                # shard_fallbacks / worker_restarts)
+                if not self.fallback:
+                    raise
+                lost = True
+                continue
+            if outcome is not None:
+                break
+        else:
+            outcome = last(batch, remaining_s)  # cannot pass or be lost
+        return replace(outcome, degraded=True) if lost else outcome
+
+    def _run_here(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
+        """Last place: this dispatcher thread, the front-end catalog."""
         return execute_pipeline(
             self.catalog,
             batch.graph,
@@ -908,57 +1030,6 @@ class AnalyticsService:
             remaining_s=remaining_s,
             prepare=self._prepare,
         )
-
-    def _execute_on_processes(
-        self, batch: QueryBatch, remaining_s: float
-    ) -> BatchOutcome:
-        """Ship a batch to the process pool, degrading on worker loss.
-
-        The wait budget is the tightest member deadline plus a grace
-        period; with no deadlines in the batch the dispatcher waits
-        indefinitely (a crash still surfaces immediately — only a
-        silently wedged worker needs the deadline to be detected).  On
-        :class:`WorkerLost` the batch is retried once *inline* in this
-        dispatcher thread against the front-end catalog — results are
-        then correct but ``degraded``, mirroring the deadline
-        degradation contract: a slower answer beats none.
-        """
-        assert self._process is not None
-        graph_path = self._process.export(batch.graph)
-        spec = BatchSpec(
-            graph_fingerprint=batch.graph.fingerprint(),
-            graph_path=graph_path,
-            algorithm=batch.algorithm,
-            transform=batch.transform,
-            degree_bound=batch.degree_bound,
-            options=batch.options,
-            sources=batch.sources,
-            remaining_s=remaining_s,
-        )
-        wait_timeout = (
-            None if remaining_s == float("inf")
-            else max(remaining_s, 0.0) + WORKER_GRACE_S
-        )
-        try:
-            return self._process.run(spec, wait_timeout)
-        except WorkerLost as lost:
-            if not self.process_fallback:
-                raise
-            outcome = execute_pipeline(
-                self.catalog,
-                batch.graph,
-                algorithm=batch.algorithm,
-                transform=batch.transform,
-                degree_bound=batch.degree_bound,
-                options=batch.options,
-                sources=batch.sources,
-                remaining_s=remaining_s,
-                prepare=self._prepare,
-            )
-            # The answer is correct but arrived the degraded way;
-            # surface that exactly like deadline degradation does.
-            del lost  # (message already counted via worker_restarts)
-            return replace(outcome, degraded=True)
 
     def _prepare(self, graph: CSRGraph, algorithm: str) -> CSRGraph:
         """Per-algorithm preparation via the front-end catalog.
@@ -979,17 +1050,7 @@ class AnalyticsService:
         queue_s: float,
         timed_out: bool = False,
     ) -> None:
-        ticket._resolve(
-            QueryResult(
-                request_id=ticket.request.request_id,
-                algorithm=ticket.request.algorithm,
-                values={},
-                transform="none",
-                degree_bound=0,
-                timings=StageTimings(queue_s=queue_s),
-                error=message,
-            )
-        )
+        ticket._resolve(ticket._failed(message, queue_s=queue_s))
         self.metrics.record(
             QueryRecord(
                 stage_seconds={"queue": queue_s, "total": queue_s},
@@ -999,6 +1060,14 @@ class AnalyticsService:
         )
 
 
-def default_service(**kwargs) -> AnalyticsService:
-    """An :class:`AnalyticsService` with library-default sizing."""
-    return AnalyticsService(**kwargs)
+class ShardedAnalyticsService(AnalyticsService):
+    """:class:`AnalyticsService` with ``shards=2`` unless told otherwise.
+
+    Not a second service: it overrides nothing but the default, and
+    exists for callers that spell the shard tier by class name.
+    """
+
+    def __init__(
+        self, catalog: Optional[GraphCatalog] = None, *, shards: int = 2, **kwargs
+    ) -> None:
+        super().__init__(catalog, shards=shards, **kwargs)

@@ -121,7 +121,7 @@ class ServiceMetrics:
         self.shard_exchange_bytes = 0
         #: supersteps executed per shard id (the shard tag).
         self.shard_steps: Dict[int, int] = {}
-        #: routing-policy counters (zero without a policy attached).
+        #: admission-policy counters (zero with no quotas configured).
         self.quota_rejected = 0
 
     # ------------------------------------------------------------------
@@ -188,11 +188,6 @@ class ServiceMetrics:
         """A request bounced off the token-bucket rate limiter."""
         with self._lock:
             self.http_rate_limited += 1
-
-    def http_latency_percentile(self, fraction: float) -> float:
-        """Server-side HTTP request latency percentile (seconds)."""
-        with self._lock:
-            return percentile(self._http_seconds, fraction)
 
     def trace_observed(self, *, requests: int = 0, results: int = 0) -> None:
         """Account trace-capture activity (attached recorder)."""
@@ -272,18 +267,6 @@ class ServiceMetrics:
         with self._lock:
             return percentile(self._stage_samples[stage], fraction)
 
-    def latency_percentiles(
-        self, fractions: tuple = (0.5, 0.95, 0.99)
-    ) -> Dict[str, Dict[str, float]]:
-        """``stage -> {"p50": s, ...}`` for all recorded stages."""
-        with self._lock:
-            return {
-                stage: {
-                    f"p{int(f * 100)}": percentile(samples, f) for f in fractions
-                }
-                for stage, samples in self._stage_samples.items()
-            }
-
     def summary(self) -> Dict[str, object]:
         """Flat dict for table formatting, like ``RunMetrics.summary``.
 
@@ -349,8 +332,8 @@ class ServiceMetrics:
                 "trace_results": self.trace_results,
                 "replay_digests_checked": self.replay_digests_checked,
                 "replay_digest_mismatches": self.replay_digest_mismatches,
-                # sharded-tier telemetry; identically zero unless a
-                # ShardedAnalyticsService owns these metrics.
+                # shard-tier telemetry; identically zero unless the
+                # service was built with ``shards``.
                 "shards": self.shards,
                 "sharded_batches": self.sharded_batches,
                 "shard_supersteps": self.shard_supersteps,

@@ -54,9 +54,9 @@ class QueryRequest:
         still queued past its deadline fails with a timeout.
     tenant:
         Who is asking — an opaque accounting label (``""`` = the
-        default tenant).  Execution ignores it entirely; the sharded
-        tier's routing policy (:mod:`repro.service.routing`) charges
-        token quotas and assigns priority classes by it.
+        default tenant).  Execution ignores it entirely; the service's
+        routing policy (:mod:`repro.service.routing`) charges token
+        quotas and assigns priority classes by it.
     """
 
     algorithm: str

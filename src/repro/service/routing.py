@@ -1,10 +1,11 @@
-"""Routing policy for the sharded serving tier: quotas, priorities, routes.
+"""Routing policy for the serving layer: quotas, priorities, routes.
 
 Mechanism and policy are deliberately separate modules, mirroring the
 ``routing/`` + ``governance/`` split of multi-tenant serving systems:
-:mod:`repro.service.sharding` knows *how* to fan a query across shard
-executors and reduce the answers; this module decides *whether and
-where* a request runs —
+:mod:`repro.service.executor` knows *how* to queue a batch and walk
+its places, :mod:`repro.service.sharding` how to fan it across shard
+executors and reduce the answers; this module decides *whether, when
+and where* a request runs —
 
 * **tenant token quotas** — each tenant owns a token bucket
   (``rate`` requests/second refill, ``burst`` bucket depth); an empty
@@ -12,9 +13,9 @@ where* a request runs —
   :class:`~repro.errors.QuotaExhaustedError` carrying the seconds
   until the next token, which the HTTP tier maps to 429;
 * **priority classes** — an integer per tenant (lower runs sooner);
-  the sharded service's submission queue is a priority queue ordered
-  by these classes, so an interactive tenant's queries overtake a
-  batch tenant's backlog instead of waiting behind it;
+  the service's submission queue is a priority queue ordered by
+  these classes, so an interactive tenant's queries overtake a batch
+  tenant's backlog instead of waiting behind it;
 * **cost-model-aware routing** — ``route="auto"`` consults the
   measured calibration profile (:mod:`repro.engine.costmodel`) to
   decide whether a batch is worth scatter-gathering: a superstep pays

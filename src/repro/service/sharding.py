@@ -41,30 +41,33 @@ warm shard re-serves a plan without re-deriving anything.  Physical
 ids, which destination ownership cannot survive, and monotone values
 are transform-invariant anyway.
 
-Failure containment mirrors the process backend's
-:class:`~repro.errors.WorkerLost` contract: a shard executor that
-dies mid-batch (remote host unreachable, connection dropped) raises
-the typed :class:`~repro.errors.ShardLost`, and the router retries
-the batch once through the single-engine path with ``degraded=True``
-on its results — a slower answer beats none.  Policy — tenant
-quotas, priority classes, and the cost-model route choice — lives in
-:mod:`repro.service.routing`; this module only asks it for
+Failure containment is the service's one rule, not this module's: a
+shard executor that dies mid-batch (remote host unreachable,
+connection dropped) raises the typed :class:`~repro.errors.ShardLost`
+out of :meth:`ShardTier.run`, and :class:`~repro.service.executor.
+AnalyticsService` moves the batch to its next place with
+``degraded=True`` on the results — a slower answer beats none.  The
+tier is one *place* a batch can run (the first the service tries when
+``shards`` is set); it owns the shard-set cache and drops it on a
+loss, nothing else.  Policy — the cost-model route choice, like the
+tenant quotas and priority classes the service applies at admission —
+lives in :mod:`repro.service.routing`; this module only asks it for
 decisions.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
+import functools
+import inspect
 import itertools
 import json
-import queue
 import socket
 import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,22 +81,15 @@ from repro.algorithms.programs import (
 from repro.engine.push import EngineOptions, PushStep
 from repro.engine.rank import RankStep, damp, inverse_out_degrees
 from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
-from repro.errors import (
-    QuotaExhaustedError,
-    ServiceError,
-    ShardLost,
-    TigrError,
-)
+from repro.errors import ServiceError, ShardLost, TigrError
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 from repro.multigpu.partition import inedge_partition
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, QueryBatch
 from repro.service.catalog import GraphCatalog
-from repro.service.executor import AnalyticsService
-from repro.service.planner import degrade_for_deadline, plan_query
-from repro.service.query import QueryRequest
+from repro.service.metrics import ServiceMetrics
 from repro.service.routing import RoutingPolicy
-from repro.service.workers import BatchOutcome, transform_key
+from repro.service.workers import BatchOutcome, plan_batch
 
 #: analytics the scatter-gather router can serve (bc is level-
 #: synchronous with per-level state the reduce cannot merge; it always
@@ -125,10 +121,6 @@ _PROGRAMS = {
 _task_ids = itertools.count(1)
 
 
-class _ShardRouteMiss(Exception):
-    """Internal: this batch takes the single-engine path (not an error)."""
-
-
 # ----------------------------------------------------------------------
 # Wire helpers (remote shards speak line-oriented JSON, arrays as
 # base64 raw bytes — the same framing discipline as the tcp:// trace
@@ -147,6 +139,23 @@ def _decode_array(obj: Dict[str, object]) -> np.ndarray:
     raw = base64.b64decode(str(obj["b64"]))
     array = np.frombuffer(raw, dtype=np.dtype(str(obj["dtype"])))
     return array.reshape([int(d) for d in obj["shape"]])  # type: ignore[union-attr]
+
+
+def _to_wire(value: object) -> object:
+    """Frame arrays (and tuples of them) for a JSON line; scalars pass."""
+    if isinstance(value, np.ndarray):
+        return _encode_array(value)
+    if isinstance(value, tuple):
+        return [_to_wire(item) for item in value]
+    return value
+
+
+def _from_wire(value: object) -> object:
+    if isinstance(value, dict):
+        return _decode_array(value)
+    if isinstance(value, list):
+        return tuple(_from_wire(item) for item in value)
+    return value
 
 
 def _nbytes(*arrays: Optional[np.ndarray]) -> int:
@@ -256,7 +265,7 @@ class LocalShard:
         they come back through the next merge, which keeps every
         shard's view identical to the router's.
         """
-        state = self._monotone(task)
+        state = self._task(task, _MonotoneTask, "monotone")
         values, pending = state.values, state.pending
         ids = np.ascontiguousarray(ids, dtype=NODE_DTYPE)
         if len(ids):
@@ -293,7 +302,7 @@ class LocalShard:
         owned destination accumulates exactly the addition sequence
         the unsharded kernel performs — bitwise-equal partial sums.
         """
-        return self._pagerank(task).scatter(rank)[self.owned]
+        return self._task(task, RankStep, "pagerank").scatter(rank)[self.owned]
 
     # -- lifecycle -----------------------------------------------------
     def finish(self, task: int) -> None:
@@ -304,19 +313,26 @@ class LocalShard:
         with self._lock:
             self._tasks.clear()
 
-    def _monotone(self, task: int) -> _MonotoneTask:
+    def _task(self, task: int, kind: type, label: str):
         with self._lock:
             state = self._tasks.get(task)
-        if not isinstance(state, _MonotoneTask):
-            raise ServiceError(f"shard {self.index}: unknown monotone task {task}")
+        if not isinstance(state, kind):
+            raise ServiceError(f"shard {self.index}: unknown {label} task {task}")
         return state
 
-    def _pagerank(self, task: int) -> RankStep:
-        with self._lock:
-            state = self._tasks.get(task)
-        if not isinstance(state, RankStep):
-            raise ServiceError(f"shard {self.index}: unknown pagerank task {task}")
-        return state
+
+#: the superstep ops a shard answers, local or remote — the allow-list
+#: the shard host dispatches on (``load`` is not one: it *constructs*
+#: the shard) and the names :class:`RemoteShardHandle` forwards.
+SHARD_OPS = ("begin", "step", "pr_begin", "pr_step", "finish")
+
+
+#: each op's parameters minus ``self`` (bound to no shard):
+#: :class:`LocalShard`'s own parameter names *are* the wire fields.
+_OP_SIGNATURES = {
+    op: inspect.signature(functools.partial(getattr(LocalShard, op), None))
+    for op in SHARD_OPS
+}
 
 
 class RemoteShardHandle:
@@ -327,8 +343,8 @@ class RemoteShardHandle:
     discipline.  Any socket failure — refused connection, dropped
     peer, an operation exceeding ``op_timeout_s`` — tears the
     connection down and raises the typed :class:`ShardLost`, which the
-    sharded service maps to its single-engine fallback exactly like
-    the process backend maps :class:`~repro.errors.WorkerLost`.
+    service's fallback rule treats exactly like the process pool's
+    :class:`~repro.errors.WorkerLost`: the batch moves to the next place.
     """
 
     def __init__(
@@ -363,80 +379,25 @@ class RemoteShardHandle:
             payload["weights"] = _encode_array(subgraph.weights)
         self._call(payload)
 
-    def begin(
-        self,
-        task: int,
-        algorithm: str,
-        kind: str,
-        degree_bound: int,
-        source: Optional[int],
-        kernel_backend: Optional[str] = None,
-    ) -> str:
-        reply = self._call(
-            {
-                "op": "begin",
-                "key": self.key,
-                "task": task,
-                "algorithm": algorithm,
-                "kind": kind,
-                "degree_bound": int(degree_bound),
-                "source": source,
-                # optional on the wire: null/absent = the host resolves
-                "kernel_backend": kernel_backend,
-            }
-        )
-        return str(reply.get("cache", ""))
+    def __getattr__(self, op: str) -> Callable[..., object]:
+        """Every :data:`SHARD_OPS` name is a method: one line out, one back.
 
-    def step(
-        self, task: int, ids: np.ndarray, vals: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        reply = self._call(
-            {
-                "op": "step",
-                "key": self.key,
-                "task": task,
-                "ids": _encode_array(np.asarray(ids, dtype=NODE_DTYPE)),
-                "vals": _encode_array(np.asarray(vals, dtype=np.float64)),
-            }
-        )
-        return (
-            _decode_array(reply["ids"]).astype(NODE_DTYPE),  # type: ignore[arg-type]
-            _decode_array(reply["vals"]),  # type: ignore[arg-type]
-        )
+        A new superstep op is one :class:`LocalShard` method and one
+        ``SHARD_OPS`` entry; nothing here names an op.
+        """
+        if op not in SHARD_OPS:
+            raise AttributeError(op)
 
-    def pr_begin(
-        self, task: int, inv_deg: np.ndarray,
-        kernel_backend: Optional[str] = None,
-    ) -> None:
-        self._call(
-            {
-                "op": "pr_begin",
-                "key": self.key,
-                "task": task,
-                "inv_deg": _encode_array(inv_deg),
-                "kernel_backend": kernel_backend,
-            }
-        )
+        def call(*args: object, **kwargs: object) -> object:
+            bound = _OP_SIGNATURES[op].bind(*args, **kwargs)
+            # defaults ride along (``kernel_backend`` travels as null:
+            # optional on the wire, null/absent = the host resolves)
+            bound.apply_defaults()
+            fields = {k: _to_wire(v) for k, v in bound.arguments.items()}
+            reply = self._call({"op": op, "key": self.key, **fields})
+            return _from_wire(reply.get("result"))
 
-    def pr_step(self, task: int, rank: np.ndarray) -> np.ndarray:
-        reply = self._call(
-            {
-                "op": "pr_step",
-                "key": self.key,
-                "task": task,
-                "rank": _encode_array(rank),
-            }
-        )
-        return _decode_array(reply["contrib"])  # type: ignore[arg-type]
-
-    def finish(self, task: int) -> None:
-        try:
-            self._call({"op": "finish", "key": self.key, "task": task})
-        except ShardLost:
-            pass  # a dead host holds no state worth releasing
-
-    def close(self) -> None:
-        self._teardown()
+        return call
 
     # -- plumbing ------------------------------------------------------
     def _call(self, payload: Dict[str, object]) -> Dict[str, object]:
@@ -452,14 +413,14 @@ class RemoteShardHandle:
                 self._file.flush()
                 raw = self._file.readline()
         except OSError as exc:
-            self._teardown()
+            self.close()
             raise ShardLost(
                 f"remote shard at {self.address[0]}:{self.address[1]} "
                 f"unreachable: {exc}",
                 shard=self.index,
             ) from exc
         if not raw:
-            self._teardown()
+            self.close()
             raise ShardLost(
                 f"remote shard at {self.address[0]}:{self.address[1]} "
                 f"closed the connection mid-operation",
@@ -478,7 +439,8 @@ class RemoteShardHandle:
             raise ServiceError(f"shard {self.index} host: {reply['error']}")
         return reply
 
-    def _teardown(self) -> None:
+    def close(self) -> None:
+        """Tear the connection down (reopened lazily by the next call)."""
         with self._lock:
             file, sock = self._file, self._sock
             self._file = None
@@ -515,39 +477,18 @@ def _host_dispatch(
     shard = shards.get(str(payload.get("key")))
     if shard is None:
         return {"error": f"unknown shard key {payload.get('key')!r} (load first)"}
-    task = int(payload.get("task", 0))
-    if op == "begin":
-        source = payload.get("source")
-        origin = shard.begin(
-            task,
-            str(payload["algorithm"]),
-            str(payload["kind"]),
-            int(payload["degree_bound"]),
-            None if source is None else int(source),
-            payload.get("kernel_backend"),  # type: ignore[arg-type]
-        )
-        return {"ok": True, "cache": origin}
-    if op == "step":
-        ids, vals = shard.step(
-            task,
-            _decode_array(payload["ids"]),  # type: ignore[arg-type]
-            _decode_array(payload["vals"]),  # type: ignore[arg-type]
-        )
-        return {"ok": True, "ids": _encode_array(ids), "vals": _encode_array(vals)}
-    if op == "pr_begin":
-        shard.pr_begin(
-            task,
-            _decode_array(payload["inv_deg"]),  # type: ignore[arg-type]
-            payload.get("kernel_backend"),  # type: ignore[arg-type]
-        )
-        return {"ok": True}
-    if op == "pr_step":
-        contrib = shard.pr_step(task, _decode_array(payload["rank"]))  # type: ignore[arg-type]
-        return {"ok": True, "contrib": _encode_array(contrib)}
-    if op == "finish":
-        shard.finish(task)
-        return {"ok": True}
-    return {"error": f"unknown op {op!r}"}
+    if op not in SHARD_OPS:
+        return {"error": f"unknown op {op!r}"}
+    fields = {
+        name: _from_wire(value)
+        for name, value in payload.items()
+        if name not in ("op", "key")
+    }
+    try:
+        _OP_SIGNATURES[op].bind(**fields)
+    except TypeError as exc:
+        return {"error": f"bad arguments for op {op!r}: {exc}"}
+    return {"ok": True, "result": _to_wire(getattr(shard, op)(**fields))}
 
 
 class _ShardHostHandler(socketserver.StreamRequestHandler):
@@ -670,10 +611,6 @@ class ShardSet:
                     )
                 )
         return ShardSet(prepared, shards)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
 
     # -- scatter helpers ----------------------------------------------
     def _on_all(self, call: Callable[[object], object]) -> List[object]:
@@ -843,219 +780,102 @@ class ShardSet:
 
 
 # ----------------------------------------------------------------------
-# Priority submission queue
+# The shard tier: one place a batch can run
 # ----------------------------------------------------------------------
-class _PriorityWorkQueue(queue.Queue):
-    """A :class:`queue.Queue` whose backlog drains by priority class.
+class ShardTier:
+    """The scatter-gather *place* :class:`~repro.service.executor.
+    AnalyticsService` tries first when ``shards`` is set.
 
-    Drop-in for the executor's submission queue: same bound, same
-    ``Full``/``join`` semantics (only ``_init``/``_put``/``_get`` are
-    overridden), but ``get`` returns the lowest-priority-number item
-    first, FIFO within a class.  The shutdown sentinel (``None``)
-    sorts last so close() drains real work before stopping workers.
-    """
-
-    def __init__(self, maxsize: int, priority_of: Callable[[object], int]) -> None:
-        self._priority_of = priority_of
-        self._seq = itertools.count()
-        super().__init__(maxsize)
-
-    def _init(self, maxsize: int) -> None:
-        self._heap: List[Tuple[float, int, object]] = []
-
-    def _qsize(self) -> int:
-        return len(self._heap)
-
-    def _put(self, item: object) -> None:
-        rank = float("inf") if item is None else float(self._priority_of(item))
-        heapq.heappush(self._heap, (rank, next(self._seq), item))
-
-    def _get(self) -> object:
-        return heapq.heappop(self._heap)[2]
-
-
-# ----------------------------------------------------------------------
-# The sharded service
-# ----------------------------------------------------------------------
-class ShardedAnalyticsService(AnalyticsService):
-    """An :class:`AnalyticsService` that scatter-gathers across shards.
-
-    Everything about submission, batching, ticketing, tracing, and
-    metrics is inherited; three hooks change:
-
-    * the submission queue is a priority queue ordered by the routing
-      policy's per-tenant priority classes;
-    * :meth:`submit_batch` charges each request against its tenant's
-      token quota first (typed :class:`QuotaExhaustedError` -> HTTP
-      429);
-    * :meth:`_run_batch` tries the scatter-gather path for shardable
-      plans and falls back to the inherited single-engine path (the
-      thread *or* process backend — ``backend=`` composes) for
-      everything else, including after a :class:`ShardLost` when
-      ``shard_fallback`` is on (results then carry ``degraded=True``,
-      mirroring the process backend's worker-loss contract).
-
-    Parameters beyond the base service:
-
-    shards:
-        Shard count (>= 1; a single shard routes everything to the
-        single-engine path — the degraded-operation mode the runbook
-        describes).
-    shard_remotes:
-        ``(host, port)`` addresses of :class:`ShardHostServer`
-        instances; the first ``len(shard_remotes)`` shards run there,
-        the rest in-process.
-    policy:
-        A :class:`~repro.service.routing.RoutingPolicy`; defaults to
-        unmetered tenants and an always-shard route.
-    shard_fallback:
-        Whether a lost shard degrades to the single-engine path
-        (default) instead of failing the batch typed.  Tests switch it
-        off to observe :class:`ShardLost`.
+    Owns what outlives a batch — the shard-set cache and its
+    drop-on-loss — and nothing about admission, queueing, or what a
+    loss means: :meth:`run` answers a batch, passes on it (``None``:
+    unshardable algorithm, transformed PR plan, policy routes it
+    away), or raises the typed :class:`ShardLost` for the service's
+    fallback rule to handle.  Parameters are the service's ``shards``,
+    ``shard_remotes``, ``shard_op_timeout_s`` and ``policy``, plus the
+    front-end ``catalog`` and ``prepare`` step batches are planned with.
     """
 
     def __init__(
         self,
-        catalog: Optional[GraphCatalog] = None,
+        shards: int,
         *,
-        shards: int = 2,
-        shard_remotes: Sequence[Tuple[str, int]] = (),
-        policy: Optional[RoutingPolicy] = None,
-        shard_fallback: bool = True,
-        shard_op_timeout_s: float = SHARD_OP_TIMEOUT_S,
-        **kwargs,
+        remotes: Sequence[Tuple[str, int]] = (),
+        op_timeout_s: float = SHARD_OP_TIMEOUT_S,
+        policy: RoutingPolicy,
+        metrics: ServiceMetrics,
+        catalog: GraphCatalog,
+        prepare: Callable[[CSRGraph, str], CSRGraph],
     ) -> None:
-        if shards < 1:
-            raise ServiceError(f"need at least one shard, got {shards}")
-        # the base constructor calls _make_queue, which reads policy
-        self.policy = policy if policy is not None else RoutingPolicy()
         self.num_shards = int(shards)
-        self.shard_remotes = tuple(shard_remotes)
-        self.shard_fallback = bool(shard_fallback)
-        self.shard_op_timeout_s = float(shard_op_timeout_s)
+        self.remotes = tuple(remotes)
+        self.op_timeout_s = float(op_timeout_s)
+        self.policy = policy
+        self.metrics = metrics
+        self.catalog = catalog
+        self.prepare = prepare
         self._shardsets: Dict[str, ShardSet] = {}
-        self._shardsets_lock = threading.Lock()
-        super().__init__(catalog, **kwargs)
-        self.metrics.shards_configured(self.num_shards)
+        self._lock = threading.Lock()
+        metrics.shards_configured(self.num_shards)
 
-    # -- policy hooks --------------------------------------------------
-    def _make_queue(self, queue_size: int) -> "queue.Queue":
-        def priority_of(item: object) -> int:
-            tickets = getattr(item, "tickets", ())
-            return min(
-                (self.policy.priority_for(t.request) for t in tickets),
-                default=self.policy.default_priority,
-            )
+    def run(self, batch: QueryBatch, remaining_s: float) -> Optional[BatchOutcome]:
+        """Plan, route, and scatter-gather one batch (``None`` = pass).
 
-        return _PriorityWorkQueue(queue_size, priority_of)
-
-    def submit_batch(
-        self,
-        requests: List[QueryRequest],
-        *,
-        block: bool = True,
-        submit_timeout_s: Optional[float] = None,
-    ) -> list:
-        """Quota-admit, then submit (priority-ordered) as usual.
-
-        Each request charges one token against its tenant's bucket as
-        it is admitted; the first refusal rejects the whole submission
-        (tokens already charged for earlier members stay spent — the
-        caller is over budget either way).
-        """
-        for request in requests:
-            wait_s = self.policy.try_admit(request.tenant)
-            if wait_s > 0.0:
-                self.metrics.quota_rejected_observed()
-                raise QuotaExhaustedError(request.tenant, retry_after_s=wait_s)
-        return super().submit_batch(
-            requests, block=block, submit_timeout_s=submit_timeout_s
-        )
-
-    # -- execution -----------------------------------------------------
-    def _run_batch(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        try:
-            return self._run_sharded(batch, remaining_s)
-        except _ShardRouteMiss:
-            return self._run_batch_single(batch, remaining_s)
-        except ShardLost:
-            self.metrics.shard_fallback_observed()
-            self._drop_shardsets()
-            if not self.shard_fallback:
-                raise
-            outcome = self._run_batch_single(batch, remaining_s)
-            return replace(outcome, degraded=True)
-
-    def _run_batch_single(
-        self, batch: QueryBatch, remaining_s: float
-    ) -> BatchOutcome:
-        """The inherited single-engine path (threads or processes)."""
-        return super()._run_batch(batch, remaining_s)
-
-    def _run_sharded(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        """Plan, route, and scatter-gather one batch.
-
-        Raises :class:`_ShardRouteMiss` whenever the single-engine
-        path should serve this batch instead: unshardable algorithm,
-        transformed PR plan, or the policy routing it away.  Planner
-        errors (pr/udt and friends) raise their usual typed errors
-        here, with the same messages the unsharded pipeline produces —
-        the planner is shared, so the error surface is too.
+        Planner errors (pr/udt and friends) raise their usual typed
+        errors here, with the same messages the unsharded pipeline
+        produces — planning is shared (:func:`~repro.service.workers.
+        plan_batch`), so the error surface is too.
         """
         algorithm = batch.algorithm
         if algorithm not in SHARDABLE_ALGORITHMS:
-            raise _ShardRouteMiss
+            return None
         plan_start = time.perf_counter()
-        prepared = self._prepare(batch.graph, algorithm)
-        representative = QueryRequest(
-            algorithm=algorithm,
-            graph=batch.graph.fingerprint(),
-            sources=batch.sources,
-            transform=batch.transform,
-            degree_bound=batch.degree_bound or None,
-            options=batch.options,
+        prepared, plan = plan_batch(
+            self.catalog, batch.graph, algorithm, batch.sources,
+            transform=batch.transform, degree_bound=batch.degree_bound,
+            options=batch.options, remaining_s=remaining_s,
+            prepare=self.prepare,
         )
-        plan = plan_query(representative, prepared)
-        if plan.caches:
-            plan = degrade_for_deadline(
-                plan, prepared, remaining_s,
-                artifact_cached=self.catalog.cached(transform_key(prepared, plan)),
-            )
         if algorithm == "pr" and plan.transform != "none":
             # a transformed PR run sums contributions in the overlay's
             # edge order; only the untransformed plan is reproducible
-            # shard-by-shard, so the rest keep the single-engine path
-            raise _ShardRouteMiss
+            # shard-by-shard, so the rest pass to the next place
+            return None
         decision = self.policy.choose_route(
             shardable=True,
             num_edges=prepared.num_edges,
             shards=self.num_shards,
         )
         if decision.route != "sharded":
-            raise _ShardRouteMiss
+            return None
         plan_s = time.perf_counter() - plan_start
 
-        transform_start = time.perf_counter()
-        shardset = self._shardset_for(prepared)
-        transform_s = time.perf_counter() - transform_start
-
-        execute_start = time.perf_counter()
         stats = ShardRunStats()
-        if algorithm == "pr":
-            per_source = shardset.run_pagerank(
-                kernel_backend=batch.options.kernel_backend, stats=stats
-            )
-        else:
-            per_source = shardset.run_monotone(
-                algorithm,
-                plan.transform,
-                plan.degree_bound,
-                batch.sources,
-                max_iterations=batch.options.max_iterations,
-                kernel_backend=batch.options.kernel_backend,
-                stats=stats,
-            )
-        execute_s = time.perf_counter() - execute_start
+        try:
+            transform_start = time.perf_counter()
+            shardset = self._shardset_for(prepared)
+            transform_s = time.perf_counter() - transform_start
+
+            execute_start = time.perf_counter()
+            if algorithm == "pr":
+                per_source = shardset.run_pagerank(
+                    kernel_backend=batch.options.kernel_backend, stats=stats
+                )
+            else:
+                per_source = shardset.run_monotone(
+                    algorithm,
+                    plan.transform,
+                    plan.degree_bound,
+                    batch.sources,
+                    max_iterations=batch.options.max_iterations,
+                    kernel_backend=batch.options.kernel_backend,
+                    stats=stats,
+                )
+            execute_s = time.perf_counter() - execute_start
+        except ShardLost:
+            self.metrics.shard_fallback_observed()
+            self.drop()
+            raise
 
         self.metrics.sharded_observed(
             supersteps=stats.supersteps,
@@ -1087,33 +907,27 @@ class ShardedAnalyticsService(AnalyticsService):
         cc's symmetrised preparation gets its own.
         """
         fingerprint = prepared.fingerprint()
-        with self._shardsets_lock:
+        with self._lock:
             shardset = self._shardsets.get(fingerprint)
             if shardset is None:
                 shardset = ShardSet.build(
                     prepared,
                     self.num_shards,
-                    remotes=self.shard_remotes,
-                    op_timeout_s=self.shard_op_timeout_s,
+                    remotes=self.remotes,
+                    op_timeout_s=self.op_timeout_s,
                 )
                 self._shardsets[fingerprint] = shardset
             return shardset
 
-    def _drop_shardsets(self) -> None:
-        """Forget cached shard sets after a loss (rebuilt on demand).
+    def drop(self) -> None:
+        """Forget cached shard sets (after a loss, or at close).
 
         A lost remote shard poisons every shard set holding a handle
         to it; dropping them forces the next sharded batch to re-ship
         slices — which either heals (host restarted) or loses again
         and falls back, never wedges.
         """
-        with self._shardsets_lock:
+        with self._lock:
             dropped, self._shardsets = self._shardsets, {}
         for shardset in dropped.values():
             shardset.close()
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self, *, wait: bool = True) -> None:
-        super().close(wait=wait)
-        if wait:
-            self._drop_shardsets()

@@ -1,6 +1,6 @@
-"""Process-side execution for the analytics service.
+"""The shared pipeline, and process-side execution of it.
 
-The thread backend shares everything through memory; a process pool
+The dispatcher thread shares everything through memory; a process pool
 shares *nothing* implicitly, so this module defines exactly what does
 cross the boundary and how each side rebuilds the rest:
 
@@ -26,10 +26,11 @@ cross the boundary and how each side rebuilds the rest:
   sources cost one row of IPC, not one per request.
 
 :func:`execute_pipeline` — prepare, plan, degrade, resolve artifact,
-run, project — is the *same function the thread backend runs*; the
-backends differ only in where it executes and how its inputs arrive.
-That is what the parity tests pin: identical values from both
-backends, by construction.
+run, project — is the *same function the dispatcher thread runs*; the
+two places differ only in where it executes and how its inputs arrive.
+That is what the parity tests pin: identical values from both, by
+construction.  Its first half, :func:`plan_batch`, is the one place a
+batch is planned — the shard tier and the pre-warmer call it too.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS, prepare_graph
 from repro.core.types import TransformResult
+from repro.engine.push import EngineOptions
 from repro.errors import ServiceError, TigrError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import load_npz, save_npz
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, run_sources_on_target
 from repro.service.catalog import GraphCatalog, _spill_write_lock
-from repro.service.planner import degrade_for_deadline, plan_query
+from repro.service.planner import QueryPlan, degrade_for_deadline, plan_query
 from repro.service.query import QueryRequest
 
 #: test hook: a worker that sees this source in a spec calls
@@ -137,7 +139,7 @@ def spec_nbytes(spec: BatchSpec) -> int:
 
 
 # ----------------------------------------------------------------------
-# The shared pipeline (both backends run exactly this)
+# The shared pipeline (every place plans with, and two run, exactly this)
 # ----------------------------------------------------------------------
 def prepare_for_algorithm(
     catalog: GraphCatalog, graph: CSRGraph, algorithm: str
@@ -180,30 +182,27 @@ def transform_key(prepared: CSRGraph, plan) -> ArtifactKey:
     )
 
 
-def execute_pipeline(
+def plan_batch(
     catalog: GraphCatalog,
     graph: CSRGraph,
-    *,
     algorithm: str,
+    sources: Tuple[int, ...],
+    *,
     transform: str,
     degree_bound: int,
-    options,
-    sources: Tuple[int, ...],
+    options=EngineOptions(),
     remaining_s: float = float("inf"),
     prepare: Optional[Callable[[CSRGraph, str], CSRGraph]] = None,
-) -> BatchOutcome:
-    """Plan, resolve, and execute one batch against ``catalog``.
+) -> Tuple[CSRGraph, QueryPlan]:
+    """Prepare ``graph`` and plan one batch against ``catalog``.
 
-    The backend-independent core of the serving layer: the thread
-    backend calls it on the service's own catalog, the process backend
-    calls it inside each worker on that worker's catalog.  ``prepare``
-    overrides the preparation step (the executor passes its bound
-    method so tests can intercept it); the default routes through
-    :func:`prepare_for_algorithm`.
+    The one place a batch is planned: prepare, a representative
+    request for the whole batch, :func:`plan_query`, then the
+    cold-cache deadline degradation judged against *this* catalog's
+    view of what is cached.  ``prepare`` overrides the preparation
+    step (the executor passes its bound method so tests can intercept
+    it); the default routes through :func:`prepare_for_algorithm`.
     """
-    disk_hits_before = catalog.stats.disk_hits
-
-    plan_start = time.perf_counter()
     if prepare is None:
         prepared = prepare_for_algorithm(catalog, graph, algorithm)
     else:
@@ -222,6 +221,36 @@ def execute_pipeline(
             plan, prepared, remaining_s,
             artifact_cached=catalog.cached(transform_key(prepared, plan)),
         )
+    return prepared, plan
+
+
+def execute_pipeline(
+    catalog: GraphCatalog,
+    graph: CSRGraph,
+    *,
+    algorithm: str,
+    transform: str,
+    degree_bound: int,
+    options,
+    sources: Tuple[int, ...],
+    remaining_s: float = float("inf"),
+    prepare: Optional[Callable[[CSRGraph, str], CSRGraph]] = None,
+) -> BatchOutcome:
+    """Plan, resolve, and execute one batch against ``catalog``.
+
+    The place-independent core of the serving layer: the dispatcher
+    thread calls it on the service's own catalog, the process pool
+    calls it inside each worker on that worker's catalog.  Planning
+    (and what ``prepare`` means) is :func:`plan_batch`.
+    """
+    disk_hits_before = catalog.stats.disk_hits
+
+    plan_start = time.perf_counter()
+    prepared, plan = plan_batch(
+        catalog, graph, algorithm, sources,
+        transform=transform, degree_bound=degree_bound, options=options,
+        remaining_s=remaining_s, prepare=prepare,
+    )
     plan_s = time.perf_counter() - plan_start
 
     transform_start = time.perf_counter()

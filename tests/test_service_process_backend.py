@@ -176,7 +176,7 @@ class TestCrashRecovery:
     def test_crash_without_fallback_fails_typed(self, graph, monkeypatch):
         monkeypatch.setenv(CRASH_SOURCE_ENV, "7")
         with AnalyticsService(
-            workers=1, backend="processes", process_fallback=False
+            workers=1, backend="processes", fallback=False
         ) as svc:
             svc.register("g", graph)
             result = svc.run(QueryRequest.single("bfs", "g", 7))

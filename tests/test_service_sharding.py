@@ -38,11 +38,8 @@ from repro.service import (
     parse_quota_arg,
     replay_trace,
 )
-from repro.service.sharding import (
-    _PriorityWorkQueue,
-    _encode_array,
-    _host_dispatch,
-)
+from repro.service.executor import _PriorityWorkQueue
+from repro.service.sharding import _encode_array, _host_dispatch
 
 TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
@@ -492,7 +489,7 @@ class TestRemoteShards:
     def test_lost_shard_is_typed_when_fallback_disabled(self, graph):
         with ShardedAnalyticsService(
             shards=2, workers=2,
-            shard_remotes=[self._dead_address()], shard_fallback=False,
+            shard_remotes=[self._dead_address()], fallback=False,
         ) as service:
             service.register("g", graph)
             result = service.run(QueryRequest.single("bfs", "g", 0))
@@ -654,3 +651,134 @@ class TestTenantWire:
             TraceRequest(trace_id=1, algorithm="pr", graph="g")
         )
         assert "tenant" not in line
+
+
+class TestShardOpTable:
+    """One allow-list drives the handle and the host; errors stay typed."""
+
+    @pytest.fixture
+    def loaded(self, graph):
+        prepared = prepare_graph(graph, "bfs")
+        part = inedge_partition(prepared, 2)[0]
+        shards = {}
+        assert _host_dispatch(shards, {
+            "op": "load", "key": "k", "shard": 0,
+            "offsets": _encode_array(part.subgraph.offsets),
+            "targets": _encode_array(part.subgraph.targets),
+            "owned": _encode_array(part.owned),
+        }) == {"ok": True}
+        return shards
+
+    def test_every_op_is_a_local_shard_method(self):
+        from repro.service.sharding import SHARD_OPS, LocalShard
+
+        assert SHARD_OPS == ("begin", "step", "pr_begin", "pr_step", "finish")
+        assert all(callable(getattr(LocalShard, op)) for op in SHARD_OPS)
+
+    def test_unknown_op_key_and_attribute_are_typed_errors(self, loaded):
+        assert "unknown op" in _host_dispatch(
+            loaded, {"op": "lane_step", "key": "k", "task": 1}
+        )["error"]
+        assert "unknown shard key" in _host_dispatch(
+            loaded, {"op": "begin", "key": "nope", "task": 1}
+        )["error"]
+        # real LocalShard attributes that are not superstep ops
+        for attribute in ("close", "_task", "catalog", "__init__", None, 7):
+            reply = _host_dispatch(loaded, {"op": attribute, "key": "k"})
+            assert "unknown op" in reply["error"], attribute
+        assert "k" in loaded  # nothing above closed or replaced the shard
+
+    def test_bad_missing_and_extra_arguments_are_typed_errors(self, loaded):
+        begin = {
+            "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
+            "kind": "none", "degree_bound": 0, "source": 0,
+        }
+        extra = _host_dispatch(loaded, dict(begin, shard=3))
+        assert "bad arguments for op 'begin'" in extra["error"]
+        missing = _host_dispatch(
+            loaded, {k: v for k, v in begin.items() if k != "algorithm"}
+        )
+        assert "bad arguments for op 'begin'" in missing["error"]
+        # neither half-ran: the task was never created
+        with pytest.raises(ServiceError, match="unknown monotone task 1"):
+            _host_dispatch(loaded, {
+                "op": "step", "key": "k", "task": 1,
+                "ids": _encode_array(np.zeros(0, dtype=np.int64)),
+                "vals": _encode_array(np.zeros(0)),
+            })
+        assert _host_dispatch(loaded, begin) == {"ok": True, "result": ""}
+
+    def test_bad_lines_never_kill_the_host_loop(self, graph, shard_host):
+        import json
+
+        prepared = prepare_graph(graph, "bfs")
+        part = inedge_partition(prepared, 2)[0]
+        lines = [
+            b"{nope\n",
+            b'{"op":"begin","key":"k","task":1}\n',
+            json.dumps({
+                "op": "load", "key": "k", "shard": 0,
+                "offsets": _encode_array(part.subgraph.offsets),
+                "targets": _encode_array(part.subgraph.targets),
+                "owned": _encode_array(part.owned),
+            }).encode() + b"\n",
+            b'{"op":"_task","key":"k","task":1}\n',
+            b'{"op":"begin","key":"k","task":1,"algorithm":"bfs","kind":"none",'
+            b'"degree_bound":0,"source":0,"surprise":1}\n',
+            b'{"op":"step","key":"k","task":9,"ids":{"b64":"!"},"vals":3}\n',
+            b'{"op":"begin","key":"k","task":1,"algorithm":"bfs","kind":"none",'
+            b'"degree_bound":0,"source":0}\n',
+        ]
+        with socket.create_connection(shard_host, timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            replies = []
+            for line in lines:
+                stream.write(line)
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+        assert [("error" in r) for r in replies] == [
+            True, True, False, True, True, True, False,
+        ]
+        assert replies[-1] == {"ok": True, "result": ""}
+
+    def test_handle_sends_the_parents_request_lines(self, monkeypatch):
+        """Wire fields are LocalShard's parameter names, in order."""
+        from repro.service.sharding import RemoteShardHandle
+
+        sent = []
+        handle = RemoteShardHandle(1, np.arange(3), ("h", 1), key="fp/shard1of2")
+        monkeypatch.setattr(
+            handle, "_call",
+            lambda payload: sent.append(payload) or {"ok": True, "result": None},
+        )
+        ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, 2.5])
+        handle.begin(7, "sssp", "virtual+", 4, 3, None)
+        handle.begin(7, "cc", "none", 0, None)
+        handle.step(7, ids, vals)
+        handle.pr_begin(8, vals, "numpy")
+        handle.pr_step(8, vals)
+        handle.finish(8)
+        key = "fp/shard1of2"
+        assert sent == [
+            {"op": "begin", "key": key, "task": 7, "algorithm": "sssp",
+             "kind": "virtual+", "degree_bound": 4, "source": 3,
+             "kernel_backend": None},
+            {"op": "begin", "key": key, "task": 7, "algorithm": "cc",
+             "kind": "none", "degree_bound": 0, "source": None,
+             "kernel_backend": None},
+            {"op": "step", "key": key, "task": 7,
+             "ids": _encode_array(ids), "vals": _encode_array(vals)},
+            {"op": "pr_begin", "key": key, "task": 8,
+             "inv_deg": _encode_array(vals), "kernel_backend": "numpy"},
+            {"op": "pr_step", "key": key, "task": 8,
+             "rank": _encode_array(vals)},
+            {"op": "finish", "key": key, "task": 8},
+        ]
+        assert [list(p) for p in sent[:1]] == [[
+            "op", "key", "task", "algorithm", "kind", "degree_bound",
+            "source", "kernel_backend",
+        ]]
+        with pytest.raises(AttributeError):
+            handle.load_everything
+        with pytest.raises(TypeError):
+            handle.step(7, ids)  # a bad call fails here, not on the host
