@@ -17,7 +17,7 @@ import asyncio
 import time
 from typing import AsyncIterator, List, Sequence, Tuple
 
-from repro.errors import ServiceOverloadError
+from repro.errors import QuotaExhaustedError, ServiceOverloadError
 from repro.service.executor import AnalyticsService, QueryTicket
 from repro.service.query import QueryRequest, QueryResult
 
@@ -38,13 +38,18 @@ async def submit_batch_async(
     sleeps on the loop with exponential backoff and retries until
     ``max_wait_s`` is spent, then re-raises the overload (the server
     maps it to 503 + ``Retry-After``).  ``max_wait_s=0`` is a pure
-    admission probe — one attempt, no waiting.
+    admission probe — one attempt, no waiting.  A tenant's
+    :class:`QuotaExhaustedError` is the caller's pace, not ours: it is
+    raised on the first attempt (429), never waited out — a retry
+    would charge the submission's earlier members again.
     """
     deadline = time.monotonic() + max_wait_s
     delay = POLL_FLOOR_S
     while True:
         try:
             return service.submit_batch(list(requests), block=False)
+        except QuotaExhaustedError:
+            raise
         except ServiceOverloadError:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

@@ -175,6 +175,28 @@ def _head(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+class JsonText(str):
+    """Text that is already JSON, written into a line as it stands."""
+
+
+def encode_line(payload: dict) -> bytes:
+    """One payload as a newline-terminated JSON line.
+
+    A :class:`JsonText` ``values`` entry (what
+    :func:`~repro.service.api.protocol.result_payload` attaches, after
+    the other members) is spliced in verbatim as the line's last
+    member — the bytes ``json.dumps`` would have written for the
+    decoded value.  Any other payload is ``json.dumps`` as is.
+    """
+    values = payload.get("values")
+    if not isinstance(values, JsonText):
+        return (json.dumps(payload, separators=(", ", ": ")) + "\n").encode("utf-8")
+    head = json.dumps(
+        {k: v for k, v in payload.items() if k != "values"}, separators=(", ", ": ")
+    )
+    return f'{head[:-1]}, "values": {values}}}\n'.encode("utf-8")
+
+
 @dataclass
 class Response:
     """A fixed-length response a handler returns to the server loop."""
@@ -188,9 +210,7 @@ class Response:
         body = b""
         headers = dict(self.headers)
         if self.payload is not None:
-            body = (
-                json.dumps(self.payload, separators=(", ", ": ")) + "\n"
-            ).encode("utf-8")
+            body = encode_line(self.payload)
             headers.setdefault("content-type", "application/json")
         headers["content-length"] = str(len(body))
         return _head(self.status, headers) + body, len(body)
@@ -219,9 +239,7 @@ class NdjsonStream:
         await self._writer.drain()
 
     async def write(self, payload: dict) -> None:
-        line = (
-            json.dumps(payload, separators=(", ", ": ")) + "\n"
-        ).encode("utf-8")
+        line = encode_line(payload)
         chunk = f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
         self._writer.write(chunk)
         self.bytes_sent += len(line)

@@ -25,6 +25,8 @@ errors, the API tier only translates.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from typing import Optional, Tuple
 
@@ -40,7 +42,7 @@ from repro.errors import (
     UnknownGraphError,
     WorkerLost,
 )
-from repro.service.api.http import BadRequest, Response
+from repro.service.api.http import BadRequest, JsonText, Response
 from repro.service.ingest import (
     TraceRequest,
     TraceResult,
@@ -87,15 +89,35 @@ def parse_wire_request(
     )
 
 
-def _jsonable_values(result: QueryResult) -> dict:
-    """Value arrays as JSON lists (infinities become ``null``)."""
-    values = {}
-    for source, array in result.values.items():
-        data = np.asarray(array, dtype=np.float64).tolist()
-        values[str(source)] = [
-            None if not math.isfinite(v) else v for v in data
-        ]
-    return values
+def _encode_column(array) -> str:
+    """One value array as a JSON list, each distinct float formatted once.
+
+    The bytes ``json.dumps`` writes for the list of Python floats:
+    shortest round-trip ``repr``, ``null`` for ±inf and NaN.  Distinct
+    means distinct *bits*, so ``-0.0`` keeps its sign.  BFS levels and
+    cc labels hold a handful of values across thousands of nodes.
+    """
+    data = np.asarray(array, dtype=np.float64)
+    bits = data.view(np.int64)
+    keys = np.sort(bits)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    distinct = keys[first]
+    tokens = np.array([
+        repr(v) if math.isfinite(v) else "null"
+        for v in distinct.view(np.float64).tolist()
+    ], dtype=object)
+    return "[" + ", ".join(tokens[np.searchsorted(distinct, bits)]) + "]"
+
+
+def _jsonable_values(result: QueryResult) -> JsonText:
+    """The ``values`` entry, ``{str(source): column}``, as a
+    :class:`JsonText` that :func:`~repro.service.api.http.encode_line`
+    splices in verbatim: the bytes ``json.dumps`` writes for it."""
+    return JsonText("{" + ", ".join(
+        f"{json.dumps(str(source))}: {_encode_column(array)}"
+        for source, array in result.values.items()
+    ) + "}")
 
 
 def result_payload(
@@ -109,8 +131,12 @@ def result_payload(
 
     Exactly what a :class:`~repro.service.ingest.TraceRecorder` would
     write for this answer — same digest, same fields — plus, when the
-    caller opted in, the value arrays themselves (JSON floats; IEEE
-    infinities, which mean "unreached", serialise as ``null``).
+    caller opted in, the value arrays themselves as a last ``values``
+    entry: a :class:`JsonText` (JSON floats; IEEE infinities, which
+    mean "unreached", serialise as ``null``) that
+    :func:`~repro.service.api.http.encode_line` writes verbatim.
+    Serialise the dict with ``encode_line`` only: a plain
+    ``json.dumps`` writes that entry as one escaped string.
     """
     payload = _event_payload(
         TraceResult(
@@ -174,16 +200,5 @@ def to_query_request(
     """Wire request -> executor request (graph resolved by name)."""
     request = trace_request.to_query_request()
     if request.timeout_s is None and default_timeout_s is not None:
-        # QueryRequest is frozen; rebuild with the API-tier default.
-        request = QueryRequest(
-            algorithm=request.algorithm,
-            graph=request.graph,
-            sources=request.sources,
-            transform=request.transform,
-            degree_bound=request.degree_bound,
-            timeout_s=default_timeout_s,
-            options=request.options,
-            tenant=request.tenant,
-            request_id=request.request_id,
-        )
+        request = dataclasses.replace(request, timeout_s=default_timeout_s)
     return request

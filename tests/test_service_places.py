@@ -10,10 +10,12 @@ priorities without ``--shards``, and that ``ShardedAnalyticsService``
 is the same class with a different default.
 """
 
+import asyncio
 import http.client
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +31,11 @@ from repro.service import (
     ShardedAnalyticsService,
     TenantQuota,
 )
-from repro.service.api import HttpReplayClient, ThreadedApiServer
+from repro.service.api import (
+    HttpReplayClient,
+    ThreadedApiServer,
+    submit_batch_async,
+)
 from repro.service.workers import CRASH_SOURCE_ENV
 
 
@@ -57,6 +63,19 @@ def _spy_on_place(service, index=-1):
 
     service._places[index] = spied
     return calls
+
+
+def _spy_on_submissions(service):
+    """Record the size of every ``submit_batch`` attempt."""
+    sizes = []
+    submit_batch = service.submit_batch
+
+    def spied(requests, **kwargs):
+        sizes.append(len(requests))
+        return submit_batch(requests, **kwargs)
+
+    service.submit_batch = spied
+    return sizes
 
 
 class TestTheChain:
@@ -268,6 +287,44 @@ class TestAdmissionWithoutShards:
         assert second.status == 429 and int(headers["retry-after"]) >= 1
         # >= 1: the async bridge re-probes admission while it backs off
         assert metrics["quota_rejected"] >= 1 and metrics["shards"] == 0
+
+    def test_quota_refusal_is_answered_at_once(self, graph):
+        """``--quota t=1:1``: the refill is not waited out at the edge."""
+        args = build_parser().parse_args([
+            "serve", "g", "--http", "127.0.0.1:0", "--workers", "1",
+            "--quota", "t=1:1",
+        ])
+        with _make_service(args, GraphCatalog()) as service:
+            service.register("g", graph)
+            probes = _spy_on_submissions(service)
+            with ThreadedApiServer(service) as server:
+                first, _ = self._post_query(server.address)
+                started = time.monotonic()
+                second, headers = self._post_query(server.address)
+                elapsed = time.monotonic() - started
+                with HttpReplayClient(server.address) as client:
+                    metrics = client.metrics()
+        assert first.status == 200
+        assert second.status == 429 and int(headers["retry-after"]) >= 1
+        assert elapsed < 1.0, elapsed  # under the refill, far under the 2 s wait
+        assert metrics["quota_rejected"] == 1
+        assert probes == [1, 1]
+
+    def test_a_refused_submission_is_probed_once(self, graph):
+        """Earlier members are not charged again by an admission retry."""
+        policy = RoutingPolicy(quotas={"t": TenantQuota(rate=1.0, burst=2.0)})
+        with AnalyticsService(workers=1, policy=policy) as service:
+            service.register("g", graph)
+            probes = _spy_on_submissions(service)
+            requests = [
+                QueryRequest.single("bfs", "g", source, tenant="t")
+                for source in range(3)
+            ]
+            with pytest.raises(QuotaExhaustedError):
+                asyncio.run(submit_batch_async(service, requests, max_wait_s=2.0))
+            summary = service.metrics.summary()
+        assert probes == [3]
+        assert summary["quota_rejected"] == 1
 
     @staticmethod
     def _post_query(address):
