@@ -13,9 +13,9 @@ next frontier.  The lane supersteps (``push_lanes_step``, ``hop_step``)
 do the same for ``S`` sources at once, lanes innermost; the two
 Brandes level steps (``bc_forward``, ``bc_backward``) and PageRank's
 iteration (``rank_launch`` once per run, then ``rank_step``) are the
-ADD-reduction analytics' supersteps.  Results are **bitwise
-identical**: the compiled loops perform the exact same float
-operations in the exact same order ``ufunc.at`` would.
+ADD-reduction analytics' supersteps.  Values are **bitwise
+identical**: an ADD loop repeats ``ufunc.at``'s float operations in
+order; a MIN/MAX step relaxes in place and reaches the same fixpoint.
 
 Two backends are registered — a kernel is its C unit, its ``cjit``
 hook and gate, and the numpy body its step class falls back to:
@@ -59,9 +59,8 @@ Safety gates (any failure falls back to numpy, never errors):
   (``phys``) and the supersteps a
   :meth:`~repro.engine.schedule.Scheduler.walk_layout`, so
   warp-segmentation launches decline;
-* the read array must not alias the write array (synchronization
-  relaxation re-reads values mid-launch, which only the buffered
-  numpy path reproduces).
+* the read array must not alias the write array (the numpy body's
+  ``sync_relaxation_blocks`` model is the only caller that passes one).
 
 Every registered backend must also declare a parity fixture in
 :data:`repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS`; rule
@@ -202,7 +201,7 @@ class KernelBackend:
     path.  Compiled backends override the hooks and return ``True``
     (``try_push_step``: its result) when they handled the launch; any
     gate failure returns ``False`` (``None``) and the engine falls
-    back — so a backend can never change results, only speed.
+    back — so a backend can never change values, only speed.
     """
 
     #: registry key; must appear in KERNEL_BACKEND_EXPECTATIONS.
@@ -289,8 +288,7 @@ class KernelBackend:
     @staticmethod
     def _gate_values(spec, values, read_values, weights) -> bool:
         if values is read_values:
-            # synchronization relaxation re-reads mid-launch; only the
-            # buffered numpy path reproduces that order.
+            # sync_relaxation_blocks' blocked order: the numpy body's
             return False
         if not (_f64(values) and _f64(read_values)):
             return False
@@ -510,7 +508,8 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
     for (int64_t i = 0; i < nactive; i++) {
         const int64_t p = active[i], base = off[p], end = off[p + 1];
         const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
-        const double s = rv[p];
+        /* MIN/MAX read in place; ADD (not idempotent) the snapshot */
+        const double s = reduce == 2 ? rv[p] : v[p];
         total += end - base;
         for (int64_t r = 0; r < fam; r++) {
             for (int64_t e = base + r; e < end; e += fam) {
@@ -554,10 +553,10 @@ void pull_batch(double* v, const double* rv, const int64_t* own,
 """
 
 _C_UNITS["push_lanes_step"] = r"""
-/* push_step over node-major (n, lanes) matrices, MIN/MAX only: one
-   targets[e]/w[e] load serves every lane.  Every touched row is then
-   compared, committed to rv and its differing lanes flagged live;
-   stats = {edges, live lanes} */
+/* push_step over node-major (n, lanes) matrices, MIN/MAX only, in
+   place like it: one targets[e]/w[e] load serves every lane.  Every
+   touched row is then compared, committed to rv and its differing
+   lanes flagged live; stats = {edges, live lanes} */
 HOT_LANES int64_t push_lanes_step(double* v, double* rv,
                   const int64_t* active, int64_t nactive, const int64_t* off,
                   const int64_t* fv, const int64_t* targets, const double* w,
@@ -568,13 +567,14 @@ HOT_LANES int64_t push_lanes_step(double* v, double* rv,
     for (int64_t i = 0; i < nactive; i++) {
         const int64_t p = active[i], base = off[p], end = off[p + 1];
         const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
-        const double* restrict s = rv + p * lanes;
+        /* in place; no restrict: a self-loop makes s and vd one row */
+        const double* s = v + p * lanes;
         total += end - base;
         for (int64_t r = 0; r < fam; r++) {
             for (int64_t e = base + r; e < end; e += fam) {
                 const int64_t d = targets[e];
                 const double wt = WEIGHT(e);
-                double* restrict vd = v + d * lanes;
+                double* vd = v + d * lanes;
                 for (int64_t k = 0; k < lanes; k++) {
                     double c;
                     RELAX(c, s[k], wt);

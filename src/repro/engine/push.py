@@ -48,8 +48,8 @@ class EngineOptions:
         1 = strict BSP.  ``b > 1`` processes each launch in ``b``
         sequential blocks; later blocks observe values written by
         earlier ones in the same iteration ("synchronization
-        relaxation", §5), which can only speed up convergence for
-        monotone programs.
+        relaxation", §5) — the paper's model, numpy body only: a
+        compiled MIN/MAX step already reads every value in place.
     max_iterations:
         Safety bound; exceeding it without convergence raises
         :class:`~repro.errors.EngineError` when ``require_convergence``.
@@ -61,8 +61,8 @@ class EngineOptions:
         Which :mod:`repro.engine.kernels` backend runs the relax /
         reduce inner loops.  ``None`` defers to
         ``$REPRO_KERNEL_BACKEND`` and then to the measured cost
-        model's ``auto`` choice.  Every backend is bitwise identical;
-        this knob only trades speed.
+        model's ``auto`` choice.  Values are bitwise identical on every
+        backend; this knob trades speed (and MIN/MAX superstep counts).
     """
 
     worklist: bool = True
@@ -108,13 +108,13 @@ class PushStep:
     out[changed]``) or discards (the reverse) before the next step.
 
     A JIT backend runs the whole step compiled, walking the
-    scheduler's ``walk_layout()``.  An ADD step walks it in ``batch()``
-    order — the fold order is part of a float sum.  A MIN or MAX step
-    walks each row in order instead, whatever the layout: it folds the
-    same candidate multiset, all read from ``read``, and an idempotent
-    selection over a multiset has one result, so values and changed
-    sets cannot differ in a bit — and the coalesced stride, which buys
-    a GPU warp its memory transactions, costs a CPU 9-27 %.  Simulator
+    scheduler's ``walk_layout()``.  An ADD step reads ``read`` and
+    walks ``batch()`` order — both are part of a float sum.  A MIN or
+    MAX step relaxes in place, reading ``out`` (a value improved earlier
+    in the superstep goes out now), and walks each row in order (the
+    coalesced stride, which buys a GPU warp its memory transactions,
+    costs a CPU 9-27 %): it reaches the numpy body's unique fixpoint bit
+    for bit, in at most as many supersteps.  Simulator
     runs, ``sync_relaxation_blocks > 1`` (later blocks re-read ``out``),
     unwalkable schedulers and any gate failure take the numpy path.
     """
@@ -198,11 +198,12 @@ class LaneStep(PushStep):
     edges walked, and how many lanes changed anywhere.  The step owns
     its state and commits it.
 
-    Float lanes fold every lane of a destination row per edge, then
-    compare and commit the touched rows.  Hop-count programs on
-    unweighted graphs (worklist, strict BSP) carry one *bit* per lane
-    instead: ``uint64`` frontier words are OR-ed along the walk,
-    stripped of ``visited`` and the level stamped into the fresh cells.
+    Float lanes fold every lane of a destination row per edge (in
+    place when compiled), then compare and commit the touched rows.
+    Hop-count programs on unweighted graphs (worklist, strict BSP)
+    carry one *bit* per lane instead: ``uint64`` frontier words are
+    OR-ed along the walk, stripped of ``visited`` and the level stamped
+    into the fresh cells.
     A JIT backend runs either whole step compiled under
     :class:`PushStep`'s gates (hop masks wider than one word decline);
     the numpy bodies below are the fallback.
@@ -381,8 +382,8 @@ def run_push_lanes(
     Column ``k`` of ``result.values`` is bitwise-identical to
     ``run_push(scheduler, program, sources[k], options=options).values``
     — the union frontier only *adds* relaxations of unchanged lane
-    values, which an idempotent reduction folds away, and every float
-    candidate is the same path expression either way.
+    values, which an idempotent reduction folds away, and each lane's
+    fixpoint is unique (a compiled pass may reach it in fewer supersteps).
 
     Requires ``program.lane_safe`` (idempotent reduction); ADD-based
     programs would double-count the redundant pushes and are refused.

@@ -26,6 +26,10 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 DEFAULT_MAX_BODY = 64 * 1024 * 1024
+#: seconds a connection gets to deliver its next request whole, counted
+#: from when the server starts waiting for it: a peer that stalls or
+#: trickles mid-request gets 408 and is dropped, an idle one is closed.
+READ_TIMEOUT_S = 30.0
 
 #: the subset of status reasons this API emits.
 REASONS = {
@@ -35,6 +39,7 @@ REASONS = {
     401: "Unauthorized",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     411: "Length Required",
     413: "Payload Too Large",
     415: "Unsupported Media Type",
@@ -97,18 +102,37 @@ async def read_request(
     max_body: int = DEFAULT_MAX_BODY,
     client: str = "",
 ) -> Optional[HttpRequest]:
-    """Parse one request off the stream; ``None`` on clean EOF.
+    """Parse one request off the stream; ``None`` on clean EOF, or when
+    none began within :data:`READ_TIMEOUT_S`.
 
     Raises :class:`BadRequest` for anything the server should answer
-    with a 4xx before closing, ``asyncio.IncompleteReadError`` /
-    ``ConnectionError`` for a peer that vanished mid-request.
+    with a 4xx before closing (408: begun but not whole in time),
+    ``asyncio.IncompleteReadError`` / ``ConnectionError`` for a peer
+    that vanished mid-request.
     """
+    # one timer cancels this task: asyncio.wait_for would wrap each
+    # read in a task of its own
+    task, fired, first = asyncio.current_task(), [], b""
+    timer = asyncio.get_running_loop().call_later(
+        READ_TIMEOUT_S, lambda: fired.append(task.cancel()))
     try:
-        request_line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+        first = await reader.read(1)
+        if not first:
             return None  # clean EOF between requests: keep-alive ended
-        raise
+        return await _read_rest(reader, first, max_body, client)
+    except asyncio.CancelledError:
+        if not fired or getattr(task, "uncancel", int)():  # 3.11+ counts
+            raise  # cancelled from outside too
+        if not first:
+            return None  # an idle keep-alive connection: closed quietly
+        raise BadRequest(408, f"request not whole within {READ_TIMEOUT_S:g} s") from None
+    finally:
+        timer.cancel()
+
+
+async def _read_rest(reader, first: bytes, max_body: int, client: str) -> HttpRequest:
+    try:
+        request_line = first + await reader.readuntil(b"\r\n")
     except asyncio.LimitOverrunError:
         raise BadRequest(400, "request line too long") from None
     if len(request_line) > MAX_REQUEST_LINE:

@@ -2,16 +2,19 @@
 
 These loops define, operation for operation, what every C unit in
 ``repro.engine.kernels._C_UNITS`` must do; the C text is a
-transliteration of them.  They match the engines' vectorised numpy
-path bitwise: the gather order is thread-by-thread in strided slot
-order (exactly ``strided_ranges_to_indices``), and the fold is the
-same comparison / addition ``ufunc.at`` applies element-wise.
+transliteration of them.  The ADD loops match the engines' vectorised
+numpy path bitwise, superstep by superstep: the gather order is
+thread-by-thread in strided slot order (exactly
+``strided_ranges_to_indices``), and the fold is the same addition
+``ufunc.at`` applies element-wise.  The MIN/MAX push steps relax in
+place, as the C does, so they match the numpy path at the fixpoint.
 
 :class:`ReferenceBackend` drives them through the same ``try_*`` hooks
 and ``_gate_*`` admission checks the engines offer ``cjit``, so the
-lockstep suites in ``tests/test_kernels.py`` compare spec, numpy body
-and C kernel superstep by superstep.  It is registered by a fixture
-only — never at import — so ``auto`` can not pick an interpreted loop.
+lockstep suites in ``tests/test_kernels.py`` compare spec and C kernel
+superstep by superstep, and each against the numpy body.  It is
+registered by a fixture only — never at import — so ``auto`` can not
+pick an interpreted loop.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from repro.engine.kernels import LANE_BITS, KernelBackend, _counted, _i64
 
 def _push_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
                       relax, reduce_, mark, changed):
-    # one superstep over a schedule.WalkLayout -> (changed count, edges)
+    # one superstep over a schedule.WalkLayout -> (changed count, edges);
+    # MIN/MAX read v itself (in place: a value improved earlier in the
+    # superstep is pushed now), ADD the superstep-start snapshot rv
     cnt = 0
     edges = 0
     for i in range(active.shape[0]):
         p = active[i]
-        s = rv[p]
+        s = rv[p] if reduce_ == 2 else v[p]
         base = off[p]
         end = off[p + 1]
         edges += end - base
@@ -94,8 +99,9 @@ def _pull_kernel(v, rv, own, counts, starts, strides, in_sources, w,
 
 def _push_lanes_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
                             relax, reduce_, mark, changed, live):
-    # push_step over node-major (n, S) matrices: every touched row is
-    # compared and committed to rv -> (changed count, edges, live lanes)
+    # push_step over node-major (n, S) matrices, in place like it (lanes
+    # are MIN/MAX only): every touched row is compared and committed to
+    # rv -> (changed count, edges, live lanes)
     lanes = v.shape[1]
     cnt = 0
     edges = 0
@@ -110,7 +116,7 @@ def _push_lanes_step_kernel(v, rv, active, off, fv, has_fv, targets, w, has_w,
                 d = targets[e]
                 wt = w[e] if has_w else 1.0
                 for k in range(lanes):
-                    s = rv[p, k]
+                    s = v[p, k]
                     if relax == 0:
                         c = s + wt
                     elif relax == 1:

@@ -59,7 +59,7 @@ from repro.errors import EngineError
 from repro.gpu.simulator import GPUSimulator
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
-from repro.service import replay_trace
+from repro.service import AnalyticsService, QueryRequest, replay_trace
 from tests.kernel_reference import ReferenceBackend
 from tests.test_udt import graphs as generator_graphs
 
@@ -345,12 +345,41 @@ def _pinned_step(scheduler, program, backend):
     return step
 
 
+#: the spec kernels, each superstep's oracle: a compiled MIN/MAX step
+#: relaxes in place, so only its fixpoint is the numpy body's
+SPEC = ReferenceBackend()
+
+
+def _spec_twin(step_class, scheduler, program, *args, backend):
+    """A ``step_class`` built as ``backend`` builds it (walk, scratch),
+    its launches run by the spec kernels."""
+    twin = step_class(scheduler, program, *args,
+                      EngineOptions(kernel_backend=backend))
+    assert twin.backend.jit
+    twin.backend = SPEC
+    return twin
+
+
+def _launches(step):
+    """(engaged, declined) of the spec and of ``step``'s backend."""
+    return np.array([[SPEC.engaged, SPEC.declined],
+                     [step.backend.engaged, step.backend.declined]])
+
+
+def _same_route(step, before):
+    """Since ``before``, the spec twin ran compiled exactly where
+    ``step`` did (a decline on both sides runs the numpy body twice)."""
+    spec, other = _launches(step) - before
+    assert spec.tolist() == other.tolist()
+
+
 def _lockstep(scheduler, program, source, step, *, max_steps=10_000):
-    """Run the numpy step and ``step`` side by side from the same
-    state; every superstep must agree on changed ids, edges and values.
-    Returns how many supersteps ran."""
+    """Run ``step`` and its spec twin side by side from the same state;
+    every superstep must agree on changed ids, edges and values, bit
+    for bit.  Returns how many supersteps ran."""
     n = scheduler.graph.num_nodes
-    ref = _pinned_step(scheduler, program, "numpy")
+    ref = _spec_twin(PushStep, scheduler, program, backend=step.backend.name)
+    before = _launches(step)
     out = program.initial_values(n, source)
     read = out.copy()
     other_out, other_read = out.copy(), out.copy()
@@ -366,7 +395,24 @@ def _lockstep(scheduler, program, source, step, *, max_steps=10_000):
         read[changed] = out[changed]
         other_read[changed] = other_out[changed]
         active = changed
+    _same_route(step, before)
     return steps
+
+
+def _same_fixpoint(sync, other):
+    """``sync`` ran the synchronous numpy body, ``other`` a JIT one:
+    the same values bit for bit, the same verdict, and never more
+    supersteps (an in-place step can only get there sooner)."""
+    assert _same_bits(sync.values, other.values)
+    assert sync.converged == other.converged
+    assert other.num_iterations <= sync.num_iterations
+    assert sync.num_lanes == other.num_lanes
+
+
+def _sync_and(backend, run, *args):
+    """``run(*args)`` on the numpy body, then on ``backend``."""
+    return [run(*args, options=EngineOptions(kernel_backend=name))
+            for name in ("numpy", backend)]
 
 
 @pytest.fixture
@@ -382,7 +428,8 @@ def reference_backend(monkeypatch):
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
 class TestPushStepDifferential:
-    """The compiled superstep against the numpy fallback, bit for bit."""
+    """The compiled superstep against the spec every superstep, and
+    against the numpy fallback at the fixpoint — bit for bit."""
 
     @pytest.mark.parametrize("backend", JITS)
     @given(
@@ -413,15 +460,9 @@ class TestPushStepDifferential:
         assert jit.engaged - engaged == steps
         assert jit.declined == declined
 
-        results = [
-            run_push(scheduler, program, source,
-                     options=EngineOptions(kernel_backend=name))
-            for name in ("numpy", backend)
-        ]
-        assert _same_bits(results[0].values, results[1].values)
-        for field in ("num_iterations", "edges_processed",
-                      "dense_iterations", "converged"):
-            assert getattr(results[0], field) == getattr(results[1], field)
+        sync, other = _sync_and(backend, run_push, scheduler, program, source)
+        _same_fixpoint(sync, other)
+        assert other.num_iterations == steps
 
     @pytest.mark.parametrize("backend", JITS)
     @pytest.mark.parametrize("k", STEP_KS)
@@ -490,14 +531,15 @@ class TestPushStepDifferential:
             step(out, out.copy(), np.asarray([graph.num_nodes], dtype=np.int64))
 
     def test_reference_kernel_matches_numpy(self, reference_backend):
-        # the spec the C unit transliterates, through the same hook
+        # the spec the C unit transliterates, through the same hook,
+        # reaches the synchronous body's fixpoint
         graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
                 source = None if program.name == "cc" else 0
-                step = _pinned_step(scheduler, program, "reference")
-                assert _lockstep(scheduler, program, source, step) > 0
+                _same_fixpoint(*_sync_and("reference", run_push, scheduler,
+                                          program, source))
         # and the pull spec, whole runs over both in-edge schedulers
         reverse = graph.reverse()
         for scheduler in (NodeScheduler(reverse), _scheduler("virtual", reverse, 3)):
@@ -525,15 +567,14 @@ def _lane_sources(graph, width, seed):
 
 
 def _lane_lockstep(scheduler, program, sources, backend, *, max_steps=10_000):
-    """Step a numpy-bodied and a ``backend`` LaneStep side by side;
+    """Step a ``backend`` LaneStep and its spec twin side by side;
     every superstep must agree on changed ids, edges, live lanes and
     the whole value matrix.  Returns ``(supersteps, the other step)``."""
-    ref, other = (
-        LaneStep(scheduler, program, sources,
-                 EngineOptions(kernel_backend=name))
-        for name in ("numpy", backend)
-    )
+    ref = _spec_twin(LaneStep, scheduler, program, sources, backend=backend)
+    other = LaneStep(scheduler, program, sources,
+                     EngineOptions(kernel_backend=backend))
     assert other.backend.name == backend
+    before = _launches(other)
     n = scheduler.graph.num_nodes
     active = np.unique(program.initial_lane_frontier(n, sources))
     steps = 0
@@ -545,13 +586,15 @@ def _lane_lockstep(scheduler, program, sources, backend, *, max_steps=10_000):
         assert (edges, live) == (other_edges, other_live)
         assert _same_bits(ref.values, other.values)
         active = changed
+    _same_route(other, before)
     return steps, other
 
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
 class TestLaneStepDifferential:
-    """The compiled lane superstep against its numpy bodies, bit for
-    bit, and every column against the scalar engine."""
+    """The compiled lane superstep against the spec every superstep,
+    against its numpy bodies at the fixpoint, and every column against
+    the scalar engine — bit for bit."""
 
     @pytest.mark.parametrize("backend", JITS)
     @given(
@@ -586,14 +629,11 @@ class TestLaneStepDifferential:
         else:
             assert (jit.engaged, jit.declined) == (engaged + steps, declined)
 
-        results = [
-            run_push_lanes(scheduler, program, sources,
-                           options=EngineOptions(kernel_backend=name))
-            for name in ("numpy", backend)
-        ]
-        assert _same_bits(results[0].values, results[1].values)
-        for field in RESULT_COUNTERS:
-            assert getattr(results[0], field) == getattr(results[1], field)
+        results = _sync_and(backend, run_push_lanes, scheduler, program, sources)
+        _same_fixpoint(*results)
+        if step.hops:  # level-synchronous: every counter is numpy's
+            for field in RESULT_COUNTERS:
+                assert getattr(results[0], field) == getattr(results[1], field)
         assert results[1].num_iterations == steps
         for lane in {0, width // 2, width - 1}:
             scalar = run_push(
@@ -625,21 +665,23 @@ class TestLaneStepDifferential:
                 assert steps > 0
 
     def test_reference_kernels_match_numpy(self, reference_backend):
-        # the specs the two lane units transliterate, through the hooks
+        # the specs the two lane units transliterate, through the hooks,
+        # reach the numpy bodies' fixpoint (the hop level, every counter)
         graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
         sources = [0, 7, 7, 31]
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
-                steps, _ = _lane_lockstep(
-                    scheduler, program, sources, "reference"
-                )
-                assert steps > 0
+                _same_fixpoint(*_sync_and("reference", run_push_lanes,
+                                          scheduler, program, sources))
         hop_scheduler = NodeScheduler(graph.without_weights())
-        steps, step = _lane_lockstep(
-            hop_scheduler, BFSProgram(), sources, "reference"
-        )
-        assert step.hops and steps > 0
+        assert LaneStep(hop_scheduler, BFSProgram(), sources,
+                        EngineOptions(kernel_backend="reference")).hops
+        sync, spec = _sync_and("reference", run_push_lanes, hop_scheduler,
+                               BFSProgram(), sources)
+        _same_fixpoint(sync, spec)
+        for field in RESULT_COUNTERS:
+            assert getattr(sync, field) == getattr(spec, field)
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
 
@@ -786,6 +828,107 @@ class TestLaneStepDifferential:
                 assert getattr(result, field) == getattr(baseline, field)
         assert broken.engaged == 0 and broken.declined > 0
         assert "compile failed" in broken.availability_note()
+
+
+# ----------------------------------------------------------------------
+# In-place MIN/MAX: the synchronous fixpoint on every route
+# ----------------------------------------------------------------------
+def _served(service, request):
+    """``(values, shard supersteps)`` of one request that took the
+    scatter-gather route."""
+    before = service.metrics.summary()
+    result = service.run(request)
+    after = service.metrics.summary()
+    assert result.ok and not result.degraded, result.error
+    assert after["sharded_batches"] == before["sharded_batches"] + 1
+    (values,) = result.values.values()
+    return values, after["shard_supersteps"] - before["shard_supersteps"]
+
+
+@st.composite
+def fixpoint_cases(draw):
+    """``(K, graph)``: the lockstep graphs, a star whose hub's degree
+    sits at a family boundary of K, or a graph big enough that pushing
+    improved values early saves whole supersteps."""
+    k = draw(st.sampled_from(STEP_KS))
+    seed = st.integers(min_value=0, max_value=2**16)
+    graph = draw(st.one_of(
+        step_graphs,
+        st.builds(
+            lambda d, seed: star(d, bidirectional=True, weight_range=(1, 9),
+                                 seed=seed),
+            st.sampled_from(sorted({max(k - 1, 0), k, k + 1, 2 * k, 2 * k + 1})),
+            seed,
+        ),
+        st.builds(
+            lambda seed: rmat(256, 2048, seed=seed, weight_range=(1, 9)), seed
+        ),
+    ))
+    return k, graph
+
+
+@pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+class TestInPlaceFixpoint:
+    """A compiled MIN/MAX superstep pushes values improved earlier in
+    the same superstep.  The fixpoint is unique, so every route that
+    runs it — the scalar engine, the lanes, each shard's slice — must
+    reach the synchronous numpy values bit for bit, and in at most as
+    many supersteps.  An ADD step stays synchronous: a float sum is not
+    idempotent, so reading a value folded earlier in its own superstep
+    would count that contribution twice."""
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        case=fixpoint_cases(),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        algorithm=st.sampled_from(sorted(STEP_PROGRAMS)),
+        width=st.sampled_from((1, 63, 64, 65)),
+        shards=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_route_reaches_the_sync_fixpoint(
+        self, backend, case, kind, algorithm, width, shards, seed
+    ):
+        k, graph = case
+        program = STEP_PROGRAMS[algorithm]()
+        if graph.num_nodes == 0 or (
+            program.needs_weights and graph.weights is None
+        ):
+            return
+        scheduler = _scheduler(kind, graph, k)
+        sources = _lane_sources(graph, width, seed)
+        source = None if algorithm == "cc" else sources[0]
+        jit = kernels.get_backend(backend)
+        engaged = jit.engaged
+        _same_fixpoint(*_sync_and(backend, run_push, scheduler, program, source))
+        _same_fixpoint(*_sync_and(backend, run_push_lanes, scheduler, program,
+                                  sources))
+        assert jit.engaged > engaged  # else numpy met itself
+
+        # one PageRank-shaped ADD step from the same start
+        start = np.random.default_rng(seed).random(graph.num_nodes)
+        outs, changed = [], []
+        for name in ("numpy", backend):
+            out = start.copy()
+            step = PushStep(scheduler, PageRankProgram(),
+                            EngineOptions(kernel_backend=name))
+            changed.append(step(out, start.copy(), scheduler.all_nodes())[0])
+            outs.append(out)
+        assert _same_bits(*outs) and _same_bits(*changed)
+
+        with AnalyticsService(shards=shards, workers=1,
+                              backend="threads") as service:
+            (want, sync_steps), (got, jit_steps) = (
+                _served(service, QueryRequest(
+                    algorithm, graph, sources=() if source is None else (source,),
+                    transform=kind if kind.startswith("virtual") else "none",
+                    degree_bound=k, options=EngineOptions(kernel_backend=name),
+                ))
+                for name in ("numpy", backend)
+            )
+        assert _same_bits(want, got)
+        assert jit_steps <= sync_steps
 
 
 # ----------------------------------------------------------------------

@@ -118,8 +118,10 @@ class TestLaneLoopEquivalence:
     def test_both_lane_paths_count_live_lanes(self, backend):
         """``lane_iterations`` sums the lanes still live per superstep
         (``/ num_iterations`` = mean lane occupancy) on both paths.
-        Unit weights put bfs on the float lanes: the same traversal as
-        the bit-packed one, so every counter must agree."""
+        Unit weights put bfs on the float lanes.  Synchronous float
+        lanes walk the bit-packed levels exactly, so every counter must
+        agree; a JIT's float lanes relax in place, so they reach the
+        same values in at most as many supersteps."""
         hop = make_graph(9, weighted=False)
         unit = hop.with_weights(np.ones(hop.num_edges))
         sources = pick_sources(hop, 9, count=64)
@@ -131,12 +133,16 @@ class TestLaneLoopEquivalence:
             NodeScheduler(unit), BFSProgram(), sources, options=options
         )
         assert np.array_equal(packed.values, floats.values)
-        for field in ("num_iterations", "edges_processed",
-                      "dense_iterations", "lane_iterations", "num_lanes"):
-            assert getattr(packed, field) == getattr(floats, field)
+        assert packed.num_lanes == floats.num_lanes == 64
+        if backend == "numpy":
+            for field in ("num_iterations", "edges_processed",
+                          "dense_iterations", "lane_iterations"):
+                assert getattr(packed, field) == getattr(floats, field)
+        assert floats.num_iterations <= packed.num_iterations
         # live lanes, not (node, lane) pairs: all 64 ride step 1, every
         # later step at most that many
-        assert 64 < packed.lane_iterations <= 64 * packed.num_iterations
+        for run in (packed, floats):
+            assert 64 < run.lane_iterations <= 64 * run.num_iterations
 
     def test_duplicate_sources_share_a_lane(self):
         graph = make_graph(2, weighted=False)

@@ -4,6 +4,7 @@ import http.client
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -166,6 +167,69 @@ class TestQuery:
             headers={"Transfer-Encoding": "chunked"},
         )
         assert status == 411
+
+
+class TestReadDeadline:
+    """A peer that stops mid-request cannot pin its connection: 408 and
+    drop.  An idle keep-alive connection is closed without a word."""
+
+    @pytest.fixture
+    def short(self, monkeypatch):
+        from repro.service.api import http as transport
+
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.2)
+
+    @staticmethod
+    def _connect(address):
+        host, _, port = address.rpartition(":")
+        sock = socket.create_connection((host, int(port)), timeout=5)
+        sock.settimeout(1.0)
+        return sock
+
+    @staticmethod
+    def _read_to_close(sock):
+        """Everything the server sends until it closes, and how long
+        that took."""
+        started, received = time.monotonic(), b""
+        while chunk := sock.recv(4096):
+            received += chunk
+        return received, time.monotonic() - started
+
+    def test_stalled_request_is_408_while_others_are_served(self, short, server):
+        with self._connect(server.address) as stalled:
+            stalled.sendall(b"POST /v1/query HTTP/1.1\r\nContent-Le")
+            status, _, _ = _raw_request(server.address, "GET", "/v1/healthz")
+            assert status == 200
+            received, waited = self._read_to_close(stalled)
+        assert received.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert waited < 1.0
+
+    def test_trickled_body_is_408(self, short, server):
+        with self._connect(server.address) as sock:
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nContent-Length: 64\r\n\r\n")
+            sock.settimeout(0.05)
+            started, received = time.monotonic(), b""
+            while not received and time.monotonic() - started < 1.0:
+                try:
+                    sock.sendall(b" ")  # one byte per 50 ms: never whole
+                    received = sock.recv(4096)
+                except socket.timeout:
+                    continue
+        assert received.startswith(b"HTTP/1.1 408 ")
+
+    def test_idle_keep_alive_connection_closes_quietly(self, short, server):
+        with self._connect(server.address) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(4096)
+            head, _, body = head.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+            while len(body) < length:
+                body += sock.recv(4096)
+            received, waited = self._read_to_close(sock)
+        assert received == b"" and waited < 1.0
 
 
 class TestBatch:

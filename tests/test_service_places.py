@@ -285,8 +285,7 @@ class TestAdmissionWithoutShards:
                     metrics = client.metrics()
         assert first.status == 200
         assert second.status == 429 and int(headers["retry-after"]) >= 1
-        # >= 1: the async bridge re-probes admission while it backs off
-        assert metrics["quota_rejected"] >= 1 and metrics["shards"] == 0
+        assert metrics["quota_rejected"] == 1 and metrics["shards"] == 0
 
     def test_quota_refusal_is_answered_at_once(self, graph):
         """``--quota t=1:1``: the refill is not waited out at the edge."""
