@@ -37,10 +37,11 @@ def main() -> None:
     print(f"virtual overlay: {virtual}")
     print(f"space overhead: {(virtual.space_ratio() - 1) * 100:.1f}%")
 
-    # 3. SSSP on both, under the GPU cost model.
+    # 3. SSSP on both, under the GPU cost model: a simulator attaches
+    #    to the scheduler and costs each launch.
     base_sim, tigr_sim = GPUSimulator(), GPUSimulator()
-    base = sssp(graph, source, simulator=base_sim)
-    tigr = sssp(virtual, source, simulator=tigr_sim)
+    base = sssp(base_sim.attach(graph), source)
+    tigr = sssp(tigr_sim.attach(virtual), source)
 
     # 4. Same answers (implicit value synchronization, Theorem 2)...
     assert np.allclose(base.values, tigr.values)
@@ -50,7 +51,7 @@ def main() -> None:
           f"in {base.num_iterations} iterations (identical results)")
 
     # ...at a fraction of the simulated cost.
-    b, t = base.metrics, tigr.metrics
+    b, t = base_sim.metrics, tigr_sim.metrics
     print(f"\n{'':14s}{'baseline':>12s}{'Tigr-V+':>12s}")
     print(f"{'time (ms)':14s}{b.total_time_ms:12.3f}{t.total_time_ms:12.3f}")
     print(f"{'warp eff.':14s}{b.warp_efficiency:12.1%}{t.warp_efficiency:12.1%}")

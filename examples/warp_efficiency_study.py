@@ -23,11 +23,9 @@ from repro.graph import grid_2d, rmat
 
 
 def profile(graph, source, target=None):
-    simulator = GPUSimulator()
-    result = sssp(target if target is not None else graph, source,
-                  simulator=simulator)
-    m = result.metrics
-    return m.total_time_ms, m.warp_efficiency
+    sim = GPUSimulator()
+    sssp(sim.attach(target if target is not None else graph), source)
+    return sim.metrics.total_time_ms, sim.metrics.warp_efficiency
 
 
 def sweep(name, graph):

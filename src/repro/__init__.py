@@ -130,11 +130,12 @@ def run(
     from repro.algorithms import run_algorithm
     from repro.gpu.simulator import GPUSimulator
 
-    simulator = GPUSimulator() if simulate else None
-    values, metrics, iterations = run_algorithm(
-        target, algorithm.lower(), source, options, simulator
+    sim = GPUSimulator() if simulate else None
+    values, iterations = run_algorithm(
+        sim.attach(target) if sim else target, algorithm.lower(), source,
+        options,
     )
     return EngineResult(
         values=values, num_iterations=iterations, converged=True,
-        metrics=metrics,
+        metrics=sim.metrics if sim else None,
     )

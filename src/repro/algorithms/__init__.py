@@ -42,8 +42,6 @@ from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
 from repro.engine.push import EngineOptions
 from repro.errors import EngineError
-from repro.gpu.metrics import RunMetrics
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.builder import to_undirected
 from repro.graph.csr import CSRGraph
 
@@ -124,27 +122,27 @@ def run_algorithm(
     algorithm: str,
     source: Optional[int],
     options: EngineOptions,
-    simulator: Optional[GPUSimulator],
-) -> Tuple[np.ndarray, Optional[RunMetrics], int]:
+) -> Tuple[np.ndarray, int]:
     """Run one analytic on any engine target.
 
-    Returns ``(values, metrics, iterations)``.  ``values`` are the
-    analytic's canonical output: distances, widths, labels, BC scores,
-    or PageRank scores.
+    Returns ``(values, iterations)``.  ``values`` are the analytic's
+    canonical output: distances, widths, labels, BC scores, or
+    PageRank scores.  To cost the run on the warp model, pass a
+    simulator's attached scheduler as ``target``.
     """
     if algorithm == "bfs":
-        r = bfs(target, source, options=options, simulator=simulator)
+        r = bfs(target, source, options=options)
     elif algorithm == "sssp":
-        r = sssp(target, source, options=options, simulator=simulator)
+        r = sssp(target, source, options=options)
     elif algorithm == "sswp":
-        r = sswp(target, source, options=options, simulator=simulator)
+        r = sswp(target, source, options=options)
     elif algorithm == "cc":
-        r = connected_components(target, options=options, simulator=simulator)
+        r = connected_components(target, options=options)
     elif algorithm == "pr":
-        r = pagerank(target, options=options, simulator=simulator)
+        r = pagerank(target, options=options)
     elif algorithm == "bc":
-        result = bc(target, source, options=options, simulator=simulator)
-        return result.centrality, result.metrics, result.num_iterations
+        result = bc(target, source, options=options)
+        return result.centrality, result.num_iterations
     else:
         raise EngineError(f"unknown algorithm {algorithm!r}")
-    return r.values, r.metrics, r.num_iterations
+    return r.values, r.num_iterations

@@ -19,7 +19,7 @@ the paper compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.engine.schedule import Scheduler
-from repro.gpu.metrics import RunMetrics
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import NODE_DTYPE
 
 
@@ -44,7 +42,6 @@ class BCResult:
     sigma: np.ndarray
     num_iterations: int
     converged: bool
-    metrics: Optional[RunMetrics] = None
     edges_processed: int = 0
 
 
@@ -61,9 +58,9 @@ class BCStep:
     A JIT backend runs either step as one compiled call under
     :class:`~repro.engine.push.PushStep`'s gates, walking the
     scheduler's ``walk_layout()`` in ``batch()`` order — both steps
-    ADD, so the fold order is part of the answer.  Simulator runs (they
-    need the thread batch), unwalkable schedulers and any gate failure
-    take the numpy bodies.
+    ADD, so the fold order is part of the answer.  Unwalkable schedulers
+    (an attached scheduler has no walk) and any gate failure take the
+    numpy bodies, which announce each launch.
     """
 
     def __init__(
@@ -71,16 +68,14 @@ class BCStep:
         scheduler: Scheduler,
         source: int,
         options: EngineOptions,
-        simulator: Optional[GPUSimulator] = None,
     ) -> None:
         graph = scheduler.graph
         n = graph.num_nodes
         self.scheduler = scheduler
-        self.simulator = simulator
         self.backend = kernels.resolve_backend(
             options.kernel_backend, edges=graph.num_edges
         )
-        self.walk = scheduler.walk_layout() if simulator is None else None
+        self.walk = scheduler.walk_layout()
         self.levels = np.full(n, -1, dtype=np.int64)
         self.sigma = np.zeros(n, dtype=np.float64)
         self.delta = np.zeros(n, dtype=np.float64)
@@ -92,8 +87,7 @@ class BCStep:
     def _launch(self, frontier: np.ndarray):
         """The numpy bodies' launch -> ``(edges, dst, src)`` per edge."""
         batch = self.scheduler.batch(frontier)
-        if self.simulator is not None:
-            self.simulator.record_iteration(batch.trace())
+        self.scheduler.launched(batch)
         dst = self.scheduler.graph.targets[batch.edge_indices()]
         return batch.total_edges, dst, batch.sources_per_edge()
 
@@ -140,7 +134,6 @@ def bc(
     source: int,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> BCResult:
     """Single-source betweenness contribution from ``source``.
 
@@ -148,7 +141,7 @@ def bc(
     frontier-driven by construction); ``options.max_iterations``
     bounds the forward phase's level count.
     """
-    step = BCStep(resolve_scheduler(target), source, options, simulator)
+    step = BCStep(resolve_scheduler(target), source, options)
     level_frontiers = []
     frontier = np.asarray([source], dtype=NODE_DTYPE)
     iterations = 0
@@ -175,7 +168,6 @@ def bc(
         sigma=step.sigma,
         num_iterations=iterations,
         converged=True,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
     )
 
@@ -185,7 +177,6 @@ def bc_lanes(
     sources,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> np.ndarray:
     """Per-source BC contributions, all sources in one lane pass.
 
@@ -224,8 +215,7 @@ def bc_lanes(
         union = np.flatnonzero(frontier_mask.any(axis=1)).astype(NODE_DTYPE)
         union_frontiers.append(union)
         batch = scheduler.batch(union)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+        scheduler.launched(batch)
         iterations += 1
 
         eidx = batch.edge_indices()
@@ -254,8 +244,7 @@ def bc_lanes(
     for lvl in range(deepest - 1, -1, -1):
         union = union_frontiers[lvl]
         batch = scheduler.batch(union)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+        scheduler.launched(batch)
         iterations += 1
 
         eidx = batch.edge_indices()
@@ -274,6 +263,4 @@ def bc_lanes(
 
     centrality = delta.copy()
     centrality[srcs, lanes] = 0.0
-    if simulator is not None:
-        simulator.finish()
     return centrality

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.algorithms.programs import BFSProgram
 from repro.engine.push import EngineOptions, EngineResult, run_push
-from repro.gpu.simulator import GPUSimulator
 
 
 def bfs(
@@ -15,7 +12,6 @@ def bfs(
     source: int,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Hop distances from ``source`` (``inf`` for unreachable nodes).
 
@@ -27,6 +23,5 @@ def bfs(
     :class:`~repro.algorithms.programs.BFSProgram`).
     """
     return run_push(
-        resolve_scheduler(target), BFSProgram(), source,
-        options=options, simulator=simulator,
+        resolve_scheduler(target), BFSProgram(), source, options=options
     )

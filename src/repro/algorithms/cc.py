@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.algorithms.programs import CCProgram
 from repro.engine.push import EngineOptions, EngineResult, run_push
-from repro.gpu.simulator import GPUSimulator
 
 
 def connected_components(
     target: Target,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Component labels: each node ends with its component's least id.
 
@@ -25,6 +21,5 @@ def connected_components(
     labels for the original node ids.
     """
     return run_push(
-        resolve_scheduler(target), CCProgram(), None,
-        options=options, simulator=simulator,
+        resolve_scheduler(target), CCProgram(), None, options=options
     )

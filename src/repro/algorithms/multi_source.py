@@ -37,7 +37,6 @@ from repro.algorithms.programs import BFSProgram, SSSPProgram
 from repro.algorithms.sssp import sssp
 from repro.engine.push import EngineOptions, run_push_lanes
 from repro.errors import EngineError
-from repro.gpu.simulator import GPUSimulator
 
 #: default lane-block width.  64 lanes keep the value matrix at
 #: ``n * 512`` bytes — small next to the edge arrays for any graph
@@ -122,7 +121,6 @@ def multi_source_distances(
     *,
     weighted: bool = True,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
     mode: str = "auto",
     max_lanes: int = DEFAULT_MAX_LANES,
 ) -> np.ndarray:
@@ -150,9 +148,7 @@ def multi_source_distances(
         runner = sssp if weighted else bfs
         rows = []
         for source in sources:
-            result = runner(scheduler, int(source), options=options,
-                            simulator=simulator)
-            rows.append(result.values)
+            rows.append(runner(scheduler, int(source), options=options).values)
         return np.vstack(rows)
 
     requested = np.asarray(sources, dtype=np.int64)
@@ -170,8 +166,7 @@ def multi_source_distances(
             # and a single source reproduces the old tile shortcut
             runner = sssp if weighted else bfs
             rows = [
-                runner(scheduler, int(source), options=options,
-                       simulator=simulator).values
+                runner(scheduler, int(source), options=options).values
                 for source in unique
             ]
             return np.vstack(rows)[inverse]
@@ -180,8 +175,7 @@ def multi_source_distances(
     matrix = np.empty((n, len(unique)))
     for block in lane_blocks(len(unique), max_lanes):
         result = run_push_lanes(
-            scheduler, program, unique[block].tolist(),
-            options=options, simulator=simulator,
+            scheduler, program, unique[block].tolist(), options=options
         )
         matrix[:, block] = result.values
     # one row per *requested* source: duplicates share a lane's column.

@@ -15,14 +15,11 @@ so Theorem 3 applies and the ranks match the original exactly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.engine.push import EngineOptions, EngineResult
 from repro.engine.rank import RankStep, inverse_out_degrees
-from repro.gpu.simulator import GPUSimulator
 
 
 def pagerank(
@@ -32,7 +29,6 @@ def pagerank(
     tolerance: float = 1e-10,
     max_iterations: int = 100,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """PageRank scores (sum to 1; dangling mass redistributed uniformly).
 
@@ -44,12 +40,11 @@ def pagerank(
     graph = scheduler.graph
     n = graph.num_nodes
     if n == 0:
-        return EngineResult(np.zeros(0), 0, True,
-                            simulator.finish() if simulator else None, 0)
+        return EngineResult(np.zeros(0), 0, True)
 
     step = RankStep(
         scheduler, inverse_out_degrees(graph), damping=damping,
-        kernel_backend=options.kernel_backend, simulator=simulator,
+        kernel_backend=options.kernel_backend,
     )
     rank = np.full(n, 1.0 / n)
     spare = np.empty(n)
@@ -68,6 +63,5 @@ def pagerank(
         values=rank,
         num_iterations=iterations,
         converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=iterations * graph.num_edges,
     )

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.algorithms.programs import SSSPProgram
 from repro.engine.push import EngineOptions, EngineResult, run_push
-from repro.gpu.simulator import GPUSimulator
 
 
 def sssp(
@@ -15,7 +12,6 @@ def sssp(
     source: int,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Shortest-path distances from ``source`` on a weighted graph.
 
@@ -25,6 +21,5 @@ def sssp(
     weights (Corollary 2) for the distances to match the original.
     """
     return run_push(
-        resolve_scheduler(target), SSSPProgram(), source,
-        options=options, simulator=simulator,
+        resolve_scheduler(target), SSSPProgram(), source, options=options
     )

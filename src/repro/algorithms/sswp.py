@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.algorithms.programs import SSWPProgram
 from repro.engine.push import EngineOptions, EngineResult, run_push
-from repro.gpu.simulator import GPUSimulator
 
 
 def sswp(
@@ -15,7 +12,6 @@ def sswp(
     source: int,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Maximum bottleneck width from ``source`` to every node.
 
@@ -24,6 +20,5 @@ def sswp(
     (Corollary 3).
     """
     return run_push(
-        resolve_scheduler(target), SSWPProgram(), source,
-        options=options, simulator=simulator,
+        resolve_scheduler(target), SSWPProgram(), source, options=options
     )

@@ -52,11 +52,12 @@ class GunrockMethod(Method):
     def _execute(
         self, graph: CSRGraph, algorithm: str, source: Optional[int], config: GPUConfig
     ) -> MethodResult:
-        simulator = GPUSimulator(config, self.profile)
-        values, metrics, _ = run_algorithm(
-            EdgeParallelScheduler(graph), algorithm, source,
-            EngineOptions(worklist=True), simulator,
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(EdgeParallelScheduler(graph)), algorithm, source,
+            EngineOptions(worklist=True),
         )
+        metrics = sim.metrics
         return MethodResult(
             method=self.name, algorithm=algorithm, values=values,
             time_ms=metrics.total_time_ms, metrics=metrics,

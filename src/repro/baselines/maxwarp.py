@@ -25,6 +25,7 @@ from repro.engine.push import EngineOptions
 from repro.engine.schedule import MaxWarpScheduler, NodeScheduler
 from repro.gpu.config import GPUConfig, KernelProfile
 from repro.gpu.simulator import GPUSimulator
+from repro.gpu.warp import WorkTrace
 from repro.graph.csr import CSRGraph
 
 #: virtual warp sizes evaluated, as in [23].
@@ -51,9 +52,9 @@ class MaxWarpMethod(Method):
     ) -> MethodResult:
         # Semantics once (results and iteration count are independent
         # of w — MW only changes the thread execution model).
-        values, _, iterations = run_algorithm(
+        values, iterations = run_algorithm(
             NodeScheduler(graph), algorithm, source,
-            EngineOptions(worklist=False), None,
+            EngineOptions(worklist=False),
         )
 
         best_metrics = None
@@ -63,7 +64,7 @@ class MaxWarpMethod(Method):
             scheduler = MaxWarpScheduler(graph, w)
             if all_nodes is None:
                 all_nodes = scheduler.all_nodes()
-            trace = scheduler.batch(all_nodes).trace()
+            trace = WorkTrace.of(scheduler.batch(all_nodes))
             simulator = GPUSimulator(config, self.profile)
             simulator.record_uniform_iterations(trace, iterations)
             metrics = simulator.finish()

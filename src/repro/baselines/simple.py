@@ -38,11 +38,12 @@ class BaselineMethod(Method):
     def _execute(
         self, graph: CSRGraph, algorithm: str, source: Optional[int], config: GPUConfig
     ) -> MethodResult:
-        simulator = GPUSimulator(config, self.profile)
-        options = EngineOptions(worklist=self.worklist)
-        values, metrics, _ = run_algorithm(
-            NodeScheduler(graph), algorithm, source, options, simulator
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(NodeScheduler(graph)), algorithm, source,
+            EngineOptions(worklist=self.worklist),
         )
+        metrics = sim.metrics
         return MethodResult(
             method=self.name, algorithm=algorithm, values=values,
             time_ms=metrics.total_time_ms, metrics=metrics,

@@ -83,11 +83,12 @@ class StreamingTigrMethod(Method):
         virtual = virtual_transform(graph, self.degree_bound, coalesced=True)
         transform_seconds = time.perf_counter() - start
 
-        simulator = GPUSimulator(config, self.profile)
-        values, metrics, iterations = run_algorithm(
-            VirtualScheduler(virtual), algorithm, source,
-            EngineOptions(worklist=True), simulator,
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(VirtualScheduler(virtual)), algorithm, source,
+            EngineOptions(worklist=True),
         )
+        metrics = sim.metrics
         partitions, sweep_bytes = self.plan_streaming(graph, config)
         # Frontier iterations touch a subset of partitions; charge
         # proportionally to the fraction of edges actually processed.

@@ -72,11 +72,12 @@ class SubwayMethod(Method):
         virtual = virtual_transform(graph, self.degree_bound, coalesced=True)
         transform_seconds = time.perf_counter() - start
 
-        simulator = GPUSimulator(config, self.profile)
-        values, metrics, _ = run_algorithm(
-            VirtualScheduler(virtual), algorithm, source,
-            EngineOptions(worklist=True), simulator,
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(VirtualScheduler(virtual)), algorithm, source,
+            EngineOptions(worklist=True),
         )
+        metrics = sim.metrics
 
         partitions, _ = self._fits_helper.plan_streaming(graph, config)
         stream_ms = 0.0

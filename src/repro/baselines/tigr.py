@@ -53,11 +53,12 @@ class TigrUDTMethod(Method):
         )
         transform_seconds = time.perf_counter() - start
 
-        simulator = GPUSimulator(config, self.profile)
-        values, metrics, _ = run_algorithm(
-            NodeScheduler(transformed.graph), algorithm, source,
-            EngineOptions(worklist=True), simulator,
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(NodeScheduler(transformed.graph)), algorithm, source,
+            EngineOptions(worklist=True),
         )
+        metrics = sim.metrics
         return MethodResult(
             method=self.name, algorithm=algorithm,
             values=transformed.read_values(values),
@@ -94,11 +95,12 @@ class TigrVirtualMethod(Method):
         virtual = virtual_transform(graph, self.degree_bound, coalesced=self.coalesced)
         transform_seconds = time.perf_counter() - start
 
-        simulator = GPUSimulator(config, self.profile)
-        values, metrics, _ = run_algorithm(
-            VirtualScheduler(virtual), algorithm, source,
-            EngineOptions(worklist=True), simulator,
+        sim = GPUSimulator(config, self.profile)
+        values, _ = run_algorithm(
+            sim.attach(VirtualScheduler(virtual)), algorithm, source,
+            EngineOptions(worklist=True),
         )
+        metrics = sim.metrics
         return MethodResult(
             method=self.name, algorithm=algorithm, values=values,
             time_ms=metrics.total_time_ms, metrics=metrics,

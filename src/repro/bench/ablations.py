@@ -35,10 +35,11 @@ from repro.graph.datasets import load_dataset
 
 
 def _simulated_sssp(scheduler, source, config, *, worklist=True):
-    simulator = GPUSimulator(config)
-    result = sssp(scheduler, source, options=EngineOptions(worklist=worklist),
-                  simulator=simulator)
-    return result
+    """``(result, metrics)`` of one SSSP run costed on the warp model."""
+    sim = GPUSimulator(config)
+    result = sssp(sim.attach(scheduler), source,
+                  options=EngineOptions(worklist=worklist))
+    return result, sim.metrics
 
 
 def k_sweep_virtual(
@@ -61,10 +62,10 @@ def k_sweep_virtual(
     times = []
     for k in degree_bounds:
         virtual = virtual_transform(graph, k, coalesced=True)
-        result = _simulated_sssp(VirtualScheduler(virtual), source, config)
-        times.append(result.metrics.total_time_ms)
-        report.add_row(K=k, time_ms=result.metrics.total_time_ms,
-                       warp_efficiency=result.metrics.warp_efficiency,
+        result, metrics = _simulated_sssp(VirtualScheduler(virtual), source, config)
+        times.append(metrics.total_time_ms)
+        report.add_row(K=k, time_ms=metrics.total_time_ms,
+                       warp_efficiency=metrics.warp_efficiency,
                        iterations=result.num_iterations)
     report.extras["spread"] = max(times) / min(times)
     return report
@@ -91,11 +92,13 @@ def k_sweep_physical(
     times = []
     for k in degree_bounds:
         transformed = udt_transform(graph, k)
-        result = _simulated_sssp(NodeScheduler(transformed.graph), source, config)
-        times.append(result.metrics.total_time_ms)
-        report.add_row(K=k, time_ms=result.metrics.total_time_ms,
+        result, metrics = _simulated_sssp(
+            NodeScheduler(transformed.graph), source, config
+        )
+        times.append(metrics.total_time_ms)
+        report.add_row(K=k, time_ms=metrics.total_time_ms,
                        iterations=result.num_iterations,
-                       warp_efficiency=result.metrics.warp_efficiency,
+                       warp_efficiency=metrics.warp_efficiency,
                        new_nodes=transformed.stats.new_nodes)
     report.extras["spread"] = max(times) / min(times)
     return report
@@ -122,13 +125,13 @@ def optimization_grid(
     for worklist in (False, True):
         for coalesced in (False, True):
             virtual = virtual_transform(graph, degree_bound, coalesced=coalesced)
-            result = _simulated_sssp(
+            _, metrics = _simulated_sssp(
                 VirtualScheduler(virtual), source, config, worklist=worklist
             )
             report.add_row(
                 worklist=worklist, coalesced=coalesced,
-                time_ms=result.metrics.total_time_ms,
-                transactions=result.metrics.total_transactions,
+                time_ms=metrics.total_time_ms,
+                transactions=metrics.total_transactions,
             )
     return report
 
@@ -160,20 +163,18 @@ def topology_race(
         "star": star_transform,
         "udt": udt_transform,
     }
-    baseline = _simulated_sssp(NodeScheduler(graph), source, config)
+    baseline, metrics = _simulated_sssp(NodeScheduler(graph), source, config)
     report.add_row(topology="(none)", iterations=baseline.num_iterations,
-                   time_ms=baseline.metrics.total_time_ms,
+                   time_ms=metrics.total_time_ms,
                    extra_edges=0, max_degree=graph.max_out_degree())
     for name, transform in transforms.items():
         result = transform(graph, degree_bound)
-        run = _simulated_sssp(NodeScheduler(result.graph), source, config)
-        values = result.read_values(run.values)
-        assert np.allclose(values, _simulated_sssp(
-            NodeScheduler(graph), source, config).values)
+        run, metrics = _simulated_sssp(NodeScheduler(result.graph), source, config)
+        assert np.allclose(result.read_values(run.values), baseline.values)
         report.add_row(
             topology=name,
             iterations=run.num_iterations,
-            time_ms=run.metrics.total_time_ms,
+            time_ms=metrics.total_time_ms,
             extra_edges=result.stats.new_edges,
             max_degree=result.graph.max_out_degree(),
         )
@@ -199,7 +200,6 @@ def push_vs_pull(
     from repro.algorithms.programs import SSSPProgram
     from repro.engine.adaptive import run_adaptive
     from repro.engine.pull import run_pull
-    from repro.gpu.simulator import GPUSimulator
 
     report = ExperimentReport(
         "Ablation direction", f"push vs pull vs adaptive (SSSP, {dataset})"
@@ -209,20 +209,25 @@ def push_vs_pull(
     source = default_source(graph)
     reverse = graph.reverse()
 
-    runs = {}
-    sim = GPUSimulator(config)
-    runs["push"] = sssp(NodeScheduler(graph), source, simulator=sim)
-    sim = GPUSimulator(config)
-    runs["pull"] = run_pull(NodeScheduler(reverse), SSSPProgram(), graph, source,
-                            simulator=sim)
-    sim = GPUSimulator(config)
-    runs["adaptive"] = run_adaptive(graph, SSSPProgram(), source,
-                                    reverse=reverse, simulator=sim)
-    sim = GPUSimulator(config)
-    runs["tigr-v+ push"] = sssp(
-        VirtualScheduler(virtual_transform(graph, degree_bound, coalesced=True)),
-        source, simulator=sim,
-    )
+    sims = {name: GPUSimulator(config)
+            for name in ("push", "pull", "adaptive", "tigr-v+ push")}
+    runs = {
+        "push": sssp(sims["push"].attach(graph), source),
+        "pull": run_pull(
+            sims["pull"].attach(reverse), SSSPProgram(), graph, source
+        ),
+        "adaptive": run_adaptive(
+            graph, SSSPProgram(), source, reverse=reverse,
+            push_scheduler=sims["adaptive"].attach(graph),
+            pull_scheduler=sims["adaptive"].attach(reverse),
+        ),
+        "tigr-v+ push": sssp(
+            sims["tigr-v+ push"].attach(
+                virtual_transform(graph, degree_bound, coalesced=True)
+            ),
+            source,
+        ),
+    }
     baseline_values = runs["push"].values
     for name, result in runs.items():
         assert np.allclose(result.values, baseline_values)
@@ -230,7 +235,7 @@ def push_vs_pull(
             engine=name,
             iterations=result.num_iterations,
             edges_processed=result.edges_processed,
-            time_ms=result.metrics.total_time_ms,
-            warp_efficiency=result.metrics.warp_efficiency,
+            time_ms=sims[name].metrics.total_time_ms,
+            warp_efficiency=sims[name].metrics.warp_efficiency,
         )
     return report

@@ -35,10 +35,11 @@ from repro.graph.stats import degree_stats
 
 
 def _run(scheduler, source, config):
-    simulator = GPUSimulator(config)
-    result = sssp(scheduler, source, options=EngineOptions(worklist=True),
-                  simulator=simulator)
-    return result
+    """``(values, metrics)`` of one SSSP run costed on the warp model."""
+    sim = GPUSimulator(config)
+    result = sssp(sim.attach(scheduler), source,
+                  options=EngineOptions(worklist=True))
+    return result.values, sim.metrics
 
 
 def skew_sweep(
@@ -75,19 +76,19 @@ def skew_sweep(
 def _speedup_row(label: str, graph, degree_bound: int, config: GPUConfig) -> dict:
     source = int(np.argmax(graph.out_degrees()))
     stats = degree_stats(graph)
-    base = _run(NodeScheduler(graph), source, config)
+    base_values, base = _run(NodeScheduler(graph), source, config)
     virtual = virtual_transform(graph, degree_bound, coalesced=True)
-    tigr = _run(VirtualScheduler(virtual), source, config)
-    assert np.allclose(base.values, tigr.values)
+    tigr_values, tigr = _run(VirtualScheduler(virtual), source, config)
+    assert np.allclose(base_values, tigr_values)
     return dict(
         graph=label,
         d_max=stats.max_degree,
         cv=round(stats.coefficient_of_variation, 2),
-        baseline_ms=base.metrics.total_time_ms,
-        tigr_ms=tigr.metrics.total_time_ms,
-        speedup=base.metrics.total_time_ms / tigr.metrics.total_time_ms,
-        base_warp_eff=base.metrics.warp_efficiency,
-        tigr_warp_eff=tigr.metrics.warp_efficiency,
+        baseline_ms=base.total_time_ms,
+        tigr_ms=tigr.total_time_ms,
+        speedup=base.total_time_ms / tigr.total_time_ms,
+        base_warp_eff=base.warp_efficiency,
+        tigr_warp_eff=tigr.warp_efficiency,
     )
 
 
@@ -117,22 +118,22 @@ def reordering_comparison(
         "degree-sorted": degree_sorted(graph),
         "bfs-ordered": bfs_ordered(graph),
     }
-    results = {}
     for label, g in variants.items():
         source = int(np.argmax(g.out_degrees()))
-        run = _run(NodeScheduler(g), source, config)
-        results[label] = run
+        _, metrics = _run(NodeScheduler(g), source, config)
         report.add_row(
-            config=label, time_ms=run.metrics.total_time_ms,
-            warp_efficiency=run.metrics.warp_efficiency,
+            config=label, time_ms=metrics.total_time_ms,
+            warp_efficiency=metrics.warp_efficiency,
         )
     for label, g in (("tigr-v+ (original)", graph),
                      ("tigr-v+ (degree-sorted)", degree_sorted(graph))):
         source = int(np.argmax(g.out_degrees()))
-        run = _run(VirtualScheduler(virtual_transform(g, degree_bound, coalesced=True)),
-                   source, config)
+        _, metrics = _run(
+            VirtualScheduler(virtual_transform(g, degree_bound, coalesced=True)),
+            source, config,
+        )
         report.add_row(
-            config=label, time_ms=run.metrics.total_time_ms,
-            warp_efficiency=run.metrics.warp_efficiency,
+            config=label, time_ms=metrics.total_time_ms,
+            warp_efficiency=metrics.warp_efficiency,
         )
     return report

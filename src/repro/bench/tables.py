@@ -316,13 +316,10 @@ def table8_sssp_profile(
     }
     for worklist in (False, True):
         for label, (scheduler, transform) in variants.items():
-            simulator = GPUSimulator(config)
-            result = sssp(
-                scheduler, source,
-                options=EngineOptions(worklist=worklist),
-                simulator=simulator,
-            )
-            metrics = result.metrics
+            sim = GPUSimulator(config)
+            sssp(sim.attach(scheduler), source,
+                 options=EngineOptions(worklist=worklist))
+            metrics = sim.metrics
             report.add_row(
                 variant=label,
                 worklist="with" if worklist else "without",

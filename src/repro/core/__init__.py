@@ -6,10 +6,10 @@ node whose outdegree exceeds a bound *K* into a *family* of nodes with
 degree ≤ *K* (§3 of the paper).  Virtual transformation
 (:mod:`repro.core.virtual`) instead overlays a virtual node array on
 the untouched CSR (§4), optionally with edge-array coalescing (§4.4).
+The §4 on-the-fly mapping design is :mod:`repro.core.dynamic`.
 """
 
 from repro.core.analysis import SplitProperties, predict_properties
-from repro.core.dynamic import DynamicMapper
 from repro.core.properties import (
     check_split_transformation,
     family_members,
@@ -34,7 +34,6 @@ __all__ = [
     "star_transform",
     "VirtualGraph",
     "virtual_transform",
-    "DynamicMapper",
     "SplitProperties",
     "predict_properties",
     "check_split_transformation",

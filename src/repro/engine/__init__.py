@@ -1,7 +1,6 @@
-"""Vertex-centric BSP engines (push and pull) with pluggable scheduling.
+"""Vertex-centric BSP engines with pluggable scheduling.
 
-The engine layer realises §2.1's programming model on top of the
-simulated GPU:
+The engine layer realises §2.1's programming model:
 
 * a :class:`~repro.engine.program.PushProgram` defines the per-edge
   relax function and the monotone reduction (MIN/MAX/ADD) — the
@@ -11,16 +10,19 @@ simulated GPU:
   physical transforms), one per virtual node (Tigr-V / Tigr-V+,
   Algorithms 2–3), ``w`` sub-warp lanes per node (Maximum Warp), or
   one per edge (Gunrock/CuSha-style edge parallelism);
-* :func:`~repro.engine.push.run_push` and
-  :func:`~repro.engine.pull.run_pull` run the BSP loop with optional
-  worklist, synchronization relaxation, and GPU cost simulation.
+* :func:`~repro.engine.push.run_push` runs the BSP loop with optional
+  worklist and synchronization relaxation.
+
+The warp model is not part of the engine: it observes a run through
+the scheduler it attaches to
+(:meth:`repro.gpu.simulator.GPUSimulator.attach`).  The pull and
+direction-adaptive engines of the paper's ablations live in
+:mod:`repro.engine.pull` and :mod:`repro.engine.adaptive`.
 """
 
-from repro.engine.adaptive import AdaptiveOptions, AdaptiveResult, run_adaptive
 from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram, ReduceOp
 from repro.engine.push import EngineOptions, EngineResult, run_push, run_push_lanes
-from repro.engine.pull import run_pull
 from repro.engine.schedule import (
     EdgeParallelScheduler,
     MaxWarpScheduler,
@@ -33,9 +35,6 @@ from repro.engine.schedule import (
 
 __all__ = [
     "Frontier",
-    "AdaptiveOptions",
-    "AdaptiveResult",
-    "run_adaptive",
     "DENSE_THRESHOLD",
     "PushProgram",
     "ReduceOp",
@@ -43,7 +42,6 @@ __all__ = [
     "EngineResult",
     "run_push",
     "run_push_lanes",
-    "run_pull",
     "Scheduler",
     "ThreadBatch",
     "NodeScheduler",

@@ -29,7 +29,6 @@ from repro.engine.program import PushProgram, ReduceOp
 from repro.engine.push import EngineOptions, EngineResult, PushStep
 from repro.engine.schedule import NodeScheduler, Scheduler
 from repro.errors import EngineError
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 
 
@@ -64,7 +63,7 @@ def run_adaptive(
     *,
     reverse: Optional[CSRGraph] = None,
     options: AdaptiveOptions = AdaptiveOptions(),
-    simulator: Optional[GPUSimulator] = None,
+    push_scheduler: Optional[Scheduler] = None,
     pull_scheduler: Optional[Scheduler] = None,
 ) -> AdaptiveResult:
     """Run a monotone program with per-iteration direction choice.
@@ -75,6 +74,9 @@ def run_adaptive(
         The transpose graph for pull iterations; computed once here
         when not supplied (callers running many analytics should
         pass a precomputed one).
+    push_scheduler:
+        Scheduler over ``graph`` for push iterations (defaults to node
+        scheduling).
     pull_scheduler:
         Scheduler over the reverse graph for pull iterations
         (defaults to node scheduling; a virtual scheduler composes
@@ -87,8 +89,8 @@ def run_adaptive(
     if reverse is None:
         reverse = graph.reverse()
     push_step = PushStep(
-        NodeScheduler(graph), program,
-        replace(options, sync_relaxation_blocks=1), simulator,
+        push_scheduler or NodeScheduler(graph), program,
+        replace(options, sync_relaxation_blocks=1),
     )
     backend, spec = push_step.backend, push_step.spec
     if pull_scheduler is None:
@@ -121,8 +123,7 @@ def run_adaptive(
             # ---- pull sweep over every node's in-edges -------------
             pulls += 1
             batch = pull_scheduler.batch(pull_scheduler.all_nodes())
-            if simulator is not None:
-                simulator.record_iteration(batch.trace())
+            pull_scheduler.launched(batch)
             edges_processed += batch.total_edges
             if batch.total_edges and not backend.try_pull(
                 spec, values, read, batch, reverse.targets, reverse.weights
@@ -154,7 +155,6 @@ def run_adaptive(
         values=values,
         num_iterations=iterations,
         converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
         pull_iterations=pulls,
         push_iterations=pushes,

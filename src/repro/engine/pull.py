@@ -24,7 +24,6 @@ from repro.engine import kernels
 from repro.engine.program import PushProgram
 from repro.engine.push import EngineOptions, EngineResult
 from repro.engine.schedule import Scheduler
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 from repro.indexing import ranges_to_indices
 
@@ -36,7 +35,6 @@ def run_pull(
     source: Optional[int] = None,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Run a program in pull mode.
 
@@ -87,8 +85,7 @@ def run_pull(
             converged = True
             break
         batch = scheduler.batch(active)
-        if simulator is not None:
-            simulator.record_iteration(batch.trace())
+        scheduler.launched(batch)
         iterations += 1
         edges_processed += batch.total_edges
 
@@ -117,7 +114,6 @@ def run_pull(
         values=values,
         num_iterations=iterations,
         converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
     )
 

@@ -20,7 +20,7 @@ propagation costs ``O(E * S/64)`` instead of ``O(E * S)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from repro.engine import kernels
 from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.program import PushProgram
 from repro.engine.schedule import Scheduler, ThreadBatch, WalkLayout
-from repro.gpu.metrics import RunMetrics
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import NODE_DTYPE
+
+if TYPE_CHECKING:
+    from repro.gpu.metrics import RunMetrics
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ class EngineResult:
     values: np.ndarray
     num_iterations: int
     converged: bool
+    #: the warp model's totals, filled only by the :func:`repro.run`
+    #: facade (engines leave it to an attached simulator's ``metrics``).
     metrics: Optional[RunMetrics] = None
     #: total edges relaxed over the run (useful work measure).
     edges_processed: int = 0
@@ -114,9 +117,10 @@ class PushStep:
     in the superstep goes out now), and walks each row in order (the
     coalesced stride, which buys a GPU warp its memory transactions,
     costs a CPU 9-27 %): it reaches the numpy body's unique fixpoint bit
-    for bit, in at most as many supersteps.  Simulator
-    runs, ``sync_relaxation_blocks > 1`` (later blocks re-read ``out``),
-    unwalkable schedulers and any gate failure take the numpy path.
+    for bit, in at most as many supersteps.  ``sync_relaxation_blocks >
+    1`` (later blocks re-read ``out``), unwalkable schedulers (an
+    attached scheduler has no walk) and any gate failure take the numpy
+    path.
     """
 
     def __init__(
@@ -124,7 +128,6 @@ class PushStep:
         scheduler: Scheduler,
         program: PushProgram,
         options: EngineOptions,
-        simulator: Optional[GPUSimulator] = None,
     ) -> None:
         graph = scheduler.graph
         if options.sync_relaxation_blocks < 1:
@@ -133,16 +136,12 @@ class PushStep:
             raise EngineError(f"program {program.name!r} needs edge weights")
         self.scheduler = scheduler
         self.program = program
-        self.simulator = simulator
         self.blocks = options.sync_relaxation_blocks
         self.backend = kernels.resolve_backend(
             options.kernel_backend, edges=graph.num_edges
         )
         self.spec = kernels.spec_for(program) if self.backend.jit else None
-        self.walk = (
-            scheduler.walk_layout()
-            if simulator is None and self.blocks == 1 else None
-        )
+        self.walk = scheduler.walk_layout() if self.blocks == 1 else None
         if (self.walk is not None and self.spec is not None
                 and self.spec.reduce != kernels.REDUCE_ADD):
             self.walk = WalkLayout(self.walk.offsets)
@@ -167,12 +166,11 @@ class PushStep:
         return np.flatnonzero(out != read), batch.total_edges
 
     def _launch(self, apply, out, read, active) -> ThreadBatch:
-        """The numpy body's launch: schedule ``active``, cost it, and
-        ``apply`` the batch (in relaxation blocks when asked to)."""
+        """The numpy body's launch: schedule ``active``, announce it,
+        and ``apply`` the batch (in relaxation blocks when asked to)."""
         graph = self.scheduler.graph
         batch = self.scheduler.batch(active)
-        if self.simulator is not None:
-            self.simulator.record_iteration(batch.trace())
+        self.scheduler.launched(batch)
         if self.blocks == 1:
             apply(batch, self.program, out, read, graph.targets, graph.weights)
         else:
@@ -215,9 +213,8 @@ class LaneStep(PushStep):
         program: PushProgram,
         sources: Sequence[int],
         options: EngineOptions,
-        simulator: Optional[GPUSimulator] = None,
     ) -> None:
-        super().__init__(scheduler, program, options, simulator)
+        super().__init__(scheduler, program, options)
         n = scheduler.graph.num_nodes
         num_lanes = len(sources)
         self.hops = (
@@ -301,7 +298,6 @@ def run_push(
     source: Optional[int] = None,
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Run a push program to convergence.
 
@@ -318,13 +314,9 @@ def run_push(
     source:
         Source node for single-source analytics; ``None`` for
         all-nodes initialisation (CC).
-    simulator:
-        Optional :class:`~repro.gpu.simulator.GPUSimulator`; when
-        given, each iteration's thread batch is costed and
-        ``result.metrics`` carries the run totals.
     """
     n = scheduler.graph.num_nodes
-    step = PushStep(scheduler, program, options, simulator)
+    step = PushStep(scheduler, program, options)
     values = program.initial_values(n, source)
     read = values.copy()
     frontier = Frontier.from_ids(
@@ -363,7 +355,6 @@ def run_push(
         values=values,
         num_iterations=iterations,
         converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
         dense_iterations=dense_iterations,
     )
@@ -375,7 +366,6 @@ def run_push_lanes(
     sources: Sequence[int],
     *,
     options: EngineOptions = EngineOptions(),
-    simulator: Optional[GPUSimulator] = None,
 ) -> EngineResult:
     """Run one push pass carrying a lane per source.
 
@@ -395,7 +385,7 @@ def run_push_lanes(
             f"program {program.name!r} is not lane-safe: its "
             f"{program.reduce.value} reduction is not idempotent"
         )
-    step = LaneStep(scheduler, program, sources, options, simulator)
+    step = LaneStep(scheduler, program, sources, options)
     frontier = Frontier.from_ids(
         n, program.initial_lane_frontier(n, sources),
         dense_threshold=options.dense_threshold,
@@ -435,7 +425,6 @@ def run_push_lanes(
         values=step.values,
         num_iterations=iterations,
         converged=converged,
-        metrics=simulator.finish() if simulator is not None else None,
         edges_processed=edges_processed,
         dense_iterations=dense_iterations,
         num_lanes=num_lanes,

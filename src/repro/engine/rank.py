@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.engine import kernels
 from repro.engine.schedule import Scheduler
-from repro.gpu.simulator import GPUSimulator
 from repro.graph.csr import CSRGraph
 
 
@@ -62,8 +61,9 @@ class RankStep:
     the graph) and then makes one compiled call per iteration; only
     the two sums numpy folds *pairwise* — the dangling mass and the L1
     distance — stay in numpy, on the same element sequences.
-    Simulator runs, unwalkable schedulers, graphs an ``int32`` cannot
-    index and any gate failure take the numpy body.
+    Unwalkable schedulers (an attached scheduler has no walk), graphs
+    an ``int32`` cannot index and any gate failure take the numpy body,
+    which announces its cached launch once per iteration.
     """
 
     def __init__(
@@ -73,21 +73,18 @@ class RankStep:
         *,
         damping: float = 0.85,
         kernel_backend: Optional[str] = None,
-        simulator: Optional[GPUSimulator] = None,
     ) -> None:
         graph = scheduler.graph
         n = graph.num_nodes
         self.scheduler = scheduler
         self.inv_deg = inv_deg
         self.damping = damping
-        self.simulator = simulator
         self.dangling = np.flatnonzero(inv_deg == 0)
         self.backend = kernels.resolve_backend(
             kernel_backend, edges=graph.num_edges
         )
         self.launch = self.backend.try_rank_launch(
-            scheduler.walk_layout() if simulator is None else None,
-            graph.targets,
+            scheduler.walk_layout(), graph.targets
         )
         #: ``rank * inv_deg``, the scatter's result, ``|new - old|``
         self.scratch = (np.empty(n), np.zeros(n), np.empty(n))
@@ -116,8 +113,7 @@ class RankStep:
                 self.scheduler.graph.targets[batch.edge_indices()],
             )
         batch, src, dst = self._batch
-        if self.simulator is not None:
-            self.simulator.record_iteration(batch.trace())
+        self.scheduler.launched(batch)
         contrib[:] = 0.0
         np.add.at(contrib, dst, rank[src] * self.inv_deg[src])
         return contrib

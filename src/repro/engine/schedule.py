@@ -15,8 +15,10 @@ Scheduler              Models
 
 A scheduler turns a frontier of *physical* node ids into a
 :class:`ThreadBatch`: parallel per-thread arrays (owning physical
-node, edge count, edge start slot, stride) from which both the engine
-(for semantics) and the GPU simulator (for cost) read.
+node, edge count, edge start slot, stride) from which the engine reads
+its semantics.  Every numpy-body launch is announced through
+:meth:`Scheduler.launched`; the warp model observes a run by wrapping
+the scheduler (:meth:`repro.gpu.simulator.GPUSimulator.attach`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.core.virtual import VirtualGraph
-from repro.gpu.warp import WorkTrace
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 from repro.indexing import strided_ranges_to_indices
 
@@ -98,10 +99,6 @@ class ThreadBatch:
         self._memo["sources_per_edge"] = result
         return result
 
-    def trace(self) -> WorkTrace:
-        """The GPU-simulator view of this launch."""
-        return WorkTrace(self.counts, self.starts, self.strides)
-
     def slice(self, lo: int, hi: int) -> "ThreadBatch":
         """Sub-batch of threads ``[lo, hi)`` (synchronization
         relaxation processes a launch in sequential blocks)."""
@@ -144,8 +141,13 @@ class Scheduler(ABC):
 
     def walk_layout(self) -> Optional[WalkLayout]:
         """The layout whose walk visits edges in :meth:`batch` order,
-        or ``None`` when threads are not per-node (warp segmentation)."""
+        or ``None`` when threads are not per-node (warp segmentation)
+        or the launches are observed (the compiled steps then decline)."""
         return None
+
+    def launched(self, batch: ThreadBatch) -> None:
+        """Hook: ``batch`` is one superstep's launch on a numpy body.
+        A no-op; an observing scheduler costs it."""
 
     def all_nodes(self) -> np.ndarray:
         """Convenience frontier: every node."""

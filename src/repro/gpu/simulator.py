@@ -1,8 +1,11 @@
 """The kernel simulator: traces in, timing/efficiency metrics out.
 
-The engines call :meth:`GPUSimulator.record_iteration` once per BSP
-iteration with that iteration's :class:`~repro.gpu.warp.WorkTrace`.
-The simulator converts it to cycles with the warp/memory model:
+The warp model observes an engine run through a scheduler:
+:meth:`GPUSimulator.attach` wraps the run's scheduler, and every
+superstep launch the engine announces (``Scheduler.launched``) reaches
+:meth:`GPUSimulator.record_iteration` as a
+:class:`~repro.gpu.warp.WorkTrace`.  The simulator converts it to
+cycles with the warp/memory model:
 
 * per-warp compute cycles — SIMD steps × issue cost plus per-thread
   setup;
@@ -23,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.algorithms._dispatch import Target, resolve_scheduler
+from repro.engine.schedule import Scheduler, ThreadBatch
 from repro.errors import DeviceOutOfMemoryError
 from repro.gpu.config import GPUConfig, KernelProfile
 from repro.gpu.memory import edge_transactions, total_memory_cycles, value_transactions
@@ -46,6 +51,15 @@ class GPUSimulator:
         self.config = config or GPUConfig()
         self.profile = profile or KernelProfile()
         self.metrics = RunMetrics()
+
+    def attach(self, target: Target) -> Scheduler:
+        """``target`` (a graph, virtual graph or scheduler) as a
+        scheduler whose launches this simulator costs.
+
+        Run any engine or analytic on the result and read the run
+        totals from :attr:`metrics` afterwards.
+        """
+        return AttachedScheduler(resolve_scheduler(target), self)
 
     # ------------------------------------------------------------------
     # Memory footprint (OOM modelling)
@@ -138,3 +152,27 @@ class GPUSimulator:
     def finish(self) -> RunMetrics:
         """The accumulated run metrics."""
         return self.metrics
+
+
+class AttachedScheduler(Scheduler):
+    """A scheduler whose every announced launch a simulator costs.
+
+    It hands out its target's thread batches unchanged, so values and
+    counters are the target's.  It offers no walk layout, so every
+    compiled superstep declines and the run stays on the synchronous
+    numpy bodies, which announce each launch.
+    """
+
+    def __init__(self, target: Scheduler, simulator: GPUSimulator) -> None:
+        self.target = target
+        self.graph = target.graph
+        self.simulator = simulator
+
+    def batch(self, active: np.ndarray) -> ThreadBatch:
+        return self.target.batch(active)
+
+    def all_nodes(self) -> np.ndarray:
+        return self.target.all_nodes()
+
+    def launched(self, batch: ThreadBatch) -> None:
+        self.simulator.record_iteration(WorkTrace.of(batch))

@@ -47,6 +47,12 @@ class WorkTrace:
         return int(self.counts.sum()) if len(self.counts) else 0
 
     @classmethod
+    def of(cls, batch) -> "WorkTrace":
+        """The warp-model view of an engine launch
+        (a :class:`~repro.engine.schedule.ThreadBatch`)."""
+        return cls(batch.counts, batch.starts, batch.strides)
+
+    @classmethod
     def uniform(cls, num_threads: int, count: int, *, start: int = 0) -> "WorkTrace":
         """A perfectly regular trace: every thread does ``count`` slots,
         laid out consecutively — handy in tests and for edge-parallel

@@ -14,7 +14,6 @@ the graph across devices does not remove the intra-device warp
 imbalance, and Tigr still removes it.
 """
 
-from repro.multigpu.config import InterconnectConfig, MultiGPUConfig
 from repro.multigpu.partition import (
     MirroredPartition,
     Partition,
@@ -45,10 +44,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the simulated multi-device engine loads on first use: the serving
-    # tier imports this package for `partition` alone
+    # the simulated multi-device engine and its config (built on the
+    # warp model's GPUConfig) load on first use: the serving tier
+    # imports this package for `partition` alone
     if name in ("MultiGPUResult", "run_multi_gpu"):
         from repro.multigpu import engine
 
         return getattr(engine, name)
+    if name in ("InterconnectConfig", "MultiGPUConfig"):
+        from repro.multigpu import config
+
+        return getattr(config, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

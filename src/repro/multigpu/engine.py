@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.virtual import virtual_transform
 from repro.engine.program import PushProgram
 from repro.engine.push import EngineOptions
-from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
 from repro.errors import EngineError
 from repro.gpu.metrics import RunMetrics
 from repro.gpu.simulator import GPUSimulator
@@ -105,19 +104,16 @@ def run_multi_gpu(
         if mirrored is not None and len(mirrored):
             is_mirror[partition.device, mirrored] = True
 
-    schedulers: List[Scheduler] = []
-    simulators: List[GPUSimulator] = []
-    for partition in partitions:
-        if degree_bound is None:
-            schedulers.append(NodeScheduler(partition.subgraph))
-        else:
-            schedulers.append(
-                VirtualScheduler(
-                    virtual_transform(partition.subgraph, degree_bound,
-                                      coalesced=coalesced)
-                )
-            )
-        simulators.append(GPUSimulator(config.device))
+    # each device's scheduler carries its own warp model
+    simulators = [GPUSimulator(config.device) for _ in partitions]
+    schedulers = [
+        sim.attach(
+            partition.subgraph if degree_bound is None
+            else virtual_transform(partition.subgraph, degree_bound,
+                                   coalesced=coalesced)
+        )
+        for sim, partition in zip(simulators, partitions)
+    ]
 
     n = graph.num_nodes
     values = program.initial_values(n, source)
@@ -157,8 +153,10 @@ def run_multi_gpu(
             if len(active) == 0:
                 continue
             batch = scheduler.batch(active)
-            iteration = simulator.record_iteration(batch.trace())
-            step_kernel_ms = max(step_kernel_ms, iteration.time_ms)
+            scheduler.launched(batch)
+            step_kernel_ms = max(
+                step_kernel_ms, simulator.metrics.iterations[-1].time_ms
+            )
 
             eidx = batch.edge_indices()
             if len(eidx) == 0:
@@ -205,5 +203,5 @@ def run_multi_gpu(
         transfer_bytes=transfer_bytes,
         remote_updates=remote_updates,
         mirror_syncs=mirror_syncs,
-        device_metrics=[sim.finish() for sim in simulators],
+        device_metrics=[sim.metrics for sim in simulators],
     )

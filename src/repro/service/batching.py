@@ -186,14 +186,14 @@ def run_sources_on_target(
         )
     elif ALGORITHMS[algorithm].needs_source:  # sswp, bc: per-source engine runs
         for source in sources:
-            values, _, _ = run_algorithm(target, algorithm, source, options, None)
+            values, _ = run_algorithm(target, algorithm, source, options)
             per_source[source] = values
         execution = BatchExecution(
             traversals=len(sources), lanes=len(sources), traversals_saved=0,
             strategy="per-source",
         )
     else:  # cc, pr: one run shared by the whole batch
-        values, _, _ = run_algorithm(target, algorithm, None, options, None)
+        values, _ = run_algorithm(target, algorithm, None, options)
         per_source[-1] = values
         execution = BatchExecution(
             traversals=1, lanes=1, traversals_saved=0, strategy="shared",

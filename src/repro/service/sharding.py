@@ -461,17 +461,21 @@ def _host_dispatch(
 ) -> Dict[str, object]:
     op = payload.get("op")
     if op == "load":
+        # the slice comes off the network: validate it (a target >= n
+        # would reach a compiled step, whose gates trust the graph)
         weights = payload.get("weights")
         subgraph = CSRGraph(
             _decode_array(payload["offsets"]),  # type: ignore[arg-type]
             _decode_array(payload["targets"]),  # type: ignore[arg-type]
             None if weights is None else _decode_array(weights),  # type: ignore[arg-type]
-            validate=False,
         )
+        owned = _decode_array(payload["owned"])  # type: ignore[arg-type]
+        n = subgraph.num_nodes
+        if (owned.ndim != 1 or owned.dtype.kind not in "iu"
+                or len(owned) and (owned.min() < 0 or owned.max() >= n)):
+            raise ServiceError(f"owned ids must be 1-D integers in [0, {n})")
         shards[str(payload["key"])] = LocalShard(
-            int(payload.get("shard", 0)),
-            subgraph,
-            _decode_array(payload["owned"]),  # type: ignore[arg-type]
+            int(payload.get("shard", 0)), subgraph, owned
         )
         return {"ok": True}
     shard = shards.get(str(payload.get("key")))

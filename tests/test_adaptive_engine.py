@@ -104,8 +104,13 @@ class TestComposition:
 
     def test_simulator_attached(self, powerlaw_graph, hub_source):
         sim = GPUSimulator()
-        result = run_adaptive(powerlaw_graph, SSSPProgram(), hub_source, simulator=sim)
-        assert result.metrics.num_iterations == result.num_iterations
+        reverse = powerlaw_graph.reverse()
+        result = run_adaptive(
+            powerlaw_graph, SSSPProgram(), hub_source, reverse=reverse,
+            push_scheduler=sim.attach(powerlaw_graph),
+            pull_scheduler=sim.attach(reverse),
+        )
+        assert sim.metrics.num_iterations == result.num_iterations
 
     def test_max_iterations_guard(self, powerlaw_graph, hub_source):
         with pytest.raises(EngineError, match="adaptive"):

@@ -1,5 +1,7 @@
 """Tests for the run-profiling helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.algorithms import sssp
@@ -15,8 +17,8 @@ from repro.gpu.simulator import GPUSimulator
 
 def profiled_run(target, source):
     sim = GPUSimulator()
-    result = sssp(target, source, simulator=sim)
-    return result
+    result = sssp(sim.attach(target), source)
+    return replace(result, metrics=sim.metrics)
 
 
 class TestProfileHelpers:

@@ -106,7 +106,8 @@ class TestApplications:
         # strictly more launches than the vertex-centric engine uses
         from repro.algorithms import sssp
 
-        vertex_centric = sssp(powerlaw_graph, hub_source, simulator=GPUSimulator())
+        vertex_centric = GPUSimulator()
+        sssp(vertex_centric.attach(powerlaw_graph), hub_source)
         assert launches > vertex_centric.metrics.num_iterations
 
     def test_small_worked_example(self):

@@ -1106,7 +1106,7 @@ class TestAddStepDifferential:
 
     @pytest.mark.parametrize("backend", JITS)
     def test_numpy_routes_report_the_same_counters(self, graph, backend):
-        # warp segmentation and simulator runs decline (counted);
+        # warp segmentation and attached schedulers decline (counted);
         # bounded runs stop at the same level on both bodies
         jit = kernels.get_backend(backend)
         hop = graph.without_weights()
@@ -1120,25 +1120,26 @@ class TestAddStepDifferential:
                 engaged, declined = jit.engaged, jit.declined
                 options = EngineOptions(kernel_backend=name,
                                         max_iterations=bound)
+                sims = (GPUSimulator(), GPUSimulator())
+                bc_on, pr_on = (sim.attach(target) if simulated else target
+                                for sim in sims)
                 runs.append((
-                    bc(target, 0, options=options,
-                       simulator=GPUSimulator() if simulated else None),
-                    pagerank(target, max_iterations=min(bound, 8),
-                             options=options,
-                             simulator=GPUSimulator() if simulated else None),
+                    bc(bc_on, 0, options=options),
+                    pagerank(pr_on, max_iterations=min(bound, 8),
+                             options=options),
+                    [sim.metrics for sim in sims],
                 ))
                 if name == backend and bound > 2:
                     assert jit.engaged == engaged
                     assert (jit.declined - declined
                             == runs[-1][0].num_iterations + 1)
-            (ref_bc, ref_pr), (jit_bc, jit_pr) = runs
+            (ref_bc, ref_pr, ref_m), (jit_bc, jit_pr, jit_m) = runs
             assert _same_bc(ref_bc, jit_bc)
             assert _same_bits(ref_pr.values, jit_pr.values)
             for field in BC_COUNTERS:
                 assert getattr(ref_pr, field) == getattr(jit_pr, field)
             if simulated:
-                assert ref_bc.metrics == jit_bc.metrics
-                assert ref_pr.metrics == jit_pr.metrics
+                assert ref_m == jit_m
         assert ref_bc.num_iterations == 3  # two forward levels, one back
 
     @pytest.mark.parametrize("backend", JITS)

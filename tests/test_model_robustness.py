@@ -14,6 +14,8 @@ survive every setting:
   cost constant, and asserted here for completeness.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,11 +42,12 @@ def source(graph):
 def run_pair(graph, source, config, profile):
     base_sim = GPUSimulator(config, profile)
     tigr_sim = GPUSimulator(config, profile)
-    base = sssp(NodeScheduler(graph), source, simulator=base_sim)
+    base = sssp(base_sim.attach(NodeScheduler(graph)), source)
     virtual = virtual_transform(graph, 10, coalesced=True)
-    tigr = sssp(VirtualScheduler(virtual), source, simulator=tigr_sim)
+    tigr = sssp(tigr_sim.attach(VirtualScheduler(virtual)), source)
     assert np.allclose(base.values, tigr.values)
-    return base, tigr
+    return (replace(base, metrics=base_sim.metrics),
+            replace(tigr, metrics=tigr_sim.metrics))
 
 
 PERTURBATIONS = [
@@ -100,8 +103,8 @@ def test_coalescing_gain_positive_across_transaction_costs(graph, source):
         for coalesced in (False, True):
             sim = GPUSimulator(GPUConfig(), profile)
             virtual = virtual_transform(graph, 10, coalesced=coalesced)
-            result = sssp(VirtualScheduler(virtual), source, simulator=sim)
-            times[coalesced] = result.metrics.total_time_ms
+            sssp(sim.attach(VirtualScheduler(virtual)), source)
+            times[coalesced] = sim.metrics.total_time_ms
         assert times[True] <= times[False]
         gaps.append(times[False] / times[True])
     assert gaps[-1] > gaps[0]

@@ -102,10 +102,10 @@ class TestEngineLoop:
 
     def test_simulator_attached(self, figure2_graph):
         sim = GPUSimulator()
-        result = run_push(NodeScheduler(figure2_graph), SSSPProgram(), 0, simulator=sim)
-        assert result.metrics is not None
-        assert result.metrics.num_iterations == result.num_iterations
-        assert result.metrics.total_time_ms > 0
+        result = run_push(sim.attach(NodeScheduler(figure2_graph)), SSSPProgram(), 0)
+        assert result.metrics is None
+        assert sim.metrics.num_iterations == result.num_iterations
+        assert sim.metrics.total_time_ms > 0
 
     def test_cc_all_nodes_initial_frontier(self, powerlaw_symmetric):
         result = run_push(NodeScheduler(powerlaw_symmetric), CCProgram(), None)

@@ -37,7 +37,9 @@ class TestNodeScheduler:
 
     def test_trace_roundtrip(self, small_graph):
         batch = NodeScheduler(small_graph).batch(np.array([0]))
-        trace = batch.trace()
+        from repro.gpu.warp import WorkTrace
+
+        trace = WorkTrace.of(batch)
         assert trace.total_edges == 5
 
     def test_slice(self, small_graph):
@@ -109,8 +111,8 @@ class TestEdgeParallelScheduler:
         assert batch.edge_indices().tolist() == [5]
 
     def test_perfect_balance_trace(self, small_graph):
-        from repro.gpu.warp import warp_statistics
+        from repro.gpu.warp import WorkTrace, warp_statistics
 
         batch = EdgeParallelScheduler(small_graph).batch(np.array([0, 1]))
-        stats = warp_statistics(batch.trace())
+        stats = warp_statistics(WorkTrace.of(batch))
         assert stats.steps.tolist() == [1]

@@ -123,8 +123,8 @@ class TestScatterGatherParity:
             sources = () if algorithm == "cc" else (0, 5)
             per_source = shardset.run_monotone(algorithm, "none", 0, sources)
             for source in sources or (None,):
-                want, _, _ = run_algorithm(
-                    prepared, algorithm, source, EngineOptions(), None
+                want, _ = run_algorithm(
+                    prepared, algorithm, source, EngineOptions()
                 )
                 key = -1 if source is None else source
                 assert np.array_equal(per_source[key], want)
@@ -134,7 +134,7 @@ class TestScatterGatherParity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_pagerank_bitwise(self, graph, shards):
         prepared = prepare_graph(graph, "pr")
-        want, _, _ = run_algorithm(prepared, "pr", None, EngineOptions(), None)
+        want, _ = run_algorithm(prepared, "pr", None, EngineOptions())
         shardset = ShardSet.build(prepared, shards)
         try:
             assert np.array_equal(shardset.run_pagerank()[-1], want)
@@ -149,7 +149,7 @@ class TestScatterGatherParity:
         changes the relaxation schedule — values must still match.
         """
         prepared = prepare_graph(graph, "bfs")
-        want, _, _ = run_algorithm(prepared, "bfs", 0, EngineOptions(), None)
+        want, _ = run_algorithm(prepared, "bfs", 0, EngineOptions())
         shardset = ShardSet.build(prepared, 3)
         try:
             per_source = shardset.run_monotone("bfs", kind, 8, (0,))
@@ -185,7 +185,7 @@ class TestShardsRunTheEngineStep:
             want = {
                 -1 if s is None else s: run_algorithm(
                     prepared, algorithm, s,
-                    EngineOptions(kernel_backend="numpy"), None,
+                    EngineOptions(kernel_backend="numpy"),
                 )[0]
                 for s in sources or (None,)
             }
@@ -214,10 +214,10 @@ class TestShardsRunTheEngineStep:
         # the shards' scatter half, the router's `damp`
         prepared = prepare_graph(graph, "pr")
         options = EngineOptions(kernel_backend=backend)
-        want, _, _ = run_algorithm(
-            prepared, "pr", None, EngineOptions(kernel_backend="numpy"), None
+        want, _ = run_algorithm(
+            prepared, "pr", None, EngineOptions(kernel_backend="numpy")
         )
-        fused, _, _ = run_algorithm(prepared, "pr", None, options, None)
+        fused, _ = run_algorithm(prepared, "pr", None, options)
         assert fused.tobytes() == want.tobytes()
         shardset = ShardSet.build(prepared, shards)
         try:
@@ -229,8 +229,8 @@ class TestShardsRunTheEngineStep:
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_pagerank_scatter_runs_on_the_pinned_backend(self, graph, backend):
         prepared = prepare_graph(graph, "pr")
-        want, _, _ = run_algorithm(
-            prepared, "pr", None, EngineOptions(kernel_backend="numpy"), None
+        want, _ = run_algorithm(
+            prepared, "pr", None, EngineOptions(kernel_backend="numpy")
         )
         shardset = ShardSet.build(prepared, 3)
         try:
@@ -288,8 +288,8 @@ class TestShardsRunTheEngineStep:
 
     def test_pin_crosses_the_shard_host_wire(self, graph, shard_host):
         prepared = prepare_graph(graph, "sssp")
-        want, _, _ = run_algorithm(
-            prepared, "sssp", 0, EngineOptions(kernel_backend="numpy"), None
+        want, _ = run_algorithm(
+            prepared, "sssp", 0, EngineOptions(kernel_backend="numpy")
         )
         shardset = ShardSet.build(prepared, 2, remotes=[shard_host, shard_host])
         try:
@@ -331,7 +331,7 @@ class TestShardsRunTheEngineStep:
         sources = list(range(12))
         want = {
             s: run_algorithm(
-                prepared, "sssp", s, EngineOptions(kernel_backend="numpy"), None
+                prepared, "sssp", s, EngineOptions(kernel_backend="numpy")
             )[0]
             for s in sources
         }
@@ -450,8 +450,8 @@ class TestRemoteShards:
         prepared = prepare_graph(graph, "sssp")
         shardset = ShardSet.build(prepared, 3, remotes=[shard_host])
         try:
-            want, _, _ = run_algorithm(
-                prepared, "sssp", 0, EngineOptions(), None
+            want, _ = run_algorithm(
+                prepared, "sssp", 0, EngineOptions()
             )
             per_source = shardset.run_monotone("sssp", "none", 0, (0,))
             assert np.array_equal(per_source[0], want)
@@ -740,6 +740,42 @@ class TestShardOpTable:
             True, True, False, True, True, True, False,
         ]
         assert replies[-1] == {"ok": True, "result": ""}
+
+    def test_a_peer_cannot_load_an_out_of_range_slice(self, graph, shard_host):
+        # a target >= n would reach the compiled push_step, whose gates
+        # bound the frontier but trust the graph: the host refuses the
+        # slice with a typed error and keeps serving the connection
+        import json
+
+        part = inedge_partition(prepare_graph(graph, "bfs"), 2)[0]
+        n = part.subgraph.num_nodes
+        targets = part.subgraph.targets.copy()
+        targets[0] = n + 1000
+        load = {
+            "op": "load", "key": "k", "shard": 0,
+            "offsets": _encode_array(part.subgraph.offsets),
+            "targets": _encode_array(part.subgraph.targets),
+            "owned": _encode_array(part.owned),
+        }
+        lines = [
+            dict(load, targets=_encode_array(targets)),
+            dict(load, owned=_encode_array(np.array([0, n]))),
+            dict(load, owned=_encode_array(np.array([0.0, 1.0]))),
+            load,
+            {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
+             "kind": "none", "degree_bound": 0, "source": 0},
+        ]
+        with socket.create_connection(shard_host, timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            replies = []
+            for line in lines:
+                stream.write(json.dumps(line).encode() + b"\n")
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+        assert "edge targets must lie in" in replies[0]["error"]
+        assert "owned ids" in replies[1]["error"]
+        assert "owned ids" in replies[2]["error"]
+        assert replies[3:] == [{"ok": True}, {"ok": True, "result": ""}]
 
     def test_handle_sends_the_parents_request_lines(self, monkeypatch):
         """Wire fields are LocalShard's parameter names, in order."""

@@ -15,7 +15,7 @@ from repro.engine.schedule import (
 )
 from repro.errors import EngineError
 from repro.gpu.simulator import GPUSimulator
-from repro.gpu.warp import warp_statistics
+from repro.gpu.warp import WorkTrace, warp_statistics
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
 
@@ -85,7 +85,7 @@ class TestBalanceCharacter:
         hub = star(3200)  # degree 3200 hub + leaves
         sched = WarpSegmentationScheduler(hub)
         batch = sched.batch(sched.all_nodes())
-        stats = warp_statistics(batch.trace())
+        stats = warp_statistics(WorkTrace.of(batch))
         assert stats.steps.max() >= 3200 // 32
 
     def test_sits_between_baseline_and_tigr(self, hub_source):
@@ -96,7 +96,7 @@ class TestBalanceCharacter:
 
         def timed(scheduler):
             sim = GPUSimulator()
-            sssp(scheduler, source, simulator=sim)
+            sssp(sim.attach(scheduler), source)
             return sim.finish().total_time_ms
 
         baseline = timed(NodeScheduler(graph))
