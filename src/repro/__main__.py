@@ -198,7 +198,7 @@ def _apply_kernel_backend(args) -> None:
     from repro.engine import kernels
 
     if choice != "auto":
-        kernels.get_backend(choice)  # unregistered: a typed EngineError
+        kernels.get_backend(choice)  # unknown: a typed EngineError
     os.environ["REPRO_KERNEL_BACKEND"] = choice
 
 
@@ -621,10 +621,6 @@ def cmd_calibrate(args) -> int:
     print(f"  {'run overhead':28s} {profile.run_overhead_s * 1e6:.1f} us")
     print(f"  {'scatter (minimum.at)':28s} "
           f"{profile.scatter_medges_s:.1f} Medges/s")
-    print(f"  {'gather (fancy index)':28s} "
-          f"{profile.gather_medges_s:.1f} Medges/s")
-    print(f"  {'lane pack (bitwise_or.at)':28s} "
-          f"{profile.lane_pack_medges_s:.1f} Medges/s")
     print(f"  {'push (per edge)':28s} {profile.push_per_edge_s * 1e9:.2f} ns")
     print(f"  {'pull (per edge)':28s} {profile.pull_per_edge_s * 1e9:.2f} ns")
     print(f"  {'pull threshold':28s} {profile.pull_threshold():.3f}")

@@ -193,17 +193,6 @@ RULES: Dict[str, Rule] = {
             "from outside bypasses that lock and races the dispatcher "
             "threads. Call the owning class's methods instead.",
         ),
-        Rule(
-            "KERN001",
-            "error",
-            "kernel backend without a certified parity fixture",
-            "A kernel backend replaces the engines' relax/reduce inner "
-            "loops, so a wrong one corrupts every analytic at once. "
-            "Every backend class must carry a KernelBackendExpectation "
-            "in repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS "
-            "naming the test module that proves it bitwise-equal to "
-            "the numpy baseline.",
-        ),
     ]
 }
 

@@ -29,7 +29,6 @@ import repro
 from repro.analyze.astutils import SourceFile, load_sources
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.concurrency import check_concurrency
-from repro.analyze.kernels import check_kernels
 from repro.analyze.locks import check_locks
 from repro.analyze.programs import check_programs
 from repro.analyze.report import Report, expand_rule_selectors, is_suppressed
@@ -60,8 +59,7 @@ class AnalysisContext:
 
 #: checker families in reporting order.
 CHECKERS = (
-    check_programs, check_kernels, check_locks, check_scatter,
-    check_concurrency,
+    check_programs, check_locks, check_scatter, check_concurrency,
 )
 
 

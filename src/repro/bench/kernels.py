@@ -1,7 +1,7 @@
 """Scalar numpy vs JIT kernel backends across the core analytics.
 
-Not a paper table — this experiment certifies the kernel-backend
-registry (:mod:`repro.engine.kernels`) the way the multisource bench
+Not a paper table — this experiment certifies the compiled kernels
+(:mod:`repro.engine.kernels`) the way the multisource bench
 certifies the lane engine: every JIT backend must produce **bitwise
 identical** results to the numpy baseline while actually being faster,
 else the whole subsystem is risk without reward.
@@ -83,7 +83,7 @@ def _cold_compile_seconds() -> Dict[str, float]:
     """Cumulative wall seconds of from-scratch cjit compiles, per
     :data:`COMPILE_STAGES` entry (kernels compile on first call).
 
-    The registered backend caches its shared libraries on disk *and*
+    The process's cjit backend caches its shared libraries on disk *and*
     in the process, so a fresh instance pointed at an empty cache dir
     is the only honest way to measure the compile-included cost.
     """

@@ -166,42 +166,6 @@ COMPOSED_ANALYSES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class KernelBackendExpectation:
-    """The certification record of one kernel backend.
-
-    A backend (:mod:`repro.engine.kernels`) replaces the engines'
-    relax/reduce inner loops, so a wrong one corrupts every analytic
-    at once.  Each registered backend must therefore declare the
-    parity fixture that proves it bitwise-equal to the numpy baseline
-    — rule KERN001 of ``repro analyze`` fails any backend class whose
-    ``name`` is missing from this table or that has no fixture.
-    """
-
-    backend: str
-    #: whether the backend JIT-compiles (numpy is the baseline).
-    jit: bool
-    #: the test module that asserts bitwise parity against numpy for
-    #: every certified program, on every engine (push/pull/lanes/
-    #: adaptive).  Empty means uncertified, which KERN001 rejects.
-    parity_fixture: str
-
-
-#: certification table for every registered kernel backend, keyed by
-#: the backend class's ``name`` attribute.
-KERNEL_BACKEND_EXPECTATIONS: Dict[str, KernelBackendExpectation] = {
-    exp.backend: exp
-    for exp in [
-        KernelBackendExpectation(
-            "numpy", jit=False, parity_fixture="tests/test_kernels.py"
-        ),
-        KernelBackendExpectation(
-            "cjit", jit=True, parity_fixture="tests/test_kernels.py"
-        ),
-    ]
-}
-
-
 def is_split_safe(analysis: str) -> bool:
     """Whether physical split transformations preserve ``analysis``.
 

@@ -12,8 +12,8 @@ profile once and turns each choice into a measured prediction keyed on
 
 The profile has three ingredients:
 
-* **microbenchmarks** — scatter / gather / lane-pack throughput of the
-  numpy primitives the engines are built from;
+* **a microbenchmark** — the scatter (``minimum.at``) throughput the
+  shard router prices a superstep's saved work at;
 * **engine probes** — full engine runs on an R-MAT probe graph: the
   per-edge cost of a scalar pass, a linear fit of the lane engine's
   cost (``fixed + marginal * S`` per edge, from probes at S=4 and
@@ -125,10 +125,8 @@ class CalibrationProfile:
     #: fixed Python cost of one engine run (scheduling, frontier
     #: setup, result assembly) — dominates on small graphs.
     run_overhead_s: float = 3e-4
-    #: numpy primitive throughput, million edges (elements) / second.
+    #: numpy scatter throughput, million edges (elements) / second.
     scatter_medges_s: float = 0.0
-    gather_medges_s: float = 0.0
-    lane_pack_medges_s: float = 0.0
     #: scalar engine per-edge cost by direction (seconds / edge).
     push_per_edge_s: float = 0.0
     pull_per_edge_s: float = 0.0
@@ -272,8 +270,6 @@ class CalibrationProfile:
             "probe_edges": self.probe_edges,
             "run_overhead_s": self.run_overhead_s,
             "scatter_medges_s": self.scatter_medges_s,
-            "gather_medges_s": self.gather_medges_s,
-            "lane_pack_medges_s": self.lane_pack_medges_s,
             "push_per_edge_s": self.push_per_edge_s,
             "pull_per_edge_s": self.pull_per_edge_s,
             "backend_edges_per_s": dict(self.backend_edges_per_s),
@@ -309,8 +305,6 @@ class CalibrationProfile:
             probe_edges=int(data.get("probe_edges", 0)),
             run_overhead_s=float(data.get("run_overhead_s", 3e-4)),
             scatter_medges_s=float(data.get("scatter_medges_s", 0.0)),
-            gather_medges_s=float(data.get("gather_medges_s", 0.0)),
-            lane_pack_medges_s=float(data.get("lane_pack_medges_s", 0.0)),
             push_per_edge_s=float(data.get("push_per_edge_s", 0.0)),
             pull_per_edge_s=float(data.get("pull_per_edge_s", 0.0)),
             backend_edges_per_s={
@@ -342,8 +336,6 @@ BUILTIN_PROFILE = CalibrationProfile(
     probe_edges=292_277,
     run_overhead_s=2.86e-04,
     scatter_medges_s=182.0,
-    gather_medges_s=67.5,
-    lane_pack_medges_s=68.9,
     push_per_edge_s=4.65e-09,
     pull_per_edge_s=2.64e-08,
     backend_edges_per_s={
@@ -479,17 +471,13 @@ def run_calibration(
 
     rng = np.random.default_rng(seed)
 
-    # -- numpy primitive microbenchmarks -------------------------------
+    # -- numpy scatter microbenchmark ----------------------------------
     size = max(10_000, int(1_000_000 * scale))
     n_micro = max(1024, size // 8)
     idx = rng.integers(0, n_micro, size=size)
     cand = rng.random(size)
     values = rng.random(n_micro)
     scatter_s = _best_of(repeats, lambda: np.minimum.at(values, idx, cand))
-    gather_s = _best_of(repeats, lambda: cand[idx % size])
-    words = np.zeros(n_micro, dtype=np.uint64)
-    bits = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-    pack_s = _best_of(repeats, lambda: np.bitwise_or.at(words, idx, bits))
 
     # -- probe graphs --------------------------------------------------
     n = max(2_000, int(20_000 * scale))
@@ -577,8 +565,6 @@ def run_calibration(
         probe_edges=m,
         run_overhead_s=run_overhead_s,
         scatter_medges_s=_micro_medges(scatter_s, size),
-        gather_medges_s=_micro_medges(gather_s, size),
-        lane_pack_medges_s=_micro_medges(pack_s, size),
         push_per_edge_s=push_per_edge,
         pull_per_edge_s=pull_per_edge,
         backend_edges_per_s=backend_eps,

@@ -1,4 +1,4 @@
-"""Pluggable kernel backends behind the Push/PullProgram API.
+"""Compiled kernels behind the Push/PullProgram API.
 
 The engines' hot path is always the same shape: gather each active
 thread's edges, relax along every edge, and scatter-reduce candidates
@@ -17,28 +17,19 @@ ADD-reduction analytics' supersteps.  Values are **bitwise
 identical**: an ADD loop repeats ``ufunc.at``'s float operations in
 order; a MIN/MAX step relaxes in place and reaches the same fixpoint.
 
-Two backends are registered — a kernel is its C unit, its ``cjit``
-hook and gate, and the numpy body its step class falls back to:
-
-``numpy``
-    The scalar baseline: the engines' own vectorised code path.  Its
-    ``try_*`` hooks all decline, so the engine falls through to the
-    canonical numpy implementation that every other backend is
-    measured (and parity-tested) against.
-``cjit``
-    Generates small C source files covering every certified
-    (relax-class, reduction) pair, compiles each with the system C
-    compiler into its own cached shared library (under
-    :func:`repro.engine.costmodel.cache_dir`) the first time one of
-    its hooks fires, and calls it through :mod:`ctypes`.  Available
-    wherever a C compiler is; a process compiles only the kernels its
-    traffic calls, and each compile is amortised across every
-    subsequent run in the process *and* across processes via the
-    on-disk cache.
-
-The plain-loop spec the C units transliterate — Algorithms 2-3 line
-for line — lives with the tests (``tests/kernel_reference.py``), which
-drive it through these same hooks and gates beside both backends.
+A kernel is declared once, by its C function's prototype in
+:data:`_C_UNITS` (the ctypes signature is parsed from it), and served
+by one ``try_*`` hook on :class:`KernelBackend`, which asks
+:meth:`~KernelBackend.function` for it, gates the arguments and calls
+it; on a decline the step class runs its numpy body.  ``numpy`` has no
+kernels: every hook declines, uncounted, and the canonical numpy path
+runs.  ``cjit`` compiles each C unit with the system C compiler into
+its own shared library, cached on disk under
+:func:`repro.engine.costmodel.cache_dir`, the first time one of its
+kernels is asked for, and calls it through :mod:`ctypes`.  The
+plain-loop spec the C transliterates — Algorithms 2-3 line for line,
+one loop per C function taking its prototype's arguments — lives in
+``tests/kernel_reference.py``, served through these same hooks.
 
 Backend choice is per engine run: ``EngineOptions.kernel_backend``
 wins, else ``$REPRO_KERNEL_BACKEND``, else ``"auto"`` — which asks
@@ -61,10 +52,6 @@ Safety gates (any failure falls back to numpy, never errors):
   warp-segmentation launches decline;
 * the read array must not alias the write array (the numpy body's
   ``sync_relaxation_blocks`` model is the only caller that passes one).
-
-Every registered backend must also declare a parity fixture in
-:data:`repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS`; rule
-KERN001 of ``repro analyze --strict`` fails the build otherwise.
 """
 
 from __future__ import annotations
@@ -73,6 +60,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import threading
@@ -148,7 +136,7 @@ def spec_for(program: PushProgram) -> Optional[KernelSpec]:
 
 
 # ----------------------------------------------------------------------
-# Backend base class and registry
+# The hooks, and the backends by name
 # ----------------------------------------------------------------------
 def _i64(a: np.ndarray) -> bool:
     return a.dtype == np.int64 and a.flags.c_contiguous
@@ -177,36 +165,41 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def _counted(hook):
-    """Count a JIT hook's outcome under the backend's lock (hooks run
-    on worker threads plus one per shard; a bare ``+=`` loses updates)."""
+    """Count a JIT backend's hook outcome under its lock (hooks run on
+    worker threads plus one per shard; a bare ``+=`` loses updates).
+    The numpy backend has no kernels, so it counts nothing."""
 
     @functools.wraps(hook)
     def counted(self, *args, **kwargs):
         result = hook(self, *args, **kwargs)
-        with self._lock:
-            if result is None or result is False:
-                self.declined += 1
-            else:
-                self.engaged += 1
+        if self.jit:
+            with self._lock:
+                if result is None or result is False:
+                    self.declined += 1
+                else:
+                    self.engaged += 1
         return result
 
     return counted
 
 
 class KernelBackend:
-    """One relax/reduce inner-loop implementation.
+    """Where the engines offer their launches to compiled kernels.
 
-    The base class *is* the ``numpy`` backend: every ``try_*`` hook
-    declines, which makes the engines run their canonical vectorised
-    path.  Compiled backends override the hooks and return ``True``
-    (``try_push_step``: its result) when they handled the launch; any
-    gate failure returns ``False`` (``None``) and the engine falls
-    back — so a backend can never change values, only speed.
+    Each ``try_*`` hook mirrors one engine call site: it asks
+    :meth:`function` for its kernel, admits the arguments through its
+    gate and calls the kernel with its C prototype's arguments
+    (``None`` for NULL), returning ``True`` (or the step's result).  No
+    kernel, or any gate failing, returns ``False`` (``None``) and the
+    engine runs its numpy body — so a backend can never change values,
+    only speed.  Argument arrays are the engine's own (full
+    ``targets``/``weights`` arrays, per-batch descriptor arrays); a
+    kernel writes only destination values and the scratch it is given.
+    The base class *is* the ``numpy`` backend: it has no kernels.
     """
 
-    #: registry key; must appear in KERNEL_BACKEND_EXPECTATIONS.
     name = "numpy"
-    #: whether this backend JIT-compiles kernels.
+    #: whether this backend runs kernels (and counts its launches).
     jit = False
 
     def __init__(self) -> None:
@@ -224,63 +217,18 @@ class KernelBackend:
         """Human-readable reason when :meth:`is_available` is False."""
         return "always available"
 
-    # Each hook mirrors one engine call site.  Argument arrays are the
-    # engine's own (full ``targets``/``weights`` arrays, per-batch
-    # descriptor arrays); the hook must not mutate anything but the
-    # destination values.
-    def try_push_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int]]:
-        """One whole :class:`~repro.engine.push.PushStep`: ``(sorted
-        changed ids, edges)``, or ``None`` to decline."""
+    def function(self, name: str):
+        """The kernel of C function ``name`` (see :data:`_C_UNITS`),
+        called with its prototype's arguments; ``None``: numpy has none."""
         return None
 
-    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
-        return False
-
-    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
-        """One float-lane :class:`~repro.engine.push.LaneStep` over
-        ``(n, S)`` matrices, ``read`` rows committed: ``(sorted changed
-        ids, edges, lanes that changed)``, or ``None`` to decline."""
-        return None
-
-    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
-                     walk, targets, scratch,
-                     ) -> Optional[Tuple[np.ndarray, int, int]]:
-        """One bit-packed hop level of a ``LaneStep`` (same result)."""
-        return None
-
-    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
-                       found) -> Optional[Tuple[np.ndarray, int]]:
-        """One forward level of :class:`~repro.algorithms.bc.BCStep`:
-        ``(sorted next frontier, edges)``, or ``None`` to decline."""
-        return None
-
-    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
-                        targets) -> Optional[int]:
-        """One backward level of the same step: the edges walked."""
-        return None
-
-    def try_rank_launch(
-        self, walk, targets
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Flat ``int32`` ``(src, dst)`` of the all-nodes launch in
-        ``batch()`` order, for :meth:`try_rank_step`."""
-        return None
-
-    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
-                      c0=0.0, damping=0.0, mass=0.0) -> bool:
-        """One :class:`~repro.engine.rank.RankStep` iteration: scatter
-        ``rank * inv_deg`` over ``launch`` into ``scratch``'s ``contrib``
-        and, given ``new_rank``, apply the rank update into it."""
-        return False
-
-    # ------------------------------------------------------------------
-    def _gate_common(self, spec, values, read_values, batch, weights) -> bool:
-        """Admission checks for :meth:`try_pull` (minus its in-edge array)."""
+    # -- gates ----------------------------------------------------------
+    def _gate_pull(self, spec, values, read_values, batch, in_sources,
+                   weights) -> bool:
+        """Admission checks for :meth:`try_pull`."""
         if spec is None or batch.phys is None:
             return False
-        if not (_i64(batch.phys) and _i64(batch.counts)
+        if not (_i64(batch.phys) and _i64(batch.counts) and _i64(in_sources)
                 and _i64(batch.starts) and _i64(batch.strides)):
             return False
         return self._gate_values(spec, values, read_values, weights)
@@ -376,40 +324,145 @@ class KernelBackend:
                 and src.shape == dst.shape
                 and _floats(len(rank), rank, inv_deg, *scratch, *out))
 
+    # -- hooks ----------------------------------------------------------
+    def _walk(self, fn, spec, out, read, active, walk, targets, weights,
+              scratch, *lane_args):
+        """Call one of the two value supersteps (they share a prefix)
+        -> ``(sorted changed ids, stats)``."""
+        mark, changed = scratch[:2]
+        stats = (ctypes.c_int64 * 2)()
+        kept = fn(
+            out, read, active, len(active), walk.offsets, walk.family_starts,
+            targets, weights, mark, changed, stats,
+            weights is not None, spec.relax, spec.reduce, *lane_args,
+        )
+        return np.sort(changed[:kept]), stats
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
+    @_counted
+    def try_push_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int]]:
+        """One whole :class:`~repro.engine.push.PushStep`: ``(sorted
+        changed ids, edges)``, or ``None`` to decline."""
+        fn = self.function("push_step")
+        if fn is None or not self._gate_step(
+                spec, out, read, active, walk, targets, weights, scratch):
+            return None
+        changed, stats = self._walk(
+            fn, spec, out, read, active, walk, targets, weights, scratch)
+        return changed, stats[0]
 
+    @_counted
+    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
+                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
+        """One float-lane :class:`~repro.engine.push.LaneStep` over
+        ``(n, S)`` matrices, ``read`` rows committed: ``(sorted changed
+        ids, edges, lanes that changed)``, or ``None`` to decline."""
+        fn = self.function("push_lanes_step")
+        if fn is None or not self._gate_lanes(
+                spec, out, read, active, walk, targets, weights, scratch):
+            return None
+        changed, stats = self._walk(fn, spec, out, read, active, walk, targets,
+                                    weights, scratch, out.shape[1], scratch[2])
+        return changed, stats[0], stats[1]
 
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Add a backend instance to the registry (idempotent by name)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY[backend.name] = backend
-    return backend
+    @_counted
+    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
+                     walk, targets, scratch,
+                     ) -> Optional[Tuple[np.ndarray, int, int]]:
+        """One bit-packed hop level of a ``LaneStep`` (same result)."""
+        fn = self.function("hop_step")
+        if fn is None or not self._gate_hops(
+                new_w, frontier_w, visited, values, active, walk, targets, scratch):
+            return None
+        mark, changed = scratch[:2]
+        stats = (ctypes.c_int64 * 2)()
+        kept = fn(new_w, frontier_w, visited, values, values.shape[1], level,
+                  active, len(active), walk.offsets, targets, mark, changed, stats)
+        return np.sort(changed[:kept]), stats[0], stats[1]
+
+    @_counted
+    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
+        """One pull launch of ``batch`` into ``values``."""
+        fn = self.function("pull_batch")
+        if fn is None or not self._gate_pull(
+                spec, values, read_values, batch, in_sources, weights):
+            return False
+        fn(values, read_values, batch.phys, batch.counts, batch.starts,
+           batch.strides, in_sources, weights, batch.num_threads,
+           weights is not None, spec.relax, spec.reduce)
+        return True
+
+    @_counted
+    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
+                       found) -> Optional[Tuple[np.ndarray, int]]:
+        """One forward level of :class:`~repro.algorithms.bc.BCStep`:
+        ``(sorted next frontier, edges)``, or ``None`` to decline."""
+        fn = self.function("bc_forward")
+        if fn is None or not (self._gate_bc(levels, frontier, walk, targets, sigma)
+                              and _i64(found) and found.shape == levels.shape):
+            return None
+        stats = (ctypes.c_int64 * 1)()
+        cnt = fn(levels, sigma, frontier, len(frontier), walk.offsets,
+                 walk.family_starts, targets, level, found, stats)
+        return np.sort(found[:cnt]), stats[0]
+
+    @_counted
+    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
+                        targets) -> Optional[int]:
+        """One backward level of the same step: the edges walked."""
+        fn = self.function("bc_backward")
+        if fn is None or not self._gate_bc(levels, frontier, walk, targets,
+                                           sigma, delta):
+            return None
+        return fn(levels, sigma, delta, frontier, len(frontier),
+                  walk.offsets, walk.family_starts, targets)
+
+    @_counted
+    def try_rank_launch(self, walk, targets) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Flat ``int32`` ``(src, dst)`` of the all-nodes launch in
+        ``batch()`` order, for :meth:`try_rank_step`."""
+        fn = self.function("rank_launch")
+        n = -1 if fn is None else self._gate_rank_launch(walk, targets)
+        if n < 0:
+            return None
+        src, dst = np.empty((2, len(targets)), dtype=np.int32)
+        fn(walk.offsets, walk.family_starts, targets, n, src, dst)
+        return src, dst
+
+    @_counted
+    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
+                      c0=0.0, damping=0.0, mass=0.0) -> bool:
+        """One :class:`~repro.engine.rank.RankStep` iteration: scatter
+        ``rank * inv_deg`` over ``launch`` into ``scratch``'s ``contrib``
+        and, given ``new_rank``, apply the rank update into it."""
+        fn = self.function("rank_step")
+        if fn is None or not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
+            return False
+        (src, dst), (x, contrib, diff) = launch, scratch
+        fn(rank, inv_deg, x, contrib, src, dst, len(src), len(rank), new_rank,
+           diff, c0, damping, mass)
+        return True
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, available or not."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
+    """Every backend name, available or not."""
+    return tuple(sorted(_REGISTRY))
 
 
 def available_backends() -> Tuple[str, ...]:
     """Backend names that can actually run on this machine."""
-    with _REGISTRY_LOCK:
-        items = list(_REGISTRY.items())
-    return tuple(sorted(n for n, b in items if b.is_available()))
+    return tuple(sorted(
+        n for n, b in list(_REGISTRY.items()) if b.is_available()))
 
 
 def get_backend(name: str) -> KernelBackend:
-    """The registered backend, availability unchecked.
+    """The backend called ``name``, availability unchecked.
 
     Raises :class:`~repro.errors.EngineError` for unknown names (a
     typo in ``--kernel-backend`` should fail loudly, not silently run
     the scalar path).
     """
-    with _REGISTRY_LOCK:
-        backend = _REGISTRY.get(name)
+    backend = _REGISTRY.get(name)
     if backend is None:
         raise EngineError(
             f"unknown kernel backend {name!r}; known: "
@@ -432,7 +485,7 @@ def resolve_backend(
     for a graph of ``edges`` edges.  A requested-but-unavailable
     backend (no C compiler) warns once and falls back to numpy —
     results are identical either way, so degrading is always safe.
-    An unregistered name raises (:func:`get_backend`).
+    An unknown name raises (:func:`get_backend`).
     """
     if name is None:
         name = os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
@@ -745,24 +798,57 @@ void rank_step(const double* rank, const double* inv_deg, double* x,
 }
 """
 
-_PTR, _I64, _I32, _F64 = (
-    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double)
-_STEP_ARGS = [_PTR] * 3 + [_I64] + [_PTR] * 7 + [_I32] * 3
+#: a C function definition at the start of a line: an optional
+#: attribute, the return type, the name and the parameter list.
+_DEFINITION = re.compile(r"^(?:HOT\w* )?(void|int64_t) (\w+)\(([^)]*)\)", re.M)
+#: scalar C types -> ctypes (every pointer is a ``c_void_p``).
+_CTYPES = {"void": None, "int64_t": ctypes.c_int64, "int": ctypes.c_int,
+           "double": ctypes.c_double}
 
-#: C function -> (compile unit, restype, argtypes).
-_C_FUNCTIONS = {
-    "push_step": ("push_step", _I64, _STEP_ARGS),
-    "push_lanes_step": ("push_lanes_step", _I64, _STEP_ARGS + [_I64, _PTR]),
-    "hop_step": ("hop_step", _I64,
-                 [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5),
-    "pull_batch": ("pull_batch", None, [_PTR] * 8 + [_I64] + [_I32] * 3),
-    "bc_forward": ("bc", _I64,
-                   [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
-    "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),
-    "rank_launch": ("rank", None, [_PTR] * 3 + [_I64] + [_PTR] * 2),
-    "rank_step": ("rank", None,
-                  [_PTR] * 6 + [_I64] * 2 + [_PTR] * 2 + [_F64] * 3),
-}
+
+class _Prototype(NamedTuple):
+    unit: str
+    restype: Optional[type]
+    argtypes: List[type]
+    params: List[str]
+
+
+def _prototypes() -> Dict[str, _Prototype]:
+    """Every C function of :data:`_C_UNITS` as its definition declares
+    it: the owning unit, the ctypes signature and the parameter names."""
+    found = {}
+    for unit, source in _C_UNITS.items():
+        for restype, name, params in _DEFINITION.findall(source):
+            argtypes, names = [], []
+            for param in params.split(","):
+                *_, ctype, pname = re.findall(r"\w+", param)
+                argtypes.append(
+                    ctypes.c_void_p if "*" in param else _CTYPES[ctype])
+                names.append(pname)
+            found[name] = _Prototype(unit, _CTYPES[restype], argtypes, names)
+    return found
+
+
+_PROTOTYPES = _prototypes()
+
+_BYTES = ctypes.c_char * 0
+
+
+def _address(a: np.ndarray) -> int:
+    """``a.ctypes.data``, three times cheaper for a writable array (a
+    launch passes up to ten: ``a.ctypes`` was most of a hook's cost)."""
+    if a.flags.writeable:
+        try:
+            return ctypes.addressof(_BYTES.from_buffer(a))
+        except (TypeError, ValueError):  # not contiguous
+            pass
+    return a.ctypes.data
+
+
+def _pointers(fn):
+    """``fn`` taking each pointer argument as a numpy array (or None)."""
+    return lambda *args: fn(
+        *[_address(a) if isinstance(a, np.ndarray) else a for a in args])
 
 
 def _find_cc() -> Optional[str]:
@@ -822,7 +908,7 @@ class CJitBackend(KernelBackend):
         fn = self._functions.get(name)  # a loaded kernel takes no lock
         if fn is not None:
             return fn
-        unit = _C_FUNCTIONS[name][0]
+        unit = _PROTOTYPES[name].unit
         with self._lock:
             if name not in self._functions and self._failed is None:
                 try:
@@ -867,10 +953,11 @@ class CJitBackend(KernelBackend):
         def bind() -> Dict[str, object]:
             lib = ctypes.CDLL(lib_path)
             bound = {}
-            for name, (owner, restype, argtypes) in _C_FUNCTIONS.items():
-                if owner == unit:
-                    fn = bound[name] = getattr(lib, name)
-                    fn.restype, fn.argtypes = restype, argtypes
+            for name, proto in _PROTOTYPES.items():
+                if proto.unit == unit:
+                    fn = getattr(lib, name)
+                    fn.restype, fn.argtypes = proto.restype, proto.argtypes
+                    bound[name] = _pointers(fn)
             return bound
 
         cached = os.path.exists(lib_path)
@@ -886,167 +973,17 @@ class CJitBackend(KernelBackend):
             compile_unit()
             return bind()
 
-    # -- hooks ----------------------------------------------------------
-    @staticmethod
-    def _layout(walk, targets) -> Tuple[Optional[int], ...]:
-        """``off, fv, targets`` as every walking kernel takes them."""
-        fv = walk.family_starts
-        return (walk.offsets.ctypes.data,
-                None if fv is None else fv.ctypes.data, targets.ctypes.data)
 
-    def _walk(self, fn, spec, out, read, active, walk, targets, weights,
-              scratch, *lane_args):
-        """Call one of the two value supersteps (they share a prefix)
-        -> ``(sorted changed ids, stats)``."""
-        mark, changed = scratch[:2]
-        w = weights if weights is not None else out  # never read when has_w=0
-        stats = (ctypes.c_int64 * 2)()
-        kept = fn(
-            out.ctypes.data, read.ctypes.data, active.ctypes.data,
-            len(active), *self._layout(walk, targets),
-            w.ctypes.data, mark.ctypes.data, changed.ctypes.data, stats,
-            weights is not None, spec.relax, spec.reduce, *lane_args,
-        )
-        return np.sort(changed[:kept]), stats
-
-    @_counted
-    def try_push_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int]]:
-        if not self._gate_step(spec, out, read, active, walk, targets,
-                               weights, scratch):
-            return None
-        fn = self.function("push_step")
-        if fn is None:
-            return None
-        changed, stats = self._walk(fn, spec, out, read, active, walk,
-                                    targets, weights, scratch)
-        return changed, stats[0]
-
-    @_counted
-    def try_lane_step(self, spec, out, read, active, walk, targets, weights,
-                      scratch) -> Optional[Tuple[np.ndarray, int, int]]:
-        if not self._gate_lanes(spec, out, read, active, walk, targets,
-                                weights, scratch):
-            return None
-        fn = self.function("push_lanes_step")
-        if fn is None:
-            return None
-        changed, stats = self._walk(
-            fn, spec, out, read, active, walk, targets, weights, scratch,
-            out.shape[1], scratch[2].ctypes.data)
-        return changed, stats[0], stats[1]
-
-    @_counted
-    def try_hop_step(self, new_w, frontier_w, visited, values, level, active,
-                     walk, targets, scratch,
-                     ) -> Optional[Tuple[np.ndarray, int, int]]:
-        if not self._gate_hops(new_w, frontier_w, visited, values, active,
-                               walk, targets, scratch):
-            return None
-        fn = self.function("hop_step")
-        if fn is None:
-            return None
-        mark, changed = scratch[:2]
-        stats = (ctypes.c_int64 * 2)()
-        kept = fn(
-            new_w.ctypes.data, frontier_w.ctypes.data, visited.ctypes.data,
-            values.ctypes.data, values.shape[1], level, active.ctypes.data,
-            len(active), walk.offsets.ctypes.data, targets.ctypes.data,
-            mark.ctypes.data, changed.ctypes.data, stats,
-        )
-        return np.sort(changed[:kept]), stats[0], stats[1]
-
-    @_counted
-    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(in_sources):
-            return False
-        fn = self.function("pull_batch")
-        if fn is None:
-            return False
-        w = weights if weights is not None else values
-        fn(
-            values.ctypes.data, read_values.ctypes.data,
-            batch.phys.ctypes.data, batch.counts.ctypes.data,
-            batch.starts.ctypes.data, batch.strides.ctypes.data,
-            in_sources.ctypes.data, w.ctypes.data, batch.num_threads,
-            weights is not None, spec.relax, spec.reduce,
-        )
-        return True
-
-    @_counted
-    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
-                       found) -> Optional[Tuple[np.ndarray, int]]:
-        if not (self._gate_bc(levels, frontier, walk, targets, sigma)
-                and _i64(found) and found.shape == levels.shape):
-            return None
-        fn = self.function("bc_forward")
-        if fn is None:
-            return None
-        stats = (ctypes.c_int64 * 1)()
-        cnt = fn(
-            levels.ctypes.data, sigma.ctypes.data, frontier.ctypes.data,
-            len(frontier), *self._layout(walk, targets), level,
-            found.ctypes.data, stats,
-        )
-        return np.sort(found[:cnt]), stats[0]
-
-    @_counted
-    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
-                        targets) -> Optional[int]:
-        if not self._gate_bc(levels, frontier, walk, targets, sigma, delta):
-            return None
-        fn = self.function("bc_backward")
-        if fn is None:
-            return None
-        return fn(
-            levels.ctypes.data, sigma.ctypes.data, delta.ctypes.data,
-            frontier.ctypes.data, len(frontier), *self._layout(walk, targets),
-        )
-
-    @_counted
-    def try_rank_launch(
-        self, walk, targets
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        n = self._gate_rank_launch(walk, targets)
-        if n < 0:
-            return None
-        fn = self.function("rank_launch")
-        if fn is None:
-            return None
-        src, dst = np.empty((2, len(targets)), dtype=np.int32)
-        fn(*self._layout(walk, targets), n, src.ctypes.data, dst.ctypes.data)
-        return src, dst
-
-    @_counted
-    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
-                      c0=0.0, damping=0.0, mass=0.0) -> bool:
-        if not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
-            return False
-        fn = self.function("rank_step")
-        if fn is None:
-            return False
-        src, dst = launch
-        x, contrib, diff = scratch
-        fn(rank.ctypes.data, inv_deg.ctypes.data, x.ctypes.data,
-           contrib.ctypes.data, src.ctypes.data, dst.ctypes.data, len(src),
-           len(rank), None if new_rank is None else new_rank.ctypes.data,
-           diff.ctypes.data, c0, damping, mass)
-        return True
-
-
-#: the default registry: the scalar baseline plus the JIT backend.
-NUMPY_BACKEND = register_backend(KernelBackend())
-CJIT_BACKEND = register_backend(CJitBackend())
+#: every backend by name: the scalar baseline and the JIT (a test may
+#: add one for its duration).
+_REGISTRY: Dict[str, KernelBackend] = {"numpy": KernelBackend(), "cjit": CJitBackend()}
 
 
 def engagement() -> Tuple[str, int, int]:
     """``(backend, engaged, declined)`` for this process: the backend
     that handled the most launches (``"numpy"`` when none engaged) and
-    the launch counts summed over the registry."""
-    with _REGISTRY_LOCK:
-        backends = list(_REGISTRY.values())
+    the launch counts summed over every backend."""
+    backends = list(_REGISTRY.values())
     return (
         max(backends, key=lambda b: b.engaged).name,
         sum(b.engaged for b in backends),
@@ -1056,8 +993,4 @@ def engagement() -> Tuple[str, int, int]:
 
 def jit_backends() -> List[str]:
     """Available backends that JIT-compile (cost-model candidates)."""
-    with _REGISTRY_LOCK:
-        items = list(_REGISTRY.items())
-    return sorted(
-        n for n, b in items if b.jit and b.is_available()
-    )
+    return sorted(n for n, b in list(_REGISTRY.items()) if b.jit and b.is_available())

@@ -345,6 +345,7 @@ class RemoteShardHandle:
     connection down and raises the typed :class:`ShardLost`, which the
     service's fallback rule treats exactly like the process pool's
     :class:`~repro.errors.WorkerLost`: the batch moves to the next place.
+    So does a reply that is not what :class:`LocalShard` would return.
     """
 
     def __init__(
@@ -395,9 +396,39 @@ class RemoteShardHandle:
             bound.apply_defaults()
             fields = {k: _to_wire(v) for k, v in bound.arguments.items()}
             reply = self._call({"op": op, "key": self.key, **fields})
-            return _from_wire(reply.get("result"))
+            return self._checked(op, reply.get("result"))
 
         return call
+
+    def _checked(self, op: str, result: object) -> object:
+        """Decode ``op``'s result and check it is what :class:`LocalShard`
+        returns before the router indexes with it: a reply that fails
+        either is a lost shard (and the batch falls back), never an answer."""
+        try:
+            value = _from_wire(result)
+            if op == "begin":
+                ok = isinstance(value, str)
+            elif op == "step":
+                # every id owned (``owned`` is sorted; an id past the
+                # last one indexes out of range)
+                ids, vals = value
+                ok = (ids.dtype == NODE_DTYPE and ids.ndim == 1
+                      and vals.dtype == np.float64 and vals.shape == ids.shape
+                      and np.array_equal(
+                          self.owned[np.searchsorted(self.owned, ids)], ids))
+            elif op == "pr_step":
+                ok = value.dtype == np.float64 and value.shape == self.owned.shape
+            else:
+                ok = True
+        except (ValueError, TypeError, KeyError, AttributeError, IndexError):
+            ok = False  # undecodable, or not the arrays the op returns
+        if not ok:
+            raise ShardLost(
+                f"remote shard at {self.address[0]}:{self.address[1]} "
+                f"sent a malformed {op!r} reply",
+                shard=self.index,
+            )
+        return value
 
     # -- plumbing ------------------------------------------------------
     def _call(self, payload: Dict[str, object]) -> Dict[str, object]:

@@ -1,17 +1,21 @@
-"""Kernel-backend registry and cost-model tests.
+"""Kernel backends and cost-model tests.
 
-This module is the parity fixture every entry in
-``repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS`` points at
-(rule KERN001): for each JIT backend available on this machine it
-asserts bitwise equality with the numpy baseline on every engine
-(push, pull, lanes, adaptive) and every certified program family —
-and that the fused path actually *engaged*, so a silently-declining
-backend cannot pass as "equal".  The cost model's calibration cache
-and strategy predictions are covered here too.
+For each JIT backend available on this machine this module asserts
+bitwise equality with the numpy baseline on every engine (push, pull,
+lanes, adaptive) and every certified program family — and that the
+fused path actually *engaged*, so a silently-declining backend cannot
+pass as "equal" — and runs the spec loops of
+``tests/kernel_reference.py`` through the same hooks, in lockstep.
+It pins that every kernel is declared once, by its C prototype.  The
+cost model's calibration cache and strategy predictions are covered
+here too.
 """
 
 from __future__ import annotations
 
+import ctypes
+import inspect
+import json
 import os
 import warnings
 from pathlib import Path
@@ -35,7 +39,6 @@ from repro.algorithms.programs import (
 )
 from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
-from repro.core.applicability import KERNEL_BACKEND_EXPECTATIONS
 from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
 from repro.engine.pull import run_pull
@@ -60,7 +63,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
 from repro.service import AnalyticsService, QueryRequest, replay_trace
-from tests.kernel_reference import ReferenceBackend
+from tests.kernel_reference import LOOPS, ReferenceBackend
 from tests.test_udt import graphs as generator_graphs
 
 TRACES = Path(__file__).parent / "traces"
@@ -104,13 +107,6 @@ class TestRegistry:
     def test_core_backends_registered(self):
         assert set(kernels.registered_backends()) == {"numpy", "cjit"}
 
-    def test_every_backend_is_certified(self):
-        # the runtime half of rule KERN001
-        for name in kernels.registered_backends():
-            expectation = KERNEL_BACKEND_EXPECTATIONS[name]
-            assert expectation.parity_fixture
-            assert expectation.jit == kernels.get_backend(name).jit
-
     def test_unknown_backend_fails_loudly(self):
         with pytest.raises(EngineError, match="unknown kernel backend"):
             kernels.get_backend("simd-unproven")
@@ -118,11 +114,18 @@ class TestRegistry:
             kernels.resolve_backend("simd-unproven")
 
     def test_numpy_backend_declines_everything(self, graph):
+        # it has no kernels: every hook declines before its gate, and
+        # no launch of any analytic is counted
         backend = kernels.get_backend("numpy")
-        before = backend.engaged
-        values = _values("sssp", graph, "numpy")
-        assert backend.engaged == before  # base class never engages
-        assert np.isfinite(values).any()
+        options = EngineOptions(kernel_backend="numpy")
+        for algorithm in ("bfs", "sssp", "sswp", "cc", "pr", "bc"):
+            assert np.isfinite(_values(algorithm, graph, "numpy")).any()
+        for weighted in (True, False):
+            multi_source_distances(graph, [0, 3], weighted=weighted,
+                                   mode="lanes", options=options)
+        run_pull(NodeScheduler(graph.reverse()), SSSPProgram(), graph, 0,
+                 options=options)
+        assert (backend.engaged, backend.declined) == (0, 0)
 
     def test_unavailable_backend_degrades_to_numpy(self, monkeypatch):
         class MissingBackend(kernels.KernelBackend):
@@ -1268,7 +1271,7 @@ class TestCompileOnFirstCall:
         assert again.compile_seconds == 0
 
     def test_every_function_belongs_to_a_unit(self):
-        assert {unit for unit, _, _ in kernels._C_FUNCTIONS.values()} == set(
+        assert {proto.unit for proto in kernels._PROTOTYPES.values()} == set(
             kernels._C_UNITS
         )
 
@@ -1294,6 +1297,51 @@ class TestCompileOnFirstCall:
         assert survivor.compile_seconds > 0  # rebuilt, once
         assert survivor.is_available()
         assert torn.stat().st_size == built.stat().st_size
+
+
+_PTR, _I64, _I32, _F64 = (
+    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double)
+_STEP_ARGS = [_PTR] * 3 + [_I64] + [_PTR] * 7 + [_I32] * 3
+
+#: C function -> (compile unit, restype, argtypes), as the ctypes table
+#: declared them by hand before they were parsed from the C text.
+HAND_COUNTED = {
+    "push_step": ("push_step", _I64, _STEP_ARGS),
+    "push_lanes_step": ("push_lanes_step", _I64, _STEP_ARGS + [_I64, _PTR]),
+    "hop_step": ("hop_step", _I64,
+                 [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5),
+    "pull_batch": ("pull_batch", None, [_PTR] * 8 + [_I64] + [_I32] * 3),
+    "bc_forward": ("bc", _I64,
+                   [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
+    "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),
+    "rank_launch": ("rank", None, [_PTR] * 3 + [_I64] + [_PTR] * 2),
+    "rank_step": ("rank", None,
+                  [_PTR] * 6 + [_I64] * 2 + [_PTR] * 2 + [_F64] * 3),
+}
+
+
+class TestOneDeclaration:
+    """A kernel is declared once, by its C prototype, and served by
+    one hook: the ctypes signature is parsed from the C text, and the
+    spec loop takes the same arguments the C function does."""
+
+    def test_signatures_are_parsed_from_the_c_text(self):
+        parsed = {name: (proto.unit, proto.restype, proto.argtypes)
+                  for name, proto in kernels._PROTOTYPES.items()}
+        assert parsed == HAND_COUNTED
+
+    def test_spec_loops_take_the_c_arguments(self):
+        assert set(LOOPS) == set(kernels._PROTOTYPES)
+        for name, proto in kernels._PROTOTYPES.items():
+            params = list(inspect.signature(LOOPS[name]).parameters)
+            assert params == proto.params, name
+
+    def test_every_hook_is_written_once(self):
+        hooks = {name for name in vars(kernels.KernelBackend)
+                 if name.startswith("try_")}
+        assert len(hooks) == len(kernels._PROTOTYPES)
+        for backend in (kernels.CJitBackend, ReferenceBackend):
+            assert not hooks & set(vars(backend))
 
 
 class TestWalkLayout:
@@ -1372,7 +1420,55 @@ class TestEngagementCounters:
         assert "-ffp-contract=off" in kernels.CJitBackend.CFLAGS
 
 
+#: a measured profile as ``calibrate`` wrote it while it still probed
+#: gather and lane-pack throughput (fields no prediction read)
+PARENT_CALIBRATION = {
+    "version": 1, "source": "measured", "machine": "x86_64 Linux",
+    "created": "2026-10-01", "probe_nodes": 2000, "probe_edges": 31808,
+    "run_overhead_s": 0.00041, "scatter_medges_s": 151.2,
+    "gather_medges_s": 58.4, "lane_pack_medges_s": 61.0,
+    "push_per_edge_s": 6.1e-09, "pull_per_edge_s": 2.9e-08,
+    "backend_edges_per_s": {"numpy": 5.1e07, "cjit": 1.62e08},
+    "jit_min_edges": 4096,
+    "lanes": {
+        "bfs": {"loop_per_edge_s": 4.4e-09, "lanes_fixed_per_edge_s": 1.5e-08,
+                "lanes_marginal_per_edge_s": 3.1e-10},
+        "sssp": {"loop_per_edge_s": 9.3e-09, "lanes_fixed_per_edge_s": 4e-09,
+                 "lanes_marginal_per_edge_s": 8.0e-09},
+    },
+}
+
+
 class TestCalibrationCache:
+    def test_a_parent_calibration_file_still_loads(
+        self, tmp_path, monkeypatch, fresh_profile
+    ):
+        # read by key: the two retired fields are ignored, and every
+        # decision is the one the profile made when they were read
+        from repro.service.routing import RoutingPolicy
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        (tmp_path / costmodel.PROFILE_FILENAME).write_text(
+            json.dumps(PARENT_CALIBRATION))
+        profile = costmodel.get_profile()
+        assert profile.source == "measured"
+        first_lanes = {
+            (algorithm, m): next(
+                s for s in range(2, 65) if profile.choose_multisource_mode(
+                    algorithm=algorithm, num_sources=s, num_edges=m,
+                ) == "lanes")
+            for algorithm in ("bfs", "sssp") for m in (10**3, 10**5, 10**7)
+        }
+        assert first_lanes == {
+            ("bfs", 10**3): 2, ("bfs", 10**5): 3, ("bfs", 10**7): 5,
+            ("sssp", 10**3): 2, ("sssp", 10**5): 2, ("sssp", 10**7): 10,
+        }
+        assert [profile.choose_kernel_backend(
+            edges=edges, candidates=("cjit", "numpy"),
+        ) for edges in (4095, 4096)] == ["numpy", "cjit"]
+        assert [RoutingPolicy(route="auto").min_sharded_edges(shards)
+                for shards in (2, 3, 4)] == [247968, 278964, 330624]
+
     def test_profile_round_trips_through_disk(
         self, tmp_path, monkeypatch, fresh_profile
     ):

@@ -39,7 +39,7 @@ from repro.service import (
     replay_trace,
 )
 from repro.service.executor import _PriorityWorkQueue
-from repro.service.sharding import _encode_array, _host_dispatch
+from repro.service.sharding import _decode_array, _encode_array, _host_dispatch
 
 TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
@@ -496,6 +496,67 @@ class TestRemoteShards:
         assert not result.ok
         assert "lost" in result.error and "unreachable" in result.error
 
+    def _serve_corrupted(self, shard_host, monkeypatch, corrupt):
+        """sssp from 0 on a 500-node R-MAT over two shards, the remote
+        one's non-empty ``step`` replies with their ids (wire form)
+        replaced by ``corrupt(ids)``: ``(result, metrics, the single
+        engine's values)``."""
+        from repro.service import sharding
+
+        real = sharding._host_dispatch
+
+        def dispatch(shards, payload):
+            reply = real(shards, payload)
+            if payload.get("op") == "step":
+                ids = _decode_array(reply["result"][0])
+                if len(ids):
+                    reply["result"][0] = corrupt(ids)
+            return reply
+
+        monkeypatch.setattr(sharding, "_host_dispatch", dispatch)
+        graph = rmat(500, 4000, seed=1, weight_range=(1.0, 8.0))
+        want, _ = run_algorithm(
+            prepare_graph(graph, "sssp"), "sssp", 0, EngineOptions()
+        )
+        with ShardedAnalyticsService(
+            shards=2, workers=1, shard_remotes=[shard_host]
+        ) as service:
+            service.register("g", graph)
+            result = service.run(QueryRequest.single("sssp", "g", 0))
+            summary = service.metrics.summary()
+        return result, summary, want
+
+    def test_a_step_reply_with_a_foreign_id_is_a_lost_shard(
+        self, shard_host, monkeypatch
+    ):
+        # -1 is no shard's node (numpy would wrap it onto the last one)
+        def foreign(ids):
+            ids = ids.copy()
+            ids[0] = -1
+            return _encode_array(ids)
+
+        result, summary, want = self._serve_corrupted(
+            shard_host, monkeypatch, foreign
+        )
+        assert result.ok and result.degraded, result.error
+        assert summary["shard_fallbacks"] == 1
+        (values,) = result.values.values()
+        assert np.array_equal(values, want)
+
+    def test_an_undecodable_step_reply_is_a_lost_shard(
+        self, shard_host, monkeypatch
+    ):
+        def undecodable(ids):
+            return {"b64": "", "dtype": "<i8", "shape": [len(ids)]}
+
+        result, summary, want = self._serve_corrupted(
+            shard_host, monkeypatch, undecodable
+        )
+        assert result.ok and result.degraded, result.error
+        assert summary["shard_fallbacks"] == 1
+        (values,) = result.values.values()
+        assert np.array_equal(values, want)
+
     def test_shard_lost_names_the_shard(self):
         exc = ShardLost("no route to host", shard=1)
         assert "shard" in str(exc) and "no route to host" in str(exc)
@@ -783,11 +844,18 @@ class TestShardOpTable:
 
         sent = []
         handle = RemoteShardHandle(1, np.arange(3), ("h", 1), key="fp/shard1of2")
+        ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, 2.5])
+        # each op's reply is what a LocalShard owning 0..2 returns
+        results = {
+            "begin": "",
+            "step": [_encode_array(ids[:1]), _encode_array(vals[:1])],
+            "pr_step": _encode_array(np.zeros(3)),
+        }
         monkeypatch.setattr(
             handle, "_call",
-            lambda payload: sent.append(payload) or {"ok": True, "result": None},
+            lambda payload: sent.append(payload) or {
+                "ok": True, "result": results.get(payload["op"])},
         )
-        ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, 2.5])
         handle.begin(7, "sssp", "virtual+", 4, 3, None)
         handle.begin(7, "cc", "none", 0, None)
         handle.step(7, ids, vals)
