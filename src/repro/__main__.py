@@ -621,9 +621,6 @@ def cmd_calibrate(args) -> int:
     print(f"  {'run overhead':28s} {profile.run_overhead_s * 1e6:.1f} us")
     print(f"  {'scatter (minimum.at)':28s} "
           f"{profile.scatter_medges_s:.1f} Medges/s")
-    print(f"  {'push (per edge)':28s} {profile.push_per_edge_s * 1e9:.2f} ns")
-    print(f"  {'pull (per edge)':28s} {profile.pull_per_edge_s * 1e9:.2f} ns")
-    print(f"  {'pull threshold':28s} {profile.pull_threshold():.3f}")
     for name in sorted(profile.backend_edges_per_s):
         eps = profile.backend_edges_per_s[name]
         print(f"  {'backend ' + name:28s} {eps / 1e6:.1f} Medges/s")

@@ -38,14 +38,10 @@ class AdaptiveOptions(EngineOptions):
 
     A pull iteration runs when the frontier's out-edges exceed
     ``pull_threshold`` of the graph's edges (the Beamer-style
-    heuristic, expressed as a fraction).  ``None`` asks the measured
-    cost model: a pull sweep pays ``m * pull_per_edge`` while a push
-    pays ``frontier_edges * push_per_edge``, so the calibrated
-    break-even fraction is ``pull_per_edge / push_per_edge`` — see
-    :meth:`repro.engine.costmodel.CalibrationProfile.pull_threshold`.
+    heuristic, expressed as a fraction).
     """
 
-    pull_threshold: Optional[float] = 0.10
+    pull_threshold: float = 0.10
 
 
 @dataclass
@@ -102,10 +98,6 @@ def run_adaptive(
     frontier = np.asarray(program.initial_frontier(n, source), dtype=NODE_DTYPE)
 
     pull_threshold = options.pull_threshold
-    if pull_threshold is None:
-        from repro.engine import costmodel
-
-        pull_threshold = costmodel.get_profile().pull_threshold()
     read = values.copy()
 
     converged = False

@@ -3,9 +3,9 @@
 The engines expose several execution strategies whose crossover points
 are machine- and graph-dependent: lane-parallel multi-source passes vs
 a scalar loop (``results/multisource-lanes.json``: lanes lose at one
-or two sources and win above), push vs pull direction
-switching (``AdaptiveOptions.pull_threshold``), and the scalar numpy
-path vs a JIT kernel backend (:mod:`repro.engine.kernels`).  Instead
+or two sources and win above), the scalar numpy path vs a JIT kernel
+backend (:mod:`repro.engine.kernels`), and the sharded vs single
+route (:mod:`repro.service.routing`).  Instead
 of hard-coded heuristics, this module calibrates a small per-machine
 profile once and turns each choice into a measured prediction keyed on
 (algorithm, n, m, degree profile, source count).
@@ -17,8 +17,7 @@ The profile has three ingredients:
 * **engine probes** — full engine runs on an R-MAT probe graph: the
   per-edge cost of a scalar pass, a linear fit of the lane engine's
   cost (``fixed + marginal * S`` per edge, from probes at S=4 and
-  S=16), push vs pull per-edge cost, and per-kernel-backend edge
-  throughput;
+  S=16), and per-kernel-backend edge throughput;
 * **a fixed per-run overhead** — the Python cost of one engine launch
   sequence, which dominates on small graphs and is why lane batching
   always wins there regardless of per-edge rates.
@@ -127,9 +126,6 @@ class CalibrationProfile:
     run_overhead_s: float = 3e-4
     #: numpy scatter throughput, million edges (elements) / second.
     scatter_medges_s: float = 0.0
-    #: scalar engine per-edge cost by direction (seconds / edge).
-    push_per_edge_s: float = 0.0
-    pull_per_edge_s: float = 0.0
     #: measured full-run edge throughput per kernel backend (edges/s,
     #: warm — compile cost excluded).
     backend_edges_per_s: Dict[str, float] = field(default_factory=dict)
@@ -209,21 +205,6 @@ class CalibrationProfile:
         )
         return "lanes" if lanes <= loop * (1.0 - LANE_PICK_MARGIN) else "loop"
 
-    def pull_threshold(self) -> float:
-        """Measured frontier-density threshold for direction switching.
-
-        A pull iteration sweeps every in-edge; a push iteration touches
-        only the frontier's out-edges.  Pull is cheaper exactly when
-        ``frontier_edges * push_per_edge > m * pull_per_edge`` — i.e.
-        above the frontier fraction ``pull_per_edge / push_per_edge``.
-        Clamped away from the degenerate ends so a noisy probe can
-        never pin the engine to one direction.
-        """
-        if self.push_per_edge_s <= 0 or self.pull_per_edge_s <= 0:
-            return 0.10
-        ratio = self.pull_per_edge_s / self.push_per_edge_s
-        return min(0.95, max(0.02, ratio))
-
     def choose_kernel_backend(
         self, *, edges: int, candidates: Sequence[str]
     ) -> str:
@@ -270,8 +251,6 @@ class CalibrationProfile:
             "probe_edges": self.probe_edges,
             "run_overhead_s": self.run_overhead_s,
             "scatter_medges_s": self.scatter_medges_s,
-            "push_per_edge_s": self.push_per_edge_s,
-            "pull_per_edge_s": self.pull_per_edge_s,
             "backend_edges_per_s": dict(self.backend_edges_per_s),
             "jit_min_edges": self.jit_min_edges,
             "lanes": {
@@ -305,8 +284,6 @@ class CalibrationProfile:
             probe_edges=int(data.get("probe_edges", 0)),
             run_overhead_s=float(data.get("run_overhead_s", 3e-4)),
             scatter_medges_s=float(data.get("scatter_medges_s", 0.0)),
-            push_per_edge_s=float(data.get("push_per_edge_s", 0.0)),
-            pull_per_edge_s=float(data.get("pull_per_edge_s", 0.0)),
             backend_edges_per_s={
                 str(k): float(v)
                 for k, v in dict(data.get("backend_edges_per_s", {})).items()
@@ -336,8 +313,6 @@ BUILTIN_PROFILE = CalibrationProfile(
     probe_edges=292_277,
     run_overhead_s=2.86e-04,
     scatter_medges_s=182.0,
-    push_per_edge_s=4.65e-09,
-    pull_per_edge_s=2.64e-08,
     backend_edges_per_s={
         "numpy": 6.62e07,
         "cjit": 1.90e08,
@@ -464,7 +439,6 @@ def run_calibration(
     from repro.algorithms.sssp import sssp
     from repro.engine import kernels
     from repro.engine.push import EngineOptions, run_push, run_push_lanes
-    from repro.engine.pull import run_pull
     from repro.engine.schedule import NodeScheduler
     from repro.algorithms.programs import BFSProgram, SSSPProgram
     from repro.graph.generators import rmat
@@ -485,7 +459,7 @@ def run_calibration(
     hop = weighted.without_weights()
     m = weighted.num_edges
     # The strategy probes run under the *default* backend resolution:
-    # the model predicts production runs, and a production loop/pull
+    # the model predicts production runs, and a production loop
     # pass engages whatever JIT backend auto picks — fits taken with
     # numpy pinned would predict a configuration that never runs
     # (and would place the bfs lane crossover a full source too low
@@ -526,27 +500,10 @@ def run_calibration(
         "sssp": lane_fit(weighted, SSSPProgram(), sssp),
     }
 
-    # -- push vs pull per-edge cost ------------------------------------
+    # -- kernel backend throughput (warm) ------------------------------
     sched = NodeScheduler(weighted)
     program = SSSPProgram()
     push_result = run_push(sched, program, 0, options=options)
-    push_s = _best_of(repeats, lambda: run_push(
-        sched, program, 0, options=options
-    ))
-    reverse = weighted.reverse()
-    rev_sched = NodeScheduler(reverse)
-    pull_result = run_pull(rev_sched, program, weighted, 0, options=options)
-    pull_s = _best_of(repeats, lambda: run_pull(
-        rev_sched, program, weighted, 0, options=options
-    ))
-    push_per_edge = max(
-        (push_s - run_overhead_s) / max(push_result.edges_processed, 1), 1e-12
-    )
-    pull_per_edge = max(
-        (pull_s - run_overhead_s) / max(pull_result.edges_processed, 1), 1e-12
-    )
-
-    # -- kernel backend throughput (warm) ------------------------------
     backend_eps: Dict[str, float] = {}
     for name in kernels.available_backends():
         opts = EngineOptions(kernel_backend=name)
@@ -565,8 +522,6 @@ def run_calibration(
         probe_edges=m,
         run_overhead_s=run_overhead_s,
         scatter_medges_s=_micro_medges(scatter_s, size),
-        push_per_edge_s=push_per_edge,
-        pull_per_edge_s=pull_per_edge,
         backend_edges_per_s=backend_eps,
         jit_min_edges=4096,
         lanes=lanes,

@@ -97,7 +97,7 @@ from repro.service.ingest import (
     parse_request_payload,
     result_digest,
 )
-from repro.service.metrics import QueryRecord, ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.planner import QueryPlan, estimate_build_seconds, plan_query
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.replay import (
@@ -159,7 +159,6 @@ __all__ = [
     "PRIORITY_CLASSES",
     "QueryBatch",
     "QueryPlan",
-    "QueryRecord",
     "QueryRequest",
     "QueryResult",
     "QueryTicket",

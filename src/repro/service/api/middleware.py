@@ -126,7 +126,7 @@ class RateLimit(Middleware):
         wait_s = self._take(key)
         if wait_s > 0.0:
             if self.metrics is not None:
-                self.metrics.http_rate_limit_rejected()
+                self.metrics.count(http_rate_limited=1)
             retry_after = max(1, int(wait_s + 0.999))
             return Response(
                 429,

@@ -281,9 +281,14 @@ class ApiServer:
         await stream.end()
 
     def _observe(self, status: int, started: float, bytes_sent: int) -> None:
-        self.service.metrics.http_observed(
-            status, time.perf_counter() - started, bytes_sent=bytes_sent
-        )
+        """Account one served HTTP request (any route, any status)."""
+        counts = {"http_requests": 1, "http_bytes_sent": bytes_sent}
+        if status >= 500:
+            counts["http_5xx"] = 1
+        elif status // 100 in (2, 4):
+            counts[f"http_{status // 100}xx"] = 1
+        self.service.metrics.count(**counts)
+        self.service.metrics.observe("http", time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Routes

@@ -125,15 +125,15 @@ class BatchExecution:
     the lane engine ran, 0 for per-source fallbacks).  ``strategy``
     records what the planner actually chose — ``"lanes"`` or
     ``"loop"`` from the cost model for distance fan-outs,
-    ``"per-source"`` / ``"shared"`` for the fixed shapes — so metrics
-    reflect the decision, not a guess (the default keeps old pickled
-    outcomes loadable across the IPC boundary).
+    ``"per-source"`` / ``"shared"`` for the fixed shapes, ``"sharded"``
+    from the shard tier — so metrics reflect the decision, not a guess
+    (each names a ``strategy_*`` counter of :mod:`repro.service.metrics`).
     """
 
     traversals: int
     lanes: int
     traversals_saved: int
-    strategy: str = ""
+    strategy: str
 
 
 def run_sources_on_target(

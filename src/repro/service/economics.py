@@ -36,7 +36,7 @@ an economic memory:
   thread before traffic lands (``serve --prewarm PLAN`` or
   ``--prewarm-from-trace TRACE``), reporting progress through the
   catalog stats the service metrics already surface
-  (``prewarm_built``, ``prewarm_hits``, ``evictions_by_policy``).
+  (``prewarm_built``, ``prewarm_hits``, ``evictions_<policy>``).
 
 See ``docs/cache-economics.md`` for the policy math, the plan file
 format, and when LRU remains the right choice.

@@ -92,7 +92,7 @@ from repro.graph.csr import CSRGraph
 from repro.service.batching import QueryBatch, fan_out_per_request, group_requests
 from repro.service.catalog import GraphCatalog
 from repro.service.ingest import TraceRecorder
-from repro.service.metrics import QueryRecord, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.routing import RoutingPolicy
 from repro.service.sharding import SHARD_OP_TIMEOUT_S, ShardTier
@@ -115,10 +115,6 @@ BACKENDS = ("threads", "processes")
 #: environment variable naming the default backend (CI runs the
 #: service suite under both values; an explicit ``backend=`` wins).
 BACKEND_ENV = "REPRO_SERVICE_WORKERS"
-
-#: environment variable naming the multiprocessing start method for
-#: the process backend (``fork``/``spawn``/``forkserver``).
-MP_CONTEXT_ENV = "REPRO_SERVICE_MP_CONTEXT"
 
 #: extra seconds past the tightest member deadline the front-end
 #: waits on a process worker before declaring it lost.
@@ -359,7 +355,6 @@ class _ProcessBackend:
         artifacts_dir: str,
         graphs_dir: str,
         memory_budget_bytes: int,
-        mp_context: Optional[str],
         metrics: ServiceMetrics,
         catalog_policy: str = "lru",
     ) -> None:
@@ -369,23 +364,13 @@ class _ProcessBackend:
         self.memory_budget_bytes = memory_budget_bytes
         self.metrics = metrics
         self.catalog_policy = catalog_policy
-        context = mp_context or os.environ.get(MP_CONTEXT_ENV)
-        if context is None:
-            # fork reuses the parent's imported interpreter (~ms);
-            # spawn boots a fresh one per worker (~s).  The pool is
-            # created before any dispatcher thread starts, which keeps
-            # the initial fork single-threaded.
-            context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        if context not in multiprocessing.get_all_start_methods():
-            raise ServiceError(
-                f"multiprocessing start method {context!r} unavailable "
-                f"here; known: {multiprocessing.get_all_start_methods()}"
-            )
-        self.mp_context = context
+        # fork reuses the parent's imported interpreter (~ms); spawn
+        # boots a fresh one per worker (~s).  The pool is created
+        # before any dispatcher thread starts, which keeps the initial
+        # fork single-threaded.
+        self.start_method = (
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         os.makedirs(artifacts_dir, exist_ok=True)
         os.makedirs(graphs_dir, exist_ok=True)
         self._lock = threading.Lock()
@@ -399,7 +384,7 @@ class _ProcessBackend:
     def _make_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=multiprocessing.get_context(self.mp_context),
+            mp_context=multiprocessing.get_context(self.start_method),
             initializer=worker_init,
             initargs=(
                 self.artifacts_dir,
@@ -496,7 +481,7 @@ class _ProcessBackend:
             ) from exc
         if reply.error is not None:
             raise ServiceError(reply.error)
-        self.metrics.ipc_observed(spec_nbytes(spec) + reply.nbytes())
+        self.metrics.count(ipc_bytes=spec_nbytes(spec) + reply.nbytes())
         assert reply.outcome is not None
         return reply.outcome
 
@@ -506,7 +491,7 @@ class _ProcessBackend:
             if self._pool is not broken:
                 return  # another dispatcher already replaced it
             self._pool = self._make_pool()
-        self.metrics.worker_restarted()
+        self.metrics.count(worker_restarts=1)
         broken.shutdown(wait=False)
 
     def close(self) -> None:
@@ -542,10 +527,6 @@ class AnalyticsService:
     default_timeout_s:
         Applied to requests that specify no timeout (``None`` = no
         deadline).
-    mp_context:
-        Multiprocessing start method for the process backend
-        (default: ``fork`` where available, else ``spawn``;
-        overridable via ``REPRO_SERVICE_MP_CONTEXT``).
     fallback:
         Whether a batch whose place is lost (:class:`~repro.errors.
         ShardLost`, :class:`WorkerLost`) moves to the next place, ``degraded=True``
@@ -585,7 +566,6 @@ class AnalyticsService:
         backend: Optional[str] = None,
         queue_size: int = 64,
         default_timeout_s: Optional[float] = None,
-        mp_context: Optional[str] = None,
         fallback: bool = True,
         recorder: Optional[TraceRecorder] = None,
         shards: int = 0,
@@ -605,6 +585,7 @@ class AnalyticsService:
             self.catalog.stats,
             backend=self.backend,
             catalog_policy=self.catalog.policy,
+            shards=shards,
         )
         self.default_timeout_s = default_timeout_s
         self.fallback = bool(fallback)
@@ -647,7 +628,6 @@ class AnalyticsService:
                 artifacts_dir=root,
                 graphs_dir=os.path.join(root, "graphs"),
                 memory_budget_bytes=self.catalog.memory_budget_bytes,
-                mp_context=mp_context,
                 metrics=self.metrics,
                 catalog_policy=self.catalog.policy,
             )
@@ -745,7 +725,7 @@ class AnalyticsService:
         for request in requests:
             wait_s = self.policy.try_admit(request.tenant)
             if wait_s > 0.0:
-                self.metrics.quota_rejected_observed()
+                self.metrics.count(quota_rejected=1)
                 raise QuotaExhaustedError(request.tenant, retry_after_s=wait_s)
         if self.default_timeout_s is not None:
             requests = [
@@ -757,7 +737,7 @@ class AnalyticsService:
         if recorder is not None:
             for request in requests:
                 recorder.record_request(request)
-            self.metrics.trace_observed(requests=len(requests))
+            self.metrics.count(trace_requests=len(requests))
         now = time.perf_counter()
         tickets = {
             r.request_id: QueryTicket(r, now, on_resolve=self._ticket_resolved)
@@ -813,7 +793,7 @@ class AnalyticsService:
         if recorder is None:
             return
         recorder.record_result(ticket.request, result)
-        self.metrics.trace_observed(results=1)
+        self.metrics.count(trace_results=1)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -893,27 +873,23 @@ class AnalyticsService:
         dequeued_at = time.perf_counter()
         queue_s = dequeued_at - item.enqueued_at
 
-        live: List[QueryTicket] = []
-        for ticket in item.tickets:
-            if ticket._claim():
-                live.append(ticket)
-            else:
-                self.metrics.record(
-                    QueryRecord(
-                        stage_seconds={"queue": queue_s},
-                        cache_hit=False, degraded=False, timed_out=False,
-                        cancelled=True, failed=False,
-                    )
-                )
+        live = [ticket for ticket in item.tickets if ticket._claim()]
+        cancelled = len(item.tickets) - len(live)
+        if cancelled:
+            self.metrics.count(
+                queries_total=cancelled, queries_cancelled=cancelled
+            )
+            for _ in range(cancelled):
+                self.metrics.observe("queue", queue_s)
         if not live:
             return
 
         # A request whose deadline passed while queued fails fast.
         expired = [t for t in live if dequeued_at > t.deadline]
         live = [t for t in live if dequeued_at <= t.deadline]
-        for ticket in expired:
+        if expired:
             self._fail(
-                ticket, "timed out in queue", queue_s=queue_s, timed_out=True
+                expired, "timed out in queue", queue_s=queue_s, timed_out=True
             )
         if not live:
             return
@@ -922,29 +898,24 @@ class AnalyticsService:
         try:
             self._execute(batch, live, queue_s)
         except TigrError as exc:
-            for ticket in live:
-                self._fail(ticket, str(exc), queue_s=queue_s)
+            self._fail(live, str(exc), queue_s=queue_s)
         except Exception as exc:  # pragma: no cover - defensive
-            for ticket in live:
-                self._fail(ticket, f"internal error: {exc!r}", queue_s=queue_s)
+            self._fail(live, f"internal error: {exc!r}", queue_s=queue_s)
 
     def _execute(
         self, batch: QueryBatch, tickets: List[QueryTicket], queue_s: float
     ) -> None:
         remaining_s = min(t.deadline for t in tickets) - time.perf_counter()
-        ipc_bytes_before = self.metrics.ipc_bytes_snapshot()
         outcome = self._run_batch(batch, remaining_s)
-        ipc_bytes = self.metrics.ipc_bytes_snapshot() - ipc_bytes_before
 
         per_request = fan_out_per_request(batch.requests, outcome.per_source)
-        execution = outcome.execution
+        timings = StageTimings(
+            queue_s=queue_s, plan_s=outcome.plan_s,
+            transform_s=outcome.transform_s, execute_s=outcome.execute_s,
+        )
         finished_at = time.perf_counter()
-        for index, ticket in enumerate(tickets):
-            timings = StageTimings(
-                queue_s=queue_s, plan_s=outcome.plan_s,
-                transform_s=outcome.transform_s, execute_s=outcome.execute_s,
-            )
-            timed_out = finished_at > ticket.deadline
+        self._count_batch(batch, tickets, outcome, timings, finished_at)
+        for ticket in tickets:
             ticket._resolve(
                 QueryResult(
                     request_id=ticket.request.request_id,
@@ -958,34 +929,44 @@ class AnalyticsService:
                     timings=timings,
                 )
             )
-            self.metrics.record(
-                QueryRecord(
-                    stage_seconds={
-                        "queue": queue_s, "plan": outcome.plan_s,
-                        "transform": outcome.transform_s,
-                        "execute": outcome.execute_s,
-                        "total": timings.total_s,
-                    },
-                    cache_hit=outcome.cache_hit,
-                    degraded=outcome.degraded,
-                    timed_out=timed_out,
-                    cancelled=False,
-                    failed=False,
-                    # batch-level quantities are attributed once per
-                    # batch, not once per member, so the aggregate
-                    # counters stay interpretable.
-                    batched_with=len(tickets) - 1 if index == 0 else 0,
-                    sources_deduped=batch.sources_deduped if index == 0 else 0,
-                    traversals=execution.traversals if index == 0 else 0,
-                    lanes=execution.lanes if index == 0 else 0,
-                    traversals_saved=(
-                        execution.traversals_saved if index == 0 else 0
-                    ),
-                    ipc_bytes=ipc_bytes if index == 0 else 0,
-                    hydrate_hits=outcome.hydrate_hits if index == 0 else 0,
-                    strategy=execution.strategy if index == 0 else "",
-                )
-            )
+
+    def _count_batch(
+        self,
+        batch: QueryBatch,
+        tickets: List[QueryTicket],
+        outcome: BatchOutcome,
+        timings: StageTimings,
+        finished_at: float,
+    ) -> None:
+        """Account one answered batch before its tickets resolve.
+
+        Every member contributes its stage latencies; batch-level
+        quantities are counted once per batch, not once per member, so
+        the aggregate counters stay interpretable.
+        """
+        stage_seconds = {
+            "queue": timings.queue_s, "plan": timings.plan_s,
+            "transform": timings.transform_s, "execute": timings.execute_s,
+            "total": timings.total_s,
+        }
+        for _ in tickets:
+            for stage, seconds in stage_seconds.items():
+                self.metrics.observe(stage, seconds)
+        size = len(tickets)
+        execution = outcome.execution
+        self.metrics.count(
+            queries_total=size,
+            queries_degraded=size if outcome.degraded else 0,
+            queries_timed_out=sum(finished_at > t.deadline for t in tickets),
+            cache_hits=size if outcome.cache_hit else 0,
+            batches_merged=size - 1,
+            sources_deduped=batch.sources_deduped,
+            traversals_total=execution.traversals,
+            lanes_total=execution.lanes,
+            traversals_saved=execution.traversals_saved,
+            hydrate_hits=outcome.hydrate_hits,
+            **{"strategy_" + execution.strategy.replace("-", "_"): 1},
+        )
 
     def _run_batch(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
         """Execute one coalesced batch at the first place that answers.
@@ -1044,20 +1025,22 @@ class AnalyticsService:
 
     def _fail(
         self,
-        ticket: QueryTicket,
+        tickets: List[QueryTicket],
         message: str,
         *,
         queue_s: float,
         timed_out: bool = False,
     ) -> None:
-        ticket._resolve(ticket._failed(message, queue_s=queue_s))
-        self.metrics.record(
-            QueryRecord(
-                stage_seconds={"queue": queue_s, "total": queue_s},
-                cache_hit=False, degraded=False, timed_out=timed_out,
-                cancelled=False, failed=True,
-            )
+        for _ in tickets:
+            self.metrics.observe("queue", queue_s)
+            self.metrics.observe("total", queue_s)
+        self.metrics.count(
+            queries_total=len(tickets),
+            queries_failed=len(tickets),
+            queries_timed_out=len(tickets) if timed_out else 0,
         )
+        for ticket in tickets:
+            ticket._resolve(ticket._failed(message, queue_s=queue_s))
 
 
 class ShardedAnalyticsService(AnalyticsService):

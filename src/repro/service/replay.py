@@ -270,8 +270,9 @@ def replay_trace(
             _replay_pass(service, trace, report, speed=speed, batch=batch,
                          verify=verify, result_wait_s=result_wait_s)
         report.elapsed_s = time.perf_counter() - start
-        service.metrics.replay_observed(
-            checked=report.digests_checked, mismatched=len(report.mismatches)
+        service.metrics.count(
+            replay_digests_checked=report.digests_checked,
+            replay_digest_mismatches=len(report.mismatches),
         )
         return report
     finally:

@@ -851,7 +851,6 @@ class ShardTier:
         self.prepare = prepare
         self._shardsets: Dict[str, ShardSet] = {}
         self._lock = threading.Lock()
-        metrics.shards_configured(self.num_shards)
 
     def run(self, batch: QueryBatch, remaining_s: float) -> Optional[BatchOutcome]:
         """Plan, route, and scatter-gather one batch (``None`` = pass).
@@ -908,14 +907,15 @@ class ShardTier:
                 )
             execute_s = time.perf_counter() - execute_start
         except ShardLost:
-            self.metrics.shard_fallback_observed()
+            self.metrics.count(shard_fallbacks=1)
             self.drop()
             raise
 
-        self.metrics.sharded_observed(
-            supersteps=stats.supersteps,
-            exchange_bytes=stats.exchange_bytes,
-            per_shard_steps=stats.per_shard_steps,
+        self.metrics.count(
+            sharded_batches=1,
+            shard_supersteps=stats.supersteps,
+            shard_exchange_bytes=stats.exchange_bytes,
+            **{f"shard{i}_steps": n for i, n in stats.per_shard_steps.items()},
         )
         runs = max(len(batch.sources), 1)
         return BatchOutcome(

@@ -1421,7 +1421,8 @@ class TestEngagementCounters:
 
 
 #: a measured profile as ``calibrate`` wrote it while it still probed
-#: gather and lane-pack throughput (fields no prediction read)
+#: gather and lane-pack throughput and push/pull per-edge cost (fields
+#: no prediction read)
 PARENT_CALIBRATION = {
     "version": 1, "source": "measured", "machine": "x86_64 Linux",
     "created": "2026-10-01", "probe_nodes": 2000, "probe_edges": 31808,
@@ -1443,7 +1444,7 @@ class TestCalibrationCache:
     def test_a_parent_calibration_file_still_loads(
         self, tmp_path, monkeypatch, fresh_profile
     ):
-        # read by key: the two retired fields are ignored, and every
+        # read by key: the four retired fields are ignored, and every
         # decision is the one the profile made when they were read
         from repro.service.routing import RoutingPolicy
 
@@ -1468,6 +1469,11 @@ class TestCalibrationCache:
         ) for edges in (4095, 4096)] == ["numpy", "cjit"]
         assert [RoutingPolicy(route="auto").min_sharded_edges(shards)
                 for shards in (2, 3, 4)] == [247968, 278964, 330624]
+        retired = set(PARENT_CALIBRATION) - set(profile.to_dict())
+        assert retired == {"gather_medges_s", "lane_pack_medges_s",
+                           "push_per_edge_s", "pull_per_edge_s"}
+        assert costmodel.CalibrationProfile.from_dict(
+            profile.to_dict()) == profile
 
     def test_profile_round_trips_through_disk(
         self, tmp_path, monkeypatch, fresh_profile
@@ -1508,7 +1514,7 @@ class TestCalibrationCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         profile, saved_to = costmodel.calibrate_and_save(scale=0.02, repeats=1)
         assert profile.source == "measured"
-        assert profile.push_per_edge_s > 0
+        assert profile.backend_edges_per_s["numpy"] > 0
         assert set(profile.lanes) == set(costmodel.LANE_FAMILIES)
         assert os.path.exists(saved_to)
         assert costmodel.get_profile() == profile
@@ -1599,16 +1605,6 @@ class TestCostModelPredictions:
             assert profile.choose_multisource_mode(
                 algorithm="bfs", num_sources=s, num_edges=self.BIG
             ) == "lanes"
-
-    def test_pull_threshold_is_clamped(self):
-        from dataclasses import replace
-
-        profile = costmodel.BUILTIN_PROFILE
-        assert 0.02 <= profile.pull_threshold() <= 0.95
-        degenerate = replace(profile, pull_per_edge_s=0.0)
-        assert degenerate.pull_threshold() == 0.10
-        slow_pull = replace(profile, pull_per_edge_s=1.0)
-        assert slow_pull.pull_threshold() == 0.95
 
     def test_backend_choice_respects_size_and_throughput(self):
         profile = costmodel.BUILTIN_PROFILE

@@ -32,7 +32,7 @@ from repro.graph.generators import rmat
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import QueryBatch, run_batch_on_target
 from repro.service.catalog import GraphCatalog
-from repro.service.metrics import QueryRecord, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest
 
 
@@ -309,17 +309,8 @@ class TestServiceLaneAccounting:
 
     def test_metrics_summary_reports_lane_occupancy(self):
         metrics = ServiceMetrics()
-        record = dict(
-            stage_seconds={"total": 0.01},
-            cache_hit=False, degraded=False, timed_out=False,
-            cancelled=False, failed=False,
-        )
-        metrics.record(QueryRecord(
-            **record, traversals=1, lanes=16, traversals_saved=15
-        ))
-        metrics.record(QueryRecord(
-            **record, traversals=1, lanes=4, traversals_saved=3
-        ))
+        metrics.count(traversals_total=1, lanes_total=16, traversals_saved=15)
+        metrics.count(traversals_total=1, lanes_total=4, traversals_saved=3)
         summary = metrics.summary()
         assert summary["lanes_per_traversal"] == pytest.approx(10.0)
         assert summary["traversals_saved"] == 18

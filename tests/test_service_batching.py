@@ -198,8 +198,9 @@ class TestEndToEndBatchedService:
             results = [t.result(60) for t in service.submit_batch(requests)]
             assert all(r.ok for r in results)
             # batch-level quantities counted once, not per member
-            assert service.metrics.batches_merged == 1
-            assert service.metrics.sources_deduped == 1
+            summary = service.metrics.summary()
+            assert summary["batches_merged"] == 1
+            assert summary["sources_deduped"] == 1
 
     def test_mixed_algorithms_in_one_submit(self, graph):
         requests = [

@@ -199,8 +199,9 @@ class TestConcurrency:
 
     def test_queue_depth_tracked(self, service):
         service.run(QueryRequest.single("bfs", "g", 0))
-        assert service.metrics.max_queue_depth >= 1
-        assert service.metrics.queue_depth == 0
+        summary = service.metrics.summary()
+        assert summary["max_queue_depth"] >= 1
+        assert summary["queue_depth"] == 0
 
     def test_submit_after_close_rejected(self, graph):
         service = AnalyticsService(workers=1)
@@ -241,7 +242,7 @@ class TestTimeoutsAndDegradation:
             blocker.set()
             result = doomed.result(10)
             assert not result.ok and "timed out" in result.error
-            assert service.metrics.queries_timed_out >= 1
+            assert service.metrics.summary()["queries_timed_out"] >= 1
 
     def test_tight_deadline_cold_cache_degrades(self, graph):
         # estimated UDT build >> remaining deadline -> raw-CSR fallback
@@ -274,7 +275,7 @@ class TestTimeoutsAndDegradation:
             if result.ok:  # may also time out in queue on a loaded box
                 assert result.degraded and result.transform == "none"
                 assert np.array_equal(result.value(0), sssp(big, 0).values)
-                assert service.metrics.queries_degraded == 1
+                assert service.metrics.summary()["queries_degraded"] == 1
 
     def test_default_timeout_applied(self, graph):
         with AnalyticsService(workers=1, default_timeout_s=30.0) as service:
@@ -306,7 +307,7 @@ class TestCancellation:
             assert not result.ok and result.error == "cancelled"
         # the cancelled claim is recorded when the worker drains the
         # item; close() above joined the workers, so it has happened.
-        assert service.metrics.queries_cancelled == 1
+        assert service.metrics.summary()["queries_cancelled"] == 1
 
     def test_cancel_after_completion_refused(self, service):
         ticket = service.submit(QueryRequest.single("bfs", "g", 0))
@@ -338,7 +339,7 @@ class TestErrorsAndMetrics:
             service.register("uw", graph.without_weights())
             result = service.run(QueryRequest.single("sssp", "uw", 0))
             assert not result.ok and "requires a weighted graph" in result.error
-            assert service.metrics.queries_failed == 1
+            assert service.metrics.summary()["queries_failed"] == 1
 
     def test_metrics_summary_shape(self, service):
         service.run(QueryRequest.single("sssp", "g", 0))

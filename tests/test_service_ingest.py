@@ -305,8 +305,9 @@ class TestTraceRecorder:
             tickets = service.submit_batch(requests)
             results = [t.result(60.0) for t in tickets]
             assert all(r.ok for r in results)
-            assert service.metrics.trace_requests == 4
-            assert service.metrics.trace_results == 4
+            summary = service.metrics.summary()
+            assert summary["trace_requests"] == 4
+            assert summary["trace_results"] == 4
         assert recorder.requests_recorded == 4
         assert recorder.results_recorded == 4
         trace = load_trace(io.StringIO(sink.getvalue()))
