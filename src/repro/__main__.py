@@ -409,7 +409,8 @@ def _make_service(args, catalog, *, recorder=None):
         workers=args.workers, backend=args.backend,
         queue_size=args.queue_size, default_timeout_s=args.timeout,
         recorder=recorder, policy=policy, shards=max(args.shards, 0),
-        shard_remotes=tuple(parse_host_port(v) for v in (args.shard_remote or ())),
+        shard_remotes=tuple(parse_host_port(v, "--shard-remote")
+                            for v in (args.shard_remote or ())),
     )
 
 
@@ -457,20 +458,12 @@ def cmd_serve_trace(args) -> int:
     return 0
 
 
-def _parse_host_port(spec: str) -> tuple:
-    host, sep, port = spec.rpartition(":")
-    if not sep or not port.isdigit():
-        raise TigrError(
-            f"--http expects HOST:PORT (port 0 picks one), got {spec!r}"
-        )
-    return host or "127.0.0.1", int(port)
-
-
 def cmd_serve_http(args) -> int:
     """``serve --http``: front the service with the HTTP/JSON API."""
+    from repro.service import parse_host_port
     from repro.service.api import run_server
 
-    host, port = _parse_host_port(args.http)
+    host, port = parse_host_port(args.http, "--http")
     graphs = {}
     if args.graph is not None:
         graphs[args.graph] = _load(args.graph, scale=args.scale)
@@ -586,7 +579,7 @@ def cmd_shard_host(args) -> int:
     """``shard-host``: serve shard slices to a remote sharded service."""
     from repro.service import ShardHostServer, parse_host_port
 
-    host, port = parse_host_port(args.listen)
+    host, port = parse_host_port(args.listen, "--listen")
     server = ShardHostServer((host, port))
     bound = f"{server.server_address[0]}:{server.server_address[1]}"
     print(f"shard host listening on {bound}; Ctrl-C exits", flush=True)

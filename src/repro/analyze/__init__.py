@@ -1,6 +1,6 @@
 """Static analysis over the repo's own sources (``repro analyze``).
 
-Four checker families, each enforcing an invariant the paper states
+Five checker families, each enforcing an invariant the paper states
 in prose and the code previously only promised in docstrings:
 
 * :mod:`repro.analyze.programs` — every vertex program's (relax,
@@ -20,7 +20,9 @@ in prose and the code previously only promised in docstrings:
   in :mod:`repro.analyze.callgraph`: blocking calls transitively
   reachable from ``async def``s, thread locks held across ``await``,
   dropped coroutines, thread-side touches of loop-affine objects,
-  unmapped handler errors, and guarded-state mutation.
+  unmapped handler errors, and guarded-state mutation;
+* :mod:`repro.analyze.layers` — the declared layer map (LAYER001-003):
+  forbidden import edges, retired names and line budgets.
 
 All passes share one :class:`~repro.analyze.runner.AnalysisContext`
 (one parse per file, one lazily built call graph).  See

@@ -6,14 +6,8 @@ families, sort them by location, and emit either a human listing or a
 machine-readable JSON document (the ``--json`` contract the CI gate
 consumes).
 
-Rules are registered in :data:`RULES`; the id namespaces mirror the
-three checker families:
-
-* ``SPLIT*`` — split-safety verification of vertex programs against
-  the §3.3 applicability table (Theorems 1 and 3);
-* ``LOCK*``  — lock discipline over classes with ``threading`` locks;
-* ``SCAT*``  — buffered numpy scatter writes that silently drop
-  duplicate-index folds.
+Rules are registered in :data:`RULES`, one id namespace per checker
+family (``docs/static-analysis.md`` is the catalog).
 
 Suppression is per line: a trailing ``# analyze: ignore`` comment
 silences every rule on that line, ``# analyze: ignore[SCAT001]`` (a
@@ -193,6 +187,13 @@ RULES: Dict[str, Rule] = {
             "from outside bypasses that lock and races the dispatcher "
             "threads. Call the owning class's methods instead.",
         ),
+        Rule("LAYER001", "error", "undeclared module or forbidden import edge",
+             "Serving amortises the transforms (§6.5); the paper's warp model, "
+             "baselines and pull engines stay out of it (analyze/layers.py)."),
+        Rule("LAYER002", "error", "retired name is back",
+             "A name a simplification deleted must not grow back."),
+        Rule("LAYER003", "error", "module or import closure over its line budget",
+             "The serving boot only shrinks, and a cut lowers its budget."),
     ]
 }
 

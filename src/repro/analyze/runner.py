@@ -1,14 +1,8 @@
 """Analyzer entry points: path collection, checker dispatch, CLI.
 
 ``analyze_paths`` is the library API (the tests call it directly);
-``main`` backs ``python -m repro analyze`` and the CI gate::
-
-    python -m repro analyze                 # human listing, repo tree
-    python -m repro analyze --format json   # machine-readable findings
-    python -m repro analyze --format sarif  # GitHub code-scanning log
-    python -m repro analyze --strict        # exit 1 on error findings
-    python -m repro analyze --rule 'ASYNC*,LOCK004'  # selector globs
-    python -m repro analyze path/ other.py  # explicit roots
+``main`` backs ``python -m repro analyze`` and the CI gate (usage in
+``docs/static-analysis.md``).
 
 Every rule pass shares one :class:`AnalysisContext`: files are parsed
 once (with a cross-run cache in :mod:`astutils`), and the project
@@ -29,6 +23,7 @@ import repro
 from repro.analyze.astutils import SourceFile, load_sources
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.concurrency import check_concurrency
+from repro.analyze.layers import check_layers
 from repro.analyze.locks import check_locks
 from repro.analyze.programs import check_programs
 from repro.analyze.report import Report, expand_rule_selectors, is_suppressed
@@ -59,7 +54,7 @@ class AnalysisContext:
 
 #: checker families in reporting order.
 CHECKERS = (
-    check_programs, check_locks, check_scatter, check_concurrency,
+    check_programs, check_locks, check_scatter, check_concurrency, check_layers,
 )
 
 

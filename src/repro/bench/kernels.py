@@ -71,11 +71,11 @@ def _time_backend(
 
 #: the C kernels a cold process compiles, by what it has served so far:
 #: single-source bfs / sssp / sswp / cc, then bc and pr, then
-#: multi-source batches and the pull engine.
+#: multi-source batches.
 COMPILE_STAGES = (
     ("single_source", ("push_step",)),
     ("all_six", ("bc_forward", "rank_step")),
-    ("everything", ("push_lanes_step", "hop_step", "pull_batch")),
+    ("everything", ("push_lanes_step", "hop_step")),
 )
 
 

@@ -17,7 +17,8 @@ The warp model is not part of the engine: it observes a run through
 the scheduler it attaches to
 (:meth:`repro.gpu.simulator.GPUSimulator.attach`).  The pull and
 direction-adaptive engines of the paper's ablations live in
-:mod:`repro.engine.pull` and :mod:`repro.engine.adaptive`.
+:mod:`repro.engine.pull` and :mod:`repro.engine.adaptive`; no request
+reaches them, so their pull sweeps run numpy bodies only.
 """
 
 from repro.engine.frontier import DENSE_THRESHOLD, Frontier

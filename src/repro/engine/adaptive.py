@@ -15,7 +15,9 @@ Both directions compute the identical BSP update for monotone
 value, a superset of what the frontier would have pushed, and folding
 stale candidates into a monotone reduction is a no-op.  Hence results
 *and iteration counts* match plain push exactly; the tests assert
-both.
+both.  A push iteration runs :class:`~repro.engine.push.PushStep`
+(compiled where the backend engages); a pull sweep runs its numpy
+body.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ def run_adaptive(
         push_scheduler or NodeScheduler(graph), program,
         replace(options, sync_relaxation_blocks=1),
     )
-    backend, spec = push_step.backend, push_step.spec
     if pull_scheduler is None:
         pull_scheduler = NodeScheduler(reverse)
 
@@ -117,9 +118,7 @@ def run_adaptive(
             batch = pull_scheduler.batch(pull_scheduler.all_nodes())
             pull_scheduler.launched(batch)
             edges_processed += batch.total_edges
-            if batch.total_edges and not backend.try_pull(
-                spec, values, read, batch, reverse.targets, reverse.weights
-            ):
+            if batch.total_edges:
                 eidx = batch.edge_indices()
                 neighbor_vals = read[reverse.targets[eidx]]
                 w = reverse.weights[eidx] if reverse.weights is not None else None

@@ -1,4 +1,4 @@
-"""Compiled kernels behind the Push/PullProgram API.
+"""Compiled kernels behind the PushProgram API.
 
 The engines' hot path is always the same shape: gather each active
 thread's edges, relax along every edge, and scatter-reduce candidates
@@ -46,8 +46,7 @@ Safety gates (any failure falls back to numpy, never errors):
 * the program must not override ``filter_pushes`` or ``lane_relax``
   (a fused kernel cannot honor arbitrary Python hooks);
 * arrays must be C-contiguous ``float64``/``int64`` (``uint64`` hop
-  masks, one word per node); the pull hook needs per-thread owners
-  (``phys``) and the supersteps a
+  masks, one word per node); the supersteps need a
   :meth:`~repro.engine.schedule.Scheduler.walk_layout`, so
   warp-segmentation launches decline;
 * the read array must not alias the write array (the numpy body's
@@ -223,16 +222,6 @@ class KernelBackend:
         return None
 
     # -- gates ----------------------------------------------------------
-    def _gate_pull(self, spec, values, read_values, batch, in_sources,
-                   weights) -> bool:
-        """Admission checks for :meth:`try_pull`."""
-        if spec is None or batch.phys is None:
-            return False
-        if not (_i64(batch.phys) and _i64(batch.counts) and _i64(in_sources)
-                and _i64(batch.starts) and _i64(batch.strides)):
-            return False
-        return self._gate_values(spec, values, read_values, weights)
-
     @staticmethod
     def _gate_values(spec, values, read_values, weights) -> bool:
         if values is read_values:
@@ -379,18 +368,6 @@ class KernelBackend:
         kept = fn(new_w, frontier_w, visited, values, values.shape[1], level,
                   active, len(active), walk.offsets, targets, mark, changed, stats)
         return np.sort(changed[:kept]), stats[0], stats[1]
-
-    @_counted
-    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
-        """One pull launch of ``batch`` into ``values``."""
-        fn = self.function("pull_batch")
-        if fn is None or not self._gate_pull(
-                spec, values, read_values, batch, in_sources, weights):
-            return False
-        fn(values, read_values, batch.phys, batch.counts, batch.starts,
-           batch.strides, in_sources, weights, batch.num_threads,
-           weights is not None, spec.relax, spec.reduce)
-        return True
 
     @_counted
     def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
@@ -583,25 +560,6 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
     }
     stats[0] = total;
     return kept;
-}
-"""
-
-_C_UNITS["pull_batch"] = r"""
-void pull_batch(double* v, const double* rv, const int64_t* own,
-                const int64_t* counts, const int64_t* starts,
-                const int64_t* strides, const int64_t* in_sources,
-                const double* w, int64_t nthreads,
-                int has_w, int relax, int reduce) {
-    for (int64_t t = 0; t < nthreads; t++) {
-        const int64_t o = own[t];
-        const int64_t b = starts[t], st = strides[t], k = counts[t];
-        for (int64_t j = 0; j < k; j++) {
-            const int64_t e = b + j * st;
-            double c;
-            RELAX(c, rv[in_sources[e]], WEIGHT(e));
-            FOLD(v, o, c, (void)0);
-        }
-    }
 }
 """
 

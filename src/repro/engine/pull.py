@@ -11,6 +11,10 @@ over several virtual threads, each folding a *subset* of neighbors
 into the shared physical slot.  Theorem 3: the result equals the
 original vertex function exactly when the reduction is associative —
 which MIN/MAX/ADD are, and which the test suite verifies.
+
+Only the paper's ablations run this engine, so it has no compiled
+kernel: every launch runs the numpy gather below, whatever
+``options.kernel_backend`` names.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import EngineError
-from repro.engine import kernels
 from repro.engine.program import PushProgram
 from repro.engine.push import EngineOptions, EngineResult
 from repro.engine.schedule import Scheduler
@@ -70,10 +73,6 @@ def run_pull(
 
     weights = reverse.weights
     in_sources = reverse.targets  # reverse target == original source
-    backend = kernels.resolve_backend(
-        options.kernel_backend, edges=reverse.num_edges
-    )
-    spec = kernels.spec_for(program) if backend.jit else None
 
     converged = False
     iterations = 0
@@ -90,9 +89,7 @@ def run_pull(
         edges_processed += batch.total_edges
 
         before = values.copy()
-        if batch.total_edges and not backend.try_pull(
-            spec, values, before, batch, in_sources, weights
-        ):
+        if batch.total_edges:
             eidx = batch.edge_indices()
             neighbor_vals = before[in_sources[eidx]]
             w = weights[eidx] if weights is not None else None

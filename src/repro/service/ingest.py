@@ -61,9 +61,10 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
-from repro.errors import TraceFormatError, TraceVersionError
+from repro.errors import ServiceError, TraceFormatError, TraceVersionError
 from repro.graph.csr import CSRGraph
 from repro.service.query import QueryRequest, QueryResult
+from repro.service.sharding import parse_host_port
 
 #: the trace format version this module writes and replays.
 TRACE_VERSION = 1
@@ -458,14 +459,18 @@ class TraceReader:
         if source == "-":
             return sys.stdin
         if source.startswith("tcp://"):
-            host, _, port = source[len("tcp://"):].partition(":")
-            if not host or not port.isdigit():
+            try:
+                address = parse_host_port(source, "trace socket source")
+            except ServiceError as exc:
                 raise TraceFormatError(
-                    f"trace socket source must be tcp://host:port, "
-                    f"got {source!r}",
-                    source=source,
-                )
-            self._socket = socket.create_connection((host, int(port)))
+                    f"{exc} (expected tcp://host:port)", source=source
+                ) from exc
+            try:
+                self._socket = socket.create_connection(address)
+            except OSError as exc:
+                raise TraceFormatError(
+                    f"cannot open trace: {exc}", source=source
+                ) from exc
             self._owns_stream = True
             # Binary mode: the reader decodes per line, so a peer that
             # disconnects mid-record (truncated final line, or a line

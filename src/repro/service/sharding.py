@@ -561,16 +561,17 @@ class ShardHostServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _ShardHostHandler)
 
 
-def parse_host_port(text: str) -> Tuple[str, int]:
-    """``host:port`` (or ``tcp://host:port``) -> address tuple."""
+def parse_host_port(text: str, what: str = "shard address") -> Tuple[str, int]:
+    """``host:port`` (or ``tcp://host:port``) -> address tuple; an empty
+    host is ``127.0.0.1``, and port 0 asks a listener to pick one."""
     if text.startswith("tcp://"):
         text = text[len("tcp://"):]
     host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if not sep or not port.isdecimal() or int(port) > 65535:
         raise ServiceError(
-            f"shard address must be host:port, got {text!r}"
+            f"{what} must be host:port with a port in 0-65535, got {text!r}"
         )
-    return host, int(port)
+    return host or "127.0.0.1", int(port)
 
 
 # ----------------------------------------------------------------------

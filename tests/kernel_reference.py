@@ -84,17 +84,6 @@ def push_step(v, rv, active, nactive, off, fv, targets, w, mark, changed,
     return kept
 
 
-def pull_batch(v, rv, own, counts, starts, strides, in_sources, w, nthreads,
-               has_w, relax, reduce):
-    for t in range(nthreads):
-        o = own[t]
-        b, st, k = starts[t], strides[t], counts[t]
-        for j in range(k):
-            e = b + j * st
-            _fold(v, o, _relax(rv[in_sources[e]], w[e] if has_w else 1.0,
-                               relax), reduce)
-
-
 def push_lanes_step(v, rv, active, nactive, off, fv, targets, w, mark,
                     changed, stats, has_w, relax, reduce, lanes, live):
     # push_step over node-major (n, lanes) matrices, MIN/MAX only, in
@@ -254,7 +243,7 @@ def rank_step(rank, inv_deg, x, contrib, src, dst, nedges, n, new_rank, diff,
 
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
-    push_step, pull_batch, push_lanes_step, hop_step,
+    push_step, push_lanes_step, hop_step,
     bc_forward, bc_backward, rank_launch, rank_step,
 )}
 

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,28 @@ class TestCLIGaps:
         assert main(["transform", "pokec", "--scale", "0.1",
                      "--method", "udt", "--k", "4",
                      "--weights-for", "sswp"]) == 0
+
+
+class TestAddresses:
+    """Every HOST:PORT flag goes through one parser: a bad address is
+    ``error: ...`` and exit 2, never a traceback from ``bind()``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--http", "127.0.0.1:70000"],
+        ["shard-host", "--listen", "127.0.0.1:70000"],
+        ["serve", "pokec", "--scale", "0.1", "--requests", "1",
+         "--shards", "2", "--shard-remote", "127.0.0.1:70000"],
+        ["serve", "--trace", "tcp://127.0.0.1:70000"],
+    ], ids=["http", "listen", "shard-remote", "trace"])
+    def test_out_of_range_port(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0-65535" in err
+
+    def test_refused_trace_socket(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["serve", "--trace", f"tcp://127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot open trace" in err

@@ -1,7 +1,7 @@
 """Kernel backends and cost-model tests.
 
 For each JIT backend available on this machine this module asserts
-bitwise equality with the numpy baseline on every engine (push, pull,
+bitwise equality with the numpy baseline on every engine (push,
 lanes, adaptive) and every certified program family — and that the
 fused path actually *engaged*, so a silently-declining backend cannot
 pass as "equal" — and runs the spec loops of
@@ -63,6 +63,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.graph.builder import from_edge_list
 from repro.graph.generators import rmat, star
 from repro.service import AnalyticsService, QueryRequest, replay_trace
+from tests import kernel_reference
 from tests.kernel_reference import LOOPS, ReferenceBackend
 from tests.test_udt import graphs as generator_graphs
 
@@ -244,20 +245,6 @@ class TestJitParity:
             )
             assert kernels.get_backend(backend).engaged > engaged_before
             np.testing.assert_array_equal(base, jit)
-
-    @pytest.mark.parametrize("backend", JITS)
-    def test_pull_parity(self, graph, backend):
-        reverse = graph.reverse()
-        sched = NodeScheduler(reverse)
-        base = run_pull(
-            sched, SSSPProgram(), graph, 0,
-            options=EngineOptions(kernel_backend="numpy"),
-        )
-        jit = run_pull(
-            sched, SSSPProgram(), graph, 0,
-            options=EngineOptions(kernel_backend=backend),
-        )
-        np.testing.assert_array_equal(base.values, jit.values)
 
     @pytest.mark.parametrize("backend", JITS)
     def test_adaptive_parity_including_direction_trace(self, graph, backend):
@@ -543,15 +530,6 @@ class TestPushStepDifferential:
                 source = None if program.name == "cc" else 0
                 _same_fixpoint(*_sync_and("reference", run_push, scheduler,
                                           program, source))
-        # and the pull spec, whole runs over both in-edge schedulers
-        reverse = graph.reverse()
-        for scheduler in (NodeScheduler(reverse), _scheduler("virtual", reverse, 3)):
-            numpy_run, spec_run = (
-                run_pull(scheduler, SSSPProgram(), graph, 0,
-                         options=EngineOptions(kernel_backend=name))
-                for name in ("numpy", "reference")
-            )
-            assert _same_bits(numpy_run.values, spec_run.values)
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
 
@@ -1310,7 +1288,6 @@ HAND_COUNTED = {
     "push_lanes_step": ("push_lanes_step", _I64, _STEP_ARGS + [_I64, _PTR]),
     "hop_step": ("hop_step", _I64,
                  [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5),
-    "pull_batch": ("pull_batch", None, [_PTR] * 8 + [_I64] + [_I32] * 3),
     "bc_forward": ("bc", _I64,
                    [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
     "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),
@@ -1342,6 +1319,9 @@ class TestOneDeclaration:
         assert len(hooks) == len(kernels._PROTOTYPES)
         for backend in (kernels.CJitBackend, ReferenceBackend):
             assert not hooks & set(vars(backend))
+        # the spec module writes loops, never a hook of its own
+        assert not [name for name in vars(kernel_reference)
+                    if name.startswith("try_")]
 
 
 class TestWalkLayout:
@@ -1376,7 +1356,7 @@ class TestEngagementCounters:
             jit = True
 
             @kernels._counted
-            def try_pull(self, spec, *rest):
+            def try_push_step(self, spec, *rest):
                 return spec  # True = engaged, False = declined
 
         backend = Half()
@@ -1384,7 +1364,7 @@ class TestEngagementCounters:
 
         def hammer():
             for i in range(per_thread):
-                backend.try_pull(i % 2 == 0)
+                backend.try_push_step(i % 2 == 0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -3,10 +3,7 @@
 import http.client
 import io
 import json
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -515,36 +512,3 @@ class TestGoldenTraceOverHttp:
         assert replayed.ok
         assert replayed.digests_checked == len(captured.results)
 
-
-#: summed line count of the ``repro`` modules the serving boot loads:
-#: a ratchet — lower it when the closure shrinks, never raise it.
-SERVING_CLOSURE_LINES = 16_066
-
-
-def test_serving_never_imports_the_paper_reproduction_code():
-    # the fence: booting the service and its HTTP edge loads no method
-    # model, no bench module, no warp model, no simulated multi-device
-    # engine and no engine path no request reaches
-    probe = (
-        "import json, sys, repro.service, repro.service.api\n"
-        "fenced = ('repro.baselines', 'repro.bench', 'repro.multigpu.engine',\n"
-        "          'repro.gpu', 'repro.engine.pull', 'repro.engine.adaptive',\n"
-        "          'repro.core.dynamic', 'repro.multigpu.config',\n"
-        "          'repro.algorithms.hardwired')\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'repro']\n"
-        "lines = 0\n"
-        "for name in loaded:\n"
-        "    with open(sys.modules[name].__file__, 'rb') as handle:\n"
-        "        lines += handle.read().count(b'\\n')\n"
-        "print(json.dumps({'fenced': sorted(m for m in loaded\n"
-        "                                   if m.startswith(fenced)),\n"
-        "                  'lines': lines}))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    closure = json.loads(proc.stdout)
-    assert closure["fenced"] == []
-    assert closure["lines"] <= SERVING_CLOSURE_LINES, closure["lines"]

@@ -564,8 +564,10 @@ class TestRemoteShards:
     def test_parse_host_port(self):
         assert parse_host_port("10.0.0.1:9000") == ("10.0.0.1", 9000)
         assert parse_host_port("tcp://h:1") == ("h", 1)
-        with pytest.raises(ServiceError):
-            parse_host_port("no-port")
+        assert parse_host_port(":0") == ("127.0.0.1", 0)
+        for bad in ("no-port", "h:70000", "h:-1", "h:²"):
+            with pytest.raises(ServiceError, match="0-65535"):
+                parse_host_port(bad)
 
 
 class TestQuotas:

@@ -13,7 +13,10 @@ exits non-zero listing anything that does not resolve:
   documentation index — a manual page nobody can discover is a
   manual page that silently rots;
 * external schemes (``http:``, ``https:``, ``mailto:``) are ignored —
-  this guards repo self-consistency, not the internet.
+  this guards repo self-consistency, not the internet;
+* no ``docs/`` page may name what ``repro.analyze.layers.RETIRED``
+  bars from the docs (a deleted knob or path must not be documented
+  back into existence).
 
 Run from anywhere: paths are resolved relative to the repo root
 (parent of this file's directory).  CI runs it as the docs job; run
@@ -27,6 +30,12 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+try:
+    from repro.analyze.layers import RETIRED
+except ImportError:  # source checkout without `pip install -e .`
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.analyze.layers import RETIRED
 
 #: inline markdown links/images: [text](target) / ![alt](target).
 #: Reference-style links are rare in this repo and not checked.
@@ -140,13 +149,28 @@ def check_readme_index() -> list:
     return problems
 
 
+def check_retired(path: Path) -> list:
+    """Every line of ``path`` naming a name retired from the docs."""
+    patterns = [re.compile(entry.pattern, entry.flags)
+                for entry in RETIRED if entry.docs]
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{number}: retired name "
+        f"/{regex.pattern}/ (repro.analyze.layers.RETIRED)"
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1)
+        for regex in patterns if regex.search(line)
+    ]
+
+
 def main() -> int:
     files = markdown_files()
     problems = check_readme_index()
     for path in files:
         problems.extend(check_file(path))
+    for path in sorted((REPO_ROOT / "docs").rglob("*.md")):
+        problems.extend(check_retired(path))
     if problems:
-        print(f"{len(problems)} broken link(s) across {len(files)} files:")
+        print(f"{len(problems)} problem(s) across {len(files)} files:")
         for problem in problems:
             print(f"  {problem}")
         return 1
