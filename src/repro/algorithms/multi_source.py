@@ -172,14 +172,44 @@ def multi_source_distances(
             return np.vstack(rows)[inverse]
 
     program = SSSPProgram() if weighted else BFSProgram()
-    matrix = np.empty((n, len(unique)))
-    for block in lane_blocks(len(unique), max_lanes):
-        result = run_push_lanes(
-            scheduler, program, unique[block].tolist(), options=options
-        )
-        matrix[:, block] = result.values
+    blocks = list(lane_blocks(len(unique), max_lanes))
+    if len(blocks) == 1:
+        matrix = run_push_lanes(
+            scheduler, program, unique.tolist(), options=options
+        ).values
+    else:
+        matrix = np.empty((n, len(unique)))
+        for block in blocks:
+            result = run_push_lanes(
+                scheduler, program, unique[block].tolist(), options=options
+            )
+            matrix[:, block] = result.values
     # one row per *requested* source: duplicates share a lane's column.
-    return matrix.T[inverse]
+    return _lane_rows(matrix, inverse)
+
+
+#: node rows per tile of :func:`_lane_rows`' copy: a 512-row tile of up
+#: to 64 lanes (256 KiB) and its transpose stay in cache together.
+_TILE_ROWS = 512
+
+
+def _lane_rows(matrix: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``matrix.T[inverse]`` in one cache-blocked copy.
+
+    Gathering whole columns of a node-major ``(n, S)`` matrix strides
+    ``8 * S`` bytes per element (at ``S = 64`` the 512-byte stride
+    crowds every load into a few cache sets); tile by tile the reads
+    and the writes both stay resident.  An identity ``inverse`` — deduplicated sources in
+    order, as every service batch sends them — copies no gather.
+    """
+    n, width = matrix.shape
+    identity = len(inverse) == width and bool(
+        (inverse == np.arange(width)).all())
+    columns = slice(None) if identity else inverse
+    rows = np.empty((len(inverse), n))
+    for lo in range(0, n, _TILE_ROWS):
+        rows[:, lo:lo + _TILE_ROWS] = matrix[lo:lo + _TILE_ROWS, columns].T
+    return rows
 
 
 def closeness_centrality(

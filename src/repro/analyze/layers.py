@@ -61,7 +61,7 @@ RETIRED = (
 #: line caps: a tuple of roots caps their module-level import closure
 #: (parent packages included), a module name caps that file alone.
 BUDGETS: Dict[object, int] = {
-    ("repro.service", "repro.service.api"): 15_778,
+    ("repro.service", "repro.service.api"): 15_605,
     "repro.service.metrics": 200,
 }
 

@@ -9,15 +9,6 @@ the untouched CSR (§4), optionally with edge-array coalescing (§4.4).
 The §4 on-the-fly mapping design is :mod:`repro.core.dynamic`.
 """
 
-from repro.core.analysis import SplitProperties, predict_properties
-from repro.core.properties import (
-    check_split_transformation,
-    family_members,
-    verify_degree_bound,
-    verify_distance_preservation,
-    verify_path_preservation,
-    verify_widest_path_preservation,
-)
 from repro.core.splits import clique_transform, circular_transform, star_transform
 from repro.core.types import TransformResult, TransformStats
 from repro.core.udt import udt_transform
@@ -43,3 +34,19 @@ __all__ = [
     "verify_path_preservation",
     "verify_widest_path_preservation",
 ]
+
+
+def __getattr__(name: str):
+    # the split-property predictions and checks (§3's theorems) load on
+    # first use: the serving tier imports this package for its transforms
+    if name in ("SplitProperties", "predict_properties"):
+        from repro.core import analysis
+
+        return getattr(analysis, name)
+    if name in ("check_split_transformation", "family_members",
+                "verify_degree_bound", "verify_distance_preservation",
+                "verify_path_preservation", "verify_widest_path_preservation"):
+        from repro.core import properties
+
+        return getattr(properties, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,12 @@ next frontier.  The lane supersteps (``push_lanes_step``, ``hop_step``)
 do the same for ``S`` sources at once, lanes innermost; the two
 Brandes level steps (``bc_forward``, ``bc_backward``) and PageRank's
 iteration (``rank_launch`` once per run, then ``rank_step``) are the
-ADD-reduction analytics' supersteps.  Values are **bitwise
-identical**: an ADD loop repeats ``ufunc.at``'s float operations in
-order; a MIN/MAX step relaxes in place and reaches the same fixpoint.
+ADD-reduction analytics' supersteps.  Each of the three MIN/MAX
+supersteps is also called in a loop by a ``*_run`` (``push_run``,
+``push_lanes_run``, ``hop_run``): the whole fixpoint as one call, by the
+engine loop's own rules.  Values are **bitwise identical**: an ADD loop
+repeats ``ufunc.at``'s float operations in order; a MIN/MAX step
+relaxes in place and reaches the same fixpoint.
 
 A kernel is declared once, by its C function's prototype in
 :data:`_C_UNITS` (the ctypes signature is parsed from it), and served
@@ -369,6 +372,69 @@ class KernelBackend:
                   active, len(active), walk.offsets, targets, mark, changed, stats)
         return np.sort(changed[:kept]), stats[0], stats[1]
 
+    @staticmethod
+    def _run_scratch(active, n):
+        """A ``*_run``'s own frontier buffer — ``n + 1`` ids, ``active``
+        first (at most ``n``: a frontier repeats none) — and stats."""
+        frontier = np.empty(n + 1, dtype=np.int64)
+        frontier[:len(active)] = active
+        return frontier, (ctypes.c_int64 * 4)()
+
+    @_counted
+    def try_push_run(self, spec, out, read, active, walk, targets, weights,
+                     scratch, max_iterations, dense_threshold,
+                     ) -> Optional[Tuple[bool, int, int, int, int]]:
+        """A whole MIN/MAX :func:`~repro.engine.push.run_push` loop from
+        ``active``, ``read`` committed: ``(converged, iterations, edges,
+        dense iterations, lane iterations)``, or ``None`` to decline."""
+        fn = self.function("push_run")
+        if fn is None or len(active) > len(out) or not self._gate_step(
+                spec, out, read, active, walk, targets, weights, scratch
+        ) or spec.reduce == REDUCE_ADD:
+            return None
+        frontier, stats = self._run_scratch(active, len(out))
+        converged = fn(out, read, frontier, len(active), walk.offsets,
+                       walk.family_starts, targets, weights, *scratch[:2], stats,
+                       weights is not None, spec.relax, spec.reduce, len(out),
+                       max_iterations, dense_threshold)
+        return (bool(converged), *stats)
+
+    @_counted
+    def try_lane_run(self, spec, out, read, active, walk, targets, weights,
+                     scratch, max_iterations, dense_threshold,
+                     ) -> Optional[Tuple[bool, int, int, int, int]]:
+        """A whole float-lane :func:`~repro.engine.push.run_push_lanes`
+        loop (same result)."""
+        fn = self.function("push_lanes_run")
+        if fn is None or len(active) > len(out) or not self._gate_lanes(
+                spec, out, read, active, walk, targets, weights, scratch):
+            return None
+        frontier, stats = self._run_scratch(active, len(out))
+        converged = fn(out, read, frontier, len(active), walk.offsets,
+                       walk.family_starts, targets, weights, *scratch[:2], stats,
+                       weights is not None, spec.relax, spec.reduce,
+                       out.shape[1], scratch[2], len(out), max_iterations,
+                       dense_threshold)
+        return (bool(converged), *stats)
+
+    @_counted
+    def try_hop_run(self, new_w, frontier_w, visited, values, level, active,
+                    walk, targets, scratch, max_iterations, dense_threshold,
+                    ) -> Optional[Tuple[bool, int, int, int, int]]:
+        """The bit-packed hop levels of ``run_push_lanes`` after
+        ``level`` (same result)."""
+        fn = self.function("hop_run")
+        if fn is None or len(active) > len(values) or not self._gate_hops(
+                new_w, frontier_w, visited, values, active, walk, targets,
+                scratch):
+            return None
+        frontier, stats = self._run_scratch(active, len(values))
+        converged = fn(new_w, frontier_w, visited, values, values.shape[1],
+                       level, frontier, len(active), walk.offsets, targets,
+                       *scratch[:2], stats, len(values), max_iterations,
+                       dense_threshold)
+        return (bool(converged), *stats)
+
     @_counted
     def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
                        found) -> Optional[Tuple[np.ndarray, int]]:
@@ -505,11 +571,20 @@ _C_PRELUDE = r"""
    loop-invariant relax/reduce flags out of their edge loops is worth
    10-20 % on cache-resident graphs for ~0.02 s of compile each.
    HOT_LANES also asks for vector code: a lane loop runs over S
-   consecutive doubles (-O2 alone leaves it scalar, 1.6x slower) */
+   consecutive doubles (-O2 alone leaves it scalar, 1.6x slower).
+   Where the loader resolves ifuncs (glibc, x86-64, GCC >= 11) it is
+   also built twice, for the baseline ISA and for x86-64-v3's 256-bit
+   vectors; the library stays portable, the loader picks the clone */
 #if defined(__GNUC__) && !defined(__clang__)
 #define HOT __attribute__((optimize("unswitch-loops")))
-#define HOT_LANES __attribute__((optimize("unswitch-loops", \
+#define HOT_LANES_OPT __attribute__((optimize("unswitch-loops", \
     "tree-vectorize", "vect-cost-model=dynamic")))
+#if __GNUC__ >= 11 && defined(__x86_64__) && defined(__GLIBC__)
+#define HOT_LANES HOT_LANES_OPT \
+    __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define HOT_LANES HOT_LANES_OPT
+#endif
 #else
 #define HOT
 #define HOT_LANES
@@ -527,6 +602,57 @@ _C_PRELUDE = r"""
 #: its own ``.so``, built the first time one of its functions is asked
 #: for — per kernel, or per pair of kernels only ever used together.
 _C_UNITS: Dict[str, str] = {}
+
+#: what a unit with a ``*_run`` adds: run_push's loop around its step.
+_C_RUN = r"""
+#include <stdlib.h>
+
+static int by_id(const void* a, const void* b) {
+    const int64_t x = *(const int64_t*)a, y = *(const int64_t*)b;
+    return (x > y) - (x < y);
+}
+
+/* changed[0..kept) into next in ascending order, as Frontier.ids()
+   hands them back: a scan of marks set for them when the frontier is
+   dense (Frontier's occupancy test; the marks end zero), else a sort
+   -> whether it is dense */
+static int next_frontier(const int64_t* changed, int64_t kept, int64_t* next,
+                         uint8_t* mark, int64_t n, double dense) {
+    if (n > 0 && (double)kept / (double)n >= dense) {
+        int64_t j = 0;
+        for (int64_t i = 0; i < kept; i++) mark[changed[i]] = 1;
+        for (int64_t d = 0; d < n; d++) {
+            if (mark[d]) { mark[d] = 0; next[j++] = d; }
+        }
+        return 1;
+    }
+    for (int64_t i = 0; i < kept; i++) next[i] = changed[i];
+    qsort(next, (size_t)kept, sizeof(int64_t), by_id);
+    return 0;
+}
+
+/* a *_run's body: STEP (its stats into `step`) from frontier[0..
+   nactive) until no row changes or max_iterations steps, COMMIT after
+   each step that changed rows; stats = {iterations, edges, dense
+   iterations, lanes live before each step (all before the first)}
+   -> whether it converged */
+#define RUN(lanes, STEP, COMMIT) do { \
+    int64_t step[2] = {0, (lanes)}; \
+    int dense_now = n > 0 && (double)nactive / (double)n >= dense; \
+    stats[0] = stats[1] = stats[2] = stats[3] = 0; \
+    while (stats[0] < max_iterations) { \
+        if (nactive == 0) return 1; \
+        stats[2] += dense_now; stats[3] += step[1]; \
+        const int64_t kept = STEP; \
+        stats[0]++; stats[1] += step[0]; \
+        if (kept == 0) return 1; \
+        COMMIT; \
+        dense_now = next_frontier(changed, kept, frontier, mark, n, dense); \
+        nactive = kept; \
+    } \
+    return 0; \
+} while (0)
+"""
 
 _C_UNITS["push_step"] = r"""
 HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
@@ -560,6 +686,18 @@ HOT int64_t push_step(double* v, const double* rv, const int64_t* active,
     }
     stats[0] = total;
     return kept;
+}
+""" + _C_RUN + r"""
+/* run_push's loop over push_step, MIN/MAX only: frontier (n + 1 ids)
+   holds each step's active ids, rv is committed */
+int64_t push_run(double* v, double* rv, int64_t* frontier, int64_t nactive,
+                 const int64_t* off, const int64_t* fv, const int64_t* targets,
+                 const double* w, uint8_t* mark, int64_t* changed,
+                 int64_t* stats, int has_w, int relax, int reduce, int64_t n,
+                 int64_t max_iterations, double dense) {
+    RUN(1, push_step(v, rv, frontier, nactive, off, fv, targets, w, mark,
+                     changed, step, has_w, relax, reduce),
+        for (int64_t i = 0; i < kept; i++) rv[changed[i]] = v[changed[i]]);
 }
 """
 
@@ -613,6 +751,18 @@ HOT_LANES int64_t push_lanes_step(double* v, double* rv,
     stats[0] = total; stats[1] = nlive;
     return kept;
 }
+""" + _C_RUN + r"""
+/* run_push_lanes' loop over push_lanes_step (which commits rv) */
+int64_t push_lanes_run(double* v, double* rv, int64_t* frontier,
+                       int64_t nactive, const int64_t* off, const int64_t* fv,
+                       const int64_t* targets, const double* w, uint8_t* mark,
+                       int64_t* changed, int64_t* stats, int has_w, int relax,
+                       int reduce, int64_t lanes, uint8_t* live, int64_t n,
+                       int64_t max_iterations, double dense) {
+    RUN(lanes, push_lanes_step(v, rv, frontier, nactive, off, fv, targets, w,
+                               mark, changed, step, has_w, relax, reduce,
+                               lanes, live), (void)0);
+}
 """
 
 _C_UNITS["hop_step"] = r"""
@@ -655,6 +805,19 @@ int64_t hop_step(uint64_t* new_w, uint64_t* frontier_w, uint64_t* visited,
     for (; live; live &= live - 1) nlive++;
     stats[0] = total; stats[1] = nlive;
     return kept;
+}
+""" + _C_RUN + r"""
+/* run_push_lanes' hop levels after `level` over hop_step, the two
+   frontier word arrays trading places between levels */
+int64_t hop_run(uint64_t* new_w, uint64_t* frontier_w, uint64_t* visited,
+                double* values, int64_t lanes, double level, int64_t* frontier,
+                int64_t nactive, const int64_t* off, const int64_t* targets,
+                uint8_t* mark, int64_t* changed, int64_t* stats, int64_t n,
+                int64_t max_iterations, double dense) {
+    RUN(lanes, hop_step(new_w, frontier_w, visited, values, lanes,
+                        level += 1.0, frontier, nactive, off, targets, mark,
+                        changed, step),
+        uint64_t* spent = frontier_w; frontier_w = new_w; new_w = spent);
 }
 """
 
@@ -897,7 +1060,11 @@ class CJitBackend(KernelBackend):
 
         def compile_unit() -> None:
             started = time.perf_counter()
-            src_path = os.path.join(lib_dir, f"repro-{unit}-{digest}.c")
+            # every file is written under this process's own name, then
+            # renamed (atomic: racers see whole files); a racer opening
+            # a shared name for writing would truncate what cc reads
+            stem = os.path.join(lib_dir, f"repro-{unit}-{digest}")
+            src_path = f"{stem}.{os.getpid()}.c"
             tmp_path = f"{lib_path}.tmp.{os.getpid()}"
             with open(src_path, "w", encoding="utf-8") as fh:
                 fh.write(source)
@@ -905,7 +1072,8 @@ class CJitBackend(KernelBackend):
                 [cc, *self.CFLAGS, "-o", tmp_path, src_path],
                 check=True, capture_output=True, text=True,
             )
-            os.replace(tmp_path, lib_path)  # atomic: racers see whole files
+            os.replace(tmp_path, lib_path)
+            os.replace(src_path, f"{stem}.c")  # kept beside its library
             self.compile_seconds += time.perf_counter() - started
 
         def bind() -> Dict[str, object]:

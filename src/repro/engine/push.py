@@ -151,6 +151,10 @@ class PushStep:
             np.zeros(graph.num_nodes, dtype=np.uint8),
             np.empty(graph.num_nodes + 1, dtype=NODE_DTYPE),
         ) if self.backend.jit and self.walk is not None else None
+        #: where the step would run compiled as a MIN/MAX step, a
+        #: worklist run is offered to the backend as one call (:meth:`run`)
+        self.fuses = (self.scratch is not None and self.spec is not None
+                      and self.spec.reduce != kernels.REDUCE_ADD)
 
     def __call__(
         self, out: np.ndarray, read: np.ndarray, active: np.ndarray
@@ -164,6 +168,18 @@ class PushStep:
             return stepped
         batch = self._launch(_apply_batch, out, read, active)
         return np.flatnonzero(out != read), batch.total_edges
+
+    def run(self, out, read, frontier: Frontier, options: EngineOptions):
+        """:func:`run_push`'s loop from ``frontier`` as one compiled call:
+        :func:`_loop`'s counters, or ``None`` (not offered, or declined)."""
+        if not (self.fuses and options.worklist):
+            return None
+        graph = self.scheduler.graph
+        return self.backend.try_push_run(
+            self.spec, out, read, frontier.ids(), self.walk, graph.targets,
+            graph.weights, self.scratch, options.max_iterations,
+            options.dense_threshold,
+        )
 
     def _launch(self, apply, out, read, active) -> ThreadBatch:
         """The numpy body's launch: schedule ``active``, announce it,
@@ -246,6 +262,8 @@ class LaneStep(PushStep):
             self.read = self.values.copy()
         if self.scratch is not None:
             self.scratch += (np.zeros(num_lanes, dtype=np.uint8),)
+        # hop masks wider than one word are the numpy body's
+        self.fuses = self.fuses and not (self.hops and self.words[0].ndim > 1)
 
     def __call__(self, active: np.ndarray) -> Tuple[np.ndarray, int, int]:
         if self.hops:
@@ -263,6 +281,25 @@ class LaneStep(PushStep):
         changed = np.flatnonzero(differs.any(axis=1))
         read[changed] = out[changed]
         return changed, batch.total_edges, int(differs.any(axis=0).sum())
+
+    def run(self, frontier: Frontier, options: EngineOptions):
+        """:func:`run_push_lanes`' loop as :meth:`PushStep.run` (a hop
+        run leaves ``level`` and ``words`` behind: nothing steps after)."""
+        if not (self.fuses and options.worklist):
+            return None
+        graph = self.scheduler.graph
+        fixpoint = (options.max_iterations, options.dense_threshold)
+        if self.hops:
+            frontier_w, new, visited = self.words
+            return self.backend.try_hop_run(
+                new, frontier_w, visited, self.values, float(self.level),
+                frontier.ids(), self.walk, graph.targets, self.scratch,
+                *fixpoint,
+            )
+        return self.backend.try_lane_run(
+            self.spec, self.values, self.read, frontier.ids(), self.walk,
+            graph.targets, graph.weights, self.scratch, *fixpoint,
+        )
 
     def _hop(self, active: np.ndarray) -> Tuple[np.ndarray, int, int]:
         frontier, new, visited = self.words
@@ -324,28 +361,15 @@ def run_push(
         dense_threshold=options.dense_threshold,
     )
 
-    converged = False
-    iterations = 0
-    edges_processed = 0
-    dense_iterations = 0
-
-    for _ in range(options.max_iterations):
-        active = frontier.ids() if options.worklist else scheduler.all_nodes()
-        if len(active) == 0:
-            converged = True
-            break
-        if options.worklist and frontier.is_dense:
-            dense_iterations += 1
+    def superstep(active):  # commits what it changed, as a run does
         changed, edges = step(values, read, active)
-        iterations += 1
-        edges_processed += edges
-        if len(changed) == 0:
-            converged = True
-            break
         read[changed] = values[changed]
-        frontier = Frontier.from_ids(
-            n, changed, dense_threshold=options.dense_threshold
-        )
+        return changed, edges, 1
+
+    converged, iterations, edges_processed, dense_iterations, _ = (
+        step.run(values, read, frontier, options)
+        or _loop(superstep, frontier, scheduler, options, 1)
+    )
 
     if not converged and options.require_convergence:
         raise EngineError(
@@ -391,30 +415,9 @@ def run_push_lanes(
         dense_threshold=options.dense_threshold,
     )
 
-    converged = False
-    iterations = 0
-    edges_processed = 0
-    dense_iterations = 0
-    lane_iterations = 0
-    live = num_lanes  # per-lane change data does not exist before step 1
-
-    for _ in range(options.max_iterations):
-        active = frontier.ids() if options.worklist else scheduler.all_nodes()
-        if len(active) == 0:
-            converged = True
-            break
-        if options.worklist and frontier.is_dense:
-            dense_iterations += 1
-        lane_iterations += live if options.worklist else num_lanes
-        changed, edges, live = step(active)
-        iterations += 1
-        edges_processed += edges
-        if len(changed) == 0:
-            converged = True
-            break
-        frontier = Frontier.from_ids(
-            n, changed, dense_threshold=options.dense_threshold
-        )
+    (converged, iterations, edges_processed, dense_iterations,
+     lane_iterations) = (step.run(frontier, options)
+                         or _loop(step, frontier, scheduler, options, num_lanes))
 
     if not converged and options.require_convergence:
         raise EngineError(
@@ -430,6 +433,38 @@ def run_push_lanes(
         num_lanes=num_lanes,
         lane_iterations=lane_iterations,
     )
+
+
+def _loop(superstep, frontier: Frontier, scheduler: Scheduler,
+          options: EngineOptions, num_lanes: int):
+    """The BSP loop over ``superstep(active) -> (changed ids, edges, live
+    lanes)`` from ``frontier``: ``(converged, iterations, edges, dense
+    iterations, lane iterations)`` — what a compiled ``*_run`` returns."""
+    converged = False
+    iterations = 0
+    edges_processed = 0
+    dense_iterations = 0
+    lane_iterations = 0
+    live = num_lanes  # per-lane change data does not exist before step 1
+
+    for _ in range(options.max_iterations):
+        active = frontier.ids() if options.worklist else scheduler.all_nodes()
+        if len(active) == 0:
+            converged = True
+            break
+        if options.worklist and frontier.is_dense:
+            dense_iterations += 1
+        lane_iterations += live if options.worklist else num_lanes
+        changed, edges, live = superstep(active)
+        iterations += 1
+        edges_processed += edges
+        if len(changed) == 0:
+            converged = True
+            break
+        frontier = Frontier.from_ids(
+            frontier.num_nodes, changed, dense_threshold=options.dense_threshold
+        )
+    return converged, iterations, edges_processed, dense_iterations, lane_iterations
 
 
 def _apply_batch_lanes(

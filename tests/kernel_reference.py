@@ -5,8 +5,9 @@ it is and taking exactly its prototype's arguments, in order: ``None``
 for a NULL pointer, numpy arrays for the others (``stats`` is the
 hooks' ``ctypes`` array).  Each returns and writes what the C does, and
 the C text is a transliteration of these loops, operation for
-operation (:func:`_relax` and :func:`_fold` are its ``RELAX`` and
-``FOLD`` macros).  The ADD loops match the engines' vectorised numpy
+operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
+``RELAX``, ``FOLD`` and ``RUN`` macros, :func:`_next_frontier` its
+``next_frontier``).  The ADD loops match the engines' vectorised numpy
 path bitwise, superstep by superstep: the gather order is
 thread-by-thread in strided slot order (exactly
 ``strided_ranges_to_indices``), and the fold is the same addition
@@ -162,6 +163,98 @@ def hop_step(new_w, frontier_w, visited, values, lanes, level, active,
     return kept
 
 
+def _next_frontier(changed, kept, frontier, mark, n, dense):
+    # changed[:kept] into frontier in ascending order: a scan of the
+    # marks when the frontier is dense (Frontier's occupancy test),
+    # else a sort -> whether it is dense
+    if n > 0 and kept / n >= dense:
+        for i in range(kept):
+            mark[changed[i]] = 1
+        j = 0
+        for d in range(n):
+            if mark[d]:
+                mark[d] = 0
+                frontier[j] = d
+                j += 1
+        return True
+    frontier[:kept] = sorted(changed[:kept])
+    return False
+
+
+def _run(lanes, step, commit, frontier, nactive, mark, changed, stats, n,
+         max_iterations, dense):
+    # RUN: step(active, nactive, step_stats) until no row changes or
+    # max_iterations steps, commit(kept) after each step that changed
+    # rows; stats = {iterations, edges, dense iterations, lanes live
+    # before each step} -> converged
+    step_stats = [0, lanes]
+    dense_now = n > 0 and nactive / n >= dense
+    stats[0] = stats[1] = stats[2] = stats[3] = 0
+    while stats[0] < max_iterations:
+        if nactive == 0:
+            return True
+        stats[2] += dense_now
+        stats[3] += step_stats[1]
+        kept = step(frontier, nactive, step_stats)
+        stats[0] += 1
+        stats[1] += step_stats[0]
+        if kept == 0:
+            return True
+        commit(kept)
+        dense_now = _next_frontier(changed, kept, frontier, mark, n, dense)
+        nactive = kept
+    return False
+
+
+def push_run(v, rv, frontier, nactive, off, fv, targets, w, mark, changed,
+             stats, has_w, relax, reduce, n, max_iterations, dense):
+    # run_push's loop over push_step, rv committed
+
+    def commit(kept):
+        for i in range(kept):
+            rv[changed[i]] = v[changed[i]]
+
+    return _run(
+        1, lambda active, nactive, step: push_step(
+            v, rv, active, nactive, off, fv, targets, w, mark, changed, step,
+            has_w, relax, reduce),
+        commit, frontier, nactive, mark, changed, stats, n, max_iterations,
+        dense)
+
+
+def push_lanes_run(v, rv, frontier, nactive, off, fv, targets, w, mark,
+                   changed, stats, has_w, relax, reduce, lanes, live, n,
+                   max_iterations, dense):
+    # run_push_lanes' loop over push_lanes_step (which commits rv)
+    return _run(
+        lanes, lambda active, nactive, step: push_lanes_step(
+            v, rv, active, nactive, off, fv, targets, w, mark, changed, step,
+            has_w, relax, reduce, lanes, live),
+        lambda kept: None, frontier, nactive, mark, changed, stats, n,
+        max_iterations, dense)
+
+
+def hop_run(new_w, frontier_w, visited, values, lanes, level, frontier,
+            nactive, off, targets, mark, changed, stats, n, max_iterations,
+            dense):
+    # run_push_lanes' hop levels after `level` over hop_step, the two
+    # word arrays trading places between levels
+    words = [new_w, frontier_w]
+    levels = [level]
+
+    def step(active, nactive, step_stats):
+        levels[0] += 1.0
+        return hop_step(words[0], words[1], visited, values, lanes, levels[0],
+                        active, nactive, off, targets, mark, changed,
+                        step_stats)
+
+    def commit(kept):
+        words.reverse()
+
+    return _run(lanes, step, commit, frontier, nactive, mark, changed, stats,
+                n, max_iterations, dense)
+
+
 def bc_forward(levels, sigma, frontier, nfrontier, off, fv, targets, level,
                found, stats):
     # one Brandes forward level: settle depth `level` below the frontier
@@ -243,7 +336,7 @@ def rank_step(rank, inv_deg, x, contrib, src, dst, nedges, n, new_rank, diff,
 
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
-    push_step, push_lanes_step, hop_step,
+    push_step, push_lanes_step, hop_step, push_run, push_lanes_run, hop_run,
     bc_forward, bc_backward, rank_launch, rank_step,
 )}
 

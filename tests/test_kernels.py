@@ -17,6 +17,7 @@ import ctypes
 import inspect
 import json
 import os
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
 from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
+from repro.engine.frontier import Frontier
 from repro.engine.pull import run_pull
 from repro.core.virtual import virtual_transform
 from repro.engine.push import (
@@ -350,10 +352,29 @@ def _spec_twin(step_class, scheduler, program, *args, backend):
     return twin
 
 
+def _launches_of(*backends):
+    """(engaged, declined) of each backend."""
+    return np.array([[b.engaged, b.declined] for b in backends])
+
+
 def _launches(step):
     """(engaged, declined) of the spec and of ``step``'s backend."""
-    return np.array([[SPEC.engaged, SPEC.declined],
-                     [step.backend.engaged, step.backend.declined]])
+    return _launches_of(SPEC, step.backend)
+
+
+class _PerSuperstep(kernels.KernelBackend):
+    """``fused``'s kernels with every ``*_run`` declined: the loop over
+    its compiled supersteps that a run replaces."""
+
+    jit = True
+
+    def __init__(self, fused):
+        super().__init__()
+        self.fused = fused
+        self.name = f"{fused.name}-per-superstep"
+
+    def function(self, name):
+        return None if name.endswith("_run") else self.fused.function(name)
 
 
 def _same_route(step, before):
@@ -528,8 +549,13 @@ class TestPushStepDifferential:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
                 source = None if program.name == "cc" else 0
-                _same_fixpoint(*_sync_and("reference", run_push, scheduler,
-                                          program, source))
+                sync, spec = _sync_and("reference", run_push, scheduler,
+                                       program, source)
+                _same_fixpoint(sync, spec)
+                # the spec run is the compiled one, counter for counter
+                _same_run(spec, run_push(
+                    scheduler, program, source,
+                    options=EngineOptions(kernel_backend=JITS[0])))
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
 
@@ -540,6 +566,14 @@ class TestPushStepDifferential:
 LANE_WIDTHS = (1, 2, 63, 64, 65)
 RESULT_COUNTERS = ("num_iterations", "edges_processed", "dense_iterations",
                    "lane_iterations", "num_lanes", "converged")
+
+
+def _same_run(a, b):
+    """Two runs of one superstep sequence: values bit for bit, and
+    every counter."""
+    assert _same_bits(a.values, b.values)
+    for field in RESULT_COUNTERS:
+        assert getattr(a, field) == getattr(b, field), field
 
 
 def _lane_sources(graph, width, seed):
@@ -650,19 +684,24 @@ class TestLaneStepDifferential:
         # reach the numpy bodies' fixpoint (the hop level, every counter)
         graph = rmat(40, 300, seed=9, weight_range=(1.0, 8.0), dedup=False)
         sources = [0, 7, 7, 31]
+        jit = EngineOptions(kernel_backend=JITS[0])
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
             for program in (SSSPProgram(), SSWPProgram(), CCProgram()):
-                _same_fixpoint(*_sync_and("reference", run_push_lanes,
-                                          scheduler, program, sources))
+                sync, spec = _sync_and("reference", run_push_lanes, scheduler,
+                                       program, sources)
+                _same_fixpoint(sync, spec)
+                _same_run(spec, run_push_lanes(scheduler, program, sources,
+                                               options=jit))
         hop_scheduler = NodeScheduler(graph.without_weights())
         assert LaneStep(hop_scheduler, BFSProgram(), sources,
                         EngineOptions(kernel_backend="reference")).hops
         sync, spec = _sync_and("reference", run_push_lanes, hop_scheduler,
                                BFSProgram(), sources)
         _same_fixpoint(sync, spec)
-        for field in RESULT_COUNTERS:
-            assert getattr(sync, field) == getattr(spec, field)
+        _same_run(sync, spec)
+        _same_run(spec, run_push_lanes(hop_scheduler, BFSProgram(), sources,
+                                       options=jit))
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
 
@@ -856,7 +895,8 @@ class TestInPlaceFixpoint:
     reach the synchronous numpy values bit for bit, and in at most as
     many supersteps.  An ADD step stays synchronous: a float sum is not
     idempotent, so reading a value folded earlier in its own superstep
-    would count that contribution twice."""
+    would count that contribution twice.  A whole compiled run is the
+    loop over its compiled supersteps, counter for counter."""
 
     @pytest.mark.parametrize("backend", JITS)
     @given(
@@ -910,6 +950,61 @@ class TestInPlaceFixpoint:
             )
         assert _same_bits(want, got)
         assert jit_steps <= sync_steps
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+    @pytest.mark.parametrize("algorithm", sorted(STEP_PROGRAMS))
+    @pytest.mark.parametrize("width", (1, 2, 63, 64))
+    @pytest.mark.parametrize("dense_threshold", (1.0, 1 / 16, 1e-9))
+    def test_fused_runs_equal_the_per_superstep_loop(
+        self, graph, monkeypatch, backend, kind, algorithm, width,
+        dense_threshold,
+    ):
+        # the scalar run, the float lanes and (bfs) the hop lanes as one
+        # compiled call each, against the loop over the same compiled
+        # steps: every threshold sends the next frontier through the
+        # sort, the mark scan, or both
+        jit = kernels.get_backend(backend)
+        loop = _PerSuperstep(jit)
+        monkeypatch.setitem(kernels._REGISTRY, loop.name, loop)
+        target = graph.without_weights() if algorithm == "bfs" else graph
+        scheduler = _scheduler(kind, target, 3)
+        program = STEP_PROGRAMS[algorithm]()
+        hub = int(np.argmax(target.out_degrees()))
+        sources = [hub] + _lane_sources(target, width - 1, width)
+        sources[-1] = hub  # from width 2 on, a duplicated lane
+        exhausted = False
+        for run, start in ((run_push, None if algorithm == "cc" else hub),
+                           (run_push_lanes, sources)):
+            for max_iterations in (100_000, 2):
+                before = _launches_of(jit, loop)
+                fused, stepped = (run(scheduler, program, start,
+                                      options=EngineOptions(
+                                          kernel_backend=name,
+                                          dense_threshold=dense_threshold,
+                                          max_iterations=max_iterations,
+                                          require_convergence=False))
+                                  for name in (backend, loop.name))
+                _same_run(fused, stepped)
+                # one engaged call, against a declined run and a step
+                # per superstep
+                assert (_launches_of(jit, loop) - before).tolist() == [
+                    [1, 0], [stepped.num_iterations, 1]]
+                exhausted |= not fused.converged
+        assert exhausted
+
+    @pytest.mark.parametrize("backend", JITS)
+    def test_a_run_leaves_the_loops_state(self, backend):
+        # a one-way star: the hub's superstep changes all 4 leaves of 5
+        # nodes, exactly the threshold, so the last frontier is dense
+        scheduler = NodeScheduler(star(4, weight_range=(1, 9), seed=1))
+        options = EngineOptions(kernel_backend=backend, dense_threshold=4 / 5)
+        step = PushStep(scheduler, SSSPProgram(), options)
+        values = SSSPProgram().initial_values(5, 0)
+        read = values.copy()
+        frontier = Frontier.from_ids(5, [0], dense_threshold=4 / 5)
+        assert step.run(values, read, frontier, options) == (True, 2, 4, 1, 2)
+        assert _same_bits(read, values)  # committed, as the loop commits
 
 
 # ----------------------------------------------------------------------
@@ -1248,6 +1343,26 @@ class TestCompileOnFirstCall:
             assert again.function(name) is not None
         assert again.compile_seconds == 0
 
+    def test_a_racing_compile_cannot_truncate_what_cc_reads(
+        self, graph, backend, monkeypatch
+    ):
+        # another process booting on the same cache dir compiles the same
+        # unit: it opens the shared source name for writing just before
+        # this process's compiler reads its source
+        run = subprocess.run
+
+        def racing(command, **kwargs):
+            library = command[command.index("-o") + 1]
+            open(library[:library.index(".so")] + ".c", "w").close()
+            return run(command, **kwargs)
+
+        monkeypatch.setattr(kernels.subprocess, "run", racing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "cjit backend disabled"
+            values = _values("sssp", graph, "cjit")
+        assert _same_bits(values, _values("sssp", graph, "numpy"))
+        assert backend.engaged > 0 and backend.declined == 0
+
     def test_every_function_belongs_to_a_unit(self):
         assert {proto.unit for proto in kernels._PROTOTYPES.values()} == set(
             kernels._C_UNITS
@@ -1280,6 +1395,9 @@ class TestCompileOnFirstCall:
 _PTR, _I64, _I32, _F64 = (
     ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double)
 _STEP_ARGS = [_PTR] * 3 + [_I64] + [_PTR] * 7 + [_I32] * 3
+#: what a ``*_run`` adds to its step's arguments: n, max_iterations
+#: and the dense threshold
+_RUN_ARGS = [_I64, _I64, _F64]
 
 #: C function -> (compile unit, restype, argtypes), as the ctypes table
 #: declared them by hand before they were parsed from the C text.
@@ -1288,6 +1406,11 @@ HAND_COUNTED = {
     "push_lanes_step": ("push_lanes_step", _I64, _STEP_ARGS + [_I64, _PTR]),
     "hop_step": ("hop_step", _I64,
                  [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5),
+    "push_run": ("push_step", _I64, _STEP_ARGS + _RUN_ARGS),
+    "push_lanes_run": ("push_lanes_step", _I64,
+                       _STEP_ARGS + [_I64, _PTR] + _RUN_ARGS),
+    "hop_run": ("hop_step", _I64,
+                [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5 + _RUN_ARGS),
     "bc_forward": ("bc", _I64,
                    [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
     "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),

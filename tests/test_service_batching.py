@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithms import bfs, pagerank, sssp, sswp
 from repro.core.virtual import virtual_transform
+from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.graph.generators import rmat
 from repro.service import (
@@ -201,6 +202,23 @@ class TestEndToEndBatchedService:
             summary = service.metrics.summary()
             assert summary["batches_merged"] == 1
             assert summary["sources_deduped"] == 1
+
+    @pytest.mark.skipif(not kernels.get_backend("cjit").is_available(),
+                        reason="no C compiler")
+    def test_sssp_fan_out_is_one_compiled_call_per_lane_block(self, graph):
+        # 70 distinct sources ride two lane blocks (64 + 6): each block's
+        # whole fixpoint is one push_lanes_run, and nothing declines
+        options = EngineOptions(kernel_backend="cjit")
+        requests = [QueryRequest.single("sssp", "g", s, options=options)
+                    for s in range(70)]
+        cjit = kernels.get_backend("cjit")
+        with AnalyticsService(GraphCatalog(), workers=1) as service:
+            service.register("g", graph)
+            engaged, declined = cjit.engaged, cjit.declined
+            results = [t.result(60) for t in service.submit_batch(requests)]
+            assert service.metrics.summary()["strategy_lanes"] == 1
+        assert all(r.ok for r in results)
+        assert (cjit.engaged - engaged, cjit.declined - declined) == (2, 0)
 
     def test_mixed_algorithms_in_one_submit(self, graph):
         requests = [
