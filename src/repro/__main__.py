@@ -187,10 +187,10 @@ def _parse_sources(args, graph: CSRGraph):
 def _apply_kernel_backend(args) -> None:
     """Pin the engine kernel backend for this process tree.
 
-    The service builds its own :class:`EngineOptions` deep inside the
-    worker pool, so the CLI flag travels as ``$REPRO_KERNEL_BACKEND``
-    — the engines' documented fallback — which process workers inherit
-    at spawn.  Validated eagerly so a typo fails before any work runs.
+    The service builds its own :class:`EngineOptions` deep inside its
+    places, so the CLI flag travels as ``$REPRO_KERNEL_BACKEND``
+    — the engines' documented fallback — which local hosts inherit
+    at start.  Validated eagerly so a typo fails before any work runs.
     """
     choice = getattr(args, "kernel_backend", None)
     if choice is None:
@@ -207,7 +207,7 @@ def _apply_catalog_policy(args) -> None:
 
     Same shape as :func:`_apply_kernel_backend`: the choice travels as
     ``$REPRO_CATALOG_POLICY`` so every :class:`GraphCatalog` this
-    process builds — including the ones process-pool workers build for
+    process builds — including the ones local hosts build for
     the shared write-through tier — evicts by the same rules
     (docs/cache-economics.md).  Validated eagerly.
     """

@@ -158,7 +158,7 @@ def service_backend_sweep(
     shared service.  Warm is the honest comparison — a cold sweep
     measures transform construction (identical work on both backends),
     not execution concurrency.  The process rows additionally pay
-    graph export, spec/reply pickling, and result IPC; whether that
+    graph export, spec/reply framing, and result IPC; whether that
     overhead is bought back depends on hardware parallelism, so the
     report records ``cpu_count`` and per-``workers`` speedup ratios in
     ``extras`` and leaves the verdict to the caller (the benchmark

@@ -130,11 +130,11 @@ class UnknownGraphError(ServiceError):
 
 
 class WorkerLost(ServiceError):
-    """A process-pool worker died or stopped responding mid-batch.
+    """A local host process died or stopped responding mid-batch.
 
-    Raised inside the serving layer's process backend when the pool
-    reports a broken worker (crash, OOM kill) or a dispatched batch
-    exceeds its wait budget.  The service catches it and *degrades*:
+    Raised inside the serving layer's process backend when a host's
+    socket closes (crash, OOM kill), a dispatched batch exceeds its
+    wait budget, or the host's reply is not a well-formed outcome.  The service catches it and *degrades*:
     the batch moves to its next place (the dispatcher thread), and
     only with ``fallback=False`` do the affected tickets resolve with
     this error's message.  Subclasses :class:`ServiceError` so existing blanket

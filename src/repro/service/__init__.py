@@ -15,8 +15,8 @@ graph library's value is its reusable runtime, not its kernels alone):
   dispatcher pool with tenant quotas and priority classes at
   admission, backpressure, per-request timeouts with graceful
   degradation, and cancellation.  Where a batch runs is an ordered
-  list of places — shard tier (``shards=N``), a ``ProcessPoolExecutor``
-  whose workers hydrate graphs and artifacts from a shared disk tier
+  list of places — shard tier (``shards=N``), local host processes
+  that hydrate graphs and artifacts from a shared disk tier
   (``backend="processes"``, :mod:`repro.service.workers`), the
   dispatcher thread — with one rule for a lost place: the next one
   answers, ``degraded``;

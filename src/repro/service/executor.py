@@ -18,11 +18,12 @@ walks it:
    (:class:`~repro.service.sharding.ShardTier`); *passes* on what it
    cannot reproduce bitwise (bc, transformed PageRank) or the routing
    policy steers away;
-2. **process pool** (``backend="processes"``, or the
-   ``REPRO_SERVICE_WORKERS`` environment variable) — the batch crosses
-   to a ``ProcessPoolExecutor`` worker as a picklable
-   :class:`~repro.service.workers.BatchSpec`; workers hydrate graphs
-   and artifacts from a shared ``.npz`` disk tier and reply with
+2. **local hosts** (``backend="processes"``, or the
+   ``REPRO_SERVICE_WORKERS`` environment variable) — one host process
+   per dispatcher thread (:class:`~repro.service.sharding.LocalHost`);
+   the batch crosses as a :class:`~repro.service.workers.BatchSpec` in
+   the shard wire's frame (its ``run`` op), the host hydrates graphs
+   and artifacts from a shared ``.npz`` disk tier and replies with
    compact per-source arrays (:mod:`repro.service.workers`).  Heavy
    concurrent traffic scales past the GIL at the price of IPC;
 3. **this dispatcher thread** (always last) — the pipeline runs
@@ -66,17 +67,14 @@ Design points, each of which the tests pin down:
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import heapq
 import itertools
-import multiprocessing
 import os
 import queue
 import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,6 +82,7 @@ from repro.errors import (
     QuotaExhaustedError,
     ServiceError,
     ServiceOverloadError,
+    ShardLost,
     TigrError,
     UnknownGraphError,
     WorkerLost,
@@ -95,18 +94,13 @@ from repro.service.ingest import TraceRecorder
 from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.routing import RoutingPolicy
-from repro.service.sharding import SHARD_OP_TIMEOUT_S, ShardTier
+from repro.service.sharding import SHARD_OP_TIMEOUT_S, LocalHost, ShardTier
 from repro.service.workers import (
     BatchOutcome,
     BatchSpec,
     execute_pipeline,
     export_graph,
-    graph_store_path,
     prepare_for_algorithm,
-    run_batch_spec,
-    spec_nbytes,
-    worker_init,
-    worker_ping,
 )
 
 #: recognised execution backends.
@@ -117,7 +111,7 @@ BACKENDS = ("threads", "processes")
 BACKEND_ENV = "REPRO_SERVICE_WORKERS"
 
 #: extra seconds past the tightest member deadline the front-end
-#: waits on a process worker before declaring it lost.
+#: waits on a local host before declaring it lost.
 WORKER_GRACE_S = 30.0
 
 
@@ -337,110 +331,51 @@ class _PriorityWorkQueue(queue.Queue):
         return heapq.heappop(self._heap)[2]
 
 
-class _ProcessBackend:
-    """Owns the ``ProcessPoolExecutor`` and its crash/timeout recovery.
+class _LocalHosts:
+    """The process place: one :class:`~repro.service.sharding.LocalHost`
+    per dispatcher thread, all over the shared disk tier ``root``.
 
-    Dispatcher threads call :meth:`run` concurrently; submission to a
-    ``ProcessPoolExecutor`` is thread-safe, so the only state this
-    class guards is the pool handle itself, which is swapped out when
-    a broken pool must be replaced.  A lost worker is reported as a
-    typed :class:`WorkerLost`; the *service* decides what a loss means
-    (its one fallback rule), keeping policy out of the plumbing.
+    A batch takes an idle host, crosses as a :class:`BatchSpec` in the
+    host's ``run`` frame and comes back as its :class:`BatchOutcome`.
+    A host that is lost (died, wedged past the wait budget, garbled
+    its reply) is killed, counted in ``worker_restarts`` and restarted
+    by the next batch that takes its slot; only the batch on it sees
+    the :class:`WorkerLost`.  What a loss *means* is the service's one
+    fallback rule, not this class's.
     """
 
     def __init__(
         self,
+        count: int,
+        root: str,
         *,
-        workers: int,
-        artifacts_dir: str,
-        graphs_dir: str,
         memory_budget_bytes: int,
+        catalog_policy: str,
         metrics: ServiceMetrics,
-        catalog_policy: str = "lru",
     ) -> None:
-        self.workers = workers
-        self.artifacts_dir = artifacts_dir
-        self.graphs_dir = graphs_dir
-        self.memory_budget_bytes = memory_budget_bytes
+        self.artifacts_dir = root
+        self.graphs_dir = os.path.join(root, "graphs")
+        os.makedirs(self.graphs_dir, exist_ok=True)
         self.metrics = metrics
-        self.catalog_policy = catalog_policy
-        # fork reuses the parent's imported interpreter (~ms); spawn
-        # boots a fresh one per worker (~s).  The pool is created
-        # before any dispatcher thread starts, which keeps the initial
-        # fork single-threaded.
-        self.start_method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        os.makedirs(artifacts_dir, exist_ok=True)
-        os.makedirs(graphs_dir, exist_ok=True)
-        self._lock = threading.Lock()
-        self._exported: set = set()
-        with self._lock:
-            self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = (
-                self._make_pool()
-            )
-        self._warm_up()
-
-    def _make_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=worker_init,
-            initargs=(
-                self.artifacts_dir,
-                self.memory_budget_bytes,
-                self.catalog_policy,
-            ),
-        )
-
-    def _warm_up(self) -> None:
-        """Start every worker now and fail fast if the pool cannot boot.
-
-        Submitting ``workers`` pings forces the lazy pool to spawn its
-        full complement before queries arrive, so the first real batch
-        never pays (or half-pays) worker start-up, and a broken
-        initializer surfaces here as a typed error instead of failing
-        the first unlucky query.
-        """
-        with self._lock:
-            pool = self._pool
-        assert pool is not None
-        try:
-            futures = [pool.submit(worker_ping) for _ in range(self.workers)]
-            for future in futures:
-                future.result(timeout=120)
-        except (BrokenProcessPool, concurrent.futures.TimeoutError) as exc:
-            raise ServiceError(
-                f"process workers failed to start: {exc!r}"
-            ) from exc
-
-    def export(self, graph: CSRGraph) -> str:
-        """Publish ``graph`` to the shared store (once per fingerprint)."""
-        fingerprint = graph.fingerprint()
-        with self._lock:
-            known = fingerprint in self._exported
-        path = graph_store_path(self.graphs_dir, fingerprint)
-        if known and os.path.exists(path):
-            return path
-        path = export_graph(graph, self.graphs_dir)
-        with self._lock:
-            self._exported.add(fingerprint)
-        return path
+        self._start = lambda: LocalHost(root, memory_budget_bytes, catalog_policy)
+        # hosts start now, before any dispatcher thread does (the first
+        # forks are single-threaded); the last host put back is the next
+        # taken, so a light load stays on a warm catalog
+        self._idle: "queue.LifoQueue[Optional[LocalHost]]" = queue.LifoQueue()
+        for _ in range(count):
+            self._idle.put(self._start())
 
     def run(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        """Execute a batch on some worker; raises :class:`WorkerLost`.
+        """Execute a batch on an idle host; raises :class:`WorkerLost`.
 
-        The batch crosses as a :class:`BatchSpec`.  The wait budget is
-        the tightest member deadline plus a grace period; with no
-        deadlines in the batch the dispatcher waits indefinitely (a
-        crash still surfaces immediately — only a silently wedged
-        worker needs the deadline to be detected).  On a broken pool
-        the pool is replaced *before* raising, so the next batch meets
-        a healthy backend.
+        The wait budget is the tightest member deadline plus a grace
+        period; with no deadlines in the batch the dispatcher waits
+        indefinitely (a crash still surfaces at once as a closed
+        socket — only a silently wedged host needs the deadline).
         """
         spec = BatchSpec(
             graph_fingerprint=batch.graph.fingerprint(),
-            graph_path=self.export(batch.graph),
+            graph_path=export_graph(batch.graph, self.graphs_dir),
             algorithm=batch.algorithm,
             transform=batch.transform,
             degree_bound=batch.degree_bound,
@@ -448,57 +383,31 @@ class _ProcessBackend:
             sources=batch.sources,
             remaining_s=remaining_s,
         )
-        wait_timeout = (
-            None if remaining_s == float("inf")
-            else max(remaining_s, 0.0) + WORKER_GRACE_S
-        )
-        with self._lock:
-            pool = self._pool
-        if pool is None:
-            raise WorkerLost("backend is shut down", batch_size=len(spec.sources))
+        host = self._idle.get()
         try:
-            future = pool.submit(run_batch_spec, spec)
-        except RuntimeError as exc:  # broken or concurrently shut down
-            self._replace_pool(pool)
-            raise WorkerLost(
-                f"pool rejected submission: {exc}", batch_size=len(spec.sources)
-            ) from exc
-        try:
-            reply = future.result(wait_timeout)
-        except BrokenProcessPool as exc:
-            self._replace_pool(pool)
-            raise WorkerLost(
-                "worker process died mid-batch", batch_size=len(spec.sources)
-            ) from exc
-        except concurrent.futures.TimeoutError as exc:
-            # The worker may be wedged, not dead; the pool cannot
-            # cancel a running task, so replace it wholesale.
-            future.cancel()
-            self._replace_pool(pool)
-            raise WorkerLost(
-                f"no reply within {wait_timeout:.1f}s wait budget",
-                batch_size=len(spec.sources),
-            ) from exc
-        if reply.error is not None:
-            raise ServiceError(reply.error)
-        self.metrics.count(ipc_bytes=spec_nbytes(spec) + reply.nbytes())
-        assert reply.outcome is not None
-        return reply.outcome
-
-    def _replace_pool(self, broken) -> None:
-        """Swap in a fresh pool if ``broken`` is still the current one."""
-        with self._lock:
-            if self._pool is not broken:
-                return  # another dispatcher already replaced it
-            self._pool = self._make_pool()
-        self.metrics.count(worker_restarts=1)
-        broken.shutdown(wait=False)
+            if host is None:  # its predecessor was lost
+                host = self._start()
+            host.op_timeout_s = (
+                None if remaining_s == float("inf")
+                else max(remaining_s, 0.0) + WORKER_GRACE_S
+            )
+            before = host.wire_bytes
+            outcome = host.run(spec, batch.graph.num_nodes)
+            self.metrics.count(ipc_bytes=host.wire_bytes - before)
+            return outcome
+        except ShardLost as exc:
+            host.kill()
+            host = None
+            self.metrics.count(worker_restarts=1)
+            raise WorkerLost(exc.reason, batch_size=len(spec.sources)) from exc
+        finally:
+            self._idle.put(host)
 
     def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        while not self._idle.empty():
+            host = self._idle.get()
+            if host is not None:
+                host.kill()
 
 
 class AnalyticsService:
@@ -510,14 +419,14 @@ class AnalyticsService:
         Shared transform-artifact cache; a private 256 MiB in-memory
         catalog is created when omitted.  With ``backend="processes"``
         the catalog's ``spill_dir`` (when set) becomes the shared disk
-        tier every worker process hydrates from — point it at a
-        persistent directory and worker cold starts skip transform
+        tier every local host hydrates from — point it at a
+        persistent directory and host cold starts skip transform
         work entirely.
     workers:
-        Dispatcher-thread count, and additionally the process-pool
-        size when ``backend="processes"``.
+        Dispatcher-thread count, and additionally the local-host
+        count when ``backend="processes"``.
     backend:
-        ``"threads"`` or ``"processes"`` — whether a process pool sits
+        ``"threads"`` or ``"processes"`` — whether local hosts sit
         before the dispatcher thread in the place list; ``None`` reads
         the ``REPRO_SERVICE_WORKERS`` environment variable and falls
         back to threads.  See the module docstring and
@@ -614,22 +523,21 @@ class AnalyticsService:
                 prepare=lambda graph, algorithm: self._prepare(graph, algorithm),
             )
             self._places.append(self._shards.run)
-        self._process: Optional[_ProcessBackend] = None
+        self._process: Optional[_LocalHosts] = None
         if self.backend == "processes":
             # Shared state root: reuse the catalog's disk tier when it
-            # has one (workers then hydrate artifacts the front-end or
+            # has one (hosts then hydrate artifacts the front-end or
             # earlier runs already spilled); otherwise a temp dir that
             # lives exactly as long as the service.
             root = self.catalog.spill_dir
             if root is None:
                 root = self._shared_tmp = tempfile.mkdtemp(prefix="repro-serve-")
-            self._process = _ProcessBackend(
-                workers=workers,
-                artifacts_dir=root,
-                graphs_dir=os.path.join(root, "graphs"),
+            self._process = _LocalHosts(
+                workers,
+                root,
                 memory_budget_bytes=self.catalog.memory_budget_bytes,
-                metrics=self.metrics,
                 catalog_policy=self.catalog.policy,
+                metrics=self.metrics,
             )
             self._places.append(self._process.run)
         self._places.append(self._run_here)
@@ -642,15 +550,15 @@ class AnalyticsService:
 
     @property
     def workers(self) -> int:
-        """Dispatcher-thread count (and process-pool size, if any)."""
+        """Dispatcher-thread count (and local-host count, if any)."""
         return len(self._workers)
 
     @property
     def shared_artifact_dir(self) -> Optional[str]:
-        """The disk tier process workers hydrate from (None for threads).
+        """The disk tier local hosts hydrate from (None for threads).
 
-        Builds that should benefit the worker pool — the pre-warmer's,
-        chiefly — must land here: worker catalogs cannot see the
+        Builds that should benefit the local hosts — the pre-warmer's,
+        chiefly — must land here: host catalogs cannot see the
         front-end's memory tier.
         """
         return self._process.artifacts_dir if self._process is not None else None
@@ -839,7 +747,7 @@ class AnalyticsService:
             for thread in self._workers:
                 thread.join()
             # Only a waited close tears the places down: dispatchers
-            # are done, so no future can reach the pool, the shard sets
+            # are done, so no batch can reach the hosts, the shard sets
             # or the shared directory afterwards.  A wait=False close
             # leaves them to die with the (daemonised) interpreter.
             if self._process is not None:
@@ -1018,7 +926,7 @@ class AnalyticsService:
         Thin bound-method wrapper over
         :func:`~repro.service.workers.prepare_for_algorithm` so tests
         can intercept preparation on this service instance (the
-        process backend's workers prepare in their own processes and
+        process backend's local hosts prepare in their own processes and
         are not affected).
         """
         return prepare_for_algorithm(self.catalog, graph, algorithm)

@@ -1,7 +1,7 @@
 """Serving metrics: one table of named counters plus latency series.
 
 Every monotone count the service keeps is a name in :data:`COUNTERS`,
-and every recorder — executor, process pool, shard tier, HTTP edge,
+and every recorder — executor, local hosts, shard tier, HTTP edge,
 trace capture, replay — bumps it through :meth:`ServiceMetrics.count`.
 Latencies land through :meth:`ServiceMetrics.observe` in bounded
 series holding the most recent :data:`LATENCY_WINDOW` samples.
@@ -152,7 +152,7 @@ class ServiceMetrics:
         so the reported fields are mutually consistent, and sorts each
         copy once after releasing it.  The ``kernel_*`` fields are this
         process's kernel-backend counters (shard threads included;
-        process-pool workers and remote shard hosts keep their own).
+        local hosts and remote shard hosts keep their own).
         """
         kernel_backend, kernel_engaged, kernel_declined = kernels.engagement()
         with self._lock:

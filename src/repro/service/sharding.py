@@ -5,8 +5,8 @@ This module splits that run across **shards**: the prepared graph is
 partitioned by *destination ownership* (:func:`repro.multigpu.
 partition.inedge_partition` — every node's complete in-edge set lands
 on exactly one shard), one executor per shard runs the per-superstep
-edge work (in-process, or remote over the same line-oriented
-``tcp://`` framing the trace transport uses), and a router on the
+edge work (in-process, or remote over one length-prefixed binary
+frame, :func:`encode_frame`), and a router on the
 dispatcher thread fans each superstep out and reduces the answers
 back per algorithm:
 
@@ -53,17 +53,25 @@ loss, nothing else.  Policy — the cost-model route choice, like the
 tenant quotas and priority classes the service applies at admission —
 lives in :mod:`repro.service.routing`; this module only asks it for
 decisions.
+
+The host loop (:func:`serve_frames`) serves two kinds of peer over one
+frame: ``repro shard-host`` connections, and the service's own
+:class:`LocalHost` processes — its process place — whose extra ``run``
+op executes one whole batch (:func:`~repro.service.workers.
+execute_pipeline`) on the host's catalog.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
 import inspect
 import itertools
 import json
+import math
+import os
 import socket
 import socketserver
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -83,13 +91,20 @@ from repro.engine.rank import RankStep, damp, inverse_out_degrees
 from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
 from repro.errors import ServiceError, ShardLost, TigrError
 from repro.graph.csr import CSRGraph, NODE_DTYPE
+from repro.graph.io import load_npz
 from repro.multigpu.partition import inedge_partition
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, QueryBatch
 from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.routing import RoutingPolicy
-from repro.service.workers import BatchOutcome, plan_batch
+from repro.service.workers import (
+    CRASH_SOURCE_ENV,
+    BatchOutcome,
+    BatchSpec,
+    execute_pipeline,
+    plan_batch,
+)
 
 #: analytics the scatter-gather router can serve (bc is level-
 #: synchronous with per-level state the reduce cannot merge; it always
@@ -122,40 +137,98 @@ _task_ids = itertools.count(1)
 
 
 # ----------------------------------------------------------------------
-# Wire helpers (remote shards speak line-oriented JSON, arrays as
-# base64 raw bytes — the same framing discipline as the tcp:// trace
-# transport, one JSON object per newline-terminated line)
+# The frame: every host, local or ``tcp://``, speaks only this
 # ----------------------------------------------------------------------
-def _encode_array(array: np.ndarray) -> Dict[str, object]:
-    array = np.ascontiguousarray(array)
-    return {
-        "b64": base64.b64encode(array.tobytes()).decode("ascii"),
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-    }
+#: dtypes an array may carry on the wire: node ids and offsets, values
+#: and weights.  Anything else (objects, strings) is a bad frame.
+WIRE_DTYPES = ("<i8", "<f8")
+
+#: bytes a frame's JSON header may announce; a bigger one is a bad frame
+MAX_HEADER_BYTES = 1 << 20
+
+_PREFIX = struct.Struct("<I")
 
 
-def _decode_array(obj: Dict[str, object]) -> np.ndarray:
-    raw = base64.b64decode(str(obj["b64"]))
-    array = np.frombuffer(raw, dtype=np.dtype(str(obj["dtype"])))
-    return array.reshape([int(d) for d in obj["shape"]])  # type: ignore[union-attr]
+def encode_frame(message: Dict[str, object]) -> bytes:
+    """``message`` as one frame.
+
+    A little-endian ``u32`` header length, then the JSON header
+    ``{"message": ..., "arrays": [[dtype, shape, nbytes], ...]}`` where
+    each array in ``message`` is replaced by ``{"@": index}`` (tuples
+    travel as lists), then each array's raw bytes.
+    """
+    arrays: List[np.ndarray] = []
+    specs: List[List[object]] = []
+
+    def reference(value: object) -> Dict[str, int]:
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} cannot cross the wire")
+        arrays.append(np.ascontiguousarray(value))
+        specs.append([arrays[-1].dtype.str, arrays[-1].shape, arrays[-1].nbytes])
+        return {"@": len(arrays) - 1}
+
+    # "message" encodes first, so ``specs`` is complete when "arrays" is
+    header = json.dumps(
+        {"message": message, "arrays": specs}, default=reference,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return b"".join([_PREFIX.pack(len(header)), header, *arrays])
 
 
-def _to_wire(value: object) -> object:
-    """Frame arrays (and tuples of them) for a JSON line; scalars pass."""
-    if isinstance(value, np.ndarray):
-        return _encode_array(value)
-    if isinstance(value, tuple):
-        return [_to_wire(item) for item in value]
-    return value
+def write_frame(stream, message: Dict[str, object]) -> int:
+    """Write one frame and flush; returns its size in bytes."""
+    frame = encode_frame(message)
+    stream.write(frame)
+    stream.flush()
+    return len(frame)
 
 
-def _from_wire(value: object) -> object:
-    if isinstance(value, dict):
-        return _decode_array(value)
-    if isinstance(value, list):
-        return tuple(_from_wire(item) for item in value)
-    return value
+def read_frame(stream) -> Tuple[Optional[Dict[str, object]], int]:
+    """One frame off ``stream``: ``(message, its size in bytes)``.
+
+    ``(None, 0)`` is a clean end of stream.  Anything that is not one
+    whole frame — truncated, a header over :data:`MAX_HEADER_BYTES`, a
+    dtype off :data:`WIRE_DTYPES`, a byte count that is not dtype x
+    shape — raises ``ValueError``: the stream cannot be trusted after it.
+    """
+    prefix = stream.read(_PREFIX.size)
+    if not prefix:
+        return None, 0
+    if len(prefix) < _PREFIX.size:
+        raise ValueError("truncated frame")
+    (size,) = _PREFIX.unpack(prefix)
+    if size > MAX_HEADER_BYTES:
+        raise ValueError(f"frame header of {size} bytes is over the "
+                         f"{MAX_HEADER_BYTES}-byte cap")
+    header = _read_exactly(stream, bytearray(size))
+    try:
+        arrays = [_read_array(stream, *spec) for spec in json.loads(header)["arrays"]]
+        message = json.loads(header, object_hook=lambda obj: (
+            arrays[obj["@"]] if list(obj) == ["@"] else obj))["message"]
+    except (KeyError, TypeError, IndexError, MemoryError) as exc:
+        raise ValueError(f"malformed frame: {exc!r}") from exc
+    if not isinstance(message, dict):
+        raise ValueError("a frame carries one JSON object")
+    return message, _PREFIX.size + size + sum(a.nbytes for a in arrays)
+
+
+def _read_array(stream, dtype: str, shape: List[int], nbytes: int) -> np.ndarray:
+    if dtype not in WIRE_DTYPES:
+        raise ValueError(f"dtype {dtype!r} is not one of {WIRE_DTYPES}")
+    if not all(type(d) is int and d >= 0 for d in shape) or (
+            math.prod(shape) * np.dtype(dtype).itemsize != nbytes):
+        raise ValueError(f"{nbytes!r} bytes are not a {dtype} array of shape {shape!r}")
+    array = np.empty(shape, dtype)
+    _read_exactly(stream, array.reshape(-1).view(np.uint8))
+    return array
+
+
+def _read_exactly(stream, buffer):
+    """Fill ``buffer`` from a buffered ``stream``, which reads until it
+    is full or the stream ends (a truncated frame)."""
+    if stream.readinto(buffer) < memoryview(buffer).nbytes:
+        raise ValueError("truncated frame")
+    return buffer
 
 
 def _nbytes(*arrays: Optional[np.ndarray]) -> int:
@@ -322,8 +395,9 @@ class LocalShard:
 
 
 #: the superstep ops a shard answers, local or remote — the allow-list
-#: the shard host dispatches on (``load`` is not one: it *constructs*
-#: the shard) and the names :class:`RemoteShardHandle` forwards.
+#: the shard host dispatches on and the names :class:`RemoteShardHandle`
+#: forwards.  ``load`` (it *constructs* the shard) and ``run`` (a whole
+#: batch, local hosts only) are the two hand-written ops.
 SHARD_OPS = ("begin", "step", "pr_begin", "pr_step", "finish")
 
 
@@ -335,53 +409,70 @@ _OP_SIGNATURES = {
 }
 
 
-class RemoteShardHandle:
-    """A shard whose executor lives behind ``tcp://host:port``.
+def run_request(spec: BatchSpec) -> Dict[str, object]:
+    """The ``run`` op's request: ``spec``'s fields, its options' fields."""
+    return {"op": "run", "spec": {**vars(spec), "options": vars(spec.options)}}
 
-    Speaks one JSON object per line (arrays as base64 raw bytes) to a
-    :class:`ShardHostServer`, reusing the trace transport's framing
-    discipline.  Any socket failure — refused connection, dropped
-    peer, an operation exceeding ``op_timeout_s`` — tears the
-    connection down and raises the typed :class:`ShardLost`, which the
-    service's fallback rule treats exactly like the process pool's
-    :class:`~repro.errors.WorkerLost`: the batch moves to the next place.
-    So does a reply that is not what :class:`LocalShard` would return.
+
+class RemoteShardHandle:
+    """A host behind ``tcp://host:port`` or one end of a socketpair.
+
+    One frame out per op, one back (:func:`encode_frame`).  A socket
+    failure — refused connection, dropped peer, an op exceeding
+    ``op_timeout_s`` (``None``: no bound), a reply that is not a frame
+    — tears the connection down (a socket ``address`` never reconnects)
+    and raises the typed :class:`ShardLost`, which the service's
+    fallback rule treats like any lost place: the batch moves to the
+    next one.  So do a refused request and a reply that is not what
+    :class:`LocalShard` (for ``run``: ``execute_pipeline``) returns.
     """
 
     def __init__(
         self,
         index: int,
         owned: np.ndarray,
-        address: Tuple[str, int],
+        address,
         key: str,
         *,
-        op_timeout_s: float = SHARD_OP_TIMEOUT_S,
+        op_timeout_s: Optional[float] = SHARD_OP_TIMEOUT_S,
     ) -> None:
         self.index = int(index)
         self.owned = np.ascontiguousarray(owned, dtype=NODE_DTYPE)
         self.address = address
         self.key = key
         self.op_timeout_s = op_timeout_s
+        #: frame bytes sent and received, over the handle's lifetime
+        self.wire_bytes = 0
+        self.where = (
+            f"remote shard at {address[0]}:{address[1]}"
+            if isinstance(address, tuple) else "local host"
+        )
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._file = None
 
     def load(self, subgraph: CSRGraph) -> None:
         """Ship the slice (CSR arrays + owned set) to the host."""
-        payload: Dict[str, object] = {
+        message: Dict[str, object] = {
             "op": "load",
             "key": self.key,
             "shard": self.index,
-            "offsets": _encode_array(subgraph.offsets),
-            "targets": _encode_array(subgraph.targets),
-            "owned": _encode_array(self.owned),
+            "offsets": subgraph.offsets,
+            "targets": subgraph.targets,
+            "owned": self.owned,
         }
         if subgraph.weights is not None:
-            payload["weights"] = _encode_array(subgraph.weights)
-        self._call(payload)
+            message["weights"] = subgraph.weights
+        self._call(message)
+
+    def run(self, spec: BatchSpec, num_nodes: int) -> BatchOutcome:
+        """Execute one whole batch on the host's own catalog."""
+        reply = self._call(run_request(spec))
+        return self._checked("run", reply.get("result"),
+                             (spec.sources or (-1,), num_nodes))
 
     def __getattr__(self, op: str) -> Callable[..., object]:
-        """Every :data:`SHARD_OPS` name is a method: one line out, one back.
+        """Every :data:`SHARD_OPS` name is a method: one frame out, one back.
 
         A new superstep op is one :class:`LocalShard` method and one
         ``SHARD_OPS`` entry; nothing here names an op.
@@ -394,18 +485,17 @@ class RemoteShardHandle:
             # defaults ride along (``kernel_backend`` travels as null:
             # optional on the wire, null/absent = the host resolves)
             bound.apply_defaults()
-            fields = {k: _to_wire(v) for k, v in bound.arguments.items()}
-            reply = self._call({"op": op, "key": self.key, **fields})
+            reply = self._call({"op": op, "key": self.key, **bound.arguments})
             return self._checked(op, reply.get("result"))
 
         return call
 
-    def _checked(self, op: str, result: object) -> object:
-        """Decode ``op``'s result and check it is what :class:`LocalShard`
-        returns before the router indexes with it: a reply that fails
-        either is a lost shard (and the batch falls back), never an answer."""
+    def _checked(self, op: str, value: object, expect: Tuple = ()) -> object:
+        """Check ``op``'s result is what :class:`LocalShard` (for ``run``:
+        ``execute_pipeline``, with ``expect = (sources, nodes)``) returns
+        before anyone indexes with it: a reply that fails is a lost shard
+        (and the batch falls back), never an answer."""
         try:
-            value = _from_wire(result)
             if op == "begin":
                 ok = isinstance(value, str)
             elif op == "step":
@@ -418,60 +508,58 @@ class RemoteShardHandle:
                           self.owned[np.searchsorted(self.owned, ids)], ids))
             elif op == "pr_step":
                 ok = value.dtype == np.float64 and value.shape == self.owned.shape
+            elif op == "run":
+                sources, nodes = expect
+                value = BatchOutcome(**{
+                    **value, "per_source": dict(value["per_source"]),
+                    "execution": BatchExecution(**value["execution"]),
+                })
+                ok = set(value.per_source) == set(sources) and all(
+                    values.dtype == np.float64 and values.shape == (nodes,)
+                    for values in value.per_source.values())
             else:
                 ok = True
         except (ValueError, TypeError, KeyError, AttributeError, IndexError):
-            ok = False  # undecodable, or not the arrays the op returns
+            ok = False  # not the arrays the op returns
         if not ok:
-            raise ShardLost(
-                f"remote shard at {self.address[0]}:{self.address[1]} "
-                f"sent a malformed {op!r} reply",
-                shard=self.index,
-            )
+            raise ShardLost(f"{self.where} sent a malformed {op!r} reply",
+                            shard=self.index)
         return value
 
     # -- plumbing ------------------------------------------------------
-    def _call(self, payload: Dict[str, object]) -> Dict[str, object]:
+    def _call(self, message: Dict[str, object]) -> Dict[str, object]:
         try:
             with self._lock:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        self.address, timeout=self.op_timeout_s
+                if self._file is None:
+                    self._sock = (
+                        socket.create_connection(self.address, self.op_timeout_s)
+                        if isinstance(self.address, tuple) else self.address
                     )
                     self._file = self._sock.makefile("rwb")
-                line = json.dumps(payload, separators=(",", ":")) + "\n"
-                self._file.write(line.encode("ascii"))
-                self._file.flush()
-                raw = self._file.readline()
-        except OSError as exc:
+                self._sock.settimeout(self.op_timeout_s)
+                sent = write_frame(self._file, message)
+                reply, received = read_frame(self._file)
+                self.wire_bytes += sent + received
+        except (OSError, ValueError) as exc:
             self.close()
-            raise ShardLost(
-                f"remote shard at {self.address[0]}:{self.address[1]} "
-                f"unreachable: {exc}",
-                shard=self.index,
-            ) from exc
-        if not raw:
+            raise ShardLost(f"{self.where} unreachable: {exc}",
+                            shard=self.index) from exc
+        if reply is None:
             self.close()
-            raise ShardLost(
-                f"remote shard at {self.address[0]}:{self.address[1]} "
-                f"closed the connection mid-operation",
-                shard=self.index,
-            )
-        try:
-            reply = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ShardLost(
-                f"remote shard sent an unparseable reply: {exc}",
-                shard=self.index,
-            ) from exc
+            raise ShardLost(f"{self.where} closed the connection mid-operation",
+                            shard=self.index)
+        if reply.get("refused"):
+            raise ShardLost(f"{self.where} refused the request: {reply['refused']}",
+                            shard=self.index)
         if reply.get("error"):
-            # the host's library errors are real errors, not lost
-            # workers — surface them like BatchReply.error does
-            raise ServiceError(f"shard {self.index} host: {reply['error']}")
+            # the host's library errors are real errors, not lost places:
+            # the same message the op raises in process
+            raise ServiceError(str(reply["error"]))
         return reply
 
     def close(self) -> None:
-        """Tear the connection down (reopened lazily by the next call)."""
+        """Tear the connection down (a ``tcp://`` one reopens lazily; a
+        closed socketpair end fails the next op, which is a lost host)."""
         with self._lock:
             file, sock = self._file, self._sock
             self._file = None
@@ -485,73 +573,123 @@ class RemoteShardHandle:
 
 
 # ----------------------------------------------------------------------
-# Shard host: the remote-executor server side
+# The host loop: ``repro shard-host`` connections and local hosts
 # ----------------------------------------------------------------------
+def serve_frames(
+    rfile, wfile, run: Optional[Callable[[Dict], Dict]] = None
+) -> None:
+    """One connection: a frame in, a frame out, until the peer hangs up.
+
+    A reply is ``{"ok": true, "result": ...}``, ``{"error": ...}`` (the
+    op raised a library error) or ``{"refused": ...}`` (no such op, key
+    or arguments; ``run`` on a host started without one).  Something
+    that is not a frame ends the connection: the stream cannot be
+    trusted after it.  Each connection owns its shards, so peers never
+    share state.
+    """
+    shards: Dict[str, LocalShard] = {}
+    try:
+        while True:
+            message, _ = read_frame(rfile)
+            if message is None:
+                return
+            try:
+                reply = _host_dispatch(shards, message, run)
+            except TigrError as exc:
+                reply = {"error": str(exc)}
+            except KeyError as exc:
+                reply = {"refused": f"malformed request: missing {exc}"}
+            except Exception as exc:  # defensive: never kill the host loop
+                reply = {"error": f"internal error: {exc!r}"}
+            write_frame(wfile, reply)
+    except (OSError, ValueError):
+        return  # the peer went away, or sent something that is not a frame
+
+
 def _host_dispatch(
-    shards: Dict[str, LocalShard], payload: Dict[str, object]
+    shards: Dict[str, LocalShard],
+    message: Dict[str, object],
+    run: Optional[Callable[[Dict], Dict]] = None,
 ) -> Dict[str, object]:
-    op = payload.get("op")
+    op = message.get("op")
+    if op == "run":
+        if run is None:
+            return {"refused": "'run' is served only by a service's own hosts"}
+        return {"ok": True, "result": run(message["spec"])}  # type: ignore[arg-type]
     if op == "load":
         # the slice comes off the network: validate it (a target >= n
         # would reach a compiled step, whose gates trust the graph)
-        weights = payload.get("weights")
         subgraph = CSRGraph(
-            _decode_array(payload["offsets"]),  # type: ignore[arg-type]
-            _decode_array(payload["targets"]),  # type: ignore[arg-type]
-            None if weights is None else _decode_array(weights),  # type: ignore[arg-type]
+            message["offsets"], message["targets"], message.get("weights"),  # type: ignore[arg-type]
         )
-        owned = _decode_array(payload["owned"])  # type: ignore[arg-type]
+        owned = np.asarray(message["owned"])
         n = subgraph.num_nodes
         if (owned.ndim != 1 or owned.dtype.kind not in "iu"
                 or len(owned) and (owned.min() < 0 or owned.max() >= n)):
             raise ServiceError(f"owned ids must be 1-D integers in [0, {n})")
-        shards[str(payload["key"])] = LocalShard(
-            int(payload.get("shard", 0)), subgraph, owned
+        shards[str(message["key"])] = LocalShard(
+            int(message.get("shard", 0)), subgraph, owned  # type: ignore[arg-type]
         )
         return {"ok": True}
-    shard = shards.get(str(payload.get("key")))
+    shard = shards.get(str(message.get("key")))
     if shard is None:
-        return {"error": f"unknown shard key {payload.get('key')!r} (load first)"}
+        return {"refused": f"unknown shard key {message.get('key')!r} (load first)"}
     if op not in SHARD_OPS:
-        return {"error": f"unknown op {op!r}"}
-    fields = {
-        name: _from_wire(value)
-        for name, value in payload.items()
-        if name not in ("op", "key")
-    }
+        return {"refused": f"unknown op {op!r}"}
+    fields = {k: v for k, v in message.items() if k not in ("op", "key")}
     try:
         _OP_SIGNATURES[op].bind(**fields)
     except TypeError as exc:
-        return {"error": f"bad arguments for op {op!r}: {exc}"}
-    return {"ok": True, "result": _to_wire(getattr(shard, op)(**fields))}
+        return {"refused": f"bad arguments for op {op!r}: {exc}"}
+    return {"ok": True, "result": getattr(shard, op)(**fields)}
+
+
+def _run(
+    catalog: GraphCatalog, graphs: Dict[str, CSRGraph], fields: Dict[str, object]
+) -> Dict[str, object]:
+    """The ``run`` op: one :class:`BatchSpec` through ``execute_pipeline``
+    on a local host's ``catalog``, its graph memoised in ``graphs``."""
+    spec = BatchSpec(**{  # type: ignore[arg-type]
+        **fields, "sources": tuple(fields["sources"]),  # type: ignore[arg-type]
+        "options": EngineOptions(**fields["options"]),  # type: ignore[arg-type]
+    })
+    crash_on = os.environ.get(CRASH_SOURCE_ENV)
+    if crash_on is not None and int(crash_on) in spec.sources:
+        os._exit(17)  # test hook: simulate a host crash
+    graph = graphs.get(spec.graph_fingerprint)
+    loads = graph is None
+    if graph is None:
+        if not os.path.exists(spec.graph_path):
+            raise ServiceError(
+                f"graph {spec.graph_fingerprint[:12]} not found in shared "
+                f"store at {spec.graph_path}"
+            )
+        graph = graphs[spec.graph_fingerprint] = load_npz(spec.graph_path)
+    outcome = execute_pipeline(
+        catalog, graph, algorithm=spec.algorithm,
+        transform=spec.transform, degree_bound=spec.degree_bound,
+        options=spec.options, sources=spec.sources,
+        remaining_s=spec.remaining_s,
+    )
+    return {
+        **vars(outcome),
+        "per_source": list(outcome.per_source.items()),
+        "execution": vars(outcome.execution),
+        "hydrate_hits": outcome.hydrate_hits + loads,
+    }
 
 
 class _ShardHostHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        shards: Dict[str, LocalShard] = {}
-        for raw in self.rfile:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-                reply = _host_dispatch(shards, payload)
-            except TigrError as exc:
-                reply = {"error": str(exc)}
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-                reply = {"error": f"malformed request: {exc}"}
-            except Exception as exc:  # defensive: never kill the host loop
-                reply = {"error": f"internal error: {exc!r}"}
-            self.wfile.write(
-                (json.dumps(reply, separators=(",", ":")) + "\n").encode("ascii")
-            )
+        serve_frames(self.rfile, self.wfile)
 
 
 class ShardHostServer(socketserver.ThreadingTCPServer):
     """``repro shard-host``: serves shard slices over TCP.
 
-    One thread per connection; each connection owns its shards and
-    tasks (state never crosses connections, so two services pointing
-    at one host cannot interfere).  ``server_address`` after
-    construction carries the actual bound port — pass port 0 to let
-    the OS pick.
+    One thread per connection, each running :func:`serve_frames`
+    without ``run``.  ``server_address`` after construction carries the
+    actual bound port — pass port 0 to let the OS pick.
     """
 
     allow_reuse_address = True
@@ -559,6 +697,57 @@ class ShardHostServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: Tuple[str, int]) -> None:
         super().__init__(address, _ShardHostHandler)
+
+
+def _host_main(
+    sock: socket.socket, artifacts_dir: str, memory_budget_bytes: int,
+    catalog_policy: Optional[str],
+) -> None:
+    """A local host process: the host loop with ``run`` over ``sock``."""
+    catalog = GraphCatalog(
+        memory_budget_bytes, spill_dir=artifacts_dir, write_through=True,
+        policy=catalog_policy,
+    )
+    with sock:
+        serve_frames(sock.makefile("rb"), sock.makefile("wb"),
+                     functools.partial(_run, catalog, {}))
+
+
+#: held while a pair is made and its host started, so no host is
+#: forked holding another host's end (whose crash it would then hide)
+_START_LOCK = threading.Lock()
+
+
+class LocalHost(RemoteShardHandle):
+    """A service's own host: a forked (else spawned) process serving
+    :func:`serve_frames` with ``run`` over one end of a
+    ``socket.socketpair()``, and the handle speaking to it.  Its catalog
+    writes through to the shared disk tier ``artifacts_dir``."""
+
+    def __init__(
+        self, artifacts_dir: str, memory_budget_bytes: int,
+        catalog_policy: Optional[str] = None,
+    ) -> None:
+        import multiprocessing  # here: a threads boot never loads it
+
+        # fork reuses this imported interpreter (~ms); spawn boots one (~s)
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with _START_LOCK:
+            ours, theirs = socket.socketpair()
+            self.process = multiprocessing.get_context(method).Process(
+                target=_host_main, name="repro-host", daemon=True,
+                args=(theirs, artifacts_dir, memory_budget_bytes, catalog_policy),
+            )
+            try:
+                self.process.start()
+            finally:
+                theirs.close()
+        super().__init__(-1, (), ours, key="")
+
+    def kill(self) -> None:
+        self.close()
+        self.process.kill()
+        self.process.join()
 
 
 def parse_host_port(text: str, what: str = "shard address") -> Tuple[str, int]:
@@ -621,31 +810,37 @@ class ShardSet:
         """Partition ``prepared`` destination-wise into ``count`` shards.
 
         The first ``len(remotes)`` shards are hosted remotely (slices
-        are shipped at build time); the rest run in-process.
+        are shipped at build time); the rest run in-process.  A failed
+        build closes every connection it opened before re-raising.
         """
         if count < 1:
             raise ServiceError(f"need at least one shard, got {count}")
         partitions = inedge_partition(prepared, count)
         fingerprint = prepared.fingerprint()
         shards: List[object] = []
-        for part in partitions:
-            label = f"shard{part.device}of{count}"
-            if part.device < len(remotes):
-                handle = RemoteShardHandle(
-                    part.device,
-                    part.owned,
-                    remotes[part.device],
-                    key=f"{fingerprint[:24]}/{label}",
-                    op_timeout_s=op_timeout_s,
-                )
-                handle.load(part.subgraph)
-                shards.append(handle)
-            else:
-                shards.append(
-                    LocalShard(
-                        part.device, part.subgraph, part.owned, label=label
+        try:
+            for part in partitions:
+                label = f"shard{part.device}of{count}"
+                if part.device < len(remotes):
+                    handle = RemoteShardHandle(
+                        part.device,
+                        part.owned,
+                        remotes[part.device],
+                        key=f"{fingerprint[:24]}/{label}",
+                        op_timeout_s=op_timeout_s,
                     )
-                )
+                    shards.append(handle)
+                    handle.load(part.subgraph)
+                else:
+                    shards.append(
+                        LocalShard(
+                            part.device, part.subgraph, part.owned, label=label
+                        )
+                    )
+        except BaseException:
+            for shard in shards:
+                shard.close()  # type: ignore[attr-defined]
+            raise
         return ShardSet(prepared, shards)
 
     # -- scatter helpers ----------------------------------------------

@@ -1,25 +1,26 @@
-"""The shared pipeline, and process-side execution of it.
+"""The shared pipeline, and what crosses to a process that runs it.
 
-The dispatcher thread shares everything through memory; a process pool
-shares *nothing* implicitly, so this module defines exactly what does
-cross the boundary and how each side rebuilds the rest:
+The dispatcher thread shares everything through memory; a process
+place (a :class:`~repro.service.sharding.LocalHost`) shares *nothing*
+implicitly, so this module defines exactly what crosses the boundary
+and how each side rebuilds the rest:
 
-* **down the pipe** goes a :class:`BatchSpec` — a picklable recipe
-  (graph fingerprint + ``.npz`` path, algorithm, transform, K, engine
-  options, deduplicated sources, remaining deadline).  Never a live
-  :class:`~repro.graph.csr.CSRGraph`, never a transform artifact:
-  shipping megabytes of CSR per query would erase the win of leaving
-  the GIL behind.
-* **in the worker process** lives a private memory-tier
+* **down the socket** goes a :class:`BatchSpec` — a recipe (graph
+  fingerprint + ``.npz`` path, algorithm, transform, K, engine
+  options, deduplicated sources, remaining deadline) framed as the
+  host's ``run`` op.  Never a live :class:`~repro.graph.csr.CSRGraph`,
+  never a transform artifact: shipping megabytes of CSR per query
+  would erase the win of leaving the GIL behind.
+* **in the host process** lives a private memory-tier
   :class:`~repro.service.catalog.GraphCatalog` whose *disk tier is
-  shared*: every worker points at one spill directory, builds are
+  shared*: every host points at one spill directory, builds are
   written through immediately (file-locked, atomically renamed), and
   content-addressed keys make a sibling's artifact indistinguishable
-  from your own.  A worker's cold start is therefore one ``.npz``
+  from your own.  A host's cold start is therefore one ``.npz``
   hydration, not a re-transform.  Graphs hydrate the same way from a
-  ``graphs/`` directory keyed by fingerprint and are memoised per
-  process.
-* **back up the pipe** comes a :class:`BatchReply` holding compact
+  ``graphs/`` directory keyed by fingerprint (:func:`export_graph`)
+  and are memoised per host.
+* **back up the socket** comes the :class:`BatchOutcome`, its
   per-*unique-source* value arrays already projected to original node
   ids — the front-end fans them back out to each request's ticket
   (:func:`~repro.service.batching.fan_out_per_request`), so duplicate
@@ -36,9 +37,8 @@ batch is planned — the shard tier and the pre-warmer call it too.
 from __future__ import annotations
 
 import os
-import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -46,16 +46,15 @@ import numpy as np
 from repro.algorithms import ALGORITHMS, prepare_graph
 from repro.core.types import TransformResult
 from repro.engine.push import EngineOptions
-from repro.errors import ServiceError, TigrError
 from repro.graph.csr import CSRGraph
-from repro.graph.io import load_npz, save_npz
+from repro.graph.io import save_npz
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, run_sources_on_target
 from repro.service.catalog import GraphCatalog, _spill_write_lock
 from repro.service.planner import QueryPlan, degrade_for_deadline, plan_query
 from repro.service.query import QueryRequest
 
-#: test hook: a worker that sees this source in a spec calls
+#: test hook: a local host that sees this source in a spec calls
 #: ``os._exit`` — the only way to exercise crash recovery without
 #: depending on a real segfault.  Never set outside tests.
 CRASH_SOURCE_ENV = "REPRO_SERVICE_CRASH_SOURCE"
@@ -66,14 +65,14 @@ CRASH_SOURCE_ENV = "REPRO_SERVICE_CRASH_SOURCE"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BatchSpec:
-    """A picklable recipe for one coalesced batch.
+    """A recipe for one coalesced batch (framed by ``sharding.run_request``).
 
-    Everything a worker process needs to reproduce the thread
-    backend's work item, with the graph passed by *reference*
-    (fingerprint + file path) rather than by value.  ``remaining_s``
-    is the tightest member deadline measured at dispatch — the worker
-    applies the same cold-cache degradation rule the thread backend
-    does, against its own catalog's view of what is cached.
+    Everything a local host needs to reproduce the thread backend's
+    work item, with the graph passed by *reference* (fingerprint +
+    file path) rather than by value.  ``remaining_s`` is the tightest
+    member deadline measured at dispatch — the host applies the same
+    cold-cache degradation rule the thread backend does, against its
+    own catalog's view of what is cached.
     """
 
     graph_fingerprint: str
@@ -81,7 +80,7 @@ class BatchSpec:
     algorithm: str
     transform: str
     degree_bound: int  # 0 = planner decides
-    options: object  # EngineOptions (picklable frozen dataclass)
+    options: object  # EngineOptions (a frozen dataclass of scalars)
     sources: Tuple[int, ...]
     remaining_s: float = float("inf")
 
@@ -110,32 +109,11 @@ class BatchOutcome:
     hydrate_hits: int = 0
 
 
-@dataclass(frozen=True)
-class BatchReply:
-    """Envelope a worker process sends back: an outcome or an error.
-
-    Library errors travel as *messages*, not exception objects — some
-    of the typed exceptions take multi-argument constructors that do
-    not survive pickling, and the front-end re-raises them as
-    :class:`ServiceError` anyway.
-    """
-
-    outcome: Optional[BatchOutcome] = None
-    error: Optional[str] = None
-    pid: int = field(default_factory=os.getpid)
-
-    def nbytes(self) -> int:
-        """Approximate reply size on the wire (IPC accounting)."""
-        if self.outcome is None:
-            return 256
-        return 256 + sum(
-            values.nbytes for values in self.outcome.per_source.values()
-        )
-
-
 def spec_nbytes(spec: BatchSpec) -> int:
-    """Pickled size of a spec (the request half of IPC accounting)."""
-    return len(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL))
+    """Framed size of a spec's ``run`` request (half of IPC accounting)."""
+    from repro.service.sharding import encode_frame, run_request  # imports this module
+
+    return len(encode_frame(run_request(spec)))
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +217,8 @@ def execute_pipeline(
     """Plan, resolve, and execute one batch against ``catalog``.
 
     The place-independent core of the serving layer: the dispatcher
-    thread calls it on the service's own catalog, the process pool
-    calls it inside each worker on that worker's catalog.  Planning
+    thread calls it on the service's own catalog, a local host's ``run``
+    op calls it on that host's catalog.  Planning
     (and what ``prepare`` means) is :func:`plan_batch`.
     """
     disk_hits_before = catalog.stats.disk_hits
@@ -296,12 +274,8 @@ def execute_pipeline(
 
 
 # ----------------------------------------------------------------------
-# Graph store: how graphs reach worker processes
+# Graph store: how graphs reach local hosts
 # ----------------------------------------------------------------------
-def graph_store_path(graphs_dir: str, fingerprint: str) -> str:
-    return os.path.join(graphs_dir, f"{fingerprint[:32]}.npz")
-
-
 def export_graph(graph: CSRGraph, graphs_dir: str) -> str:
     """Publish ``graph`` to the shared store; returns its path.
 
@@ -310,7 +284,7 @@ def export_graph(graph: CSRGraph, graphs_dir: str) -> str:
     advisory lock the catalog uses for spills, so concurrent services
     sharing a store never tear or duplicate the file.
     """
-    path = graph_store_path(graphs_dir, graph.fingerprint())
+    path = os.path.join(graphs_dir, f"{graph.fingerprint()[:32]}.npz")
     if os.path.exists(path):
         return path
     os.makedirs(graphs_dir, exist_ok=True)
@@ -324,96 +298,3 @@ def export_graph(graph: CSRGraph, graphs_dir: str) -> str:
                 if os.path.exists(tmp):
                     os.remove(tmp)
     return path
-
-
-# ----------------------------------------------------------------------
-# Worker-process entry points
-# ----------------------------------------------------------------------
-#: per-process state, populated by the pool initializer.  Worker
-#: processes execute one task at a time, so no locking is needed here.
-_WORKER_CATALOG: Optional[GraphCatalog] = None
-_WORKER_GRAPHS: Dict[str, CSRGraph] = {}
-
-
-def worker_init(
-    artifacts_dir: str,
-    memory_budget_bytes: int,
-    catalog_policy: Optional[str] = None,
-) -> None:
-    """Pool initializer: build this process's catalog over the shared tier.
-
-    ``catalog_policy`` carries the parent catalog's eviction policy
-    explicitly (rather than relying on ``$REPRO_CATALOG_POLICY`` env
-    inheritance alone), so a service built with ``policy="gdsf"`` in
-    code gets GDSF workers too — and since ``build_seconds`` rides in
-    every write-through ``.npz``, a worker hydrating the shared tier
-    prices artifacts exactly as the parent does.
-    """
-    global _WORKER_CATALOG
-    _WORKER_CATALOG = GraphCatalog(
-        memory_budget_bytes,
-        spill_dir=artifacts_dir,
-        write_through=True,
-        policy=catalog_policy,
-    )
-    _WORKER_GRAPHS.clear()
-
-
-def worker_ping() -> int:
-    """Liveness probe; forces lazy worker start-up and returns the pid."""
-    return os.getpid()
-
-
-def _resolve_worker_graph(spec: BatchSpec) -> Tuple[CSRGraph, int]:
-    """The spec's graph, from the per-process memo or the shared store.
-
-    Returns ``(graph, loads)`` where ``loads`` is 1 when this call hit
-    the disk (counted as a hydrate in the reply).
-    """
-    graph = _WORKER_GRAPHS.get(spec.graph_fingerprint)
-    if graph is not None:
-        return graph, 0
-    if not os.path.exists(spec.graph_path):
-        raise ServiceError(
-            f"graph {spec.graph_fingerprint[:12]} not found in shared "
-            f"store at {spec.graph_path}"
-        )
-    graph = load_npz(spec.graph_path)
-    _WORKER_GRAPHS[spec.graph_fingerprint] = graph
-    return graph, 1
-
-
-def run_batch_spec(spec: BatchSpec) -> BatchReply:
-    """Execute one spec in a worker process; the pool's task function.
-
-    Library failures are folded into the reply as messages (see
-    :class:`BatchReply`); only genuinely unexpected exceptions —
-    which, for a process pool, includes the process dying — surface
-    through the future.
-    """
-    crash_on = os.environ.get(CRASH_SOURCE_ENV)
-    if crash_on is not None and int(crash_on) in spec.sources:
-        os._exit(17)  # test hook: simulate a worker crash
-    if _WORKER_CATALOG is None:
-        return BatchReply(error="worker process was never initialised")
-    try:
-        graph, graph_loads = _resolve_worker_graph(spec)
-        outcome = execute_pipeline(
-            _WORKER_CATALOG,
-            graph,
-            algorithm=spec.algorithm,
-            transform=spec.transform,
-            degree_bound=spec.degree_bound,
-            options=spec.options,
-            sources=spec.sources,
-            remaining_s=spec.remaining_s,
-        )
-        if graph_loads:
-            outcome = replace(
-                outcome, hydrate_hits=outcome.hydrate_hits + graph_loads
-            )
-        return BatchReply(outcome=outcome)
-    except TigrError as exc:
-        return BatchReply(error=str(exc))
-    except Exception as exc:  # pragma: no cover - defensive
-        return BatchReply(error=f"internal error: {exc!r}")

@@ -1,6 +1,9 @@
 """Process backend: backend parity, crash recovery, shared disk tier."""
 
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +176,22 @@ class TestCrashRecovery:
             healthy = svc.run(QueryRequest.single("bfs", "g", 7))
             assert healthy.ok and not healthy.degraded
 
+    def test_one_crash_costs_one_batch(self, monkeypatch):
+        # a 40-source bc is in flight on one host when the other host
+        # crashes: only the crashing batch degrades, one host restarts
+        monkeypatch.setenv(CRASH_SOURCE_ENV, "7")
+        big = rmat(60000, 600000, seed=3, weight_range=(1, 8))
+        with AnalyticsService(workers=2, backend="processes") as svc:
+            svc.register("big", big)
+            running = svc.submit(QueryRequest("bc", "big", sources=tuple(range(10, 50))))
+            time.sleep(0.3)
+            crashing = svc.submit(QueryRequest.single("bfs", "big", 7))
+            survivor, crashed = running.result(120), crashing.result(120)
+            summary = svc.metrics.summary()
+        assert crashed.ok and crashed.degraded
+        assert survivor.ok and not survivor.degraded
+        assert summary["worker_restarts"] == 1
+
     def test_crash_without_fallback_fails_typed(self, graph, monkeypatch):
         monkeypatch.setenv(CRASH_SOURCE_ENV, "7")
         with AnalyticsService(
@@ -188,3 +207,20 @@ class TestCrashRecovery:
         assert isinstance(error, ServiceError)
         assert error.batch_size == 3
         assert "3 request(s) affected" in str(error)
+
+
+def test_a_threads_boot_loads_no_process_machinery():
+    code = (
+        "import sys\n"
+        "import repro.service.api\n"
+        "from repro.service import AnalyticsService\n"
+        "AnalyticsService(backend='threads', shards=2).close()\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src, "REPRO_SERVICE_WORKERS": "threads"},
+    ).stdout
+    assert out.strip() == "[]"

@@ -11,7 +11,10 @@ placement).  CI's ``sharded-replay`` job re-runs this file and the CLI
 replay gate across the full shards x backend matrix.
 """
 
+import io
+import json
 import socket
+import struct
 import threading
 from pathlib import Path
 
@@ -39,7 +42,14 @@ from repro.service import (
     replay_trace,
 )
 from repro.service.executor import _PriorityWorkQueue
-from repro.service.sharding import _decode_array, _encode_array, _host_dispatch
+from repro.service.sharding import (
+    MAX_HEADER_BYTES,
+    RemoteShardHandle,
+    _host_dispatch,
+    encode_frame,
+    read_frame,
+)
+from repro.service.workers import BatchSpec
 
 TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
@@ -71,6 +81,40 @@ def shard_host():
     yield server.server_address
     server.shutdown()
     server.server_close()
+
+
+def _exchange(address, messages):
+    """Send each message as a frame on one connection; the replies."""
+    with socket.create_connection(address, timeout=30) as sock:
+        stream = sock.makefile("rwb")
+        replies = []
+        for message in messages:
+            stream.write(encode_frame(message))
+            stream.flush()
+            replies.append(read_frame(stream)[0])
+    return replies
+
+
+def _frame(header, payload=b""):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return struct.pack("<I", len(raw)) + raw + payload
+
+
+_BEGIN = {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
+          "kind": "none", "degree_bound": 0, "source": 0}
+
+#: what a host must refuse to read as a frame
+HOSTILE_FRAMES = {
+    "truncated": _frame({"message": _BEGIN, "arrays": []})[:-3],
+    "header over the cap": struct.pack("<I", MAX_HEADER_BYTES + 1) + b"{}",
+    "header not json": _frame(b"{nope"),
+    "object dtype": _frame(
+        {"message": dict(_BEGIN, ids={"@": 0}), "arrays": [["|O", [1], 8]]}, bytes(8)),
+    "string dtype": _frame(
+        {"message": dict(_BEGIN, ids={"@": 0}), "arrays": [["<U8", [1], 32]]}, bytes(32)),
+    "byte count off": _frame(
+        {"message": dict(_BEGIN, ids={"@": 0}), "arrays": [["<i8", [2], 8]]}, bytes(8)),
+}
 
 
 class TestInedgePartition:
@@ -315,9 +359,9 @@ class TestShardsRunTheEngineStep:
         part = inedge_partition(prepared, 2)[0]
         assert _host_dispatch(shards, {
             "op": "load", "key": "k", "shard": 0,
-            "offsets": _encode_array(part.subgraph.offsets),
-            "targets": _encode_array(part.subgraph.targets),
-            "owned": _encode_array(part.owned),
+            "offsets": part.subgraph.offsets,
+            "targets": part.subgraph.targets,
+            "owned": part.owned,
         }) == {"ok": True}
         reply = _host_dispatch(shards, {
             "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
@@ -496,21 +540,37 @@ class TestRemoteShards:
         assert not result.ok
         assert "lost" in result.error and "unreachable" in result.error
 
+    def test_a_failed_build_closes_the_connections_it_made(
+        self, graph, shard_host, monkeypatch
+    ):
+        opened = []
+        connect = socket.create_connection
+
+        def spied(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", spied)
+        with pytest.raises(ShardLost):
+            ShardSet.build(prepare_graph(graph, "bfs"), 2,
+                           remotes=[shard_host, self._dead_address()])
+        assert len(opened) == 1 and opened[0].fileno() == -1
+
     def _serve_corrupted(self, shard_host, monkeypatch, corrupt):
         """sssp from 0 on a 500-node R-MAT over two shards, the remote
-        one's non-empty ``step`` replies with their ids (wire form)
-        replaced by ``corrupt(ids)``: ``(result, metrics, the single
+        one's non-empty ``step`` replies with their ids replaced by
+        ``corrupt(ids)`` before framing: ``(result, metrics, the single
         engine's values)``."""
         from repro.service import sharding
 
         real = sharding._host_dispatch
 
-        def dispatch(shards, payload):
-            reply = real(shards, payload)
+        def dispatch(shards, payload, store=None):
+            reply = real(shards, payload, store)
             if payload.get("op") == "step":
-                ids = _decode_array(reply["result"][0])
+                ids, vals = reply["result"]
                 if len(ids):
-                    reply["result"][0] = corrupt(ids)
+                    reply["result"] = (corrupt(ids), vals)
             return reply
 
         monkeypatch.setattr(sharding, "_host_dispatch", dispatch)
@@ -533,7 +593,7 @@ class TestRemoteShards:
         def foreign(ids):
             ids = ids.copy()
             ids[0] = -1
-            return _encode_array(ids)
+            return ids
 
         result, summary, want = self._serve_corrupted(
             shard_host, monkeypatch, foreign
@@ -726,9 +786,9 @@ class TestShardOpTable:
         shards = {}
         assert _host_dispatch(shards, {
             "op": "load", "key": "k", "shard": 0,
-            "offsets": _encode_array(part.subgraph.offsets),
-            "targets": _encode_array(part.subgraph.targets),
-            "owned": _encode_array(part.owned),
+            "offsets": part.subgraph.offsets,
+            "targets": part.subgraph.targets,
+            "owned": part.owned,
         }) == {"ok": True}
         return shards
 
@@ -738,69 +798,59 @@ class TestShardOpTable:
         assert SHARD_OPS == ("begin", "step", "pr_begin", "pr_step", "finish")
         assert all(callable(getattr(LocalShard, op)) for op in SHARD_OPS)
 
-    def test_unknown_op_key_and_attribute_are_typed_errors(self, loaded):
+    def test_unknown_op_key_and_attribute_are_typed_refusals(self, loaded):
         assert "unknown op" in _host_dispatch(
             loaded, {"op": "lane_step", "key": "k", "task": 1}
-        )["error"]
+        )["refused"]
         assert "unknown shard key" in _host_dispatch(
             loaded, {"op": "begin", "key": "nope", "task": 1}
-        )["error"]
+        )["refused"]
         # real LocalShard attributes that are not superstep ops
         for attribute in ("close", "_task", "catalog", "__init__", None, 7):
             reply = _host_dispatch(loaded, {"op": attribute, "key": "k"})
-            assert "unknown op" in reply["error"], attribute
+            assert "unknown op" in reply["refused"], attribute
         assert "k" in loaded  # nothing above closed or replaced the shard
 
-    def test_bad_missing_and_extra_arguments_are_typed_errors(self, loaded):
+    def test_bad_missing_and_extra_arguments_are_typed_refusals(self, loaded):
         begin = {
             "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
             "kind": "none", "degree_bound": 0, "source": 0,
         }
         extra = _host_dispatch(loaded, dict(begin, shard=3))
-        assert "bad arguments for op 'begin'" in extra["error"]
+        assert "bad arguments for op 'begin'" in extra["refused"]
         missing = _host_dispatch(
             loaded, {k: v for k, v in begin.items() if k != "algorithm"}
         )
-        assert "bad arguments for op 'begin'" in missing["error"]
+        assert "bad arguments for op 'begin'" in missing["refused"]
         # neither half-ran: the task was never created
         with pytest.raises(ServiceError, match="unknown monotone task 1"):
             _host_dispatch(loaded, {
                 "op": "step", "key": "k", "task": 1,
-                "ids": _encode_array(np.zeros(0, dtype=np.int64)),
-                "vals": _encode_array(np.zeros(0)),
+                "ids": np.zeros(0, dtype=np.int64),
+                "vals": np.zeros(0),
             })
         assert _host_dispatch(loaded, begin) == {"ok": True, "result": ""}
 
-    def test_bad_lines_never_kill_the_host_loop(self, graph, shard_host):
-        import json
-
+    def test_bad_requests_never_kill_the_host_loop(self, graph, shard_host):
         prepared = prepare_graph(graph, "bfs")
         part = inedge_partition(prepared, 2)[0]
-        lines = [
-            b"{nope\n",
-            b'{"op":"begin","key":"k","task":1}\n',
-            json.dumps({
-                "op": "load", "key": "k", "shard": 0,
-                "offsets": _encode_array(part.subgraph.offsets),
-                "targets": _encode_array(part.subgraph.targets),
-                "owned": _encode_array(part.owned),
-            }).encode() + b"\n",
-            b'{"op":"_task","key":"k","task":1}\n',
-            b'{"op":"begin","key":"k","task":1,"algorithm":"bfs","kind":"none",'
-            b'"degree_bound":0,"source":0,"surprise":1}\n',
-            b'{"op":"step","key":"k","task":9,"ids":{"b64":"!"},"vals":3}\n',
-            b'{"op":"begin","key":"k","task":1,"algorithm":"bfs","kind":"none",'
-            b'"degree_bound":0,"source":0}\n',
+        begin = {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
+                 "kind": "none", "degree_bound": 0, "source": 0}
+        requests = [
+            {"op": "begin", "key": "k", "task": 1},
+            {"op": "load", "key": "k", "shard": 0,
+             "offsets": part.subgraph.offsets,
+             "targets": part.subgraph.targets,
+             "owned": part.owned},
+            {"op": "_task", "key": "k", "task": 1},
+            dict(begin, surprise=1),
+            {"op": "step", "key": "k", "task": 9, "ids": {"b64": "!"}, "vals": 3},
+            begin,
         ]
-        with socket.create_connection(shard_host, timeout=30) as sock:
-            stream = sock.makefile("rwb")
-            replies = []
-            for line in lines:
-                stream.write(line)
-                stream.flush()
-                replies.append(json.loads(stream.readline()))
-        assert [("error" in r) for r in replies] == [
-            True, True, False, True, True, True, False,
+        replies = _exchange(shard_host, requests)
+        assert [sorted(r) for r in replies] == [
+            ["refused"], ["ok"], ["refused"], ["refused"], ["error"],
+            ["ok", "result"],
         ]
         assert replies[-1] == {"ok": True, "result": ""}
 
@@ -808,50 +858,89 @@ class TestShardOpTable:
         # a target >= n would reach the compiled push_step, whose gates
         # bound the frontier but trust the graph: the host refuses the
         # slice with a typed error and keeps serving the connection
-        import json
-
         part = inedge_partition(prepare_graph(graph, "bfs"), 2)[0]
         n = part.subgraph.num_nodes
         targets = part.subgraph.targets.copy()
         targets[0] = n + 1000
         load = {
             "op": "load", "key": "k", "shard": 0,
-            "offsets": _encode_array(part.subgraph.offsets),
-            "targets": _encode_array(part.subgraph.targets),
-            "owned": _encode_array(part.owned),
+            "offsets": part.subgraph.offsets,
+            "targets": part.subgraph.targets,
+            "owned": part.owned,
         }
-        lines = [
-            dict(load, targets=_encode_array(targets)),
-            dict(load, owned=_encode_array(np.array([0, n]))),
-            dict(load, owned=_encode_array(np.array([0.0, 1.0]))),
+        replies = _exchange(shard_host, [
+            dict(load, targets=targets),
+            dict(load, owned=np.array([0, n])),
+            dict(load, owned=np.array([0.0, 1.0])),
             load,
             {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
              "kind": "none", "degree_bound": 0, "source": 0},
-        ]
-        with socket.create_connection(shard_host, timeout=30) as sock:
-            stream = sock.makefile("rwb")
-            replies = []
-            for line in lines:
-                stream.write(json.dumps(line).encode() + b"\n")
-                stream.flush()
-                replies.append(json.loads(stream.readline()))
+        ])
         assert "edge targets must lie in" in replies[0]["error"]
         assert "owned ids" in replies[1]["error"]
         assert "owned ids" in replies[2]["error"]
         assert replies[3:] == [{"ok": True}, {"ok": True, "result": ""}]
 
-    def test_handle_sends_the_parents_request_lines(self, monkeypatch):
-        """Wire fields are LocalShard's parameter names, in order."""
-        from repro.service.sharding import RemoteShardHandle
+    @pytest.mark.parametrize("hostile", [*HOSTILE_FRAMES, "run"])
+    def test_a_hostile_frame_costs_only_its_connection(
+        self, graph, shard_host, monkeypatch, hostile
+    ):
+        # the host drops a frame it cannot trust (and refuses `run`,
+        # which only a service's own hosts serve); the client's answer
+        # is ShardLost, and the next connection is served as before
+        from repro.service import sharding
 
+        part = inedge_partition(prepare_graph(graph, "bfs"), 2)[0]
+        nodes = part.subgraph.num_nodes
+        handle = RemoteShardHandle(0, part.owned, shard_host, key="k",
+                                   op_timeout_s=2.0)
+        handle.load(part.subgraph)
+        if hostile != "run":
+            monkeypatch.setattr(
+                sharding, "encode_frame", lambda message: HOSTILE_FRAMES[hostile]
+            )
+        why = {"run": "refused the request", "truncated": "timed out"}
+        with pytest.raises(ShardLost, match=why.get(hostile, "closed the connection")):
+            handle.run(BatchSpec("f" * 64, "/nowhere.npz", "bfs", "none", 0,
+                                 EngineOptions(), (0,)), nodes)
+        handle.close()
+        monkeypatch.undo()
+        fresh = RemoteShardHandle(0, part.owned, shard_host, key="k")
+        try:
+            fresh.load(part.subgraph)
+            assert fresh.begin(1, "bfs", "none", 0, 0) == ""
+        finally:
+            fresh.close()
+
+    @pytest.mark.parametrize("hostile", HOSTILE_FRAMES)
+    def test_read_frame_rejects_what_is_not_a_frame(self, hostile):
+        with pytest.raises(ValueError):
+            read_frame(io.BytesIO(HOSTILE_FRAMES[hostile]))
+
+    def test_frames_round_trip_arrays_and_scalars(self):
+        ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, np.inf])
+        message = {"op": "step", "task": 7, "source": None, "remaining_s": float("inf"),
+                   "pair": (ids, vals), "rank": np.zeros((2, 0))}
+        raw = encode_frame(message)
+        got, nbytes = read_frame(io.BytesIO(raw + raw))
+        assert nbytes == len(raw)
+        assert got["pair"][0].dtype == np.int64 and got["pair"][1].dtype == np.float64
+        assert [a.tobytes() for a in got["pair"]] == [ids.tobytes(), vals.tobytes()]
+        assert got["rank"].shape == (2, 0)
+        assert got["remaining_s"] == float("inf") and got["source"] is None
+        assert got["pair"][0].flags.writeable  # a host may index-assign into it
+        assert read_frame(io.BytesIO(b"")) == (None, 0)
+
+    def test_handle_sends_the_parents_request_frames(self, monkeypatch):
+        """Wire fields are LocalShard's parameter names, in order."""
         sent = []
         handle = RemoteShardHandle(1, np.arange(3), ("h", 1), key="fp/shard1of2")
         ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, 2.5])
         # each op's reply is what a LocalShard owning 0..2 returns
         results = {
             "begin": "",
-            "step": [_encode_array(ids[:1]), _encode_array(vals[:1])],
-            "pr_step": _encode_array(np.zeros(3)),
+            "step": [ids[:1], vals[:1]],
+            "pr_step": np.zeros(3),
         }
         monkeypatch.setattr(
             handle, "_call",
@@ -865,21 +954,19 @@ class TestShardOpTable:
         handle.pr_step(8, vals)
         handle.finish(8)
         key = "fp/shard1of2"
-        assert sent == [
+        assert [encode_frame(m) for m in sent] == [encode_frame(m) for m in [
             {"op": "begin", "key": key, "task": 7, "algorithm": "sssp",
              "kind": "virtual+", "degree_bound": 4, "source": 3,
              "kernel_backend": None},
             {"op": "begin", "key": key, "task": 7, "algorithm": "cc",
              "kind": "none", "degree_bound": 0, "source": None,
              "kernel_backend": None},
-            {"op": "step", "key": key, "task": 7,
-             "ids": _encode_array(ids), "vals": _encode_array(vals)},
+            {"op": "step", "key": key, "task": 7, "ids": ids, "vals": vals},
             {"op": "pr_begin", "key": key, "task": 8,
-             "inv_deg": _encode_array(vals), "kernel_backend": "numpy"},
-            {"op": "pr_step", "key": key, "task": 8,
-             "rank": _encode_array(vals)},
+             "inv_deg": vals, "kernel_backend": "numpy"},
+            {"op": "pr_step", "key": key, "task": 8, "rank": vals},
             {"op": "finish", "key": key, "task": 8},
-        ]
+        ]]
         assert [list(p) for p in sent[:1]] == [[
             "op", "key", "task", "algorithm", "kind", "degree_bound",
             "source", "kernel_backend",
