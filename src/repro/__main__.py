@@ -16,9 +16,6 @@ Subcommands::
     python -m repro forecast <trace> [...]       # mine traces into a
                                                  # warm-set plan for
                                                  # serve --prewarm
-    python -m repro calibrate                    # measure this machine
-                                                 # and cache the cost-
-                                                 # model profile
     python -m repro bench [...]                  # paper experiments
                                                  # (alias of repro.bench)
 
@@ -408,7 +405,7 @@ def _make_service(args, catalog, *, recorder=None):
         catalog,
         workers=args.workers, backend=args.backend,
         queue_size=args.queue_size, default_timeout_s=args.timeout,
-        recorder=recorder, policy=policy, shards=max(args.shards, 0),
+        recorder=recorder, policy=policy, shards=args.shards,
         shard_remotes=tuple(parse_host_port(v, "--shard-remote")
                             for v in (args.shard_remote or ())),
     )
@@ -529,6 +526,8 @@ def cmd_serve(args) -> int:
         return cmd_serve_trace(args)
     if args.graph is None:
         raise TigrError("serve needs a graph (or --trace with graph recipes)")
+    if args.batch < 1:  # replay_trace checks its own
+        raise TigrError(f"batch must be >= 1, got {args.batch}")
     graph = _load(args.graph, scale=args.scale)
     rng = random.Random(args.seed)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -592,38 +591,6 @@ def cmd_shard_host(args) -> int:
         pass
     finally:
         server.server_close()
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    """Measure this machine and cache the cost-model profile."""
-    from repro.engine import costmodel
-
-    profile, saved_to = costmodel.calibrate_and_save(
-        scale=args.scale, seed=args.seed
-    )
-    if args.json:
-        import json
-
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-        print(f"saved to {saved_to}", file=sys.stderr)
-        return 0
-    print(f"calibration profile ({profile.machine}):")
-    print(f"  {'probe graph':28s} {profile.probe_nodes} nodes / "
-          f"{profile.probe_edges} edges")
-    print(f"  {'run overhead':28s} {profile.run_overhead_s * 1e6:.1f} us")
-    print(f"  {'scatter (minimum.at)':28s} "
-          f"{profile.scatter_medges_s:.1f} Medges/s")
-    for name in sorted(profile.backend_edges_per_s):
-        eps = profile.backend_edges_per_s[name]
-        print(f"  {'backend ' + name:28s} {eps / 1e6:.1f} Medges/s")
-    for family in sorted(profile.lanes):
-        fit = profile.lanes[family]
-        cross = fit.crossover_sources
-        verdict = ("lanes never win" if cross == float("inf")
-                   else f"lanes win at >= {cross:.1f} sources")
-        print(f"  {'lanes ' + family:28s} {verdict}")
-    print(f"saved to {saved_to}")
     return 0
 
 
@@ -873,18 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the bound HOST:PORT to PATH once listening "
                         "(lets scripts use port 0 without a race)")
     p.set_defaults(func=cmd_shard_host)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="measure this machine and cache the cost-model profile",
-    )
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="shrink the probe sizes (smoke runs; noisier fits)")
-    p.add_argument("--seed", type=int, default=17,
-                   help="probe-graph RNG seed")
-    p.add_argument("--json", action="store_true",
-                   help="print the profile as JSON instead of a summary")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bench", help="regenerate the paper's experiments")
     p.add_argument("experiments", nargs="*", default=None)

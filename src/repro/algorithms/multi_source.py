@@ -80,7 +80,7 @@ def resolve_multisource_mode(
 ) -> str:
     """What ``mode="auto"`` will run: ``"lanes"`` or ``"loop"``.
 
-    Asks the calibrated cost model (:mod:`repro.engine.costmodel`)
+    Asks the cost model's reference rates (:mod:`repro.engine.costmodel`)
     which strategy predicts cheaper for ``num_sources`` deduplicated
     sources on a graph of ``num_edges`` edges.  ``algorithm`` is the
     lane-cost family — ``"bfs"`` for unweighted hop counts (the
@@ -92,7 +92,7 @@ def resolve_multisource_mode(
     """
     from repro.engine import costmodel
 
-    return costmodel.get_profile().choose_multisource_mode(
+    return costmodel.choose_multisource_mode(
         algorithm=algorithm,
         num_sources=num_sources,
         num_edges=num_edges,
@@ -133,7 +133,7 @@ def multi_source_distances(
     whole batch into lane-parallel passes (one traversal per
     ``max_lanes`` sources, duplicates deduplicated and sliced back),
     ``"loop"`` runs one scalar engine pass per listed source, and
-    ``"auto"`` (default) asks the measured cost model
+    ``"auto"`` (default) asks the cost model
     (:func:`resolve_multisource_mode`) which strategy predicts
     cheaper — lane passes still deduplicate either way.  All modes
     return bitwise-identical floats.

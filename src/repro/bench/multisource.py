@@ -12,9 +12,9 @@ interesting if the answers are exactly the scalar answers.
 
 Rows sweep (algorithm, source-count); BFS exercises the bit-packed
 visited-mask fast path, SSSP the float lanes.  A third timed mode,
-``auto``, lets the measured cost model (:mod:`repro.engine.costmodel`)
-pick — the experiment checks the pick is never more than a few percent
-slower than the best fixed mode.
+``auto``, lets the cost model's reference rates
+(:mod:`repro.engine.costmodel`) pick — the experiment checks the pick
+is never more than a few percent slower than the best fixed mode.
 """
 
 from __future__ import annotations

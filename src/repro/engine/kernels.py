@@ -36,8 +36,8 @@ one loop per C function taking its prototype's arguments — lives in
 
 Backend choice is per engine run: ``EngineOptions.kernel_backend``
 wins, else ``$REPRO_KERNEL_BACKEND``, else ``"auto"`` — which asks
-the measured cost model (:mod:`repro.engine.costmodel`) whether the
-graph is big enough for a JIT kernel to pay for its call overhead.
+the cost model (:mod:`repro.engine.costmodel`) whether the graph is
+big enough for a JIT kernel to pay for its call overhead.
 
 Safety gates (any failure falls back to numpy, never errors):
 
@@ -523,11 +523,13 @@ def resolve_backend(
     """Pick the backend for one engine run.
 
     ``name`` (usually ``EngineOptions.kernel_backend``) wins, then
-    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.  ``auto`` asks the
-    measured cost model which backend minimises predicted kernel time
-    for a graph of ``edges`` edges.  A requested-but-unavailable
-    backend (no C compiler) warns once and falls back to numpy —
-    results are identical either way, so degrading is always safe.
+    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.  ``auto`` runs ``cjit``
+    on a graph of ``edges`` edges from
+    :data:`~repro.engine.costmodel.JIT_MIN_EDGES` up when a compiler is
+    available, else numpy (without a warning).  A requested but
+    unavailable backend (no C compiler) warns once and falls back to
+    numpy — results are identical either way, so degrading is always
+    safe.
     An unknown name raises (:func:`get_backend`).
     """
     if name is None:
@@ -535,7 +537,7 @@ def resolve_backend(
     if name == "auto":
         from repro.engine import costmodel
 
-        name = costmodel.get_profile().choose_kernel_backend(
+        name = costmodel.choose_kernel_backend(
             edges=edges or 0, candidates=available_backends(),
         )
     backend = get_backend(name)

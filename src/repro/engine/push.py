@@ -61,8 +61,8 @@ class EngineOptions:
     kernel_backend:
         Which :mod:`repro.engine.kernels` backend runs the relax /
         reduce inner loops.  ``None`` defers to
-        ``$REPRO_KERNEL_BACKEND`` and then to the measured cost
-        model's ``auto`` choice.  Values are bitwise identical on every
+        ``$REPRO_KERNEL_BACKEND`` and then to the cost model's
+        ``auto`` choice.  Values are bitwise identical on every
         backend; this knob trades speed (and MIN/MAX superstep counts).
     """
 

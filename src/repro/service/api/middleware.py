@@ -106,10 +106,7 @@ class RateLimit(Middleware):
         metrics: Optional[ServiceMetrics] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
+        TokenBuckets.check(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self.metrics = metrics

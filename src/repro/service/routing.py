@@ -16,9 +16,9 @@ and where* a request runs —
   the service's submission queue is a priority queue ordered by
   these classes, so an interactive tenant's queries overtake a batch
   tenant's backlog instead of waiting behind it;
-* **cost-model-aware routing** — ``route="auto"`` consults the
-  measured calibration profile (:mod:`repro.engine.costmodel`) to
-  decide whether a batch is worth scatter-gathering: a superstep pays
+* **cost-model-aware routing** — ``route="auto"`` compares a batch's
+  edge count with a fixed break-even
+  (:func:`repro.engine.costmodel.sharded_break_even`): a superstep pays
   one dispatch overhead *per shard* plus a gather, so sharding only
   wins once the per-step edge work dominates — small graphs route to
   the plain single-engine path.
@@ -29,6 +29,7 @@ just decisions the mechanism layer asks for.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -65,6 +66,17 @@ class TokenBuckets:
         #: key -> (tokens, last refill stamp)
         self._buckets: Dict[str, Tuple[float, float]] = {}
 
+    @staticmethod
+    def check(rate: float, burst: float) -> None:
+        """Refuse a bucket that could never meter: ``nan`` waits pass
+        every request, a depth under one token admits none."""
+        if not (math.isfinite(rate) and rate > 0
+                and math.isfinite(burst) and burst >= 1):
+            raise ServiceError(
+                f"token bucket needs a finite rate > 0 and a finite "
+                f"burst >= 1, got rate={rate}, burst={burst}"
+            )
+
     def take(self, key: str, rate: float, burst: float) -> float:
         """Try to spend one token; 0.0 on success, else seconds to wait."""
         now = self._clock()
@@ -93,11 +105,7 @@ class TenantQuota:
     burst: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.burst <= 0:
-            raise ServiceError(
-                f"quota rate and burst must be positive, got "
-                f"rate={self.rate}, burst={self.burst}"
-            )
+        TokenBuckets.check(self.rate, self.burst)
 
 
 @dataclass
@@ -126,8 +134,8 @@ class RoutingPolicy:
         ``"auto"`` applies the cost model via
         :meth:`min_sharded_edges`.
     min_sharded_edges:
-        Explicit edge-count threshold for ``"auto"``; ``None`` derives
-        it from the measured calibration profile.
+        Explicit edge-count threshold for ``"auto"``; ``None`` uses the
+        cost model's break-even.
     clock:
         Injectable time source for the token buckets (tests freeze it).
     """
@@ -186,25 +194,14 @@ class RoutingPolicy:
     # Placement
     # ------------------------------------------------------------------
     def min_sharded_edges(self, shards: int) -> int:
-        """Edge count above which ``"auto"`` routes to the shards.
-
-        Derived from the measured profile when not pinned: a sharded
-        superstep pays ~``shards`` extra dispatch overheads
-        (``run_overhead_s`` each) to cut scatter work by
-        ``1 - 1/shards``, so sharding breaks even near
-        ``shards^2 / (shards - 1) * run_overhead_s * scatter_rate``
-        edges.
-        """
+        """Edge count above which ``"auto"`` routes to the shards: the
+        pinned threshold, else the reference break-even (208 208 /
+        234 234 / 277 610 edges at 2 / 3 / 4 shards)."""
         if self._min_sharded_edges is not None:
             return self._min_sharded_edges
-        from repro.engine.costmodel import get_profile
+        from repro.engine.costmodel import sharded_break_even
 
-        profile = get_profile()
-        rate = profile.scatter_medges_s * 1e6
-        if rate <= 0 or shards <= 1:
-            return 0
-        overhead = shards * shards / max(shards - 1, 1) * profile.run_overhead_s
-        return int(overhead * rate)
+        return sharded_break_even(shards)
 
     def choose_route(
         self, *, shardable: bool, num_edges: int, shards: int

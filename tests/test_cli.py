@@ -176,6 +176,24 @@ class TestServe:
                      "--algorithms", "bfs,coloring"]) == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch", "0"], "batch must be >= 1"),
+        (["--shards", "-2"], "shard count must be >= 0"),
+        (["--quota", "alice=nan"], "finite rate"),
+        (["--quota", "alice=2:0.5"], "burst >= 1"),
+    ], ids=["batch", "shards", "quota-nan", "quota-burst"])
+    def test_bad_numeric_flags_are_typed_errors(self, flags, message, capsys):
+        assert main(["serve", "pokec", "--scale", "0.1",
+                     "--requests", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_calibrate_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
 
 class TestCLIGaps:
     def test_unsupported_method_algorithm_pair(self, capsys):

@@ -7,8 +7,7 @@ fused path actually *engaged*, so a silently-declining backend cannot
 pass as "equal" — and runs the spec loops of
 ``tests/kernel_reference.py`` through the same hooks, in lockstep.
 It pins that every kernel is declared once, by its C prototype.  The
-cost model's calibration cache and strategy predictions are covered
-here too.
+cost model's strategy decisions are pinned here too, as a table.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import inspect
 import json
 import os
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -79,14 +79,6 @@ JITS = kernels.jit_backends()
 @pytest.fixture
 def graph():
     return rmat(600, 4_000, seed=5, weight_range=(1.0, 8.0))
-
-
-@pytest.fixture
-def fresh_profile():
-    """Reset the cached cost-model profile around a test."""
-    costmodel.set_profile(None)
-    yield
-    costmodel.set_profile(None)
 
 
 def _values(algorithm, graph, backend):
@@ -1523,104 +1515,131 @@ class TestEngagementCounters:
         assert "-ffp-contract=off" in kernels.CJitBackend.CFLAGS
 
 
-#: a measured profile as ``calibrate`` wrote it while it still probed
-#: gather and lane-pack throughput and push/pull per-edge cost (fields
-#: no prediction read)
-PARENT_CALIBRATION = {
-    "version": 1, "source": "measured", "machine": "x86_64 Linux",
-    "created": "2026-10-01", "probe_nodes": 2000, "probe_edges": 31808,
-    "run_overhead_s": 0.00041, "scatter_medges_s": 151.2,
-    "gather_medges_s": 58.4, "lane_pack_medges_s": 61.0,
-    "push_per_edge_s": 6.1e-09, "pull_per_edge_s": 2.9e-08,
-    "backend_edges_per_s": {"numpy": 5.1e07, "cjit": 1.62e08},
-    "jit_min_edges": 4096,
-    "lanes": {
-        "bfs": {"loop_per_edge_s": 4.4e-09, "lanes_fixed_per_edge_s": 1.5e-08,
-                "lanes_marginal_per_edge_s": 3.1e-10},
-        "sssp": {"loop_per_edge_s": 9.3e-09, "lanes_fixed_per_edge_s": 4e-09,
-                 "lanes_marginal_per_edge_s": 8.0e-09},
-    },
+
+
+#: edge counts and source counts the decision table sweeps
+TABLE_EDGES = (0, 50, 4_095, 4_096, 10**5, 2_723_809, 2_723_810, 10**7)
+TABLE_SOURCES = (0, 1, 2, 3, 4, 63, 64, 65, 200)
+_LOOP, _LANES = "." * 8, "L" * 8
+
+#: ``choose_multisource_mode`` per (family, max_lanes): one string per
+#: source count, one character per edge count (``L`` lanes, ``.`` loop);
+#: ``pr`` is not a lane family and prices as sssp
+DECISIONS = {
+    ("bfs", 1): (_LOOP,) * 9,
+    ("bfs", 2): (_LOOP, _LOOP, "LLLLLL..", "LLLL....", "LLLLLL..",
+                 "LLLLL...", "LLLLLL..", "LLLLL...", "LLLLLL.."),
+    ("bfs", 4): (_LOOP, _LOOP, "LLLLLL..") + (_LANES,) * 6,
+    ("bfs", 64): (_LOOP, _LOOP, "LLLLLL..") + (_LANES,) * 6,
+    ("sssp", 1): (_LOOP, _LOOP) + ("....LLLL",) * 7,
+    ("sssp", 2): (_LOOP, _LOOP) + (_LANES,) * 7,
+    ("sssp", 4): (_LOOP, _LOOP) + (_LANES,) * 7,
+    ("sssp", 64): (_LOOP, _LOOP) + (_LANES,) * 7,
 }
+DECISIONS.update({("pr", lanes): row for (family, lanes), row
+                  in list(DECISIONS.items()) if family == "sssp"})
+
+#: what ``auto`` resolves to at 0 / 4 095 / 4 096 / 10^7 edges
+AUTO_BACKEND_EDGES = (0, 4_095, 4_096, 10**7)
+AUTO_BACKENDS = {True: ["numpy", "numpy", "cjit", "cjit"],
+                 False: ["numpy"] * 4}
+
+#: ``route="auto"``'s break-even at 2 / 3 / 4 shards
+BREAK_EVEN = [208_208, 234_234, 277_610]
+
+#: a ``calibration.json`` from a host where lanes lose to the loop at
+#: every width, numpy outruns cjit and scatter is slow; the CI
+#: http-smoke job boots a server over it too
+SLOW_LANES_CALIBRATION = (
+    Path(__file__).parent / "fixtures" / "calibration-slow-lanes.json")
 
 
-class TestCalibrationCache:
-    def test_a_parent_calibration_file_still_loads(
-        self, tmp_path, monkeypatch, fresh_profile
-    ):
-        # read by key: the four retired fields are ignored, and every
-        # decision is the one the profile made when they were read
+def _mode_row(family, lanes, sources):
+    return "".join(
+        "L" if costmodel.choose_multisource_mode(
+            algorithm=family, num_sources=sources, num_edges=m,
+            max_lanes=lanes,
+        ) == "lanes" else "."
+        for m in TABLE_EDGES
+    )
+
+
+class TestDecisionTable:
+    """Every strategy decision, pinned: the reference rates are
+    constants, so these may only move with a deliberate refit."""
+
+    @pytest.mark.parametrize("family, lanes", sorted(DECISIONS))
+    def test_multisource_modes(self, family, lanes):
+        rows = tuple(_mode_row(family, lanes, s) for s in TABLE_SOURCES)
+        assert rows == DECISIONS[family, lanes]
+
+    def test_named_crossovers(self):
+        def mode(family, sources, edges, lanes=64):
+            return costmodel.choose_multisource_mode(
+                algorithm=family, num_sources=sources, num_edges=edges,
+                max_lanes=lanes)
+
+        assert [mode("bfs", 2, m) for m in (2_723_809, 2_723_810)] == [
+            "lanes", "loop"]
+        assert mode("bfs", 3, 10**7, lanes=2) == "loop"
+        assert mode("coloring", 2, 10**7) == mode("sssp", 2, 10**7)
+
+    @pytest.mark.parametrize("compiler", [True, False])
+    def test_auto_backend(self, compiler, monkeypatch):
+        if compiler and not kernels.get_backend("cjit").is_available():
+            pytest.skip("no C compiler")
+        if not compiler:
+            monkeypatch.setattr(
+                kernels.CJitBackend, "is_available", lambda self: False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy without a warning
+            picked = [kernels.resolve_backend("auto", edges=m).name
+                      for m in AUTO_BACKEND_EDGES]
+        assert picked == AUTO_BACKENDS[compiler]
+
+    def test_sharded_break_even(self):
         from repro.service.routing import RoutingPolicy
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        (tmp_path / costmodel.PROFILE_FILENAME).write_text(
-            json.dumps(PARENT_CALIBRATION))
-        profile = costmodel.get_profile()
-        assert profile.source == "measured"
-        first_lanes = {
-            (algorithm, m): next(
-                s for s in range(2, 65) if profile.choose_multisource_mode(
-                    algorithm=algorithm, num_sources=s, num_edges=m,
-                ) == "lanes")
-            for algorithm in ("bfs", "sssp") for m in (10**3, 10**5, 10**7)
-        }
-        assert first_lanes == {
-            ("bfs", 10**3): 2, ("bfs", 10**5): 3, ("bfs", 10**7): 5,
-            ("sssp", 10**3): 2, ("sssp", 10**5): 2, ("sssp", 10**7): 10,
-        }
-        assert [profile.choose_kernel_backend(
-            edges=edges, candidates=("cjit", "numpy"),
-        ) for edges in (4095, 4096)] == ["numpy", "cjit"]
-        assert [RoutingPolicy(route="auto").min_sharded_edges(shards)
-                for shards in (2, 3, 4)] == [247968, 278964, 330624]
-        retired = set(PARENT_CALIBRATION) - set(profile.to_dict())
-        assert retired == {"gather_medges_s", "lane_pack_medges_s",
-                           "push_per_edge_s", "pull_per_edge_s"}
-        assert costmodel.CalibrationProfile.from_dict(
-            profile.to_dict()) == profile
+        policy = RoutingPolicy(route="auto")
+        assert [policy.min_sharded_edges(s) for s in (2, 3, 4)] == BREAK_EVEN
+        assert policy.min_sharded_edges(1) == 0
 
-    def test_profile_round_trips_through_disk(
-        self, tmp_path, monkeypatch, fresh_profile
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        profile = costmodel.BUILTIN_PROFILE
-        saved_to = costmodel.save_profile(profile)
-        assert saved_to == str(tmp_path / costmodel.PROFILE_FILENAME)
-        loaded = costmodel.load_profile()
-        assert loaded == profile
-        # get_profile prefers the disk cache over the builtin
-        costmodel.set_profile(None)
-        assert costmodel.get_profile() == profile
-
-    def test_missing_and_stale_profiles_are_ignored(
-        self, tmp_path, monkeypatch, fresh_profile
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert costmodel.load_profile() is None
-        stale = costmodel.BUILTIN_PROFILE.to_dict()
-        stale["version"] = costmodel.PROFILE_VERSION + 1
-        path = tmp_path / costmodel.PROFILE_FILENAME
-        path.write_text(__import__("json").dumps(stale))
-        assert costmodel.load_profile() is None
-        assert costmodel.get_profile() is costmodel.BUILTIN_PROFILE
-
-    def test_corrupt_profile_warns_and_falls_back(
-        self, tmp_path, monkeypatch, fresh_profile
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        (tmp_path / costmodel.PROFILE_FILENAME).write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="ignoring"):
-            assert costmodel.load_profile() is None
-
-    def test_smoke_calibration_measures_and_saves(
-        self, tmp_path, monkeypatch, fresh_profile
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        profile, saved_to = costmodel.calibrate_and_save(scale=0.02, repeats=1)
-        assert profile.source == "measured"
-        assert profile.backend_edges_per_s["numpy"] > 0
-        assert set(profile.lanes) == set(costmodel.LANE_FAMILIES)
-        assert os.path.exists(saved_to)
-        assert costmodel.get_profile() == profile
+    def test_a_planted_calibration_file_changes_no_decision(self, tmp_path):
+        # a fresh process over a cache dir holding a profile that would
+        # flip all three decisions reads none of it
+        (tmp_path / "calibration.json").write_text(
+            SLOW_LANES_CALIBRATION.read_text())
+        probe = (
+            "import json\n"
+            "from repro.algorithms.multi_source import resolve_multisource_mode\n"
+            "from repro.engine import kernels\n"
+            "from repro.service.routing import RoutingPolicy\n"
+            "print(json.dumps([\n"
+            "    [resolve_multisource_mode(algorithm=f, num_sources=s,\n"
+            "                              num_edges=m)\n"
+            "     for f in ('bfs', 'sssp') for s in (2, 3, 64)\n"
+            "     for m in (50, 10**5, 10**7)],\n"
+            "    kernels.resolve_backend('auto', edges=10**7).name,\n"
+            "    [RoutingPolicy(route='auto').min_sharded_edges(s)\n"
+            "     for s in (2, 3, 4)]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   REPRO_CACHE_DIR=str(tmp_path))
+        env.pop("REPRO_KERNEL_BACKEND", None)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        modes, backend, break_even = json.loads(proc.stdout)
+        assert modes == [
+            costmodel.choose_multisource_mode(
+                algorithm=f, num_sources=s, num_edges=m)
+            for f in ("bfs", "sssp") for s in (2, 3, 64)
+            for m in (50, 10**5, 10**7)
+        ]
+        assert "lanes" in modes
+        assert backend == ("cjit" if "cjit" in kernels.available_backends()
+                           else "numpy")
+        assert break_even == BREAK_EVEN
 
 
 class TestCostModelPredictions:
@@ -1628,9 +1647,8 @@ class TestCostModelPredictions:
     TINY = 50  # edges: firmly in the overhead-dominated regime
 
     def test_loop_cost_is_monotone_in_sources(self):
-        profile = costmodel.BUILTIN_PROFILE
         costs = [
-            profile.multisource_cost(
+            costmodel.multisource_cost(
                 "loop", algorithm="bfs", num_sources=s, num_edges=self.BIG
             )
             for s in (1, 2, 4, 8, 16)
@@ -1639,16 +1657,15 @@ class TestCostModelPredictions:
         assert costs[0] < costs[-1]
 
     def test_lanes_cost_is_monotone_in_sources_and_edges(self):
-        profile = costmodel.BUILTIN_PROFILE
         by_sources = [
-            profile.multisource_cost(
+            costmodel.multisource_cost(
                 "lanes", algorithm="bfs", num_sources=s, num_edges=self.BIG
             )
             for s in (2, 16, 64, 65, 256)
         ]
         assert by_sources == sorted(by_sources)
         by_edges = [
-            profile.multisource_cost(
+            costmodel.multisource_cost(
                 "lanes", algorithm="bfs", num_sources=8, num_edges=m
             )
             for m in (10**3, 10**5, 10**7)
@@ -1657,71 +1674,58 @@ class TestCostModelPredictions:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown multisource mode"):
-            costmodel.BUILTIN_PROFILE.multisource_cost(
+            costmodel.multisource_cost(
                 "warp", algorithm="bfs", num_sources=2, num_edges=10
             )
 
     def test_single_source_always_loops(self):
-        profile = costmodel.BUILTIN_PROFILE
         for m in (self.TINY, self.BIG):
-            assert profile.choose_multisource_mode(
+            assert costmodel.choose_multisource_mode(
                 algorithm="sssp", num_sources=1, num_edges=m
             ) == "loop"
 
     def test_tiny_graphs_collapse_to_lanes(self):
         # the service's batch-collapse behavior: on overhead-dominated
         # graphs one lane pass replaces S whole runs
-        profile = costmodel.BUILTIN_PROFILE
-        for algorithm in costmodel.LANE_FAMILIES:
-            assert profile.choose_multisource_mode(
+        for algorithm in costmodel.LANE_FITS:
+            assert costmodel.choose_multisource_mode(
                 algorithm=algorithm, num_sources=3, num_edges=self.TINY
             ) == "lanes"
 
     def test_sssp_lanes_win_at_scale(self):
         # since the lane engine has a compiled superstep one more float
         # lane costs about half a scalar pass: lanes from two sources up
-        profile = costmodel.BUILTIN_PROFILE
-        assert profile.lanes["sssp"].crossover_sources < 2
         for s in (2, 4, 16, 64, 256):
-            assert profile.choose_multisource_mode(
+            assert costmodel.choose_multisource_mode(
                 algorithm="sssp", num_sources=s, num_edges=self.BIG
             ) == "lanes"
 
-    def test_a_lane_engine_slower_than_the_loop_is_never_picked(self):
-        from dataclasses import replace
-
-        slow = replace(costmodel.BUILTIN_PROFILE, lanes={
-            "sssp": costmodel.LaneFit(8.86e-09, 1e-12, 1.14e-08),
-        })
-        assert slow.lanes["sssp"].crossover_sources == float("inf")
+    def test_a_lane_engine_slower_than_the_loop_is_never_picked(
+        self, monkeypatch
+    ):
+        monkeypatch.setitem(costmodel.LANE_FITS, "sssp",
+                            costmodel.LaneFit(8.86e-09, 1e-12, 1.14e-08))
         for s in (2, 16, 256):
-            assert slow.choose_multisource_mode(
+            assert costmodel.choose_multisource_mode(
                 algorithm="sssp", num_sources=s, num_edges=self.BIG
             ) == "loop"
 
     def test_bfs_lanes_win_wide_batches_at_scale(self):
         # a bit-packed lane is nearly free; the union walk's fixed cost
         # is paid back within the first few sources
-        profile = costmodel.BUILTIN_PROFILE
-        assert 1 < profile.lanes["bfs"].crossover_sources < 4
         for s in (4, 16, 64):
-            assert profile.choose_multisource_mode(
+            assert costmodel.choose_multisource_mode(
                 algorithm="bfs", num_sources=s, num_edges=self.BIG
             ) == "lanes"
 
-    def test_backend_choice_respects_size_and_throughput(self):
-        profile = costmodel.BUILTIN_PROFILE
-        small = profile.jit_min_edges - 1
-        assert profile.choose_kernel_backend(
+    def test_backend_choice_respects_size_and_availability(self):
+        small = costmodel.JIT_MIN_EDGES - 1
+        assert costmodel.choose_kernel_backend(
             edges=small, candidates=("cjit", "numpy")
         ) == "numpy"
-        assert profile.choose_kernel_backend(
+        assert costmodel.choose_kernel_backend(
             edges=self.BIG, candidates=("cjit", "numpy")
         ) == "cjit"
-        assert profile.choose_kernel_backend(
+        assert costmodel.choose_kernel_backend(
             edges=self.BIG, candidates=("numpy",)
         ) == "numpy"
-        # a backend calibration never measured is assumed 2x numpy
-        assert profile.choose_kernel_backend(
-            edges=self.BIG, candidates=("never-measured", "numpy")
-        ) == "never-measured"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.errors import ServiceError
 from repro.service import (
     AnalyticsService,
     GraphCatalog,
@@ -393,10 +394,14 @@ class TestRateLimit:
                     assert client.healthz()["status"] == "ok"
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
+        # the same check as TenantQuota's, so the same typed error
+        with pytest.raises(ServiceError, match="rate"):
             RateLimit(0.0, 4)
-        with pytest.raises(ValueError, match="burst"):
+        with pytest.raises(ServiceError, match="burst"):
             RateLimit(1.0, 0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ServiceError, match="finite rate"):
+                RateLimit(rate, 16)
 
 
 class TestOverload:

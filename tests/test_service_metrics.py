@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.engine import costmodel
 from repro.errors import QuotaExhaustedError
 from repro.graph.generators import rmat
 from repro.service import (
@@ -194,12 +193,9 @@ def _pinned(summary: dict) -> dict:
 
 @pytest.fixture
 def pinned_engine(monkeypatch):
-    """numpy kernels (synchronous supersteps) and the builtin profile
-    (lanes vs loop), whatever the environment or disk cache say."""
+    """numpy kernels (synchronous supersteps), whatever the environment
+    says."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-    costmodel.set_profile(costmodel.BUILTIN_PROFILE)
-    yield
-    costmodel.set_profile(None)
 
 
 @pytest.mark.parametrize("shards", [0, 2])

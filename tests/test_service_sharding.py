@@ -689,6 +689,16 @@ class TestQuotas:
             with pytest.raises(ServiceError):
                 parse_quota_arg(bad)
 
+    @pytest.mark.parametrize("spec", [
+        "alice=nan", "alice=inf", "alice=2:0.5", "alice=2:nan", "alice=0",
+        "alice=-1:4",
+    ])
+    def test_a_bucket_that_cannot_meter_is_refused(self, spec):
+        # a nan wait never exceeds 0.0 (the tenant would run unmetered);
+        # a bucket under one token deep could never admit
+        with pytest.raises(ServiceError, match="token bucket"):
+            parse_quota_arg(spec)
+
 
 class TestPriorities:
     """Priority classes order the backlog; FIFO within a class."""
