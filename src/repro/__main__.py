@@ -783,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("sharded", "single", "auto"),
                    default="sharded",
                    help="with --shards: always scatter-gather, never, or "
-                        "let the cost model decide per batch (default "
+                        "let the cost model decide per batch once a "
+                        "--shard-remote host is configured (default "
                         "sharded)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)

@@ -19,7 +19,7 @@ the paper compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,12 +55,12 @@ class BCStep:
     ``delta`` and returns the edges.  The step owns ``levels``,
     ``sigma`` and ``delta``.
 
-    A JIT backend runs either step as one compiled call under
-    :class:`~repro.engine.push.PushStep`'s gates, walking the
-    scheduler's ``walk_layout()`` in ``batch()`` order — both steps
-    ADD, so the fold order is part of the answer.  Unwalkable schedulers
-    (an attached scheduler has no walk) and any gate failure take the
-    numpy bodies, which announce each launch.
+    A JIT backend runs the whole of :func:`bc` as one compiled call
+    (:meth:`run`), walking the scheduler's ``walk_layout()`` in
+    ``batch()`` order — both phases ADD, so the fold order, and with it
+    each level's sorted frontier, is part of the answer.  Unwalkable
+    schedulers (an attached scheduler has no walk) and any gate failure
+    take the numpy bodies' :meth:`loop`, which announces each launch.
     """
 
     def __init__(
@@ -72,6 +72,7 @@ class BCStep:
         graph = scheduler.graph
         n = graph.num_nodes
         self.scheduler = scheduler
+        self.source = source
         self.backend = kernels.resolve_backend(
             options.kernel_backend, edges=graph.num_edges
         )
@@ -81,8 +82,16 @@ class BCStep:
         self.delta = np.zeros(n, dtype=np.float64)
         self.levels[source] = 0
         self.sigma[source] = 1.0
-        # the compiled forward step's discoveries, before sorting
-        self._found = np.empty(n, dtype=NODE_DTYPE)
+
+    def run(self, options: EngineOptions) -> Optional[Tuple[int, int]]:
+        """:func:`bc`'s two phases as one compiled call: ``(iterations,
+        edges)``, or ``None`` (declined)."""
+        return self.backend.try_bc_run(
+            self.levels, self.sigma, self.delta,
+            np.empty(len(self.levels), dtype=NODE_DTYPE), self.source,
+            self.walk, self.scheduler.graph.targets, options.max_iterations,
+            options.dense_threshold,
+        )
 
     def _launch(self, frontier: np.ndarray):
         """The numpy bodies' launch -> ``(edges, dst, src)`` per edge."""
@@ -93,12 +102,6 @@ class BCStep:
 
     def forward(self, frontier: np.ndarray, level: int) -> Tuple[np.ndarray, int]:
         levels, sigma = self.levels, self.sigma
-        stepped = self.backend.try_bc_forward(
-            levels, sigma, frontier, level, self.walk,
-            self.scheduler.graph.targets, self._found,
-        )
-        if stepped is not None:
-            return stepped
         edges, dst, src = self._launch(frontier)
         # settle the level; dedupe through a mask (a scan, where
         # numpy >= 2.3's hash-based np.unique costs ~20x one)
@@ -113,12 +116,6 @@ class BCStep:
 
     def backward(self, frontier: np.ndarray) -> int:
         levels, sigma, delta = self.levels, self.sigma, self.delta
-        stepped = self.backend.try_bc_backward(
-            levels, sigma, delta, frontier, self.walk,
-            self.scheduler.graph.targets,
-        )
-        if stepped is not None:
-            return stepped
         edges, dst, src = self._launch(frontier)
         down = (levels[dst] == levels[src] + 1) & (sigma[dst] > 0)
         contrib = np.zeros(len(dst), dtype=np.float64)
@@ -127,6 +124,29 @@ class BCStep:
         )
         np.add.at(delta, src, contrib)
         return edges
+
+    def loop(self, options: EngineOptions) -> Tuple[int, int]:
+        """The numpy bodies' run, level by level: ``(iterations,
+        edges)``.  ``options.max_iterations`` bounds the forward levels;
+        the backward phase skips the deepest level run forward."""
+        level_frontiers = []
+        frontier = np.asarray([self.source], dtype=NODE_DTYPE)
+        iterations = 0
+        edges_processed = 0
+
+        # ---------------- forward phase ----------------
+        while len(frontier) and iterations < options.max_iterations:
+            level_frontiers.append(frontier)
+            iterations += 1
+            frontier, edges = self.forward(frontier, len(level_frontiers))
+            edges_processed += edges
+
+        # ---------------- backward phase ----------------
+        # the deepest level appended has nothing below it to collect
+        for frontier in reversed(level_frontiers[:-1]):
+            iterations += 1
+            edges_processed += self.backward(frontier)
+        return iterations, edges_processed
 
 
 def bc(
@@ -142,24 +162,7 @@ def bc(
     bounds the forward phase's level count.
     """
     step = BCStep(resolve_scheduler(target), source, options)
-    level_frontiers = []
-    frontier = np.asarray([source], dtype=NODE_DTYPE)
-    iterations = 0
-    edges_processed = 0
-
-    # ---------------- forward phase ----------------
-    while len(frontier) and iterations < options.max_iterations:
-        level_frontiers.append(frontier)
-        iterations += 1
-        frontier, edges = step.forward(frontier, len(level_frontiers))
-        edges_processed += edges
-
-    # ---------------- backward phase ----------------
-    # the deepest level appended has nothing below it to collect
-    for frontier in reversed(level_frontiers[:-1]):
-        iterations += 1
-        edges_processed += step.backward(frontier)
-
+    iterations, edges_processed = step.run(options) or step.loop(options)
     centrality = step.delta.copy()
     centrality[source] = 0.0
     return BCResult(

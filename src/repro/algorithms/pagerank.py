@@ -7,6 +7,10 @@ to pull/scan engines like CuSha on PR).  Each iteration
 along every out-edge, then applies damping and dangling-mass
 redistribution.
 
+A JIT backend runs the whole loop as one compiled call
+(:meth:`~repro.engine.rank.RankStep.run`), bitwise-equal to the numpy
+iterations below, which are its only fallback.
+
 On a virtually transformed graph the scatter divides by the
 **physical** outdegree (Corollary 4 preserves it) and sibling virtual
 nodes' partial sums combine through the ADD reduction — associative,
@@ -49,15 +53,19 @@ def pagerank(
     rank = np.full(n, 1.0 / n)
     spare = np.empty(n)
 
-    converged = False
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        delta = step(rank, spare)
-        rank, spare = spare, rank
-        if delta < tolerance:
-            converged = True
-            break
+    fused = step.run(rank, spare, tolerance, max_iterations)
+    if fused is not None:
+        iterations, converged = fused
+    else:
+        converged = False
+        iterations = 0
+        for _ in range(max_iterations):
+            iterations += 1
+            delta = step(rank, spare)
+            rank, spare = spare, rank
+            if delta < tolerance:
+                converged = True
+                break
 
     return EngineResult(
         values=rank,

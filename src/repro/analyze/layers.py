@@ -75,7 +75,7 @@ RETIRED = (
 #: line caps: a tuple of roots caps their module-level import closure
 #: (parent packages included), a module name caps that file alone.
 BUDGETS: Dict[object, int] = {
-    ("repro.service", "repro.service.api"): 15_585,
+    ("repro.service", "repro.service.api"): 14_971,
     "repro.service.metrics": 200,
 }
 

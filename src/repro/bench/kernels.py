@@ -74,7 +74,7 @@ def _time_backend(
 #: multi-source batches.
 COMPILE_STAGES = (
     ("single_source", ("push_step",)),
-    ("all_six", ("bc_forward", "rank_step")),
+    ("all_six", ("bc_run", "rank_run")),
     ("everything", ("push_lanes_step", "hop_step")),
 )
 

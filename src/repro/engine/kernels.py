@@ -10,14 +10,16 @@ makes one pass over the edges with zero temporaries; the push
 superstep (``push_step``) also indexes the virtual-node array itself,
 as Algorithms 2-3 do, and returns the changed destinations — the
 next frontier.  The lane supersteps (``push_lanes_step``, ``hop_step``)
-do the same for ``S`` sources at once, lanes innermost; the two
-Brandes level steps (``bc_forward``, ``bc_backward``) and PageRank's
-iteration (``rank_launch`` once per run, then ``rank_step``) are the
-ADD-reduction analytics' supersteps.  Each of the three MIN/MAX
-supersteps is also called in a loop by a ``*_run`` (``push_run``,
-``push_lanes_run``, ``hop_run``): the whole fixpoint as one call, by the
-engine loop's own rules.  Values are **bitwise identical**: an ADD loop
-repeats ``ufunc.at``'s float operations in order; a MIN/MAX step
+do the same for ``S`` sources at once, lanes innermost.  Each of the
+three MIN/MAX supersteps is also called in a loop by a ``*_run``
+(``push_run``, ``push_lanes_run``, ``hop_run``): the whole fixpoint as
+one call, by the engine loop's own rules.  The two ADD-reduction
+analytics run whole as well: ``bc_run`` is Brandes' forward levels and
+then its backward levels, and ``rank_run`` PageRank's loop over the
+launch ``rank_launch`` flattens once per run (a shard scatters its
+slice with ``rank_step``, once per iteration).  Values are **bitwise
+identical**: an ADD loop repeats ``ufunc.at``'s float operations in
+order, and sums as numpy's pairwise ``add.reduce`` does; a MIN/MAX step
 relaxes in place and reaches the same fixpoint.
 
 A kernel is declared once, by its C function's prototype in
@@ -53,7 +55,9 @@ Safety gates (any failure falls back to numpy, never errors):
   :meth:`~repro.engine.schedule.Scheduler.walk_layout`, so
   warp-segmentation launches decline;
 * the read array must not alias the write array (the numpy body's
-  ``sync_relaxation_blocks`` model is the only caller that passes one).
+  ``sync_relaxation_blocks`` model is the only caller that passes one);
+* ``rank_run``'s two sums must be this process's numpy's, probed once
+  per backend on the first call.
 """
 
 from __future__ import annotations
@@ -211,6 +215,8 @@ class KernelBackend:
         self.engaged = 0
         #: launches a JIT backend was offered and left to numpy.
         self.declined = 0
+        #: whether ``rank_run`` sums as numpy does (probed on first use)
+        self._numpy_sums: Optional[bool] = None
 
     def is_available(self) -> bool:
         return True
@@ -289,10 +295,12 @@ class KernelBackend:
                 and _f64(values) and values.ndim == 2
                 and values.shape[0] == n and 0 < values.shape[1] <= 64)
 
-    def _gate_bc(self, levels, frontier, walk, targets, *floats) -> bool:
-        """Admission checks for the two Brandes hooks."""
-        n = self._gate_walk(frontier, walk, targets)
-        return (n >= 0 and _i64(levels) and levels.shape == (n,)
+    def _gate_bc(self, levels, order, source, walk, targets, *floats) -> bool:
+        """Admission checks for :meth:`try_bc_run` (``order`` is scratch:
+        its contents are never read before they are written)."""
+        n = self._gate_walk(_NO_IDS, walk, targets)
+        return (0 <= source < n and _i64(levels) and _i64(order)
+                and levels.shape == order.shape == (n,) and levels is not order
                 and _floats(n, *floats))
 
     def _gate_rank_launch(self, walk, targets) -> int:
@@ -305,16 +313,23 @@ class KernelBackend:
         return n
 
     @staticmethod
-    def _gate_rank(rank, inv_deg, launch, scratch, new_rank) -> bool:
-        """Admission checks for :meth:`try_rank_step` (``launch`` is
-        :meth:`try_rank_launch`'s, so its ids are in range)."""
+    def _gate_rank(rank, inv_deg, launch, floats) -> bool:
+        """Admission checks for the scatter of :meth:`try_rank_step` and
+        :meth:`try_rank_run` (``launch`` is :meth:`try_rank_launch`'s,
+        so its ids are in range)."""
         if launch is None:
             return False
         src, dst = launch
-        out = () if new_rank is None else (new_rank,)
         return (_i32(src) and _i32(dst) and src.ndim == 1
                 and src.shape == dst.shape
-                and _floats(len(rank), rank, inv_deg, *scratch, *out))
+                and _floats(len(rank), rank, inv_deg, *floats))
+
+    def _sums_agree(self, fn) -> bool:
+        """Whether ``rank_run``'s two sums are this process's numpy's,
+        probed on the first call (:func:`_rank_sums_match_numpy`)."""
+        if self._numpy_sums is None:
+            self._numpy_sums = _rank_sums_match_numpy(fn)
+        return self._numpy_sums
 
     # -- hooks ----------------------------------------------------------
     def _walk(self, fn, spec, out, read, active, walk, targets, weights,
@@ -436,34 +451,29 @@ class KernelBackend:
         return (bool(converged), *stats)
 
     @_counted
-    def try_bc_forward(self, levels, sigma, frontier, level, walk, targets,
-                       found) -> Optional[Tuple[np.ndarray, int]]:
-        """One forward level of :class:`~repro.algorithms.bc.BCStep`:
-        ``(sorted next frontier, edges)``, or ``None`` to decline."""
-        fn = self.function("bc_forward")
-        if fn is None or not (self._gate_bc(levels, frontier, walk, targets, sigma)
-                              and _i64(found) and found.shape == levels.shape):
-            return None
-        stats = (ctypes.c_int64 * 1)()
-        cnt = fn(levels, sigma, frontier, len(frontier), walk.offsets,
-                 walk.family_starts, targets, level, found, stats)
-        return np.sort(found[:cnt]), stats[0]
-
-    @_counted
-    def try_bc_backward(self, levels, sigma, delta, frontier, walk,
-                        targets) -> Optional[int]:
-        """One backward level of the same step: the edges walked."""
-        fn = self.function("bc_backward")
-        if fn is None or not self._gate_bc(levels, frontier, walk, targets,
+    def try_bc_run(self, levels, sigma, delta, order, source, walk, targets,
+                   max_iterations, dense_threshold,
+                   ) -> Optional[Tuple[int, int]]:
+        """A whole :func:`~repro.algorithms.bc.bc` run from ``source``
+        (``levels``, ``sigma`` and ``delta`` initialised): the forward
+        levels, then the backward levels deepest-first, each level's
+        sorted frontier kept in ``order``.  ``(iterations, edges)``, or
+        ``None`` to decline."""
+        fn = self.function("bc_run")
+        if fn is None or not self._gate_bc(levels, order, source, walk, targets,
                                            sigma, delta):
             return None
-        return fn(levels, sigma, delta, frontier, len(frontier),
-                  walk.offsets, walk.family_starts, targets)
+        stats = (ctypes.c_int64 * 2)()
+        fn(levels, sigma, delta, order, source, walk.offsets,
+           walk.family_starts, targets, len(levels), max_iterations,
+           dense_threshold, stats)
+        return stats[0], stats[1]
 
     @_counted
     def try_rank_launch(self, walk, targets) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Flat ``int32`` ``(src, dst)`` of the all-nodes launch in
-        ``batch()`` order, for :meth:`try_rank_step`."""
+        ``batch()`` order, for :meth:`try_rank_step` and
+        :meth:`try_rank_run`."""
         fn = self.function("rank_launch")
         n = -1 if fn is None else self._gate_rank_launch(walk, targets)
         if n < 0:
@@ -473,18 +483,67 @@ class KernelBackend:
         return src, dst
 
     @_counted
-    def try_rank_step(self, rank, inv_deg, launch, scratch, new_rank=None,
-                      c0=0.0, damping=0.0, mass=0.0) -> bool:
-        """One :class:`~repro.engine.rank.RankStep` iteration: scatter
-        ``rank * inv_deg`` over ``launch`` into ``scratch``'s ``contrib``
-        and, given ``new_rank``, apply the rank update into it."""
+    def try_rank_step(self, rank, inv_deg, launch, scratch) -> bool:
+        """One :class:`~repro.engine.rank.RankStep` scatter: ``rank *
+        inv_deg`` over ``launch`` into ``scratch``'s ``contrib``."""
         fn = self.function("rank_step")
-        if fn is None or not self._gate_rank(rank, inv_deg, launch, scratch, new_rank):
+        if fn is None or not self._gate_rank(rank, inv_deg, launch, scratch):
             return False
-        (src, dst), (x, contrib, diff) = launch, scratch
-        fn(rank, inv_deg, x, contrib, src, dst, len(src), len(rank), new_rank,
-           diff, c0, damping, mass)
+        (src, dst), (x, contrib) = launch, scratch
+        fn(rank, inv_deg, x, contrib, src, dst, len(src), len(rank))
         return True
+
+    @_counted
+    def try_rank_run(self, rank, spare, inv_deg, dangling, launch, scratch,
+                     damping, tolerance, max_iterations,
+                     ) -> Optional[Tuple[int, bool]]:
+        """A whole :func:`~repro.algorithms.pagerank.pagerank` loop from
+        ``rank`` over ``launch``, the ranks left in ``rank``:
+        ``(iterations, converged)``, or ``None`` to decline — also when
+        the compiled sums are not this process's numpy's."""
+        fn = self.function("rank_run")
+        n = len(rank)
+        if fn is None or not (
+                self._gate_rank(rank, inv_deg, launch, (spare, *scratch))
+                and _i64(dangling) and dangling.ndim == 1 and len(dangling) <= n
+                and (not len(dangling)
+                     or dangling.min() >= 0 and dangling.max() < n)
+        ) or not self._sums_agree(fn):
+            return None
+        (src, dst), (x, contrib) = launch, scratch
+        stats = (ctypes.c_int64 * 2)()
+        fn(rank, spare, inv_deg, x, contrib, src, dst, len(src), n, dangling,
+           len(dangling), damping, tolerance, max_iterations, stats)
+        return stats[0], bool(stats[1])
+
+
+#: lengths whose sums walk every branch of numpy's pairwise tree: the
+#: plain loop (1, 7), eight accumulators with and without a remainder
+#: (8, 100, 128), and splits down to both (129, 1001).
+_PROBE_SIZES = (1, 7, 8, 100, 128, 129, 1001)
+
+
+def _rank_sums_match_numpy(rank_run) -> bool:
+    """Whether ``rank_run`` reproduces numpy's ``add.reduce`` in this
+    process: one iteration against :func:`~repro.engine.rank.damp` over
+    an edgeless graph whose every node dangles, so the new ranks are the
+    damped dangling mass (the first sum) and the returned distance is
+    the second, on spread-out magnitudes that a different summation
+    tree would round apart."""
+    from repro.engine.rank import damp
+
+    rng = np.random.default_rng(0)
+    for n in _PROBE_SIZES:
+        rank = rng.random(n) * 10.0 ** rng.integers(-6, 7, n)
+        dangling, want, got = np.arange(n), np.empty(n), rank.copy()
+        distance = damp(rank, np.zeros(n), dangling, 0.85, want)
+        nowhere = np.empty(0, dtype=np.int32)
+        last = rank_run(got, np.empty(n), np.zeros(n), np.empty(n),
+                        np.empty(n), nowhere, nowhere, 0, n, dangling, n, 0.85,
+                        0.0, 1, (ctypes.c_int64 * 2)())
+        if last != distance or got.tobytes() != want.tobytes():
+            return False
+    return True
 
 
 def registered_backends() -> Tuple[str, ...]:
@@ -605,15 +664,18 @@ _C_PRELUDE = r"""
 #: for — per kernel, or per pair of kernels only ever used together.
 _C_UNITS: Dict[str, str] = {}
 
-#: what a unit with a ``*_run`` adds: run_push's loop around its step.
-_C_RUN = r"""
+#: ascending node ids for ``qsort``.
+_C_SORT = r"""
 #include <stdlib.h>
 
 static int by_id(const void* a, const void* b) {
     const int64_t x = *(const int64_t*)a, y = *(const int64_t*)b;
     return (x > y) - (x < y);
 }
+"""
 
+#: what a unit with a ``*_run`` adds: run_push's loop around its step.
+_C_RUN = _C_SORT + r"""
 /* changed[0..kept) into next in ascending order, as Frontier.ids()
    hands them back: a scan of marks set for them when the frontier is
    dense (Frontier's occupancy test; the marks end zero), else a sort
@@ -823,21 +885,22 @@ int64_t hop_run(uint64_t* new_w, uint64_t* frontier_w, uint64_t* visited,
 }
 """
 
-_C_UNITS["bc"] = r"""
+_C_UNITS["bc"] = _C_SORT + r"""
 /* one Brandes forward level: the first edge to reach an unsettled node
    settles it at `level` (levels doubles as the mark) and every edge
    landing on that level adds its source's path count, in walk order;
    the frontier's own sigma is never written (it sits one level up) */
-int64_t bc_forward(int64_t* levels, double* sigma, const int64_t* frontier,
-                   int64_t nfrontier, const int64_t* off, const int64_t* fv,
-                   const int64_t* targets, int64_t level, int64_t* found,
-                   int64_t* stats) {
-    int64_t cnt = 0, total = 0;
+static int64_t bc_forward(int64_t* levels, double* sigma,
+                          const int64_t* frontier, int64_t nfrontier,
+                          const int64_t* off, const int64_t* fv,
+                          const int64_t* targets, int64_t level,
+                          int64_t* found, int64_t* edges) {
+    int64_t cnt = 0;
     for (int64_t i = 0; i < nfrontier; i++) {
         const int64_t p = frontier[i], base = off[p], end = off[p + 1];
         const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
         const double s = sigma[p];
-        total += end - base;
+        *edges += end - base;
         for (int64_t r = 0; r < fam; r++) {
             for (int64_t e = base + r; e < end; e += fam) {
                 const int64_t d = targets[e];
@@ -846,25 +909,24 @@ int64_t bc_forward(int64_t* levels, double* sigma, const int64_t* frontier,
             }
         }
     }
-    stats[0] = total;
     return cnt;
 }
 
 /* one Brandes backward level: a frontier node's dependency is summed
    over its children one level down in walk order, in a register
    (delta[p] is read by no edge of this level) */
-int64_t bc_backward(const int64_t* levels, const double* sigma, double* delta,
-                    const int64_t* frontier, int64_t nfrontier,
-                    const int64_t* off, const int64_t* fv,
-                    const int64_t* targets) {
-    int64_t total = 0;
+static void bc_backward(const int64_t* levels, const double* sigma,
+                        double* delta, const int64_t* frontier,
+                        int64_t nfrontier, const int64_t* off,
+                        const int64_t* fv, const int64_t* targets,
+                        int64_t* edges) {
     for (int64_t i = 0; i < nfrontier; i++) {
         const int64_t p = frontier[i], base = off[p], end = off[p + 1];
         const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
         const int64_t down = levels[p] + 1;
         const double s = sigma[p];
         double acc = delta[p];
-        total += end - base;
+        *edges += end - base;
         for (int64_t r = 0; r < fam; r++) {
             for (int64_t e = base + r; e < end; e += fam) {
                 const int64_t d = targets[e];
@@ -876,11 +938,73 @@ int64_t bc_backward(const int64_t* levels, const double* sigma, double* delta,
         }
         delta[p] = acc;
     }
-    return total;
+}
+
+/* bc()'s two phases from `source`: forward levels while the frontier
+   is non-empty and fewer than max_iterations ran, each found level
+   sorted into order[] behind the last (by a scan of the level marks
+   when dense, by next_frontier's rule, else a sort); then backward
+   over the same ranges deepest-first, but for the deepest one run
+   (nothing below it was collected).  stats = {iterations, edges} */
+void bc_run(int64_t* levels, double* sigma, double* delta, int64_t* order,
+            int64_t source, const int64_t* off, const int64_t* fv,
+            const int64_t* targets, int64_t n, int64_t max_iterations,
+            double dense, int64_t* stats) {
+    int64_t lo = 0, hi = 1, last = 0, depth = 0, edges = 0;
+    order[0] = source;
+    while (hi > lo && depth < max_iterations) {
+        const int64_t level = ++depth;
+        const int64_t cnt = bc_forward(levels, sigma, order + lo, hi - lo, off,
+                                       fv, targets, level, order + hi, &edges);
+        if ((double)cnt / (double)n >= dense) {
+            for (int64_t d = 0, j = hi; j < hi + cnt; d++) {
+                if (levels[d] == level) order[j++] = d;
+            }
+        } else {
+            qsort(order + hi, (size_t)cnt, sizeof(int64_t), by_id);
+        }
+        last = lo; lo = hi; hi += cnt;
+    }
+    /* order[0..last) holds levels 0 .. depth - 2, each a run of ids */
+    for (int64_t level = depth - 2, end = last; level >= 0; level--) {
+        int64_t start = end;
+        while (start > 0 && levels[order[start - 1]] == level) start--;
+        bc_backward(levels, sigma, delta, order + start, end - start, off, fv,
+                    targets, &edges);
+        end = start;
+    }
+    stats[0] = depth + (depth > 0 ? depth - 1 : 0);
+    stats[1] = edges;
 }
 """
 
 _C_UNITS["rank"] = r"""
+/* numpy's float64 add.reduce, operation for operation: a plain loop
+   below 8 elements, eight accumulators (combined as a balanced tree,
+   then the remainder) up to 128, else the two halves split at n / 2
+   rounded down to a multiple of 8 */
+static double pairwise(const double* a, int64_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8) {
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    const int64_t half = n / 2 - (n / 2) % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
 /* PageRank's launch never changes: flatten the all-nodes walk once per
    run, so an iteration streams two int32 arrays instead of re-walking
    families (the strided walk measured 1.6x slower per iteration) */
@@ -899,31 +1023,57 @@ void rank_launch(const int64_t* off, const int64_t* fv, const int64_t* targets,
     }
 }
 
-/* one iteration: contrib[dst] += rank[src] * inv_deg[src] in launch
-   order, then (new_rank given) the damped update and |new - old| per
-   node; the caller sums diff pairwise, as numpy would */
+/* one scatter: contrib[dst] += rank[src] * inv_deg[src] in launch
+   order (x holds rank * inv_deg) */
 void rank_step(const double* rank, const double* inv_deg, double* x,
                double* contrib, const int32_t* src, const int32_t* dst,
-               int64_t nedges, int64_t n, double* new_rank, double* diff,
-               double c0, double damping, double mass) {
+               int64_t nedges, int64_t n) {
     for (int64_t i = 0; i < n; i++) {
         x[i] = rank[i] * inv_deg[i];
         contrib[i] = 0.0;
     }
     for (int64_t e = 0; e < nedges; e++) contrib[dst[e]] += x[src[e]];
-    if (!new_rank) return;
-    for (int64_t i = 0; i < n; i++) {
-        const double t = contrib[i] + mass, scaled = damping * t;
-        const double r = c0 + scaled;
-        new_rank[i] = r;
-        diff[i] = __builtin_fabs(r - rank[i]);
+}
+
+/* pagerank()'s loop, rank.damp's float recipe term for term: the
+   dangling mass, the scatter, the damped update into the spare vector
+   and its L1 distance (both sums gathered into x, then summed as numpy
+   sums, from its 0.0 identity), until the distance drops below
+   tolerance or max_iterations ran.  The ranks end in `rank`; stats =
+   {iterations, converged} -> the last distance (0 when none ran) */
+double rank_run(double* rank, double* spare, const double* inv_deg, double* x,
+                double* contrib, const int32_t* src, const int32_t* dst,
+                int64_t nedges, int64_t n, const int64_t* dangling,
+                int64_t ndangling, double damping, double tolerance,
+                int64_t max_iterations, int64_t* stats) {
+    const double c0 = (1.0 - damping) / (double)n;
+    double *cur = rank, *next = spare, distance = 0.0;
+    stats[0] = stats[1] = 0;
+    while (stats[0] < max_iterations) {
+        for (int64_t i = 0; i < ndangling; i++) x[i] = cur[dangling[i]];
+        const double mass = (0.0 + pairwise(x, ndangling)) / (double)n;
+        rank_step(cur, inv_deg, x, contrib, src, dst, nedges, n);
+        for (int64_t i = 0; i < n; i++) {
+            const double t = contrib[i] + mass, scaled = damping * t;
+            next[i] = c0 + scaled;
+            x[i] = __builtin_fabs(next[i] - cur[i]);
+        }
+        distance = 0.0 + pairwise(x, n);
+        double* spent = cur; cur = next; next = spent;
+        stats[0]++;
+        if (distance < tolerance) { stats[1] = 1; break; }
     }
+    if (cur != rank) {
+        for (int64_t i = 0; i < n; i++) rank[i] = cur[i];
+    }
+    return distance;
 }
 """
 
 #: a C function definition at the start of a line: an optional
 #: attribute, the return type, the name and the parameter list.
-_DEFINITION = re.compile(r"^(?:HOT\w* )?(void|int64_t) (\w+)\(([^)]*)\)", re.M)
+_DEFINITION = re.compile(
+    r"^(?:HOT\w* )?(void|int64_t|double) (\w+)\(([^)]*)\)", re.M)
 #: scalar C types -> ctypes (every pointer is a ``c_void_p``).
 _CTYPES = {"void": None, "int64_t": ctypes.c_int64, "int": ctypes.c_int,
            "double": ctypes.c_double}

@@ -3,13 +3,14 @@
 PR is all-active: every iteration scatters ``rank[v] / outdeg(v)``
 along every edge of the same launch, then applies damping and
 dangling-mass redistribution.  :class:`RankStep` owns that launch and
-its buffers for one run; :func:`damp` is the rank update, shared with
-the sharded router, which assembles the scatter from its shards.
+its buffers for one run, and offers the single engine's whole loop to
+a compiled kernel; :func:`damp` is the rank update, shared with the
+sharded router, which assembles the scatter from its shards.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,12 +59,13 @@ class RankStep:
 
     A JIT backend flattens the launch once per run into ``int32``
     ``(src, dst)`` arrays (8 B x E of per-run scratch, nothing cached on
-    the graph) and then makes one compiled call per iteration; only
-    the two sums numpy folds *pairwise* — the dangling mass and the L1
-    distance — stay in numpy, on the same element sequences.
-    Unwalkable schedulers (an attached scheduler has no walk), graphs
-    an ``int32`` cannot index and any gate failure take the numpy body,
-    which announces its cached launch once per iteration.
+    the graph).  Over it, :meth:`run` makes the single engine's whole
+    loop one compiled call (``rank_run``, :func:`damp`'s recipe with
+    numpy's pairwise sums in C), and a shard's :meth:`scatter` one call
+    per iteration (``rank_step``).  Unwalkable schedulers (an attached
+    scheduler has no walk), graphs an ``int32`` cannot index and any
+    gate failure take the numpy bodies, which announce their cached
+    launch once per iteration.
     """
 
     def __init__(
@@ -86,26 +88,39 @@ class RankStep:
         self.launch = self.backend.try_rank_launch(
             scheduler.walk_layout(), graph.targets
         )
-        #: ``rank * inv_deg``, the scatter's result, ``|new - old|``
-        self.scratch = (np.empty(n), np.zeros(n), np.empty(n))
+        #: ``rank * inv_deg`` (the compiled run's sum buffer too), and
+        #: the scatter's result
+        self.scratch = (np.empty(n), np.zeros(n))
         self._batch = None  # the numpy body's launch, built on first use
 
+    def run(
+        self, rank: np.ndarray, spare: np.ndarray, tolerance: float,
+        max_iterations: int,
+    ) -> Optional[Tuple[int, bool]]:
+        """:func:`~repro.algorithms.pagerank.pagerank`'s loop from
+        ``rank`` as one compiled call, the ranks left in ``rank``:
+        ``(iterations, converged)``, or ``None`` (no launch, or
+        declined)."""
+        if self.launch is None:
+            return None
+        return self.backend.try_rank_run(
+            rank, spare, self.inv_deg, self.dangling, self.launch,
+            self.scratch, self.damping, tolerance, max_iterations,
+        )
+
     def __call__(self, rank: np.ndarray, out: np.ndarray) -> float:
-        n = len(rank)
-        if self.launch is not None and self.backend.try_rank_step(
-            rank, self.inv_deg, self.launch, self.scratch, out,
-            (1.0 - self.damping) / n, self.damping,
-            rank[self.dangling].sum() / n,
-        ):
-            return float(self.scratch[2].sum())
-        return damp(rank, self.scatter(rank), self.dangling, self.damping, out)
+        return damp(rank, self._scatter(rank), self.dangling, self.damping, out)
 
     def scatter(self, rank: np.ndarray) -> np.ndarray:
-        contrib = self.scratch[1]
         if self.launch is not None and self.backend.try_rank_step(
             rank, self.inv_deg, self.launch, self.scratch
         ):
-            return contrib
+            return self.scratch[1]
+        return self._scatter(rank)
+
+    def _scatter(self, rank: np.ndarray) -> np.ndarray:
+        """The numpy body of :meth:`scatter`."""
+        contrib = self.scratch[1]
         if self._batch is None:
             batch = self.scheduler.batch(self.scheduler.all_nodes())
             self._batch = (

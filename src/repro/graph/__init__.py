@@ -7,6 +7,8 @@ compressed-sparse-row representation backed by numpy arrays — the same
 representation Figure 10 of the paper virtualises.
 """
 
+from importlib import import_module
+
 from repro.graph.builder import (
     from_edge_list,
     from_arrays,
@@ -29,13 +31,26 @@ from repro.graph.generators import (
     complete_graph,
     watts_strogatz,
 )
-from repro.graph.formats import load_metis, load_mtx, save_metis, save_mtx
-from repro.graph.interop import from_networkx, from_scipy, to_networkx, to_scipy_csr
 from repro.graph.io import load_edge_list, save_edge_list, load_npz, save_npz
-from repro.graph.reorder import bfs_ordered, degree_sorted
-from repro.graph.validate import ValidationReport, validation_report
-from repro.graph.stats import DegreeStats, degree_stats, estimate_diameter, gini_coefficient
-from repro.graph.subgraph import Subgraph, ego_network, induced_subgraph, traversal_subgraph
+
+#: exports that load their module on first use: the serving tier
+#: imports this package for storage, builders, npz I/O and datasets
+_ON_FIRST_USE = {
+    "formats": ("load_metis", "load_mtx", "save_metis", "save_mtx"),
+    "interop": ("from_networkx", "from_scipy", "to_networkx", "to_scipy_csr"),
+    "reorder": ("bfs_ordered", "degree_sorted"),
+    "validate": ("ValidationReport", "validation_report"),
+    "stats": ("DegreeStats", "degree_stats", "estimate_diameter", "gini_coefficient"),
+    "subgraph": ("Subgraph", "ego_network", "induced_subgraph", "traversal_subgraph"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _ON_FIRST_USE.items():
+        if name in names:
+            return getattr(import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CSRGraph",

@@ -132,7 +132,8 @@ class RoutingPolicy:
         ``"sharded"`` always scatter-gathers shardable batches,
         ``"single"`` never does (policy-level kill switch), and
         ``"auto"`` applies the cost model via
-        :meth:`min_sharded_edges`.
+        :meth:`min_sharded_edges` when a shard runs on a remote host
+        (:meth:`choose_route`).
     min_sharded_edges:
         Explicit edge-count threshold for ``"auto"``; ``None`` uses the
         cost model's break-even.
@@ -204,9 +205,14 @@ class RoutingPolicy:
         return sharded_break_even(shards)
 
     def choose_route(
-        self, *, shardable: bool, num_edges: int, shards: int
+        self, *, shardable: bool, num_edges: int, shards: int, remotes: int
     ) -> RouteDecision:
-        """Sharded scatter-gather or the single-engine path for a batch."""
+        """Sharded scatter-gather or the single-engine path for a batch.
+
+        ``"auto"`` weighs the break-even only once ``remotes`` of the
+        ``shards`` run on shard hosts: in-process shards share this
+        host's cores (x1.6-4.3 slower per request, see sharding.md).
+        """
         if not shardable:
             return RouteDecision("single", "algorithm/plan is not shardable")
         if shards < 2:
@@ -215,6 +221,8 @@ class RoutingPolicy:
             return RouteDecision("single", "policy pins the single path")
         if self.route == "sharded":
             return RouteDecision("sharded", "policy pins the sharded path")
+        if remotes < 1:
+            return RouteDecision("single", "no remote shard host configured")
         threshold = self.min_sharded_edges(shards)
         if num_edges >= threshold:
             return RouteDecision(

@@ -1075,6 +1075,7 @@ class ShardTier:
             shardable=True,
             num_edges=prepared.num_edges,
             shards=self.num_shards,
+            remotes=len(self.remotes),
         )
         if decision.route != "sharded":
             return None

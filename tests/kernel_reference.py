@@ -6,12 +6,13 @@ for a NULL pointer, numpy arrays for the others (``stats`` is the
 hooks' ``ctypes`` array).  Each returns and writes what the C does, and
 the C text is a transliteration of these loops, operation for
 operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
-``RELAX``, ``FOLD`` and ``RUN`` macros, :func:`_next_frontier` its
-``next_frontier``).  The ADD loops match the engines' vectorised numpy
-path bitwise, superstep by superstep: the gather order is
-thread-by-thread in strided slot order (exactly
-``strided_ranges_to_indices``), and the fold is the same addition
-``ufunc.at`` applies element-wise.  The MIN/MAX push steps relax in
+``RELAX``, ``FOLD`` and ``RUN`` macros; :func:`_next_frontier`,
+:func:`_bc_forward`, :func:`_bc_backward` and :func:`_pairwise` its
+``static`` helpers of those names).  The ADD loops match the engines'
+vectorised numpy path bitwise: the gather order is thread-by-thread in
+strided slot order (exactly ``strided_ranges_to_indices``), the fold is
+the same addition ``ufunc.at`` applies element-wise, and a sum is
+numpy's pairwise ``add.reduce``.  The MIN/MAX push steps relax in
 place, as the C does, so they match the numpy path at the fixpoint.
 
 :class:`ReferenceBackend` hands them to the production ``try_*`` hooks
@@ -255,17 +256,22 @@ def hop_run(new_w, frontier_w, visited, values, lanes, level, frontier,
                 n, max_iterations, dense)
 
 
-def bc_forward(levels, sigma, frontier, nfrontier, off, fv, targets, level,
-               found, stats):
+def _by_id(ids):
+    # qsort with by_id: ascending node ids
+    ids[:] = sorted(ids)
+
+
+def _bc_forward(levels, sigma, frontier, nfrontier, off, fv, targets, level,
+                found, edges):
     # one Brandes forward level: settle depth `level` below the frontier
     # and count its shortest paths in the same walk -> found count
-    cnt = total = 0
+    cnt = 0
     for i in range(nfrontier):
         p = frontier[i]
         base, end = off[p], off[p + 1]
         fam = _family(fv, p)
         s = sigma[p]
-        total += end - base
+        edges[0] += end - base
         for r in range(fam):
             for e in range(base + r, end, fam):
                 d = targets[e]
@@ -275,14 +281,13 @@ def bc_forward(levels, sigma, frontier, nfrontier, off, fv, targets, level,
                     cnt += 1
                 if levels[d] == level:
                     sigma[d] += s
-    stats[0] = total
     return cnt
 
 
-def bc_backward(levels, sigma, delta, frontier, nfrontier, off, fv, targets):
+def _bc_backward(levels, sigma, delta, frontier, nfrontier, off, fv, targets,
+                 edges):
     # one Brandes backward level: each frontier node's dependency from
-    # its children one level down -> edges
-    total = 0
+    # its children one level down
     for i in range(nfrontier):
         p = frontier[i]
         base, end = off[p], off[p + 1]
@@ -290,7 +295,7 @@ def bc_backward(levels, sigma, delta, frontier, nfrontier, off, fv, targets):
         down = levels[p] + 1
         s = sigma[p]
         acc = delta[p]
-        total += end - base
+        edges[0] += end - base
         for r in range(fam):
             for e in range(base + r, end, fam):
                 d = targets[e]
@@ -299,7 +304,65 @@ def bc_backward(levels, sigma, delta, frontier, nfrontier, off, fv, targets):
                     o = 1.0 + delta[d]
                     acc += q * o
         delta[p] = acc
-    return total
+
+
+def bc_run(levels, sigma, delta, order, source, off, fv, targets, n,
+           max_iterations, dense, stats):
+    # bc()'s two phases: forward levels, each found level sorted into
+    # order behind the last (a scan of the level marks when dense,
+    # else a sort), then backward over the same ranges deepest-first,
+    # but for the deepest one run
+    lo, hi, last, depth = 0, 1, 0, 0
+    edges = [0]
+    order[0] = source
+    while hi > lo and depth < max_iterations:
+        depth += 1
+        level = depth
+        cnt = _bc_forward(levels, sigma, order[lo:], hi - lo, off, fv,
+                          targets, level, order[hi:], edges)
+        if cnt / n >= dense:
+            j, d = hi, 0
+            while j < hi + cnt:
+                if levels[d] == level:
+                    order[j] = d
+                    j += 1
+                d += 1
+        else:
+            _by_id(order[hi:hi + cnt])
+        last, lo, hi = lo, hi, hi + cnt
+    end = last
+    for level in range(depth - 2, -1, -1):
+        start = end
+        while start > 0 and levels[order[start - 1]] == level:
+            start -= 1
+        _bc_backward(levels, sigma, delta, order[start:], end - start, off,
+                     fv, targets, edges)
+        end = start
+    stats[0] = depth + max(depth - 1, 0)
+    stats[1] = edges[0]
+
+
+def _pairwise(a, n):
+    # numpy's float64 add.reduce: a plain loop below 8 elements, eight
+    # accumulators up to 128, else halves split at a multiple of 8
+    if n < 8:
+        res = 0.0
+        for i in range(n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = [a[j] for j in range(8)]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += a[i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(i, n):
+            res += a[i]
+        return res
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(a, half) + _pairwise(a[half:], n - half)
 
 
 def rank_launch(off, fv, targets, n, src, dst):
@@ -315,29 +378,49 @@ def rank_launch(off, fv, targets, n, src, dst):
                 k += 1
 
 
-def rank_step(rank, inv_deg, x, contrib, src, dst, nedges, n, new_rank, diff,
-              c0, damping, mass):
-    # one PageRank iteration over the flat launch; given new_rank, also
-    # the rank update and |new - old| per node in diff
+def rank_step(rank, inv_deg, x, contrib, src, dst, nedges, n):
+    # one scatter over the flat launch
     for i in range(n):
         x[i] = rank[i] * inv_deg[i]
         contrib[i] = 0.0
     for e in range(nedges):
         contrib[dst[e]] += x[src[e]]
-    if new_rank is None:
-        return
-    for i in range(n):
-        t = contrib[i] + mass
-        scaled = damping * t
-        r = c0 + scaled
-        new_rank[i] = r
-        diff[i] = abs(r - rank[i])
+
+
+def rank_run(rank, spare, inv_deg, x, contrib, src, dst, nedges, n, dangling,
+             ndangling, damping, tolerance, max_iterations, stats):
+    # pagerank()'s loop, rank.damp's recipe: the dangling mass, the
+    # scatter, the damped update and its L1 distance, both sums numpy's
+    # -> the last distance; the ranks end in `rank`
+    c0 = (1.0 - damping) / n
+    cur, nxt = rank, spare
+    distance = 0.0
+    stats[0] = stats[1] = 0
+    while stats[0] < max_iterations:
+        for i in range(ndangling):
+            x[i] = cur[dangling[i]]
+        mass = (0.0 + _pairwise(x, ndangling)) / n
+        rank_step(cur, inv_deg, x, contrib, src, dst, nedges, n)
+        for i in range(n):
+            t = contrib[i] + mass
+            scaled = damping * t
+            nxt[i] = c0 + scaled
+            x[i] = abs(nxt[i] - cur[i])
+        distance = 0.0 + _pairwise(x, n)
+        cur, nxt = nxt, cur
+        stats[0] += 1
+        if distance < tolerance:
+            stats[1] = 1
+            break
+    if cur is not rank:
+        rank[:] = cur
+    return distance
 
 
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
     push_step, push_lanes_step, hop_step, push_run, push_lanes_run, hop_run,
-    bc_forward, bc_backward, rank_launch, rank_step,
+    bc_run, rank_launch, rank_step, rank_run,
 )}
 
 

@@ -1000,12 +1000,27 @@ class TestInPlaceFixpoint:
 
 
 # ----------------------------------------------------------------------
-# The ADD-reduction supersteps (Brandes' level steps, the rank step)
-# vs their numpy bodies
+# The ADD-reduction runs (Brandes' two phases, PageRank's loop) and the
+# shards' rank scatter vs their numpy bodies
 # ----------------------------------------------------------------------
 #: K also takes the graph's own maximum degree (no node splits)
 ADD_KS = STEP_KS + ("d_max",)
 BC_COUNTERS = ("num_iterations", "edges_processed", "converged")
+#: lengths whose pairwise sums reach every branch of numpy's tree: none,
+#: the plain loop, eight accumulators with a remainder, a split into
+#: 64 + 65, and an odd length split twice over
+SUM_LENGTHS = (0, 5, 13, 100, 129, 301)
+
+
+def _tree_branches(n):
+    """The branches numpy's pairwise ``add.reduce`` takes on ``n``
+    float64s (no, or only the plain loop below 8 elements)."""
+    if n < 8:
+        return {"loop"} if n else set()
+    if n <= 128:
+        return {"blocks+rest" if n % 8 else "blocks"}
+    half = n // 2 - (n // 2) % 8
+    return {"split"} | _tree_branches(half) | _tree_branches(n - half)
 
 
 def _add_scheduler(kind, graph, k):
@@ -1014,29 +1029,41 @@ def _add_scheduler(kind, graph, k):
     return _scheduler(kind, graph, min(k, 32) if kind == "maxwarp" else k)
 
 
-def _bc_lockstep(scheduler, source, backend):
-    """Run a numpy-bodied and a ``backend`` BCStep level by level;
-    frontiers, edges, levels, sigma and delta must agree after every
-    call.  Returns how many calls each step served."""
-    ref, other = (
-        BCStep(scheduler, source, EngineOptions(kernel_backend=name))
-        for name in ("numpy", backend)
-    )
-    assert other.backend.name == backend
-    frontier = np.asarray([source], dtype=np.int64)
-    frontiers = []
-    while len(frontier):
-        frontiers.append(frontier)
-        found, edges = ref.forward(frontier, len(frontiers))
-        other_found, other_edges = other.forward(frontier, len(frontiers))
-        assert _same_bits(found, other_found) and edges == other_edges
-        assert _same_bits(ref.levels, other.levels)
-        assert _same_bits(ref.sigma, other.sigma)
-        frontier = found
-    for frontier in reversed(frontiers[:-1]):
-        assert ref.backward(frontier) == other.backward(frontier)
-        assert _same_bits(ref.delta, other.delta)
-    return 2 * len(frontiers) - 1
+@st.composite
+def rank_graphs(draw):
+    """A multigraph of ``n`` nodes of which ``dangling`` have no out-edge,
+    both from :data:`SUM_LENGTHS` (the two sums' lengths), the rest with
+    zipf-skewed outdegrees (hubs split at K = 8)."""
+    n = draw(st.sampled_from(SUM_LENGTHS[1:]))
+    dangling = draw(st.sampled_from([d for d in SUM_LENGTHS if d <= n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    live = rng.permutation(n)[dangling:]
+    src = np.repeat(live, rng.zipf(2.0, len(live)).clip(max=40))
+    dst = rng.integers(0, n, len(src))
+    return from_edge_list(list(zip(src.tolist(), dst.tolist())), num_nodes=n)
+
+
+def _with_isolated(graph):
+    """``graph`` plus one node no edge touches (the last id)."""
+    n = graph.num_nodes
+    src = np.repeat(np.arange(n), graph.out_degrees())
+    return from_edge_list(list(zip(src.tolist(), graph.targets.tolist())),
+                          num_nodes=n + 1)
+
+
+def _bc_source(graph, which):
+    """The hub (most out-edges), a leaf (reached, fewest out-edges) or
+    the isolated last node of a :func:`_with_isolated` graph."""
+    degrees = graph.out_degrees()
+    if which == "hub":
+        return int(np.argmax(degrees))
+    if which == "isolated":
+        return graph.num_nodes - 1
+    reached = np.zeros(graph.num_nodes, dtype=bool)
+    reached[graph.targets] = True
+    candidates = np.flatnonzero(reached) if reached.any() else np.arange(
+        graph.num_nodes)
+    return int(candidates[np.argmin(degrees[candidates])])
 
 
 def _same_bc(a, b):
@@ -1047,10 +1074,38 @@ def _same_bc(a, b):
     )
 
 
-def _rank_lockstep(scheduler, backend, iterations=4):
-    """Iterate a numpy-bodied and a ``backend`` RankStep side by side;
-    the scatter, the new ranks and the L1 distance must agree bit for
-    bit every iteration.  Returns the ``backend`` step."""
+def _bc_runs(scheduler, source, backend, **options):
+    """bc from ``source`` on the numpy body and as ``backend``'s one
+    call: equal to the bit, counter for counter."""
+    jit = kernels.get_backend(backend)
+    engaged, declined = jit.engaged, jit.declined
+    want, got = (bc(scheduler, source, options=EngineOptions(
+        kernel_backend=name, **options)) for name in ("numpy", backend))
+    assert _same_bc(want, got)
+    # a silent decline would compare numpy with itself
+    assert (jit.engaged, jit.declined) == (engaged + 1, declined)
+    return got
+
+
+def _pr_runs(scheduler, backend, max_iterations=12):
+    """PageRank on the numpy body and as ``backend``'s launch plus one
+    run: equal to the bit, counter for counter."""
+    jit = kernels.get_backend(backend)
+    engaged, declined = jit.engaged, jit.declined
+    want, got = (pagerank(scheduler, max_iterations=max_iterations,
+                          options=EngineOptions(kernel_backend=name))
+                 for name in ("numpy", backend))
+    assert _same_bits(want.values, got.values)
+    for field in BC_COUNTERS:
+        assert getattr(want, field) == getattr(got, field)
+    assert (jit.engaged, jit.declined) == (engaged + 2, declined)
+    return got
+
+
+def _rank_scatters(scheduler, backend, iterations=4):
+    """A numpy-bodied and a ``backend`` RankStep's scatter (a shard's
+    half of an iteration) side by side, bit for bit every iteration.
+    Returns the ``backend`` step."""
     graph = scheduler.graph
     n = graph.num_nodes
     inv_deg = inverse_out_degrees(graph)
@@ -1062,44 +1117,94 @@ def _rank_lockstep(scheduler, backend, iterations=4):
     rank = np.full(n, 1.0 / n)
     for _ in range(iterations):
         assert _same_bits(ref.scatter(rank), other.scatter(rank))
-        out, other_out = np.empty(n), np.empty(n)
-        assert ref(rank, out) == other(rank, other_out)
-        assert _same_bits(out, other_out)
+        out = np.empty(n)
+        ref(rank, out)
         rank = out
     return other
 
 
 @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
-class TestAddStepDifferential:
-    """The compiled Brandes and PageRank steps against their numpy
-    bodies, bit for bit: both ADD, so the walk must reproduce
-    ``batch()``'s edge order on every layout."""
+class TestAddRunDifferential:
+    """The compiled Brandes and PageRank runs against their numpy
+    bodies, bit for bit: both ADD, so each walk must reproduce
+    ``batch()``'s edge order on every layout, each bc level its sorted
+    frontier, and each PageRank sum numpy's pairwise tree."""
 
     @pytest.mark.parametrize("backend", JITS)
     @given(
         graph=step_graphs,
         k=st.sampled_from(ADD_KS),
         kind=st.sampled_from(SCHEDULER_KINDS),
-        source=st.integers(min_value=0, max_value=2**16),
+        which=st.sampled_from(("hub", "leaf", "isolated")),
+        max_iterations=st.sampled_from((1, 2, 3, None)),
+        dense_threshold=st.sampled_from((1.0, 1 / 16, 1e-9)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_every_bc_level_matches(self, backend, graph, k, kind, source):
-        if graph.num_nodes == 0:
-            return
+    def test_every_bc_run_matches(self, backend, graph, k, kind, which,
+                                  max_iterations, dense_threshold):
+        # every threshold sends the found levels through the sort, the
+        # mark scan, or both
         graph = graph.without_weights()
-        source %= graph.num_nodes
-        scheduler = _add_scheduler(kind, graph, k)
-        jit = kernels.get_backend(backend)
-        engaged, declined = jit.engaged, jit.declined
-        calls = _bc_lockstep(scheduler, source, backend)
-        # a silent decline would compare numpy with itself
-        assert (jit.engaged, jit.declined) == (engaged + calls, declined)
-        results = [
-            bc(scheduler, source, options=EngineOptions(kernel_backend=name))
-            for name in ("numpy", backend)
-        ]
-        assert _same_bc(*results)
-        assert results[1].num_iterations == calls
+        if which == "isolated":
+            graph = _with_isolated(graph)
+        if graph.num_nodes == 0:
+            return
+        bound = {} if max_iterations is None else {
+            "max_iterations": max_iterations}
+        got = _bc_runs(_add_scheduler(kind, graph, k),
+                       _bc_source(graph, which), backend,
+                       dense_threshold=dense_threshold, **bound)
+        if which == "isolated":
+            assert got.num_iterations == 1 and got.edges_processed == 0
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=step_graphs,
+        k=st.sampled_from(ADD_KS),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        max_iterations=st.sampled_from((1, 2, 3, 100_000)),
+        dense_threshold=st.sampled_from((1.0, 1 / 16, 1e-9)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_level_is_sorted_into_order(self, backend, graph, k, kind,
+                                             max_iterations, dense_threshold):
+        # path counts are integers, exact in any order up to 2**53, so
+        # the values alone cannot see a level walked unsorted: read the
+        # levels bc_run leaves in `order`, ascending ids within each
+        graph = graph.without_weights()
+        if graph.num_nodes == 0:
+            return
+        hub = _bc_source(graph, "hub")
+        step = BCStep(_add_scheduler(kind, graph, k), hub,
+                      EngineOptions(kernel_backend=backend))
+        order = np.full(graph.num_nodes, -1, dtype=np.int64)
+        assert kernels.get_backend(backend).try_bc_run(
+            step.levels, step.sigma, step.delta, order, hub, step.walk,
+            graph.targets, max_iterations, dense_threshold) is not None
+        reached = np.flatnonzero(step.levels >= 0)
+        by_level = reached[np.argsort(step.levels[reached], kind="stable")]
+        assert order[:len(reached)].tolist() == by_level.tolist()
+
+    @pytest.mark.parametrize("backend", JITS)
+    @given(
+        graph=rank_graphs(),
+        k=st.sampled_from((1, 8)),
+        kind=st.sampled_from(SCHEDULER_KINDS),
+        max_iterations=st.sampled_from((0, 1, 2, 1000)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_pagerank_run_matches(self, backend, graph, k, kind,
+                                        max_iterations):
+        got = _pr_runs(_scheduler(kind, graph, k), backend, max_iterations)
+        assert got.converged or max_iterations < 1000
+
+    def test_the_drawn_lengths_reach_every_branch(self):
+        branches = {"loop", "blocks", "blocks+rest", "split"}
+        assert set().union(*map(_tree_branches, SUM_LENGTHS)) == branches
+        assert set().union(*map(_tree_branches, kernels._PROBE_SIZES)) == (
+            branches)
+        assert 129 in SUM_LENGTHS and any(
+            n > 256 and n % 2 for n in SUM_LENGTHS)
 
     @pytest.mark.parametrize("backend", JITS)
     @given(
@@ -1107,24 +1212,16 @@ class TestAddStepDifferential:
         k=st.sampled_from(ADD_KS),
         kind=st.sampled_from(SCHEDULER_KINDS),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_every_rank_iteration_matches(self, backend, graph, k, kind):
+    @settings(max_examples=100, deadline=None)
+    def test_every_shard_scatter_matches(self, backend, graph, k, kind):
         if graph.num_nodes == 0:
             return
         scheduler = _add_scheduler(kind, graph, k)
         jit = kernels.get_backend(backend)
         engaged, declined = jit.engaged, jit.declined
-        _rank_lockstep(scheduler, backend, iterations=4)
-        # the launch, then a scatter and a whole step per iteration
-        assert (jit.engaged, jit.declined) == (engaged + 9, declined)
-        results = [
-            pagerank(scheduler, max_iterations=12,
-                     options=EngineOptions(kernel_backend=name))
-            for name in ("numpy", backend)
-        ]
-        assert _same_bits(results[0].values, results[1].values)
-        for field in BC_COUNTERS:
-            assert getattr(results[0], field) == getattr(results[1], field)
+        _rank_scatters(scheduler, backend, iterations=4)
+        # the launch, then one scatter per iteration
+        assert (jit.engaged, jit.declined) == (engaged + 5, declined)
 
     @pytest.mark.parametrize("backend", JITS)
     @pytest.mark.parametrize("k", STEP_KS)
@@ -1132,8 +1229,9 @@ class TestAddStepDifferential:
     def test_star_at_family_boundaries(self, backend, k, kind):
         for d in sorted({max(k - 1, 0), k, k + 1, 2 * k, 2 * k + 1}):
             scheduler = _scheduler(kind, star(d, bidirectional=True), k)
-            assert _bc_lockstep(scheduler, 0, backend) > 0
-            _rank_lockstep(scheduler, backend)
+            assert _bc_runs(scheduler, 0, backend).num_iterations > 0
+            _pr_runs(scheduler, backend)
+            _rank_scatters(scheduler, backend)
 
     @pytest.mark.parametrize("backend", JITS)
     def test_degenerate_graphs(self, backend):
@@ -1147,8 +1245,9 @@ class TestAddStepDifferential:
         ):
             for kind in SCHEDULER_KINDS:
                 scheduler = _scheduler(kind, graph, 2)
-                assert _bc_lockstep(scheduler, 0, backend) > 0
-                step = _rank_lockstep(scheduler, backend)
+                assert _bc_runs(scheduler, 0, backend).num_iterations > 0
+                _pr_runs(scheduler, backend)
+                step = _rank_scatters(scheduler, backend)
                 assert len(step.dangling) in (0, graph.num_nodes - 1,
                                               graph.num_nodes)
 
@@ -1170,7 +1269,7 @@ class TestAddStepDifferential:
         engaged = jit.engaged
         pagerank(graph, max_iterations=6,
                  options=EngineOptions(kernel_backend=backend))
-        assert jit.engaged == engaged + 7
+        assert jit.engaged == engaged + 2  # the launch and the run
 
     @pytest.mark.parametrize("backend", JITS)
     def test_numpy_routes_report_the_same_counters(self, graph, backend):
@@ -1198,9 +1297,9 @@ class TestAddStepDifferential:
                     [sim.metrics for sim in sims],
                 ))
                 if name == backend and bound > 2:
-                    assert jit.engaged == engaged
-                    assert (jit.declined - declined
-                            == runs[-1][0].num_iterations + 1)
+                    # the bc run and the rank launch, each once
+                    assert (jit.engaged, jit.declined) == (engaged,
+                                                           declined + 2)
             (ref_bc, ref_pr, ref_m), (jit_bc, jit_pr, jit_m) = runs
             assert _same_bc(ref_bc, jit_bc)
             assert _same_bits(ref_pr.values, jit_pr.values)
@@ -1217,43 +1316,45 @@ class TestAddStepDifferential:
         n = hop.num_nodes
         options = EngineOptions(kernel_backend=backend)
         step = BCStep(NodeScheduler(hop), 0, options)
-        frontier = np.zeros(1, dtype=np.int64)
         targets, walk = hop.targets, step.walk
+        order = np.empty(n, dtype=np.int64)
+        levels, sigma, delta = step.levels, step.sigma, step.delta
+        fixpoint = (100, 1 / 16)
         declined = jit.declined
         for refused in (
-            jit.try_bc_forward(step.levels.astype(np.int32), step.sigma,
-                               frontier, 1, walk, targets, step._found),
-            jit.try_bc_forward(step.levels, step.sigma[:-1], frontier, 1,
-                               walk, targets, step._found),
-            jit.try_bc_forward(step.levels, step.sigma, frontier, 1, walk,
-                               targets, step._found[:-1]),
-            jit.try_bc_forward(step.levels, step.sigma,
-                               np.asarray([n], dtype=np.int64), 1, walk,
-                               targets, step._found),
-            jit.try_bc_backward(step.levels, step.sigma, step.sigma, frontier,
-                                walk, targets),
-            jit.try_bc_backward(step.levels, step.sigma,
-                                step.delta.astype(np.float32), frontier,
-                                walk, targets),
-            jit.try_bc_backward(step.levels, step.sigma, step.delta,
-                                np.asarray([-1], dtype=np.int64), walk,
-                                targets),
+            jit.try_bc_run(levels.astype(np.int32), sigma, delta, order, 0,
+                           walk, targets, *fixpoint),
+            jit.try_bc_run(levels, sigma[:-1], delta, order, 0, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, sigma, order, 0, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, delta.astype(np.float32), order, 0,
+                           walk, targets, *fixpoint),
+            jit.try_bc_run(levels, sigma, delta, order[:-1], 0, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, delta, levels, 0, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, delta, order, n, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, delta, order, -1, walk, targets,
+                           *fixpoint),
+            jit.try_bc_run(levels, sigma, delta, order, 0, None, targets,
+                           *fixpoint),
         ):
             assert refused is None
-        assert jit.declined == declined + 7
-        assert jit.try_bc_forward(step.levels, step.sigma, frontier, 1, walk,
-                                  targets, step._found) is not None
+        assert jit.declined == declined + 9
+        assert jit.try_bc_run(levels, sigma, delta, order, 0, walk, targets,
+                              *fixpoint) is not None
 
         rank_step = RankStep(NodeScheduler(hop), inverse_out_degrees(hop),
                              kernel_backend=backend)
         launch, scratch = rank_step.launch, rank_step.scratch
-        rank, out = np.full(n, 1.0 / n), np.empty(n)
-        inv_deg = rank_step.inv_deg
+        rank, spare = np.full(n, 1.0 / n), np.empty(n)
+        inv_deg, dangling = rank_step.inv_deg, rank_step.dangling
         declined = jit.declined
         for refused in (
             jit.try_rank_step(rank, inv_deg, None, scratch),
-            jit.try_rank_step(rank, inv_deg, launch, scratch, rank),
-            jit.try_rank_step(rank, inv_deg, launch, scratch, scratch[1]),
+            jit.try_rank_step(rank, inv_deg, launch, (scratch[0], rank)),
             jit.try_rank_step(rank[:-1], inv_deg, launch, scratch),
             jit.try_rank_step(rank.astype(np.float32), inv_deg, launch,
                               scratch),
@@ -1263,18 +1364,64 @@ class TestAddStepDifferential:
                               scratch),
         ):
             assert refused is False
-        assert jit.declined == declined + 7
-        assert jit.try_rank_step(rank, inv_deg, launch, scratch, out)
+        for refused in (
+            jit.try_rank_run(rank, rank, inv_deg, dangling, launch, scratch,
+                             0.85, 1e-10, 8),
+            jit.try_rank_run(rank, scratch[1], inv_deg, dangling, launch,
+                             scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare[:-1], inv_deg, dangling, launch,
+                             scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, dangling.astype(np.int32),
+                             launch, scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, np.asarray([n]), launch,
+                             scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, np.arange(n + 1), launch,
+                             scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, dangling, None, scratch,
+                             0.85, 1e-10, 8),
+        ):
+            assert refused is None
+        assert jit.declined == declined + 13
+        assert jit.try_rank_step(rank, inv_deg, launch, scratch)
+        assert jit.try_rank_run(rank, spare, inv_deg, dangling, launch,
+                                scratch, 0.85, 1e-10, 8) is not None
 
     def test_reference_kernels_match_numpy(self, reference_backend):
         # the specs the bc and rank units transliterate, through the hooks
         graph = rmat(40, 300, seed=9, dedup=False)
         for kind in SCHEDULER_KINDS:
             scheduler = _scheduler(kind, graph, 3)
-            assert _bc_lockstep(scheduler, 0, "reference") > 0
-            _rank_lockstep(scheduler, "reference")
+            hub = int(np.argmax(graph.out_degrees()))
+            for threshold in (1.0, 1e-9):
+                _bc_runs(scheduler, hub, "reference",
+                         dense_threshold=threshold)
+            _pr_runs(scheduler, "reference")
+            _rank_scatters(scheduler, "reference")
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
+
+    def test_a_foreign_summation_tree_declines_to_numpy(
+        self, reference_backend, graph, monkeypatch
+    ):
+        # the gate probes the compiled sums once, against this numpy: a
+        # left-to-right sum rounds apart, so the run declines (counted)
+        # and the numpy body answers
+        def sequential(a, n):
+            total = 0.0
+            for i in range(n):
+                total += a[i]
+            return total
+
+        monkeypatch.setattr(kernel_reference, "_pairwise", sequential)
+        baseline = pagerank(graph, max_iterations=6,
+                            options=EngineOptions(kernel_backend="numpy"))
+        for _ in range(2):  # probed once, declined every run
+            result = pagerank(graph, max_iterations=6,
+                              options=EngineOptions(kernel_backend="reference"))
+            assert _same_bits(result.values, baseline.values)
+        assert reference_backend._numpy_sums is False
+        # two launches engaged, two runs declined
+        assert (reference_backend.engaged, reference_backend.declined) == (2, 2)
 
 
 class TestInOrderWalk:
@@ -1331,7 +1478,7 @@ class TestCompileOnFirstCall:
         assert backend.compile_seconds > bfs_only
         # a second process finds them all in the cache
         again = kernels.CJitBackend()
-        for name in ("push_step", "bc_forward", "rank_step"):
+        for name in ("push_step", "bc_run", "rank_run"):
             assert again.function(name) is not None
         assert again.compile_seconds == 0
 
@@ -1403,12 +1550,12 @@ HAND_COUNTED = {
                        _STEP_ARGS + [_I64, _PTR] + _RUN_ARGS),
     "hop_run": ("hop_step", _I64,
                 [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5 + _RUN_ARGS),
-    "bc_forward": ("bc", _I64,
-                   [_PTR] * 3 + [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2),
-    "bc_backward": ("bc", _I64, [_PTR] * 4 + [_I64] + [_PTR] * 3),
+    "bc_run": ("bc", None,
+               [_PTR] * 4 + [_I64] + [_PTR] * 3 + [_I64, _I64, _F64, _PTR]),
     "rank_launch": ("rank", None, [_PTR] * 3 + [_I64] + [_PTR] * 2),
-    "rank_step": ("rank", None,
-                  [_PTR] * 6 + [_I64] * 2 + [_PTR] * 2 + [_F64] * 3),
+    "rank_step": ("rank", None, [_PTR] * 6 + [_I64] * 2),
+    "rank_run": ("rank", _F64, [_PTR] * 7 + [_I64] * 2 + [_PTR, _I64]
+                 + [_F64] * 2 + [_I64, _PTR]),
 }
 
 

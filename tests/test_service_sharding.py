@@ -26,6 +26,7 @@ from repro.baselines.base import prepare_graph
 from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.errors import QuotaExhaustedError, ServiceError, ShardLost
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
 from repro.multigpu import inedge_owner, inedge_partition
 from repro.service import (
@@ -40,6 +41,7 @@ from repro.service import (
     parse_priority_arg,
     parse_quota_arg,
     replay_trace,
+    result_digest,
 )
 from repro.service.executor import _PriorityWorkQueue
 from repro.service.sharding import (
@@ -470,21 +472,44 @@ class TestRouteMisses:
             single = service.run(QueryRequest("pr", "g", transform="udt"))
         assert not sharded.ok and sharded.error == single.error
 
-    def test_auto_route_consults_edge_threshold(self, graph):
-        policy = RoutingPolicy(route="auto", min_sharded_edges=10**9)
-        with ShardedAnalyticsService(
-            shards=2, workers=2, policy=policy
-        ) as service:
-            service.register("g", graph)
-            assert service.run(QueryRequest.single("bfs", "g", 0)).ok
-            assert service.metrics.summary()["sharded_batches"] == 0
-        policy = RoutingPolicy(route="auto", min_sharded_edges=1)
-        with ShardedAnalyticsService(
-            shards=2, workers=2, policy=policy
-        ) as service:
-            service.register("g", graph)
-            assert service.run(QueryRequest.single("bfs", "g", 0)).ok
-            assert service.metrics.summary()["sharded_batches"] == 1
+    def test_auto_route_consults_edge_threshold(self, graph, shard_host):
+        # with a shard on a remote host, the break-even decides
+        for threshold, sharded in ((10**9, 0), (1, 1)):
+            policy = RoutingPolicy(route="auto", min_sharded_edges=threshold)
+            with ShardedAnalyticsService(
+                shards=2, workers=2, policy=policy, shard_remotes=[shard_host]
+            ) as service:
+                service.register("g", graph)
+                assert service.run(QueryRequest.single("bfs", "g", 0)).ok
+                assert service.metrics.summary()["sharded_batches"] == sharded
+
+    def test_auto_route_keeps_in_process_shards_single(self, shard_host):
+        # every shard in this process: above the break-even too, `auto`
+        # keeps each batch on the single engine, answers unchanged; one
+        # shard on a shard host, and the break-even sends them out
+        graph = load_dataset("sinaweibo", scale=0.5)
+        policy = RoutingPolicy(route="auto")
+        assert graph.num_edges >= policy.min_sharded_edges(2)
+        decision = policy.choose_route(
+            shardable=True, num_edges=graph.num_edges, shards=2, remotes=0)
+        assert decision.route == "single"
+        assert decision.reason == "no remote shard host configured"
+        hubs = np.argsort(graph.out_degrees())[-3:].tolist()
+        requests = [QueryRequest.single(algorithm, "g", hub)
+                    for algorithm in ("bfs", "sssp") for hub in hubs]
+        digests = []
+        for shards, remotes, sharded in ((2, [], 0), (0, [], 0),
+                                         (2, [shard_host], len(requests))):
+            with ShardedAnalyticsService(
+                shards=shards, workers=2, shard_remotes=remotes,
+                policy=RoutingPolicy(route="auto"),
+            ) as service:
+                service.register("g", graph)
+                digests.append([result_digest(service.run(request))
+                                for request in requests])
+                summary = service.metrics.summary()
+                assert summary["sharded_batches"] == sharded
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestRemoteShards:
