@@ -1,20 +1,19 @@
-"""PageRank driver — push-based scatter with per-iteration recompute.
+"""PageRank driver — every node recomputed every iteration.
 
 PR differs from the monotone analytics: every node is processed every
 iteration (the paper singles this out as why push-based engines lose
 to pull/scan engines like CuSha on PR).  Each iteration
-(:class:`~repro.engine.rank.RankStep`) scatters ``rank[v] / outdeg(v)``
-along every out-edge, then applies damping and dangling-mass
-redistribution.
+(:class:`~repro.engine.rank.RankStep`) sums ``rank[v] / outdeg(v)``
+into every out-neighbour, then applies damping and dangling-mass
+redistribution.  A JIT backend runs the whole loop as one compiled
+call (:meth:`~repro.engine.rank.RankStep.run`) that gathers by
+destination, bitwise-equal to the numpy scatter below, its only
+fallback.
 
-A JIT backend runs the whole loop as one compiled call
-(:meth:`~repro.engine.rank.RankStep.run`), bitwise-equal to the numpy
-iterations below, which are its only fallback.
-
-On a virtually transformed graph the scatter divides by the
-**physical** outdegree (Corollary 4 preserves it) and sibling virtual
-nodes' partial sums combine through the ADD reduction — associative,
-so Theorem 3 applies and the ranks match the original exactly.
+On a virtually transformed graph the sum divides by the **physical**
+outdegree (Corollary 4 preserves it) and sibling virtual nodes' partial
+sums combine through the ADD reduction — associative, so Theorem 3
+applies and the ranks match the original exactly.
 """
 
 from __future__ import annotations

@@ -198,7 +198,7 @@ def reference_pagerank(
     rank = np.full(n, 1.0 / n)
     for _ in range(max_iterations):
         contrib = np.zeros(n, dtype=np.float64)
-        push = rank[sources] / degrees[sources]
+        push = rank[sources] * (1.0 / degrees[sources])  # the engine's inv_deg
         np.add.at(contrib, graph.targets, push)
         dangling_mass = rank[dangling].sum() / n
         new_rank = (1.0 - damping) / n + damping * (contrib + dangling_mass)

@@ -67,6 +67,8 @@ RETIRED = (
         "run_calibration", "calibrate_and_save", "_best_of", "_micro_medges",
         "crossover_sources", "cmd_calibrate")),
     Retired(r"\b(to|from)_dict\b", scope=("repro.engine.costmodel",)),
+    # PageRank gathers by destination: no flat launch, no scatter kernel
+    Retired(r"rank_launch|\b(try_)?rank_step\b|\bFLAT_LIMIT\b"),
     # the warp model attaches to a scheduler: no `simulator` parameter
     Retired("^simulator$", scope=("repro.engine", "repro.algorithms"),
             exclude=("repro.algorithms.hardwired",), parameter=True),

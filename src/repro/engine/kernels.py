@@ -15,12 +15,12 @@ three MIN/MAX supersteps is also called in a loop by a ``*_run``
 (``push_run``, ``push_lanes_run``, ``hop_run``): the whole fixpoint as
 one call, by the engine loop's own rules.  The two ADD-reduction
 analytics run whole as well: ``bc_run`` is Brandes' forward levels and
-then its backward levels, and ``rank_run`` PageRank's loop over the
-launch ``rank_launch`` flattens once per run (a shard scatters its
-slice with ``rank_step``, once per iteration).  Values are **bitwise
-identical**: an ADD loop repeats ``ufunc.at``'s float operations in
-order, and sums as numpy's pairwise ``add.reduce`` does; a MIN/MAX step
-relaxes in place and reaches the same fixpoint.
+then its backward levels, and ``rank_run`` PageRank's loop, gathering
+by destination over the transpose ``rank_layout`` builds once per run
+(a shard gathers its slice with ``rank_gather``, once per iteration).
+Values are **bitwise identical**: an ADD loop repeats ``ufunc.at``'s
+float operations in order, and sums as numpy's pairwise ``add.reduce``
+does; a MIN/MAX step relaxes in place and reaches the same fixpoint.
 
 A kernel is declared once, by its C function's prototype in
 :data:`_C_UNITS` (the ctypes signature is parsed from it), and served
@@ -100,9 +100,8 @@ _REDUCE_CODES = {"min": REDUCE_MIN, "max": REDUCE_MAX, "add": REDUCE_ADD}
 #: ``LANE_BITS[k]`` is lane ``k``'s bit in a packed hop-mask word.
 LANE_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
-#: node and edge counts from which PageRank's flat ``int32`` launch
-#: cannot index the graph (the rank hooks decline; numpy runs).
-FLAT_LIMIT = 2**31
+#: node counts whose padding id ``n`` PageRank's ``int32`` layout cannot hold.
+ID_LIMIT = 2**31 - 1
 
 
 class KernelSpec(NamedTuple):
@@ -303,26 +302,16 @@ class KernelBackend:
                 and levels.shape == order.shape == (n,) and levels is not order
                 and _floats(n, *floats))
 
-    def _gate_rank_launch(self, walk, targets) -> int:
-        """The node count when :meth:`try_rank_launch` can flatten the
-        whole graph into ``int32`` ids, else ``-1``."""
-        n = self._gate_walk(_NO_IDS, walk, targets)
-        if (n < 0 or max(n, len(targets)) >= FLAT_LIMIT
-                or walk.offsets[n] != len(targets)):
-            return -1
-        return n
-
     @staticmethod
-    def _gate_rank(rank, inv_deg, launch, floats) -> bool:
-        """Admission checks for the scatter of :meth:`try_rank_step` and
-        :meth:`try_rank_run` (``launch`` is :meth:`try_rank_launch`'s,
-        so its ids are in range)."""
-        if launch is None:
+    def _gate_rank(rank, inv_deg, layout, scratch, *floats) -> bool:
+        """Admission checks for :meth:`try_rank_gather` and :meth:`try_rank_run`:
+        ``layout`` is :meth:`try_rank_layout`'s (ids in range), ``x`` holds ``x[n]``."""
+        if layout is None:
             return False
-        src, dst = launch
-        return (_i32(src) and _i32(dst) and src.ndim == 1
-                and src.shape == dst.shape
-                and _floats(len(rank), rank, inv_deg, *floats))
+        (perm, chunk, cols), (x, contrib), n = layout, scratch, len(rank)
+        return (_i32(perm) and perm.shape == (n,) and _i64(chunk) and _i32(cols)
+                and chunk.shape == ((n + 7) // 8 + 1,) and _f64(x)
+                and x.shape == (n + 1,) and _floats(n, rank, inv_deg, contrib, *floats))
 
     def _sums_agree(self, fn) -> bool:
         """Whether ``rank_run``'s two sums are this process's numpy's,
@@ -470,49 +459,49 @@ class KernelBackend:
         return stats[0], stats[1]
 
     @_counted
-    def try_rank_launch(self, walk, targets) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Flat ``int32`` ``(src, dst)`` of the all-nodes launch in
-        ``batch()`` order, for :meth:`try_rank_step` and
-        :meth:`try_rank_run`."""
-        fn = self.function("rank_launch")
-        n = -1 if fn is None else self._gate_rank_launch(walk, targets)
-        if n < 0:
+    def try_rank_layout(self, walk, targets) -> Optional[Tuple[np.ndarray, ...]]:
+        """``(perm, chunk, cols)``: the graph's transpose as
+        :meth:`try_rank_gather` and :meth:`try_rank_run` read it."""
+        fn = self.function("rank_layout")
+        n = -1 if fn is None else self._gate_walk(_NO_IDS, walk, targets)
+        if n < 0 or n >= ID_LIMIT or walk.offsets[n] != len(targets):
             return None
-        src, dst = np.empty((2, len(targets)), dtype=np.int32)
-        fn(walk.offsets, walk.family_starts, targets, n, src, dst)
-        return src, dst
+        deg = np.bincount(targets, minlength=n)
+        top = int(deg.max(initial=0))
+        perm, chunk, cols = (np.empty(n, np.int32), np.empty((n + 7) // 8 + 1, np.int64),
+                             np.empty(len(targets) + 7 * top, np.int32))
+        used = fn(walk.offsets, targets, n, deg, np.zeros(top + 1, np.int64), perm, chunk, cols)
+        return perm, chunk, cols[:used]
 
     @_counted
-    def try_rank_step(self, rank, inv_deg, launch, scratch) -> bool:
-        """One :class:`~repro.engine.rank.RankStep` scatter: ``rank *
-        inv_deg`` over ``launch`` into ``scratch``'s ``contrib``."""
-        fn = self.function("rank_step")
-        if fn is None or not self._gate_rank(rank, inv_deg, launch, scratch):
+    def try_rank_gather(self, rank, inv_deg, layout, scratch) -> bool:
+        """One :class:`~repro.engine.rank.RankStep` gather: ``rank *
+        inv_deg`` over ``layout`` into ``scratch``'s ``contrib``."""
+        fn = self.function("rank_gather")
+        if fn is None or not self._gate_rank(rank, inv_deg, layout, scratch):
             return False
-        (src, dst), (x, contrib) = launch, scratch
-        fn(rank, inv_deg, x, contrib, src, dst, len(src), len(rank))
+        fn(rank, inv_deg, *scratch, *layout, len(rank))
         return True
 
     @_counted
-    def try_rank_run(self, rank, spare, inv_deg, dangling, launch, scratch,
+    def try_rank_run(self, rank, spare, inv_deg, dangling, layout, scratch,
                      damping, tolerance, max_iterations,
                      ) -> Optional[Tuple[int, bool]]:
         """A whole :func:`~repro.algorithms.pagerank.pagerank` loop from
-        ``rank`` over ``launch``, the ranks left in ``rank``:
+        ``rank`` over ``layout``, the ranks left in ``rank``:
         ``(iterations, converged)``, or ``None`` to decline — also when
         the compiled sums are not this process's numpy's."""
         fn = self.function("rank_run")
         n = len(rank)
         if fn is None or not (
-                self._gate_rank(rank, inv_deg, launch, (spare, *scratch))
+                self._gate_rank(rank, inv_deg, layout, scratch, spare)
                 and _i64(dangling) and dangling.ndim == 1 and len(dangling) <= n
                 and (not len(dangling)
                      or dangling.min() >= 0 and dangling.max() < n)
         ) or not self._sums_agree(fn):
             return None
-        (src, dst), (x, contrib) = launch, scratch
         stats = (ctypes.c_int64 * 2)()
-        fn(rank, spare, inv_deg, x, contrib, src, dst, len(src), n, dangling,
+        fn(rank, spare, inv_deg, *scratch, *layout, n, dangling,
            len(dangling), damping, tolerance, max_iterations, stats)
         return stats[0], bool(stats[1])
 
@@ -537,10 +526,10 @@ def _rank_sums_match_numpy(rank_run) -> bool:
         rank = rng.random(n) * 10.0 ** rng.integers(-6, 7, n)
         dangling, want, got = np.arange(n), np.empty(n), rank.copy()
         distance = damp(rank, np.zeros(n), dangling, 0.85, want)
-        nowhere = np.empty(0, dtype=np.int32)
-        last = rank_run(got, np.empty(n), np.zeros(n), np.empty(n),
-                        np.empty(n), nowhere, nowhere, 0, n, dangling, n, 0.85,
-                        0.0, 1, (ctypes.c_int64 * 2)())
+        edgeless = (np.arange(n, dtype=np.int32), np.zeros(n // 8 + 2, np.int64),
+                    np.empty(0, np.int32))
+        last = rank_run(got, np.empty(n), np.zeros(n), np.empty(n + 1), np.empty(n),
+                        *edgeless, n, dangling, n, 0.85, 0.0, 1, (ctypes.c_int64 * 2)())
         if last != distance or got.tobytes() != want.tobytes():
             return False
     return True
@@ -1005,45 +994,59 @@ static double pairwise(const double* a, int64_t n) {
     return pairwise(a, half) + pairwise(a + half, n - half);
 }
 
-/* PageRank's launch never changes: flatten the all-nodes walk once per
-   run, so an iteration streams two int32 arrays instead of re-walking
-   families (the strided walk measured 1.6x slower per iteration) */
-void rank_launch(const int64_t* off, const int64_t* fv, const int64_t* targets,
-                 int64_t n, int32_t* src, int32_t* dst) {
-    int64_t k = 0;
+/* the CSR's transpose as SELL-8: rows by in-degree, descending (a
+   stable counting sort; bucket holds maxdeg + 1 zeros), 8 to a chunk,
+   each chunk's sources column-major and padded to its longest row with
+   id n (x[n] is +0.0).  Rows are read in ascending order, so each
+   destination's sources ascend, as every walk's scatter adds them.
+   deg (in-degrees) ends as cursors; cols has room for E + 7 maxdeg */
+int64_t rank_layout(const int64_t* off, const int64_t* targets, int64_t n,
+                    int64_t* deg, int64_t* bucket, int32_t* perm,
+                    int64_t* chunk, int32_t* cols) {
+    int64_t top = 0, at = 0;
+    for (int64_t d = 0; d < n; d++) { bucket[deg[d]]++; top = deg[d] > top ? deg[d] : top; }
+    for (int64_t k = top; k >= 0; k--) { at += bucket[k]; bucket[k] = at - bucket[k]; }
+    for (int64_t d = 0; d < n; d++) perm[bucket[deg[d]]++] = (int32_t)d;
+    chunk[0] = 0;
+    for (int64_t i = 0; i < n; i += 8) chunk[i / 8 + 1] = chunk[i / 8] + 8 * deg[perm[i]];
+    for (int64_t i = 0; i < n; i++) deg[perm[i]] = chunk[i / 8] + i % 8;
+    for (int64_t s = 0; s < chunk[(n + 7) / 8]; s++) cols[s] = (int32_t)n;
     for (int64_t p = 0; p < n; p++) {
-        const int64_t base = off[p], end = off[p + 1];
-        const int64_t fam = fv ? fv[p + 1] - fv[p] : 1;
-        for (int64_t r = 0; r < fam; r++) {
-            for (int64_t e = base + r; e < end; e += fam) {
-                src[k] = (int32_t)p;
-                dst[k++] = (int32_t)targets[e];
-            }
+        for (int64_t e = off[p]; e < off[p + 1]; e++) {
+            cols[deg[targets[e]]] = (int32_t)p; deg[targets[e]] += 8;
         }
     }
+    return chunk[(n + 7) / 8];
 }
 
-/* one scatter: contrib[dst] += rank[src] * inv_deg[src] in launch
-   order (x holds rank * inv_deg) */
-void rank_step(const double* rank, const double* inv_deg, double* x,
-               double* contrib, const int32_t* src, const int32_t* dst,
-               int64_t nedges, int64_t n) {
-    for (int64_t i = 0; i < n; i++) {
-        x[i] = rank[i] * inv_deg[i];
-        contrib[i] = 0.0;
+/* one iteration's contrib = the sum of x = rank * inv_deg over each
+   row's sources in order, from +0.0 (the scatter's additions; adding
+   the padding's +0.0 changes no such sum), four 2-wide lanes a chunk */
+typedef double pair __attribute__((vector_size(16)));
+void rank_gather(const double* rank, const double* inv_deg, double* x,
+                 double* contrib, const int32_t* perm, const int64_t* chunk,
+                 const int32_t* cols, int64_t n) {
+    for (int64_t i = 0; i < n; i++) x[i] = rank[i] * inv_deg[i];
+    x[n] = 0.0;
+    for (int64_t c = 0; c * 8 < n; c++) {
+        pair a[4] = {{0.0, 0.0}};
+        for (const int32_t* k = cols + chunk[c]; k < cols + chunk[c + 1]; k += 8) {
+            a[0] += (pair){x[k[0]], x[k[1]]}; a[1] += (pair){x[k[2]], x[k[3]]};
+            a[2] += (pair){x[k[4]], x[k[5]]}; a[3] += (pair){x[k[6]], x[k[7]]};
+        }
+        for (int r = 0; r < 8 && 8 * c + r < n; r++) contrib[perm[8 * c + r]] = a[r / 2][r % 2];
     }
-    for (int64_t e = 0; e < nedges; e++) contrib[dst[e]] += x[src[e]];
 }
 
 /* pagerank()'s loop, rank.damp's float recipe term for term: the
-   dangling mass, the scatter, the damped update into the spare vector
+   dangling mass, the gather, the damped update into the spare vector
    and its L1 distance (both sums gathered into x, then summed as numpy
    sums, from its 0.0 identity), until the distance drops below
    tolerance or max_iterations ran.  The ranks end in `rank`; stats =
    {iterations, converged} -> the last distance (0 when none ran) */
 double rank_run(double* rank, double* spare, const double* inv_deg, double* x,
-                double* contrib, const int32_t* src, const int32_t* dst,
-                int64_t nedges, int64_t n, const int64_t* dangling,
+                double* contrib, const int32_t* perm, const int64_t* chunk,
+                const int32_t* cols, int64_t n, const int64_t* dangling,
                 int64_t ndangling, double damping, double tolerance,
                 int64_t max_iterations, int64_t* stats) {
     const double c0 = (1.0 - damping) / (double)n;
@@ -1052,7 +1055,7 @@ double rank_run(double* rank, double* spare, const double* inv_deg, double* x,
     while (stats[0] < max_iterations) {
         for (int64_t i = 0; i < ndangling; i++) x[i] = cur[dangling[i]];
         const double mass = (0.0 + pairwise(x, ndangling)) / (double)n;
-        rank_step(cur, inv_deg, x, contrib, src, dst, nedges, n);
+        rank_gather(cur, inv_deg, x, contrib, perm, chunk, cols, n);
         for (int64_t i = 0; i < n; i++) {
             const double t = contrib[i] + mass, scaled = damping * t;
             next[i] = c0 + scaled;
@@ -1063,9 +1066,7 @@ double rank_run(double* rank, double* spare, const double* inv_deg, double* x,
         stats[0]++;
         if (distance < tolerance) { stats[1] = 1; break; }
     }
-    if (cur != rank) {
-        for (int64_t i = 0; i < n; i++) rank[i] = cur[i];
-    }
+    for (int64_t i = 0; cur != rank && i < n; i++) rank[i] = cur[i];
     return distance;
 }
 """

@@ -1,11 +1,11 @@
 """PageRank's iteration — the one implementation every route runs.
 
-PR is all-active: every iteration scatters ``rank[v] / outdeg(v)``
-along every edge of the same launch, then applies damping and
-dangling-mass redistribution.  :class:`RankStep` owns that launch and
-its buffers for one run, and offers the single engine's whole loop to
-a compiled kernel; :func:`damp` is the rank update, shared with the
-sharded router, which assembles the scatter from its shards.
+PR is all-active: every iteration sums ``rank[v] / outdeg(v)`` over
+every in-edge of every node, then applies damping and dangling-mass
+redistribution.  :class:`RankStep` owns the run's layout and buffers,
+and offers the single engine's whole loop to a compiled kernel;
+:func:`damp` is the rank update, shared with the sharded router, which
+assembles the contributions its shards gather.
 """
 
 from __future__ import annotations
@@ -50,22 +50,22 @@ class RankStep:
     """One PageRank iteration over a scheduler's all-nodes launch.
 
     ``step(rank, out)`` writes the next rank vector into ``out`` and
-    returns the L1 distance between the two; ``scatter(rank)`` is its
-    first half alone — ``contrib[dst] += rank[src] * inv_deg[src]`` over
-    every edge in ``batch()`` order (ADD: the order is part of the
-    answer), left in a buffer the step owns — for a shard, whose
-    router applies :func:`damp` to the assembled whole.  ``inv_deg`` is
-    a parameter because a shard's slice cannot derive global outdegree.
+    returns the L1 distance between the two; ``gather(rank)`` is its
+    first half alone, ``contrib[d] = sum(rank[src] * inv_deg[src])``
+    over ``d``'s in-edges in a buffer the step owns, for a shard, whose
+    router applies :func:`damp` to the assembled whole (``inv_deg`` is
+    a parameter: a slice cannot derive global outdegree).
 
-    A JIT backend flattens the launch once per run into ``int32``
-    ``(src, dst)`` arrays (8 B x E of per-run scratch, nothing cached on
-    the graph).  Over it, :meth:`run` makes the single engine's whole
-    loop one compiled call (``rank_run``, :func:`damp`'s recipe with
-    numpy's pairwise sums in C), and a shard's :meth:`scatter` one call
-    per iteration (``rank_step``).  Unwalkable schedulers (an attached
-    scheduler has no walk), graphs an ``int32`` cannot index and any
-    gate failure take the numpy bodies, which announce their cached
-    launch once per iteration.
+    The numpy body is the spec: ``np.add.at`` in ``batch()`` order (ADD:
+    the order is part of the answer).  Every walk visits rows in
+    ascending order, so a JIT backend gathers each ``d``'s sources in
+    that order over the transpose, laid out once per run (4 B a slot,
+    nothing cached on the graph): :meth:`run` is the single engine's
+    whole loop as one call (``rank_run``, :func:`damp`'s recipe with
+    numpy's pairwise sums in C), a shard's :meth:`gather` one call per
+    iteration.  Unwalkable schedulers (an attached one has no walk),
+    graphs an ``int32`` cannot index and any gate failure take the
+    numpy body, which announces its cached launch once per iteration.
     """
 
     def __init__(
@@ -85,12 +85,12 @@ class RankStep:
         self.backend = kernels.resolve_backend(
             kernel_backend, edges=graph.num_edges
         )
-        self.launch = self.backend.try_rank_launch(
+        self.layout = self.backend.try_rank_layout(
             scheduler.walk_layout(), graph.targets
         )
-        #: ``rank * inv_deg`` (the compiled run's sum buffer too), and
-        #: the scatter's result
-        self.scratch = (np.empty(n), np.zeros(n))
+        #: ``rank * inv_deg`` and the padding's ``x[n] = +0.0`` (the
+        #: compiled run's sum buffer too), and the contributions
+        self.scratch = (np.empty(n + 1), np.zeros(n))
         self._batch = None  # the numpy body's launch, built on first use
 
     def run(
@@ -99,27 +99,27 @@ class RankStep:
     ) -> Optional[Tuple[int, bool]]:
         """:func:`~repro.algorithms.pagerank.pagerank`'s loop from
         ``rank`` as one compiled call, the ranks left in ``rank``:
-        ``(iterations, converged)``, or ``None`` (no launch, or
+        ``(iterations, converged)``, or ``None`` (no layout, or
         declined)."""
-        if self.launch is None:
+        if self.layout is None:
             return None
         return self.backend.try_rank_run(
-            rank, spare, self.inv_deg, self.dangling, self.launch,
+            rank, spare, self.inv_deg, self.dangling, self.layout,
             self.scratch, self.damping, tolerance, max_iterations,
         )
 
     def __call__(self, rank: np.ndarray, out: np.ndarray) -> float:
         return damp(rank, self._scatter(rank), self.dangling, self.damping, out)
 
-    def scatter(self, rank: np.ndarray) -> np.ndarray:
-        if self.launch is not None and self.backend.try_rank_step(
-            rank, self.inv_deg, self.launch, self.scratch
+    def gather(self, rank: np.ndarray) -> np.ndarray:
+        if self.layout is not None and self.backend.try_rank_gather(
+            rank, self.inv_deg, self.layout, self.scratch
         ):
             return self.scratch[1]
         return self._scatter(rank)
 
     def _scatter(self, rank: np.ndarray) -> np.ndarray:
-        """The numpy body of :meth:`scatter`."""
+        """The numpy body of :meth:`gather`."""
         contrib = self.scratch[1]
         if self._batch is None:
             batch = self.scheduler.batch(self.scheduler.all_nodes())

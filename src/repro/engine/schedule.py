@@ -119,10 +119,10 @@ class WalkLayout(NamedTuple):
     family of ``fam = family_starts[p + 1] - family_starts[p]`` threads
     walked rank by rank over slots ``base + r + j * fam``.
 
-    The family walk reproduces ``batch()``'s edge order, which only an
-    ADD fold can observe; steps that fold with MIN or MAX drop
-    ``family_starts`` and walk every row in order (same result bit for
-    bit, and the stride is a GPU coalescing remedy a CPU pays for).
+    The family walk reproduces ``batch()``'s edge order, which only bc's
+    fold observes (PageRank's destinations get their sources in row order
+    on any walk); MIN/MAX steps drop ``family_starts`` and walk every row
+    in order (same result bit for bit; the stride is a GPU remedy).
     """
 
     offsets: np.ndarray

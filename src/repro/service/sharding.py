@@ -17,7 +17,7 @@ back per algorithm:
   shards, the merged per-superstep state — and therefore the final
   fixpoint — is **bitwise identical** to the single-engine run under
   any transform (monotone analytics are transform-invariant);
-* **pr** — weighted merge: shards scatter ``rank/outdeg`` over their
+* **pr** — weighted merge: shards gather ``rank/outdeg`` over their
   edge slices *in global CSR edge order* (the destination partition
   preserves it), the router assembles the disjoint owned
   contributions and applies damping, dangling redistribution, and the
@@ -368,14 +368,14 @@ class LocalShard:
             self._tasks[task] = step
 
     def pr_step(self, task: int, rank: np.ndarray) -> np.ndarray:
-        """Scatter one iteration's contributions; returns ``contrib[owned]``.
+        """Gather one iteration's contributions; returns ``contrib[owned]``.
 
         The slice's edges sit in global CSR edge order (the
         destination partition filters without reordering), so each
         owned destination accumulates exactly the addition sequence
         the unsharded kernel performs — bitwise-equal partial sums.
         """
-        return self._task(task, RankStep, "pagerank").scatter(rank)[self.owned]
+        return self._task(task, RankStep, "pagerank").gather(rank)[self.owned]
 
     # -- lifecycle -----------------------------------------------------
     def finish(self, task: int) -> None:
@@ -953,7 +953,7 @@ class ShardSet:
     ) -> Dict[int, np.ndarray]:
         """Sharded PageRank on the untransformed prepared graph.
 
-        Shards scatter their global-order edge slices; the router owns
+        Shards gather over their global-order edge slices; the router owns
         dangling redistribution, damping, and the L1 convergence test
         — the exact float recipe of the unsharded driver, term for
         term.

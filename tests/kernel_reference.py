@@ -9,11 +9,13 @@ operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
 ``RELAX``, ``FOLD`` and ``RUN`` macros; :func:`_next_frontier`,
 :func:`_bc_forward`, :func:`_bc_backward` and :func:`_pairwise` its
 ``static`` helpers of those names).  The ADD loops match the engines'
-vectorised numpy path bitwise: the gather order is thread-by-thread in
-strided slot order (exactly ``strided_ranges_to_indices``), the fold is
-the same addition ``ufunc.at`` applies element-wise, and a sum is
-numpy's pairwise ``add.reduce``.  The MIN/MAX push steps relax in
-place, as the C does, so they match the numpy path at the fixpoint.
+vectorised numpy path bitwise: bc's gather order is thread-by-thread in
+strided slot order (exactly ``strided_ranges_to_indices``), PageRank's
+each destination's sources in ascending order (as every walk reaches
+them), the fold is the same addition ``ufunc.at`` applies
+element-wise, and a sum is numpy's pairwise ``add.reduce``.  The
+MIN/MAX push steps relax in place, as the C does, so they match the
+numpy path at the fixpoint.
 
 :class:`ReferenceBackend` hands them to the production ``try_*`` hooks
 — the same gates, the same calls the C kernels receive — so the
@@ -365,32 +367,51 @@ def _pairwise(a, n):
     return _pairwise(a, half) + _pairwise(a[half:], n - half)
 
 
-def rank_launch(off, fv, targets, n, src, dst):
-    # PageRank's all-nodes launch, flattened once in batch() order
-    k = 0
+def rank_layout(off, targets, n, deg, bucket, perm, chunk, cols):
+    # the transpose as SELL-8: rows by in-degree, descending and stable
+    # (a counting sort), 8 to a chunk, column-major, padded with id n
+    top = max(deg[:n], default=0)
+    for d in range(n):
+        bucket[deg[d]] += 1
+    at = 0
+    for k in range(top, -1, -1):
+        bucket[k], at = at, at + bucket[k]
+    for d in range(n):
+        perm[bucket[deg[d]]] = d
+        bucket[deg[d]] += 1
+    chunk[0] = 0
+    for i in range(0, n, 8):
+        chunk[i // 8 + 1] = chunk[i // 8] + 8 * deg[perm[i]]
+    for i in range(n):
+        deg[perm[i]] = chunk[i // 8] + i % 8
+    slots = chunk[(n + 7) // 8]
+    cols[:slots] = n
     for p in range(n):
-        base, end = off[p], off[p + 1]
-        fam = _family(fv, p)
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                src[k] = p
-                dst[k] = targets[e]
-                k += 1
+        for e in range(off[p], off[p + 1]):
+            cols[deg[targets[e]]] = p
+            deg[targets[e]] += 8
+    return slots
 
 
-def rank_step(rank, inv_deg, x, contrib, src, dst, nedges, n):
-    # one scatter over the flat launch
+def rank_gather(rank, inv_deg, x, contrib, perm, chunk, cols, n):
+    # one iteration's contributions, each row's sources summed in order
+    # from +0.0 (the C runs a chunk's eight rows side by side)
     for i in range(n):
         x[i] = rank[i] * inv_deg[i]
-        contrib[i] = 0.0
-    for e in range(nedges):
-        contrib[dst[e]] += x[src[e]]
+    x[n] = 0.0
+    for c in range(0, (n + 7) // 8):
+        acc = [0.0] * 8
+        for s in range(chunk[c], chunk[c + 1], 8):
+            for r in range(8):
+                acc[r] += x[cols[s + r]]
+        for r in range(min(8, n - c * 8)):
+            contrib[perm[c * 8 + r]] = acc[r]
 
 
-def rank_run(rank, spare, inv_deg, x, contrib, src, dst, nedges, n, dangling,
+def rank_run(rank, spare, inv_deg, x, contrib, perm, chunk, cols, n, dangling,
              ndangling, damping, tolerance, max_iterations, stats):
     # pagerank()'s loop, rank.damp's recipe: the dangling mass, the
-    # scatter, the damped update and its L1 distance, both sums numpy's
+    # gather, the damped update and its L1 distance, both sums numpy's
     # -> the last distance; the ranks end in `rank`
     c0 = (1.0 - damping) / n
     cur, nxt = rank, spare
@@ -400,7 +421,7 @@ def rank_run(rank, spare, inv_deg, x, contrib, src, dst, nedges, n, dangling,
         for i in range(ndangling):
             x[i] = cur[dangling[i]]
         mass = (0.0 + _pairwise(x, ndangling)) / n
-        rank_step(cur, inv_deg, x, contrib, src, dst, nedges, n)
+        rank_gather(cur, inv_deg, x, contrib, perm, chunk, cols, n)
         for i in range(n):
             t = contrib[i] + mass
             scaled = damping * t
@@ -420,7 +441,7 @@ def rank_run(rank, spare, inv_deg, x, contrib, src, dst, nedges, n, dangling,
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
     push_step, push_lanes_step, hop_step, push_run, push_lanes_run, hop_run,
-    bc_run, rank_launch, rank_step, rank_run,
+    bc_run, rank_layout, rank_gather, rank_run,
 )}
 
 

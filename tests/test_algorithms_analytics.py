@@ -14,6 +14,7 @@ from repro.algorithms.reference import (
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
+from repro.engine.push import EngineOptions
 from repro.engine.schedule import EdgeParallelScheduler, MaxWarpScheduler
 from repro.graph.builder import from_edge_list, to_undirected
 from repro.graph.generators import erdos_renyi, rmat
@@ -104,6 +105,20 @@ class TestPageRank:
         ref = reference_pagerank(powerlaw_unweighted, tolerance=1e-12)
         result = pagerank(powerlaw_unweighted, tolerance=1e-12)
         assert np.allclose(result.values, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("backend", ["numpy", "cjit"])
+    def test_reference_is_bitwise_the_engine(self, powerlaw_unweighted, backend):
+        # both sum each node's in-edges in ascending source order and
+        # multiply by the reciprocal out-degree; dangling nodes, a
+        # self-loop and multi-edges in the second graph
+        multi = rmat(300, 2_000, seed=4, dedup=False).without_weights()
+        for graph in (powerlaw_unweighted, multi):
+            want = reference_pagerank(graph)
+            for target in (graph, virtual_transform(graph, 4),
+                           virtual_transform(graph, 4, coalesced=True)):
+                got = pagerank(target, options=EngineOptions(
+                    kernel_backend=backend)).values
+                assert np.array_equal(got, want)
 
     def test_virtual_target_identical(self, powerlaw_unweighted):
         """Theorem 3 + Corollary 4: virtual PR is exact, not approximate."""

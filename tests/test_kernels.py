@@ -44,6 +44,7 @@ from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
 from repro.engine.frontier import Frontier
 from repro.engine.pull import run_pull
+from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.engine.push import (
     EngineOptions,
@@ -1001,7 +1002,7 @@ class TestInPlaceFixpoint:
 
 # ----------------------------------------------------------------------
 # The ADD-reduction runs (Brandes' two phases, PageRank's loop) and the
-# shards' rank scatter vs their numpy bodies
+# shards' rank gather vs their numpy bodies
 # ----------------------------------------------------------------------
 #: K also takes the graph's own maximum degree (no node splits)
 ADD_KS = STEP_KS + ("d_max",)
@@ -1040,6 +1041,27 @@ def rank_graphs(draw):
     live = rng.permutation(n)[dangling:]
     src = np.repeat(live, rng.zipf(2.0, len(live)).clip(max=40))
     dst = rng.integers(0, n, len(src))
+    return from_edge_list(list(zip(src.tolist(), dst.tolist())), num_nodes=n)
+
+
+#: node counts around a chunk of eight rows: none, one, a part chunk, one
+#: whole chunk, one row more, and sixteen chunks and a row
+GATHER_NS = (0, 1, 7, 8, 9, 129)
+
+
+def _gather_graph(n, shape):
+    """``n`` nodes: no edge (``"dangling"``), or ``"skewed"``: three
+    random out-edges a node into the lower half (multi-edges among
+    them), a self-loop on every third node, and three edges from every
+    node into the last, a hub whose in-degree dwarfs the rest's; the
+    upper half's other nodes have in-degree 0."""
+    if shape == "dangling":
+        return from_edge_list([], num_nodes=n)
+    nodes = np.arange(n)
+    rng = np.random.default_rng(n)
+    src = np.concatenate([np.repeat(nodes, 3), nodes[::3], np.repeat(nodes, 3)])
+    dst = np.concatenate([rng.integers(0, max(n // 2, 1), 3 * n), nodes[::3],
+                          np.full(3 * n, n - 1)])
     return from_edge_list(list(zip(src.tolist(), dst.tolist())), num_nodes=n)
 
 
@@ -1088,7 +1110,7 @@ def _bc_runs(scheduler, source, backend, **options):
 
 
 def _pr_runs(scheduler, backend, max_iterations=12):
-    """PageRank on the numpy body and as ``backend``'s launch plus one
+    """PageRank on the numpy body and as ``backend``'s layout plus one
     run: equal to the bit, counter for counter."""
     jit = kernels.get_backend(backend)
     engaged, declined = jit.engaged, jit.declined
@@ -1102,8 +1124,8 @@ def _pr_runs(scheduler, backend, max_iterations=12):
     return got
 
 
-def _rank_scatters(scheduler, backend, iterations=4):
-    """A numpy-bodied and a ``backend`` RankStep's scatter (a shard's
+def _rank_gathers(scheduler, backend, iterations=4):
+    """A numpy-bodied and a ``backend`` RankStep's gather (a shard's
     half of an iteration) side by side, bit for bit every iteration.
     Returns the ``backend`` step."""
     graph = scheduler.graph
@@ -1114,9 +1136,11 @@ def _rank_scatters(scheduler, backend, iterations=4):
         for name in ("numpy", backend)
     )
     assert other.backend.name == backend
-    rank = np.full(n, 1.0 / n)
+    rank = np.full(n, 1.0 / max(n, 1))
     for _ in range(iterations):
-        assert _same_bits(ref.scatter(rank), other.scatter(rank))
+        assert _same_bits(ref.gather(rank), other.gather(rank))
+        if not n:
+            break  # no rank update on no nodes
         out = np.empty(n)
         ref(rank, out)
         rank = out
@@ -1213,15 +1237,35 @@ class TestAddRunDifferential:
         kind=st.sampled_from(SCHEDULER_KINDS),
     )
     @settings(max_examples=100, deadline=None)
-    def test_every_shard_scatter_matches(self, backend, graph, k, kind):
+    def test_every_shard_gather_matches(self, backend, graph, k, kind):
         if graph.num_nodes == 0:
             return
         scheduler = _add_scheduler(kind, graph, k)
         jit = kernels.get_backend(backend)
         engaged, declined = jit.engaged, jit.declined
-        _rank_scatters(scheduler, backend, iterations=4)
-        # the launch, then one scatter per iteration
+        _rank_gathers(scheduler, backend, iterations=4)
+        # the layout, then one gather per iteration
         assert (jit.engaged, jit.declined) == (engaged + 5, declined)
+
+    @pytest.mark.parametrize("backend", JITS)
+    @pytest.mark.parametrize("n", GATHER_NS)
+    @pytest.mark.parametrize("shape", ["skewed", "dangling"])
+    @pytest.mark.parametrize("transform", ["none", "udt"])
+    def test_every_gather_route_matches(self, backend, n, shape, transform):
+        # the whole run to convergence and a shard's gathers on every
+        # walkable scheduler (the virtual ones over the plain graph), at
+        # each K; an empty graph has no run (pagerank returns first)
+        graph = _gather_graph(n, shape)
+        for k in (1, 2, 8):
+            if transform == "udt":
+                graph = udt_transform(_gather_graph(n, shape), max(k, 2)).graph
+            for kind in SCHEDULER_KINDS:
+                scheduler = _scheduler(kind, graph, k)
+                if graph.num_nodes:
+                    assert _pr_runs(scheduler, backend, 1000).converged
+                step = _rank_gathers(scheduler, backend)
+                assert step.layout is not None
+                assert len(step.dangling) == (n if shape == "dangling" else 0)
 
     @pytest.mark.parametrize("backend", JITS)
     @pytest.mark.parametrize("k", STEP_KS)
@@ -1231,7 +1275,7 @@ class TestAddRunDifferential:
             scheduler = _scheduler(kind, star(d, bidirectional=True), k)
             assert _bc_runs(scheduler, 0, backend).num_iterations > 0
             _pr_runs(scheduler, backend)
-            _rank_scatters(scheduler, backend)
+            _rank_gathers(scheduler, backend)
 
     @pytest.mark.parametrize("backend", JITS)
     def test_degenerate_graphs(self, backend):
@@ -1247,29 +1291,29 @@ class TestAddRunDifferential:
                 scheduler = _scheduler(kind, graph, 2)
                 assert _bc_runs(scheduler, 0, backend).num_iterations > 0
                 _pr_runs(scheduler, backend)
-                step = _rank_scatters(scheduler, backend)
+                step = _rank_gathers(scheduler, backend)
                 assert len(step.dangling) in (0, graph.num_nodes - 1,
                                               graph.num_nodes)
 
     @pytest.mark.parametrize("backend", JITS)
-    def test_unflattenable_sizes_decline(self, graph, backend, monkeypatch):
-        # ids past int32: the launch declines and every iteration runs
-        # numpy (the sizes are mocked, not allocated)
+    def test_unindexable_sizes_decline(self, graph, backend, monkeypatch):
+        # a padding id past int32: the layout declines and every
+        # iteration runs numpy (the sizes are mocked, not allocated)
         jit = kernels.get_backend(backend)
         baseline = pagerank(graph, max_iterations=6,
                             options=EngineOptions(kernel_backend="numpy"))
-        for limit in (graph.num_nodes, graph.num_edges):
-            monkeypatch.setattr(kernels, "FLAT_LIMIT", limit)
+        for limit in (graph.num_nodes - 1, graph.num_nodes):
+            monkeypatch.setattr(kernels, "ID_LIMIT", limit)
             engaged, declined = jit.engaged, jit.declined
             result = pagerank(graph, max_iterations=6,
                               options=EngineOptions(kernel_backend=backend))
             assert (jit.engaged, jit.declined) == (engaged, declined + 1)
             assert _same_bits(result.values, baseline.values)
-        monkeypatch.setattr(kernels, "FLAT_LIMIT", graph.num_edges + 1)
+        monkeypatch.setattr(kernels, "ID_LIMIT", graph.num_nodes + 1)
         engaged = jit.engaged
         pagerank(graph, max_iterations=6,
                  options=EngineOptions(kernel_backend=backend))
-        assert jit.engaged == engaged + 2  # the launch and the run
+        assert jit.engaged == engaged + 2  # the layout and the run
 
     @pytest.mark.parametrize("backend", JITS)
     def test_numpy_routes_report_the_same_counters(self, graph, backend):
@@ -1297,7 +1341,7 @@ class TestAddRunDifferential:
                     [sim.metrics for sim in sims],
                 ))
                 if name == backend and bound > 2:
-                    # the bc run and the rank launch, each once
+                    # the bc run and the rank layout, each once
                     assert (jit.engaged, jit.declined) == (engaged,
                                                            declined + 2)
             (ref_bc, ref_pr, ref_m), (jit_bc, jit_pr, jit_m) = runs
@@ -1346,44 +1390,56 @@ class TestAddRunDifferential:
         assert jit.try_bc_run(levels, sigma, delta, order, 0, walk, targets,
                               *fixpoint) is not None
 
-        rank_step = RankStep(NodeScheduler(hop), inverse_out_degrees(hop),
-                             kernel_backend=backend)
-        launch, scratch = rank_step.launch, rank_step.scratch
+        pr_step = RankStep(NodeScheduler(hop), inverse_out_degrees(hop),
+                           kernel_backend=backend)
+        layout, scratch = pr_step.layout, pr_step.scratch
+        perm, chunk, cols = layout
+        x, contrib = scratch
         rank, spare = np.full(n, 1.0 / n), np.empty(n)
-        inv_deg, dangling = rank_step.inv_deg, rank_step.dangling
+        inv_deg, dangling = pr_step.inv_deg, pr_step.dangling
         declined = jit.declined
+        assert jit.try_rank_layout(None, hop.targets) is None
+        assert jit.try_rank_layout(NodeScheduler(hop).walk_layout(),
+                                   hop.targets[:-1]) is None
         for refused in (
-            jit.try_rank_step(rank, inv_deg, None, scratch),
-            jit.try_rank_step(rank, inv_deg, launch, (scratch[0], rank)),
-            jit.try_rank_step(rank[:-1], inv_deg, launch, scratch),
-            jit.try_rank_step(rank.astype(np.float32), inv_deg, launch,
-                              scratch),
-            jit.try_rank_step(rank, inv_deg,
-                              (launch[0].astype(np.int64), launch[1]), scratch),
-            jit.try_rank_step(rank, inv_deg, (launch[0][:-1], launch[1]),
-                              scratch),
+            jit.try_rank_gather(rank, inv_deg, None, scratch),
+            jit.try_rank_gather(rank, inv_deg, layout, (x, rank)),
+            jit.try_rank_gather(rank, inv_deg, layout, (x[:-1], contrib)),
+            jit.try_rank_gather(rank[:-1], inv_deg, layout, scratch),
+            jit.try_rank_gather(rank.astype(np.float32), inv_deg, layout,
+                                scratch),
+            jit.try_rank_gather(rank, inv_deg,
+                                (perm.astype(np.int64), chunk, cols), scratch),
+            jit.try_rank_gather(rank, inv_deg, (perm[:-1], chunk, cols),
+                                scratch),
+            jit.try_rank_gather(rank, inv_deg, (perm, chunk[:-1], cols),
+                                scratch),
+            jit.try_rank_gather(rank, inv_deg, (perm, chunk,
+                                                cols.astype(np.int64)), scratch),
         ):
             assert refused is False
         for refused in (
-            jit.try_rank_run(rank, rank, inv_deg, dangling, launch, scratch,
+            jit.try_rank_run(rank, rank, inv_deg, dangling, layout, scratch,
                              0.85, 1e-10, 8),
-            jit.try_rank_run(rank, scratch[1], inv_deg, dangling, launch,
+            jit.try_rank_run(rank, contrib, inv_deg, dangling, layout,
                              scratch, 0.85, 1e-10, 8),
-            jit.try_rank_run(rank, spare[:-1], inv_deg, dangling, launch,
+            jit.try_rank_run(rank, spare[:-1], inv_deg, dangling, layout,
                              scratch, 0.85, 1e-10, 8),
             jit.try_rank_run(rank, spare, inv_deg, dangling.astype(np.int32),
-                             launch, scratch, 0.85, 1e-10, 8),
-            jit.try_rank_run(rank, spare, inv_deg, np.asarray([n]), launch,
+                             layout, scratch, 0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, np.asarray([n]), layout,
                              scratch, 0.85, 1e-10, 8),
-            jit.try_rank_run(rank, spare, inv_deg, np.arange(n + 1), launch,
+            jit.try_rank_run(rank, spare, inv_deg, np.arange(n + 1), layout,
                              scratch, 0.85, 1e-10, 8),
             jit.try_rank_run(rank, spare, inv_deg, dangling, None, scratch,
                              0.85, 1e-10, 8),
+            jit.try_rank_run(rank, spare, inv_deg, dangling, layout,
+                             (x, spare), 0.85, 1e-10, 8),
         ):
             assert refused is None
-        assert jit.declined == declined + 13
-        assert jit.try_rank_step(rank, inv_deg, launch, scratch)
-        assert jit.try_rank_run(rank, spare, inv_deg, dangling, launch,
+        assert jit.declined == declined + 19
+        assert jit.try_rank_gather(rank, inv_deg, layout, scratch)
+        assert jit.try_rank_run(rank, spare, inv_deg, dangling, layout,
                                 scratch, 0.85, 1e-10, 8) is not None
 
     def test_reference_kernels_match_numpy(self, reference_backend):
@@ -1396,7 +1452,7 @@ class TestAddRunDifferential:
                 _bc_runs(scheduler, hub, "reference",
                          dense_threshold=threshold)
             _pr_runs(scheduler, "reference")
-            _rank_scatters(scheduler, "reference")
+            _rank_gathers(scheduler, "reference")
         assert reference_backend.engaged > 0
         assert reference_backend.declined == 0
 
@@ -1420,7 +1476,7 @@ class TestAddRunDifferential:
                               options=EngineOptions(kernel_backend="reference"))
             assert _same_bits(result.values, baseline.values)
         assert reference_backend._numpy_sums is False
-        # two launches engaged, two runs declined
+        # two layouts engaged, two runs declined
         assert (reference_backend.engaged, reference_backend.declined) == (2, 2)
 
 
@@ -1552,9 +1608,9 @@ HAND_COUNTED = {
                 [_PTR] * 4 + [_I64, _F64, _PTR, _I64] + [_PTR] * 5 + _RUN_ARGS),
     "bc_run": ("bc", None,
                [_PTR] * 4 + [_I64] + [_PTR] * 3 + [_I64, _I64, _F64, _PTR]),
-    "rank_launch": ("rank", None, [_PTR] * 3 + [_I64] + [_PTR] * 2),
-    "rank_step": ("rank", None, [_PTR] * 6 + [_I64] * 2),
-    "rank_run": ("rank", _F64, [_PTR] * 7 + [_I64] * 2 + [_PTR, _I64]
+    "rank_layout": ("rank", _I64, [_PTR] * 2 + [_I64] + [_PTR] * 5),
+    "rank_gather": ("rank", None, [_PTR] * 7 + [_I64]),
+    "rank_run": ("rank", _F64, [_PTR] * 8 + [_I64] + [_PTR, _I64]
                  + [_F64] * 2 + [_I64, _PTR]),
 }
 

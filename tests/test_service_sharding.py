@@ -252,12 +252,12 @@ class TestShardsRunTheEngineStep:
                 shardset.close()
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_rank_step_bitwise_on_router_shards_and_single_engine(
         self, graph, backend, shards
     ):
         # three users of one RankStep: the single engine's fused call,
-        # the shards' scatter half, the router's `damp`
+        # the shards' gather half, the router's `damp`
         prepared = prepare_graph(graph, "pr")
         options = EngineOptions(kernel_backend=backend)
         want, _ = run_algorithm(
@@ -273,7 +273,7 @@ class TestShardsRunTheEngineStep:
             shardset.close()
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_pagerank_scatter_runs_on_the_pinned_backend(self, graph, backend):
+    def test_pagerank_gather_runs_on_the_pinned_backend(self, graph, backend):
         prepared = prepare_graph(graph, "pr")
         want, _ = run_algorithm(
             prepared, "pr", None, EngineOptions(kernel_backend="numpy")
