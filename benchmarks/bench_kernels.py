@@ -10,6 +10,7 @@ extras.  The JSON artifact lands in ``results/``.
 """
 
 import os
+import platform
 
 import pytest
 
@@ -27,6 +28,12 @@ def test_kernel_backends(run_once, bench_scale):
     print()
     print(report.to_text())
     save_report(report, os.path.join(RESULTS_DIR, "kernel-backends.json"))
+
+    # the artifact says what produced it: a regenerated file can be
+    # compared with the one it replaces only at the same scale and host
+    assert report.extras["scale"] == bench_scale
+    assert report.extras["host_machine"] == platform.machine()
+    assert report.extras["host_cpus"] == os.cpu_count()
 
     # the whole point: same answers, down to the last bit
     assert report.extras["all_bitwise_equal"]

@@ -16,6 +16,7 @@ wins by amortising its compile over many runs must say so.
 from __future__ import annotations
 
 import os
+import platform
 import time
 from typing import Dict, Optional, Tuple
 
@@ -121,7 +122,8 @@ def kernel_backends(
 
     Per (graph, algorithm) row: the numpy wall time, then one
     ``<backend>_s`` / ``<backend>_x`` pair per JIT backend (warm
-    timings, bitwise-checked).  Extras carry the one-time costs
+    timings, bitwise-checked).  Extras carry what produced the rows
+    (``scale``, ``host_machine``, ``host_cpus``), the one-time costs
     (``<backend>_first_run_s``, ``cjit_compile_<stage>_s``) and the
     headline ``best_jit_speedup``.
     """
@@ -140,6 +142,8 @@ def kernel_backends(
         f"(available: {', '.join(['numpy'] + jits)}), warm timings, "
         "bitwise-checked",
     )
+    report.extras.update(scale=scale, host_machine=platform.machine(),
+                         host_cpus=os.cpu_count())
 
     # One-time setup per JIT backend (compile or .so load), measured on
     # a tiny graph so the engine work itself is noise.

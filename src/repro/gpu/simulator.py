@@ -158,7 +158,7 @@ class AttachedScheduler(Scheduler):
     """A scheduler whose every announced launch a simulator costs.
 
     It hands out its target's thread batches unchanged, so values and
-    counters are the target's.  It offers no walk layout, so every
+    counters are the target's.  It is not walkable, so every
     compiled superstep declines and the run stays on the synchronous
     numpy bodies, which announce each launch.
     """

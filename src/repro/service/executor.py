@@ -16,7 +16,7 @@ walks it:
 1. **shard tier** (``shards=N``) — scatter-gather over destination-
    partitioned shard executors, in-process or remote
    (:class:`~repro.service.sharding.ShardTier`); *passes* on what it
-   cannot reproduce bitwise (bc, transformed PageRank) or the routing
+   cannot reproduce bitwise (bc) or the routing
    policy steers away;
 2. **local hosts** (``backend="processes"``, or the
    ``REPRO_SERVICE_WORKERS`` environment variable) — one host process

@@ -1,4 +1,4 @@
-"""Executable spec of the compiled kernels: Algorithms 2-3 as plain loops.
+"""Executable spec of the compiled kernels: one plain loop per C function.
 
 One loop per C function in ``repro.engine.kernels._C_UNITS``, named as
 it is and taking exactly its prototype's arguments, in order: ``None``
@@ -8,14 +8,14 @@ the C text is a transliteration of these loops, operation for
 operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
 ``RELAX``, ``FOLD`` and ``RUN`` macros; :func:`_next_frontier`,
 :func:`_bc_forward`, :func:`_bc_backward` and :func:`_pairwise` its
-``static`` helpers of those names).  The ADD loops match the engines'
-vectorised numpy path bitwise: bc's gather order is thread-by-thread in
-strided slot order (exactly ``strided_ranges_to_indices``), PageRank's
-each destination's sources in ascending order (as every walk reaches
-them), the fold is the same addition ``ufunc.at`` applies
-element-wise, and a sum is numpy's pairwise ``add.reduce``.  The
-MIN/MAX push steps relax in place, as the C does, so they match the
-numpy path at the fixpoint.
+``static`` helpers of those names).  Every loop walks each active
+node's CSR row in order.  The ADD loops match the engines' vectorised
+numpy path bitwise: bc's numpy bodies fold their launch's edges sorted
+by CSR edge index, PageRank's gather takes each destination's sources
+in ascending order (as every walk reaches them), the fold is the same
+addition ``ufunc.at`` applies element-wise, and a sum is numpy's
+pairwise ``add.reduce``.  The MIN/MAX push steps relax in place, as
+the C does, so they match the numpy path at the fixpoint.
 
 :class:`ReferenceBackend` hands them to the production ``try_*`` hooks
 — the same gates, the same calls the C kernels receive — so the
@@ -40,44 +40,29 @@ def _relax(s, wt, relax):
 
 
 def _fold(v, d, c, reduce):
-    # FOLD: MIN, MAX, ADD into v[d] -> whether it stored
-    if reduce == 0:
-        if not c < v[d]:
-            return False
-        v[d] = c
-    elif reduce == 1:
-        if not c > v[d]:
-            return False
-        v[d] = c
-    else:
-        v[d] += c
+    # FOLD: MIN (reduce 0) or MAX into v[d] -> whether it stored
+    if not (c < v[d] if reduce == 0 else c > v[d]):
+        return False
+    v[d] = c
     return True
 
 
-def _family(fv, p):
-    # the ranks of node p's walk (fv NULL: one, the row in order)
-    return 1 if fv is None else fv[p + 1] - fv[p]
-
-
-def push_step(v, rv, active, nactive, off, fv, targets, w, mark, changed,
+def push_step(v, rv, active, nactive, off, targets, w, mark, changed,
               stats, has_w, relax, reduce):
-    # one superstep over a schedule.WalkLayout -> changed count
+    # one MIN/MAX superstep, in place: each active row in order ->
+    # changed count
     cnt = kept = total = 0
     for i in range(nactive):
         p = active[i]
-        base, end = off[p], off[p + 1]
-        fam = _family(fv, p)
-        # MIN/MAX read in place; ADD (not idempotent) the snapshot
-        s = rv[p] if reduce == 2 else v[p]
-        total += end - base
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                c = _relax(s, w[e] if has_w else 1.0, relax)
-                if _fold(v, d, c, reduce):
-                    changed[cnt] = d
-                    cnt += not mark[d]
-                    mark[d] = 1
+        s = v[p]
+        total += off[p + 1] - off[p]
+        for e in range(off[p], off[p + 1]):
+            d = targets[e]
+            c = _relax(s, w[e] if has_w else 1.0, relax)
+            if _fold(v, d, c, reduce):
+                changed[cnt] = d
+                cnt += not mark[d]
+                mark[d] = 1
     for i in range(cnt):
         d = changed[i]
         mark[d] = 0
@@ -88,28 +73,25 @@ def push_step(v, rv, active, nactive, off, fv, targets, w, mark, changed,
     return kept
 
 
-def push_lanes_step(v, rv, active, nactive, off, fv, targets, w, mark,
+def push_lanes_step(v, rv, active, nactive, off, targets, w, mark,
                     changed, stats, has_w, relax, reduce, lanes, live):
-    # push_step over node-major (n, lanes) matrices, MIN/MAX only, in
-    # place like it; every touched row is then compared, committed to
-    # rv and its differing lanes flagged live
+    # push_step over node-major (n, lanes) matrices, in place like it;
+    # every touched row is then compared, committed to rv and its
+    # differing lanes flagged live
     cnt = kept = total = 0
     for i in range(nactive):
         p = active[i]
-        base, end = off[p], off[p + 1]
-        fam = _family(fv, p)
-        total += end - base
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                wt = w[e] if has_w else 1.0
-                for k in range(lanes):
-                    c = _relax(v[p, k], wt, relax)
-                    if c < v[d, k] if reduce == 0 else c > v[d, k]:
-                        v[d, k] = c
-                changed[cnt] = d
-                cnt += not mark[d]
-                mark[d] = 1
+        total += off[p + 1] - off[p]
+        for e in range(off[p], off[p + 1]):
+            d = targets[e]
+            wt = w[e] if has_w else 1.0
+            for k in range(lanes):
+                c = _relax(v[p, k], wt, relax)
+                if c < v[d, k] if reduce == 0 else c > v[d, k]:
+                    v[d, k] = c
+            changed[cnt] = d
+            cnt += not mark[d]
+            mark[d] = 1
     for k in range(lanes):
         live[k] = 0
     for i in range(cnt):
@@ -209,7 +191,7 @@ def _run(lanes, step, commit, frontier, nactive, mark, changed, stats, n,
     return False
 
 
-def push_run(v, rv, frontier, nactive, off, fv, targets, w, mark, changed,
+def push_run(v, rv, frontier, nactive, off, targets, w, mark, changed,
              stats, has_w, relax, reduce, n, max_iterations, dense):
     # run_push's loop over push_step, rv committed
 
@@ -219,19 +201,19 @@ def push_run(v, rv, frontier, nactive, off, fv, targets, w, mark, changed,
 
     return _run(
         1, lambda active, nactive, step: push_step(
-            v, rv, active, nactive, off, fv, targets, w, mark, changed, step,
+            v, rv, active, nactive, off, targets, w, mark, changed, step,
             has_w, relax, reduce),
         commit, frontier, nactive, mark, changed, stats, n, max_iterations,
         dense)
 
 
-def push_lanes_run(v, rv, frontier, nactive, off, fv, targets, w, mark,
+def push_lanes_run(v, rv, frontier, nactive, off, targets, w, mark,
                    changed, stats, has_w, relax, reduce, lanes, live, n,
                    max_iterations, dense):
     # run_push_lanes' loop over push_lanes_step (which commits rv)
     return _run(
         lanes, lambda active, nactive, step: push_lanes_step(
-            v, rv, active, nactive, off, fv, targets, w, mark, changed, step,
+            v, rv, active, nactive, off, targets, w, mark, changed, step,
             has_w, relax, reduce, lanes, live),
         lambda kept: None, frontier, nactive, mark, changed, stats, n,
         max_iterations, dense)
@@ -263,52 +245,46 @@ def _by_id(ids):
     ids[:] = sorted(ids)
 
 
-def _bc_forward(levels, sigma, frontier, nfrontier, off, fv, targets, level,
+def _bc_forward(levels, sigma, frontier, nfrontier, off, targets, level,
                 found, edges):
     # one Brandes forward level: settle depth `level` below the frontier
     # and count its shortest paths in the same walk -> found count
     cnt = 0
     for i in range(nfrontier):
         p = frontier[i]
-        base, end = off[p], off[p + 1]
-        fam = _family(fv, p)
         s = sigma[p]
-        edges[0] += end - base
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                if levels[d] < 0:
-                    levels[d] = level
-                    found[cnt] = d
-                    cnt += 1
-                if levels[d] == level:
-                    sigma[d] += s
+        edges[0] += off[p + 1] - off[p]
+        for e in range(off[p], off[p + 1]):
+            d = targets[e]
+            if levels[d] < 0:
+                levels[d] = level
+                found[cnt] = d
+                cnt += 1
+            if levels[d] == level:
+                sigma[d] += s
     return cnt
 
 
-def _bc_backward(levels, sigma, delta, frontier, nfrontier, off, fv, targets,
+def _bc_backward(levels, sigma, delta, frontier, nfrontier, off, targets,
                  edges):
     # one Brandes backward level: each frontier node's dependency from
-    # its children one level down
+    # its children one level down, its row in order
     for i in range(nfrontier):
         p = frontier[i]
-        base, end = off[p], off[p + 1]
-        fam = _family(fv, p)
         down = levels[p] + 1
         s = sigma[p]
         acc = delta[p]
-        edges[0] += end - base
-        for r in range(fam):
-            for e in range(base + r, end, fam):
-                d = targets[e]
-                if levels[d] == down and sigma[d] > 0:
-                    q = s / sigma[d]
-                    o = 1.0 + delta[d]
-                    acc += q * o
+        edges[0] += off[p + 1] - off[p]
+        for e in range(off[p], off[p + 1]):
+            d = targets[e]
+            if levels[d] == down and sigma[d] > 0:
+                q = s / sigma[d]
+                o = 1.0 + delta[d]
+                acc += q * o
         delta[p] = acc
 
 
-def bc_run(levels, sigma, delta, order, source, off, fv, targets, n,
+def bc_run(levels, sigma, delta, order, source, off, targets, n,
            max_iterations, dense, stats):
     # bc()'s two phases: forward levels, each found level sorted into
     # order behind the last (a scan of the level marks when dense,
@@ -320,8 +296,8 @@ def bc_run(levels, sigma, delta, order, source, off, fv, targets, n,
     while hi > lo and depth < max_iterations:
         depth += 1
         level = depth
-        cnt = _bc_forward(levels, sigma, order[lo:], hi - lo, off, fv,
-                          targets, level, order[hi:], edges)
+        cnt = _bc_forward(levels, sigma, order[lo:], hi - lo, off, targets,
+                          level, order[hi:], edges)
         if cnt / n >= dense:
             j, d = hi, 0
             while j < hi + cnt:
@@ -338,7 +314,7 @@ def bc_run(levels, sigma, delta, order, source, off, fv, targets, n,
         while start > 0 and levels[order[start - 1]] == level:
             start -= 1
         _bc_backward(levels, sigma, delta, order[start:], end - start, off,
-                     fv, targets, edges)
+                     targets, edges)
         end = start
     stats[0] = depth + max(depth - 1, 0)
     stats[1] = edges[0]

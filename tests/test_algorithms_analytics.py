@@ -73,6 +73,31 @@ class TestBC:
         result = bc(EdgeParallelScheduler(powerlaw_unweighted), hub_source)
         assert np.allclose(result.centrality, ref)
 
+    @pytest.mark.parametrize("backend", ["numpy", "cjit"])
+    def test_reference_is_bitwise_the_engine(self, powerlaw_unweighted, backend):
+        # every route folds each node's out-edges in CSR order, as
+        # Brandes' loops do, whatever the transform or scheduler; the
+        # second graph has multi-edges, self-loops, nodes no edge
+        # touches and nodes the sources do not reach
+        base = rmat(300, 3_000, seed=4, dedup=False).without_weights()
+        src = np.repeat(np.arange(300), base.out_degrees()).tolist()
+        loops = [(v, v) for v in range(0, 300, 7)]
+        multi = from_edge_list(list(zip(src, base.targets.tolist())) + loops,
+                               num_nodes=310)
+        options = EngineOptions(kernel_backend=backend)
+        for graph in (powerlaw_unweighted, multi):
+            hubs = np.argsort(-graph.out_degrees(), kind="stable")[:2]
+            for source in hubs.tolist():
+                want = reference_bc(graph, source)
+                assert (want == 0).any() and (want > 0).any()
+                targets = [graph, MaxWarpScheduler(graph, 8),
+                           EdgeParallelScheduler(graph)] + [
+                    virtual_transform(graph, k, coalesced=coalesced)
+                    for k in (1, 4) for coalesced in (False, True)]
+                for target in targets:
+                    got = bc(target, source, options=options).centrality
+                    assert np.array_equal(got, want)
+
     def test_sigma_counts(self):
         # diamond: two shortest paths 0->3
         g = from_edge_list([(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -40,7 +40,7 @@ def test_attach_resolves_any_target_and_hides_the_walk(powerlaw_graph):
         assert isinstance(attached, AttachedScheduler)
         assert isinstance(attached, Scheduler)
         assert attached.graph is powerlaw_graph
-        assert attached.walk_layout() is None
+        assert not attached.walkable
     active = np.array([0, 5], dtype=np.int64)
     inner = NodeScheduler(powerlaw_graph)
     attached = sim.attach(inner)

@@ -12,6 +12,7 @@ batch fan-out.  Every comparison here is ``np.array_equal``, never
 import numpy as np
 import pytest
 
+from repro.algorithms.bc import bc, bc_lanes
 from repro.algorithms.bfs import bfs
 from repro.algorithms.multi_source import (
     DEFAULT_MAX_LANES,
@@ -21,6 +22,7 @@ from repro.algorithms.multi_source import (
     multi_source_distances,
 )
 from repro.algorithms.programs import BFSProgram, PageRankProgram, SSSPProgram
+from repro.algorithms.reference import reference_bc
 from repro.algorithms.sssp import sssp
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
@@ -244,11 +246,23 @@ class TestDerivedAnalytics:
         assert len(calls[0]) == 6
 
     def test_approximate_bc_lanes_equals_loop(self):
+        # on the coalesced layout too, and against the compiled bc: every
+        # route folds each row in CSR order, so each lane column is its
+        # scalar run whatever the transform or backend
         graph = make_graph(6, weighted=False)
         sources = pick_sources(graph, 6, count=6)
         looped = approximate_bc(graph, sources=sources, mode="loop")
         lanes = approximate_bc(graph, sources=sources, mode="lanes")
         assert np.array_equal(looped, lanes)
+        coalesced = virtual_transform(graph, 4, coalesced=True)
+        for backend in kernels.available_backends():
+            options = EngineOptions(kernel_backend=backend)
+            columns = bc_lanes(coalesced, sources, options=options)
+            for k, source in enumerate(sources):
+                want = reference_bc(graph, source)
+                assert np.array_equal(columns[:, k], want)
+                assert np.array_equal(bc(
+                    coalesced, source, options=options).centrality, want)
 
 
 # ----------------------------------------------------------------------
