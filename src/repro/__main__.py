@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
+from repro.core.selection import TRANSFORMS
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
@@ -673,9 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--sources", default=None,
                    help="comma-separated source list (batched, deduplicated)")
-    p.add_argument("--transform",
-                   choices=("auto", "none", "udt", "virtual", "virtual+"),
-                   default="auto")
+    p.add_argument("--transform", choices=TRANSFORMS, default="auto",
+                   help="auto serves the CSR (no transform); name one to "
+                        "serve it, cached across requests")
     p.add_argument("--k", type=int, default=None, help="degree bound override")
     _service_flag(p, "--timeout", help="per-request deadline in seconds")
     p.add_argument("--repeat", type=int, default=1,

@@ -24,6 +24,10 @@ from repro.graph.csr import CSRGraph
 #: the paper's single global bound for virtual transformation (§5).
 VIRTUAL_DEGREE_BOUND = 10
 
+#: transforms a served request may name: ``auto`` (the planner's pick,
+#: which serves the CSR), ``none`` (the raw CSR) or a paper transform.
+TRANSFORMS = ("auto", "none", "udt", "virtual", "virtual+")
+
 #: clamp range for the physical heuristic.
 MIN_PHYSICAL_K = 8
 MAX_PHYSICAL_K = 512

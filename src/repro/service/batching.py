@@ -17,7 +17,7 @@ root).  The batcher exploits that shape:
 * sourceless analytics (CC/PR) collapse even harder: the whole batch
   is one engine run whose result every member shares.
 
-:func:`run_batch_on_target` reports how much engine work actually ran
+:func:`run_sources_on_target` reports how much engine work actually ran
 as a :class:`BatchExecution`, which the executor feeds to
 ``ServiceMetrics`` (``lanes_per_traversal``, ``traversals_saved``).
 """
@@ -219,22 +219,3 @@ def fan_out_per_request(
             out[request.request_id] = {-1: per_source[-1]}
     return out
 
-
-def run_batch_on_target(
-    batch: QueryBatch, target
-) -> Tuple[Dict[int, Dict[int, np.ndarray]], BatchExecution]:
-    """Execute a batch on a resolved engine target.
-
-    ``target`` is whatever the plan produced: a raw :class:`CSRGraph`,
-    a transformed graph, or a :class:`~repro.core.virtual.VirtualGraph`.
-    Returns ``(request_id -> (source -> values), execution)``; values
-    are in the *target's* node space (the executor projects physically
-    transformed results back to original ids).  Each unique source is
-    executed exactly once (:func:`run_sources_on_target`) and fanned
-    out to every request that asked for it
-    (:func:`fan_out_per_request`).
-    """
-    per_source, execution = run_sources_on_target(
-        batch.algorithm, batch.sources, batch.options, target
-    )
-    return fan_out_per_request(batch.requests, per_source), execution

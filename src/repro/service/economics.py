@@ -25,10 +25,10 @@ an economic memory:
 * **a trace-mining forecaster** — parses recorded trace-v1 streams
   (:mod:`repro.service.ingest`) into per-(graph fingerprint, kind, K)
   arrival histograms, resolving each recorded request through the real
-  planner so ``transform="auto"`` / ``k=0`` requests forecast the
-  artifact they would actually demand.  The result is a
-  :class:`WarmPlan`: warm-set entries ranked by expected build seconds
-  saved (``requests × est_build_s``), serialisable to JSON
+  planner so ``k=0`` requests forecast the artifact they would actually
+  demand (``transform="auto"`` serves the CSR and warms nothing).  The
+  result is a :class:`WarmPlan`: warm-set entries ranked by expected
+  build seconds saved (``requests × est_build_s``), serialisable to JSON
   (``python -m repro forecast TRACE... --out PLAN``).
 
 * **a pre-warmer** — :class:`Prewarmer` replays a plan's entries
@@ -386,13 +386,14 @@ def forecast_trace(
     """Mine one loaded trace into a :class:`WarmPlan`.
 
     Each recorded request is resolved through the *real* planner
-    against the prepared form of its graph, so ``transform="auto"``
-    and ``k=0`` forecast the concrete ``(kind, K)`` the serving layer
-    would actually build — a warm entry is an artifact identity, not a
-    request string.  Demand per artifact is an arrival histogram over
-    ``buckets`` equal time buckets of the recorded span; entries are
-    ranked by ``requests × est_build_s`` (expected build seconds saved
-    by keeping the artifact resident).
+    against the prepared form of its graph, so ``k=0`` forecasts the
+    concrete ``(kind, K)`` the serving layer would actually build — a
+    warm entry is an artifact identity, not a request string.  Plans
+    that read no transform (``"none"``, and ``"auto"``, which serves the
+    CSR) count as ``uncacheable``.  Demand per artifact is an arrival
+    histogram over ``buckets`` equal time buckets of the recorded span;
+    entries are ranked by ``requests × est_build_s`` (expected build
+    seconds saved by keeping the artifact resident).
     """
     # Imported here, not at module top: the catalog imports this
     # module for its policy layer, and these pull the catalog back in.
@@ -426,7 +427,7 @@ def forecast_trace(
         cached_plan = plans.get(signature)
         if cached_plan is None:
             try:
-                prepared, plan = plan_batch(
+                prepared, plan, _ = plan_batch(
                     scratch, resolved[request.graph], request.algorithm,
                     request.sources, transform=request.transform,
                     degree_bound=request.degree_bound,
@@ -715,7 +716,7 @@ class Prewarmer:
         # Only the planner sees the sources — node 0 stands in on
         # source-rooted analytics, which never affects the plan (or
         # therefore the artifact key).
-        prepared, plan = plan_batch(
+        prepared, plan, _ = plan_batch(
             catalog, graph, entry.algorithm,
             (0,) if ALGORITHMS[entry.algorithm].needs_source else (),
             transform=entry.transform, degree_bound=entry.degree_bound,

@@ -100,7 +100,7 @@ from repro.service.workers import (
     BatchSpec,
     execute_pipeline,
     export_graph,
-    prepare_for_algorithm,
+    prepare_with_origin,
 )
 
 #: recognised execution backends.
@@ -920,16 +920,16 @@ class AnalyticsService:
             prepare=self._prepare,
         )
 
-    def _prepare(self, graph: CSRGraph, algorithm: str) -> CSRGraph:
+    def _prepare(self, graph: CSRGraph, algorithm: str) -> Tuple[CSRGraph, Optional[str]]:
         """Per-algorithm preparation via the front-end catalog.
 
         Thin bound-method wrapper over
-        :func:`~repro.service.workers.prepare_for_algorithm` so tests
+        :func:`~repro.service.workers.prepare_with_origin` so tests
         can intercept preparation on this service instance (the
         process backend's local hosts prepare in their own processes and
         are not affected).
         """
-        return prepare_for_algorithm(self.catalog, graph, algorithm)
+        return prepare_with_origin(self.catalog, graph, algorithm)
 
     def _fail(
         self,

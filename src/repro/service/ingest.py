@@ -61,6 +61,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
+from repro.core.selection import TRANSFORMS
 from repro.errors import ServiceError, TraceFormatError, TraceVersionError
 from repro.graph.csr import CSRGraph
 from repro.service.query import QueryRequest, QueryResult
@@ -71,10 +72,6 @@ TRACE_VERSION = 1
 
 #: recognised malformed-line policies.
 MALFORMED_POLICIES = ("strict", "skip")
-
-#: transform spellings a request line may carry (same set the
-#: :class:`QueryRequest` validator accepts).
-_TRANSFORMS = ("auto", "none", "udt", "virtual", "virtual+")
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +306,7 @@ def _parse_request(payload: dict, line: int, source: str) -> TraceRequest:
             source=source,
         ) from None
     transform = payload.get("transform", "auto")
-    if transform not in _TRANSFORMS:
+    if transform not in TRANSFORMS:
         raise TraceFormatError(
             f"unknown transform {transform!r}", line=line, source=source
         )

@@ -13,6 +13,9 @@ machinery rather than re-encoding it:
   see :class:`repro.baselines.tigr.TigrUDTMethod`) bound what "udt"
   requests are accepted.
 
+``"auto"`` serves the raw CSR (see :func:`plan_query` for why); the
+paper's transforms stay requestable by name.
+
 The planner also owns the *graceful degradation* rule: when the
 catalog is cold and the request's remaining deadline is smaller than
 the estimated transform build time, plan ``transform="none"`` and run
@@ -53,11 +56,6 @@ class QueryPlan:
     transform: str
     degree_bound: int
     dumb_weight: DumbWeight
-    #: engine direction; the serving layer runs the push engine, which
-    #: is the direction every analytic here supports on every target.
-    direction: str = "push"
-    #: why this plan (surfaced in results and logs).
-    reason: str = ""
     #: True when a tighter plan was abandoned for deadline reasons.
     degraded: bool = False
 
@@ -71,23 +69,15 @@ def plan_query(request: QueryRequest, graph: CSRGraph) -> QueryPlan:
     """Resolve a request into a plan (no deadline pressure applied)."""
     algorithm = request.algorithm
     transform = request.transform
-    if transform == "auto":
-        # The paper's default method: virtual with coalesced layout
-        # (Tigr-V+) supports all six analytics and transforms in O(|V|).
-        return QueryPlan(
-            algorithm=algorithm,
-            transform="virtual+",
-            degree_bound=request.degree_bound or selection.choose_virtual_k(graph),
-            dumb_weight=DumbWeight.NONE,
-            reason="auto: Tigr-V+ supports every analytic at O(|V|) transform cost",
-        )
-    if transform == "none":
+    if transform in ("auto", "none"):
+        # auto serves the CSR: every compiled kernel walks CSR rows in
+        # order and answers are transform-free, so an overlay would be
+        # built, cached and looked up for nothing.
         return QueryPlan(
             algorithm=algorithm,
             transform="none",
             degree_bound=0,
             dumb_weight=DumbWeight.NONE,
-            reason="explicit untransformed run",
         )
     if transform == "udt":
         requirement = applicability.REQUIREMENTS.get(algorithm)
@@ -110,7 +100,6 @@ def plan_query(request: QueryRequest, graph: CSRGraph) -> QueryPlan:
             transform="udt",
             degree_bound=request.degree_bound or selection.choose_physical_k(graph),
             dumb_weight=DumbWeight.for_algorithm(algorithm),
-            reason=applicability.REQUIREMENTS[algorithm].justification,
         )
     # virtual / virtual+
     return QueryPlan(
@@ -118,7 +107,6 @@ def plan_query(request: QueryRequest, graph: CSRGraph) -> QueryPlan:
         transform=transform,
         degree_bound=request.degree_bound or selection.choose_virtual_k(graph),
         dumb_weight=DumbWeight.NONE,
-        reason="explicit virtual overlay",
     )
 
 
@@ -160,8 +148,4 @@ def degrade_for_deadline(
         degree_bound=0,
         dumb_weight=DumbWeight.NONE,
         degraded=True,
-        reason=(
-            f"degraded: cold cache, ~{estimated:.3f}s transform estimate "
-            f"exceeds {remaining_s:.3f}s remaining deadline"
-        ),
     )

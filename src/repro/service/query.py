@@ -16,6 +16,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
+from repro.core.selection import TRANSFORMS
 from repro.engine.push import EngineOptions
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
@@ -42,9 +43,10 @@ class QueryRequest:
         the batcher additionally merges and dedups sources *across*
         same-graph requests.
     transform:
-        ``"auto"`` lets the planner choose; ``"udt"``, ``"virtual"``,
-        ``"virtual+"`` force a transform; ``"none"`` runs on the raw
-        CSR (what degraded execution falls back to).
+        One of :data:`~repro.core.selection.TRANSFORMS`: ``"auto"``
+        lets the planner choose (it serves the raw CSR); ``"udt"``,
+        ``"virtual"``, ``"virtual+"`` force a transform; ``"none"`` runs
+        on the raw CSR (what degraded execution falls back to).
     degree_bound:
         Explicit K; ``None`` defers to :mod:`repro.core.selection`.
     timeout_s:
@@ -74,7 +76,7 @@ class QueryRequest:
             raise ServiceError(
                 f"unknown algorithm {self.algorithm!r}; known: {sorted(ALGORITHMS)}"
             )
-        if self.transform not in ("auto", "none", "udt", "virtual", "virtual+"):
+        if self.transform not in TRANSFORMS:
             raise ServiceError(f"unknown transform {self.transform!r}")
         object.__setattr__(self, "sources", tuple(int(s) for s in self.sources))
         spec = ALGORITHMS[self.algorithm]
@@ -128,9 +130,10 @@ class QueryResult:
 
     ``values`` maps source node -> value array for source-rooted
     analytics, or holds the single array under key ``-1`` for
-    sourceless ones (CC/PR).  ``cache_hit`` is True when the plan's
-    transform artifact came from the catalog (memory or disk) rather
-    than being built for this request.
+    sourceless ones (CC/PR).  ``cache_hit`` is True when this request
+    built nothing: every catalog artifact it read (prepared graph,
+    transform, shard set, shard overlays) came from memory or disk.  A
+    request that read none is a hit.
     """
 
     request_id: int

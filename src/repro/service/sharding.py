@@ -102,8 +102,10 @@ from repro.service.workers import (
     CRASH_SOURCE_ENV,
     BatchOutcome,
     BatchSpec,
+    Prepare,
     execute_pipeline,
     plan_batch,
+    served_from_cache,
 )
 
 #: analytics the scatter-gather router can serve (bc is level-
@@ -292,7 +294,8 @@ class LocalShard:
         source: Optional[int],
         kernel_backend: Optional[str] = None,
     ) -> str:
-        """Initialise one monotone run; returns the overlay cache origin.
+        """Initialise one monotone run; returns the overlay cache origin
+        (``""`` when the plan reads no overlay).
 
         ``kernel_backend`` is the request's ``EngineOptions`` pin
         (``None`` resolves as any engine run does, against this
@@ -906,7 +909,7 @@ class ShardSet:
                 task, algorithm, kind, degree_bound, source, kernel_backend
             )
         )
-        stats.cache_origins.extend(str(origin) for origin in origins)
+        stats.cache_origins.extend(str(origin) for origin in origins if origin)
         try:
             upd_ids = program.initial_frontier(n, source).astype(NODE_DTYPE)
             upd_vals = values[upd_ids]
@@ -1036,7 +1039,7 @@ class ShardTier:
         policy: RoutingPolicy,
         metrics: ServiceMetrics,
         catalog: GraphCatalog,
-        prepare: Callable[[CSRGraph, str], CSRGraph],
+        prepare: Prepare,
     ) -> None:
         self.num_shards = int(shards)
         self.remotes = tuple(remotes)
@@ -1060,7 +1063,7 @@ class ShardTier:
         if algorithm not in SHARDABLE_ALGORITHMS:
             return None
         plan_start = time.perf_counter()
-        prepared, plan = plan_batch(
+        prepared, plan, origins = plan_batch(
             self.catalog, batch.graph, algorithm, batch.sources,
             transform=batch.transform, degree_bound=batch.degree_bound,
             options=batch.options, remaining_s=remaining_s,
@@ -1080,12 +1083,11 @@ class ShardTier:
         try:
             transform_start = time.perf_counter()
             shardset, origin = self._shardset_for(prepared)
+            origins.append(origin)
             transform_s = time.perf_counter() - transform_start
 
             execute_start = time.perf_counter()
-            if algorithm == "pr":
-                if plan.caches:  # pr reads no overlay: its shard set serves the plan
-                    stats.cache_origins.append(origin)
+            if algorithm == "pr":  # pr reads no overlay under any plan
                 per_source = shardset.run_pagerank(
                     kernel_backend=batch.options.kernel_backend, stats=stats
                 )
@@ -1111,14 +1113,14 @@ class ShardTier:
             shard_exchange_bytes=stats.exchange_bytes,
             **{f"shard{i}_steps": n for i, n in stats.per_shard_steps.items()},
         )
+        origins += stats.cache_origins
         runs = max(len(batch.sources), 1)
         return BatchOutcome(
             per_source=per_source,
             transform=plan.transform,
             degree_bound=plan.degree_bound,
             degraded=plan.degraded,
-            cache_hit=bool(stats.cache_origins)
-            and all(origin in ("memory", "disk") for origin in stats.cache_origins),
+            cache_hit=served_from_cache(origins),
             plan_s=plan_s,
             transform_s=transform_s,
             execute_s=execute_s,
@@ -1126,6 +1128,7 @@ class ShardTier:
                 traversals=runs, lanes=runs, traversals_saved=0,
                 strategy="sharded",
             ),
+            hydrate_hits=origins.count("disk"),
         )
 
     def _shardset_for(self, prepared: CSRGraph) -> Tuple[ShardSet, str]:

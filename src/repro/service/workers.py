@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,9 @@ from repro.service.batching import BatchExecution, run_sources_on_target
 from repro.service.catalog import GraphCatalog, _spill_write_lock
 from repro.service.planner import QueryPlan, degrade_for_deadline, plan_query
 from repro.service.query import QueryRequest
+
+#: a preparation step, shaped like :func:`prepare_with_origin`
+Prepare = Callable[[CSRGraph, str], Tuple[CSRGraph, Optional[str]]]
 
 #: test hook: a local host that sees this source in a spec calls
 #: ``os._exit`` — the only way to exercise crash recovery without
@@ -92,9 +95,11 @@ class BatchOutcome:
     ``per_source`` maps each unique source (or ``-1`` for sourceless
     analytics) to a value array **in original node-id space** — UDT
     projection happens where the artifact lives, once per unique
-    source.  ``hydrate_hits`` counts disk-tier loads this batch
-    triggered (artifact or prepared-graph ``.npz`` reads), the
-    process backend's substitute for shared-memory cache hits.
+    source.  ``cache_hit`` is :func:`served_from_cache` over the
+    origins of the catalog artifacts the batch read, and
+    ``hydrate_hits`` counts the ``"disk"`` ones (artifact or
+    prepared-graph ``.npz`` reads), the process backend's substitute
+    for shared-memory cache hits.
     """
 
     per_source: Dict[int, np.ndarray]
@@ -119,9 +124,23 @@ def spec_nbytes(spec: BatchSpec) -> int:
 # ----------------------------------------------------------------------
 # The shared pipeline (every place plans with, and two run, exactly this)
 # ----------------------------------------------------------------------
+def served_from_cache(origins: Sequence[str]) -> bool:
+    """The ``cache_hit`` rule: every catalog artifact a batch read — the
+    prepared graph, the transform, the shard set, the shard overlays —
+    came from memory or disk.  A batch that read none built nothing."""
+    return all(origin in ("memory", "disk") for origin in origins)
+
+
 def prepare_for_algorithm(
     catalog: GraphCatalog, graph: CSRGraph, algorithm: str
 ) -> CSRGraph:
+    """:func:`prepare_with_origin` without the origin."""
+    return prepare_with_origin(catalog, graph, algorithm)[0]
+
+
+def prepare_with_origin(
+    catalog: GraphCatalog, graph: CSRGraph, algorithm: str
+) -> Tuple[CSRGraph, Optional[str]]:
     """Per-algorithm graph preparation, cached through ``catalog``.
 
     ``prepare_graph`` symmetrises for CC and strips weights for the
@@ -129,14 +148,16 @@ def prepare_for_algorithm(
     requests just like the transforms themselves.  Prepared graphs are
     ``kind="prepared"`` catalog artifacts, so one byte budget governs
     transforms and prepared graphs alike.  An input that needs no
-    reshaping is passed through uncached.
+    reshaping is passed through uncached, with origin ``None``;
+    otherwise the origin is the catalog's (``"memory"``, ``"disk"`` or
+    ``"built"``).
     """
     spec = ALGORITHMS[algorithm]
     changes_graph = spec.symmetrize or (
         not spec.weighted and graph.weights is not None
     )
     if not changes_graph:
-        return prepare_graph(graph, algorithm)
+        return prepare_graph(graph, algorithm), None
     key = ArtifactKey.for_prepared(
         graph, symmetrize=spec.symmetrize, weighted=spec.weighted
     )
@@ -149,8 +170,8 @@ def prepare_for_algorithm(
             build_seconds=time.perf_counter() - start,
         )
 
-    artifact, _ = catalog.get_for_key(key, build)
-    return artifact.payload
+    artifact, origin = catalog.get_for_key(key, build)
+    return artifact.payload, origin
 
 
 def transform_key(prepared: CSRGraph, plan) -> ArtifactKey:
@@ -170,8 +191,8 @@ def plan_batch(
     degree_bound: int,
     options=EngineOptions(),
     remaining_s: float = float("inf"),
-    prepare: Optional[Callable[[CSRGraph, str], CSRGraph]] = None,
-) -> Tuple[CSRGraph, QueryPlan]:
+    prepare: Optional[Prepare] = None,
+) -> Tuple[CSRGraph, QueryPlan, List[str]]:
     """Prepare ``graph`` and plan one batch against ``catalog``.
 
     The one place a batch is planned: prepare, a representative
@@ -179,12 +200,14 @@ def plan_batch(
     cold-cache deadline degradation judged against *this* catalog's
     view of what is cached.  ``prepare`` overrides the preparation
     step (the executor passes its bound method so tests can intercept
-    it); the default routes through :func:`prepare_for_algorithm`.
+    it); the default is :func:`prepare_with_origin`.  The list returned
+    holds the preparation's origin, if it read an artifact; the caller
+    adds the origins of what it reads next.
     """
     if prepare is None:
-        prepared = prepare_for_algorithm(catalog, graph, algorithm)
+        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
     else:
-        prepared = prepare(graph, algorithm)
+        prepared, origin = prepare(graph, algorithm)
     representative = QueryRequest(
         algorithm=algorithm,
         graph=graph.fingerprint(),
@@ -199,7 +222,7 @@ def plan_batch(
             plan, prepared, remaining_s,
             artifact_cached=catalog.cached(transform_key(prepared, plan)),
         )
-    return prepared, plan
+    return prepared, plan, [origin] if origin is not None else []
 
 
 def execute_pipeline(
@@ -212,7 +235,7 @@ def execute_pipeline(
     options,
     sources: Tuple[int, ...],
     remaining_s: float = float("inf"),
-    prepare: Optional[Callable[[CSRGraph, str], CSRGraph]] = None,
+    prepare: Optional[Prepare] = None,
 ) -> BatchOutcome:
     """Plan, resolve, and execute one batch against ``catalog``.
 
@@ -221,10 +244,8 @@ def execute_pipeline(
     op calls it on that host's catalog.  Planning
     (and what ``prepare`` means) is :func:`plan_batch`.
     """
-    disk_hits_before = catalog.stats.disk_hits
-
     plan_start = time.perf_counter()
-    prepared, plan = plan_batch(
+    prepared, plan, origins = plan_batch(
         catalog, graph, algorithm, sources,
         transform=transform, degree_bound=degree_bound, options=options,
         remaining_s=remaining_s, prepare=prepare,
@@ -232,14 +253,13 @@ def execute_pipeline(
     plan_s = time.perf_counter() - plan_start
 
     transform_start = time.perf_counter()
-    cache_hit = False
     projector: Optional[TransformResult] = None
     if plan.caches:
         artifact, origin = catalog.get_or_build_with_origin(
             prepared, plan.transform, plan.degree_bound,
             dumb_weight=plan.dumb_weight,
         )
-        cache_hit = origin != "built"
+        origins.append(origin)
         target: Union[CSRGraph, object] = artifact.payload
         if isinstance(artifact.payload, TransformResult):
             projector = artifact.payload
@@ -264,12 +284,12 @@ def execute_pipeline(
         transform=plan.transform,
         degree_bound=plan.degree_bound,
         degraded=plan.degraded,
-        cache_hit=cache_hit,
+        cache_hit=served_from_cache(origins),
         plan_s=plan_s,
         transform_s=transform_s,
         execute_s=execute_s,
         execution=execution,
-        hydrate_hits=catalog.stats.disk_hits - disk_hits_before,
+        hydrate_hits=origins.count("disk"),
     )
 
 

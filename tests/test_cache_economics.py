@@ -182,7 +182,9 @@ class TestForecast:
         trace = load_trace(BFS_HEAVY)
         plan = forecast_trace(trace, source=BFS_HEAVY)
         assert plan.requests_total == len(trace.requests)
-        assert plan.entries and plan.uncacheable == 0
+        # auto serves the CSR, so its requests warm nothing
+        autos = sum(request.transform == "auto" for request in trace.requests)
+        assert plan.entries and plan.uncacheable == autos == 6
         assert "pokec" in plan.graphs
         scores = [entry.score for entry in plan.entries]
         assert scores == sorted(scores, reverse=True)
@@ -191,7 +193,7 @@ class TestForecast:
             assert entry.score == pytest.approx(
                 entry.requests * entry.est_build_s
             )
-            # auto/k=0 requests resolved to a concrete artifact identity
+            # k=0 requests resolved to a concrete artifact identity
             assert entry.kind in ("udt", "virtual", "virtual+")
             assert entry.k > 0 and entry.fingerprint
 

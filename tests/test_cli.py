@@ -108,14 +108,15 @@ class TestInfoFingerprint:
 class TestQuery:
     def test_single_query(self, capsys):
         assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0"]) == 0
+                     "--source", "0", "--transform", "virtual+"]) == 0
         out = capsys.readouterr().out
         assert "cache hit:    False" in out
         assert "values[source 0]" in out
 
     def test_repeat_hits_cache(self, capsys):
         assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0", "--repeat", "2", "--stats"]) == 0
+                     "--source", "0", "--transform", "virtual+",
+                     "--repeat", "2", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "round 1" in out and "round 2" in out
         assert "cache hit:    True" in out  # round 2 is warm

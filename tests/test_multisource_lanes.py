@@ -32,7 +32,11 @@ from repro.engine.schedule import NodeScheduler, VirtualScheduler
 from repro.errors import EngineError
 from repro.graph.generators import rmat
 from repro.service.artifacts import ArtifactKey, TransformArtifact
-from repro.service.batching import QueryBatch, run_batch_on_target
+from repro.service.batching import (
+    QueryBatch,
+    fan_out_per_request,
+    run_sources_on_target,
+)
 from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest
@@ -286,7 +290,10 @@ class TestServiceLaneAccounting:
             QueryRequest(algorithm="bfs", graph=graph, sources=(0, 5, 9)),
             QueryRequest(algorithm="bfs", graph=graph, sources=(9, 33)),
         ])
-        out, execution = run_batch_on_target(batch, graph)
+        per_source, execution = run_sources_on_target(
+            "bfs", batch.sources, batch.options, graph
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         assert execution.traversals == 1
         assert execution.lanes == 4  # sources 0, 5, 9, 33 deduplicated
         assert execution.traversals_saved == 3
@@ -302,7 +309,9 @@ class TestServiceLaneAccounting:
         batch = self._batch(graph, "bfs", [
             QueryRequest(algorithm="bfs", graph=graph, sources=sources),
         ])
-        _, execution = run_batch_on_target(batch, graph)
+        _, execution = run_sources_on_target(
+            "bfs", batch.sources, batch.options, graph
+        )
         assert execution.traversals == 2  # ceil(70 / 64)
         assert execution.lanes == len(sources)
         assert execution.traversals_saved == len(sources) - 2
@@ -312,7 +321,10 @@ class TestServiceLaneAccounting:
         batch = self._batch(graph, "sssp", [
             QueryRequest(algorithm="sssp", graph=graph, sources=(7,)),
         ])
-        out, execution = run_batch_on_target(batch, graph)
+        per_source, execution = run_sources_on_target(
+            "sssp", batch.sources, batch.options, graph
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         assert execution.traversals == 1
         assert execution.lanes == 1
         assert execution.traversals_saved == 0

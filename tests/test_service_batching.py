@@ -16,7 +16,7 @@ from repro.service import (
     QueryRequest,
     group_requests,
 )
-from repro.service.batching import run_batch_on_target
+from repro.service.batching import fan_out_per_request, run_sources_on_target
 
 
 @pytest.fixture
@@ -115,7 +115,10 @@ class TestFanOutEquivalence:
         target = virtual_transform(graph, 10, coalesced=True)
         requests = [QueryRequest.single("sssp", "g", s) for s in (3, 7, 3, 12)]
         (batch,) = group_requests(requests, resolve_with(graph))
-        out, _ = run_batch_on_target(batch, target)
+        per_source, _ = run_sources_on_target(
+            batch.algorithm, batch.sources, batch.options, target
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         for request in requests:
             (source,) = request.sources
             expected = sssp(target, source).values
@@ -128,7 +131,10 @@ class TestFanOutEquivalence:
         target = virtual_transform(unweighted, 10, coalesced=True)
         requests = [QueryRequest.single("bfs", "g", s) for s in (0, 5, 9)]
         (batch,) = group_requests(requests, resolve_with(unweighted))
-        out, _ = run_batch_on_target(batch, target)
+        per_source, _ = run_sources_on_target(
+            batch.algorithm, batch.sources, batch.options, target
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         for request in requests:
             (source,) = request.sources
             np.testing.assert_array_equal(
@@ -139,7 +145,10 @@ class TestFanOutEquivalence:
         target = virtual_transform(graph, 10, coalesced=True)
         requests = [QueryRequest.single("sswp", "g", s) for s in (1, 4)]
         (batch,) = group_requests(requests, resolve_with(graph))
-        out, _ = run_batch_on_target(batch, target)
+        per_source, _ = run_sources_on_target(
+            batch.algorithm, batch.sources, batch.options, target
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         for request in requests:
             (source,) = request.sources
             np.testing.assert_array_equal(
@@ -151,7 +160,10 @@ class TestFanOutEquivalence:
         target = virtual_transform(unweighted, 10, coalesced=True)
         requests = [QueryRequest("pr", "g"), QueryRequest("pr", "g")]
         (batch,) = group_requests(requests, resolve_with(unweighted))
-        out, _ = run_batch_on_target(batch, target)
+        per_source, _ = run_sources_on_target(
+            batch.algorithm, batch.sources, batch.options, target
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         expected = pagerank(target).values
         first, second = (out[r.request_id][-1] for r in requests)
         np.testing.assert_allclose(first, expected)
@@ -162,7 +174,10 @@ class TestFanOutEquivalence:
         requests = [QueryRequest.single("sssp", "g", 6) for _ in range(3)]
         (batch,) = group_requests(requests, resolve_with(graph))
         assert batch.sources == (6,)
-        out, _ = run_batch_on_target(batch, target)
+        per_source, _ = run_sources_on_target(
+            batch.algorithm, batch.sources, batch.options, target
+        )
+        out = fan_out_per_request(batch.requests, per_source)
         rows = [out[r.request_id][6] for r in requests]
         assert rows[0] is rows[1] is rows[2]
 
