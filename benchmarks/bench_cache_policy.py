@@ -2,8 +2,9 @@
 
 Acceptance bars for :mod:`repro.service.economics`:
 
-* pre-warming from the mined ``bfs-heavy`` forecast cuts the golden
-  trace's cold-start p95 to at most half of the un-prewarmed replay;
+* a pre-warm pass over ``bfs-heavy`` cuts the golden trace's
+  cold-start p95 to at most half of the un-prewarmed replay, and every
+  catalog read of the prewarmed replay is a ``prewarm_hits``;
 * every (policy × backend) prewarmed replay reproduces the recorded
   digests bit-for-bit — eviction economics never change answers;
 * GDSF beats LRU on the mixed build-cost workload it was built for.
@@ -34,7 +35,10 @@ def test_cache_policy(run_once, bench_scale):
     prewarmed = by_phase["prewarmed"][0]
     assert prewarmed["hit_rate"] == 1.0
     assert prewarmed["prewarm_built"] > 0
-    assert prewarmed["prewarm_hits"] > 0
+    # every catalog read of the replay hit a pre-warmed artifact, and
+    # every query made at least one (its prepared graph)
+    assert prewarmed["prewarm_hits"] == prewarmed["catalog_hits"]
+    assert prewarmed["prewarm_hits"] >= prewarmed["queries"]
 
     # digest parity across every (policy x backend) pair
     assert report.extras["parity_clean"] is True

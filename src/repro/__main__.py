@@ -13,9 +13,6 @@ Subcommands::
     python -m repro serve <dataset> [...]        # drive a synthetic
                                                  # workload through the
                                                  # concurrent service
-    python -m repro forecast <trace> [...]       # mine traces into a
-                                                 # warm-set plan for
-                                                 # serve --prewarm
     python -m repro bench [...]                  # paper experiments
                                                  # (alias of repro.bench)
 
@@ -217,26 +214,14 @@ def _apply_catalog_policy(args) -> None:
     os.environ[CATALOG_POLICY_ENV] = resolve_policy(choice)
 
 
-def _load_warm_plan(args):
-    """The warm-set plan the serve flags describe, or ``None``."""
-    plan_path = getattr(args, "prewarm", None)
-    trace_path = getattr(args, "prewarm_from_trace", None)
-    if plan_path and trace_path:
-        raise TigrError(
-            "--prewarm and --prewarm-from-trace are mutually exclusive"
-        )
-    if plan_path:
-        from repro.service import load_plan
+def _prewarmer(args, service, graphs=None):
+    """An unstarted pre-warmer for ``--prewarm-from-trace``, or ``None``."""
+    if not args.prewarm_from_trace:
+        return None
+    from repro.service import Prewarmer, load_trace
 
-        return load_plan(plan_path)
-    if trace_path:
-        from repro.service import forecast_traces
-
-        return forecast_traces(
-            [trace_path],
-            on_malformed=getattr(args, "malformed", "strict"),
-        )
-    return None
+    trace = load_trace(args.prewarm_from_trace, on_malformed=args.malformed)
+    return Prewarmer(service, trace, graphs=graphs)
 
 
 def _start_prewarmer(args, service, graphs=None):
@@ -247,17 +232,11 @@ def _start_prewarmer(args, service, graphs=None):
     and benchmarks want, where "cold start" means *before* the warm
     set exists.
     """
-    plan = _load_warm_plan(args)
-    if plan is None:
+    prewarmer = _prewarmer(args, service, graphs)
+    if prewarmer is None:
         return None
-    from repro.service import Prewarmer
-
-    prewarmer = Prewarmer(
-        service, plan, graphs=graphs,
-        top=getattr(args, "prewarm_top", 0) or 0,
-    )
     prewarmer.start()
-    wait = getattr(args, "prewarm_wait", None)
+    wait = args.prewarm_wait
     if wait is not None:
         prewarmer.join(timeout=wait if wait > 0 else None)
         print(f"prewarm: built={prewarmer.built} "
@@ -266,36 +245,6 @@ def _start_prewarmer(args, service, graphs=None):
         for error in prewarmer.errors:
             print(f"prewarm skip: {error}", file=sys.stderr)
     return prewarmer
-
-
-def cmd_forecast(args) -> int:
-    """``forecast``: mine recorded traces into a warm-set plan."""
-    from repro.service import forecast_traces, save_plan
-
-    plan = forecast_traces(
-        args.traces, buckets=args.buckets, on_malformed=args.malformed
-    )
-    shown = plan.top(args.top) if args.top else plan
-    if args.json:
-        import json
-
-        print(json.dumps(shown.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"warm-set forecast from {len(plan.sources)} trace(s): "
-              f"{plan.requests_total} request(s) over "
-              f"{plan.trace_seconds:.1f}s, {len(plan.entries)} cacheable "
-              f"artifact(s), {plan.uncacheable} uncacheable")
-        if shown.entries:
-            print(f"  {'score':>10s} {'reqs':>5s} {'est build':>10s}  artifact")
-        for entry in shown.entries:
-            print(f"  {entry.score:10.4f} {entry.requests:5d} "
-                  f"{entry.est_build_s:9.4f}s  {entry.graph}/{entry.algorithm} "
-                  f"{entry.kind} K={entry.k} fp={entry.fingerprint[:12]}")
-    if args.out:
-        save_plan(shown, args.out)
-        print(f"wrote warm-set plan ({len(shown.entries)} entries) "
-              f"to {args.out}")
-    return 0
 
 
 def cmd_query(args) -> int:
@@ -479,17 +428,9 @@ def cmd_serve_http(args) -> int:
     with _make_service(args, catalog) as service:
         for name, graph in graphs.items():
             service.register(name, graph)
-        prewarmer = None
-        plan = _load_warm_plan(args)
-        if plan is not None:
-            from repro.service import Prewarmer
-
-            # Handed to the server unstarted: ApiServer.start() kicks
-            # it off right before binding, and /v1/healthz reports it.
-            prewarmer = Prewarmer(
-                service, plan, graphs=graphs,
-                top=getattr(args, "prewarm_top", 0) or 0,
-            )
+        # Handed to the server unstarted: ApiServer.start() kicks it
+        # off right before binding, and /v1/healthz reports it.
+        prewarmer = _prewarmer(args, service, graphs)
 
         def ready(bound_host: str, bound_port: int) -> None:
             address = f"{bound_host}:{bound_port}"
@@ -747,16 +688,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog memory budget in MiB")
     _service_flag(p, "--spill-dir")
     _service_flag(p, "--catalog-policy")
-    p.add_argument("--prewarm", default=None, metavar="PLAN",
-                   help="pre-build the warm set a forecast plan names "
-                        "(made by 'python -m repro forecast --out PLAN') "
-                        "on a background thread before serving")
     p.add_argument("--prewarm-from-trace", default=None, metavar="TRACE",
-                   help="forecast TRACE on the fly and pre-warm its plan "
-                        "(exclusive with --prewarm)")
-    p.add_argument("--prewarm-top", type=int, default=0, metavar="N",
-                   help="only warm the N highest-scoring plan entries "
-                        "(0 = all)")
+                   help="build every catalog artifact TRACE's requests "
+                        "read, in first-arrival order, on a background "
+                        "thread before serving")
     p.add_argument("--prewarm-wait", type=float, default=None, metavar="S",
                    help="block up to S seconds for pre-warming before "
                         "traffic starts (0 = until done; default: serve "
@@ -790,26 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "forecast",
-        help="mine recorded traces into a warm-set plan for serve --prewarm",
-    )
-    p.add_argument("traces", nargs="+",
-                   help="recorded JSONL trace file(s); multiple traces "
-                        "merge by artifact identity")
-    p.add_argument("--out", default=None, metavar="PLAN",
-                   help="write the plan as JSON (feed to serve --prewarm)")
-    p.add_argument("--top", type=int, default=0,
-                   help="only print the N highest-scoring entries "
-                        "(the full plan is still written to --out)")
-    p.add_argument("--buckets", type=int, default=16,
-                   help="arrival-histogram buckets per entry (default 16)")
-    p.add_argument("--malformed", choices=("strict", "skip"), default="strict",
-                   help="malformed trace-line policy (default strict)")
-    p.add_argument("--json", action="store_true",
-                   help="print the plan as JSON instead of a table")
-    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser(
         "analyze",

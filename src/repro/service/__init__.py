@@ -67,15 +67,8 @@ from repro.service.economics import (
     GdsfPolicy,
     LruPolicy,
     Prewarmer,
-    WarmEntry,
-    WarmPlan,
-    forecast_trace,
-    forecast_traces,
-    load_plan,
     make_policy,
-    resolve_plan_graphs,
     resolve_policy,
-    save_plan,
 )
 from repro.service.executor import (
     BACKENDS,
@@ -138,13 +131,10 @@ __all__ = [
     "estimate_build_seconds",
     "EvictionPolicy",
     "execute_pipeline",
-    "forecast_trace",
-    "forecast_traces",
     "GdsfPolicy",
     "GraphCatalog",
     "group_requests",
     "load_artifact",
-    "load_plan",
     "load_trace",
     "LocalShard",
     "LruPolicy",
@@ -168,13 +158,11 @@ __all__ = [
     "replay_trace",
     "ReplayReport",
     "resolve_backend",
-    "resolve_plan_graphs",
     "resolve_policy",
     "resolve_trace_graphs",
     "result_digest",
     "RouteDecision",
     "RoutingPolicy",
-    "save_plan",
     "ServiceMetrics",
     "ServiceOverloadError",
     "ShardedAnalyticsService",
@@ -192,7 +180,5 @@ __all__ = [
     "TraceResult",
     "TransformArtifact",
     "UnknownGraphError",
-    "WarmEntry",
-    "WarmPlan",
     "WorkerLost",
 ]

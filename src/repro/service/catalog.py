@@ -290,7 +290,7 @@ class GraphCatalog:
         """Mark ``key`` as pre-warmed (and count a build when fresh).
 
         Later hits on the key — memory or disk — are counted as
-        ``prewarm_hits``, which is how an operator tells a forecast
+        ``prewarm_hits``, which is how an operator tells a pre-warm
         that paid off from one that warmed dead weight.
         """
         with self._lock:

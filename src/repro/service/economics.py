@@ -1,4 +1,4 @@
-"""Cache economics: cost-aware eviction, trace mining, pre-warming.
+"""Cache economics: cost-aware eviction and trace-driven pre-warming.
 
 Tigr's speedups come from transform artifacts that are expensive to
 build and cheap to reuse (§6.5, Table 7) — but a plain LRU treats an
@@ -22,39 +22,31 @@ an economic memory:
   ``.npz`` archive, so a process worker hydrating from the shared disk
   tier recomputes the same base priority the parent computed.
 
-* **a trace-mining forecaster** — parses recorded trace-v1 streams
-  (:mod:`repro.service.ingest`) into per-(graph fingerprint, kind, K)
-  arrival histograms, resolving each recorded request through the real
-  planner so ``k=0`` requests forecast the artifact they would actually
-  demand (``transform="auto"`` serves the CSR and warms nothing).  The
-  result is a :class:`WarmPlan`: warm-set entries ranked by expected
-  build seconds saved (``requests × est_build_s``), serialisable to JSON
-  (``python -m repro forecast TRACE... --out PLAN``).
+* **a pre-warmer** — :class:`Prewarmer` makes one pass over a recorded
+  trace-v1 stream (:mod:`repro.service.ingest`) on a background thread
+  before traffic lands (``serve --prewarm-from-trace TRACE``): each
+  distinct request signature is planned through the real pipeline, and
+  every catalog artifact it reads — prepared graph and transform — is
+  built then.  Progress shows in the catalog stats the service metrics
+  already surface (``prewarm_built``, ``prewarm_hits``,
+  ``evictions_<policy>``).
 
-* **a pre-warmer** — :class:`Prewarmer` replays a plan's entries
-  through the normal prepare/plan/build pipeline on a background
-  thread before traffic lands (``serve --prewarm PLAN`` or
-  ``--prewarm-from-trace TRACE``), reporting progress through the
-  catalog stats the service metrics already surface
-  (``prewarm_built``, ``prewarm_hits``, ``evictions_<policy>``).
-
-See ``docs/cache-economics.md`` for the policy math, the plan file
-format, and when LRU remains the right choice.
+See ``docs/cache-economics.md`` for the policy math and when LRU
+remains the right choice.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ServiceError, TigrError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.graph.csr import CSRGraph
     from repro.service.artifacts import ArtifactKey, TransformArtifact
+    from repro.service.catalog import GraphCatalog
     from repro.service.executor import AnalyticsService
     from repro.service.ingest import Trace
 
@@ -65,9 +57,6 @@ CATALOG_POLICY_ENV = "REPRO_CATALOG_POLICY"
 
 #: eviction policies the catalog understands.
 CATALOG_POLICIES = ("lru", "gdsf")
-
-#: current warm-set plan schema version.
-WARM_PLAN_VERSION = 1
 
 
 def resolve_policy(policy: Optional[str]) -> str:
@@ -216,408 +205,40 @@ def make_policy(name: Optional[str]) -> EvictionPolicy:
 
 
 # ----------------------------------------------------------------------
-# Trace mining: demand forecast -> warm-set plan
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WarmEntry:
-    """One forecast artifact: identity, demand, and how to rebuild it.
-
-    Identity is the resolved artifact — ``(fingerprint, kind, k,
-    dumb_weight)`` of the *prepared* graph the planner would key it
-    under — while ``graph``/``algorithm``/``transform``/
-    ``degree_bound`` keep the recorded request signature the
-    pre-warmer replays through the real pipeline to rebuild it.
-    """
-
-    #: trace graph name (key into the plan's recipe dict).
-    graph: str
-    #: prepared-graph fingerprint the artifact is keyed under.
-    fingerprint: str
-    #: resolved transform kind ("udt" | "virtual" | "virtual+").
-    kind: str
-    #: resolved degree bound (the planner's K when the trace said 0).
-    k: int
-    dumb_weight: str
-    #: representative request signature for the pre-warmer.
-    algorithm: str
-    transform: str
-    degree_bound: int
-    #: demand mined from the trace.
-    requests: int
-    first_arrival_s: float
-    #: arrival histogram: request count per plan-wide time bucket.
-    histogram: Tuple[int, ...]
-    #: predicted cold build cost (planner model, seconds).
-    est_build_s: float
-    #: expected build seconds saved by keeping this warm.
-    score: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "graph": self.graph,
-            "fingerprint": self.fingerprint,
-            "kind": self.kind,
-            "k": self.k,
-            "dumb_weight": self.dumb_weight,
-            "algorithm": self.algorithm,
-            "transform": self.transform,
-            "degree_bound": self.degree_bound,
-            "requests": self.requests,
-            "first_arrival_s": round(self.first_arrival_s, 6),
-            "histogram": list(self.histogram),
-            "est_build_s": round(self.est_build_s, 6),
-            "score": round(self.score, 6),
-        }
-
-
-@dataclass
-class WarmPlan:
-    """A ranked warm set plus the graph recipes needed to build it."""
-
-    #: trace-header graph recipes, name -> recipe dict.
-    graphs: Dict[str, dict] = field(default_factory=dict)
-    #: entries ranked by score (descending), first arrival breaking ties.
-    entries: List[WarmEntry] = field(default_factory=list)
-    #: width of one histogram bucket, seconds.
-    bucket_s: float = 1.0
-    #: recorded span of the mined trace(s), seconds.
-    trace_seconds: float = 0.0
-    #: total requests mined (including uncacheable "none" plans).
-    requests_total: int = 0
-    #: requests whose plan produces no cacheable artifact.
-    uncacheable: int = 0
-    #: where the plan came from (trace paths; informational).
-    sources: Tuple[str, ...] = ()
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": WARM_PLAN_VERSION,
-            "kind": "repro-warm-plan",
-            "graphs": self.graphs,
-            "bucket_s": self.bucket_s,
-            "trace_seconds": round(self.trace_seconds, 6),
-            "requests_total": self.requests_total,
-            "uncacheable": self.uncacheable,
-            "sources": list(self.sources),
-            "entries": [entry.as_dict() for entry in self.entries],
-        }
-
-    def top(self, count: int) -> "WarmPlan":
-        """A copy keeping only the ``count`` highest-ranked entries."""
-        if count <= 0 or count >= len(self.entries):
-            return self
-        return WarmPlan(
-            graphs=dict(self.graphs),
-            entries=list(self.entries[:count]),
-            bucket_s=self.bucket_s,
-            trace_seconds=self.trace_seconds,
-            requests_total=self.requests_total,
-            uncacheable=self.uncacheable,
-            sources=self.sources,
-        )
-
-
-def save_plan(plan: WarmPlan, path: str) -> None:
-    """Write a warm-set plan as pretty-printed JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plan.as_dict(), handle, indent=2)
-        handle.write("\n")
-
-
-def load_plan(path: str) -> WarmPlan:
-    """Read a plan written by :func:`save_plan` (version-checked)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ServiceError(f"cannot read warm-set plan {path!r}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("kind") != "repro-warm-plan":
-        raise ServiceError(
-            f"{path!r} is not a warm-set plan (expected a JSON object "
-            f"with kind='repro-warm-plan'; build one with "
-            f"'python -m repro forecast TRACE --out PLAN')"
-        )
-    version = payload.get("version")
-    if version != WARM_PLAN_VERSION:
-        raise ServiceError(
-            f"warm-set plan {path!r} has version {version!r}; "
-            f"this build reads version {WARM_PLAN_VERSION}"
-        )
-    entries = []
-    try:
-        for raw in payload.get("entries", ()):
-            entries.append(WarmEntry(
-                graph=str(raw["graph"]),
-                fingerprint=str(raw["fingerprint"]),
-                kind=str(raw["kind"]),
-                k=int(raw["k"]),
-                dumb_weight=str(raw.get("dumb_weight", "none")),
-                algorithm=str(raw["algorithm"]),
-                transform=str(raw["transform"]),
-                degree_bound=int(raw.get("degree_bound", 0)),
-                requests=int(raw["requests"]),
-                first_arrival_s=float(raw.get("first_arrival_s", 0.0)),
-                histogram=tuple(int(v) for v in raw.get("histogram", ())),
-                est_build_s=float(raw.get("est_build_s", 0.0)),
-                score=float(raw.get("score", 0.0)),
-            ))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(
-            f"malformed warm-set plan entry in {path!r}: {exc}"
-        ) from exc
-    return WarmPlan(
-        graphs=dict(payload.get("graphs", {})),
-        entries=entries,
-        bucket_s=float(payload.get("bucket_s", 1.0)),
-        trace_seconds=float(payload.get("trace_seconds", 0.0)),
-        requests_total=int(payload.get("requests_total", 0)),
-        uncacheable=int(payload.get("uncacheable", 0)),
-        sources=tuple(payload.get("sources", ())),
-    )
-
-
-def forecast_trace(
-    trace: "Trace",
-    *,
-    graphs: Optional[Dict[str, "CSRGraph"]] = None,
-    buckets: int = 16,
-    source: str = "",
-) -> WarmPlan:
-    """Mine one loaded trace into a :class:`WarmPlan`.
-
-    Each recorded request is resolved through the *real* planner
-    against the prepared form of its graph, so ``k=0`` forecasts the
-    concrete ``(kind, K)`` the serving layer would actually build — a
-    warm entry is an artifact identity, not a request string.  Plans
-    that read no transform (``"none"``, and ``"auto"``, which serves the
-    CSR) count as ``uncacheable``.  Demand per artifact is an arrival
-    histogram over ``buckets`` equal time buckets of the recorded span;
-    entries are ranked by ``requests × est_build_s`` (expected build
-    seconds saved by keeping the artifact resident).
-    """
-    # Imported here, not at module top: the catalog imports this
-    # module for its policy layer, and these pull the catalog back in.
-    from repro.service.catalog import GraphCatalog
-    from repro.service.planner import estimate_build_seconds
-    from repro.service.replay import resolve_trace_graphs
-    from repro.service.workers import plan_batch
-
-    resolved = resolve_trace_graphs(trace, overrides=graphs)
-    scratch = GraphCatalog()  # caches prepared graphs across requests
-    span = sum(request.delta_s for request in trace.requests)
-    bucket_s = max(span / buckets, 1e-9)
-
-    @dataclass
-    class _Demand:
-        entry_kwargs: dict
-        requests: int = 0
-        first_arrival_s: float = float("inf")
-        histogram: List[int] = field(default_factory=lambda: [0] * buckets)
-
-    demand: Dict[tuple, _Demand] = {}
-    plans: Dict[tuple, tuple] = {}
-    uncacheable = 0
-    clock = 0.0
-    for request in trace.requests:
-        clock += request.delta_s
-        signature = (
-            request.graph, request.algorithm,
-            request.transform, request.degree_bound,
-        )
-        cached_plan = plans.get(signature)
-        if cached_plan is None:
-            try:
-                prepared, plan, _ = plan_batch(
-                    scratch, resolved[request.graph], request.algorithm,
-                    request.sources, transform=request.transform,
-                    degree_bound=request.degree_bound,
-                )
-            except TigrError:
-                # A request the planner rejects outright (e.g. udt on
-                # an inapplicable analytic) warms nothing.
-                plans[signature] = cached_plan = (None, None, 0.0)
-                uncacheable += 1
-                continue
-            if not plan.caches:
-                plans[signature] = cached_plan = (None, None, 0.0)
-                uncacheable += 1
-                continue
-            key = (
-                prepared.fingerprint(), plan.transform,
-                plan.degree_bound, plan.dumb_weight.value,
-            )
-            plans[signature] = cached_plan = (
-                key, signature, estimate_build_seconds(prepared, plan)
-            )
-        artifact_key, rep_signature, est_build_s = cached_plan
-        if artifact_key is None:
-            uncacheable += 1
-            continue
-        record = demand.get(artifact_key)
-        if record is None:
-            fingerprint, kind, k, dumb_weight = artifact_key
-            graph_name, algorithm, transform, degree_bound = rep_signature
-            record = demand[artifact_key] = _Demand(entry_kwargs=dict(
-                graph=graph_name,
-                fingerprint=fingerprint,
-                kind=kind,
-                k=k,
-                dumb_weight=dumb_weight,
-                algorithm=algorithm,
-                transform=transform,
-                degree_bound=degree_bound,
-                est_build_s=est_build_s,
-            ))
-        record.requests += 1
-        record.first_arrival_s = min(record.first_arrival_s, clock)
-        bucket = min(buckets - 1, int(clock / bucket_s)) if span > 0 else 0
-        record.histogram[bucket] += 1
-
-    entries = [
-        WarmEntry(
-            requests=record.requests,
-            first_arrival_s=record.first_arrival_s,
-            histogram=tuple(record.histogram),
-            score=record.requests * record.entry_kwargs["est_build_s"],
-            **record.entry_kwargs,
-        )
-        for record in demand.values()
-    ]
-    entries.sort(key=lambda e: (-e.score, e.first_arrival_s, e.fingerprint))
-    return WarmPlan(
-        graphs=dict(trace.header.graphs),
-        entries=entries,
-        bucket_s=bucket_s,
-        trace_seconds=span,
-        requests_total=len(trace.requests),
-        uncacheable=uncacheable,
-        sources=(source,) if source else (),
-    )
-
-
-def forecast_traces(
-    sources: Sequence[str],
-    *,
-    graphs: Optional[Dict[str, "CSRGraph"]] = None,
-    buckets: int = 16,
-    on_malformed: str = "strict",
-) -> WarmPlan:
-    """Mine one or more recorded trace files into one merged plan.
-
-    Entries are merged by artifact identity (fingerprint, kind, K,
-    dumb weight): request counts and histograms add, first arrivals
-    take the minimum.  Graph recipes merge by name; a later trace's
-    recipe for the same name wins (content-addressed fingerprints make
-    a genuine conflict a replay-time error, not a silent mix-up).
-    """
-    from repro.service.ingest import load_trace
-
-    if not sources:
-        raise ServiceError("forecast needs at least one trace source")
-    merged: Optional[WarmPlan] = None
-    for path in sources:
-        trace = load_trace(path, on_malformed=on_malformed)
-        plan = forecast_trace(
-            trace, graphs=graphs, buckets=buckets, source=str(path)
-        )
-        merged = plan if merged is None else _merge_plans(merged, plan)
-    assert merged is not None
-    return merged
-
-
-def _merge_plans(base: WarmPlan, extra: WarmPlan) -> WarmPlan:
-    by_identity: Dict[tuple, WarmEntry] = {
-        (e.fingerprint, e.kind, e.k, e.dumb_weight): e for e in base.entries
-    }
-    for entry in extra.entries:
-        identity = (entry.fingerprint, entry.kind, entry.k, entry.dumb_weight)
-        seen = by_identity.get(identity)
-        if seen is None:
-            by_identity[identity] = entry
-            continue
-        histogram = tuple(
-            a + b for a, b in zip(
-                seen.histogram, entry.histogram
-            )
-        ) if len(seen.histogram) == len(entry.histogram) else seen.histogram
-        requests = seen.requests + entry.requests
-        by_identity[identity] = replace(
-            seen,
-            requests=requests,
-            first_arrival_s=min(seen.first_arrival_s, entry.first_arrival_s),
-            histogram=histogram,
-            score=requests * seen.est_build_s,
-        )
-    entries = sorted(
-        by_identity.values(),
-        key=lambda e: (-e.score, e.first_arrival_s, e.fingerprint),
-    )
-    graphs = dict(base.graphs)
-    graphs.update(extra.graphs)
-    return WarmPlan(
-        graphs=graphs,
-        entries=entries,
-        bucket_s=max(base.bucket_s, extra.bucket_s),
-        trace_seconds=max(base.trace_seconds, extra.trace_seconds),
-        requests_total=base.requests_total + extra.requests_total,
-        uncacheable=base.uncacheable + extra.uncacheable,
-        sources=tuple(dict.fromkeys(base.sources + extra.sources)),
-    )
-
-
-def resolve_plan_graphs(
-    plan: WarmPlan,
-    *,
-    overrides: Optional[Dict[str, "CSRGraph"]] = None,
-) -> Dict[str, "CSRGraph"]:
-    """Reconstruct the graphs a plan's recipes describe.
-
-    Same recipe grammar as a trace header (dataset regeneration or
-    ``.npz`` load, fingerprint-verified); recipes that cannot be
-    reconstructed are skipped — the pre-warmer reports those entries
-    as skipped rather than failing startup.
-    """
-    from repro.service.ingest import Trace, TraceHeader
-    from repro.service.replay import resolve_trace_graphs
-
-    shim = Trace(
-        header=TraceHeader(graphs=dict(plan.graphs)), requests=[], results={}
-    )
-    return resolve_trace_graphs(shim, overrides=overrides)
-
-
-# ----------------------------------------------------------------------
 # Pre-warming
 # ----------------------------------------------------------------------
 class Prewarmer:
-    """Build a warm plan's artifacts on a background thread.
+    """Warm the catalog artifacts a recorded trace reads, before traffic.
 
-    Wraps one :class:`~repro.service.executor.AnalyticsService`: each
-    plan entry is replayed through the same prepare → plan → build
-    pipeline live traffic uses, against the service's own catalog, so
-    the warmed artifact keys are exactly the keys traffic will ask
-    for.  With a write-through catalog the warm set also lands in the
-    shared disk tier, which is how process-backend workers inherit it.
+    Wraps one :class:`~repro.service.executor.AnalyticsService` and one
+    loaded trace.  Each distinct ``(graph, algorithm, transform,
+    degree_bound)`` request signature, in first-arrival order, goes
+    through the same :func:`~repro.service.workers.plan_batch` live
+    traffic uses, against the service's own catalog, so the warmed keys
+    are exactly the keys traffic will read: the prepared graph (when
+    the analytic reshapes its input) and the planned transform (when
+    the plan caches one).  With a write-through catalog the warm set
+    also lands in the shared disk tier, which is how process-backend
+    workers inherit it.
 
-    Progress is visible while it runs: every finished build bumps the
-    catalog's ``prewarm_built`` stat (surfaced as ``prewarm_built`` in
-    ``ServiceMetrics.summary()``), and later hits on warmed keys count
-    as ``prewarm_hits``.  Failures never propagate — a plan entry that
-    cannot build (missing graph, planner rejection) is recorded in
-    :attr:`errors` and skipped; pre-warming is an optimisation, not a
-    correctness gate.
+    Progress is visible while it runs: :attr:`built` and
+    :attr:`already_warm` count each warmed artifact once, the catalog's
+    ``prewarm_built`` stat counts the fresh builds, and hits on a
+    warmed key count as ``prewarm_hits``.  Failures never propagate —
+    a signature that cannot be warmed (missing graph, planner
+    rejection) is recorded in :attr:`errors` and skipped; pre-warming
+    is an optimisation, not a correctness gate.
     """
 
     def __init__(
         self,
         service: "AnalyticsService",
-        plan: WarmPlan,
+        trace: "Trace",
         *,
         graphs: Optional[Dict[str, "CSRGraph"]] = None,
-        top: int = 0,
     ) -> None:
         self.service = service
-        self.plan = plan.top(top) if top else plan
+        self.trace = trace
         self._overrides = dict(graphs or {})
         self._thread = threading.Thread(
             target=self._run, name="repro-prewarm", daemon=True
@@ -625,6 +246,8 @@ class Prewarmer:
         self._started = False
         self._lock = threading.Lock()
         self._publish: Optional["GraphCatalog"] = None
+        #: warmed key -> whether this pass built it.
+        self._warmed: Dict["ArtifactKey", bool] = {}
         self.built = 0
         self.already_warm = 0
         self.skipped = 0
@@ -666,6 +289,7 @@ class Prewarmer:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         from repro.service.catalog import GraphCatalog
+        from repro.service.replay import resolve_trace_graphs
 
         # Process-backend workers hydrate from the shared disk tier and
         # never see the front-end's memory tier.  Unless the service
@@ -685,56 +309,77 @@ class Prewarmer:
         graphs = dict(self.service.registered())
         graphs.update(self._overrides)
         try:
-            graphs = resolve_plan_graphs(self.plan, overrides=graphs)
+            graphs = resolve_trace_graphs(self.trace, overrides=graphs)
         except TigrError as exc:
             with self._lock:
-                self.errors.append(f"plan graphs: {exc}")
-        for entry in self.plan.entries:
-            graph = graphs.get(entry.graph)
+                self.errors.append(f"trace graphs: {exc}")
+        signatures = dict.fromkeys(
+            (r.graph, r.algorithm, r.transform, r.degree_bound)
+            for r in self.trace.requests
+        )
+        for name, algorithm, transform, degree_bound in signatures:
+            label = f"{name}/{algorithm} {transform} k={degree_bound}"
+            graph = graphs.get(name)
             if graph is None:
                 with self._lock:
                     self.skipped += 1
                     self.errors.append(
-                        f"{entry.graph}/{entry.kind}-k{entry.k}: graph not "
-                        f"registered and no usable recipe in the plan"
+                        f"{label}: graph not registered and no usable "
+                        f"recipe in the trace"
                     )
                 continue
             try:
-                self._warm_one(graph, entry)
+                self._warm_one(graph, algorithm, transform, degree_bound)
             except TigrError as exc:
                 with self._lock:
                     self.skipped += 1
-                    self.errors.append(
-                        f"{entry.graph}/{entry.kind}-k{entry.k}: {exc}"
-                    )
+                    self.errors.append(f"{label}: {exc}")
+        # Marked once the pass ends, so a later signature re-reading an
+        # artifact this pass warmed is not counted as a ``prewarm_hits``
+        # — those count traffic only.
+        with self._lock:
+            warmed = list(self._warmed.items())
+        for key, built in warmed:
+            catalog.note_prewarm(key, built=built)
 
-    def _warm_one(self, graph: "CSRGraph", entry: WarmEntry) -> None:
+    def _warm_one(
+        self, graph: "CSRGraph", algorithm: str, transform: str,
+        degree_bound: int,
+    ) -> None:
         from repro.algorithms import ALGORITHMS
-        from repro.service.workers import plan_batch, transform_key
+        from repro.service.workers import plan_batch, prepared_key, transform_key
 
         catalog = self.service.catalog
         # Only the planner sees the sources — node 0 stands in on
         # source-rooted analytics, which never affects the plan (or
         # therefore the artifact key).
-        prepared, plan, _ = plan_batch(
-            catalog, graph, entry.algorithm,
-            (0,) if ALGORITHMS[entry.algorithm].needs_source else (),
-            transform=entry.transform, degree_bound=entry.degree_bound,
+        prepared, plan, origins = plan_batch(
+            catalog, graph, algorithm,
+            (0,) if ALGORITHMS[algorithm].needs_source else (),
+            transform=transform, degree_bound=degree_bound,
         )
-        if not plan.caches:
-            with self._lock:
-                self.skipped += 1
-            return
-        artifact, origin = catalog.get_or_build_with_origin(
-            prepared, plan.transform, plan.degree_bound,
-            dumb_weight=plan.dumb_weight,
-        )
-        key = transform_key(prepared, plan)
-        if self._publish is not None:
-            self._publish.put(key, artifact)
-        catalog.note_prewarm(key, built=origin == "built")
+        if origins:
+            key = prepared_key(graph, algorithm)
+            self._mark(key, catalog.peek(key), origins[0])
+        if plan.caches:
+            artifact, origin = catalog.get_or_build_with_origin(
+                prepared, plan.transform, plan.degree_bound,
+                dumb_weight=plan.dumb_weight,
+            )
+            self._mark(transform_key(prepared, plan), artifact, origin)
+
+    def _mark(
+        self, key: "ArtifactKey", artifact: Optional["TransformArtifact"],
+        origin: str,
+    ) -> None:
+        """Count and publish one warmed artifact, once per key."""
         with self._lock:
+            if key in self._warmed:
+                return
+            self._warmed[key] = origin == "built"
             if origin == "built":
                 self.built += 1
             else:
                 self.already_warm += 1
+        if self._publish is not None and artifact is not None:
+            self._publish.put(key, artifact)

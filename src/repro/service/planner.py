@@ -36,12 +36,11 @@ from repro.service.query import QueryRequest
 UDT_EXECUTABLE = ("bfs", "sssp", "sswp", "cc")
 
 #: rough per-element transform construction costs (seconds), used only
-#: to decide degradation under tight deadlines and to rank warm-plan
-#: entries.  Calibrated from the Table 7 regeneration on this
-#: simulator: UDT rewrites the whole CSR in a few vectorised O(|E|)
-#: passes (7-16 ns/edge measured from 10k to 1M edges, rounded up);
-#: the virtual overlay is a vectorised O(|V|) pass (~50 ns/node +
-#: ~2 ns/edge).
+#: to decide degradation under tight deadlines.  Calibrated from the
+#: Table 7 regeneration on this simulator: UDT rewrites the whole CSR
+#: in a few vectorised O(|E|) passes (7-16 ns/edge measured from 10k
+#: to 1M edges, rounded up); the virtual overlay is a vectorised
+#: O(|V|) pass (~50 ns/node + ~2 ns/edge).
 UDT_SECONDS_PER_EDGE = 2e-8
 VIRTUAL_SECONDS_PER_NODE = 5e-8
 VIRTUAL_SECONDS_PER_EDGE = 2e-9

@@ -158,9 +158,7 @@ def prepare_with_origin(
     )
     if not changes_graph:
         return prepare_graph(graph, algorithm), None
-    key = ArtifactKey.for_prepared(
-        graph, symmetrize=spec.symmetrize, weighted=spec.weighted
-    )
+    key = prepared_key(graph, algorithm)
 
     def build() -> TransformArtifact:
         start = time.perf_counter()
@@ -172,6 +170,14 @@ def prepare_with_origin(
 
     artifact, origin = catalog.get_for_key(key, build)
     return artifact.payload, origin
+
+
+def prepared_key(graph: CSRGraph, algorithm: str) -> ArtifactKey:
+    """The catalog key ``algorithm``'s prepared form of ``graph`` lives under."""
+    spec = ALGORITHMS[algorithm]
+    return ArtifactKey.for_prepared(
+        graph, symmetrize=spec.symmetrize, weighted=spec.weighted
+    )
 
 
 def transform_key(prepared: CSRGraph, plan) -> ArtifactKey:

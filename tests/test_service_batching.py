@@ -227,7 +227,10 @@ class TestEndToEndBatchedService:
         requests = [QueryRequest.single("sssp", "g", s, options=options)
                     for s in range(70)]
         cjit = kernels.get_backend("cjit")
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        # the counters are this process's, so the batch must run here:
+        # pinned to threads, whatever REPRO_SERVICE_WORKERS says
+        with AnalyticsService(GraphCatalog(), workers=1,
+                              backend="threads") as service:
             service.register("g", graph)
             engaged, declined = cjit.engaged, cjit.declined
             results = [t.result(60) for t in service.submit_batch(requests)]
