@@ -25,7 +25,6 @@ from repro.algorithms.bc import bc, BCResult
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
 from repro.algorithms.pagerank import pagerank
-from repro.algorithms.paths import path_length, reconstruct_path, shortest_path_tree_edges
 from repro.algorithms.programs import (
     BFSProgram,
     CCProgram,
@@ -40,6 +39,7 @@ from repro.algorithms.multi_source import (
 )
 from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
+from repro.engine.kernels import resolve_backend
 from repro.engine.push import EngineOptions
 from repro.errors import EngineError
 from repro.graph.builder import to_undirected
@@ -69,6 +69,15 @@ __all__ = [
     "CCProgram",
     "PageRankProgram",
 ]
+
+
+def __getattr__(name: str):
+    # the path helpers load on first use: serving never walks a path back
+    if name in ("path_length", "reconstruct_path", "shortest_path_tree_edges"):
+        from repro.algorithms import paths
+
+        return getattr(paths, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +110,17 @@ def prepare_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
     BFS/CC/BC/PR run unweighted; CC runs on the symmetrised graph
     (weakly connected components); SSSP/SSWP require weights.  Doing
     this once, identically for all methods, keeps Table 4 cells
-    comparable.
+    comparable.  CC's graph is :func:`to_undirected`'s byte for byte,
+    from a compiled O(E) kernel where the backend has one.
     """
     spec = ALGORITHMS.get(algorithm)
     if spec is None:
         raise EngineError(f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}")
     g = graph
     if spec.symmetrize:
-        g = to_undirected(g)
+        csr = resolve_backend(None, edges=graph.num_edges).try_symmetrize(
+            graph.offsets, graph.targets, graph.is_weighted)
+        g = to_undirected(g) if csr is None else CSRGraph(*csr, validate=False)
     if spec.weighted:
         if g.weights is None:
             raise EngineError(f"{algorithm} requires a weighted graph")

@@ -114,10 +114,12 @@ def to_undirected(graph: CSRGraph) -> CSRGraph:
     """Symmetrise: ensure every edge exists in both directions.
 
     The paper treats undirected graphs as directed graphs carrying both
-    directions of each edge.  Duplicate (parallel) edges that result
-    from symmetrising an already-bidirectional pair are collapsed.
-    Weights of collapsed duplicates keep the minimum, the conventional
-    choice for path analytics.
+    directions of each edge; parallel edges collapse, keeping the
+    minimum weight.  Each row holds its node's out- and in-neighbours
+    once, in one of two orders, a contract ``prepare_graph``'s compiled
+    ``symmetrize`` matches byte for byte: ascending on a weighted graph;
+    on an unweighted one, the out-row in CSR order, then the
+    in-neighbours not in it, ascending.
     """
     src, dst, w = graph.to_coo()
     all_src = np.concatenate([src, dst])

@@ -347,20 +347,25 @@ class Prewarmer:
         degree_bound: int,
     ) -> None:
         from repro.algorithms import ALGORITHMS
-        from repro.service.workers import plan_batch, prepared_key, transform_key
+        from repro.service.workers import (
+            plan_batch, prepare_with_origin, prepared_key, transform_key)
 
         catalog = self.service.catalog
+        # The prepared graph is counted before planning can reject the
+        # signature, so a later one reading it is not ``already_warm``.
+        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
+        if origin is not None:
+            key = prepared_key(graph, algorithm)
+            self._mark(key, catalog.peek(key), origin)
         # Only the planner sees the sources — node 0 stands in on
         # source-rooted analytics, which never affects the plan (or
         # therefore the artifact key).
-        prepared, plan, origins = plan_batch(
+        _, plan, _ = plan_batch(
             catalog, graph, algorithm,
             (0,) if ALGORITHMS[algorithm].needs_source else (),
             transform=transform, degree_bound=degree_bound,
+            prepare=lambda *_: (prepared, origin),
         )
-        if origins:
-            key = prepared_key(graph, algorithm)
-            self._mark(key, catalog.peek(key), origins[0])
         if plan.caches:
             artifact, origin = catalog.get_or_build_with_origin(
                 prepared, plan.transform, plan.degree_bound,

@@ -7,8 +7,9 @@ hooks' ``ctypes`` array).  Each returns and writes what the C does, and
 the C text is a transliteration of these loops, operation for
 operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
 ``RELAX``, ``FOLD`` and ``RUN`` macros; :func:`_next_frontier`,
-:func:`_bc_forward`, :func:`_bc_backward` and :func:`_pairwise` its
-``static`` helpers of those names).  Every loop walks each active
+:func:`_bc_forward`, :func:`_bc_backward`, :func:`_pairwise`,
+:func:`_count_ids` and :func:`_transpose` its ``static`` helpers of
+those names).  Every loop walks each active
 node's CSR row in order.  The ADD loops match the engines' vectorised
 numpy path bitwise: bc's numpy bodies fold their launch's edges sorted
 by CSR edge index, PageRank's gather takes each destination's sources
@@ -343,10 +344,21 @@ def _pairwise(a, n):
     return _pairwise(a, half) + _pairwise(a[half:], n - half)
 
 
-def rank_layout(off, targets, n, deg, bucket, perm, chunk, cols):
-    # the transpose as SELL-8: rows by in-degree, descending and stable
-    # (a counting sort), 8 to a chunk, column-major, padded with id n
-    top = max(deg[:n], default=0)
+def _count_ids(ids, m, counts, n):
+    # counts[i] += how often i occurs in ids[:m] -> the largest count
+    for e in range(m):
+        counts[ids[e]] += 1
+    return max(counts[:n], default=0)
+
+
+def rank_layout(off, targets, n, room, deg, bucket, perm, chunk, cols):
+    # the transpose as SELL-8: rows by in-degree (counted here),
+    # descending and stable (a counting sort), 8 to a chunk,
+    # column-major, padded with id n -> slots, or the top in-degree
+    # negated when it exceeds room
+    top = _count_ids(targets, off[n], deg, n)
+    if top > room:
+        return -top
     for d in range(n):
         bucket[deg[d]] += 1
     at = 0
@@ -414,10 +426,47 @@ def rank_run(rank, spare, inv_deg, x, contrib, perm, chunk, cols, n, dangling,
     return distance
 
 
+def _transpose(off, targets, n, toff, src, cursor):
+    # the transpose: toff by a counting pass, each row's sources ascending
+    cursor[:n] = 0
+    _count_ids(targets, off[n], cursor, n)
+    toff[0] = 0
+    for d in range(n):
+        toff[d + 1] = toff[d] + cursor[d]
+        cursor[d] = toff[d]
+    for p in range(n):
+        for e in range(off[p], off[p + 1]):
+            src[cursor[targets[e]]] = p
+            cursor[targets[e]] += 1
+
+
+def symmetrize(off, targets, n, weighted_order, toff, tsrc, cursor, u_off,
+               u, sym_off, sym):
+    # to_undirected's rows, each node's out- and in-neighbours once: the
+    # out-row in order, then the in-neighbours not in it, ascending (a
+    # stamp per node); weighted_order transposes that symmetric graph,
+    # each row ascending -> the length
+    k = 0
+    _transpose(off, targets, n, toff, tsrc, cursor)
+    cursor[:n] = -1
+    u_off[0] = 0
+    for p in range(n):
+        out_row = [targets[e] for e in range(off[p], off[p + 1])]
+        for d in out_row + [tsrc[j] for j in range(toff[p], toff[p + 1])]:
+            if cursor[d] != p:
+                cursor[d] = p
+                u[k] = d
+                k += 1
+        u_off[p + 1] = k
+    if weighted_order:
+        _transpose(u_off, u, n, sym_off, sym, cursor)
+    return k
+
+
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
     push_step, push_lanes_step, hop_step, push_run, push_lanes_run, hop_run,
-    bc_run, rank_layout, rank_gather, rank_run,
+    bc_run, rank_layout, rank_gather, rank_run, symmetrize,
 )}
 
 

@@ -260,6 +260,18 @@ class TestPrewarmer:
         # and transforms
         assert prewarmer.built + prewarmer.already_warm == 3
 
+    def test_prepared_graph_of_a_rejected_signature_counts_as_built(self):
+        trace = load_trace(BFS_HEAVY)
+        graphs = resolve_trace_graphs(trace)
+        trace.requests[0] = replace(trace.requests[0], transform="bogus")
+        catalog = GraphCatalog()
+        with AnalyticsService(catalog, workers=1) as service:
+            prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
+        # the rejected signature built the prepared graph the udt and
+        # virtual ones then read: three fresh builds on an empty catalog
+        assert (prewarmer.built, prewarmer.already_warm) == (3, 0)
+        assert catalog.stats.builds == catalog.stats.prewarm_built == 3
+
     def test_registered_graph_needs_no_trace_recipe(self):
         trace = load_trace(BFS_HEAVY)
         graph = resolve_trace_graphs(trace)["pokec"]
