@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 #: lanes must predict at least this fraction cheaper than the loop
 #: before ``choose_multisource_mode`` leaves the scalar path — the
@@ -150,11 +150,15 @@ def choose_multisource_mode(
     return "lanes" if lanes <= loop * (1.0 - LANE_PICK_MARGIN) else "loop"
 
 
-def choose_kernel_backend(*, edges: int, candidates: Sequence[str]) -> str:
+def choose_kernel_backend(
+    *, edges: int, candidates: Callable[[], Sequence[str]]
+) -> str:
     """What ``auto`` runs on a graph of ``edges`` edges: ``cjit`` from
     :data:`JIT_MIN_EDGES` up when it is among the available
-    ``candidates``, else ``numpy``."""
-    if "cjit" in candidates and edges >= JIT_MIN_EDGES:
+    ``candidates()``, else ``numpy``.  ``candidates`` is called only
+    from the threshold up: until a unit loads, asking costs a compiler
+    probe (PATH scans), which a small graph never needs."""
+    if edges >= JIT_MIN_EDGES and "cjit" in candidates():
         return "cjit"
     return "numpy"
 

@@ -604,7 +604,7 @@ def resolve_backend(
         from repro.engine import costmodel
 
         name = costmodel.choose_kernel_backend(
-            edges=edges or 0, candidates=available_backends(),
+            edges=edges or 0, candidates=available_backends,
         )
     backend = get_backend(name)
     if not backend.is_available():

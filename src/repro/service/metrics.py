@@ -76,11 +76,8 @@ def _nearest_rank(ordered: List[float], fraction: float) -> float:
 
 
 class ServiceMetrics:
-    """Aggregate serving telemetry for one :class:`AnalyticsService`.
-
-    The table holds :data:`COUNTERS` plus one ``shard{i}_steps`` row
-    (supersteps run by shard ``i``) per shard of a ``shards``-way tier.
-    """
+    """Aggregate serving telemetry for one :class:`AnalyticsService`:
+    the :data:`COUNTERS` table, latency series, and the queue gauges."""
 
     def __init__(
         self,
@@ -96,10 +93,7 @@ class ServiceMetrics:
         #: eviction policy of the attached catalog (labels evictions).
         self.catalog_policy = catalog_policy
         self.shards = int(shards)
-        self._shard_rows = tuple(f"shard{i}_steps" for i in range(self.shards))
-        self._counts: Dict[str, int] = dict.fromkeys(
-            COUNTERS + self._shard_rows, 0
-        )
+        self._counts: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self._series: Dict[str, Deque[float]] = {
             name: deque(maxlen=LATENCY_WINDOW) for name in STAGES + ("http",)
         }
@@ -174,8 +168,6 @@ class ServiceMetrics:
         out["queue_depth"] = queue_depth
         out["max_queue_depth"] = max_queue_depth
         out["shards"] = self.shards
-        # a shard is reported once it has run a superstep
-        out.update((row, counts[row]) for row in self._shard_rows if counts[row])
         for name, samples in series.items():
             samples.sort()
             out[f"{name}_p50_ms"] = _nearest_rank(samples, 0.5) * 1e3

@@ -132,8 +132,8 @@ class QueryResult:
     analytics, or holds the single array under key ``-1`` for
     sourceless ones (CC/PR).  ``cache_hit`` is True when this request
     built nothing: every catalog artifact it read (prepared graph,
-    transform, shard set, shard overlays) came from memory or disk.  A
-    request that read none is a hit.
+    transform, shard set) came from memory or disk.  A request that
+    read none is a hit.
     """
 
     request_id: int

@@ -32,14 +32,12 @@ That bitwise contract is what lets the golden traces replay through
 the sharded router with zero digest mismatches — the acceptance gate
 ``serve --trace … --shards N`` enforces.
 
-Shard-local artifacts are cached per shard under
-``(partition fingerprint, kind, K)``: each shard's catalog holds its
-prepared slice (``kind="prepared"``, recipe ``shardIofN``) and builds
-virtual overlays *of the slice* on demand for virtual plans, so a
-warm shard re-serves a plan without re-deriving anything.  Physical
-(UDT) plans run on the raw slice — splitting rewrites destination
-ids, which destination ownership cannot survive, and monotone values
-are transform-invariant anyway.
+A shard is its slice and a superstep: it holds no catalog and builds
+no overlay.  Every plan steps the raw slice — every compiled step
+walks CSR rows in order whatever the plan, and the answers are
+transform-free — so a batch's artifacts are the front end's prepared
+graph and the tier's cached shard set.  (Overlay × partition
+composition, the paper's §7.2 claim, is :mod:`repro.multigpu`'s.)
 
 Failure containment is the service's one rule, not this module's: a
 shard executor that dies mid-batch (remote host unreachable,
@@ -75,7 +73,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,12 +86,11 @@ from repro.algorithms.programs import (
 )
 from repro.engine.push import EngineOptions, PushStep
 from repro.engine.rank import RankStep, damp, inverse_out_degrees
-from repro.engine.schedule import NodeScheduler, Scheduler, VirtualScheduler
+from repro.engine.schedule import NodeScheduler
 from repro.errors import ServiceError, ShardLost, TigrError
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 from repro.graph.io import load_npz
 from repro.multigpu.partition import inedge_partition
-from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, QueryBatch
 from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
@@ -123,10 +120,6 @@ PR_MAX_ITERATIONS = 100
 #: default seconds a remote shard operation may take before the
 #: connection is declared lost (covers one superstep round-trip).
 SHARD_OP_TIMEOUT_S = 120.0
-
-#: per-shard catalog budget: slices are small and per-slice overlays
-#: smaller; 64 MiB holds many (kind, K) variants per shard.
-SHARD_CATALOG_BYTES = 64 * 1024 * 1024
 
 _PROGRAMS = {
     "bfs": BFSProgram,
@@ -249,86 +242,45 @@ class _MonotoneTask:
 
 
 class LocalShard:
-    """One shard's slice, catalog, and per-task superstep state.
+    """One shard's slice and per-task superstep state.
 
     Holds the destination-owned subgraph (global node ids, only the
-    owned nodes' in-edges) plus a private :class:`GraphCatalog` whose
-    entries are keyed on the *partition's* fingerprint: the prepared
-    slice itself (``kind="prepared"``, recipe ``shardIofN``) and any
-    virtual overlays built for ``(kind, K)`` plans.  Task state is
-    keyed by router-issued task ids so concurrent batches never share
-    value arrays.
+    owned nodes' in-edges) and steps it under every plan.  Task state
+    is keyed by router-issued task ids so concurrent batches never
+    share value arrays.
     """
 
-    def __init__(
-        self,
-        index: int,
-        subgraph: CSRGraph,
-        owned: np.ndarray,
-        *,
-        label: str = "",
-        catalog: Optional[GraphCatalog] = None,
-    ) -> None:
+    def __init__(self, index: int, subgraph: CSRGraph, owned: np.ndarray) -> None:
         self.index = int(index)
         self.subgraph = subgraph
         self.owned = np.ascontiguousarray(owned, dtype=NODE_DTYPE)
-        self.catalog = catalog or GraphCatalog(SHARD_CATALOG_BYTES)
         self._tasks: Dict[int, object] = {}
         self._lock = threading.Lock()
-        key = ArtifactKey(
-            subgraph.fingerprint(), "prepared", 0, label or f"shard{index}"
-        )
-
-        def build() -> TransformArtifact:
-            return TransformArtifact(key=key, payload=subgraph, build_seconds=0.0)
-
-        self.catalog.get_for_key(key, build)
 
     # -- monotone BSP --------------------------------------------------
     def begin(
         self,
         task: int,
         algorithm: str,
-        kind: str,
-        degree_bound: int,
         source: Optional[int],
         kernel_backend: Optional[str] = None,
-    ) -> str:
-        """Initialise one monotone run; returns the overlay cache origin
-        (``""`` when the plan reads no overlay).
+    ) -> None:
+        """Initialise one monotone run on the slice.
 
         ``kernel_backend`` is the request's ``EngineOptions`` pin
         (``None`` resolves as any engine run does, against this
         slice's edge count).
         """
         program = _PROGRAMS[algorithm]()
-        scheduler, origin = self._scheduler_for(kind, degree_bound)
         values = program.initial_values(self.subgraph.num_nodes, source)
         step = PushStep(
-            scheduler, program, EngineOptions(kernel_backend=kernel_backend)
+            NodeScheduler(self.subgraph), program,
+            EngineOptions(kernel_backend=kernel_backend),
         )
         with self._lock:
             self._tasks[task] = _MonotoneTask(
                 step=step, values=values, pending=values.copy()
             )
-        return origin
-
-    def _scheduler_for(self, kind: str, degree_bound: int) -> Tuple[Scheduler, str]:
-        """The slice's engine view for one plan kind.
-
-        Virtual plans get a virtual overlay *of the slice*, cached in
-        this shard's catalog under ``(partition fingerprint, kind,
-        K)``.  ``none`` and ``udt`` plans run the raw slice: physical
-        splitting rewrites destination ids, which destination
-        ownership cannot survive, and the monotone fixpoint is
-        transform-invariant regardless.
-        """
-        if kind in ("virtual", "virtual+") and self.subgraph.num_edges:
-            artifact, origin = self.catalog.get_or_build_with_origin(
-                self.subgraph, kind, degree_bound
-            )
-            return VirtualScheduler(artifact.payload), origin
-        return NodeScheduler(self.subgraph), ""
 
     def step(
         self, task: int, ids: np.ndarray, vals: np.ndarray
@@ -499,9 +451,7 @@ class RemoteShardHandle:
         before anyone indexes with it: a reply that fails is a lost shard
         (and the batch falls back), never an answer."""
         try:
-            if op == "begin":
-                ok = isinstance(value, str)
-            elif op == "step":
+            if op == "step":
                 # every id owned (``owned`` is sorted; an id past the
                 # last one indexes out of range)
                 ids, vals = value
@@ -775,15 +725,10 @@ class ShardRunStats:
 
     supersteps: int = 0
     exchange_bytes: int = 0
-    per_shard_steps: Dict[int, int] = field(default_factory=dict)
-    cache_origins: List[str] = field(default_factory=list)
 
-    def count_step(self, shards: Sequence[object], nbytes: int) -> None:
+    def count_step(self, nbytes: int) -> None:
         self.supersteps += 1
         self.exchange_bytes += nbytes
-        for shard in shards:
-            index = shard.index  # type: ignore[attr-defined]
-            self.per_shard_steps[index] = self.per_shard_steps.get(index, 0) + 1
 
 
 class ShardSet:
@@ -823,22 +768,19 @@ class ShardSet:
         shards: List[object] = []
         try:
             for part in partitions:
-                label = f"shard{part.device}of{count}"
                 if part.device < len(remotes):
                     handle = RemoteShardHandle(
                         part.device,
                         part.owned,
                         remotes[part.device],
-                        key=f"{fingerprint[:24]}/{label}",
+                        key=f"{fingerprint[:24]}/shard{part.device}of{count}",
                         op_timeout_s=op_timeout_s,
                     )
                     shards.append(handle)
                     handle.load(part.subgraph)
                 else:
                     shards.append(
-                        LocalShard(
-                            part.device, part.subgraph, part.owned, label=label
-                        )
+                        LocalShard(part.device, part.subgraph, part.owned)
                     )
         except BaseException:
             for shard in shards:
@@ -864,8 +806,6 @@ class ShardSet:
     def run_monotone(
         self,
         algorithm: str,
-        kind: str,
-        degree_bound: int,
         sources: Tuple[int, ...],
         *,
         max_iterations: int = 100_000,
@@ -876,14 +816,13 @@ class ShardSet:
 
         Returns the same ``source -> values`` mapping (key ``-1`` for
         cc) as :func:`~repro.service.batching.run_sources_on_target`,
-        bitwise-equal to the single-engine answer.
+        bitwise-equal to the single-engine answer under any plan.
         """
         stats = stats if stats is not None else ShardRunStats()
         per_source: Dict[int, np.ndarray] = {}
         for source in sources or (None,):
             values = self._run_one_monotone(
-                algorithm, kind, degree_bound, source,
-                max_iterations=max_iterations,
+                algorithm, source, max_iterations=max_iterations,
                 kernel_backend=kernel_backend, stats=stats,
             )
             per_source[-1 if source is None else int(source)] = values
@@ -892,8 +831,6 @@ class ShardSet:
     def _run_one_monotone(
         self,
         algorithm: str,
-        kind: str,
-        degree_bound: int,
         source: Optional[int],
         *,
         max_iterations: int,
@@ -904,12 +841,11 @@ class ShardSet:
         n = self.prepared.num_nodes
         values = program.initial_values(n, source)
         task = next(_task_ids)
-        origins = self._on_all(
+        self._on_all(
             lambda shard: shard.begin(  # type: ignore[attr-defined]
-                task, algorithm, kind, degree_bound, source, kernel_backend
+                task, algorithm, source, kernel_backend
             )
         )
-        stats.cache_origins.extend(str(origin) for origin in origins if origin)
         try:
             upd_ids = program.initial_frontier(n, source).astype(NODE_DTYPE)
             upd_vals = values[upd_ids]
@@ -939,9 +875,8 @@ class ShardSet:
                 if len(upd_ids):
                     values[upd_ids] = upd_vals
                 stats.count_step(
-                    self.shards,
                     _nbytes(ids, vals) * len(self.shards)
-                    + _nbytes(merged_ids, merged_vals),
+                    + _nbytes(merged_ids, merged_vals)
                 )
             return values
         finally:
@@ -987,9 +922,7 @@ class ShardSet:
                 for shard, part in zip(self.shards, parts):
                     contrib[shard.owned] = part  # type: ignore[attr-defined]
                     returned += int(part.nbytes)  # type: ignore[union-attr]
-                stats.count_step(
-                    self.shards, int(rank.nbytes) * len(self.shards) + returned
-                )
+                stats.count_step(int(rank.nbytes) * len(self.shards) + returned)
                 delta = damp(rank, contrib, dangling, PR_DAMPING, spare)
                 rank, spare = spare, rank
                 if delta < PR_TOLERANCE:
@@ -1057,7 +990,10 @@ class ShardTier:
         Planner errors (pr/udt and friends) raise their usual typed
         errors here, with the same messages the unsharded pipeline
         produces — planning is shared (:func:`~repro.service.workers.
-        plan_batch`), so the error surface is too.
+        plan_batch`), so the error surface is too.  ``remaining_s`` is
+        not read: deadline degradation prices a transform build, and
+        the shards step the raw slice under every plan, so the plan
+        stands as requested.
         """
         algorithm = batch.algorithm
         if algorithm not in SHARDABLE_ALGORITHMS:
@@ -1066,8 +1002,7 @@ class ShardTier:
         prepared, plan, origins = plan_batch(
             self.catalog, batch.graph, algorithm, batch.sources,
             transform=batch.transform, degree_bound=batch.degree_bound,
-            options=batch.options, remaining_s=remaining_s,
-            prepare=self.prepare,
+            options=batch.options, prepare=self.prepare,
         )
         decision = self.policy.choose_route(
             shardable=True,
@@ -1087,16 +1022,13 @@ class ShardTier:
             transform_s = time.perf_counter() - transform_start
 
             execute_start = time.perf_counter()
-            if algorithm == "pr":  # pr reads no overlay under any plan
+            if algorithm == "pr":
                 per_source = shardset.run_pagerank(
                     kernel_backend=batch.options.kernel_backend, stats=stats
                 )
             else:
                 per_source = shardset.run_monotone(
-                    algorithm,
-                    plan.transform,
-                    plan.degree_bound,
-                    batch.sources,
+                    algorithm, batch.sources,
                     max_iterations=batch.options.max_iterations,
                     kernel_backend=batch.options.kernel_backend,
                     stats=stats,
@@ -1111,15 +1043,13 @@ class ShardTier:
             sharded_batches=1,
             shard_supersteps=stats.supersteps,
             shard_exchange_bytes=stats.exchange_bytes,
-            **{f"shard{i}_steps": n for i, n in stats.per_shard_steps.items()},
         )
-        origins += stats.cache_origins
         runs = max(len(batch.sources), 1)
         return BatchOutcome(
             per_source=per_source,
             transform=plan.transform,
             degree_bound=plan.degree_bound,
-            degraded=plan.degraded,
+            degraded=False,
             cache_hit=served_from_cache(origins),
             plan_s=plan_s,
             transform_s=transform_s,

@@ -126,8 +126,8 @@ def spec_nbytes(spec: BatchSpec) -> int:
 # ----------------------------------------------------------------------
 def served_from_cache(origins: Sequence[str]) -> bool:
     """The ``cache_hit`` rule: every catalog artifact a batch read — the
-    prepared graph, the transform, the shard set, the shard overlays —
-    came from memory or disk.  A batch that read none built nothing."""
+    prepared graph, the transform, the shard set — came from memory or
+    disk.  A batch that read none built nothing."""
     return all(origin in ("memory", "disk") for origin in origins)
 
 

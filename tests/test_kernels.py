@@ -153,6 +153,17 @@ class TestRegistry:
             warnings.simplefilter("error")
             assert kernels.resolve_backend("missing-for-test").name == "numpy"
 
+    def test_auto_under_the_threshold_probes_for_no_compiler(self, monkeypatch):
+        # no unit loaded yet: an availability check would scan PATH for
+        # a compiler that a graph under JIT_MIN_EDGES never uses
+        probes = []
+        find_cc = kernels._find_cc
+        monkeypatch.setattr(
+            kernels, "_find_cc", lambda: probes.append(1) or find_cc())
+        monkeypatch.setattr(kernels.get_backend("cjit"), "_functions", {})
+        assert kernels.resolve_backend("auto", edges=100).name == "numpy"
+        assert probes == []
+
     def test_env_var_drives_default_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         assert kernels.resolve_backend(None, edges=10**9).name == "numpy"
@@ -2070,11 +2081,11 @@ class TestCostModelPredictions:
     def test_backend_choice_respects_size_and_availability(self):
         small = costmodel.JIT_MIN_EDGES - 1
         assert costmodel.choose_kernel_backend(
-            edges=small, candidates=("cjit", "numpy")
+            edges=small, candidates=lambda: ("cjit", "numpy")
         ) == "numpy"
         assert costmodel.choose_kernel_backend(
-            edges=self.BIG, candidates=("cjit", "numpy")
+            edges=self.BIG, candidates=lambda: ("cjit", "numpy")
         ) == "cjit"
         assert costmodel.choose_kernel_backend(
-            edges=self.BIG, candidates=("numpy",)
+            edges=self.BIG, candidates=lambda: ("numpy",)
         ) == "numpy"

@@ -164,15 +164,15 @@ PARENT_SUMMARY = {
         "traversals_saved": 0, "strategy_lanes": 0, "strategy_loop": 0,
         "strategy_shared": 0, "shards": 2, "sharded_batches": 8,
         "shard_supersteps": 84, "shard_exchange_bytes": 277296,
-        "shard0_steps": 84, "shard1_steps": 84,
         "catalog_hits": 4, "catalog_misses": 2, "catalog_builds": 2,
         "catalog_bytes_in_memory": 28400,
         "catalog_hit_rate": 0.6666666666666666,
     },
 }
 
-#: the key set that implementation reported at ``shards=0``; the
-#: sharded run adds ``shard0_steps`` and ``shard1_steps``.
+#: the key set that implementation reported at ``shards=0``, which the
+#: sharded run reports too (its per-shard ``shard{i}_steps`` rows, each
+#: always equal to ``shard_supersteps``, are retired).
 PARENT_KEYS = {
     "batches_merged", "cache_hit_rate", "catalog_builds",
     "catalog_bytes_in_memory", "catalog_disk_hits", "catalog_evictions",
@@ -219,8 +219,7 @@ def pinned_engine(monkeypatch):
 @pytest.mark.parametrize("shards", [0, 2])
 def test_scripted_run_matches_the_per_attribute_summary(pinned_engine, shards):
     summary = scripted_summary(shards)
-    shard_rows = {f"shard{i}_steps" for i in range(shards)}
-    assert set(summary) == PARENT_KEYS | shard_rows | {"strategy_sharded"}
+    assert set(summary) == PARENT_KEYS | {"strategy_sharded"}
     pinned = _pinned(summary)
     # the one new key: the shard tier's batches, counted but unreported
     assert pinned.pop("strategy_sharded") == pinned["sharded_batches"]
@@ -240,16 +239,15 @@ class TestCounterTable:
         with pytest.raises(KeyError):
             metrics.count(queries_totl=1)
         with pytest.raises(KeyError):
-            metrics.count(shard0_steps=1)  # no shard tier configured
+            ServiceMetrics(shards=2).count(shard0_steps=1)  # a retired row
         assert metrics.summary()["queries_total"] == 0
 
-    def test_shard_rows_appear_once_stepped(self):
+    def test_the_shard_tier_reports_router_supersteps_only(self):
         metrics = ServiceMetrics(shards=3)
-        assert "shard1_steps" not in metrics.summary()
-        metrics.count(shard1_steps=4)
+        metrics.count(shard_supersteps=4)
         summary = metrics.summary()
-        assert summary["shard1_steps"] == 4 and summary["shards"] == 3
-        assert "shard0_steps" not in summary
+        assert summary["shard_supersteps"] == 4 and summary["shards"] == 3
+        assert not [key for key in summary if key.endswith("_steps")]
 
 
 class TestConcurrentRecording:
@@ -261,7 +259,7 @@ class TestConcurrentRecording:
         def record() -> None:
             start.wait(10)
             for _ in range(rounds):
-                metrics.count(queries_total=1, cache_hits=1, shard1_steps=2)
+                metrics.count(queries_total=1, cache_hits=1, shard_supersteps=2)
                 metrics.observe("total", 0.001)
 
         threads = [threading.Thread(target=record) for _ in range(threads_n)]
@@ -278,7 +276,7 @@ class TestConcurrentRecording:
         summary = metrics.summary()
         assert summary["queries_total"] == threads_n * rounds
         assert summary["cache_hit_rate"] == 1.0
-        assert summary["shard1_steps"] == 2 * threads_n * rounds
+        assert summary["shard_supersteps"] == 2 * threads_n * rounds
         assert len(metrics._series["total"]) == min(
             threads_n * rounds, LATENCY_WINDOW
         )

@@ -43,6 +43,7 @@ from repro.service import (
     replay_trace,
     result_digest,
 )
+from repro.service.batching import QueryBatch
 from repro.service.executor import _PriorityWorkQueue
 from repro.service.sharding import (
     MAX_HEADER_BYTES,
@@ -102,8 +103,7 @@ def _frame(header, payload=b""):
     return struct.pack("<I", len(raw)) + raw + payload
 
 
-_BEGIN = {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
-          "kind": "none", "degree_bound": 0, "source": 0}
+_BEGIN = {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs", "source": 0}
 
 #: what a host must refuse to read as a frame
 HOSTILE_FRAMES = {
@@ -167,7 +167,7 @@ class TestScatterGatherParity:
         shardset = ShardSet.build(prepared, shards)
         try:
             sources = () if algorithm == "cc" else (0, 5)
-            per_source = shardset.run_monotone(algorithm, "none", 0, sources)
+            per_source = shardset.run_monotone(algorithm, sources)
             for source in sources or (None,):
                 want, _ = run_algorithm(
                     prepared, algorithm, source, EngineOptions()
@@ -187,58 +187,49 @@ class TestScatterGatherParity:
         finally:
             shardset.close()
 
-    @pytest.mark.parametrize("kind", ["virtual", "virtual+"])
-    def test_virtual_overlay_plans_bitwise(self, graph, kind):
-        """Virtual plans run per-shard overlays of the slices.
-
-        The fixpoint is transform-invariant, so the overlay only
-        changes the relaxation schedule — values must still match.
-        """
-        prepared = prepare_graph(graph, "bfs")
-        want, _ = run_algorithm(prepared, "bfs", 0, EngineOptions())
-        shardset = ShardSet.build(prepared, 3)
-        try:
-            per_source = shardset.run_monotone("bfs", kind, 8, (0,))
-            assert np.array_equal(per_source[0], want)
-        finally:
-            shardset.close()
-
-    @pytest.mark.parametrize("kind", ["virtual", "virtual+"])
-    def test_transformed_pagerank_shards_bitwise(self, graph, kind):
-        # every walk hands each destination its sources in ascending
-        # order, so a virtual plan's ranks are the untransformed run's:
-        # the plan shards and answers as the single engine does, with
-        # the same cache state (the shard set, built once, stands in
-        # for the overlay it does not read)
-        answers = []
-        for shards in (2, 1):
+    @pytest.mark.parametrize("algorithm, kind", [
+        ("pr", "virtual"), ("pr", "virtual+"),
+        ("bfs", "virtual+"), ("sssp", "virtual+"), ("bfs", "udt"), ("sssp", "udt"),
+    ])
+    def test_transformed_plans_shard_bitwise(self, graph, algorithm, kind):
+        # answers are transform-free, so a transformed plan shards and
+        # answers as the single engine does; the shards step the raw
+        # slice, so the tier builds what the `none` plan builds (the
+        # shard set, once) and no overlay
+        sources = () if algorithm == "pr" else (0, 5)
+        answers, builds = [], {}
+        for shards, plan in ((2, kind), (1, kind), (2, "none")):
             with ShardedAnalyticsService(shards=shards, workers=2) as service:
                 service.register("g", graph)
                 results = [
                     service.run(QueryRequest(
-                        "pr", "g", transform=kind, degree_bound=4))
+                        algorithm, "g", sources=sources, transform=plan,
+                        degree_bound=4))
                     for _ in range(2)
                 ]
-                assert all(r.ok and r.transform == kind for r in results)
+                assert all(r.ok and r.transform == plan and not r.degraded
+                           for r in results)
                 assert [r.cache_hit for r in results] == [False, True]
-                assert service.metrics.summary()["sharded_batches"] == (
-                    2 * (shards > 1))
-            answers.append(results[0].value())
-        assert np.array_equal(*answers)
+                summary = service.metrics.summary()
+                assert summary["sharded_batches"] == 2 * (shards > 1)
+            answers.append({k: v.tobytes() for k, v in results[0].values.items()})
+            builds[shards, plan] = summary["catalog_builds"]
+        assert answers[0] == answers[1] == answers[2]
+        assert builds[2, kind] == builds[2, "none"]
 
-    def test_overlays_cached_per_shard(self, graph):
-        prepared = prepare_graph(graph, "bfs")
-        shardset = ShardSet.build(prepared, 2)
-        try:
-            from repro.service.sharding import ShardRunStats
-
-            cold, warm = ShardRunStats(), ShardRunStats()
-            shardset.run_monotone("bfs", "virtual", 8, (0,), stats=cold)
-            shardset.run_monotone("bfs", "virtual", 8, (1,), stats=warm)
-            assert all(origin == "built" for origin in cold.cache_origins)
-            assert all(origin == "memory" for origin in warm.cache_origins)
-        finally:
-            shardset.close()
+    @pytest.mark.parametrize("kind", ["virtual+", "udt"])
+    def test_a_deadline_degrades_no_sharded_plan(self, graph, kind):
+        # a cold build the tier never does cannot blow the deadline:
+        # the shard tier keeps the planned transform, while the single
+        # engine, which would build it, still falls back to the CSR
+        batch = QueryBatch(graph, "bfs", kind, 4, EngineOptions(),
+                           [QueryRequest.single("bfs", "g", 0)])
+        with ShardedAnalyticsService(shards=2, workers=1) as service:
+            sharded = service._shards.run(batch, 1e-9)
+            single = service._run_here(batch, 1e-9)
+        assert (sharded.transform, sharded.degraded) == (kind, False)
+        assert (single.transform, single.degraded) == ("none", True)
+        assert sharded.per_source[0].tobytes() == single.per_source[0].tobytes()
 
 
 class TestShardsRunTheEngineStep:
@@ -260,17 +251,16 @@ class TestShardsRunTheEngineStep:
             }
             shardset = ShardSet.build(prepared, shards)
             try:
-                for kind in ("none", "virtual", "virtual+", "udt"):
-                    before = _engaged(backend)
-                    got = shardset.run_monotone(
-                        algorithm, kind, 4, sources, kernel_backend=backend
+                before = _engaged(backend)
+                got = shardset.run_monotone(
+                    algorithm, sources, kernel_backend=backend
+                )
+                for key, values in want.items():
+                    assert got[key].tobytes() == values.tobytes(), (
+                        algorithm, key
                     )
-                    for key, values in want.items():
-                        assert got[key].tobytes() == values.tobytes(), (
-                            algorithm, kind, key
-                        )
-                    # engagement is asserted, not assumed
-                    assert (_engaged(backend) > before) == (backend != "numpy")
+                # engagement is asserted, not assumed
+                assert (_engaged(backend) > before) == (backend != "numpy")
             finally:
                 shardset.close()
 
@@ -365,7 +355,7 @@ class TestShardsRunTheEngineStep:
             for backend in KERNEL_BACKENDS:
                 before = _engaged(backend)
                 got = shardset.run_monotone(
-                    "sssp", "virtual+", 4, (0,), kernel_backend=backend
+                    "sssp", (0,), kernel_backend=backend
                 )[0]
                 assert got.tobytes() == want.tobytes()
                 # the host serves from this process, so its launches count
@@ -373,7 +363,7 @@ class TestShardsRunTheEngineStep:
             # the field reaches the host: it is what rejects a bad name
             with pytest.raises(ServiceError, match="unknown kernel backend"):
                 shardset.run_monotone(
-                    "sssp", "none", 0, (0,), kernel_backend="simd-unproven"
+                    "sssp", (0,), kernel_backend="simd-unproven"
                 )
         finally:
             shardset.close()
@@ -390,7 +380,7 @@ class TestShardsRunTheEngineStep:
         }) == {"ok": True}
         reply = _host_dispatch(shards, {
             "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
-            "kind": "none", "degree_bound": 0, "source": 0,
+            "source": 0,
         })
         assert reply["ok"] is True
 
@@ -409,14 +399,13 @@ class TestShardsRunTheEngineStep:
 
         def worker(mine):
             try:
-                for _ in range(3):
-                    for kind in ("none", "virtual+"):
-                        got = shardset.run_monotone(
-                            "sssp", kind, 4, tuple(mine), kernel_backend=backend
-                        )
-                        for s in mine:
-                            if got[s].tobytes() != want[s].tobytes():
-                                failures.append((kind, s))
+                for round_ in range(6):
+                    got = shardset.run_monotone(
+                        "sssp", tuple(mine), kernel_backend=backend
+                    )
+                    for s in mine:
+                        if got[s].tobytes() != want[s].tobytes():
+                            failures.append((round_, s))
             except Exception as exc:  # surfaced below, never swallowed
                 failures.append(exc)
 
@@ -450,11 +439,8 @@ class TestGoldenTracesSharded:
         assert report.ok, "\n".join(str(m) for m in report.mismatches)
         assert report.digests_checked == report.requests_submitted
         assert summary["shards"] == shards
-        assert summary["sharded_batches"] > 0
-        assert summary["shard_supersteps"] > 0
-        # every shard pulled its weight on every sharded superstep
-        steps = [summary[f"shard{i}_steps"] for i in range(shards)]
-        assert len(set(steps)) == 1 and steps[0] > 0
+        # every sharded batch ran at least one superstep on all shards
+        assert summary["shard_supersteps"] >= summary["sharded_batches"] > 0
 
     def test_single_shard_is_the_degraded_mode(self):
         """shards=1 answers everything through the single-engine path."""
@@ -538,7 +524,7 @@ class TestRemoteShards:
             want, _ = run_algorithm(
                 prepared, "sssp", 0, EngineOptions()
             )
-            per_source = shardset.run_monotone("sssp", "none", 0, (0,))
+            per_source = shardset.run_monotone("sssp", (0,))
             assert np.array_equal(per_source[0], want)
         finally:
             shardset.close()
@@ -857,7 +843,7 @@ class TestShardOpTable:
             loaded, {"op": "begin", "key": "nope", "task": 1}
         )["refused"]
         # real LocalShard attributes that are not superstep ops
-        for attribute in ("close", "_task", "catalog", "__init__", None, 7):
+        for attribute in ("close", "_task", "subgraph", "__init__", None, 7):
             reply = _host_dispatch(loaded, {"op": attribute, "key": "k"})
             assert "unknown op" in reply["refused"], attribute
         assert "k" in loaded  # nothing above closed or replaced the shard
@@ -865,7 +851,7 @@ class TestShardOpTable:
     def test_bad_missing_and_extra_arguments_are_typed_refusals(self, loaded):
         begin = {
             "op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
-            "kind": "none", "degree_bound": 0, "source": 0,
+            "source": 0,
         }
         extra = _host_dispatch(loaded, dict(begin, shard=3))
         assert "bad arguments for op 'begin'" in extra["refused"]
@@ -880,13 +866,13 @@ class TestShardOpTable:
                 "ids": np.zeros(0, dtype=np.int64),
                 "vals": np.zeros(0),
             })
-        assert _host_dispatch(loaded, begin) == {"ok": True, "result": ""}
+        assert _host_dispatch(loaded, begin) == {"ok": True, "result": None}
 
     def test_bad_requests_never_kill_the_host_loop(self, graph, shard_host):
         prepared = prepare_graph(graph, "bfs")
         part = inedge_partition(prepared, 2)[0]
         begin = {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
-                 "kind": "none", "degree_bound": 0, "source": 0}
+                 "source": 0}
         requests = [
             {"op": "begin", "key": "k", "task": 1},
             {"op": "load", "key": "k", "shard": 0,
@@ -903,7 +889,7 @@ class TestShardOpTable:
             ["refused"], ["ok"], ["refused"], ["refused"], ["error"],
             ["ok", "result"],
         ]
-        assert replies[-1] == {"ok": True, "result": ""}
+        assert replies[-1] == {"ok": True, "result": None}
 
     def test_a_peer_cannot_load_an_out_of_range_slice(self, graph, shard_host):
         # a target >= n would reach the compiled push_step, whose gates
@@ -925,12 +911,12 @@ class TestShardOpTable:
             dict(load, owned=np.array([0.0, 1.0])),
             load,
             {"op": "begin", "key": "k", "task": 1, "algorithm": "bfs",
-             "kind": "none", "degree_bound": 0, "source": 0},
+             "source": 0},
         ])
         assert "edge targets must lie in" in replies[0]["error"]
         assert "owned ids" in replies[1]["error"]
         assert "owned ids" in replies[2]["error"]
-        assert replies[3:] == [{"ok": True}, {"ok": True, "result": ""}]
+        assert replies[3:] == [{"ok": True}, {"ok": True, "result": None}]
 
     @pytest.mark.parametrize("hostile", [*HOSTILE_FRAMES, "run"])
     def test_a_hostile_frame_costs_only_its_connection(
@@ -959,7 +945,7 @@ class TestShardOpTable:
         fresh = RemoteShardHandle(0, part.owned, shard_host, key="k")
         try:
             fresh.load(part.subgraph)
-            assert fresh.begin(1, "bfs", "none", 0, 0) == ""
+            assert fresh.begin(1, "bfs", 0) is None
         finally:
             fresh.close()
 
@@ -989,7 +975,6 @@ class TestShardOpTable:
         ids, vals = np.array([2, 5], dtype=np.int64), np.array([1.0, 2.5])
         # each op's reply is what a LocalShard owning 0..2 returns
         results = {
-            "begin": "",
             "step": [ids[:1], vals[:1]],
             "pr_step": np.zeros(3),
         }
@@ -998,8 +983,8 @@ class TestShardOpTable:
             lambda payload: sent.append(payload) or {
                 "ok": True, "result": results.get(payload["op"])},
         )
-        handle.begin(7, "sssp", "virtual+", 4, 3, None)
-        handle.begin(7, "cc", "none", 0, None)
+        handle.begin(7, "sssp", 3, None)
+        handle.begin(7, "cc", None)
         handle.step(7, ids, vals)
         handle.pr_begin(8, vals, "numpy")
         handle.pr_step(8, vals)
@@ -1007,11 +992,9 @@ class TestShardOpTable:
         key = "fp/shard1of2"
         assert [encode_frame(m) for m in sent] == [encode_frame(m) for m in [
             {"op": "begin", "key": key, "task": 7, "algorithm": "sssp",
-             "kind": "virtual+", "degree_bound": 4, "source": 3,
-             "kernel_backend": None},
+             "source": 3, "kernel_backend": None},
             {"op": "begin", "key": key, "task": 7, "algorithm": "cc",
-             "kind": "none", "degree_bound": 0, "source": None,
-             "kernel_backend": None},
+             "source": None, "kernel_backend": None},
             {"op": "step", "key": key, "task": 7, "ids": ids, "vals": vals},
             {"op": "pr_begin", "key": key, "task": 8,
              "inv_deg": vals, "kernel_backend": "numpy"},
@@ -1019,8 +1002,7 @@ class TestShardOpTable:
             {"op": "finish", "key": key, "task": 8},
         ]]
         assert [list(p) for p in sent[:1]] == [[
-            "op", "key", "task", "algorithm", "kind", "degree_bound",
-            "source", "kernel_backend",
+            "op", "key", "task", "algorithm", "source", "kernel_backend",
         ]]
         with pytest.raises(AttributeError):
             handle.load_everything
