@@ -1,14 +1,13 @@
 """Typed transform artifacts: what the catalog caches and spills.
 
-A transform artifact is one finished transformation of one concrete
-graph — a UDT :class:`~repro.core.types.TransformResult` or a
-:class:`~repro.core.virtual.VirtualGraph` — wrapped with exactly the
-metadata the cache needs: a content-addressed key, a byte size for
-budget accounting, and a lossless ``.npz`` round-trip so artifacts
-evicted from memory can be reloaded from disk *without redoing any
-transform work* (the point of the cache; Table 7 shows UDT costing
-10-60x the virtual transform in the paper, 3-9x here, and both are
-pure overhead on a warm path).
+A catalog artifact is one finished UDT
+:class:`~repro.core.types.TransformResult`, or one prepared input
+graph, of one concrete graph — wrapped with exactly the metadata the
+cache needs: a content-addressed key, a byte size for budget
+accounting, and a lossless ``.npz`` round-trip so artifacts evicted
+from memory can be reloaded from disk *without redoing any build
+work* (the point of the cache: both are pure overhead on a warm
+path).
 """
 
 from __future__ import annotations
@@ -20,18 +19,17 @@ from typing import Union
 import numpy as np
 
 from repro.core.types import TransformResult, TransformStats
-from repro.core.virtual import VirtualGraph
 from repro.core.weights import DumbWeight
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 
-#: transform kinds the catalog understands.  ``none`` is never cached
-#: (there is nothing to reuse); it exists so plans can name it.
-#: ``prepared`` is not a paper transform: it is a per-algorithm
-#: prepared input graph (symmetrised for CC, weight-stripped for the
-#: unweighted analytics) whose O(|E|) construction is worth amortising
-#: under the same byte budget as the transforms.
-TRANSFORM_KINDS = ("udt", "virtual", "virtual+", "prepared")
+#: artifact kinds the catalog understands.  ``udt`` is the one
+#: transform a plan caches; ``none`` is never cached (there is nothing
+#: to reuse).  ``prepared`` is not a paper transform: it is a
+#: per-algorithm prepared input graph (symmetrised for CC,
+#: weight-stripped for the unweighted analytics) whose O(|E|)
+#: construction is worth amortising under the same byte budget.
+TRANSFORM_KINDS = ("udt", "prepared")
 
 
 @dataclass(frozen=True)
@@ -41,15 +39,14 @@ class ArtifactKey:
     Two requests that agree on all four fields are served by the same
     artifact, no matter which ``CSRGraph`` *object* they carried: the
     graph contributes its content fingerprint, not its identity.
-    ``dumb_weight`` only matters for physical transforms (UDT edge
-    weights differ between path and bottleneck analytics); virtual
-    overlays never add edges, so it is normalised to ``none`` there.
+    ``dumb_weight`` is part of a UDT key because the weights UDT puts on
+    introduced edges differ between path and bottleneck analytics.
     """
 
     graph_fingerprint: str
-    kind: str  # "udt" | "virtual" | "virtual+"
+    kind: str  # "udt" | "prepared"
     degree_bound: int
-    dumb_weight: str = "none"  # DumbWeight.value for udt, "none" otherwise
+    dumb_weight: str = "none"  # DumbWeight.value for udt, a recipe for prepared
 
     def __post_init__(self) -> None:
         if self.kind not in TRANSFORM_KINDS:
@@ -64,8 +61,9 @@ class ArtifactKey:
         degree_bound: int,
         dumb_weight: DumbWeight = DumbWeight.NONE,
     ) -> "ArtifactKey":
-        dw = dumb_weight.value if kind == "udt" else DumbWeight.NONE.value
-        return ArtifactKey(graph.fingerprint(), kind, int(degree_bound), dw)
+        return ArtifactKey(
+            graph.fingerprint(), kind, int(degree_bound), dumb_weight.value
+        )
 
     @staticmethod
     def for_prepared(
@@ -86,53 +84,41 @@ class ArtifactKey:
 
     def filename(self) -> str:
         """Filesystem-safe spill file name for this key."""
-        kind = self.kind.replace("+", "p")
         return (
-            f"{self.graph_fingerprint[:20]}-{kind}"
+            f"{self.graph_fingerprint[:20]}-{self.kind}"
             f"-k{self.degree_bound}-{self.dumb_weight}.npz"
         )
 
 
 @dataclass(frozen=True)
 class TransformArtifact:
-    """One cached transformation plus its cache accounting.
+    """One cached artifact plus its cache accounting.
 
     ``payload`` is the library-native object an engine consumes
-    directly: a :class:`TransformResult` for ``udt`` keys, a
-    :class:`VirtualGraph` for virtual keys, and a plain
+    directly: a :class:`TransformResult` for ``udt`` keys and a plain
     :class:`CSRGraph` for ``prepared`` keys.  ``build_seconds`` records
-    what the transform cost to construct — it is what every cache hit
+    what the artifact cost to construct — it is what every cache hit
     saves, and the catalog aggregates it into ``seconds_saved``.
     """
 
     key: ArtifactKey
-    payload: Union[TransformResult, VirtualGraph, CSRGraph]
+    payload: Union[TransformResult, CSRGraph]
     build_seconds: float
 
     def nbytes(self) -> int:
         """Bytes this artifact holds *beyond* the input graph.
 
         UDT owns a full transformed CSR plus provenance arrays; a
-        virtual overlay shares the physical CSR (never copied, §4) and
-        is charged only for its overlay arrays; a prepared graph is
-        charged its full CSR (symmetrisation builds fresh arrays).
-        This is the quantity the catalog's byte budget meters.
+        prepared graph is charged its full CSR (symmetrisation builds
+        fresh arrays).  This is the quantity the catalog's byte budget
+        meters.
         """
         if isinstance(self.payload, CSRGraph):
             return int(self.payload.nbytes())
-        if isinstance(self.payload, TransformResult):
-            return int(
-                self.payload.graph.nbytes()
-                + self.payload.node_origin.nbytes
-                + self.payload.new_edge_mask.nbytes
-            )
-        virtual = self.payload
         return int(
-            virtual.first_virtual.nbytes
-            + virtual.physical_ids.nbytes
-            + virtual.virtual_degrees.nbytes
-            + virtual.family_rank.nbytes
-            + virtual.family_size.nbytes
+            self.payload.graph.nbytes()
+            + self.payload.node_origin.nbytes
+            + self.payload.new_edge_mask.nbytes
         )
 
     # ------------------------------------------------------------------
@@ -143,9 +129,9 @@ class TransformArtifact:
 
         The archive stores the *derived* arrays, not a recipe: loading
         reconstructs the payload without rerunning Algorithm 1 or the
-        virtual node-array construction.  Writes go through a
-        temporary file + rename so a crashed spill never leaves a
-        truncated archive for a later session to trip on.
+        preparation.  Writes go through a temporary file + rename so a
+        crashed spill never leaves a truncated archive for a later
+        process to trip on.
         """
         meta = np.asarray(
             [self.key.degree_bound, _KIND_CODES[self.key.kind]], dtype=np.int64
@@ -166,7 +152,7 @@ class TransformArtifact:
             )
             if self.payload.weights is not None:
                 payload["weights"] = self.payload.weights
-        elif isinstance(self.payload, TransformResult):
+        else:
             result = self.payload
             stats = result.stats
             payload.update(
@@ -189,19 +175,6 @@ class TransformArtifact:
             )
             if result.graph.weights is not None:
                 payload["weights"] = result.graph.weights
-        else:
-            virtual = self.payload
-            payload.update(
-                offsets=virtual.physical.offsets,
-                targets=virtual.physical.targets,
-                first_virtual=virtual.first_virtual,
-                physical_ids=virtual.physical_ids,
-                virtual_degrees=virtual.virtual_degrees,
-                family_rank=virtual.family_rank,
-                family_size=virtual.family_size,
-            )
-            if virtual.physical.weights is not None:
-                payload["weights"] = virtual.physical.weights
         # savez appends ".npz" to names without it; keep the suffix so
         # the temp path we write is the temp path we rename.
         tmp = f"{path}.tmp-{os.getpid()}.npz"
@@ -227,10 +200,10 @@ def load_artifact(path: str) -> TransformArtifact:
         build_seconds = float(archive["build_seconds"][0])
         weights = archive["weights"] if "weights" in archive.files else None
         if kind == "prepared":
-            payload: Union[TransformResult, VirtualGraph, CSRGraph] = CSRGraph(
+            payload: Union[TransformResult, CSRGraph] = CSRGraph(
                 archive["offsets"], archive["targets"], weights, validate=False
             )
-        elif kind == "udt":
+        else:
             scalars = archive["scalars"]
             graph = CSRGraph(
                 archive["offsets"], archive["targets"], weights, validate=False
@@ -250,52 +223,10 @@ def load_artifact(path: str) -> TransformArtifact:
                 num_original_nodes=int(scalars[0]),
                 stats=stats,
             )
-        else:
-            physical = CSRGraph(
-                archive["offsets"], archive["targets"], weights, validate=False
-            )
-            payload = _rebuild_virtual(
-                physical,
-                degree_bound,
-                coalesced=kind == "virtual+",
-                first_virtual=np.ascontiguousarray(archive["first_virtual"], NODE_DTYPE),
-                physical_ids=np.ascontiguousarray(archive["physical_ids"], NODE_DTYPE),
-                virtual_degrees=np.ascontiguousarray(
-                    archive["virtual_degrees"], NODE_DTYPE
-                ),
-                family_rank=np.ascontiguousarray(archive["family_rank"], NODE_DTYPE),
-                family_size=np.ascontiguousarray(archive["family_size"], NODE_DTYPE),
-            )
     return TransformArtifact(key=key, payload=payload, build_seconds=build_seconds)
 
 
-def _rebuild_virtual(
-    physical: CSRGraph,
-    degree_bound: int,
-    *,
-    coalesced: bool,
-    first_virtual: np.ndarray,
-    physical_ids: np.ndarray,
-    virtual_degrees: np.ndarray,
-    family_rank: np.ndarray,
-    family_size: np.ndarray,
-) -> VirtualGraph:
-    """Reassemble a :class:`VirtualGraph` from its spilled arrays.
-
-    Bypasses ``__init__`` deliberately: the constructor *derives* the
-    overlay arrays, and a disk hit must not pay that derivation again.
-    """
-    virtual = VirtualGraph.__new__(VirtualGraph)
-    virtual.physical = physical
-    virtual.degree_bound = int(degree_bound)
-    virtual.coalesced = bool(coalesced)
-    virtual.first_virtual = first_virtual
-    virtual.physical_ids = physical_ids
-    virtual.virtual_degrees = virtual_degrees
-    virtual.family_rank = family_rank
-    virtual.family_size = family_size
-    return virtual
-
-
-_KIND_CODES = {"udt": 0, "virtual": 1, "virtual+": 2, "prepared": 3}
+#: archive kind codes; 1 and 2 named the retired serving overlays, so a
+#: stale overlay spill reads as an unknown kind (a miss, never a payload).
+_KIND_CODES = {"udt": 0, "prepared": 3}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}

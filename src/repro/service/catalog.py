@@ -33,7 +33,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.udt import udt_transform
-from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
@@ -340,14 +339,9 @@ class GraphCatalog:
                 "one (the preparation recipe lives with the caller)"
             )
         start = time.perf_counter()
-        if key.kind == "udt":
-            payload = udt_transform(
-                graph, key.degree_bound, dumb_weight=DumbWeight(key.dumb_weight)
-            )
-        else:
-            payload = virtual_transform(
-                graph, key.degree_bound, coalesced=key.kind == "virtual+"
-            )
+        payload = udt_transform(
+            graph, key.degree_bound, dumb_weight=DumbWeight(key.dumb_weight)
+        )
         return TransformArtifact(
             key=key, payload=payload, build_seconds=time.perf_counter() - start
         )

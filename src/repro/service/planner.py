@@ -6,15 +6,16 @@ machinery rather than re-encoding it:
 
 * :mod:`repro.core.applicability` (§3.3) decides whether a physical
   split transform may serve the analytic at all;
-* :mod:`repro.core.selection` (§5) supplies the degree bound K when
-  the caller does not pin one;
+* :mod:`repro.core.selection` (§5) supplies the UDT degree bound K
+  when the caller does not pin one;
 * the ``Tigr-UDT`` engine restrictions (PR's push step and
   level-synchronous BC cannot run on physically transformed graphs —
   see :class:`repro.baselines.tigr.TigrUDTMethod`) bound what "udt"
   requests are accepted.
 
-``"auto"`` serves the raw CSR (see :func:`plan_query` for why); the
-paper's transforms stay requestable by name.
+Every transform but ``"udt"`` serves the raw CSR (see
+:func:`plan_query` for why): ``"auto"``, ``"virtual"`` and
+``"virtual+"`` plan ``none``.  The request field keeps its values.
 
 The planner also owns the *graceful degradation* rule: when the
 catalog is cold and the request's remaining deadline is smaller than
@@ -35,15 +36,12 @@ from repro.service.query import QueryRequest
 #: analytics the physical (UDT) path can execute on the push engine.
 UDT_EXECUTABLE = ("bfs", "sssp", "sswp", "cc")
 
-#: rough per-element transform construction costs (seconds), used only
-#: to decide degradation under tight deadlines.  Calibrated from the
-#: Table 7 regeneration on this simulator: UDT rewrites the whole CSR
-#: in a few vectorised O(|E|) passes (7-16 ns/edge measured from 10k
-#: to 1M edges, rounded up); the virtual overlay is a vectorised
-#: O(|V|) pass (~50 ns/node + ~2 ns/edge).
+#: rough per-edge UDT construction cost (seconds), used only to decide
+#: degradation under tight deadlines.  Calibrated from the Table 7
+#: regeneration on this simulator: UDT rewrites the whole CSR in a few
+#: vectorised O(|E|) passes (7-16 ns/edge measured from 10k to 1M
+#: edges, rounded up).
 UDT_SECONDS_PER_EDGE = 2e-8
-VIRTUAL_SECONDS_PER_NODE = 5e-8
-VIRTUAL_SECONDS_PER_EDGE = 2e-9
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class QueryPlan:
     """A fully resolved execution recipe for one request."""
 
     algorithm: str
-    #: "none" | "udt" | "virtual" | "virtual+"
+    #: "none" | "udt"
     transform: str
     degree_bound: int
     dumb_weight: DumbWeight
@@ -68,44 +66,36 @@ def plan_query(request: QueryRequest, graph: CSRGraph) -> QueryPlan:
     """Resolve a request into a plan (no deadline pressure applied)."""
     algorithm = request.algorithm
     transform = request.transform
-    if transform in ("auto", "none"):
-        # auto serves the CSR: every compiled kernel walks CSR rows in
-        # order and answers are transform-free, so an overlay would be
-        # built, cached and looked up for nothing.
+    if transform != "udt":
+        # auto, virtual and virtual+ serve the CSR: every compiled
+        # kernel walks CSR rows in order and answers are transform-free,
+        # so an overlay would be built, cached and looked up for nothing.
         return QueryPlan(
             algorithm=algorithm,
             transform="none",
             degree_bound=0,
             dumb_weight=DumbWeight.NONE,
         )
-    if transform == "udt":
-        requirement = applicability.REQUIREMENTS.get(algorithm)
-        if requirement is None:
-            raise SplitSafetyError(
-                algorithm,
-                "not classified by the §3.3 applicability table, so no "
-                "split-safety proof exists for it",
-            )
-        if not requirement.split_safe:
-            raise SplitSafetyError(algorithm, requirement.justification)
-        if algorithm not in UDT_EXECUTABLE:
-            raise ServiceError(
-                f"udt cannot serve {algorithm}: the push engine does not "
-                f"execute it on physically transformed graphs "
-                f"(supported: {', '.join(UDT_EXECUTABLE)})"
-            )
-        return QueryPlan(
-            algorithm=algorithm,
-            transform="udt",
-            degree_bound=request.degree_bound or selection.choose_physical_k(graph),
-            dumb_weight=DumbWeight.for_algorithm(algorithm),
+    requirement = applicability.REQUIREMENTS.get(algorithm)
+    if requirement is None:
+        raise SplitSafetyError(
+            algorithm,
+            "not classified by the §3.3 applicability table, so no "
+            "split-safety proof exists for it",
         )
-    # virtual / virtual+
+    if not requirement.split_safe:
+        raise SplitSafetyError(algorithm, requirement.justification)
+    if algorithm not in UDT_EXECUTABLE:
+        raise ServiceError(
+            f"udt cannot serve {algorithm}: the push engine does not "
+            f"execute it on physically transformed graphs "
+            f"(supported: {', '.join(UDT_EXECUTABLE)})"
+        )
     return QueryPlan(
         algorithm=algorithm,
-        transform=transform,
-        degree_bound=request.degree_bound or selection.choose_virtual_k(graph),
-        dumb_weight=DumbWeight.NONE,
+        transform="udt",
+        degree_bound=request.degree_bound or selection.choose_physical_k(graph),
+        dumb_weight=DumbWeight.for_algorithm(algorithm),
     )
 
 
@@ -113,12 +103,7 @@ def estimate_build_seconds(graph: CSRGraph, plan: QueryPlan) -> float:
     """Predicted cold-cache transform construction time for ``plan``."""
     if plan.transform == "none":
         return 0.0
-    if plan.transform == "udt":
-        return graph.num_edges * UDT_SECONDS_PER_EDGE
-    return (
-        graph.num_nodes * VIRTUAL_SECONDS_PER_NODE
-        + graph.num_edges * VIRTUAL_SECONDS_PER_EDGE
-    )
+    return graph.num_edges * UDT_SECONDS_PER_EDGE
 
 
 def degrade_for_deadline(

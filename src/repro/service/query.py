@@ -43,10 +43,10 @@ class QueryRequest:
         the batcher additionally merges and dedups sources *across*
         same-graph requests.
     transform:
-        One of :data:`~repro.core.selection.TRANSFORMS`: ``"auto"``
-        lets the planner choose (it serves the raw CSR); ``"udt"``,
-        ``"virtual"``, ``"virtual+"`` force a transform; ``"none"`` runs
-        on the raw CSR (what degraded execution falls back to).
+        One of :data:`~repro.core.selection.TRANSFORMS`.  ``"udt"``
+        forces the physical transform; every other value serves the
+        raw CSR (``"none"`` is also what degraded execution falls back
+        to).
     degree_bound:
         Explicit K; ``None`` defers to :mod:`repro.core.selection`.
     timeout_s:

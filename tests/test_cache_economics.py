@@ -50,7 +50,7 @@ class FakeArtifact:
         return self._size
 
 
-def fake_key(tag, kind="virtual+", k=8):
+def fake_key(tag, kind="udt", k=8):
     return ArtifactKey(
         graph_fingerprint=f"{tag:0>64s}", kind=kind, degree_bound=k
     )
@@ -155,7 +155,7 @@ class TestSpillHydrateRepricing:
         parent = GraphCatalog(
             spill_dir=str(tmp_path), write_through=True, policy="gdsf"
         )
-        built = parent.get_or_build(graph, "virtual+", 10)
+        built = parent.get_or_build(graph, "udt", 10)
         key = built.key
         parent_priority = parent.eviction_policy().priority_of(key)
         assert parent_priority > 0
@@ -183,17 +183,17 @@ class TestPrewarmer:
         with AnalyticsService(catalog, workers=2, backend="threads") as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
             # the unweighted prepared graph every bfs reads, plus the
-            # udt and virtual transforms; auto reads only the former
-            assert prewarmer.built == 3
+            # udt transform; auto and virtual read only the former
+            assert prewarmer.built == 2
             assert prewarmer.already_warm == 0
             assert prewarmer.skipped == 0 and not prewarmer.errors
-            assert catalog.stats.prewarm_built == 3
+            assert catalog.stats.prewarm_built == 2
             report = replay_trace(trace, service=service, graphs=graphs)
         assert report.ok and report.digests_checked > 0
-        assert catalog.stats.builds == 3  # traffic built nothing
+        assert catalog.stats.builds == 2  # traffic built nothing
         # every request was served from the catalog
         assert service.metrics.summary()["cache_hit_rate"] == 1.0
-        assert service.metrics.summary()["prewarm_built"] == 3
+        assert service.metrics.summary()["prewarm_built"] == 2
 
     def test_every_replay_hit_is_a_prewarm_hit(self):
         trace = load_trace(BFS_HEAVY)
@@ -208,12 +208,12 @@ class TestPrewarmer:
             report = replay_trace(trace, service=service, graphs=graphs)
         assert report.ok
         replay_hits = catalog.stats.hits - hits_before
-        # each of the 16 requests reads the prepared graph, and the 10
-        # udt / virtual ones a transform too; every read is pre-warmed
+        # each of the 16 requests reads the prepared graph, and the 5
+        # udt ones a transform too; every read is pre-warmed
         reads = len(trace.requests) + sum(
-            request.transform != "auto" for request in trace.requests
+            request.transform == "udt" for request in trace.requests
         )
-        assert catalog.stats.prewarm_hits == replay_hits == reads == 26
+        assert catalog.stats.prewarm_hits == replay_hits == reads == 21
 
     def test_second_pass_finds_everything_warm(self):
         trace = load_trace(BFS_HEAVY)
@@ -222,8 +222,8 @@ class TestPrewarmer:
         with AnalyticsService(catalog, workers=1) as service:
             Prewarmer(service, trace, graphs=graphs).run_inline()
             again = Prewarmer(service, trace, graphs=graphs).run_inline()
-        assert again.built == 0 and again.already_warm == 3
-        assert catalog.stats.prewarm_built == 3
+        assert again.built == 0 and again.already_warm == 2
+        assert catalog.stats.prewarm_built == 2
 
     def test_signatures_warm_once_in_first_arrival_order(self):
         trace = load_trace(BFS_HEAVY)
@@ -257,8 +257,8 @@ class TestPrewarmer:
         assert prewarmer.skipped == 1
         assert len(prewarmer.errors) == 1 and "bogus" in prewarmer.errors[0]
         # the udt and virtual signatures still warm their prepared graph
-        # and transforms
-        assert prewarmer.built + prewarmer.already_warm == 3
+        # and the udt transform
+        assert prewarmer.built + prewarmer.already_warm == 2
 
     def test_prepared_graph_of_a_rejected_signature_counts_as_built(self):
         trace = load_trace(BFS_HEAVY)
@@ -268,9 +268,9 @@ class TestPrewarmer:
         with AnalyticsService(catalog, workers=1) as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
         # the rejected signature built the prepared graph the udt and
-        # virtual ones then read: three fresh builds on an empty catalog
-        assert (prewarmer.built, prewarmer.already_warm) == (3, 0)
-        assert catalog.stats.builds == catalog.stats.prewarm_built == 3
+        # virtual ones then read: two fresh builds on an empty catalog
+        assert (prewarmer.built, prewarmer.already_warm) == (2, 0)
+        assert catalog.stats.builds == catalog.stats.prewarm_built == 2
 
     def test_registered_graph_needs_no_trace_recipe(self):
         trace = load_trace(BFS_HEAVY)
@@ -279,7 +279,7 @@ class TestPrewarmer:
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             service.register("pokec", graph)
             prewarmer = Prewarmer(service, trace).run_inline()
-            assert prewarmer.built == 3
+            assert prewarmer.built == 2
             assert prewarmer.skipped == 0 and not prewarmer.errors
             assert prepared_key(graph, "bfs") in service.catalog
 
@@ -318,7 +318,7 @@ class TestPrewarmer:
         ) as service:
             assert service.shared_artifact_dir is not None
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
-            assert prewarmer.built == 3
+            assert prewarmer.built == 2
             report = replay_trace(trace, service=service, graphs=graphs)
             summary = service.metrics.summary()
         assert report.ok
@@ -332,7 +332,7 @@ class TestPrewarmer:
             "--prewarm-from-trace", BFS_HEAVY, "--prewarm-wait", "0",
         ]) == 0
         out = capsys.readouterr().out
-        assert "prewarm: built=3 already_warm=0 skipped=0" in out
+        assert "prewarm: built=2 already_warm=0 skipped=0" in out
         assert "digests: 16/16 matched" in out
 
     def test_background_start_is_idempotent(self):

@@ -40,13 +40,12 @@ def build_cells(count):
     cells = []
     for i in range(count):
         graph = rmat(60 + 40 * (i % 3), 300 + 200 * i, seed=300 + i)
-        kind, k = (
-            ("udt", 6) if i % 3 == 0
-            else ("virtual+", 8) if i % 3 == 1
-            else ("virtual", 12)
+        k, dumb = (
+            (6, DumbWeight.ZERO) if i % 3 == 0
+            else (8, DumbWeight.INFINITY) if i % 3 == 1
+            else (12, DumbWeight.NONE)
         )
-        dumb = DumbWeight.ZERO if kind == "udt" else DumbWeight.NONE
-        cells.append((graph, kind, k, dumb))
+        cells.append((graph, "udt", k, dumb))
     return cells
 
 

@@ -5,9 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.algorithms import sssp
 from repro.core.udt import udt_transform
-from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
 from repro.errors import ServiceError
 from repro.graph.generators import rmat
@@ -31,33 +29,33 @@ def make_graphs(count, nodes=60, edges=300):
 class TestArtifactKey:
     def test_content_addressed(self, graph):
         twin = rmat(120, 900, seed=5, weight_range=(1, 6))
-        a = ArtifactKey.for_transform(graph, "virtual+", 10)
-        b = ArtifactKey.for_transform(twin, "virtual+", 10)
+        a = ArtifactKey.for_transform(graph, "udt", 10)
+        b = ArtifactKey.for_transform(twin, "udt", 10)
         assert a == b
 
-    def test_dumb_weight_only_matters_for_udt(self, graph):
-        v1 = ArtifactKey.for_transform(graph, "virtual", 10, DumbWeight.ZERO)
-        v2 = ArtifactKey.for_transform(graph, "virtual", 10, DumbWeight.INFINITY)
-        assert v1 == v2
+    def test_dumb_weight_is_part_of_a_udt_key(self, graph):
         u1 = ArtifactKey.for_transform(graph, "udt", 8, DumbWeight.ZERO)
         u2 = ArtifactKey.for_transform(graph, "udt", 8, DumbWeight.INFINITY)
         assert u1 != u2
 
     def test_unknown_kind_rejected(self, graph):
-        with pytest.raises(ServiceError):
-            ArtifactKey.for_transform(graph, "cliq", 10)
+        # the serving tier caches no overlay: virtual[+] plan `none`
+        for kind in ("cliq", "virtual", "virtual+"):
+            with pytest.raises(ServiceError):
+                ArtifactKey.for_transform(graph, kind, 10)
 
     def test_filename_is_filesystem_safe(self, graph):
-        name = ArtifactKey.for_transform(graph, "virtual+", 10).filename()
-        assert "+" not in name and "/" not in name
+        key = ArtifactKey.for_transform(graph, "udt", 10, DumbWeight.INFINITY)
+        name = key.filename()
+        assert "/" not in name and "infinity" in name
         assert name.endswith(".npz")
 
 
 class TestHitMissAccounting:
     def test_build_once_then_hit(self, graph):
         catalog = GraphCatalog()
-        first = catalog.get_or_build(graph, "virtual+", 10)
-        second = catalog.get_or_build(graph, "virtual+", 10)
+        first = catalog.get_or_build(graph, "udt", 10)
+        second = catalog.get_or_build(graph, "udt", 10)
         assert first is second
         assert catalog.stats.builds == 1
         assert catalog.stats.hits == 1
@@ -66,23 +64,23 @@ class TestHitMissAccounting:
 
     def test_different_k_different_artifact(self, graph):
         catalog = GraphCatalog()
-        catalog.get_or_build(graph, "virtual+", 10)
-        catalog.get_or_build(graph, "virtual+", 4)
+        catalog.get_or_build(graph, "udt", 10)
+        catalog.get_or_build(graph, "udt", 4)
         assert catalog.stats.builds == 2
         assert len(catalog) == 2
 
     def test_content_twin_hits(self, graph):
         catalog = GraphCatalog()
-        catalog.get_or_build(graph, "virtual+", 10)
+        catalog.get_or_build(graph, "udt", 10)
         twin = rmat(120, 900, seed=5, weight_range=(1, 6))
-        catalog.get_or_build(twin, "virtual+", 10)
+        catalog.get_or_build(twin, "udt", 10)
         assert catalog.stats.builds == 1
 
     def test_origin_reporting(self, graph):
         catalog = GraphCatalog()
-        _, origin = catalog.get_or_build_with_origin(graph, "virtual+", 10)
+        _, origin = catalog.get_or_build_with_origin(graph, "udt", 10)
         assert origin == "built"
-        _, origin = catalog.get_or_build_with_origin(graph, "virtual+", 10)
+        _, origin = catalog.get_or_build_with_origin(graph, "udt", 10)
         assert origin == "memory"
 
     def test_seconds_saved_accumulates(self, graph):
@@ -98,14 +96,14 @@ class TestLRUAndBudget:
     def test_eviction_order_is_lru(self):
         graphs = make_graphs(3)
         catalog = GraphCatalog(max_entries=2)
-        k0 = ArtifactKey.for_transform(graphs[0], "virtual+", 10)
-        k1 = ArtifactKey.for_transform(graphs[1], "virtual+", 10)
-        k2 = ArtifactKey.for_transform(graphs[2], "virtual+", 10)
-        catalog.get_or_build(graphs[0], "virtual+", 10)
-        catalog.get_or_build(graphs[1], "virtual+", 10)
+        k0 = ArtifactKey.for_transform(graphs[0], "udt", 10)
+        k1 = ArtifactKey.for_transform(graphs[1], "udt", 10)
+        k2 = ArtifactKey.for_transform(graphs[2], "udt", 10)
+        catalog.get_or_build(graphs[0], "udt", 10)
+        catalog.get_or_build(graphs[1], "udt", 10)
         # touch graph 0 so graph 1 becomes least recently used
-        catalog.get_or_build(graphs[0], "virtual+", 10)
-        catalog.get_or_build(graphs[2], "virtual+", 10)
+        catalog.get_or_build(graphs[0], "udt", 10)
+        catalog.get_or_build(graphs[2], "udt", 10)
         assert k1 not in catalog
         assert k0 in catalog and k2 in catalog
         assert catalog.stats.evictions == 1
@@ -113,11 +111,11 @@ class TestLRUAndBudget:
     def test_byte_budget_enforced(self):
         graphs = make_graphs(4)
         probe = GraphCatalog()
-        artifact = probe.get_or_build(graphs[0], "virtual+", 10)
+        artifact = probe.get_or_build(graphs[0], "udt", 10)
         budget = int(artifact.nbytes() * 2.5)  # fits two, not three
         catalog = GraphCatalog(memory_budget_bytes=budget)
         for g in graphs:
-            catalog.get_or_build(g, "virtual+", 10)
+            catalog.get_or_build(g, "udt", 10)
         assert catalog.stats.bytes_in_memory <= budget
         assert catalog.stats.evictions >= 1
         assert len(catalog) >= 1
@@ -127,7 +125,7 @@ class TestLRUAndBudget:
         catalog = GraphCatalog()
         total = 0
         for g in graphs:
-            total += catalog.get_or_build(g, "virtual+", 10).nbytes()
+            total += catalog.get_or_build(g, "udt", 10).nbytes()
         assert catalog.stats.bytes_in_memory == total
         catalog.clear()
         assert catalog.stats.bytes_in_memory == 0
@@ -135,7 +133,7 @@ class TestLRUAndBudget:
 
     def test_oversized_artifact_served_not_retained(self, graph):
         catalog = GraphCatalog(memory_budget_bytes=1)
-        artifact = catalog.get_or_build(graph, "virtual+", 10)
+        artifact = catalog.get_or_build(graph, "udt", 10)
         assert artifact is not None
         assert len(catalog) == 0
 
@@ -151,7 +149,7 @@ class TestLRUAndBudget:
         # payload.  Reachable through hydrate-after-rebuild and the
         # prewarmer's put path; the guard must drop the stale entry.
         graphs = make_graphs(2, nodes=40, edges=150)
-        small = GraphCatalog().get_or_build(graphs[0], "virtual+", 10)
+        small = GraphCatalog().get_or_build(graphs[0], "udt", 10)
         key = small.key
         budget = small.nbytes() * 2
         catalog = GraphCatalog(memory_budget_bytes=budget)
@@ -168,26 +166,6 @@ class TestLRUAndBudget:
 
 
 class TestDiskSpill:
-    def test_spill_round_trip_virtual(self, graph, tmp_path):
-        artifact = GraphCatalog().get_or_build(graph, "virtual+", 10)
-        path = str(tmp_path / "a.npz")
-        artifact.save_npz(path)
-        loaded = load_artifact(path)
-        assert loaded.key == artifact.key
-        reference = virtual_transform(graph, 10, coalesced=True)
-        assert loaded.payload.coalesced is True
-        assert loaded.payload.degree_bound == 10
-        np.testing.assert_array_equal(
-            loaded.payload.physical_ids, reference.physical_ids
-        )
-        np.testing.assert_array_equal(
-            loaded.payload.virtual_degrees, reference.virtual_degrees
-        )
-        # the reloaded overlay is actually runnable
-        assert np.array_equal(
-            sssp(loaded.payload, 0).values, sssp(reference, 0).values
-        )
-
     def test_spill_round_trip_udt(self, graph, tmp_path):
         artifact = GraphCatalog().get_or_build(
             graph, "udt", 6, dumb_weight=DumbWeight.ZERO
@@ -209,10 +187,10 @@ class TestDiskSpill:
     def test_evicted_artifact_reloaded_from_disk(self, tmp_path):
         graphs = make_graphs(2)
         catalog = GraphCatalog(max_entries=1, spill_dir=str(tmp_path))
-        catalog.get_or_build(graphs[0], "virtual+", 10)
-        catalog.get_or_build(graphs[1], "virtual+", 10)  # evicts + spills g0
+        catalog.get_or_build(graphs[0], "udt", 10)
+        catalog.get_or_build(graphs[1], "udt", 10)  # evicts + spills g0
         assert catalog.stats.spills == 1
-        _, origin = catalog.get_or_build_with_origin(graphs[0], "virtual+", 10)
+        _, origin = catalog.get_or_build_with_origin(graphs[0], "udt", 10)
         assert origin == "disk"
         assert catalog.stats.disk_hits == 1
         assert catalog.stats.builds == 2  # never rebuilt
@@ -232,15 +210,15 @@ class TestDiskSpill:
 
     def test_corrupt_spill_is_a_miss(self, graph, tmp_path):
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        key = ArtifactKey.for_transform(graph, "virtual+", 10)
+        key = ArtifactKey.for_transform(graph, "udt", 10)
         (tmp_path / key.filename()).write_bytes(b"not an npz")
-        catalog.get_or_build(graph, "virtual+", 10)
+        catalog.get_or_build(graph, "udt", 10)
         assert catalog.stats.builds == 1
         assert catalog.stats.disk_hits == 0
 
     def test_clear_drop_spilled(self, graph, tmp_path):
         catalog = GraphCatalog(max_entries=1, spill_dir=str(tmp_path))
-        artifact = catalog.get_or_build(graph, "virtual+", 10)
+        artifact = catalog.get_or_build(graph, "udt", 10)
         catalog._spill(artifact.key, artifact)
         assert list(tmp_path.glob("*.npz"))
         catalog.clear(drop_spilled=True)
@@ -255,9 +233,9 @@ class TestSingleFlight:
 
         def builder():
             build_count.append(1)
-            payload = virtual_transform(graph, 10, coalesced=True)
+            payload = udt_transform(graph, 10, dumb_weight=DumbWeight.NONE)
             return TransformArtifact(
-                key=ArtifactKey.for_transform(graph, "virtual+", 10),
+                key=ArtifactKey.for_transform(graph, "udt", 10),
                 payload=payload,
                 build_seconds=0.01,
             )
@@ -267,7 +245,7 @@ class TestSingleFlight:
         def worker():
             gate.wait()
             results.append(
-                catalog.get_or_build(graph, "virtual+", 10, builder=builder)
+                catalog.get_or_build(graph, "udt", 10, builder=builder)
             )
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -285,7 +263,7 @@ class TestSingleFlight:
 
         def worker(g):
             gate.wait()
-            catalog.get_or_build(g, "virtual+", 10)
+            catalog.get_or_build(g, "udt", 10)
 
         threads = [threading.Thread(target=worker, args=(g,)) for g in graphs]
         for t in threads:

@@ -7,11 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.algorithms import connected_components, pagerank, sssp
+from repro.algorithms import ALGORITHMS, connected_components, pagerank, sssp
 from repro.algorithms.reference import reference_bfs
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
+from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.errors import ServiceError
 from repro.graph.datasets import load_dataset
@@ -23,6 +24,7 @@ from repro.service import (
     TransformArtifact,
 )
 from repro.service.planner import degrade_for_deadline, plan_query
+from repro.service.workers import execute_pipeline
 
 
 @pytest.fixture
@@ -73,13 +75,13 @@ class TestResultsMatchDirectCalls:
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=2) as service:
             service.register("pokec", graph)
-            cold = service.run(
-                QueryRequest.single("sssp", "pokec", 3, transform="virtual+")
-            )
+            cold = service.run(QueryRequest.single(
+                "sssp", "pokec", 3, transform="udt", degree_bound=8
+            ))
             builds_after_cold = catalog.stats.builds
-            warm = service.run(
-                QueryRequest.single("sssp", "pokec", 7, transform="virtual+")
-            )
+            warm = service.run(QueryRequest.single(
+                "sssp", "pokec", 7, transform="udt", degree_bound=8
+            ))
             assert not cold.cache_hit and warm.cache_hit
             if service.backend == "threads":
                 # zero transform work on the warm path, per cache
@@ -88,23 +90,26 @@ class TestResultsMatchDirectCalls:
                 # and by tests/test_service_process_backend.py)
                 assert catalog.stats.builds == builds_after_cold == 1
                 assert catalog.stats.hits >= 1
-            direct = sssp(virtual_transform(graph, 10, coalesced=True), 7)
-            assert np.array_equal(warm.value(7), direct.values)
+            transformed = udt_transform(graph, 8, dumb_weight=DumbWeight.ZERO)
+            direct = sssp(transformed.graph, 7)
+            assert np.array_equal(
+                warm.value(7), transformed.read_values(direct.values)
+            )
 
     def test_auto_plan_serves_the_csr(self, graph):
         # auto builds nothing: an unweighted graph needs no preparation
-        # and the plan reads no transform, yet the answer is Tigr-V+'s
+        # and the plan reads no transform; a named virtual+ plans the same
         unweighted = graph.without_weights()
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=1) as service:
             service.register("uw", unweighted)
             result = service.run(QueryRequest.single("bfs", "uw", 0))
-            assert catalog.stats.builds == 0 and len(catalog) == 0
             vplus = service.run(
                 QueryRequest.single("bfs", "uw", 0, transform="virtual+")
             )
+            assert catalog.stats.builds == 0 and len(catalog) == 0
         assert result.transform == "none" and result.degree_bound == 0
-        assert result.cache_hit and vplus.transform == "virtual+"
+        assert result.cache_hit and vplus.transform == "none"
         assert np.array_equal(result.value(0), vplus.value(0))
         assert np.array_equal(result.value(0), reference_bfs(unweighted, 0))
 
@@ -155,7 +160,8 @@ class TestConcurrency:
             service.register("g", graph)
             tickets = [
                 service.submit(QueryRequest.single(
-                    "sssp", "g", s % graph.num_nodes, transform="virtual+"
+                    "sssp", "g", s % graph.num_nodes, transform="udt",
+                    degree_bound=6,
                 ))
                 for s in range(40)
             ]
@@ -166,8 +172,9 @@ class TestConcurrency:
                 # (process workers build in their own catalogs, at most
                 # once per worker thanks to the shared disk tier)
                 assert catalog.stats.builds == 1
-            reference = sssp(virtual_transform(graph, 10, coalesced=True), 5)
-            assert np.array_equal(results[5].value(5), reference.values)
+            transformed = udt_transform(graph, 6, dumb_weight=DumbWeight.ZERO)
+            reference = transformed.read_values(sssp(transformed.graph, 5).values)
+            assert np.array_equal(results[5].value(5), reference)
 
     def test_concurrent_submitters(self, graph):
         with AnalyticsService(workers=4, queue_size=256) as service:
@@ -359,8 +366,8 @@ class TestErrorsAndMetrics:
             assert service.metrics.summary()["queries_failed"] == 1
 
     def test_metrics_summary_shape(self, service):
-        service.run(QueryRequest.single("sssp", "g", 0, transform="virtual+"))
-        service.run(QueryRequest.single("sssp", "g", 1, transform="virtual+"))
+        service.run(QueryRequest.single("sssp", "g", 0, transform="udt"))
+        service.run(QueryRequest.single("sssp", "g", 1, transform="udt"))
         summary = service.metrics.summary()
         assert summary["queries_total"] == 2
         assert summary["cache_hit_rate"] == 0.5
@@ -427,11 +434,6 @@ class TestCacheHitMeansNothingBuilt:
         assert not served.run(request()).cache_hit  # builds the preparation
         assert served.run(request()).cache_hit
 
-    def test_cold_virtual_plus_builds(self, served):
-        request = QueryRequest.single("sssp", "g", 0, transform="virtual+")
-        assert not served.run(request).cache_hit
-        assert served.run(request).cache_hit
-
     def test_auto_traffic_caches_no_overlay(self, served):
         for algorithm in ("bfs", "sssp", "sswp", "bc"):
             for source in (0, 7):
@@ -441,7 +443,7 @@ class TestCacheHitMeansNothingBuilt:
             assert served.run(QueryRequest(algorithm, "g")).ok
         # (shards hold no catalog: they step the raw slice)
         kinds = {key.kind for key in served.catalog.keys()}
-        assert not kinds & {"udt", "virtual", "virtual+"}
+        assert "udt" not in kinds
         # (local hosts build in catalogs of their own)
         assert kinds or served.backend == "processes"
 
@@ -449,12 +451,12 @@ class TestCacheHitMeansNothingBuilt:
 def test_concurrent_dispatchers_count_only_their_own_hydrations(
     graph, tmp_path
 ):
-    # each dispatcher hydrates one spilled overlay while the other is
-    # inside its pipeline too; the summed hydrate_hits are the disk loads
+    # each dispatcher hydrates one spilled udt artifact while the other
+    # is inside its pipeline too; the summed hydrate_hits are the disk loads
     catalog = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
-    for kind in ("virtual", "virtual+"):
-        catalog.get_or_build(graph, kind, 10)
-    catalog.clear()  # memory tier only: both overlays stay spilled
+    for k in (6, 8):
+        catalog.get_or_build(graph, "udt", k, dumb_weight=DumbWeight.ZERO)
+    catalog.clear()  # memory tier only: both artifacts stay spilled
     overlap = threading.Barrier(2, timeout=30)
     lookup = catalog.get_or_build_with_origin
 
@@ -468,9 +470,47 @@ def test_concurrent_dispatchers_count_only_their_own_hydrations(
     with AnalyticsService(catalog, workers=2, backend="threads") as service:
         service.register("g", graph)
         tickets = [
-            service.submit(QueryRequest.single("sssp", "g", 0, transform=kind))
-            for kind in ("virtual", "virtual+")
+            service.submit(QueryRequest.single(
+                "sssp", "g", 0, transform="udt", degree_bound=k
+            ))
+            for k in (6, 8)
         ]
         assert all(ticket.result(60).cache_hit for ticket in tickets)
         assert catalog.stats.disk_hits == 2
         assert service.metrics.summary()["hydrate_hits"] == 2
+
+
+@pytest.mark.parametrize("kernel_backend", [
+    "numpy",
+    pytest.param("cjit", marks=pytest.mark.skipif(
+        not kernels.get_backend("cjit").is_available(), reason="no C compiler"
+    )),
+])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_named_overlays_serve_the_csr(graph, algorithm, kernel_backend):
+    # virtual and virtual+ plan `none`, as auto does: the same builds and
+    # the same bytes, and no overlay build for a deadline to degrade from
+    options = EngineOptions(kernel_backend=kernel_backend)
+    sources = (0, 5) if ALGORITHMS[algorithm].needs_source else ()
+    served = {}
+    for transform in ("none", "virtual", "virtual+"):
+        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+            service.register("g", graph)
+            result = service.run(QueryRequest(
+                algorithm, "g", sources=sources, transform=transform,
+                options=options,
+            ))
+            builds = service.metrics.summary()["catalog_builds"]
+        rushed = execute_pipeline(
+            GraphCatalog(), graph, algorithm=algorithm, transform=transform,
+            degree_bound=0, options=options, sources=sources, remaining_s=1e-9,
+        )
+        assert result.ok, result.error
+        assert (result.transform, result.degree_bound) == ("none", 0)
+        assert (rushed.transform, rushed.degraded) == ("none", False)
+        served[transform] = (
+            builds,
+            {key: values.tobytes() for key, values in result.values.items()},
+            {key: values.tobytes() for key, values in rushed.per_source.items()},
+        )
+    assert served["virtual"] == served["virtual+"] == served["none"]
