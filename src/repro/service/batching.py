@@ -56,6 +56,8 @@ class QueryBatch:
     degree_bound: int  # 0 = planner decides
     options: EngineOptions
     requests: List[QueryRequest] = field(default_factory=list)
+    #: origins of what places that passed or were lost read (cache_hit)
+    passed_origins: List[str] = field(default_factory=list)
 
     @property
     def sources(self) -> Tuple[int, ...]:

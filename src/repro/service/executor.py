@@ -101,6 +101,7 @@ from repro.service.workers import (
     execute_pipeline,
     export_graph,
     prepare_with_origin,
+    served_from_cache,
 )
 
 #: recognised execution backends.
@@ -886,7 +887,8 @@ class AnalyticsService:
         (``None``), or is lost with its typed error; after a loss the
         answer is correct but arrived the degraded way, and is
         surfaced exactly like deadline degradation (module docstring:
-        the one failure rule).
+        the one failure rule).  What a place read before handing the
+        batch on (``batch.passed_origins``) counts in the answer too.
         """
         *earlier, last = self._places
         lost = False
@@ -904,7 +906,10 @@ class AnalyticsService:
                 break
         else:
             outcome = last(batch, remaining_s)  # cannot pass or be lost
-        return replace(outcome, degraded=True) if lost else outcome
+        passed = batch.passed_origins
+        return replace(outcome, degraded=outcome.degraded or lost,
+                       cache_hit=outcome.cache_hit and served_from_cache(passed),
+                       hydrate_hits=outcome.hydrate_hits + passed.count("disk"))
 
     def _run_here(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
         """Last place: this dispatcher thread, the front-end catalog."""
