@@ -249,9 +249,6 @@ def _start_prewarmer(args, service, graphs=None):
 def cmd_query(args) -> int:
     from repro.service import AnalyticsService, GraphCatalog, QueryRequest
 
-    if args.k is not None and args.transform != "udt":
-        print("error: --k applies to --transform udt only", file=sys.stderr)
-        return 2
     _apply_kernel_backend(args)
     _apply_catalog_policy(args)
     graph = _load(args.graph, scale=args.scale)
@@ -264,13 +261,9 @@ def cmd_query(args) -> int:
         for round_no in range(args.repeat):
             requests = (
                 [QueryRequest.single(args.algorithm, args.graph, s,
-                                     transform=args.transform,
-                                     degree_bound=args.k,
                                      timeout_s=args.timeout)
                  for s in sources]
                 or [QueryRequest(args.algorithm, args.graph,
-                                 transform=args.transform,
-                                 degree_bound=args.k,
                                  timeout_s=args.timeout)]
             )
             results = [t.result() for t in service.submit_batch(requests)]
@@ -617,11 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--sources", default=None,
                    help="comma-separated source list (batched, deduplicated)")
-    p.add_argument("--transform", choices=("auto", "udt"), default="auto",
-                   help="udt builds the physical transform, cached across "
-                        "requests; auto serves the CSR")
-    p.add_argument("--k", type=int, default=None,
-                   help="udt degree bound override")
     _service_flag(p, "--timeout", help="per-request deadline in seconds")
     p.add_argument("--repeat", type=int, default=1,
                    help="submit the query N times (shows warm-cache hits)")

@@ -1,15 +1,14 @@
 """Cache economics: pre-warm cold starts, GDSF vs LRU eviction.
 
 Not a paper table — this experiment prices the serving layer's cache
-economics (:mod:`repro.service.economics`) the way §6.5 prices the
-transformations.  Three phases:
+economics (:mod:`repro.service.economics`).  Three phases:
 
 ``cold-start`` / ``prewarmed``
     The ``bfs-heavy`` golden trace replayed against a fresh service,
     without and with a pre-warm pass over the same trace.  The p95 that
     matters is the *cold-start* one: with prewarm the prepared-graph
-    and transform builds happen before traffic lands, so the first
-    requests stop paying them.  ``extras["prewarm_p95_ratio"]`` is
+    build happens before traffic lands, so the first requests stop
+    paying it.  ``extras["prewarm_p95_ratio"]`` is
     prewarmed p95 / cold p95; ``catalog_hits`` counts the replay's own
     catalog hits, which a full pre-warm makes all ``prewarm_hits``.
 
@@ -75,7 +74,7 @@ class _SimArtifact:
 
 def _sim_key(tag: str) -> ArtifactKey:
     return ArtifactKey(
-        graph_fingerprint=f"{tag:0>64s}", kind="udt", degree_bound=8
+        graph_fingerprint=f"{tag:0>64s}", kind="prepared", degree_bound=0
     )
 
 

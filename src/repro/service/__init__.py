@@ -1,20 +1,20 @@
 """Analytics serving layer: cache, batch, and multiplex queries.
 
 Everything below :mod:`repro.algorithms` computes one analytic on one
-graph, rebuilding its transform each call.  This package is the layer
+graph, preparing its input each call.  This package is the layer
 a production deployment actually talks to (the Gunrock lesson: a GPU
 graph library's value is its reusable runtime, not its kernels alone):
 
-* :class:`GraphCatalog` — a content-addressed transform-artifact
-  cache (LRU memory tier + optional ``.npz`` disk spill) amortising
-  the one-time transformation cost of §6.5/Table 7 across queries;
+* :class:`GraphCatalog` — a content-addressed cache of prepared
+  graphs (LRU memory tier + optional ``.npz`` disk spill) amortising
+  per-algorithm input preparation across queries;
 * :class:`AnalyticsService` — typed :class:`QueryRequest` /
-  :class:`QueryResult` envelopes, a planner built on
-  :mod:`repro.core.selection` and :mod:`repro.core.applicability`,
-  same-graph request batching with source dedup, and a bounded-queue
-  dispatcher pool with tenant quotas and priority classes at
-  admission, backpressure, per-request timeouts with graceful
-  degradation, and cancellation.  Where a batch runs is an ordered
+  :class:`QueryResult` envelopes, a planner that serves every request
+  from the CSR and rejects what :mod:`repro.core.applicability` rules
+  out, same-graph request batching with source dedup, and a
+  bounded-queue dispatcher pool with tenant quotas and priority
+  classes at admission, backpressure, per-request timeouts, and
+  cancellation.  Where a batch runs is an ordered
   list of places — shard tier (``shards=N``), local host processes
   that hydrate graphs and artifacts from a shared disk tier
   (``backend="processes"``, :mod:`repro.service.workers`), the
@@ -91,7 +91,7 @@ from repro.service.ingest import (
     result_digest,
 )
 from repro.service.metrics import ServiceMetrics, percentile
-from repro.service.planner import QueryPlan, estimate_build_seconds, plan_query
+from repro.service.planner import QueryPlan, plan_query
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.replay import (
     DigestMismatch,
@@ -128,7 +128,6 @@ __all__ = [
     "CatalogStats",
     "dataset_graph_entry",
     "DigestMismatch",
-    "estimate_build_seconds",
     "EvictionPolicy",
     "execute_pipeline",
     "GdsfPolicy",

@@ -66,12 +66,6 @@ class QueryBatch:
         return tuple(merged)
 
     @property
-    def tightest_timeout_s(self) -> float:
-        """Smallest member timeout (inf when none set); drives degradation."""
-        timeouts = [r.timeout_s for r in self.requests if r.timeout_s is not None]
-        return min(timeouts) if timeouts else float("inf")
-
-    @property
     def sources_deduped(self) -> int:
         """How many per-source runs dedup avoided."""
         return sum(len(r.sources) for r in self.requests) - len(self.sources)

@@ -1,16 +1,18 @@
-"""GraphCatalog: the transform-artifact cache behind the serving layer.
+"""GraphCatalog: the artifact cache behind the serving layer.
 
-Tigr's transformations are a one-time cost meant to be amortised over
-many analytics runs (§6.5, Table 7) — but every pre-existing entry
-point of this library rebuilt them per call.  The catalog fixes that:
+Per-algorithm graph preparation (symmetrising for CC, stripping
+weights for the unweighted analytics) is O(|E|) work that every
+request on a graph would otherwise repeat.  The catalog caches its
+result — the *prepared graph*, the one artifact kind the serving layer
+builds:
 
 * **memory tier** — an LRU over :class:`TransformArtifact` entries
   with byte-size accounting against a configurable budget;
 * **disk tier (optional)** — evicted artifacts spill to ``.npz``
   files in a directory and are reloaded (and re-promoted) on the next
-  miss, still cheaper than re-transforming;
+  miss, still cheaper than rebuilding;
 * **single-flight builds** — concurrent requests for the same key
-  block on one builder instead of duplicating the transform, which is
+  block on one builder instead of duplicating the build, which is
   what makes the cache safe under the concurrent executor.
 
 Keys are content-addressed (:class:`ArtifactKey`): the same graph
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,10 +33,7 @@ try:  # POSIX advisory locks; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.core.udt import udt_transform
-from repro.core.weights import DumbWeight
 from repro.errors import ServiceError
-from repro.graph.csr import CSRGraph
 from repro.service.artifacts import ArtifactKey, TransformArtifact, load_artifact
 from repro.service.economics import make_policy
 
@@ -52,9 +50,9 @@ class CatalogStats:
     builds: int = 0
     #: current bytes held by the memory tier.
     bytes_in_memory: int = 0
-    #: transform seconds avoided by hits (memory + disk).
+    #: build seconds avoided by hits (memory + disk).
     seconds_saved: float = 0.0
-    #: transform seconds actually spent building on misses.
+    #: build seconds actually spent on misses.
     seconds_building: float = 0.0
     #: artifacts the pre-warmer built before traffic asked for them.
     prewarm_built: int = 0
@@ -90,7 +88,7 @@ class CatalogStats:
 
 
 class GraphCatalog:
-    """Content-addressed cache of transform artifacts.
+    """Content-addressed cache of prepared-graph artifacts.
 
     Parameters
     ----------
@@ -110,7 +108,7 @@ class GraphCatalog:
         immediately instead of only on eviction.  This is what makes
         the disk tier a process-shared cache: a catalog in one worker
         process builds once, and sibling processes pointed at the same
-        ``spill_dir`` hydrate the ``.npz`` instead of re-transforming.
+        ``spill_dir`` hydrate the ``.npz`` instead of rebuilding.
         Content-addressed keys make concurrent writers safe (same key
         = same bytes); a file lock plus atomic rename keeps them from
         duplicating work or tearing files.
@@ -181,78 +179,24 @@ class GraphCatalog:
         with self._lock:
             return self._entries.get(key)
 
-    def cached(self, key: ArtifactKey) -> bool:
-        """Whether ``key`` is servable without a build (memory *or* disk).
-
-        A pure probe: no promotion, no counters, no disk load — the
-        disk check is an ``os.path.exists``.  The planner uses this to
-        decide deadline degradation: an artifact sitting in the shared
-        disk tier is nearly free to hydrate, so a tight deadline is no
-        reason to abandon the plan.
-        """
-        with self._lock:
-            if key in self._entries:
-                return True
-        path = self._spill_path(key)
-        return path is not None and os.path.exists(path)
-
-    def get_or_build(
+    def get_for_key(
         self,
-        graph: CSRGraph,
-        kind: str,
-        degree_bound: int,
-        *,
-        dumb_weight: DumbWeight = DumbWeight.NONE,
-        builder: Optional[Callable[[], TransformArtifact]] = None,
-    ) -> TransformArtifact:
-        """Return the artifact for ``(graph, kind, K)``, building at most once.
+        key: ArtifactKey,
+        builder: Callable[[], TransformArtifact],
+    ) -> "tuple[TransformArtifact, str]":
+        """Return the artifact for ``key``, building it at most once.
 
         Lookup order: memory tier (hit), disk tier (disk hit, promoted
-        back to memory), then build.  Concurrent callers for the same
-        key serialise on a per-key lock so the transform runs exactly
-        once; callers for *different* keys do not block each other.
-        ``builder`` overrides the default transform construction
-        (tests use it to count invocations).
-        """
-        artifact, _ = self.get_or_build_with_origin(
-            graph, kind, degree_bound, dumb_weight=dumb_weight, builder=builder
-        )
-        return artifact
-
-    def get_or_build_with_origin(
-        self,
-        graph: CSRGraph,
-        kind: str,
-        degree_bound: int,
-        *,
-        dumb_weight: DumbWeight = DumbWeight.NONE,
-        builder: Optional[Callable[[], TransformArtifact]] = None,
-    ) -> "tuple[TransformArtifact, str]":
-        """Like :meth:`get_or_build` but also reports where it came from.
+        back to memory), then ``builder()``.  Concurrent callers for
+        the same key serialise on a per-key lock so the build runs
+        exactly once; callers for *different* keys do not block each
+        other.
 
         The second element is ``"memory"``, ``"disk"``, or ``"built"``
         — the serving layer surfaces it as each request's
         ``cache_hit`` flag and in the metrics.  A caller who waited on
         another caller's in-flight build observes ``"memory"``: from
         its perspective the artifact was served, not built.
-        """
-        key = ArtifactKey.for_transform(graph, kind, degree_bound, dumb_weight)
-        return self.get_for_key(
-            key, builder or (lambda: self._build(graph, key))
-        )
-
-    def get_for_key(
-        self,
-        key: ArtifactKey,
-        builder: Callable[[], TransformArtifact],
-    ) -> "tuple[TransformArtifact, str]":
-        """Key-addressed single-flight lookup-or-build.
-
-        The primitive behind :meth:`get_or_build_with_origin`, exposed
-        for artifact kinds whose key is not a plain transform key —
-        prepared graphs (``ArtifactKey.for_prepared``) share the byte
-        budget, eviction order, disk tier, and build accounting with
-        the transforms through this path.
         """
         found, origin = self._lookup(key)
         if found is not None:
@@ -331,20 +275,6 @@ class GraphCatalog:
             with self._lock:
                 self.stats.misses += 1
         return None, "absent"
-
-    def _build(self, graph: CSRGraph, key: ArtifactKey) -> TransformArtifact:
-        if key.kind == "prepared":
-            raise ServiceError(
-                "prepared-graph artifacts have no default builder; pass "
-                "one (the preparation recipe lives with the caller)"
-            )
-        start = time.perf_counter()
-        payload = udt_transform(
-            graph, key.degree_bound, dumb_weight=DumbWeight(key.dumb_weight)
-        )
-        return TransformArtifact(
-            key=key, payload=payload, build_seconds=time.perf_counter() - start
-        )
 
     def _insert(self, key: ArtifactKey, artifact: TransformArtifact) -> None:
         size = artifact.nbytes()

@@ -1,11 +1,10 @@
 """Cache economics: cost-aware eviction and trace-driven pre-warming.
 
-Tigr's speedups come from transform artifacts that are expensive to
-build and cheap to reuse (§6.5, Table 7) — but a plain LRU treats an
-artifact that took 40 s to build and occupies 2 MB the same as a 50 ms
-throwaway, so one burst of large one-shot requests flushes exactly the
-artifacts that make warm serving fast.  This module gives the catalog
-an economic memory:
+Catalog artifacts (prepared graphs) are built once and reused — but
+a plain LRU treats an artifact that took 40 s to build and occupies
+2 MB the same as a 50 ms throwaway, so one burst of large one-shot
+requests flushes exactly the artifacts that make warm serving fast.
+This module gives the catalog an economic memory:
 
 * **eviction policies** — a pluggable victim-selection layer for
   :class:`~repro.service.catalog.GraphCatalog`.  ``"lru"`` preserves
@@ -26,10 +25,9 @@ an economic memory:
   trace-v1 stream (:mod:`repro.service.ingest`) on a background thread
   before traffic lands (``serve --prewarm-from-trace TRACE``): each
   distinct request signature is planned through the real pipeline, and
-  every catalog artifact it reads — prepared graph and transform — is
-  built then.  Progress shows in the catalog stats the service metrics
-  already surface (``prewarm_built``, ``prewarm_hits``,
-  ``evictions_<policy>``).
+  the prepared graph it reads is built then.  Progress shows in the
+  catalog stats the service metrics already surface
+  (``prewarm_built``, ``prewarm_hits``, ``evictions_<policy>``).
 
 See ``docs/cache-economics.md`` for the policy math and when LRU
 remains the right choice.
@@ -215,11 +213,10 @@ class Prewarmer:
     degree_bound)`` request signature, in first-arrival order, goes
     through the same :func:`~repro.service.workers.plan_batch` live
     traffic uses, against the service's own catalog, so the warmed keys
-    are exactly the keys traffic will read: the prepared graph (when
-    the analytic reshapes its input) and the planned transform (when
-    the plan caches one).  With a write-through catalog the warm set
-    also lands in the shared disk tier, which is how process-backend
-    workers inherit it.
+    are exactly the keys traffic will read: the prepared graph, when
+    the analytic reshapes its input.  With a write-through catalog the
+    warm set also lands in the shared disk tier, which is how
+    process-backend workers inherit it.
 
     Progress is visible while it runs: :attr:`built` and
     :attr:`already_warm` count each warmed artifact once, the catalog's
@@ -348,7 +345,7 @@ class Prewarmer:
     ) -> None:
         from repro.algorithms import ALGORITHMS
         from repro.service.workers import (
-            plan_batch, prepare_with_origin, prepared_key, transform_key)
+            plan_batch, prepare_with_origin, prepared_key)
 
         catalog = self.service.catalog
         # The prepared graph is counted before planning can reject the
@@ -357,21 +354,15 @@ class Prewarmer:
         if origin is not None:
             key = prepared_key(graph, algorithm)
             self._mark(key, catalog.peek(key), origin)
-        # Only the planner sees the sources — node 0 stands in on
-        # source-rooted analytics, which never affects the plan (or
-        # therefore the artifact key).
-        _, plan, _ = plan_batch(
+        # Planning reads nothing more; it rejects what traffic would
+        # be refused.  Node 0 stands in for the sources, which never
+        # affect the plan.
+        plan_batch(
             catalog, graph, algorithm,
             (0,) if ALGORITHMS[algorithm].needs_source else (),
             transform=transform, degree_bound=degree_bound,
             prepare=lambda *_: (prepared, origin),
         )
-        if plan.caches:
-            artifact, origin = catalog.get_or_build_with_origin(
-                prepared, plan.transform, plan.degree_bound,
-                dumb_weight=plan.dumb_weight,
-            )
-            self._mark(transform_key(prepared, plan), artifact, origin)
 
     def _mark(
         self, key: "ArtifactKey", artifact: Optional["TransformArtifact"],

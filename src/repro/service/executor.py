@@ -4,10 +4,10 @@ The service owns a bounded submission queue, a pool of dispatcher
 threads, and the places a batch can run.  The full pipeline per work
 item is::
 
-    submit -> [bounded queue] -> plan -> resolve artifact -> execute
-                                  |            |
-                        degradation on    GraphCatalog
-                        tight deadlines   (LRU + spill)
+    submit -> [bounded queue] -> prepare + plan -> execute
+                                      |
+                                 GraphCatalog
+                                 (LRU + spill)
 
 *Where* a batch executes is an ordered list of **places**, built once
 from the constructor arguments; :meth:`AnalyticsService._run_batch`
@@ -23,8 +23,8 @@ walks it:
    per dispatcher thread (:class:`~repro.service.sharding.LocalHost`);
    the batch crosses as a :class:`~repro.service.workers.BatchSpec` in
    the shard wire's frame (its ``run`` op), the host hydrates graphs
-   and artifacts from a shared ``.npz`` disk tier and replies with
-   compact per-source arrays (:mod:`repro.service.workers`).  Heavy
+   and prepared graphs from a shared ``.npz`` disk tier and replies
+   with compact per-source arrays (:mod:`repro.service.workers`).  Heavy
    concurrent traffic scales past the GIL at the price of IPC;
 3. **this dispatcher thread** (always last) — the pipeline runs
    against the service's own catalog.  numpy releases the GIL often
@@ -48,18 +48,17 @@ Design points, each of which the tests pin down:
   against a full queue raises :class:`~repro.errors.ServiceError`
   instead of buffering without limit;
 * **batching** — :meth:`submit_batch` coalesces same-graph requests
-  into one plan + one artifact resolution + one deduplicated source
+  into one plan + one preparation + one deduplicated source
   fan-out (see :mod:`repro.service.batching`); a batch reaches every
   place *intact*, so lane-parallel traversals still collapse;
 * **timeouts** — a request still queued past its deadline fails fast;
-  a cold-cache request whose remaining deadline cannot fund the
-  transform build degrades to the untransformed CSR (correct answer,
-  no amortisable work) rather than failing;
+  one that finishes late is answered, never degraded (``degraded``
+  means only that a place was lost);
 * **cancellation** — a ticket can be cancelled any time before a
   worker claims it; cancellation after claiming is refused (results
   are about to exist);
-* **single-flight transforms** — concurrent cold queries for one
-  artifact build it once (catalog build locks per process; the shared
+* **single-flight builds** — concurrent cold queries for one prepared
+  graph build it once (catalog build locks per process; the shared
   write-through disk tier keeps cross-process duplication to at most
   one build per worker), everyone else waits and then hits.
 """
@@ -417,11 +416,11 @@ class AnalyticsService:
     Parameters
     ----------
     catalog:
-        Shared transform-artifact cache; a private 256 MiB in-memory
+        Shared prepared-graph cache; a private 256 MiB in-memory
         catalog is created when omitted.  With ``backend="processes"``
         the catalog's ``spill_dir`` (when set) becomes the shared disk
         tier every local host hydrates from — point it at a
-        persistent directory and host cold starts skip transform
+        persistent directory and host cold starts skip preparation
         work entirely.
     workers:
         Dispatcher-thread count, and additionally the local-host
@@ -885,10 +884,10 @@ class AnalyticsService:
         care *where the pipeline runs*; this walk is the only code
         that does.  Each place returns a :class:`BatchOutcome`, passes
         (``None``), or is lost with its typed error; after a loss the
-        answer is correct but arrived the degraded way, and is
-        surfaced exactly like deadline degradation (module docstring:
-        the one failure rule).  What a place read before handing the
-        batch on (``batch.passed_origins``) counts in the answer too.
+        answer is correct but arrived the degraded way (module
+        docstring: the one failure rule).  What a place read before
+        handing the batch on (``batch.passed_origins``) counts in the
+        answer too.
         """
         *earlier, last = self._places
         lost = False
@@ -907,7 +906,7 @@ class AnalyticsService:
         else:
             outcome = last(batch, remaining_s)  # cannot pass or be lost
         passed = batch.passed_origins
-        return replace(outcome, degraded=outcome.degraded or lost,
+        return replace(outcome, degraded=lost,
                        cache_hit=outcome.cache_hit and served_from_cache(passed),
                        hydrate_hits=outcome.hydrate_hits + passed.count("disk"))
 
@@ -921,7 +920,6 @@ class AnalyticsService:
             degree_bound=batch.degree_bound,
             options=batch.options,
             sources=batch.sources,
-            remaining_s=remaining_s,
             prepare=self._prepare,
         )
 

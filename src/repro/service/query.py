@@ -43,17 +43,17 @@ class QueryRequest:
         the batcher additionally merges and dedups sources *across*
         same-graph requests.
     transform:
-        One of :data:`~repro.core.selection.TRANSFORMS`.  ``"udt"``
-        forces the physical transform; every other value serves the
-        raw CSR (``"none"`` is also what degraded execution falls back
-        to).
+        One of :data:`~repro.core.selection.TRANSFORMS`.  Every value
+        serves the raw CSR (the plan is ``"none"``); ``"udt"`` is
+        first checked against what the physical transform may serve,
+        so ``udt`` pr and bc are rejected.
     degree_bound:
-        Explicit K; ``None`` defers to :mod:`repro.core.selection`.
+        A UDT degree bound.  Requests are grouped on it, but no plan
+        reads it: every answer reports ``degree_bound=0``.
     timeout_s:
-        Soft deadline measured from submission.  A cold cache with a
-        deadline too tight for transform construction degrades to the
-        untransformed CSR instead of blowing the budget; a request
-        still queued past its deadline fails with a timeout.
+        Soft deadline measured from submission.  A request still
+        queued past its deadline fails with a timeout; one that
+        finishes late is answered and counted as timed out.
     tenant:
         Who is asking — an opaque accounting label (``""`` = the
         default tenant).  Execution ignores it entirely; the service's
@@ -132,7 +132,7 @@ class QueryResult:
     analytics, or holds the single array under key ``-1`` for
     sourceless ones (CC/PR).  ``cache_hit`` is True when this request
     built nothing: every catalog artifact it read (prepared graph,
-    transform, shard set) came from memory or disk.  A request that
+    shard set) came from memory or disk.  A request that
     read none is a hit.
     """
 

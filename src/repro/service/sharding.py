@@ -33,12 +33,11 @@ the sharded router with zero digest mismatches — the acceptance gate
 ``serve --trace … --shards N`` enforces.
 
 A shard is its slice and a superstep: it holds no catalog and builds
-no overlay.  Every plan steps the raw slice — every compiled step
-walks CSR rows in order whatever the plan, and the answers are
-transform-free — so a batch's artifacts are the front end's prepared
-graph and the tier's cached shard set, and its answer names the plan
-that ran: ``transform="none"``, ``degree_bound=0``.  (Overlay × partition
-composition, the paper's §7.2 claim, is :mod:`repro.multigpu`'s.)
+no transform.  Every plan is ``none`` (the planner serves the CSR), so
+a batch's artifacts are the front end's prepared graph and the tier's
+cached shard set, and its answer reports ``transform="none"``,
+``degree_bound=0``.  (Transform × partition composition, the paper's
+§7.2 claim, is :mod:`repro.multigpu`'s.)
 
 Failure containment is the service's one rule, not this module's: a
 shard executor that dies mid-batch (remote host unreachable,
@@ -623,7 +622,6 @@ def _run(
         catalog, graph, algorithm=spec.algorithm,
         transform=spec.transform, degree_bound=spec.degree_bound,
         options=spec.options, sources=spec.sources,
-        remaining_s=spec.remaining_s,
     )
     return {
         **vars(outcome),
@@ -992,9 +990,7 @@ class ShardTier:
         errors here, with the same messages the unsharded pipeline
         produces — planning is shared (:func:`~repro.service.workers.
         plan_batch`), so the error surface is too.  ``remaining_s`` is
-        not read: deadline degradation prices a transform build, and
-        the shards step the raw slice under every plan.  So the answer
-        reports ``none`` and is never degraded.  A pass or a loss
+        the place signature's and is not read.  A pass or a loss
         leaves the origins read so far in ``batch.passed_origins``.
         """
         algorithm = batch.algorithm
@@ -1053,7 +1049,6 @@ class ShardTier:
             per_source=per_source,
             transform="none",
             degree_bound=0,
-            degraded=False,
             cache_hit=served_from_cache(origins),
             plan_s=plan_s,
             transform_s=transform_s,

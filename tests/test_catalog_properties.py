@@ -24,9 +24,9 @@ import threading
 
 import pytest
 
-from repro.core.weights import DumbWeight
 from repro.graph.generators import rmat
 from repro.service import GdsfPolicy, GraphCatalog
+from tests.catalog_cells import CountedBuilder
 
 SOAK_THREADS = int(os.environ.get("REPRO_SOAK_THREADS", "4"))
 SOAK_REQUESTS = int(os.environ.get("REPRO_SOAK_REQUESTS", "40"))
@@ -36,26 +36,25 @@ POLICIES = ("lru", "gdsf")
 
 
 def build_cells(count):
-    """(graph, kind, K, dumb_weight) cells with varied sizes and costs."""
-    cells = []
-    for i in range(count):
-        graph = rmat(60 + 40 * (i % 3), 300 + 200 * i, seed=300 + i)
-        k, dumb = (
-            (6, DumbWeight.ZERO) if i % 3 == 0
-            else (8, DumbWeight.INFINITY) if i % 3 == 1
-            else (12, DumbWeight.NONE)
+    """Prepared-graph builders with varied sizes and costs: symmetrised
+    and weight-stripped forms of weighted graphs."""
+    return [
+        CountedBuilder(
+            rmat(60 + 40 * (i % 3), 300 + 200 * i, seed=300 + i,
+                 weight_range=(1, 9)),
+            "cc" if i % 2 == 0 else "bfs",
         )
-        cells.append((graph, "udt", k, dumb))
-    return cells
+        for i in range(count)
+    ]
 
 
 def prebuild(cells):
     """key -> (cell, artifact) via a throwaway probe catalog."""
     probe = GraphCatalog()
     built = {}
-    for graph, kind, k, dumb in cells:
-        artifact = probe.get_or_build(graph, kind, k, dumb_weight=dumb)
-        built[artifact.key] = ((graph, kind, k, dumb), artifact)
+    for cell in cells:
+        artifact, _ = probe.get_for_key(cell.key, cell)
+        built[artifact.key] = (cell, artifact)
     return built
 
 
@@ -107,10 +106,10 @@ class TestRandomOpSequences:
         for _ in range(150):
             del picks[:]
             key = rng.choice(keys)
-            (graph, kind, k, dumb), artifact = artifacts[key]
+            cell, artifact = artifacts[key]
             roll = rng.random()
             if roll < 0.45:
-                catalog.get_or_build(graph, kind, k, dumb_weight=dumb)
+                catalog.get_for_key(key, cell)
             elif roll < 0.70:
                 catalog.put(key, artifact)
             elif roll < 0.90:
@@ -120,9 +119,9 @@ class TestRandomOpSequences:
                 # A fresh insert can be its own min-priority victim and
                 # return via the disk tier on the second call, so only
                 # the last call's eviction decisions are judged below.
-                catalog.get_or_build(graph, kind, k, dumb_weight=dumb)
+                catalog.get_for_key(key, cell)
                 del picks[:]
-                catalog.get_or_build(graph, kind, k, dumb_weight=dumb)
+                catalog.get_for_key(key, cell)
             else:
                 catalog.clear()
 
@@ -163,8 +162,8 @@ class TestRandomOpSequences:
         rng = random.Random(99)
         lookups = 0
         for _ in range(60):
-            (graph, kind, k, dumb), _ = artifacts[rng.choice(list(artifacts))]
-            catalog.get_or_build(graph, kind, k, dumb_weight=dumb)
+            cell, _ = artifacts[rng.choice(list(artifacts))]
+            catalog.get_for_key(cell.key, cell)
             lookups += 1
         assert catalog.stats.hits + catalog.stats.misses == lookups
         assert catalog.stats.builds == len(artifacts)
@@ -205,10 +204,10 @@ class TestConcurrentHammer:
         def hammer(index):
             rng = random.Random(SOAK_SEED + index)
             for _ in range(SOAK_REQUESTS):
-                key, (graph, kind, k, dumb) = rng.choice(universe)
+                key, cell = rng.choice(universe)
 
-                def builder(graph=graph, key=key):
-                    artifact = catalog._build(graph, key)
+                def builder(cell=cell):
+                    artifact = cell()
                     with build_lock:
                         built_seconds.append(artifact.build_seconds)
                     return artifact

@@ -107,16 +107,17 @@ class TestInfoFingerprint:
 
 class TestQuery:
     def test_single_query(self, capsys):
-        assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0", "--transform", "udt"]) == 0
+        # bfs builds the weight-stripped graph
+        assert main(["query", "bfs", "pokec", "--scale", "0.1",
+                     "--source", "0"]) == 0
         out = capsys.readouterr().out
+        assert "transform=none, K=0" in out
         assert "cache hit:    False" in out
         assert "values[source 0]" in out
 
     def test_repeat_hits_cache(self, capsys):
-        assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0", "--transform", "udt",
-                     "--repeat", "2", "--stats"]) == 0
+        assert main(["query", "bfs", "pokec", "--scale", "0.1",
+                     "--source", "0", "--repeat", "2", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "round 1" in out and "round 2" in out
         assert "cache hit:    True" in out  # round 2 is warm
@@ -136,29 +137,17 @@ class TestQuery:
         assert main(["query", "pr", "pokec", "--scale", "0.1"]) == 0
         assert "values[all nodes]" in capsys.readouterr().out
 
-    def test_transform_override(self, capsys):
-        assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0", "--transform", "udt", "--k", "4"]) == 0
-        assert "transform=udt, K=4" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("transform", ["none", "virtual", "virtual+"])
-    def test_only_auto_and_udt_are_offered(self, transform, capsys):
-        # every value but udt serves the CSR, so the CLI offers auto alone
-        with pytest.raises(SystemExit) as exit_info:
-            main(["query", "bfs", "pokec", "--scale", "0.1",
-                  "--transform", transform])
-        assert exit_info.value.code == 2
-
-    def test_k_needs_udt(self, capsys):
-        assert main(["query", "bfs", "pokec", "--scale", "0.1",
-                     "--k", "4"]) == 2
-        assert "--k applies to --transform udt only" in capsys.readouterr().err
-
-    def test_invalid_transform_for_algorithm(self, capsys):
-        # UDT cannot serve PR (Corollary 4) -> clean error, exit 2
-        assert main(["query", "pr", "pokec", "--scale", "0.1",
-                     "--transform", "udt"]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [
+        ["--transform", "udt"], ["--transform", "auto"], ["--k", "4"],
+    ])
+    def test_transform_and_k_are_gone(self, flag, capsys):
+        # every plan serves the CSR, so the CLI selects no transform
+        # (argparse reads `--k` as an abbreviated --kernel-backend)
+        try:
+            code = main(["query", "bfs", "pokec", "--scale", "0.1", *flag])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
 
     def test_non_numeric_sources_rejected(self, capsys):
         assert main(["query", "sssp", "pokec", "--scale", "0.1",

@@ -395,12 +395,3 @@ class TestPreparedArtifactBudget:
         assert len(keys) == 4
         for key in keys:
             assert key.kind == "prepared"
-
-    def test_prepared_kind_has_no_default_builder(self):
-        from repro.errors import ServiceError
-
-        graph = make_graph(31, weighted=False)
-        key, _ = self._prepared(graph)
-        catalog = GraphCatalog(1 << 20)
-        with pytest.raises(ServiceError, match="prepared"):
-            catalog.get_for_key(key, lambda: catalog._build(graph, key))

@@ -19,6 +19,7 @@ from repro.service import (
     QueryRequest,
     TraceRecorder,
     load_trace,
+    plan_query,
     resolve_trace_graphs,
     result_digest,
 )
@@ -114,6 +115,26 @@ class TestQuery:
                 assert not np.isfinite(want)  # infinity -> null
             else:
                 assert got == pytest.approx(float(want))
+
+    @pytest.mark.parametrize("algorithm", ["pr", "bc"])
+    def test_udt_is_still_rejected_where_it_cannot_serve(
+        self, client, service, powerlaw_graph, algorithm
+    ):
+        # the udt checks run before the plan serves the CSR: the same
+        # typed error in process, the same failed answer (HTTP 200) on
+        # the wire
+        sources = (0,) if algorithm == "bc" else ()
+        request = QueryRequest(algorithm, "g", sources=sources, transform="udt")
+        with pytest.raises(ServiceError, match=f"udt cannot serve {algorithm}"):
+            plan_query(request, powerlaw_graph)
+        in_process = service.run(request)
+        wire = client.query({
+            "algorithm": algorithm, "graph": "g", "sources": list(sources),
+            "transform": "udt",
+        })
+        assert not in_process.ok
+        assert f"udt cannot serve {algorithm}" in in_process.error
+        assert wire["ok"] is False and wire["error"] == in_process.error
 
     def test_unknown_graph_is_404(self, client):
         with pytest.raises(HttpStatusError) as info:

@@ -83,15 +83,6 @@ class TestGrouping:
         assert batch.sources == (0, 1, 2)
         assert batch.sources_deduped == 2
 
-    def test_tightest_timeout(self, graph):
-        requests = [
-            QueryRequest.single("sssp", "g", 0, timeout_s=5.0),
-            QueryRequest.single("sssp", "g", 1, timeout_s=1.0),
-            QueryRequest.single("sssp", "g", 2),
-        ]
-        (batch,) = group_requests(requests, resolve_with(graph))
-        assert batch.tightest_timeout_s == 1.0
-
     def test_out_of_range_source_rejected_at_submit(self, graph):
         from repro.errors import ServiceError
 
@@ -100,12 +91,6 @@ class TestGrouping:
                 [QueryRequest.single("sssp", "g", graph.num_nodes)],
                 resolve_with(graph),
             )
-
-    def test_no_timeouts_is_inf(self, graph):
-        (batch,) = group_requests(
-            [QueryRequest.single("sssp", "g", 0)], resolve_with(graph)
-        )
-        assert batch.tightest_timeout_s == float("inf")
 
 
 class TestFanOutEquivalence:

@@ -1,4 +1,4 @@
-"""AnalyticsService: concurrency, timeouts, cancellation, degradation."""
+"""AnalyticsService: concurrency, timeouts, cancellation, planning."""
 
 import functools
 import threading
@@ -23,8 +23,9 @@ from repro.service import (
     QueryRequest,
     TransformArtifact,
 )
-from repro.service.planner import degrade_for_deadline, plan_query
-from repro.service.workers import execute_pipeline
+from repro.service.batching import group_requests
+from repro.service.planner import UDT_EXECUTABLE
+from tests.catalog_cells import get
 
 
 @pytest.fixture
@@ -72,28 +73,27 @@ class TestResultsMatchDirectCalls:
         # Acceptance criterion: warm-cache query on a Table 3 stand-in
         # does zero transform work and matches repro.algorithms exactly.
         graph = load_dataset("pokec", scale=0.2)
+        # (bfs builds the weight-stripped graph; a named udt plans `none`)
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=2) as service:
             service.register("pokec", graph)
             cold = service.run(QueryRequest.single(
-                "sssp", "pokec", 3, transform="udt", degree_bound=8
+                "bfs", "pokec", 3, transform="udt", degree_bound=8
             ))
             builds_after_cold = catalog.stats.builds
             warm = service.run(QueryRequest.single(
-                "sssp", "pokec", 7, transform="udt", degree_bound=8
+                "bfs", "pokec", 7, transform="udt", degree_bound=8
             ))
             assert not cold.cache_hit and warm.cache_hit
             if service.backend == "threads":
-                # zero transform work on the warm path, per cache
+                # zero build work on the warm path, per cache
                 # counters (the process backend builds in worker-side
                 # catalogs; its warm path is pinned by cache_hit above
                 # and by tests/test_service_process_backend.py)
                 assert catalog.stats.builds == builds_after_cold == 1
                 assert catalog.stats.hits >= 1
-            transformed = udt_transform(graph, 8, dumb_weight=DumbWeight.ZERO)
-            direct = sssp(transformed.graph, 7)
             assert np.array_equal(
-                warm.value(7), transformed.read_values(direct.values)
+                warm.value(7), reference_bfs(graph.without_weights(), 7)
             )
 
     def test_auto_plan_serves_the_csr(self, graph):
@@ -160,7 +160,7 @@ class TestConcurrency:
             service.register("g", graph)
             tickets = [
                 service.submit(QueryRequest.single(
-                    "sssp", "g", s % graph.num_nodes, transform="udt",
+                    "bfs", "g", s % graph.num_nodes, transform="udt",
                     degree_bound=6,
                 ))
                 for s in range(40)
@@ -168,12 +168,12 @@ class TestConcurrency:
             results = [t.result(60) for t in tickets]
             assert all(r.ok for r in results)
             if service.backend == "threads":
-                # single-flight: 40 cold-ish queries build exactly once
-                # (process workers build in their own catalogs, at most
-                # once per worker thanks to the shared disk tier)
+                # single-flight: 40 cold-ish queries build the
+                # weight-stripped graph exactly once (process workers
+                # build in their own catalogs, at most once per worker
+                # thanks to the shared disk tier)
                 assert catalog.stats.builds == 1
-            transformed = udt_transform(graph, 6, dumb_weight=DumbWeight.ZERO)
-            reference = transformed.read_values(sssp(transformed.graph, 5).values)
+            reference = reference_bfs(graph.without_weights(), 5)
             assert np.array_equal(results[5].value(5), reference)
 
     def test_concurrent_submitters(self, graph):
@@ -244,7 +244,7 @@ class TestConcurrency:
         assert all(t.result(0.1).ok for t in tickets)
 
 
-class TestTimeoutsAndDegradation:
+class TestTimeouts:
     def test_expired_in_queue_fails_fast(self, graph):
         # thread backend pinned: the stall monkeypatches _prepare
         with AnalyticsService(workers=1, queue_size=16, backend="threads") as service:
@@ -267,39 +267,6 @@ class TestTimeoutsAndDegradation:
             result = doomed.result(10)
             assert not result.ok and "timed out" in result.error
             assert service.metrics.summary()["queries_timed_out"] >= 1
-
-    def test_tight_deadline_cold_cache_degrades(self, graph):
-        # estimated UDT build >> remaining deadline -> raw-CSR fallback
-        plan = plan_query(
-            QueryRequest.single("sssp", "g", 0, transform="udt"), graph
-        )
-        degraded = degrade_for_deadline(
-            plan, graph, remaining_s=0.0, artifact_cached=False
-        )
-        assert degraded.transform == "none" and degraded.degraded
-
-    def test_warm_cache_never_degrades(self, graph):
-        plan = plan_query(
-            QueryRequest.single("sssp", "g", 0, transform="udt"), graph
-        )
-        kept = degrade_for_deadline(
-            plan, graph, remaining_s=0.0, artifact_cached=True
-        )
-        assert kept is plan
-
-    def test_degraded_result_still_correct(self, graph):
-        big = rmat(4000, 60000, seed=2, weight_range=(1, 5))
-        with AnalyticsService(workers=1) as service:
-            service.register("big", big)
-            result = service.run(
-                QueryRequest.single(
-                    "sssp", "big", 0, transform="udt", timeout_s=1e-4
-                )
-            )
-            if result.ok:  # may also time out in queue on a loaded box
-                assert result.degraded and result.transform == "none"
-                assert np.array_equal(result.value(0), sssp(big, 0).values)
-                assert service.metrics.summary()["queries_degraded"] == 1
 
     def test_default_timeout_applied(self, graph):
         with AnalyticsService(workers=1, default_timeout_s=30.0) as service:
@@ -366,8 +333,9 @@ class TestErrorsAndMetrics:
             assert service.metrics.summary()["queries_failed"] == 1
 
     def test_metrics_summary_shape(self, service):
-        service.run(QueryRequest.single("sssp", "g", 0, transform="udt"))
-        service.run(QueryRequest.single("sssp", "g", 1, transform="udt"))
+        # bfs builds the weight-stripped graph once, then reads it
+        service.run(QueryRequest.single("bfs", "g", 0, transform="udt"))
+        service.run(QueryRequest.single("bfs", "g", 1, transform="udt"))
         summary = service.metrics.summary()
         assert summary["queries_total"] == 2
         assert summary["cache_hit_rate"] == 0.5
@@ -443,7 +411,7 @@ class TestCacheHitMeansNothingBuilt:
             assert served.run(QueryRequest(algorithm, "g")).ok
         # (shards hold no catalog: they step the raw slice)
         kinds = {key.kind for key in served.catalog.keys()}
-        assert "udt" not in kinds
+        assert kinds <= {"prepared"}
         # (local hosts build in catalogs of their own)
         assert kinds or served.backend == "processes"
 
@@ -451,29 +419,27 @@ class TestCacheHitMeansNothingBuilt:
 def test_concurrent_dispatchers_count_only_their_own_hydrations(
     graph, tmp_path
 ):
-    # each dispatcher hydrates one spilled udt artifact while the other
+    # each dispatcher hydrates one spilled prepared graph while the other
     # is inside its pipeline too; the summed hydrate_hits are the disk loads
     catalog = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
-    for k in (6, 8):
-        catalog.get_or_build(graph, "udt", k, dumb_weight=DumbWeight.ZERO)
+    for algorithm in ("bfs", "cc"):
+        get(catalog, graph, algorithm)
     catalog.clear()  # memory tier only: both artifacts stay spilled
     overlap = threading.Barrier(2, timeout=30)
-    lookup = catalog.get_or_build_with_origin
+    lookup = catalog.get_for_key
 
     def gated(*args, **kwargs):
-        overlap.wait()  # both dispatchers are past planning
+        overlap.wait()  # both dispatchers are inside their pipelines
         found = lookup(*args, **kwargs)
         overlap.wait()  # both have hydrated
         return found
 
-    catalog.get_or_build_with_origin = gated
+    catalog.get_for_key = gated
     with AnalyticsService(catalog, workers=2, backend="threads") as service:
         service.register("g", graph)
         tickets = [
-            service.submit(QueryRequest.single(
-                "sssp", "g", 0, transform="udt", degree_bound=k
-            ))
-            for k in (6, 8)
+            service.submit(QueryRequest.single("bfs", "g", 0)),
+            service.submit(QueryRequest("cc", "g")),
         ]
         assert all(ticket.result(60).cache_hit for ticket in tickets)
         assert catalog.stats.disk_hits == 2
@@ -488,29 +454,33 @@ def test_concurrent_dispatchers_count_only_their_own_hydrations(
 ])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_named_overlays_serve_the_csr(graph, algorithm, kernel_backend):
-    # virtual and virtual+ plan `none`, as auto does: the same builds and
-    # the same bytes, and no overlay build for a deadline to degrade from
+    # virtual, virtual+ and (where it may serve) udt plan `none`, as auto
+    # does: the same builds and the same bytes, and no build for a
+    # deadline to degrade from
     options = EngineOptions(kernel_backend=kernel_backend)
     sources = (0, 5) if ALGORITHMS[algorithm].needs_source else ()
+    transforms = ("none", "virtual", "virtual+") + (
+        ("udt",) if algorithm in UDT_EXECUTABLE else ())
     served = {}
-    for transform in ("none", "virtual", "virtual+"):
+    for transform in transforms:
+        request = functools.partial(
+            QueryRequest, algorithm, "g", sources=sources,
+            transform=transform, options=options,
+        )
         with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
             service.register("g", graph)
-            result = service.run(QueryRequest(
-                algorithm, "g", sources=sources, transform=transform,
-                options=options,
-            ))
+            result = service.run(request())
             builds = service.metrics.summary()["catalog_builds"]
-        rushed = execute_pipeline(
-            GraphCatalog(), graph, algorithm=algorithm, transform=transform,
-            degree_bound=0, options=options, sources=sources, remaining_s=1e-9,
-        )
+        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+            (batch,) = group_requests([request()], lambda _: graph)
+            rushed = service._run_batch(batch, remaining_s=1e-9)
         assert result.ok, result.error
         assert (result.transform, result.degree_bound) == ("none", 0)
-        assert (rushed.transform, rushed.degraded) == ("none", False)
+        assert (rushed.transform, rushed.degree_bound) == ("none", 0)
+        assert not rushed.degraded
         served[transform] = (
             builds,
             {key: values.tobytes() for key, values in result.values.items()},
             {key: values.tobytes() for key, values in rushed.per_source.items()},
         )
-    assert served["virtual"] == served["virtual+"] == served["none"]
+    assert all(served[transform] == served["none"] for transform in transforms)

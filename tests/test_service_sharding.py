@@ -192,11 +192,9 @@ class TestScatterGatherParity:
         ("bfs", "virtual+"), ("sssp", "virtual+"), ("bfs", "udt"), ("sssp", "udt"),
     ])
     def test_transformed_plans_shard_bitwise(self, graph, algorithm, kind):
-        # answers are transform-free, so a transformed plan shards and
-        # answers as the single engine does; the shards step the raw
-        # slice, so the tier builds what the `none` plan builds (the
-        # shard set, once), builds no overlay, and reports `none`.  The
-        # single engine plans `none` for virtual[+] and builds a udt.
+        # every named transform plans `none`, so it shards and answers
+        # as the single engine does; the tier builds what the `none`
+        # plan builds (the shard set, once) and reports `none`.
         sources = () if algorithm == "pr" else (0, 5)
         answers, builds = [], {}
         for shards, plan in ((2, kind), (1, kind), (2, "none")):
@@ -208,14 +206,13 @@ class TestScatterGatherParity:
                         degree_bound=4))
                     for _ in range(2)
                 ]
-                ran = plan if (plan, shards) == ("udt", 1) else "none"
-                assert all(r.ok and r.transform == ran and not r.degraded
+                assert all(r.ok and r.transform == "none" and not r.degraded
                            for r in results)
-                # the first request builds the shard set, the udt or the
+                # the first request builds the shard set or the
                 # weight-stripped preparation (the tier's, when it passes
-                # the batch on); weighted sssp on the single engine under
-                # `none` reads the raw CSR and builds nothing
-                cold = shards > 1 or ran == "udt" or algorithm != "sssp"
+                # the batch on); weighted sssp on the single engine reads
+                # the raw CSR and builds nothing
+                cold = shards > 1 or algorithm != "sssp"
                 assert [r.cache_hit for r in results] == [not cold, True]
                 summary = service.metrics.summary()
                 assert summary["sharded_batches"] == 2 * (shards > 1)
@@ -226,16 +223,15 @@ class TestScatterGatherParity:
 
     @pytest.mark.parametrize("kind", ["virtual+", "udt"])
     def test_a_deadline_degrades_no_sharded_plan(self, graph, kind):
-        # a cold build the tier never does cannot blow the deadline: the
-        # shard tier reports the raw-slice plan it ran, while the single
-        # engine, which would build a udt, falls back to the CSR
+        # no plan builds a transform, so no deadline degrades one: the
+        # shard tier and the single engine both run the `none` plan
         batch = QueryBatch(graph, "bfs", kind, 4, EngineOptions(),
                            [QueryRequest.single("bfs", "g", 0)])
         with ShardedAnalyticsService(shards=2, workers=1) as service:
             sharded = service._shards.run(batch, 1e-9)
             single = service._run_here(batch, 1e-9)
         assert (sharded.transform, sharded.degraded) == ("none", False)
-        assert (single.transform, single.degraded) == ("none", kind == "udt")
+        assert (single.transform, single.degraded) == ("none", False)
         assert sharded.per_source[0].tobytes() == single.per_source[0].tobytes()
 
 

@@ -24,9 +24,9 @@ Fixture design (see ``tests/traces/README.md``):
     varied K — the broad regression net.
 ``degraded.jsonl``
     The deadline paths, made deterministic by construction: a udt
-    query under a 0.1s budget (enough for its cold build; the digest
-    is the same if the planner degrades it to the raw CSR instead),
-    then a wall of cold builds saturating every worker, then a
+    query under a 0.1s budget (every plan serves the CSR, so it needs
+    only the cold weight strip), then a wall of distinct batches
+    saturating every worker, then a
     10 microsecond deadline that is always already expired when a
     dispatcher finally dequeues it ("timed out in queue").  Digests
     cover values + error text only, so both outcomes replay stably.
@@ -148,9 +148,9 @@ def degraded(outdir: Path) -> None:
 
     requests = []
     # Head of the stream, workers idle: dequeued in microseconds with
-    # a 0.1s budget, which funds the cold udt build (2.4 ms padded estimate).
-    # Degradation is invisible to the digest (same answers), so the
-    # head replays stably whichever plan runs.  One
+    # a 0.1s budget, far more than its cold preparation needs.  The
+    # digest covers answers only, so the head replays stably whichever
+    # plan runs.  One
     # multi-source request, not three single-source ones: a single
     # request is a single batch under every replay submission window,
     # so it can never queue behind its own siblings and expire.
@@ -162,7 +162,7 @@ def degraded(outdir: Path) -> None:
         )
     )
     # A wall of distinct (algorithm, transform, K) cells: each is its
-    # own batch and a cold artifact build, saturating every dispatcher
+    # own batch, saturating every dispatcher
     # for far longer than the next request's deadline.
     for algorithm, transform, k in (
         ("bfs", "virtual", None),
