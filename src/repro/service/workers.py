@@ -192,18 +192,14 @@ def plan_batch(
 ) -> Tuple[CSRGraph, QueryPlan, List[str]]:
     """Prepare ``graph`` and plan one batch against ``catalog``.
 
-    The one place a batch is planned: prepare, then
-    :func:`plan_query` on a representative request for the whole
-    batch.  ``prepare`` overrides the preparation step (the executor
-    passes its bound method so tests can intercept it); the default is
-    :func:`prepare_with_origin`.  The list returned
-    holds the preparation's origin, if it read an artifact; the caller
-    adds the origins of what it reads next.
+    The one place a batch is planned: :func:`plan_query` on a
+    representative request for the whole batch, then prepare, so a
+    rejected batch builds nothing.  ``prepare`` overrides the
+    preparation step (the executor passes its bound method so tests can
+    intercept it); the default is :func:`prepare_with_origin`.  The
+    list returned holds the preparation's origin, if it read an
+    artifact; the caller adds the origins of what it reads next.
     """
-    if prepare is None:
-        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
-    else:
-        prepared, origin = prepare(graph, algorithm)
     representative = QueryRequest(
         algorithm=algorithm,
         graph=graph.fingerprint(),
@@ -212,7 +208,11 @@ def plan_batch(
         degree_bound=degree_bound or None,
         options=options,
     )
-    plan = plan_query(representative, prepared)
+    plan = plan_query(representative, graph)
+    if prepare is None:
+        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
+    else:
+        prepared, origin = prepare(graph, algorithm)
     return prepared, plan, [origin] if origin is not None else []
 
 

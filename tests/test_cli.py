@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import socket
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,23 @@ class TestQuery:
         except SystemExit as exit_info:
             code = exit_info.code
         assert code == 2
+
+    def test_invalid_transform_for_algorithm(self, tmp_path, capsys):
+        # UDT cannot serve PR (Corollary 4): a trace naming it fails that
+        # request alone, and serve exits 1
+        header = (Path(__file__).parent / "traces" / "mixed.jsonl").open().readline()
+        requests = [
+            {"type": "request", "id": 1, "algorithm": "bfs", "graph": "pokec",
+             "sources": [0], "transform": "udt", "k": 0, "timeout_s": None,
+             "delta_s": 0.0},
+            {"type": "request", "id": 2, "algorithm": "pr", "graph": "pokec",
+             "sources": [], "transform": "udt", "k": 0, "timeout_s": None,
+             "delta_s": 0.0},
+        ]
+        trace = tmp_path / "udt-pr.jsonl"
+        trace.write_text(header + "".join(json.dumps(r) + "\n" for r in requests))
+        assert main(["serve", "--trace", str(trace), "--workers", "1"]) == 1
+        assert "results: 1 ok, 1 failed" in capsys.readouterr().out
 
     def test_non_numeric_sources_rejected(self, capsys):
         assert main(["query", "sssp", "pokec", "--scale", "0.1",

@@ -83,6 +83,17 @@ class TestGrouping:
         assert batch.sources == (0, 1, 2)
         assert batch.sources_deduped == 2
 
+    def test_timeouts_do_not_split_a_batch(self, graph):
+        # each member keeps its own deadline; the dispatcher expires
+        # members one by one and runs the rest together
+        requests = [
+            QueryRequest.single("sssp", "g", 0, timeout_s=5.0),
+            QueryRequest.single("sssp", "g", 1, timeout_s=1.0),
+            QueryRequest.single("sssp", "g", 2),
+        ]
+        (batch,) = group_requests(requests, resolve_with(graph))
+        assert [r.timeout_s for r in batch.requests] == [5.0, 1.0, None]
+
     def test_out_of_range_source_rejected_at_submit(self, graph):
         from repro.errors import ServiceError
 

@@ -276,6 +276,38 @@ class TestTimeouts:
             assert ticket.result(10).ok
 
 
+    def test_no_timeout_is_an_infinite_deadline(self, graph):
+        with AnalyticsService(workers=1) as service:
+            service.register("g", graph)
+            ticket = service.submit(QueryRequest.single("bfs", "g", 0))
+            assert ticket.deadline == float("inf")
+            assert ticket.result(10).ok
+
+    def test_warm_cache_never_degrades(self, graph):
+        # a spent deadline neither degrades nor rebuilds a warm batch
+        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+            service.register("g", graph)
+            request = QueryRequest.single("bfs", "g", 0, transform="udt")
+            assert not service.run(request).cache_hit
+            (batch,) = group_requests([request], lambda _: graph)
+            rushed = service._run_batch(batch, remaining_s=0.0)
+            assert rushed.cache_hit and not rushed.degraded
+            assert service.catalog.stats.builds == 1
+
+    def test_tight_deadline_cold_cache_serves_the_csr(self):
+        # weighted sssp reads no catalog artifact: a udt request under a
+        # deadline shorter than any build is answered exactly, undegraded
+        big = rmat(4000, 60000, seed=2, weight_range=(1, 5))
+        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+            request = QueryRequest.single("sssp", "big", 0, transform="udt")
+            (batch,) = group_requests([request], lambda _: big)
+            rushed = service._run_batch(batch, remaining_s=1e-4)
+            assert service.catalog.stats.builds == 0
+        assert (rushed.transform, rushed.degraded) == ("none", False)
+        assert rushed.cache_hit
+        assert np.array_equal(rushed.per_source[0], sssp(big, 0).values)
+
+
 class TestCancellation:
     def test_cancel_while_queued(self, graph):
         # thread backend pinned: the stall monkeypatches _prepare
@@ -331,6 +363,15 @@ class TestErrorsAndMetrics:
             result = service.run(QueryRequest.single("sssp", "uw", 0))
             assert not result.ok and "requires a weighted graph" in result.error
             assert service.metrics.summary()["queries_failed"] == 1
+
+    def test_rejected_udt_request_builds_nothing(self, graph):
+        # the plan is checked before the graph is prepared
+        catalog = GraphCatalog()
+        with AnalyticsService(catalog, workers=1, backend="threads") as service:
+            service.register("g", graph)
+            result = service.run(QueryRequest("pr", "g", transform="udt"))
+            assert not result.ok and "udt cannot serve pr" in result.error
+        assert catalog.stats.builds == 0 and not catalog.keys()
 
     def test_metrics_summary_shape(self, service):
         # bfs builds the weight-stripped graph once, then reads it
