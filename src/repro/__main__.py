@@ -562,9 +562,12 @@ def _service_flag(parser, flag: str, **per_command) -> None:
 def build_parser() -> argparse.ArgumentParser:
     import repro
 
+    # no prefix matching: a retired flag must not read as a live one
+    # (`query --k cjit` would pin --kernel-backend)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Tigr (ASPLOS'18) reproduction toolkit.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version", action="version", version=repro.version_string(),
@@ -572,14 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="degree statistics of a graph")
+    p = sub.add_parser("info", help="degree statistics of a graph", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--diameter", action="store_true",
                    help="also estimate the diameter (slower)")
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("transform", help="apply a split transformation")
+    p = sub.add_parser("transform", help="apply a split transformation", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("--method", choices=("udt", "virtual", "virtual+"),
                    default="virtual+")
@@ -593,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name,
             help="run one analytic" if name == "run" else "compare all methods",
+            allow_abbrev=False,
         )
         p.add_argument("algorithm", choices=sorted(ALGORITHMS))
         p.add_argument("graph")
@@ -604,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=1.0)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("query", help="run one analytic through the serving layer")
+    p = sub.add_parser("query", help="run one analytic through the serving layer", allow_abbrev=False)
     p.add_argument("algorithm", choices=sorted(ALGORITHMS))
     p.add_argument("graph")
     p.add_argument("--source", type=int, default=None)
@@ -629,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="drive a synthetic or trace-recorded workload through the service",
+        allow_abbrev=False,
     )
     p.add_argument("graph", nargs="?", default=None,
                    help="graph to serve (optional with --trace when the "
@@ -720,6 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="static split-safety verifier + concurrency/scatter lint",
+        allow_abbrev=False,
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to scan (default: the repro package)")
@@ -740,6 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "shard-host",
         help="host shard executors for a remote 'serve --shards' tier",
+        allow_abbrev=False,
     )
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="bind address (port 0 picks a free one; default "
@@ -749,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(lets scripts use port 0 without a race)")
     p.set_defaults(func=cmd_shard_host)
 
-    p = sub.add_parser("bench", help="regenerate the paper's experiments")
+    p = sub.add_parser("bench", help="regenerate the paper's experiments", allow_abbrev=False)
     p.add_argument("experiments", nargs="*", default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=None)  # handled specially below

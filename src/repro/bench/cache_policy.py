@@ -73,9 +73,7 @@ class _SimArtifact:
 
 
 def _sim_key(tag: str) -> ArtifactKey:
-    return ArtifactKey(
-        graph_fingerprint=f"{tag:0>64s}", kind="prepared", degree_bound=0
-    )
+    return ArtifactKey(graph_fingerprint=f"{tag:0>64s}", recipe="none")
 
 
 def _replay_once(

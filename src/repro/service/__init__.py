@@ -9,12 +9,12 @@ graph library's value is its reusable runtime, not its kernels alone):
   graphs (LRU memory tier + optional ``.npz`` disk spill) amortising
   per-algorithm input preparation across queries;
 * :class:`AnalyticsService` — typed :class:`QueryRequest` /
-  :class:`QueryResult` envelopes, a planner that serves every request
-  from the CSR and rejects what :mod:`repro.core.applicability` rules
-  out, same-graph request batching with source dedup, and a
-  bounded-queue dispatcher pool with tenant quotas and priority
-  classes at admission, backpressure, per-request timeouts, and
-  cancellation.  Where a batch runs is an ordered
+  :class:`QueryResult` envelopes, a per-request check that rejects
+  what :mod:`repro.core.applicability` rules out (every request is
+  served from the CSR), same-graph request batching with source
+  dedup, and a bounded-queue dispatcher pool with tenant quotas and
+  priority classes at admission, backpressure, per-request timeouts,
+  and cancellation.  Where a batch runs is an ordered
   list of places — shard tier (``shards=N``), local host processes
   that hydrate graphs and artifacts from a shared disk tier
   (``backend="processes"``, :mod:`repro.service.workers`), the

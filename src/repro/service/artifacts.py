@@ -14,59 +14,43 @@ import os
 from dataclasses import dataclass
 import numpy as np
 
-from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
 
-#: artifact kinds the catalog understands.  Every plan serves the CSR,
-#: so the one kind is ``prepared``: a per-algorithm prepared input
-#: graph (symmetrised for CC, weight-stripped for the unweighted
-#: analytics) whose O(|E|) construction is worth amortising.
-TRANSFORM_KINDS = ("prepared",)
+#: an archive's ``meta`` row: a retired degree-bound slot and the code
+#: of a prepared graph.  Codes 0-2 named the retired udt transform and
+#: serving overlays, so a stale spill of theirs reads as a miss.
+_META = (0, 3)
 
 
 @dataclass(frozen=True)
 class ArtifactKey:
-    """Content-addressed identity of one catalog artifact.
+    """Content-addressed identity of one prepared graph.
 
-    Two requests that agree on all four fields are served by the same
+    Two requests that agree on both fields are served by the same
     artifact, no matter which ``CSRGraph`` *object* they carried: the
     graph contributes its content fingerprint, not its identity.
     """
 
     graph_fingerprint: str
-    kind: str  # "prepared"
-    degree_bound: int
-    dumb_weight: str = "none"  # the preparation recipe
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRANSFORM_KINDS:
-            raise ServiceError(
-                f"unknown transform kind {self.kind!r}; known: {TRANSFORM_KINDS}"
-            )
+    recipe: str  # e.g. "sym-unw": symmetrised, weights stripped
 
     @staticmethod
     def for_prepared(
         graph: CSRGraph, *, symmetrize: bool, weighted: bool
     ) -> "ArtifactKey":
-        """Key of a prepared input graph (``kind="prepared"``).
-
-        Preparation has no degree bound or dumb weight; the
-        ``dumb_weight`` slot carries the preparation recipe instead so
-        symmetrised and weight-stripped variants of one graph get
-        distinct entries (and distinct spill files).
-        """
+        """Key of ``graph`` prepared by one recipe, so symmetrised and
+        weight-stripped variants of one graph get distinct entries (and
+        distinct spill files)."""
         recipe = (
             ("sym" if symmetrize else "dir")
             + ("-w" if weighted else "-unw")
         )
-        return ArtifactKey(graph.fingerprint(), "prepared", 0, recipe)
+        return ArtifactKey(graph.fingerprint(), recipe)
 
     def filename(self) -> str:
-        """Filesystem-safe spill file name for this key."""
-        return (
-            f"{self.graph_fingerprint[:20]}-{self.kind}"
-            f"-k{self.degree_bound}-{self.dumb_weight}.npz"
-        )
+        """Filesystem-safe spill file name for this key (the ``-k0``
+        slot keeps existing spill directories readable)."""
+        return f"{self.graph_fingerprint[:20]}-prepared-k0-{self.recipe}.npz"
 
 
 @dataclass(frozen=True)
@@ -103,16 +87,14 @@ class TransformArtifact:
         never leaves a truncated archive for a later process to trip
         on.
         """
-        meta = np.asarray(
-            [self.key.degree_bound, _KIND_CODES[self.key.kind]], dtype=np.int64
-        )
         payload = {
-            "meta": meta,
+            "meta": np.asarray(_META, dtype=np.int64),
             "fingerprint": np.frombuffer(
                 self.key.graph_fingerprint.encode("ascii"), dtype=np.uint8
             ),
+            # the recipe, under the name existing spills use
             "dumb_weight": np.frombuffer(
-                self.key.dumb_weight.encode("ascii"), dtype=np.uint8
+                self.key.recipe.encode("ascii"), dtype=np.uint8
             ),
             "build_seconds": np.asarray([self.build_seconds]),
             "offsets": self.payload.offsets,
@@ -138,12 +120,11 @@ def load_artifact(path: str) -> TransformArtifact:
     catalog reads as a miss.
     """
     with np.load(path) as archive:
-        degree_bound, kind_code = (int(v) for v in archive["meta"])
+        if tuple(int(v) for v in archive["meta"]) != _META:
+            raise KeyError(f"{path} holds no prepared graph")
         key = ArtifactKey(
             graph_fingerprint=bytes(archive["fingerprint"]).decode("ascii"),
-            kind=_KIND_NAMES[kind_code],
-            degree_bound=degree_bound,
-            dumb_weight=bytes(archive["dumb_weight"]).decode("ascii"),
+            recipe=bytes(archive["dumb_weight"]).decode("ascii"),
         )
         build_seconds = float(archive["build_seconds"][0])
         weights = archive["weights"] if "weights" in archive.files else None
@@ -151,10 +132,3 @@ def load_artifact(path: str) -> TransformArtifact:
             archive["offsets"], archive["targets"], weights, validate=False
         )
     return TransformArtifact(key=key, payload=payload, build_seconds=build_seconds)
-
-
-#: archive kind codes; 0 named the retired udt transform and 1 and 2 the
-#: retired serving overlays, so a stale spill of theirs reads as an
-#: unknown kind (a miss, never a payload).
-_KIND_CODES = {"prepared": 3}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}

@@ -4,13 +4,15 @@ Serving traffic is dominated by *many sources on few graphs* (every
 "distance from me" product query is the same graph with a different
 root).  The batcher exploits that shape:
 
-* requests agreeing on (graph content, algorithm, transform, K,
-  engine options) coalesce into one :class:`QueryBatch`;
+* requests agreeing on (graph content, algorithm, engine options)
+  coalesce into one :class:`QueryBatch` — the transform a request
+  names is checked at admission and serves the CSR either way, so it
+  does not split a batch;
 * sources are merged and **deduplicated** across the batch — two
   users asking for the same root pay for one traversal;
 * the batch executes through the lane-parallel multi-source helpers
-  (:mod:`repro.algorithms.multi_source`) on a *single* resolved
-  transform artifact: an entire batch of bfs/sssp sources collapses
+  (:mod:`repro.algorithms.multi_source`) on a *single* prepared
+  graph: an entire batch of bfs/sssp sources collapses
   into **one** lane-parallel traversal (per block of
   :data:`~repro.algorithms.multi_source.DEFAULT_MAX_LANES` sources)
   whose distance matrix is sliced back per request;
@@ -48,12 +50,15 @@ _DISTANCE_FANOUT = {"bfs": False, "sssp": True}  # name -> weighted flag
 
 @dataclass
 class QueryBatch:
-    """A group of requests served by one plan and one artifact."""
+    """A group of requests served by one prepared graph."""
+
+    #: class attributes, not fields: every batch serves the CSR.  Kept
+    #: while ``benchmarks/ledger/walk.py`` reads them.
+    transform = "none"
+    degree_bound = 0
 
     graph: CSRGraph
     algorithm: str
-    transform: str
-    degree_bound: int  # 0 = planner decides
     options: EngineOptions
     requests: List[QueryRequest] = field(default_factory=list)
     #: origins of what places that passed or were lost read (cache_hit)
@@ -79,8 +84,8 @@ def group_requests(
 
     Grouping is by graph *content* (fingerprint), so the same dataset
     registered under two names, or passed inline twice, still
-    coalesces.  Requests differing in transform, K, or engine options
-    must not share an artifact and land in separate batches.
+    coalesces.  Requests differing in engine options land in separate
+    batches; the transform and K a request names do not split one.
     """
     batches: Dict[tuple, QueryBatch] = {}
     for request in requests:
@@ -91,21 +96,11 @@ def group_requests(
                     f"source {source} out of range for graph with "
                     f"{graph.num_nodes} nodes (request {request.request_id})"
                 )
-        key = (
-            graph.fingerprint(),
-            request.algorithm,
-            request.transform,
-            request.degree_bound or 0,
-            request.options,
-        )
+        key = (graph.fingerprint(), request.algorithm, request.options)
         batch = batches.get(key)
         if batch is None:
             batch = batches[key] = QueryBatch(
-                graph=graph,
-                algorithm=request.algorithm,
-                transform=request.transform,
-                degree_bound=request.degree_bound or 0,
-                options=request.options,
+                graph=graph, algorithm=request.algorithm, options=request.options,
             )
         batch.requests.append(request)
     return list(batches.values())

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError, TigrError
 
@@ -209,22 +209,23 @@ class Prewarmer:
     """Warm the catalog artifacts a recorded trace reads, before traffic.
 
     Wraps one :class:`~repro.service.executor.AnalyticsService` and one
-    loaded trace.  Each distinct ``(graph, algorithm, transform,
-    degree_bound)`` request signature, in first-arrival order, goes
-    through the same :func:`~repro.service.workers.plan_batch` live
-    traffic uses, against the service's own catalog, so the warmed keys
-    are exactly the keys traffic will read: the prepared graph, when
-    the analytic reshapes its input.  With a write-through catalog the
-    warm set also lands in the shared disk tier, which is how
+    loaded trace.  Each request passes the check live traffic passes
+    (:func:`~repro.service.planner.plan_query`); each distinct
+    ``(graph, algorithm)`` pair of the admitted ones, in first-arrival
+    order, is prepared against the service's own catalog, so the warmed
+    keys are exactly the keys traffic will read: the prepared graph,
+    when the analytic reshapes its input.  With a write-through catalog
+    the warm set also lands in the shared disk tier, which is how
     process-backend workers inherit it.
 
     Progress is visible while it runs: :attr:`built` and
     :attr:`already_warm` count each warmed artifact once, the catalog's
     ``prewarm_built`` stat counts the fresh builds, and hits on a
     warmed key count as ``prewarm_hits``.  Failures never propagate —
-    a signature that cannot be warmed (missing graph, planner
-    rejection) is recorded in :attr:`errors` and skipped; pre-warming
-    is an optimisation, not a correctness gate.
+    a rejected ``(graph, algorithm, transform)`` signature and a pair
+    whose graph is missing are each recorded in :attr:`errors` and
+    skipped once; pre-warming is an optimisation, not a correctness
+    gate.
     """
 
     def __init__(
@@ -286,6 +287,7 @@ class Prewarmer:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         from repro.service.catalog import GraphCatalog
+        from repro.service.planner import plan_query
         from repro.service.replay import resolve_trace_graphs
 
         # Process-backend workers hydrate from the shared disk tier and
@@ -310,12 +312,23 @@ class Prewarmer:
         except TigrError as exc:
             with self._lock:
                 self.errors.append(f"trace graphs: {exc}")
-        signatures = dict.fromkeys(
-            (r.graph, r.algorithm, r.transform, r.degree_bound)
-            for r in self.trace.requests
-        )
-        for name, algorithm, transform, degree_bound in signatures:
-            label = f"{name}/{algorithm} {transform} k={degree_bound}"
+        pairs: Dict[Tuple[str, str], None] = {}
+        checked = set()
+        for request in self.trace.requests:
+            label = f"{request.graph}/{request.algorithm} {request.transform}"
+            if label in checked:
+                continue
+            checked.add(label)
+            try:
+                plan_query(request.to_query_request(), graphs.get(request.graph))
+            except TigrError as exc:
+                with self._lock:
+                    self.skipped += 1
+                    self.errors.append(f"{label}: {exc}")
+                continue
+            pairs.setdefault((request.graph, request.algorithm))
+        for name, algorithm in pairs:
+            label = f"{name}/{algorithm}"
             graph = graphs.get(name)
             if graph is None:
                 with self._lock:
@@ -326,7 +339,7 @@ class Prewarmer:
                     )
                 continue
             try:
-                self._warm_one(graph, algorithm, transform, degree_bound)
+                self._warm_one(graph, algorithm)
             except TigrError as exc:
                 with self._lock:
                     self.skipped += 1
@@ -339,30 +352,14 @@ class Prewarmer:
         for key, built in warmed:
             catalog.note_prewarm(key, built=built)
 
-    def _warm_one(
-        self, graph: "CSRGraph", algorithm: str, transform: str,
-        degree_bound: int,
-    ) -> None:
-        from repro.algorithms import ALGORITHMS
-        from repro.service.workers import (
-            plan_batch, prepare_with_origin, prepared_key)
+    def _warm_one(self, graph: "CSRGraph", algorithm: str) -> None:
+        from repro.service.workers import prepare_with_origin, prepared_key
 
         catalog = self.service.catalog
-        # The prepared graph is counted before planning can reject the
-        # signature, so a later one reading it is not ``already_warm``.
-        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
+        _, origin = prepare_with_origin(catalog, graph, algorithm)
         if origin is not None:
             key = prepared_key(graph, algorithm)
             self._mark(key, catalog.peek(key), origin)
-        # Planning reads nothing more; it rejects what traffic would
-        # be refused.  Node 0 stands in for the sources, which never
-        # affect the plan.
-        plan_batch(
-            catalog, graph, algorithm,
-            (0,) if ALGORITHMS[algorithm].needs_source else (),
-            transform=transform, degree_bound=degree_bound,
-            prepare=lambda *_: (prepared, origin),
-        )
 
     def _mark(
         self, key: "ArtifactKey", artifact: Optional["TransformArtifact"],

@@ -4,10 +4,10 @@ The service owns a bounded submission queue, a pool of dispatcher
 threads, and the places a batch can run.  The full pipeline per work
 item is::
 
-    submit -> [bounded queue] -> prepare + plan -> execute
-                                      |
-                                 GraphCatalog
-                                 (LRU + spill)
+    submit -> [bounded queue] -> check -> prepare -> execute
+                                           |
+                                      GraphCatalog
+                                      (LRU + spill)
 
 *Where* a batch executes is an ordered list of **places**, built once
 from the constructor arguments; :meth:`AnalyticsService._run_batch`
@@ -48,9 +48,12 @@ Design points, each of which the tests pin down:
   against a full queue raises :class:`~repro.errors.ServiceError`
   instead of buffering without limit;
 * **batching** — :meth:`submit_batch` coalesces same-graph requests
-  into one plan + one preparation + one deduplicated source
-  fan-out (see :mod:`repro.service.batching`); a batch reaches every
-  place *intact*, so lane-parallel traversals still collapse;
+  into one preparation + one deduplicated source fan-out (see
+  :mod:`repro.service.batching`); a batch reaches every place
+  *intact*, so lane-parallel traversals still collapse;
+* **per-request checks** — a claimed request its transform may not
+  serve (:func:`~repro.service.planner.plan_query`) fails alone, and
+  the rest of its batch runs;
 * **timeouts** — a request still queued past its deadline fails fast;
   one that finishes late is answered, never degraded (``degraded``
   means only that a place was lost);
@@ -91,6 +94,7 @@ from repro.service.batching import QueryBatch, fan_out_per_request, group_reques
 from repro.service.catalog import GraphCatalog
 from repro.service.ingest import TraceRecorder
 from repro.service.metrics import ServiceMetrics
+from repro.service.planner import plan_query
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.routing import RoutingPolicy
 from repro.service.sharding import SHARD_OP_TIMEOUT_S, LocalHost, ShardTier
@@ -258,13 +262,11 @@ class QueryTicket:
 
     # -- worker side ---------------------------------------------------
     def _failed(self, message: str, *, queue_s: float = 0.0) -> QueryResult:
-        """The error answer for this ticket (no values, no transform)."""
+        """The error answer for this ticket (no values)."""
         return QueryResult(
             request_id=self.request.request_id,
             algorithm=self.request.algorithm,
             values={},
-            transform="none",
-            degree_bound=0,
             timings=StageTimings(queue_s=queue_s),
             error=message,
         )
@@ -377,8 +379,6 @@ class _LocalHosts:
             graph_fingerprint=batch.graph.fingerprint(),
             graph_path=export_graph(batch.graph, self.graphs_dir),
             algorithm=batch.algorithm,
-            transform=batch.transform,
-            degree_bound=batch.degree_bound,
             options=batch.options,
             sources=batch.sources,
             remaining_s=remaining_s,
@@ -518,7 +518,6 @@ class AnalyticsService:
                 op_timeout_s=shard_op_timeout_s,
                 policy=self.policy,
                 metrics=self.metrics,
-                catalog=self.catalog,
                 # late-bound: tests intercept preparation on the instance
                 prepare=lambda graph, algorithm: self._prepare(graph, algorithm),
             )
@@ -616,7 +615,7 @@ class AnalyticsService:
     ) -> List[QueryTicket]:
         """Queue several requests, coalescing compatible ones.
 
-        Same-graph/algorithm/plan requests become one work item with
+        Same-graph/algorithm/options requests become one work item with
         deduplicated sources; each still gets its own ticket and its
         own :class:`QueryResult`.  Tickets are returned in request
         order.
@@ -799,6 +798,16 @@ class AnalyticsService:
             self._fail(
                 expired, "timed out in queue", queue_s=queue_s, timed_out=True
             )
+        # A request its transform may not serve fails alone.
+        admitted = []
+        for ticket in live:
+            try:
+                plan_query(ticket.request, item.batch.graph)
+            except TigrError as exc:
+                self._fail([ticket], str(exc), queue_s=queue_s)
+            else:
+                admitted.append(ticket)
+        live = admitted
         if not live:
             return
 
@@ -818,8 +827,7 @@ class AnalyticsService:
 
         per_request = fan_out_per_request(batch.requests, outcome.per_source)
         timings = StageTimings(
-            queue_s=queue_s, plan_s=outcome.plan_s,
-            transform_s=outcome.transform_s, execute_s=outcome.execute_s,
+            queue_s=queue_s, plan_s=outcome.plan_s, execute_s=outcome.execute_s,
         )
         finished_at = time.perf_counter()
         self._count_batch(batch, tickets, outcome, timings, finished_at)
@@ -829,8 +837,6 @@ class AnalyticsService:
                     request_id=ticket.request.request_id,
                     algorithm=batch.algorithm,
                     values=per_request[ticket.request.request_id],
-                    transform=outcome.transform,
-                    degree_bound=outcome.degree_bound,
                     cache_hit=outcome.cache_hit,
                     degraded=outcome.degraded,
                     batched_with=len(tickets) - 1,
@@ -854,8 +860,7 @@ class AnalyticsService:
         """
         stage_seconds = {
             "queue": timings.queue_s, "plan": timings.plan_s,
-            "transform": timings.transform_s, "execute": timings.execute_s,
-            "total": timings.total_s,
+            "execute": timings.execute_s, "total": timings.total_s,
         }
         for _ in tickets:
             for stage, seconds in stage_seconds.items():
@@ -916,8 +921,6 @@ class AnalyticsService:
             self.catalog,
             batch.graph,
             algorithm=batch.algorithm,
-            transform=batch.transform,
-            degree_bound=batch.degree_bound,
             options=batch.options,
             sources=batch.sources,
             prepare=self._prepare,

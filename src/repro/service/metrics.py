@@ -21,7 +21,7 @@ from repro.engine import kernels
 from repro.service.catalog import CatalogStats
 
 #: serving stages with recorded latencies, in pipeline order.
-STAGES = ("queue", "plan", "transform", "execute", "total")
+STAGES = ("queue", "plan", "execute", "total")
 
 #: latency samples kept per series; percentiles cover the most recent.
 LATENCY_WINDOW = 4096

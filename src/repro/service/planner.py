@@ -1,13 +1,12 @@
-"""Query planner: which requests may run, and the plan they run under.
+"""Admission check: whether a request may ask what it names.
 
-The planner turns a :class:`~repro.service.query.QueryRequest` into a
-concrete :class:`QueryPlan`.  Every plan serves the raw CSR
-(``transform="none"``, ``degree_bound=0``) whatever transform the
-request names (see :func:`plan_query` for why); the request field
-keeps its values.
+Every plan serves the raw CSR whatever transform a request names (see
+:func:`plan_query` for why), so the transform name is checked once,
+per request, when a dispatcher claims it; no later stage carries it.
+The request field keeps its values.
 
-What a ``"udt"`` request may ask is still a contract, checked with
-the library's existing decision machinery rather than re-encoded:
+What a ``"udt"`` request may ask is a contract, checked with the
+library's existing decision machinery rather than re-encoded:
 
 * :mod:`repro.core.applicability` (§3.3) decides whether a physical
   split transform may serve the analytic at all;
@@ -32,31 +31,29 @@ UDT_EXECUTABLE = ("bfs", "sssp", "sswp", "cc")
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A fully resolved execution recipe for one request."""
+    """What :func:`plan_query` returns: always the CSR plan.  Kept while
+    ``benchmarks/ledger/walk.py`` reads it."""
 
     algorithm: str
-    #: always "none": every plan serves the CSR
     transform: str
     degree_bound: int
 
     @property
     def caches(self) -> bool:
-        """Whether this plan produces a cacheable transform artifact:
-        never, since every plan serves the CSR.  Kept while
-        ``benchmarks/ledger/walk.py`` reads it."""
+        """Never: no plan builds a transform artifact."""
         return self.transform != "none"
 
 
 def plan_query(request: QueryRequest, graph: CSRGraph) -> QueryPlan:
-    """Resolve a request into a plan.
+    """Admit ``request`` or raise; ``graph`` is not read.
 
     Every transform serves the CSR: the engine runs a batch on one
     core and every compiled kernel walks CSR rows in order, so a UDT
-    or overlay balances nothing there, and answers are transform-free —
-    an artifact would be built, cached and looked up for nothing.  A
-    ``"udt"`` request is first checked against what it may ask (§3.3
+    or overlay balances nothing there, and answers are transform-free.
+    A ``"udt"`` request is checked against what it may ask (§3.3
     split safety, :data:`UDT_EXECUTABLE`), so a request the physical
-    path cannot serve is rejected as before.
+    path cannot serve is rejected.  The signature is kept while
+    ``benchmarks/ledger/walk.py`` reads it.
     """
     algorithm = request.algorithm
     if request.transform == "udt":

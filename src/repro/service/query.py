@@ -2,7 +2,7 @@
 
 A :class:`QueryRequest` is everything a caller states about one
 analytic run; a :class:`QueryResult` is everything the service states
-back — values, the plan it chose, cache behaviour, and a per-stage
+back — values, cache behaviour, and a per-stage
 latency breakdown.  Both are plain dataclasses so they serialise
 trivially and tests can assert on every field.
 """
@@ -44,12 +44,12 @@ class QueryRequest:
         same-graph requests.
     transform:
         One of :data:`~repro.core.selection.TRANSFORMS`.  Every value
-        serves the raw CSR (the plan is ``"none"``); ``"udt"`` is
-        first checked against what the physical transform may serve,
-        so ``udt`` pr and bc are rejected.
+        serves the raw CSR; ``"udt"`` is checked at admission against
+        what the physical transform may serve, so ``udt`` pr and bc
+        are rejected.  Nothing past admission reads it.
     degree_bound:
-        A UDT degree bound.  Requests are grouped on it, but no plan
-        reads it: every answer reports ``degree_bound=0``.
+        A UDT degree bound.  Nothing reads it: every answer reports
+        ``degree_bound=0``.
     timeout_s:
         Soft deadline measured from submission.  A request still
         queued past its deadline fails with a timeout; one that
@@ -106,19 +106,18 @@ class StageTimings:
     """Wall-clock seconds per serving stage for one request."""
 
     queue_s: float = 0.0
+    #: preparation: the prepared graph and, on the shard tier, its shard set
     plan_s: float = 0.0
-    transform_s: float = 0.0
     execute_s: float = 0.0
 
     @property
     def total_s(self) -> float:
-        return self.queue_s + self.plan_s + self.transform_s + self.execute_s
+        return self.queue_s + self.plan_s + self.execute_s
 
     def as_dict(self) -> Dict[str, float]:
         return {
             "queue_s": self.queue_s,
             "plan_s": self.plan_s,
-            "transform_s": self.transform_s,
             "execute_s": self.execute_s,
             "total_s": self.total_s,
         }
@@ -139,8 +138,9 @@ class QueryResult:
     request_id: int
     algorithm: str
     values: Dict[int, np.ndarray]
-    transform: str
-    degree_bound: int
+    #: every answer is the CSR's
+    transform: str = "none"
+    degree_bound: int = 0
     cache_hit: bool = False
     degraded: bool = False
     batched_with: int = 0

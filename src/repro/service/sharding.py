@@ -33,11 +33,10 @@ the sharded router with zero digest mismatches — the acceptance gate
 ``serve --trace … --shards N`` enforces.
 
 A shard is its slice and a superstep: it holds no catalog and builds
-no transform.  Every plan is ``none`` (the planner serves the CSR), so
-a batch's artifacts are the front end's prepared graph and the tier's
-cached shard set, and its answer reports ``transform="none"``,
-``degree_bound=0``.  (Transform × partition composition, the paper's
-§7.2 claim, is :mod:`repro.multigpu`'s.)
+no transform.  Every request serves the CSR, so a batch's artifacts
+are the front end's prepared graph and the tier's cached shard set.
+(Transform × partition composition, the paper's §7.2 claim, is
+:mod:`repro.multigpu`'s.)
 
 Failure containment is the service's one rule, not this module's: a
 shard executor that dies mid-batch (remote host unreachable,
@@ -101,7 +100,6 @@ from repro.service.workers import (
     BatchSpec,
     Prepare,
     execute_pipeline,
-    plan_batch,
     served_from_cache,
 )
 
@@ -620,7 +618,6 @@ def _run(
         graph = graphs[spec.graph_fingerprint] = load_npz(spec.graph_path)
     outcome = execute_pipeline(
         catalog, graph, algorithm=spec.algorithm,
-        transform=spec.transform, degree_bound=spec.degree_bound,
         options=spec.options, sources=spec.sources,
     )
     return {
@@ -959,7 +956,7 @@ class ShardTier:
     :class:`ShardLost` for the service's fallback rule to handle.
     Parameters are the service's ``shards``, ``shard_remotes``,
     ``shard_op_timeout_s`` and ``policy``, plus the front-end
-    ``catalog`` and ``prepare`` step batches are planned with.
+    ``prepare`` step batches are prepared with.
     """
 
     def __init__(
@@ -970,7 +967,6 @@ class ShardTier:
         op_timeout_s: float = SHARD_OP_TIMEOUT_S,
         policy: RoutingPolicy,
         metrics: ServiceMetrics,
-        catalog: GraphCatalog,
         prepare: Prepare,
     ) -> None:
         self.num_shards = int(shards)
@@ -978,30 +974,24 @@ class ShardTier:
         self.op_timeout_s = float(op_timeout_s)
         self.policy = policy
         self.metrics = metrics
-        self.catalog = catalog
         self.prepare = prepare
         self._shardsets: Dict[str, ShardSet] = {}
         self._lock = threading.Lock()
 
     def run(self, batch: QueryBatch, remaining_s: float) -> Optional[BatchOutcome]:
-        """Plan, route, and scatter-gather one batch (``None`` = pass).
+        """Prepare, route, and scatter-gather one batch (``None`` = pass).
 
-        Planner errors (pr/udt and friends) raise their usual typed
-        errors here, with the same messages the unsharded pipeline
-        produces — planning is shared (:func:`~repro.service.workers.
-        plan_batch`), so the error surface is too.  ``remaining_s`` is
-        the place signature's and is not read.  A pass or a loss
-        leaves the origins read so far in ``batch.passed_origins``.
+        ``remaining_s`` is the place signature's and is not read.  A
+        pass or a loss leaves the origins read so far in
+        ``batch.passed_origins``.  ``plan_s`` covers the preparation and
+        the shard-set build.
         """
         algorithm = batch.algorithm
         if algorithm not in SHARDABLE_ALGORITHMS:
             return None
         plan_start = time.perf_counter()
-        prepared, _, origins = plan_batch(
-            self.catalog, batch.graph, algorithm, batch.sources,
-            transform=batch.transform, degree_bound=batch.degree_bound,
-            options=batch.options, prepare=self.prepare,
-        )
+        prepared, origin = self.prepare(batch.graph, algorithm)
+        origins = [origin] if origin is not None else []
         decision = self.policy.choose_route(
             shardable=True,
             num_edges=prepared.num_edges,
@@ -1011,14 +1001,12 @@ class ShardTier:
         if decision.route != "sharded":
             batch.passed_origins.extend(origins)
             return None
-        plan_s = time.perf_counter() - plan_start
 
         stats = ShardRunStats()
         try:
-            transform_start = time.perf_counter()
             shardset, origin = self._shardset_for(prepared)
             origins.append(origin)
-            transform_s = time.perf_counter() - transform_start
+            plan_s = time.perf_counter() - plan_start
 
             execute_start = time.perf_counter()
             if algorithm == "pr":
@@ -1047,11 +1035,8 @@ class ShardTier:
         runs = max(len(batch.sources), 1)
         return BatchOutcome(
             per_source=per_source,
-            transform="none",
-            degree_bound=0,
             cache_hit=served_from_cache(origins),
             plan_s=plan_s,
-            transform_s=transform_s,
             execute_s=execute_s,
             execution=BatchExecution(
                 traversals=runs, lanes=runs, traversals_saved=0,

@@ -6,8 +6,8 @@ implicitly, so this module defines exactly what crosses the boundary
 and how each side rebuilds the rest:
 
 * **down the socket** goes a :class:`BatchSpec` — a recipe (graph
-  fingerprint + ``.npz`` path, algorithm, transform, K, engine
-  options, deduplicated sources, remaining deadline) framed as the
+  fingerprint + ``.npz`` path, algorithm, engine options,
+  deduplicated sources, remaining deadline) framed as the
   host's ``run`` op.  Never a live :class:`~repro.graph.csr.CSRGraph`,
   never a catalog artifact: shipping megabytes of CSR per query
   would erase the win of leaving the GIL behind.
@@ -26,12 +26,13 @@ and how each side rebuilds the rest:
   (:func:`~repro.service.batching.fan_out_per_request`), so duplicate
   sources cost one row of IPC, not one per request.
 
-:func:`execute_pipeline` — prepare, plan, run — is the *same function
+:func:`execute_pipeline` — prepare, then run — is the *same function
 the dispatcher thread runs*; the two places differ only in where it
 executes and how its inputs arrive.  That is what the parity tests
-pin: identical values from both, by construction.  Its first half,
-:func:`plan_batch`, is the one place a batch is planned — the shard
-tier and the pre-warmer call it too.
+pin: identical values from both, by construction.  No stage here
+reads the transform a request names: the dispatcher admitted each
+member (:func:`~repro.service.planner.plan_query`) before the batch
+reached a place.
 """
 
 from __future__ import annotations
@@ -39,19 +40,16 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms import ALGORITHMS, prepare_graph
-from repro.engine.push import EngineOptions
 from repro.graph.csr import CSRGraph
 from repro.graph.io import save_npz
 from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, run_sources_on_target
 from repro.service.catalog import GraphCatalog, _spill_write_lock
-from repro.service.planner import QueryPlan, plan_query
-from repro.service.query import QueryRequest
 
 #: a preparation step, shaped like :func:`prepare_with_origin`
 Prepare = Callable[[CSRGraph, str], Tuple[CSRGraph, Optional[str]]]
@@ -79,11 +77,12 @@ class BatchSpec:
     graph_fingerprint: str
     graph_path: str
     algorithm: str
-    transform: str
-    degree_bound: int  # 0 = planner decides
     options: object  # EngineOptions (a frozen dataclass of scalars)
     sources: Tuple[int, ...]
     remaining_s: float = float("inf")
+    #: never read: kept while ``benchmarks/ledger/walk.py`` passes them
+    transform: str = "none"
+    degree_bound: int = 0
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,8 @@ class BatchOutcome:
     """
 
     per_source: Dict[int, np.ndarray]
-    transform: str
-    degree_bound: int
     cache_hit: bool
     plan_s: float
-    transform_s: float
     execute_s: float
     execution: BatchExecution
     hydrate_hits: int = 0
@@ -119,7 +115,7 @@ def spec_nbytes(spec: BatchSpec) -> int:
 
 
 # ----------------------------------------------------------------------
-# The shared pipeline (every place plans with, and two run, exactly this)
+# The shared pipeline (every place prepares with, and two run, exactly this)
 # ----------------------------------------------------------------------
 def served_from_cache(origins: Sequence[str]) -> bool:
     """The ``cache_hit`` rule: every catalog artifact a batch read — the
@@ -179,67 +175,29 @@ def prepared_key(graph: CSRGraph, algorithm: str) -> ArtifactKey:
     )
 
 
-def plan_batch(
-    catalog: GraphCatalog,
-    graph: CSRGraph,
-    algorithm: str,
-    sources: Tuple[int, ...],
-    *,
-    transform: str,
-    degree_bound: int,
-    options=EngineOptions(),
-    prepare: Optional[Prepare] = None,
-) -> Tuple[CSRGraph, QueryPlan, List[str]]:
-    """Prepare ``graph`` and plan one batch against ``catalog``.
-
-    The one place a batch is planned: :func:`plan_query` on a
-    representative request for the whole batch, then prepare, so a
-    rejected batch builds nothing.  ``prepare`` overrides the
-    preparation step (the executor passes its bound method so tests can
-    intercept it); the default is :func:`prepare_with_origin`.  The
-    list returned holds the preparation's origin, if it read an
-    artifact; the caller adds the origins of what it reads next.
-    """
-    representative = QueryRequest(
-        algorithm=algorithm,
-        graph=graph.fingerprint(),
-        sources=sources,
-        transform=transform,
-        degree_bound=degree_bound or None,
-        options=options,
-    )
-    plan = plan_query(representative, graph)
-    if prepare is None:
-        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
-    else:
-        prepared, origin = prepare(graph, algorithm)
-    return prepared, plan, [origin] if origin is not None else []
-
-
 def execute_pipeline(
     catalog: GraphCatalog,
     graph: CSRGraph,
     *,
     algorithm: str,
-    transform: str,
-    degree_bound: int,
     options,
     sources: Tuple[int, ...],
     prepare: Optional[Prepare] = None,
 ) -> BatchOutcome:
-    """Plan and execute one batch against ``catalog``.
+    """Prepare ``graph`` and execute one batch against ``catalog``.
 
     The place-independent core of the serving layer: the dispatcher
     thread calls it on the service's own catalog, a local host's ``run``
-    op calls it on that host's catalog.  Planning
-    (and what ``prepare`` means) is :func:`plan_batch`.
+    op calls it on that host's catalog.  ``prepare`` overrides the
+    preparation step (the executor passes its bound method so tests can
+    intercept it); the default is :func:`prepare_with_origin`.
     """
     plan_start = time.perf_counter()
-    prepared, plan, origins = plan_batch(
-        catalog, graph, algorithm, sources,
-        transform=transform, degree_bound=degree_bound, options=options,
-        prepare=prepare,
-    )
+    if prepare is None:
+        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
+    else:
+        prepared, origin = prepare(graph, algorithm)
+    origins = [origin] if origin is not None else []
     plan_s = time.perf_counter() - plan_start
 
     execute_start = time.perf_counter()
@@ -250,11 +208,8 @@ def execute_pipeline(
 
     return BatchOutcome(
         per_source=per_source,
-        transform=plan.transform,
-        degree_bound=plan.degree_bound,
         cache_hit=served_from_cache(origins),
         plan_s=plan_s,
-        transform_s=0.0,
         execute_s=execute_s,
         execution=execution,
         hydrate_hits=origins.count("disk"),

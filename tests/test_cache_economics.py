@@ -37,6 +37,7 @@ from tests.catalog_cells import get
 
 TRACES = os.path.join(os.path.dirname(__file__), "traces")
 BFS_HEAVY = os.path.join(TRACES, "bfs-heavy.jsonl")
+MIXED = os.path.join(TRACES, "mixed.jsonl")
 
 
 class FakeArtifact:
@@ -51,9 +52,7 @@ class FakeArtifact:
 
 
 def fake_key(tag):
-    return ArtifactKey(
-        graph_fingerprint=f"{tag:0>64s}", kind="prepared", degree_bound=0
-    )
+    return ArtifactKey(graph_fingerprint=f"{tag:0>64s}", recipe="none")
 
 
 class TestPolicyResolution:
@@ -224,27 +223,22 @@ class TestPrewarmer:
         assert catalog.stats.prewarm_built == 1
 
     def test_signatures_warm_once_in_first_arrival_order(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         seen = []
 
         class Recording(Prewarmer):
-            def _warm_one(self, graph, algorithm, transform, degree_bound):
-                seen.append((algorithm, transform, degree_bound))
-                super()._warm_one(graph, algorithm, transform, degree_bound)
+            def _warm_one(self, graph, algorithm):
+                seen.append(algorithm)
+                super()._warm_one(graph, algorithm)
 
         with AnalyticsService(GraphCatalog(), workers=1) as service:
-            Recording(service, trace, graphs=graphs).run_inline()
-        first_arrivals = []
-        for request in trace.requests:
-            signature = (request.algorithm, request.transform,
-                         request.degree_bound)
-            if signature not in first_arrivals:
-                first_arrivals.append(signature)
-        assert seen == first_arrivals
-        assert [transform for _, transform, _ in seen] == [
-            "auto", "udt", "virtual"
-        ]
+            prewarmer = Recording(service, trace, graphs=graphs).run_inline()
+        # one (graph, algorithm) pair each, whatever transforms name it;
+        # bc's auto request admits the pair its udt request cannot
+        assert seen == ["bfs", "sssp", "sswp", "bc", "cc", "pr"]
+        assert prewarmer.skipped == 1
+        assert prewarmer.errors[0].startswith("pokec/bc udt: ")
 
     def test_planner_rejection_skips_only_that_signature(self):
         trace = load_trace(BFS_HEAVY)
@@ -254,7 +248,7 @@ class TestPrewarmer:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
         assert prewarmer.skipped == 1
         assert len(prewarmer.errors) == 1 and "bogus" in prewarmer.errors[0]
-        # the udt and virtual signatures still warm their prepared graph
+        # the auto, udt and virtual requests still warm their prepared graph
         assert prewarmer.built + prewarmer.already_warm == 1
 
     def test_prepared_graph_of_a_rejected_signature_counts_as_built(self):
@@ -264,10 +258,24 @@ class TestPrewarmer:
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=1) as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
-        # the rejected signature built the prepared graph the udt and
-        # virtual ones then read: one fresh build on an empty catalog
+        # the admitted requests build the prepared graph the rejected
+        # one names: one fresh build on an empty catalog
         assert (prewarmer.built, prewarmer.already_warm) == (1, 0)
         assert catalog.stats.builds == catalog.stats.prewarm_built == 1
+
+    def test_rejected_request_warms_nothing(self):
+        # pr's only request names udt, which traffic rejects: pr's
+        # prepared graph is not built for it
+        trace = load_trace(BFS_HEAVY)
+        graphs = resolve_trace_graphs(trace)
+        trace.requests = [replace(trace.requests[0], algorithm="pr",
+                                  sources=(), transform="udt")]
+        catalog = GraphCatalog()
+        with AnalyticsService(catalog, workers=1) as service:
+            prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
+        assert (prewarmer.built, prewarmer.skipped) == (0, 1)
+        assert "udt cannot serve pr" in prewarmer.errors[0]
+        assert catalog.stats.bytes_in_memory == 0 and catalog.stats.builds == 0
 
     def test_registered_graph_needs_no_trace_recipe(self):
         trace = load_trace(BFS_HEAVY)
@@ -300,7 +308,7 @@ class TestPrewarmer:
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             prewarmer = Prewarmer(service, trace).run_inline()
         assert prewarmer.built == 0
-        assert prewarmer.skipped == 3  # one per distinct signature
+        assert prewarmer.skipped == 1  # one per (graph, algorithm) pair
         assert prewarmer.errors
 
     def test_process_workers_hydrate_prewarmed_artifacts(self):

@@ -141,15 +141,17 @@ class TestQuery:
 
     @pytest.mark.parametrize("flag", [
         ["--transform", "udt"], ["--transform", "auto"], ["--k", "4"],
+        ["--k", "cjit"],
     ])
     def test_transform_and_k_are_gone(self, flag, capsys):
-        # every plan serves the CSR, so the CLI selects no transform
-        # (argparse reads `--k` as an abbreviated --kernel-backend)
+        # every plan serves the CSR, so the CLI selects no transform;
+        # `--k` is not read as an abbreviated --kernel-backend
         try:
             code = main(["query", "bfs", "pokec", "--scale", "0.1", *flag])
         except SystemExit as exit_info:
             code = exit_info.code
         assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_invalid_transform_for_algorithm(self, tmp_path, capsys):
         # UDT cannot serve PR (Corollary 4): a trace naming it fails that

@@ -324,6 +324,23 @@ class TestBatch:
         assert status == 400
         assert "line 2" in json.loads(payload)["error"]["message"]
 
+    def test_rejected_member_fails_alone(self, client, service):
+        # one batch on the wire: the udt pr line fails with the
+        # in-process message, the auto pr line is answered
+        lines = [
+            json.dumps({"type": "request", "id": i, "algorithm": "pr",
+                        "graph": "g", "transform": transform})
+            for i, transform in ((1, "udt"), (2, "auto"))
+        ]
+        seen = {payload["id"]: payload for payload, _ in client.batch_lines(lines)}
+        expected = service.run(QueryRequest("pr", "g"))
+        assert seen[1]["ok"] is False
+        assert seen[1]["error"] == service.run(
+            QueryRequest("pr", "g", transform="udt")
+        ).error
+        assert seen[1]["error"].startswith("udt cannot serve pr")
+        assert seen[2]["ok"] is True and seen[2]["digest"] == result_digest(expected)
+
     def test_include_values_via_query_param(self, client):
         lines = [json.dumps(
             {"type": "request", "id": 7, "algorithm": "bfs",

@@ -46,13 +46,16 @@ class TestGrouping:
         ]
         assert len(group_requests(requests, resolve_with(graph))) == 2
 
-    def test_different_transform_or_k_split(self, graph):
+    def test_transform_and_k_do_not_split(self, graph):
+        # every request serves the CSR: the names are checked per
+        # member when a dispatcher claims the batch, not grouped on
         requests = [
             QueryRequest.single("sssp", "g", 0, transform="virtual+"),
             QueryRequest.single("sssp", "g", 0, transform="none"),
             QueryRequest.single("sssp", "g", 0, transform="virtual+", degree_bound=4),
         ]
-        assert len(group_requests(requests, resolve_with(graph))) == 3
+        (batch,) = group_requests(requests, resolve_with(graph))
+        assert batch.sources_deduped == 2
 
     def test_different_options_split(self, graph):
         requests = [
@@ -233,6 +236,23 @@ class TestEndToEndBatchedService:
             assert service.metrics.summary()["strategy_lanes"] == 1
         assert all(r.ok for r in results)
         assert (cjit.engaged - engaged, cjit.declined - declined) == (2, 0)
+
+    def test_transform_labels_coalesce(self, graph):
+        labels = ("auto", "udt", "virtual", "none")
+        requests = [QueryRequest.single("bfs", "g", 5, transform=t) for t in labels]
+        with AnalyticsService(GraphCatalog(), workers=1) as service:
+            service.register("g", graph)
+            results = [t.result(60) for t in service.submit_batch(requests)]
+            summary = service.metrics.summary()
+        assert [r.batched_with for r in results] == [3, 3, 3, 3]
+        assert summary["sources_deduped"] == 3
+        # one batch, one lane, one traversal
+        assert sum(v for k, v in summary.items() if k.startswith("strategy_")) == 1
+        assert summary["lanes_per_traversal"] == 1.0
+        expected = bfs(graph.without_weights(), 5).values
+        for result in results:
+            assert result.ok and result.transform == "none"
+            assert np.array_equal(result.value(5), expected)
 
     def test_mixed_algorithms_in_one_submit(self, graph):
         requests = [

@@ -36,11 +36,17 @@ class TestArtifactKey:
         # symmetrised and weight-stripped forms of one graph
         assert prepared_key(graph, "cc") != prepared_key(graph, "bfs")
 
-    def test_unknown_kind_rejected(self, graph):
-        # the serving tier caches no transform: every plan is `none`
-        for kind in ("cliq", "virtual", "virtual+", "udt"):
-            with pytest.raises(ServiceError):
-                ArtifactKey(graph.fingerprint(), kind, 10)
+    def test_spill_layout_is_unchanged(self, graph, tmp_path):
+        # a two-field key writes the file name and archive the
+        # four-field key wrote, so existing spill directories hydrate
+        key = prepared_key(graph, "cc")
+        assert key == ArtifactKey(graph.fingerprint(), "sym-unw")
+        assert key.filename() == f"{graph.fingerprint()[:20]}-prepared-k0-sym-unw.npz"
+        artifact, _ = get(GraphCatalog(), graph, "cc")
+        artifact.save_npz(str(tmp_path / key.filename()))
+        with np.load(tmp_path / key.filename()) as archive:
+            assert archive["meta"].tolist() == [0, 3]
+            assert bytes(archive["dumb_weight"]) == b"sym-unw"
 
     def test_filename_is_filesystem_safe(self, graph):
         name = prepared_key(graph, "cc").filename()

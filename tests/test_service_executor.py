@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.service.batching import group_requests
 from repro.service.planner import UDT_EXECUTABLE
+from repro.service.workers import prepared_key
 from tests.catalog_cells import get
 
 
@@ -303,8 +304,7 @@ class TestTimeouts:
             (batch,) = group_requests([request], lambda _: big)
             rushed = service._run_batch(batch, remaining_s=1e-4)
             assert service.catalog.stats.builds == 0
-        assert (rushed.transform, rushed.degraded) == ("none", False)
-        assert rushed.cache_hit
+        assert rushed.cache_hit and not rushed.degraded
         assert np.array_equal(rushed.per_source[0], sssp(big, 0).values)
 
 
@@ -373,6 +373,23 @@ class TestErrorsAndMetrics:
             assert not result.ok and "udt cannot serve pr" in result.error
         assert catalog.stats.builds == 0 and not catalog.keys()
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_rejected_member_fails_alone(self, graph, shards):
+        # the transform name is checked per member: the udt member
+        # fails with the planner's message and the rest of its batch runs
+        requests = [QueryRequest("pr", "g", transform="udt"), QueryRequest("pr", "g")]
+        with AnalyticsService(GraphCatalog(), workers=1, shards=shards) as service:
+            service.register("g", graph)
+            rejected, admitted = [t.result(60) for t in service.submit_batch(requests)]
+            summary = service.metrics.summary()
+        assert rejected.error == (
+            "udt cannot serve pr: the push engine does not execute it on "
+            "physically transformed graphs (supported: bfs, sssp, sswp, cc)"
+        )
+        assert admitted.ok and admitted.batched_with == 0
+        assert (summary["queries_total"], summary["queries_failed"]) == (2, 1)
+        assert summary["sharded_batches"] == (1 if shards else 0)
+
     def test_metrics_summary_shape(self, service):
         # bfs builds the weight-stripped graph once, then reads it
         service.run(QueryRequest.single("bfs", "g", 0, transform="udt"))
@@ -384,9 +401,10 @@ class TestErrorsAndMetrics:
             assert summary["catalog_builds"] == 1
         for key in ("worker_restarts", "ipc_bytes", "hydrate_hits"):
             assert key in summary
-        for stage in ("queue", "plan", "transform", "execute", "total"):
+        for stage in ("queue", "plan", "execute", "total"):
             assert f"{stage}_p50_ms" in summary
             assert f"{stage}_p95_ms" in summary
+        assert "transform_p50_ms" not in summary
 
     def test_stage_timings_populated(self, service):
         result = service.run(QueryRequest.single("sssp", "g", 0))
@@ -394,8 +412,7 @@ class TestErrorsAndMetrics:
         assert timings["total_s"] > 0
         assert timings["execute_s"] > 0
         assert result.timings.total_s == pytest.approx(
-            timings["queue_s"] + timings["plan_s"]
-            + timings["transform_s"] + timings["execute_s"]
+            timings["queue_s"] + timings["plan_s"] + timings["execute_s"]
         )
 
     def test_custom_engine_options_respected(self, service, graph):
@@ -443,7 +460,7 @@ class TestCacheHitMeansNothingBuilt:
         assert not served.run(request()).cache_hit  # builds the preparation
         assert served.run(request()).cache_hit
 
-    def test_auto_traffic_caches_no_overlay(self, served):
+    def test_auto_traffic_caches_no_overlay(self, served, graph):
         for algorithm in ("bfs", "sssp", "sswp", "bc"):
             for source in (0, 7):
                 request = QueryRequest.single(algorithm, "g", source)
@@ -451,10 +468,10 @@ class TestCacheHitMeansNothingBuilt:
         for algorithm in ("cc", "pr"):
             assert served.run(QueryRequest(algorithm, "g")).ok
         # (shards hold no catalog: they step the raw slice)
-        kinds = {key.kind for key in served.catalog.keys()}
-        assert kinds <= {"prepared"}
+        keys = set(served.catalog.keys())
+        assert keys <= {prepared_key(graph, a) for a in ALGORITHMS}
         # (local hosts build in catalogs of their own)
-        assert kinds or served.backend == "processes"
+        assert keys or served.backend == "processes"
 
 
 def test_concurrent_dispatchers_count_only_their_own_hydrations(
@@ -517,7 +534,6 @@ def test_named_overlays_serve_the_csr(graph, algorithm, kernel_backend):
             rushed = service._run_batch(batch, remaining_s=1e-9)
         assert result.ok, result.error
         assert (result.transform, result.degree_bound) == ("none", 0)
-        assert (rushed.transform, rushed.degree_bound) == ("none", 0)
         assert not rushed.degraded
         served[transform] = (
             builds,

@@ -172,7 +172,9 @@ PARENT_SUMMARY = {
 
 #: the key set that implementation reported at ``shards=0``, which the
 #: sharded run reports too (its per-shard ``shard{i}_steps`` rows, each
-#: always equal to ``shard_supersteps``, are retired).
+#: always equal to ``shard_supersteps``, are retired, and so are the
+#: ``transform`` stage's latency rows: that stage read 0 once no plan
+#: built a transform, and the shard-set build it also timed is ``plan``'s).
 PARENT_KEYS = {
     "batches_merged", "cache_hit_rate", "catalog_builds",
     "catalog_bytes_in_memory", "catalog_disk_hits", "catalog_evictions",
@@ -192,7 +194,7 @@ PARENT_KEYS = {
     "sharded_batches", "shards", "sources_deduped", "strategy_lanes",
     "strategy_loop", "strategy_per_source", "strategy_shared",
     "total_p50_ms", "total_p95_ms", "trace_requests", "trace_results",
-    "transform_p50_ms", "transform_p95_ms", "traversals_saved",
+    "traversals_saved",
     "worker_restarts",
 }
 

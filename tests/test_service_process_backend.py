@@ -154,8 +154,6 @@ class TestSharedDiskTier:
             graph_fingerprint=graph.fingerprint(),
             graph_path=path,
             algorithm="bfs",
-            transform="auto",
-            degree_bound=0,
             options=EngineOptions(),
             sources=(0, 1),
         )

@@ -225,13 +225,12 @@ class TestScatterGatherParity:
     def test_a_deadline_degrades_no_sharded_plan(self, graph, kind):
         # no plan builds a transform, so no deadline degrades one: the
         # shard tier and the single engine both run the `none` plan
-        batch = QueryBatch(graph, "bfs", kind, 4, EngineOptions(),
-                           [QueryRequest.single("bfs", "g", 0)])
+        request = QueryRequest.single("bfs", "g", 0, transform=kind, degree_bound=4)
+        batch = QueryBatch(graph, "bfs", EngineOptions(), [request])
         with ShardedAnalyticsService(shards=2, workers=1) as service:
             sharded = service._shards.run(batch, 1e-9)
             single = service._run_here(batch, 1e-9)
-        assert (sharded.transform, sharded.degraded) == ("none", False)
-        assert (single.transform, single.degraded) == ("none", False)
+        assert not sharded.degraded and not single.degraded
         assert sharded.per_source[0].tobytes() == single.per_source[0].tobytes()
 
 
@@ -963,7 +962,7 @@ class TestShardOpTable:
             )
         why = {"run": "refused the request", "truncated": "timed out"}
         with pytest.raises(ShardLost, match=why.get(hostile, "closed the connection")):
-            handle.run(BatchSpec("f" * 64, "/nowhere.npz", "bfs", "none", 0,
+            handle.run(BatchSpec("f" * 64, "/nowhere.npz", "bfs",
                                  EngineOptions(), (0,)), nodes)
         handle.close()
         monkeypatch.undo()
