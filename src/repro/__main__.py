@@ -293,9 +293,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from repro.analyze.runner import run as analyze_run
+    from repro.analyze.runner import main as analyze_main
 
-    return analyze_run(args)
+    return analyze_main(args.argv)
 
 
 def _trace_graph_entry(name: str, scale: float, graph) -> dict:
@@ -722,25 +722,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_serve)
 
+    # the flags are repro.analyze.runner.build_parser's, declared there
+    # once: every word after `analyze` is handed to it (no prefix char
+    # here, so nothing parses as an option; importing the analyzer to
+    # declare them would slow every other command's start)
     p = sub.add_parser(
         "analyze",
         help="static split-safety verifier + concurrency/scatter lint",
-        allow_abbrev=False,
+        add_help=False,
+        prefix_chars="\0",
     )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to scan (default: the repro package)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text",
-                   help="output format (sarif targets GitHub code scanning)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on any error-severity finding")
-    p.add_argument("--rule", action="append", default=None, metavar="ID",
-                   help="only report matching rules: ids, comma lists, or "
-                        "globs like 'ASYNC*' (repeatable)")
-    p.add_argument("--no-suppress", action="store_true",
-                   help="report findings even on '# analyze: ignore' lines")
+    p.add_argument("argv", nargs="*")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(

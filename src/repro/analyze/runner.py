@@ -111,6 +111,7 @@ def analyze_paths(
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro analyze",
+        allow_abbrev=False,
         description=(
             "Static split-safety verifier (Theorems 1/3 vs the §3.3 "
             "applicability table) plus lock-discipline, numpy "

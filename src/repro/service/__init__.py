@@ -32,7 +32,7 @@ graph library's value is its reusable runtime, not its kernels alone):
   deterministic regression test that runs identically under both
   backends (see ``docs/testing.md``);
 * :mod:`repro.service.api` — the HTTP/JSON front door (asyncio
-  bridge, stdlib HTTP server, auth/rate-limit middleware, and a
+  bridge, stdlib HTTP server with token auth and rate limiting, and a
   trace-replaying client), speaking the same trace-v1 wire schema;
   see ``docs/http-api.md``.  Imported lazily — ``import
   repro.service.api`` — so non-network users pay nothing for it;

@@ -1,6 +1,6 @@
 """HTTP/JSON front door for the analytics service.
 
-The network tier of the serving stack, stdlib-only, in five layers:
+The network tier of the serving stack, stdlib-only, in four layers:
 
 ``http``
     Minimal HTTP/1.1 over :mod:`asyncio` streams — request parsing,
@@ -8,27 +8,21 @@ The network tier of the serving stack, stdlib-only, in five layers:
 ``protocol``
     The wire schema: trace-v1 request/result lines over HTTP, and the
     typed-exception → machine-readable error-body mapping.
-``middleware``
-    Token auth, per-client token-bucket rate limiting, and request
-    shaping (routing/content-type validation), composable as a chain.
 ``bridge``
-    The asyncio ↔ executor seam: awaitable tickets, non-blocking
-    submission with loop-native backpressure, completion-order
-    result iteration.
+    The asyncio ↔ executor seam: non-blocking submission with
+    loop-native backpressure, completion-order result iteration.
 ``server`` / ``client``
     :class:`ApiServer` (plus :func:`run_server` for processes and
-    :class:`ThreadedApiServer` for tests/benches) on one side, the
+    :class:`ThreadedApiServer` for tests/benches) on one side — one
+    admission step (token auth, per-client rate limit, route and
+    content-type checks) before each route handler — and the
     synchronous :class:`HttpReplayClient` + :func:`replay_trace_http`
     trace-parity replayer on the other.
 
 See ``docs/http-api.md`` for the wire contract and operations guide.
 """
 
-from repro.service.api.bridge import (
-    as_resolved,
-    gather_results,
-    submit_batch_async,
-)
+from repro.service.api.bridge import as_resolved, submit_batch_async
 from repro.service.api.client import (
     HttpReplayClient,
     HttpStatusError,
@@ -40,13 +34,6 @@ from repro.service.api.http import (
     HttpRequest,
     NdjsonStream,
     Response,
-)
-from repro.service.api.middleware import (
-    Middleware,
-    RateLimit,
-    RequestShaper,
-    TokenAuth,
-    chain,
 )
 from repro.service.api.protocol import (
     error_payload,
@@ -71,12 +58,6 @@ __all__ = [
     "verify_graphs",
     "submit_batch_async",
     "as_resolved",
-    "gather_results",
-    "Middleware",
-    "TokenAuth",
-    "RateLimit",
-    "RequestShaper",
-    "chain",
     "BadRequest",
     "HttpRequest",
     "Response",

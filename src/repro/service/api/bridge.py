@@ -87,9 +87,3 @@ async def as_resolved(
     for _ in range(len(tickets)):
         yield await resolved.get()
 
-
-async def gather_results(
-    tickets: Sequence[QueryTicket],
-) -> List[QueryResult]:
-    """Await every ticket; results in *submission* order."""
-    return [await ticket.aresult() for ticket in tickets]

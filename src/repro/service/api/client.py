@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
-from repro.service.ingest import Trace, TraceRequest, load_trace
-from repro.service.replay import DigestMismatch, ReplayReport
+from repro.service.ingest import Trace, TraceRequest, format_trace_line, load_trace
+from repro.service.replay import ReplayReport, Row, replay_pass
 
 #: seconds an idle socket waits on the server before giving up.
 DEFAULT_HTTP_TIMEOUT_S = 300.0
@@ -197,10 +197,13 @@ def verify_graphs(client: HttpReplayClient, trace: Trace) -> List[str]:
     return problems
 
 
-def _request_line(request: TraceRequest) -> str:
-    from repro.service.ingest import format_trace_line
-
-    return format_trace_line(request)
+def _row(payload: dict) -> Row:
+    return (
+        int(payload.get("id", -1)),
+        payload.get("ok", payload.get("error") is None),
+        str(payload.get("digest", "")),
+        payload.get("error"),
+    )
 
 
 def replay_trace_http(
@@ -213,23 +216,21 @@ def replay_trace_http(
     speed: float = 0.0,
     verify: bool = True,
     check_graphs: bool = True,
-    on_malformed: str = "strict",
     timeout_s: float = DEFAULT_HTTP_TIMEOUT_S,
 ) -> ReplayReport:
     """Replay a recorded trace over HTTP and diff every digest.
 
-    The network-edge twin of :func:`repro.service.replay.replay_trace`:
+    The network-edge twin of :func:`repro.service.replay.replay_trace`,
+    through the same :func:`~repro.service.replay.replay_pass`:
     consecutive requests are grouped into ``/v1/batch`` windows of
-    ``batch`` lines (window of 1 uses ``/v1/query``), ``speed``
+    ``batch`` lines (``batch=1`` uses ``/v1/query``), ``speed``
     re-paces recorded inter-arrival gaps, and every returned
     ``digest`` is diffed against the recorded one.  The report's
     ``backend`` field records the wire (``http://host:port``); digest
     parity across in-process and HTTP replay is the acceptance gate
     the ``http-smoke`` CI job enforces.
     """
-    trace = source if isinstance(source, Trace) else None
-    if trace is None:
-        trace = load_trace(source, on_malformed=on_malformed)
+    trace = source if isinstance(source, Trace) else load_trace(source)
     report = ReplayReport(
         source=source if isinstance(source, str) else "<trace>",
         backend=f"http://{url.split('://')[-1]}",
@@ -243,79 +244,16 @@ def replay_trace_http(
                     "front door does not serve this trace's graphs:\n  "
                     + "\n  ".join(problems)
                 )
+
+        def send(window: List[TraceRequest]) -> List[Row]:
+            # one keep-alive connection: read the whole answer now
+            if batch == 1:
+                return [_row(client.query(json.loads(format_trace_line(window[0]))))]
+            lines = [format_trace_line(request) for request in window]
+            return [_row(payload) for payload, _ in client.batch_lines(lines)]
+
         start = time.perf_counter()
         for _ in range(loop):
-            _replay_pass_http(
-                client, trace, report,
-                batch=batch, speed=speed, verify=verify,
-            )
+            replay_pass(trace, report, send, speed=speed, batch=batch, verify=verify)
         report.elapsed_s = time.perf_counter() - start
     return report
-
-
-def _verify_line(
-    trace: Trace, report: ReplayReport, payload: dict, *, verify: bool
-) -> None:
-    ok = payload.get("ok", payload.get("error") is None)
-    if ok:
-        report.results_ok += 1
-    else:
-        report.results_failed += 1
-    if not verify:
-        return
-    trace_id = int(payload.get("id", -1))
-    recorded = trace.results.get(trace_id)
-    if recorded is None:
-        report.digests_missing += 1
-        return
-    report.digests_checked += 1
-    actual = str(payload.get("digest", ""))
-    if actual != recorded.digest:
-        request = next(
-            (r for r in trace.requests if r.trace_id == trace_id), None
-        )
-        report.mismatches.append(
-            DigestMismatch(
-                trace_id=trace_id,
-                algorithm=request.algorithm if request else "?",
-                graph=request.graph if request else "?",
-                expected=recorded.digest,
-                actual=actual,
-                error=payload.get("error"),
-            )
-        )
-
-
-def _replay_pass_http(
-    client: HttpReplayClient,
-    trace: Trace,
-    report: ReplayReport,
-    *,
-    batch: int,
-    speed: float,
-    verify: bool,
-) -> None:
-    window: List[TraceRequest] = []
-
-    def flush() -> None:
-        if not window:
-            return
-        report.requests_submitted += len(window)
-        if len(window) == 1 and batch == 1:
-            payload = json.loads(_request_line(window[0]))
-            _verify_line(
-                trace, report, client.query(payload), verify=verify
-            )
-        else:
-            lines = [_request_line(request) for request in window]
-            for payload, _arrival in client.batch_lines(lines):
-                _verify_line(trace, report, payload, verify=verify)
-        window.clear()
-
-    for request in trace.requests:
-        if speed > 0 and request.delta_s > 0:
-            time.sleep(request.delta_s / speed)
-        window.append(request)
-        if len(window) >= batch:
-            flush()
-    flush()

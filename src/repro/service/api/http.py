@@ -71,9 +71,8 @@ class HttpRequest:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes
+    #: the peer host (the rate limiter's key when auth is off).
     client: str = ""
-    #: middleware scratch space (auth principal, parsed payloads, …).
-    context: dict = field(default_factory=dict)
 
     @property
     def keep_alive(self) -> bool:
@@ -97,10 +96,7 @@ class HttpRequest:
 
 
 async def read_request(
-    reader: asyncio.StreamReader,
-    *,
-    max_body: int = DEFAULT_MAX_BODY,
-    client: str = "",
+    reader: asyncio.StreamReader, *, client: str = ""
 ) -> Optional[HttpRequest]:
     """Parse one request off the stream; ``None`` on clean EOF, or when
     none began within :data:`READ_TIMEOUT_S`.
@@ -119,7 +115,7 @@ async def read_request(
         first = await reader.read(1)
         if not first:
             return None  # clean EOF between requests: keep-alive ended
-        return await _read_rest(reader, first, max_body, client)
+        return await _read_rest(reader, first, client)
     except asyncio.CancelledError:
         if not fired or getattr(task, "uncancel", int)():  # 3.11+ counts
             raise  # cancelled from outside too
@@ -130,7 +126,7 @@ async def read_request(
         timer.cancel()
 
 
-async def _read_rest(reader, first: bytes, max_body: int, client: str) -> HttpRequest:
+async def _read_rest(reader, first: bytes, client: str) -> HttpRequest:
     try:
         request_line = first + await reader.readuntil(b"\r\n")
     except asyncio.LimitOverrunError:
@@ -169,9 +165,9 @@ async def _read_rest(reader, first: bytes, max_body: int, client: str) -> HttpRe
             raise BadRequest(400, "Content-Length is not an integer") from None
         if length < 0:
             raise BadRequest(400, "Content-Length is negative")
-        if length > max_body:
+        if length > DEFAULT_MAX_BODY:
             raise BadRequest(
-                413, f"body of {length} bytes exceeds the {max_body} limit"
+                413, f"body of {length} bytes exceeds the {DEFAULT_MAX_BODY} limit"
             )
         body = await reader.readexactly(length)
 

@@ -25,10 +25,9 @@ errors, the API tier only translates.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -194,11 +193,7 @@ def error_response(exc: Exception) -> Response:
     )
 
 
-def to_query_request(
-    trace_request: TraceRequest, *, default_timeout_s: Optional[float] = None
-) -> QueryRequest:
-    """Wire request -> executor request (graph resolved by name)."""
-    request = trace_request.to_query_request()
-    if request.timeout_s is None and default_timeout_s is not None:
-        request = dataclasses.replace(request, timeout_s=default_timeout_s)
-    return request
+def to_query_request(trace_request: TraceRequest) -> QueryRequest:
+    """Wire request -> executor request (graph resolved by name); a
+    missing ``timeout_s`` takes the service's ``default_timeout_s``."""
+    return trace_request.to_query_request()

@@ -22,6 +22,11 @@ Routes (all under ``/v1``, wire schema in
     Liveness + identity: version string, backend, registered graph
     fingerprints.  Exempt from auth and rate limiting.
 
+Every request passes one admission step (:meth:`ApiServer._check`)
+before its route handler runs: the bearer token (401), the client's
+token bucket (429), then route, method, content type and a non-empty
+body (404 / 405 / 415 / 400).
+
 Lifecycle follows the graceful-drain contract: :meth:`stop` closes
 the listener first (no new admissions), drains the executor queue so
 in-flight tickets resolve, and only then tears connections down.
@@ -53,14 +58,8 @@ from repro.service.api.http import (
     read_request,
     send_response,
 )
-from repro.service.api.middleware import (
-    Middleware,
-    RateLimit,
-    RequestShaper,
-    TokenAuth,
-    chain,
-)
 from repro.service.api.protocol import (
+    error_payload,
     error_response,
     parse_wire_request,
     result_payload,
@@ -68,13 +67,29 @@ from repro.service.api.protocol import (
 )
 from repro.service.executor import AnalyticsService, QueryTicket
 from repro.service.ingest import TraceRequest
+from repro.service.routing import TokenBuckets
 
 #: hard cap on request lines per /v1/batch call (one HTTP request is
 #: one admission decision; bigger replays split client-side).
 MAX_BATCH_LINES = 4096
 
-#: default seconds an admission may wait out backpressure before 503.
+#: seconds an admission may wait out backpressure before 503.
 DEFAULT_ADMISSION_WAIT_S = 2.0
+
+#: route -> the one method it answers (the handlers sit in ``_routes``).
+_METHODS = {
+    "/v1/query": "POST",
+    "/v1/batch": "POST",
+    "/v1/metrics": "GET",
+    "/v1/healthz": "GET",
+}
+
+#: the route that skips the token and the bucket — health probes must
+#: not need a secret nor be throttled.
+HEALTHZ = "/v1/healthz"
+
+#: content types accepted for bodies (bare or with parameters).
+BODY_TYPES = ("application/json", "application/x-ndjson")
 
 
 @dataclass
@@ -94,18 +109,13 @@ class ApiServer:
     Parameters
     ----------
     service:
-        The executor to front.  The server never owns it unless
-        ``own_service=True`` (then :meth:`stop` closes it too).
+        The executor to front; the server never closes it.
     auth_tokens:
         Accepted bearer tokens; empty disables authentication.
     rate_limit / burst:
         Per-client token-bucket admission (requests/second and bucket
-        depth); ``rate_limit=None`` disables limiting.
-    admission_wait_s:
-        How long one HTTP request may suspend waiting out a full
-        executor queue before answering 503.
-    default_timeout_s:
-        Applied to wire requests carrying no ``timeout_s``.
+        depth); ``rate_limit=None`` disables limiting.  A client is
+        its bearer token when auth is on, else its peer host.
     prewarmer:
         An unstarted :class:`~repro.service.economics.Prewarmer`;
         :meth:`start` kicks it off just before binding, so the warm
@@ -122,35 +132,26 @@ class ApiServer:
         auth_tokens: Sequence[str] = (),
         rate_limit: Optional[float] = None,
         burst: int = 16,
-        max_body: int = 64 * 1024 * 1024,
-        admission_wait_s: float = DEFAULT_ADMISSION_WAIT_S,
-        default_timeout_s: Optional[float] = None,
-        own_service: bool = False,
         prewarmer=None,
     ) -> None:
         self.service = service
         self.prewarmer = prewarmer
         self.host = host
         self.port = port
-        self.max_body = max_body
-        self.admission_wait_s = admission_wait_s
-        self.default_timeout_s = default_timeout_s
-        self.own_service = own_service
+        self.auth_tokens = frozenset(t for t in auth_tokens if t)
+        if rate_limit is not None:
+            TokenBuckets.check(rate_limit, burst)
+        self.rate_limit = rate_limit
+        self.burst = float(burst)
+        self._buckets = TokenBuckets()
         self._server: Optional[asyncio.base_events.Server] = None
         self._wire_ids = itertools.count(1)
-        middlewares: List[Middleware] = [TokenAuth(auth_tokens)]
-        if rate_limit is not None:
-            middlewares.append(
-                RateLimit(rate_limit, burst, metrics=service.metrics)
-            )
-        middlewares.append(RequestShaper())
         self._routes = {
             "/v1/query": self._handle_query,
             "/v1/batch": self._handle_batch,
             "/v1/metrics": self._handle_metrics,
             "/v1/healthz": self._handle_healthz,
         }
-        self._handler = chain(middlewares, self._dispatch)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -173,28 +174,19 @@ class ApiServer:
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     async def stop(self, *, drain_s: Optional[float] = 30.0) -> None:
         """Graceful shutdown: stop listening, drain, then tear down."""
         if self._server is not None:
+            # no wait_closed(): from Python 3.12 it also waits out every
+            # open connection, which an idle keep-alive client holds for
+            # READ_TIMEOUT_S; the loop's end cancels those instead
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         # In-flight handlers hold tickets; let the executor finish
         # them off the loop so connections flush their last lines.
         if drain_s:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self.service.drain(drain_s)
-            )
-        if self.own_service:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.service.close
             )
 
     # ------------------------------------------------------------------
@@ -204,14 +196,12 @@ class ApiServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer = writer.get_extra_info("peername")
-        client = f"{peer[0]}:{peer[1]}" if peer else "<pipe>"
+        client = peer[0] if peer else "<pipe>"
         try:
             while True:
                 started = time.perf_counter()
                 try:
-                    request = await read_request(
-                        reader, max_body=self.max_body, client=client
-                    )
+                    request = await read_request(reader, client=client)
                 except BadRequest as exc:
                     response = error_response(exc)
                     bytes_sent = await send_response(writer, response)
@@ -229,6 +219,12 @@ class ApiServer:
                 done = await self._respond(request, writer, started)
                 if not done or not keep_alive:
                     return
+        except asyncio.CancelledError:
+            # the loop is ending with this client still connected (its
+            # end cancels the connections left open).  Nothing awaits
+            # this task; ending it quietly keeps Python 3.11's stream
+            # callback from logging the cancellation as an error.
+            pass
         finally:
             writer.close()
             try:
@@ -242,9 +238,11 @@ class ApiServer:
         writer: asyncio.StreamWriter,
         started: float,
     ) -> bool:
-        """Run the chain and write whatever it produced; False = close."""
+        """Admit and route the request, write its answer; False = close."""
         try:
-            outcome = await self._handler(request)
+            outcome = self._check(request) or await self._routes[request.path](
+                request
+            )
         except (BadRequest, TigrError) as exc:
             outcome = error_response(exc)
         except Exception as exc:  # pragma: no cover - defensive
@@ -293,18 +291,92 @@ class ApiServer:
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    async def _dispatch(self, request: HttpRequest):
-        # RequestShaper already 404/405'd anything unknown.
-        return await self._routes[request.path](request)
+    def _check(self, request: HttpRequest) -> Optional[Response]:
+        """The admission step: the first refusal, or ``None`` to route.
 
-    def _admit(self, trace_requests: List[TraceRequest]):
+        Bearer token (401), then the client's token bucket (429) — both
+        skipped for ``/v1/healthz`` — then route, method, content type
+        and a non-empty body (404 / 405 / 415 / 400).  Route-specific
+        schema validation happens in the handlers.
+        """
+        client = request.client
+        if self.auth_tokens and request.path != HEALTHZ:
+            scheme, _, token = request.headers.get(
+                "authorization", ""
+            ).partition(" ")
+            client = token.strip()
+            if scheme.lower() != "bearer" or client not in self.auth_tokens:
+                return Response(
+                    401,
+                    error_payload(
+                        "unauthorized", "missing or invalid bearer token", 401
+                    ),
+                    {"www-authenticate": "Bearer"},
+                )
+        if self.rate_limit is not None and request.path != HEALTHZ:
+            wait_s = self._buckets.take(client, self.rate_limit, self.burst)
+            if wait_s > 0.0:
+                self.service.metrics.count(http_rate_limited=1)
+                return Response(
+                    429,
+                    error_payload(
+                        "rate_limited",
+                        f"client {client!r} exceeded {self.rate_limit:g} "
+                        f"requests/s (burst {int(self.burst)}); "
+                        f"retry in {wait_s:.2f}s",
+                        429,
+                        retry_after_s=round(wait_s, 3),
+                    ),
+                    {"retry-after": str(max(1, int(wait_s + 0.999)))},
+                )
+        method = _METHODS.get(request.path)
+        if method is None:
+            return Response(
+                404,
+                error_payload(
+                    "not_found",
+                    f"no route {request.path!r}; known: "
+                    + ", ".join(sorted(_METHODS)),
+                    404,
+                ),
+            )
+        if request.method != method:
+            return Response(
+                405,
+                error_payload(
+                    "method_not_allowed",
+                    f"{request.method} not allowed on {request.path}",
+                    405,
+                ),
+                {"allow": method},
+            )
+        if method == "POST":
+            content_type = request.headers.get(
+                "content-type", "application/json"
+            ).split(";")[0].strip().lower()
+            if content_type not in BODY_TYPES:
+                return Response(
+                    415,
+                    error_payload(
+                        "unsupported_media_type",
+                        f"content-type {content_type!r} not accepted; "
+                        f"send {' or '.join(BODY_TYPES)}",
+                        415,
+                    ),
+                )
+            if not request.body:
+                return Response(
+                    400,
+                    error_payload("bad_request", "request body is empty", 400),
+                )
+        return None
+
+    def _to_requests(self, trace_requests: List[TraceRequest]):
         """Wire requests -> executor requests + id correlation map."""
         requests = []
         trace_ids: Dict[int, int] = {}
         for trace_request in trace_requests:
-            request = to_query_request(
-                trace_request, default_timeout_s=self.default_timeout_s
-            )
+            request = to_query_request(trace_request)
             requests.append(request)
             trace_ids[request.request_id] = trace_request.trace_id
         return requests, trace_ids
@@ -317,10 +389,10 @@ class ApiServer:
         trace_request = parse_wire_request(
             payload, default_id=next(self._wire_ids)
         )
-        requests, trace_ids = self._admit([trace_request])
+        requests, trace_ids = self._to_requests([trace_request])
         started = time.perf_counter()
         tickets = await submit_batch_async(
-            self.service, requests, max_wait_s=self.admission_wait_s
+            self.service, requests, max_wait_s=DEFAULT_ADMISSION_WAIT_S
         )
         result = await tickets[0].aresult()
         return Response(
@@ -357,9 +429,9 @@ class ApiServer:
                     payload, line=number, default_id=next(self._wire_ids)
                 )
             )
-        requests, trace_ids = self._admit(trace_requests)
+        requests, trace_ids = self._to_requests(trace_requests)
         tickets = await submit_batch_async(
-            self.service, requests, max_wait_s=self.admission_wait_s
+            self.service, requests, max_wait_s=DEFAULT_ADMISSION_WAIT_S
         )
         return StreamingBatch(
             tickets=tickets,
@@ -471,15 +543,12 @@ class ThreadedApiServer:
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-
         async def main() -> None:
             # The stop event and loop handle are published only after
             # the listener binds, so stop() always sees both or neither.
             self._stop_event = asyncio.Event()
             await self._server.start()
-            self._loop = loop
+            self._loop = asyncio.get_running_loop()
             self._ready.set()
             try:
                 # start_server handles connections while the loop
@@ -488,10 +557,9 @@ class ThreadedApiServer:
             finally:
                 await self._server.stop(drain_s=self._drain_s)
 
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
+        # asyncio.run cancels and awaits the connections still open
+        # (an idle keep-alive client) before it closes the loop
+        asyncio.run(main())
 
     def stop(self, *, drain_s: Optional[float] = 30.0) -> None:
         if self._stopped or self._loop is None or self._stop_event is None:

@@ -97,7 +97,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.planner import plan_query
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.routing import RoutingPolicy
-from repro.service.sharding import SHARD_OP_TIMEOUT_S, LocalHost, ShardTier
+from repro.service.sharding import LocalHost, ShardTier
 from repro.service.workers import (
     BatchOutcome,
     BatchSpec,
@@ -138,8 +138,8 @@ class QueryTicket:
     observation hook (trace recording); it runs after the result is
     set and must never raise into the worker loop.
 
-    A ticket is also **awaitable**: ``await ticket`` (or
-    :meth:`aresult`) suspends the calling coroutine until a dispatcher
+    :meth:`aresult` is the coroutine-shaped wait: ``await
+    ticket.aresult()`` suspends the calling coroutine until a dispatcher
     thread resolves it — no thread blocks per waiter, the resolution
     is handed across with ``loop.call_soon_threadsafe``.  That is the
     bridge the HTTP front door (:mod:`repro.service.api`) is built on:
@@ -248,9 +248,6 @@ class QueryTicket:
                 f"request {self.request.request_id} not finished "
                 f"within {timeout}s wait"
             ) from None
-
-    def __await__(self):
-        return self.aresult().__await__()
 
     def _run_callback(
         self, fn: Callable[["QueryTicket", QueryResult], None], result
@@ -450,9 +447,6 @@ class AnalyticsService:
         ``(host, port)`` addresses of :class:`~repro.service.sharding.
         ShardHostServer` instances; the first ``len(shard_remotes)``
         shards run there, the rest in-process.
-    shard_op_timeout_s:
-        Seconds one remote shard operation may take before the shard
-        is declared lost.
     policy:
         A :class:`~repro.service.routing.RoutingPolicy` — tenant
         quotas, priority classes, shard route choice; defaults to
@@ -479,7 +473,6 @@ class AnalyticsService:
         recorder: Optional[TraceRecorder] = None,
         shards: int = 0,
         shard_remotes: Sequence[Tuple[str, int]] = (),
-        shard_op_timeout_s: float = SHARD_OP_TIMEOUT_S,
         policy: Optional[RoutingPolicy] = None,
     ) -> None:
         if workers < 1:
@@ -515,7 +508,6 @@ class AnalyticsService:
             self._shards = ShardTier(
                 shards,
                 remotes=shard_remotes,
-                op_timeout_s=shard_op_timeout_s,
                 policy=self.policy,
                 metrics=self.metrics,
                 # late-bound: tests intercept preparation on the instance

@@ -33,15 +33,16 @@ typed error instead of a wall of digest mismatches.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, TraceFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.io import load_npz
-from repro.service.executor import AnalyticsService, QueryTicket
+from repro.service.executor import AnalyticsService
 from repro.service.ingest import (
     Trace,
     TraceRecorder,
@@ -50,8 +51,11 @@ from repro.service.ingest import (
     result_digest,
 )
 
-#: default seconds to wait for any single replayed ticket.
+#: seconds to wait for any single replayed ticket.
 DEFAULT_RESULT_WAIT_S = 300.0
+
+#: one replayed answer as a pass tallies it: (trace id, ok, digest, error).
+Row = Tuple[int, bool, str, Optional[str]]
 
 
 def resolve_trace_graphs(
@@ -203,8 +207,6 @@ def replay_trace(
     verify: bool = True,
     graphs: Optional[Dict[str, CSRGraph]] = None,
     recorder: Optional[TraceRecorder] = None,
-    on_malformed: str = "strict",
-    result_wait_s: Optional[float] = DEFAULT_RESULT_WAIT_S,
 ) -> ReplayReport:
     """Re-submit a recorded trace and diff every answer's digest.
 
@@ -243,9 +245,7 @@ def replay_trace(
         raise ServiceError(f"batch must be >= 1, got {batch}")
     if speed < 0:
         raise ServiceError(f"speed must be >= 0, got {speed}")
-    trace = source if isinstance(source, Trace) else None
-    if trace is None:
-        trace = load_trace(source, on_malformed=on_malformed)
+    trace = source if isinstance(source, Trace) else load_trace(source)
     source_name = source if isinstance(source, str) else "<trace>"
 
     own_service = service is None
@@ -265,10 +265,21 @@ def replay_trace(
             service.register(name, graph)
         if recorder is not None:
             service.attach_recorder(recorder)
+
+        def answers(window, tickets) -> Iterable[Row]:
+            for trace_request, ticket in zip(window, tickets):
+                result = ticket.result(DEFAULT_RESULT_WAIT_S)
+                yield (trace_request.trace_id, result.ok, result_digest(result),
+                       result.error)
+
+        def send(window: List[TraceRequest]) -> Iterable[Row]:
+            # submitted now, read once every window is in
+            requests = [trace_request.to_query_request() for trace_request in window]
+            return answers(window, service.submit_batch(requests))
+
         start = time.perf_counter()
         for _ in range(loop):
-            _replay_pass(service, trace, report, speed=speed, batch=batch,
-                         verify=verify, result_wait_s=result_wait_s)
+            replay_pass(trace, report, send, speed=speed, batch=batch, verify=verify)
         report.elapsed_s = time.perf_counter() - start
         service.metrics.count(
             replay_digests_checked=report.digests_checked,
@@ -282,58 +293,64 @@ def replay_trace(
             service.close()
 
 
-def _replay_pass(
-    service: AnalyticsService,
+def replay_pass(
     trace: Trace,
     report: ReplayReport,
+    send: Callable[[List[TraceRequest]], Iterable[Row]],
     *,
     speed: float,
     batch: int,
     verify: bool,
-    result_wait_s: Optional[float],
 ) -> None:
-    pending: List[Tuple[TraceRequest, QueryTicket]] = []
-    window: List[TraceRequest] = []
+    """One pass over ``trace`` into ``report``, in process or over HTTP.
 
-    def flush_window() -> None:
-        if not window:
-            return
-        requests = [tr.to_query_request() for tr in window]
-        tickets = service.submit_batch(requests)
-        pending.extend(zip(window, tickets))
+    Paces the recorded arrivals, hands each window of ``batch``
+    consecutive requests to ``send`` (which submits it before
+    returning), then tallies the rows every window answered and diffs
+    their digests against the recorded ones.  The rows ``send``
+    returns may be lazy: they are read only after the last window is
+    submitted.
+    """
+    windows: List[Iterable[Row]] = []
+
+    def flush(window: List[TraceRequest]) -> None:
+        windows.append(send(window))
         report.requests_submitted += len(window)
-        window.clear()
 
+    window: List[TraceRequest] = []
     for trace_request in trace.requests:
         _pace(trace_request.delta_s, speed)
         window.append(trace_request)
         if len(window) >= batch:
-            flush_window()
-    flush_window()
+            flush(window)
+            window = []
+    if window:
+        flush(window)
 
-    for trace_request, ticket in pending:
-        result = ticket.result(result_wait_s)
-        if result.ok:
+    for trace_id, ok, digest, error in itertools.chain.from_iterable(windows):
+        if ok:
             report.results_ok += 1
         else:
             report.results_failed += 1
         if not verify:
             continue
-        recorded = trace.results.get(trace_request.trace_id)
+        recorded = trace.results.get(trace_id)
         if recorded is None:
             report.digests_missing += 1
             continue
         report.digests_checked += 1
-        actual = result_digest(result)
-        if actual != recorded.digest:
+        if digest != recorded.digest:
+            request = next(
+                (r for r in trace.requests if r.trace_id == trace_id), None
+            )
             report.mismatches.append(
                 DigestMismatch(
-                    trace_id=trace_request.trace_id,
-                    algorithm=trace_request.algorithm,
-                    graph=trace_request.graph,
+                    trace_id=trace_id,
+                    algorithm=request.algorithm if request else "?",
+                    graph=request.graph if request else "?",
                     expected=recorded.digest,
-                    actual=actual,
-                    error=result.error,
+                    actual=digest,
+                    error=error,
                 )
             )
 

@@ -52,11 +52,11 @@ ROUTES = ("sharded", "single", "auto")
 
 class TokenBuckets:
     """Token buckets by key: tenant quotas here, per-client rate
-    limits in the HTTP middleware.
+    limits at the HTTP front door.
 
     A bucket is created full on first use, refills at ``rate``
     tokens/second up to ``burst``, and is never dropped: the key space
-    is bounded by the configured tenants / tokens (or peer addresses),
+    is bounded by the configured tenants / tokens (or peer hosts),
     not by request volume.  Tests inject ``clock``.
     """
 
@@ -96,7 +96,7 @@ class TenantQuota:
 
     ``rate`` tokens/second refill a bucket of depth ``burst``; every
     admitted request spends one token.  The same bucket as the HTTP
-    middleware's per-client rate limit, but charged at *submission*
+    front door's per-client rate limit, but charged at *submission*
     (any entry point: HTTP, trace replay, direct calls), so a tenant
     cannot sidestep its budget by switching transports.
     """
@@ -127,7 +127,7 @@ class RoutingPolicy:
         a policy never throttles traffic that predates tenancy.
     priorities:
         ``tenant -> priority class`` (lower runs sooner); tenants
-        without an entry get ``default_priority``.
+        without an entry get ``PRIORITY_CLASSES["default"]``.
     route:
         ``"sharded"`` always scatter-gathers shardable batches,
         ``"single"`` never does (policy-level kill switch), and
@@ -146,7 +146,6 @@ class RoutingPolicy:
         *,
         quotas: Optional[Mapping[str, TenantQuota]] = None,
         priorities: Optional[Mapping[str, int]] = None,
-        default_priority: int = PRIORITY_CLASSES["default"],
         route: str = "sharded",
         min_sharded_edges: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -159,7 +158,6 @@ class RoutingPolicy:
         self.priorities: Dict[str, int] = {
             tenant: int(level) for tenant, level in (priorities or {}).items()
         }
-        self.default_priority = int(default_priority)
         self.route = route
         self._min_sharded_edges = min_sharded_edges
         self._buckets = TokenBuckets(clock)
@@ -189,7 +187,7 @@ class RoutingPolicy:
     # ------------------------------------------------------------------
     def priority_for(self, request: QueryRequest) -> int:
         """The priority class of ``request`` (lower runs sooner)."""
-        return self.priorities.get(request.tenant, self.default_priority)
+        return self.priorities.get(request.tenant, PRIORITY_CLASSES["default"])
 
     # ------------------------------------------------------------------
     # Placement

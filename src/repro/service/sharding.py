@@ -749,7 +749,6 @@ class ShardSet:
         count: int,
         *,
         remotes: Sequence[Tuple[str, int]] = (),
-        op_timeout_s: float = SHARD_OP_TIMEOUT_S,
     ) -> "ShardSet":
         """Partition ``prepared`` destination-wise into ``count`` shards.
 
@@ -770,7 +769,6 @@ class ShardSet:
                         part.owned,
                         remotes[part.device],
                         key=f"{fingerprint[:24]}/shard{part.device}of{count}",
-                        op_timeout_s=op_timeout_s,
                     )
                     shards.append(handle)
                     handle.load(part.subgraph)
@@ -954,9 +952,10 @@ class ShardTier:
     loss means: :meth:`run` answers a batch, passes on it (``None``:
     unshardable algorithm, policy routes it away), or raises the typed
     :class:`ShardLost` for the service's fallback rule to handle.
-    Parameters are the service's ``shards``, ``shard_remotes``,
-    ``shard_op_timeout_s`` and ``policy``, plus the front-end
-    ``prepare`` step batches are prepared with.
+    Parameters are the service's ``shards``, ``shard_remotes`` and
+    ``policy``, plus the front-end ``prepare`` step batches are
+    prepared with.  A remote shard operation may take
+    :data:`SHARD_OP_TIMEOUT_S` before the shard is declared lost.
     """
 
     def __init__(
@@ -964,14 +963,12 @@ class ShardTier:
         shards: int,
         *,
         remotes: Sequence[Tuple[str, int]] = (),
-        op_timeout_s: float = SHARD_OP_TIMEOUT_S,
         policy: RoutingPolicy,
         metrics: ServiceMetrics,
         prepare: Prepare,
     ) -> None:
         self.num_shards = int(shards)
         self.remotes = tuple(remotes)
-        self.op_timeout_s = float(op_timeout_s)
         self.policy = policy
         self.metrics = metrics
         self.prepare = prepare
@@ -1058,8 +1055,7 @@ class ShardTier:
             if shardset is not None:
                 return shardset, "memory"
             shardset = self._shardsets[fingerprint] = ShardSet.build(
-                prepared, self.num_shards, remotes=self.remotes,
-                op_timeout_s=self.op_timeout_s)
+                prepared, self.num_shards, remotes=self.remotes)
             return shardset, "built"
 
     def drop(self) -> None:

@@ -1,8 +1,10 @@
 """HTTP front door: wire parity, streaming, auth, limits, errors."""
 
+import gc
 import http.client
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -24,13 +26,14 @@ from repro.service import (
     result_digest,
 )
 from repro.service.api import (
+    ApiServer,
     HttpReplayClient,
     HttpStatusError,
-    RateLimit,
     ThreadedApiServer,
     replay_trace_http,
     verify_graphs,
 )
+from repro.service.routing import TokenBuckets
 
 MIXED_TRACE = str(Path(__file__).parent / "traces" / "mixed.jsonl")
 
@@ -396,14 +399,14 @@ class TestAuth:
 class TestRateLimit:
     def test_bucket_refill_with_fake_clock(self):
         now = [0.0]
-        limiter = RateLimit(2.0, 2, clock=lambda: now[0])
-        assert limiter._take("k") == 0.0
-        assert limiter._take("k") == 0.0
-        wait = limiter._take("k")  # bucket empty
+        buckets = TokenBuckets(lambda: now[0])
+        assert buckets.take("k", 2.0, 2) == 0.0
+        assert buckets.take("k", 2.0, 2) == 0.0
+        wait = buckets.take("k", 2.0, 2)  # bucket empty
         assert wait == pytest.approx(0.5)
         now[0] += 0.5  # one token refilled
-        assert limiter._take("k") == 0.0
-        assert limiter._take("other") == 0.0  # separate bucket per key
+        assert buckets.take("k", 2.0, 2) == 0.0
+        assert buckets.take("other", 2.0, 2) == 0.0  # separate bucket per key
 
     def test_over_limit_is_429_with_retry_after(self, service):
         with ThreadedApiServer(
@@ -431,19 +434,51 @@ class TestRateLimit:
                 for _ in range(5):
                     assert client.healthz()["status"] == "ok"
 
-    def test_invalid_parameters_rejected(self):
+    def test_invalid_parameters_rejected(self, service):
         # the same check as TenantQuota's, so the same typed error
         with pytest.raises(ServiceError, match="rate"):
-            RateLimit(0.0, 4)
+            ApiServer(service, rate_limit=0.0, burst=4)
         with pytest.raises(ServiceError, match="burst"):
-            RateLimit(1.0, 0)
+            ApiServer(service, rate_limit=1.0, burst=0)
         for rate in (float("nan"), float("inf")):
             with pytest.raises(ServiceError, match="finite rate"):
-                RateLimit(rate, 16)
+                ApiServer(service, rate_limit=rate, burst=16)
+
+    def test_anonymous_client_is_keyed_by_host_not_connection(self, service):
+        # reconnecting must not refill an anonymous client's bucket
+        with ThreadedApiServer(service, rate_limit=0.5, burst=1) as handle:
+            statuses = [
+                _raw_request(handle.address, "GET", "/v1/metrics")[0]
+                for _ in range(2)
+            ]
+        assert statuses == [200, 429]
+
+    def test_checks_run_auth_then_rate_then_route(self, service):
+        with ThreadedApiServer(
+            service, auth_tokens=("tok",), rate_limit=0.5, burst=1
+        ) as handle:
+            # no token: 401 before the unknown route's 404
+            status, headers, _ = _raw_request(handle.address, "GET", "/v2/query")
+            assert status == 401 and headers["www-authenticate"] == "Bearer"
+            auth = {"Authorization": "Bearer tok"}
+            assert _raw_request(handle.address, "GET", "/v1/metrics", headers=auth)[0] == 200
+            # over its limit: 429 before the 404 and the 405
+            for method, path in (("GET", "/v2/query"), ("GET", "/v1/query")):
+                status, headers, body = _raw_request(
+                    handle.address, method, path, headers=auth
+                )
+                assert status == 429 and int(headers["retry-after"]) >= 1
+                assert json.loads(body)["error"]["type"] == "rate_limited"
+            # health probes pass both gates
+            assert _raw_request(handle.address, "GET", "/v1/healthz")[0] == 200
+        assert service.metrics.summary()["http_rate_limited"] == 2
 
 
 class TestOverload:
-    def test_full_queue_is_503(self, powerlaw_graph):
+    def test_full_queue_is_503(self, powerlaw_graph, monkeypatch):
+        from repro.service.api import server as front_door
+
+        monkeypatch.setattr(front_door, "DEFAULT_ADMISSION_WAIT_S", 0.05)
         gate = threading.Event()
         with AnalyticsService(
             GraphCatalog(), workers=1, queue_size=1
@@ -462,9 +497,7 @@ class TestOverload:
                 QueryRequest.single("bfs", "g", 1), block=False
             )
             try:
-                with ThreadedApiServer(
-                    svc, admission_wait_s=0.05
-                ) as handle:
+                with ThreadedApiServer(svc) as handle:
                     status, headers, body = _raw_request(
                         handle.address, "POST", "/v1/query",
                         body=json.dumps({
@@ -478,6 +511,24 @@ class TestOverload:
             finally:
                 gate.set()
             assert stuck.result(60.0).ok and queued.result(60.0).ok
+
+
+class TestStop:
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_stop_with_an_idle_keep_alive_client(self, service, caplog):
+        handle = ThreadedApiServer(service).start()
+        host, _, port = handle.address.rpartition(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            conn.request("GET", "/v1/healthz")
+            assert conn.getresponse().read()
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                handle.stop()
+                gc.collect()  # a task left pending complains when collected
+        finally:
+            conn.close()
+        assert not handle._thread.is_alive()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestMetricsEndpoint:

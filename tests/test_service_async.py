@@ -8,11 +8,7 @@ import pytest
 
 from repro.errors import ServiceError, ServiceOverloadError, UnknownGraphError
 from repro.service import AnalyticsService, GraphCatalog, QueryRequest
-from repro.service.api.bridge import (
-    as_resolved,
-    gather_results,
-    submit_batch_async,
-)
+from repro.service.api.bridge import as_resolved, submit_batch_async
 
 
 @pytest.fixture
@@ -23,10 +19,10 @@ def service(powerlaw_graph):
 
 
 class TestAwaitableTicket:
-    def test_await_ticket_directly(self, service):
+    def test_aresult_before_resolution(self, service):
         async def main():
             ticket = service.submit(QueryRequest.single("bfs", "g", 0))
-            return await ticket
+            return await ticket.aresult()
 
         result = asyncio.run(main())
         assert result.ok
@@ -106,11 +102,11 @@ class TestSubmitBatchAsync:
                 service,
                 [QueryRequest.single("bfs", "g", s) for s in range(4)],
             )
-            return await gather_results(tickets)
+            return [await ticket.aresult() for ticket in tickets]
 
         results = asyncio.run(main())
         assert [r.ok for r in results] == [True] * 4
-        # submission order preserved by gather_results
+        # tickets come back in submission order
         assert [sorted(r.values) for r in results] == [[s] for s in range(4)]
 
     def test_backpressure_waits_then_raises(self, powerlaw_graph):
@@ -181,7 +177,7 @@ class TestSubmitBatchAsync:
                     max_wait_s=30.0,
                 )
                 await opener
-                return await gather_results(tickets)
+                return [await ticket.aresult() for ticket in tickets]
 
             results = asyncio.run(main())
             assert results[0].ok
