@@ -23,6 +23,7 @@ a path to an edge-list / ``.npz`` file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -400,11 +401,28 @@ def cmd_serve_trace(args) -> int:
     return 0
 
 
+def _clear_ready_file(path: Optional[str]) -> None:
+    """Remove a stale ready file at start: a reader never takes an
+    earlier server's dead port for this one's."""
+    if path:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
+def _write_ready_file(path: Optional[str], address: str) -> None:
+    """Publish ``address`` in one rename: a reader sees all of it or nothing."""
+    if path:
+        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+            fh.write(address + "\n")
+        os.replace(f"{path}.tmp", path)
+
+
 def cmd_serve_http(args) -> int:
     """``serve --http``: front the service with the HTTP/JSON API."""
     from repro.service import parse_host_port
     from repro.service.api import run_server
 
+    _clear_ready_file(args.http_ready_file)
     host, port = parse_host_port(args.http, "--http")
     graphs = {}
     if args.graph is not None:
@@ -432,9 +450,7 @@ def cmd_serve_http(args) -> int:
             print(f"serving {', '.join(sorted(graphs))} on http://{address} "
                   f"({service.backend} backend, {service.workers} workers); "
                   f"Ctrl-C drains and exits", flush=True)
-            if args.http_ready_file:
-                with open(args.http_ready_file, "w", encoding="utf-8") as fh:
-                    fh.write(address + "\n")
+            _write_ready_file(args.http_ready_file, address)
 
         run_server(
             service,
@@ -515,13 +531,12 @@ def cmd_shard_host(args) -> int:
     """``shard-host``: serve shard slices to a remote sharded service."""
     from repro.service import ShardHostServer, parse_host_port
 
+    _clear_ready_file(args.ready_file)
     host, port = parse_host_port(args.listen, "--listen")
     server = ShardHostServer((host, port))
     bound = f"{server.server_address[0]}:{server.server_address[1]}"
     print(f"shard host listening on {bound}; Ctrl-C exits", flush=True)
-    if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as fh:
-            fh.write(bound + "\n")
+    _write_ready_file(args.ready_file, bound)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -656,8 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst", type=int, default=16,
                    help="token-bucket depth for --rate-limit (default 16)")
     p.add_argument("--http-ready-file", default=None, metavar="PATH",
-                   help="write the bound HOST:PORT to PATH once listening "
-                        "(lets scripts use port 0 without a race)")
+                   help="write the bound HOST:PORT to PATH once listening, "
+                        "removing a stale PATH at start (lets scripts use "
+                        "port 0 without a race)")
     p.add_argument("--record", default=None, metavar="OUT",
                    help="record served traffic (synthetic or replayed) "
                         "plus result digests to OUT as a replayable trace")
@@ -744,8 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (port 0 picks a free one; default "
                         "127.0.0.1:0)")
     p.add_argument("--ready-file", default=None, metavar="PATH",
-                   help="write the bound HOST:PORT to PATH once listening "
-                        "(lets scripts use port 0 without a race)")
+                   help="write the bound HOST:PORT to PATH once listening, "
+                        "removing a stale PATH at start (lets scripts use "
+                        "port 0 without a race)")
     p.set_defaults(func=cmd_shard_host)
 
     p = sub.add_parser("bench", help="regenerate the paper's experiments", allow_abbrev=False)

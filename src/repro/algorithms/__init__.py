@@ -111,7 +111,8 @@ def prepare_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
     (weakly connected components); SSSP/SSWP require weights.  Doing
     this once, identically for all methods, keeps Table 4 cells
     comparable.  CC's graph is :func:`to_undirected`'s byte for byte,
-    from a compiled O(E) kernel where the backend has one.
+    from a compiled O(E) kernel where the backend has one, and is the
+    only one built: the others return the same object every call.
     """
     spec = ALGORITHMS.get(algorithm)
     if spec is None:

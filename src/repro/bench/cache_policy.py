@@ -4,18 +4,18 @@ Not a paper table — this experiment prices the serving layer's cache
 economics (:mod:`repro.service.economics`).  Three phases:
 
 ``cold-start`` / ``prewarmed``
-    The ``bfs-heavy`` golden trace replayed against a fresh service,
-    without and with a pre-warm pass over the same trace.  The p95 that
-    matters is the *cold-start* one: with prewarm the prepared-graph
-    build happens before traffic lands, so the first requests stop
-    paying it.  ``extras["prewarm_p95_ratio"]`` is
-    prewarmed p95 / cold p95; ``catalog_hits`` counts the replay's own
-    catalog hits, which a full pre-warm makes all ``prewarm_hits``.
+    The ``mixed`` golden trace replayed against a fresh service,
+    without and with a pre-warm pass over the same trace.  Its one cc
+    request reads the one artifact the catalog builds, so the
+    replay's own ``builds`` read 1 cold and 0 prewarmed, and its
+    ``catalog_hits`` are all ``prewarm_hits``.
+    ``extras["prewarm_p95_ratio"]`` is prewarmed p95 / cold p95.
 
 ``parity``
     The same prewarmed replay across every (policy × backend) pair,
     diffing every recorded digest — eviction economics must never
-    change answers.
+    change answers.  The ``processes`` pairs publish cc's pre-warmed
+    graph to the shared tier and hydrate it back.
 
 ``policy:mixed-cost`` / ``policy:uniform-recency``
     Synthetic eviction duels with controlled build costs.  The mixed
@@ -52,7 +52,7 @@ from repro.service import (
 DEFAULT_TRACE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))),
-    "tests", "traces", "bfs-heavy.jsonl",
+    "tests", "traces", "mixed.jsonl",
 )
 
 
@@ -80,18 +80,19 @@ def _replay_once(
     trace, graphs, *, policy: str, backend: str, workers: int, prewarm: bool,
 ):
     """One fresh-service replay; returns (report, p95_s, seconds, hit_rate,
-    replay catalog hits, catalog)."""
+    replay catalog hits, replay catalog builds, catalog)."""
     catalog = GraphCatalog(policy=policy)
     with AnalyticsService(catalog, workers=workers, backend=backend) as service:
         if prewarm:
             Prewarmer(service, trace, graphs=graphs).run_inline()
-        hits_before = catalog.stats.hits
+        hits_before, builds_before = catalog.stats.hits, catalog.stats.builds
         start = time.perf_counter()
         report = replay_trace(trace, service=service, graphs=graphs)
         elapsed = time.perf_counter() - start
         p95 = service.metrics.stage_percentile("total", 0.95)
         hit_rate = service.metrics.cache_hit_rate
-    return report, p95, elapsed, hit_rate, catalog.stats.hits - hits_before, catalog
+    return (report, p95, elapsed, hit_rate, catalog.stats.hits - hits_before,
+            catalog.stats.builds - builds_before, catalog)
 
 
 def _policy_duel(report: ExperimentReport, scale: float) -> None:
@@ -153,10 +154,10 @@ def cache_policy(
     trace_path: str = DEFAULT_TRACE,
     workers: int = 2,
 ) -> ExperimentReport:
-    """Cold-start collapse under prewarm + eviction-policy economics."""
+    """Pre-warm builds before traffic + eviction-policy economics."""
     report = ExperimentReport(
         "Cache policy economics",
-        f"bfs-heavy golden trace, prewarm on/off, lru vs gdsf "
+        f"mixed golden trace, prewarm on/off, lru vs gdsf "
         f"({workers} workers)",
     )
     if not os.path.exists(trace_path):
@@ -170,7 +171,7 @@ def cache_policy(
     p95s = {}
     for prewarm in (False, True):
         phase = "prewarmed" if prewarm else "cold-start"
-        replay, p95, elapsed, hit_rate, hits, catalog = _replay_once(
+        replay, p95, elapsed, hit_rate, hits, builds, catalog = _replay_once(
             trace, graphs, policy="gdsf", backend="threads",
             workers=workers, prewarm=prewarm,
         )
@@ -183,6 +184,7 @@ def cache_policy(
             p95_ms=round(p95 * 1e3, 3),
             seconds=round(elapsed, 4),
             hit_rate=round(hit_rate, 3),
+            builds=builds,
             catalog_hits=hits,
             prewarm_built=catalog.stats.prewarm_built,
             prewarm_hits=catalog.stats.prewarm_hits,

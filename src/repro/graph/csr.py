@@ -49,7 +49,7 @@ class CSRGraph:
     (see :func:`repro.graph.builder.to_undirected`).
     """
 
-    __slots__ = ("_offsets", "_targets", "_weights", "_fingerprint")
+    __slots__ = ("_offsets", "_targets", "_weights", "_fingerprint", "_unweighted")
 
     def __init__(
         self,
@@ -69,6 +69,7 @@ class CSRGraph:
         self._targets = targets
         self._weights = weights
         self._fingerprint: Optional[str] = None
+        self._unweighted: Optional["CSRGraph"] = None
         # Freeze the backing arrays: CSRGraph is an immutable value type.
         self._offsets.setflags(write=False)
         self._targets.setflags(write=False)
@@ -195,8 +196,12 @@ class CSRGraph:
         return CSRGraph(self._offsets, self._targets, weights, validate=False)
 
     def without_weights(self) -> "CSRGraph":
-        """A copy of this graph with the weight array dropped."""
-        return CSRGraph(self._offsets, self._targets, None, validate=False)
+        """``self`` when unweighted, else one view sharing its arrays, made
+        on first call and memoised so its :meth:`fingerprint` is hashed once
+        (two racing first calls may each make one); a graph never changes."""
+        if self._weights is not None and self._unweighted is None:
+            self._unweighted = CSRGraph(self._offsets, self._targets, validate=False)
+        return self if self._weights is None else self._unweighted
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Coordinate form ``(sources, targets, weights)``."""

@@ -1,11 +1,12 @@
 """Typed catalog artifacts: what the catalog caches and spills.
 
-A catalog artifact is one prepared input graph of one concrete graph
-— wrapped with exactly the metadata the cache needs: a
-content-addressed key, a byte size for budget accounting, and a
-lossless ``.npz`` round-trip so artifacts evicted from memory can be
-reloaded from disk *without redoing any build work* (the point of the
-cache: preparation is pure overhead on a warm path).
+A catalog artifact is cc's prepared (symmetrised) form of one
+concrete graph, the one input the serving tier builds — wrapped with
+exactly the metadata the cache needs: a content-addressed key, a byte
+size for budget accounting, and a lossless ``.npz`` round-trip so
+artifacts evicted from memory can be reloaded from disk *without
+redoing any build work* (the point of the cache: preparation is pure
+overhead on a warm path).
 """
 
 from __future__ import annotations
@@ -32,20 +33,7 @@ class ArtifactKey:
     """
 
     graph_fingerprint: str
-    recipe: str  # e.g. "sym-unw": symmetrised, weights stripped
-
-    @staticmethod
-    def for_prepared(
-        graph: CSRGraph, *, symmetrize: bool, weighted: bool
-    ) -> "ArtifactKey":
-        """Key of ``graph`` prepared by one recipe, so symmetrised and
-        weight-stripped variants of one graph get distinct entries (and
-        distinct spill files)."""
-        recipe = (
-            ("sym" if symmetrize else "dir")
-            + ("-w" if weighted else "-unw")
-        )
-        return ArtifactKey(graph.fingerprint(), recipe)
+    recipe: str  # "sym-unw": symmetrised, weights stripped
 
     def filename(self) -> str:
         """Filesystem-safe spill file name for this key (the ``-k0``
@@ -70,8 +58,9 @@ class TransformArtifact:
     def nbytes(self) -> int:
         """Bytes the catalog's byte budget meters for this artifact.
 
-        A prepared graph is charged its full CSR (symmetrisation
-        builds fresh arrays).
+        A prepared graph is charged its full CSR: symmetrisation
+        builds fresh arrays, and a view that borrows its input's arrays
+        never enters the catalog.
         """
         return int(self.payload.nbytes())
 
@@ -100,8 +89,6 @@ class TransformArtifact:
             "offsets": self.payload.offsets,
             "targets": self.payload.targets,
         }
-        if self.payload.weights is not None:
-            payload["weights"] = self.payload.weights
         # savez appends ".npz" to names without it; keep the suffix so
         # the temp path we write is the temp path we rename.
         tmp = f"{path}.tmp-{os.getpid()}.npz"
@@ -127,8 +114,5 @@ def load_artifact(path: str) -> TransformArtifact:
             recipe=bytes(archive["dumb_weight"]).decode("ascii"),
         )
         build_seconds = float(archive["build_seconds"][0])
-        weights = archive["weights"] if "weights" in archive.files else None
-        payload = CSRGraph(
-            archive["offsets"], archive["targets"], weights, validate=False
-        )
+        payload = CSRGraph(archive["offsets"], archive["targets"], validate=False)
     return TransformArtifact(key=key, payload=payload, build_seconds=build_seconds)

@@ -1,10 +1,10 @@
 """GraphCatalog: the artifact cache behind the serving layer.
 
-Per-algorithm graph preparation (symmetrising for CC, stripping
-weights for the unweighted analytics) is O(|E|) work that every
-request on a graph would otherwise repeat.  The catalog caches its
-result — the *prepared graph*, the one artifact kind the serving layer
-builds:
+CC's graph preparation (symmetrising, weights stripped) is O(|E|)
+work that every cc request on a graph would otherwise repeat.  The
+catalog caches its result — the *prepared graph*, the one artifact
+the serving layer builds (the other analytics read their input or its
+memoised unweighted view, uncached):
 
 * **memory tier** — an LRU over :class:`TransformArtifact` entries
   with byte-size accounting against a configurable budget;

@@ -24,8 +24,9 @@ This module gives the catalog an economic memory:
 * **a pre-warmer** — :class:`Prewarmer` makes one pass over a recorded
   trace-v1 stream (:mod:`repro.service.ingest`) on a background thread
   before traffic lands (``serve --prewarm-from-trace TRACE``): each
-  distinct request signature is planned through the real pipeline, and
-  the prepared graph it reads is built then.  Progress shows in the
+  distinct request signature is admitted as live traffic is, and cc's
+  prepared graph — the one artifact the catalog builds — is built then
+  for every graph an admitted cc request reads.  Progress shows in the
   catalog stats the service metrics already surface
   (``prewarm_built``, ``prewarm_hits``, ``evictions_<policy>``).
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ServiceError, TigrError
 
@@ -210,20 +211,19 @@ class Prewarmer:
 
     Wraps one :class:`~repro.service.executor.AnalyticsService` and one
     loaded trace.  Each request passes the check live traffic passes
-    (:func:`~repro.service.planner.plan_query`); each distinct
-    ``(graph, algorithm)`` pair of the admitted ones, in first-arrival
-    order, is prepared against the service's own catalog, so the warmed
-    keys are exactly the keys traffic will read: the prepared graph,
-    when the analytic reshapes its input.  With a write-through catalog
-    the warm set also lands in the shared disk tier, which is how
+    (:func:`~repro.service.planner.plan_query`); each graph with an
+    admitted symmetrising (cc) request, in first-arrival order, has its
+    prepared graph built against the service's own catalog — the one
+    catalog artifact traffic reads.  With a write-through catalog the
+    warm set also lands in the shared disk tier, which is how
     process-backend workers inherit it.
 
     Progress is visible while it runs: :attr:`built` and
     :attr:`already_warm` count each warmed artifact once, the catalog's
     ``prewarm_built`` stat counts the fresh builds, and hits on a
     warmed key count as ``prewarm_hits``.  Failures never propagate —
-    a rejected ``(graph, algorithm, transform)`` signature and a pair
-    whose graph is missing are each recorded in :attr:`errors` and
+    a rejected ``(graph, algorithm, transform)`` signature and a cc
+    graph that is missing are each recorded in :attr:`errors` and
     skipped once; pre-warming is an optimisation, not a correctness
     gate.
     """
@@ -286,6 +286,7 @@ class Prewarmer:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        from repro.algorithms import ALGORITHMS
         from repro.service.catalog import GraphCatalog
         from repro.service.planner import plan_query
         from repro.service.replay import resolve_trace_graphs
@@ -312,34 +313,23 @@ class Prewarmer:
         except TigrError as exc:
             with self._lock:
                 self.errors.append(f"trace graphs: {exc}")
-        pairs: Dict[Tuple[str, str], None] = {}
-        checked = set()
+        checked, warmed_graphs = set(), set()
         for request in self.trace.requests:
             label = f"{request.graph}/{request.algorithm} {request.transform}"
             if label in checked:
                 continue
             checked.add(label)
+            graph = graphs.get(request.graph)
             try:
-                plan_query(request.to_query_request(), graphs.get(request.graph))
-            except TigrError as exc:
-                with self._lock:
-                    self.skipped += 1
-                    self.errors.append(f"{label}: {exc}")
-                continue
-            pairs.setdefault((request.graph, request.algorithm))
-        for name, algorithm in pairs:
-            label = f"{name}/{algorithm}"
-            graph = graphs.get(name)
-            if graph is None:
-                with self._lock:
-                    self.skipped += 1
-                    self.errors.append(
-                        f"{label}: graph not registered and no usable "
-                        f"recipe in the trace"
-                    )
-                continue
-            try:
-                self._warm_one(graph, algorithm)
+                plan_query(request.to_query_request(), graph)
+                if (not ALGORITHMS[request.algorithm].symmetrize
+                        or request.graph in warmed_graphs):
+                    continue
+                warmed_graphs.add(request.graph)
+                if graph is None:
+                    raise ServiceError(
+                        "graph not registered and no usable recipe in the trace")
+                self._warm_one(graph, request.algorithm)
             except TigrError as exc:
                 with self._lock:
                     self.skipped += 1
@@ -357,9 +347,8 @@ class Prewarmer:
 
         catalog = self.service.catalog
         _, origin = prepare_with_origin(catalog, graph, algorithm)
-        if origin is not None:
-            key = prepared_key(graph, algorithm)
-            self._mark(key, catalog.peek(key), origin)
+        key = prepared_key(graph)
+        self._mark(key, catalog.peek(key), origin)
 
     def _mark(
         self, key: "ArtifactKey", artifact: Optional["TransformArtifact"],

@@ -1046,8 +1046,9 @@ class ShardTier:
         """The (cached) shard set of one prepared graph and its origin.
 
         Keyed by content fingerprint, so bfs and pr on one dataset
-        share slices (both prepare to the weight-stripped graph) while
-        cc's symmetrised preparation gets its own.
+        share slices (both read the graph's one unweighted view, whose
+        fingerprint is hashed once) while cc's symmetrised preparation
+        gets its own.
         """
         fingerprint = prepared.fingerprint()
         with self._lock:

@@ -17,7 +17,7 @@ and how each side rebuilds the rest:
   written through immediately (file-locked, atomically renamed), and
   content-addressed keys make a sibling's artifact indistinguishable
   from your own.  A host's cold start is therefore one ``.npz``
-  hydration per prepared graph, not a re-preparation.  Graphs hydrate
+  hydration per cc graph, not a re-preparation.  Graphs hydrate
   the same way from a ``graphs/`` directory keyed by fingerprint
   (:func:`export_graph`) and are memoised per host.
 * **back up the socket** comes the :class:`BatchOutcome`, its
@@ -136,17 +136,16 @@ def prepare_with_origin(
 ) -> Tuple[CSRGraph, Optional[str]]:
     """Per-algorithm graph preparation, cached through ``catalog``.
 
-    ``prepare_graph`` symmetrises for CC and strips weights for the
-    unweighted analytics — O(|E|) work worth amortising across
-    requests.  Prepared graphs are the catalog's ``kind="prepared"``
-    artifacts, under its byte budget.  An input that needs no
-    reshaping is passed through uncached, with origin ``None``;
-    otherwise the origin is the catalog's (``"memory"``, ``"disk"`` or
-    ``"built"``).
+    Only a symmetrising analytic (cc) builds a new graph — O(|E|) work
+    worth amortising across requests — so only its prepared graph is a
+    catalog artifact (``kind="prepared"``, under the byte budget), with
+    the catalog's origin (``"memory"``, ``"disk"`` or ``"built"``).
+    Every other analytic reads ``graph`` or its memoised unweighted
+    view (:func:`prepare_graph`), uncached, with origin ``None``.
     """
-    if not reshapes(graph, algorithm):
+    if not ALGORITHMS[algorithm].symmetrize:
         return prepare_graph(graph, algorithm), None
-    key = prepared_key(graph, algorithm)
+    key = prepared_key(graph)
 
     def build() -> TransformArtifact:
         start = time.perf_counter()
@@ -160,19 +159,10 @@ def prepare_with_origin(
     return artifact.payload, origin
 
 
-def reshapes(graph: CSRGraph, algorithm: str) -> bool:
-    """Whether preparing ``graph`` for ``algorithm`` builds a new graph
-    (a catalog artifact) rather than passing the input through."""
-    spec = ALGORITHMS[algorithm]
-    return spec.symmetrize or (not spec.weighted and graph.weights is not None)
-
-
-def prepared_key(graph: CSRGraph, algorithm: str) -> ArtifactKey:
-    """The catalog key ``algorithm``'s prepared form of ``graph`` lives under."""
-    spec = ALGORITHMS[algorithm]
-    return ArtifactKey.for_prepared(
-        graph, symmetrize=spec.symmetrize, weighted=spec.weighted
-    )
+def prepared_key(graph: CSRGraph) -> ArtifactKey:
+    """The catalog key ``graph``'s symmetrised, weight-stripped form
+    (cc's prepared graph, the one recipe) lives under."""
+    return ArtifactKey(graph.fingerprint(), "sym-unw")
 
 
 def execute_pipeline(

@@ -1,6 +1,6 @@
 """Counted prepared-graph builders for the catalog suites.
 
-The catalog's one artifact kind is the prepared graph
+The catalog's one artifact is cc's prepared (symmetrised) graph
 (:func:`repro.service.workers.prepared_key`), so the suites key it the
 way traffic does and build it with :func:`repro.algorithms.prepare_graph`
 through a builder that counts its calls.
@@ -14,29 +14,27 @@ from repro.service.workers import prepared_key
 
 
 class CountedBuilder:
-    """Builds ``algorithm``'s prepared form of ``graph``, counting calls.
+    """Builds cc's prepared form of ``graph``, counting calls.
 
-    ``cc`` (the default) symmetrises, so it builds fresh arrays on any
-    graph; ``bfs`` strips the weights of a weighted one.
+    Symmetrisation builds fresh arrays on any graph.
     """
 
-    def __init__(self, graph, algorithm="cc"):
+    def __init__(self, graph):
         self.graph = graph
-        self.algorithm = algorithm
-        self.key = prepared_key(graph, algorithm)
+        self.key = prepared_key(graph)
         self.calls = 0
 
     def __call__(self):
         self.calls += 1
         start = time.perf_counter()
-        payload = prepare_graph(self.graph, self.algorithm)
+        payload = prepare_graph(self.graph, "cc")
         return TransformArtifact(
             key=self.key, payload=payload,
             build_seconds=time.perf_counter() - start,
         )
 
 
-def get(catalog, graph, algorithm="cc"):
+def get(catalog, graph):
     """``catalog.get_for_key`` on the prepared graph: (artifact, origin)."""
-    builder = CountedBuilder(graph, algorithm)
+    builder = CountedBuilder(graph)
     return catalog.get_for_key(builder.key, builder)

@@ -86,6 +86,17 @@ class TestPrepareGraph:
         with pytest.raises(EngineError, match="weighted"):
             prepare_graph(graph.without_weights(), "sssp")
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("algorithm", ["bfs", "pr", "bc"])
+    def test_unweighted_analytics_build_nothing(self, graph, algorithm, weighted):
+        # one object per input, every call: the input itself, or its one
+        # memoised unweighted view sharing the input's arrays
+        g = graph if weighted else graph.without_weights()
+        prepared = prepare_graph(g, algorithm)
+        assert prepared is prepare_graph(g, algorithm)
+        assert (prepared is g) is not weighted
+        assert prepared.targets is g.targets and not prepared.is_weighted
+
 
 class TestCorrectnessAcrossMethods:
     """Every method computes the same (reference) answers — the

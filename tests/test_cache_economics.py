@@ -174,28 +174,31 @@ class TestSpillHydrateRepricing:
 
 class TestPrewarmer:
     def test_prewarm_then_replay_hits_warm_cache(self, tmp_path):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         catalog = GraphCatalog(
             spill_dir=str(tmp_path), write_through=True, policy="gdsf"
         )
         with AnalyticsService(catalog, workers=2, backend="threads") as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
-            # the unweighted prepared graph every bfs reads, whichever
-            # transform it names: every plan serves the CSR
+            # cc's symmetrised graph, the one artifact the trace reads;
+            # the udt bc request is rejected, as traffic rejects it
             assert prewarmer.built == 1
             assert prewarmer.already_warm == 0
-            assert prewarmer.skipped == 0 and not prewarmer.errors
+            assert prewarmer.skipped == 1 and len(prewarmer.errors) == 1
             assert catalog.stats.prewarm_built == 1
             report = replay_trace(trace, service=service, graphs=graphs)
         assert report.ok and report.digests_checked > 0
         assert catalog.stats.builds == 1  # traffic built nothing
-        # every request was served from the catalog
-        assert service.metrics.summary()["cache_hit_rate"] == 1.0
-        assert service.metrics.summary()["prewarm_built"] == 1
+        # every request that answered was served without a build
+        summary = service.metrics.summary()
+        assert summary["queries_failed"] == 1
+        assert summary["cache_hit_rate"] == pytest.approx(
+            1 - 1 / summary["queries_total"])
+        assert summary["prewarm_built"] == 1
 
     def test_every_replay_hit_is_a_prewarm_hit(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=2, backend="threads") as service:
@@ -207,13 +210,24 @@ class TestPrewarmer:
             report = replay_trace(trace, service=service, graphs=graphs)
         assert report.ok
         replay_hits = catalog.stats.hits - hits_before
-        # each of the 16 requests (udt ones too) reads the prepared
-        # graph and nothing else; every read is pre-warmed
-        reads = len(trace.requests)
-        assert catalog.stats.prewarm_hits == replay_hits == reads == 16
+        # the one cc request reads the prepared graph; no other request
+        # reads a catalog artifact, and the one read is pre-warmed
+        assert catalog.stats.prewarm_hits == replay_hits == 1
+
+    def test_a_trace_without_cc_warms_nothing(self):
+        trace = load_trace(BFS_HEAVY)
+        graphs = resolve_trace_graphs(trace)
+        catalog = GraphCatalog()
+        with AnalyticsService(catalog, workers=1) as service:
+            prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
+        # bfs reads the graph's unweighted view: no artifact to build
+        assert (prewarmer.built, prewarmer.already_warm) == (0, 0)
+        assert prewarmer.skipped == 0 and not prewarmer.errors
+        assert catalog.stats.builds == catalog.stats.prewarm_built == 0
+        assert not catalog.keys()
 
     def test_second_pass_finds_everything_warm(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=1) as service:
@@ -234,73 +248,75 @@ class TestPrewarmer:
 
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             prewarmer = Recording(service, trace, graphs=graphs).run_inline()
-        # one (graph, algorithm) pair each, whatever transforms name it;
-        # bc's auto request admits the pair its udt request cannot
-        assert seen == ["bfs", "sssp", "sswp", "bc", "cc", "pr"]
+        # one graph with an admitted cc request: warmed once; every
+        # signature is still admitted, so bc's udt request is skipped
+        assert seen == ["cc"]
         assert prewarmer.skipped == 1
         assert prewarmer.errors[0].startswith("pokec/bc udt: ")
 
     def test_planner_rejection_skips_only_that_signature(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         trace.requests[0] = replace(trace.requests[0], transform="bogus")
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
-        assert prewarmer.skipped == 1
-        assert len(prewarmer.errors) == 1 and "bogus" in prewarmer.errors[0]
-        # the auto, udt and virtual requests still warm their prepared graph
-        assert prewarmer.built + prewarmer.already_warm == 1
+        # the bogus bfs request and the udt bc request
+        assert prewarmer.skipped == 2
+        assert len(prewarmer.errors) == 2 and "bogus" in prewarmer.errors[0]
+        # the cc request still warms its prepared graph
+        assert prewarmer.built == 1
 
     def test_prepared_graph_of_a_rejected_signature_counts_as_built(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
-        trace.requests[0] = replace(trace.requests[0], transform="bogus")
+        (cc,) = [r for r in trace.requests if r.algorithm == "cc"]
+        trace.requests.insert(0, replace(cc, transform="bogus"))
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=1) as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
-        # the admitted requests build the prepared graph the rejected
+        # the admitted cc request builds the prepared graph the rejected
         # one names: one fresh build on an empty catalog
         assert (prewarmer.built, prewarmer.already_warm) == (1, 0)
         assert catalog.stats.builds == catalog.stats.prewarm_built == 1
 
     def test_rejected_request_warms_nothing(self):
-        # pr's only request names udt, which traffic rejects: pr's
+        # cc's only request names a transform traffic rejects: its
         # prepared graph is not built for it
         trace = load_trace(BFS_HEAVY)
         graphs = resolve_trace_graphs(trace)
-        trace.requests = [replace(trace.requests[0], algorithm="pr",
-                                  sources=(), transform="udt")]
+        trace.requests = [replace(trace.requests[0], algorithm="cc",
+                                  sources=(), transform="bogus")]
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=1) as service:
             prewarmer = Prewarmer(service, trace, graphs=graphs).run_inline()
         assert (prewarmer.built, prewarmer.skipped) == (0, 1)
-        assert "udt cannot serve pr" in prewarmer.errors[0]
+        assert "bogus" in prewarmer.errors[0]
         assert catalog.stats.bytes_in_memory == 0 and catalog.stats.builds == 0
 
     def test_registered_graph_needs_no_trace_recipe(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graph = resolve_trace_graphs(trace)["pokec"]
         trace.header = replace(trace.header, graphs={})
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             service.register("pokec", graph)
             prewarmer = Prewarmer(service, trace).run_inline()
             assert prewarmer.built == 1
-            assert prewarmer.skipped == 0 and not prewarmer.errors
-            assert prepared_key(graph, "bfs") in service.catalog
+            assert prewarmer.skipped == 1  # the udt bc request alone
+            assert prepared_key(graph) in service.catalog
 
     def test_prepared_graph_is_published_to_shared_tier(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         with AnalyticsService(
             GraphCatalog(), workers=1, backend="processes"
         ) as service:
             Prewarmer(service, trace, graphs=graphs).run_inline()
             shared = GraphCatalog(spill_dir=service.shared_artifact_dir)
-            key = prepared_key(graphs["pokec"], "bfs")
+            key = prepared_key(graphs["pokec"])
             assert shared.hydrate(key) is not None
 
     def test_unresolvable_graph_is_skipped_not_fatal(self):
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         # drop the recipes and point every request at a graph nobody
         # registered: nothing is resolvable
         trace.header = replace(trace.header, graphs={})
@@ -308,15 +324,16 @@ class TestPrewarmer:
         with AnalyticsService(GraphCatalog(), workers=1) as service:
             prewarmer = Prewarmer(service, trace).run_inline()
         assert prewarmer.built == 0
-        assert prewarmer.skipped == 1  # one per (graph, algorithm) pair
-        assert prewarmer.errors
+        # the udt bc signature, and the cc graph that cannot be found
+        assert prewarmer.skipped == 2
+        assert "ghost/cc udt: graph not registered" in prewarmer.errors[-1]
 
     def test_process_workers_hydrate_prewarmed_artifacts(self):
         # Workers never see the front-end memory tier: without the
         # publish-to-shared-tier step the prewarm work would be wasted
         # on the process backend. The witness is hydrate_hits — worker
         # cache fills served from disk instead of rebuilds.
-        trace = load_trace(BFS_HEAVY)
+        trace = load_trace(MIXED)
         graphs = resolve_trace_graphs(trace)
         with AnalyticsService(
             GraphCatalog(policy="gdsf"), workers=2, backend="processes"
@@ -329,16 +346,20 @@ class TestPrewarmer:
         assert report.ok
         assert summary["hydrate_hits"] > 0
 
-    def test_serve_prewarm_from_trace_cli(self, capsys):
+    @pytest.mark.parametrize("trace, line, digests", [
+        (MIXED, "prewarm: built=1 already_warm=0 skipped=1", "12/12"),
+        (BFS_HEAVY, "prewarm: built=0 already_warm=0 skipped=0", "16/16"),
+    ], ids=["mixed", "bfs-heavy"])
+    def test_serve_prewarm_from_trace_cli(self, capsys, trace, line, digests):
         from repro.__main__ import main
 
         assert main([
-            "serve", "--trace", BFS_HEAVY, "--workers", "1",
-            "--prewarm-from-trace", BFS_HEAVY, "--prewarm-wait", "0",
+            "serve", "--trace", trace, "--workers", "1",
+            "--prewarm-from-trace", trace, "--prewarm-wait", "0",
         ]) == 0
         out = capsys.readouterr().out
-        assert "prewarm: built=1 already_warm=0 skipped=0" in out
-        assert "digests: 16/16 matched" in out
+        assert line in out
+        assert f"digests: {digests} matched" in out
 
     def test_background_start_is_idempotent(self):
         trace = load_trace(BFS_HEAVY)

@@ -37,12 +37,11 @@ POLICIES = ("lru", "gdsf")
 
 def build_cells(count):
     """Prepared-graph builders with varied sizes and costs: symmetrised
-    and weight-stripped forms of weighted graphs."""
+    forms of weighted and unweighted graphs."""
     return [
         CountedBuilder(
             rmat(60 + 40 * (i % 3), 300 + 200 * i, seed=300 + i,
-                 weight_range=(1, 9)),
-            "cc" if i % 2 == 0 else "bfs",
+                 weight_range=(1, 9) if i % 2 == 0 else None),
         )
         for i in range(count)
     ]

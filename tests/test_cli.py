@@ -1,7 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib.util
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +115,18 @@ class TestInfoFingerprint:
 
 class TestQuery:
     def test_single_query(self, capsys):
-        # bfs builds the weight-stripped graph
+        # bfs builds nothing: it reads the graph's unweighted view
         assert main(["query", "bfs", "pokec", "--scale", "0.1",
                      "--source", "0"]) == 0
         out = capsys.readouterr().out
         assert "transform=none, K=0" in out
-        assert "cache hit:    False" in out
+        assert "cache hit:    True" in out
         assert "values[source 0]" in out
+
+    def test_cold_cc_query_builds(self, capsys):
+        # cc's symmetrised graph is the one catalog build
+        assert main(["query", "cc", "pokec", "--scale", "0.1"]) == 0
+        assert "cache hit:    False" in capsys.readouterr().out
 
     def test_repeat_hits_cache(self, capsys):
         assert main(["query", "bfs", "pokec", "--scale", "0.1",
@@ -260,3 +271,63 @@ class TestAddresses:
         assert main(["serve", "--trace", f"tcp://127.0.0.1:{port}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cannot open trace" in err
+
+
+class TestReadyFiles:
+    """A ready file names the server that is listening now: a stale one
+    is removed at start, and the address lands in one rename."""
+
+    STALE = "127.0.0.1:1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--http", "127.0.0.1:70000", "--http-ready-file"],
+        ["shard-host", "--listen", "127.0.0.1:70000", "--ready-file"],
+    ], ids=["http", "shard-host"])
+    def test_a_failed_start_leaves_no_stale_address(self, argv, tmp_path, capsys):
+        ready = tmp_path / "ready"
+        ready.write_text(self.STALE)
+        assert main(argv + [str(ready)]) == 2
+        assert not ready.exists()
+
+    def test_shard_host_replaces_a_stale_address(self, tmp_path):
+        ready = tmp_path / "ready"
+        ready.write_text(self.STALE)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "shard-host",
+             "--listen", "127.0.0.1:0", "--ready-file", str(ready)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            bound = line.split("listening on ")[1].split(";")[0]
+            deadline = time.monotonic() + 30
+            while not ready.exists():
+                assert time.monotonic() < deadline, "no ready file"
+                time.sleep(0.01)
+            assert ready.read_text() == bound + "\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["ready"]
+        finally:
+            proc.terminate()
+            proc.wait(10)
+            proc.stdout.close()
+
+    def test_loadgen_waits_past_a_stale_address(self, tmp_path):
+        # the reader may read F before the new server removes it: a
+        # refused address is stale, so it keeps reading
+        path = Path(__file__).parents[1] / "tools" / "loadgen.py"
+        spec = importlib.util.spec_from_file_location("loadgen", path)
+        loadgen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loadgen)
+        ready = tmp_path / "ready"
+        ready.write_text(self.STALE)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            address = "%s:%d" % listener.getsockname()
+            later = threading.Timer(0.3, ready.write_text, (address + "\n",))
+            later.start()
+            try:
+                assert loadgen._wait_for_ready_file(str(ready), 10) == address
+            finally:
+                later.cancel()

@@ -156,6 +156,14 @@ class TestDerivedGraphs:
         g = from_edge_list([(0, 1, 5.0)])
         assert not g.without_weights().is_weighted
 
+    def test_without_weights_is_one_view(self):
+        g = from_edge_list([(0, 1, 5.0), (1, 2, 6.0)])
+        view = g.without_weights()
+        assert view is g.without_weights() and view is not g
+        assert view.offsets is g.offsets and view.targets is g.targets
+        assert view.without_weights() is view
+        assert view.fingerprint() != g.fingerprint()
+
     def test_to_coo_roundtrip(self):
         g = from_edge_list([(0, 1, 5.0), (1, 2, 6.0), (0, 2, 7.0)])
         src, dst, w = g.to_coo()

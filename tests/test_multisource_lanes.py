@@ -31,7 +31,7 @@ from repro.engine.push import EngineOptions, run_push, run_push_lanes
 from repro.engine.schedule import NodeScheduler, VirtualScheduler
 from repro.errors import EngineError
 from repro.graph.generators import rmat
-from repro.service.artifacts import ArtifactKey, TransformArtifact
+from repro.service.artifacts import TransformArtifact
 from repro.service.batching import (
     QueryBatch,
     fan_out_per_request,
@@ -40,6 +40,7 @@ from repro.service.batching import (
 from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest
+from repro.service.workers import prepared_key
 
 
 def make_graph(seed, *, weighted):
@@ -350,7 +351,7 @@ class TestServiceLaneAccounting:
 # ----------------------------------------------------------------------
 class TestPreparedArtifactBudget:
     def _prepared(self, graph):
-        key = ArtifactKey.for_prepared(graph, symmetrize=False, weighted=False)
+        key = prepared_key(graph)
         return key, TransformArtifact(
             key=key, payload=graph, build_seconds=0.01
         )
@@ -384,11 +385,3 @@ class TestPreparedArtifactBudget:
         assert np.array_equal(reloaded.payload.targets, g1.targets)
         assert reloaded.payload.fingerprint() == g1.fingerprint()
 
-    def test_prepared_key_distinguishes_recipes(self):
-        graph = make_graph(31, weighted=True)
-        keys = {
-            ArtifactKey.for_prepared(graph, symmetrize=s, weighted=w)
-            for s in (True, False) for w in (True, False)
-        }
-        assert len(keys) == 4
-        assert len({key.filename() for key in keys}) == 4

@@ -1,5 +1,7 @@
 """GraphCatalog: LRU semantics, byte budgets, and disk spill."""
 
+import os
+import shutil
 import threading
 
 import numpy as np
@@ -9,13 +11,20 @@ from repro.algorithms import prepare_graph
 from repro.errors import ServiceError
 from repro.graph.generators import rmat
 from repro.service import (
+    AnalyticsService,
     ArtifactKey,
     GraphCatalog,
+    QueryRequest,
     TransformArtifact,
     load_artifact,
 )
 from repro.service.workers import prepared_key
 from tests.catalog_cells import CountedBuilder, get
+
+#: a write-through directory from before weight-stripped views left the
+#: catalog: one cc request on ``rmat(48, 240, seed=2018,
+#: weight_range=(1, 6))`` (that code also spilled views as ``dir-unw``)
+FROZEN_SPILL = os.path.join(os.path.dirname(__file__), "fixtures", "spill")
 
 
 @pytest.fixture
@@ -30,26 +39,29 @@ def make_graphs(count, nodes=60, edges=300):
 class TestArtifactKey:
     def test_content_addressed(self, graph):
         twin = rmat(120, 900, seed=5, weight_range=(1, 6))
-        assert prepared_key(graph, "cc") == prepared_key(twin, "cc")
+        assert prepared_key(graph) == prepared_key(twin)
 
-    def test_recipe_is_part_of_a_prepared_key(self, graph):
-        # symmetrised and weight-stripped forms of one graph
-        assert prepared_key(graph, "cc") != prepared_key(graph, "bfs")
+    def test_one_recipe_names_every_prepared_key(self, graph):
+        # cc's symmetrised graph is the one artifact: weighted or not,
+        # an input's key differs by its fingerprint alone
+        unweighted = graph.without_weights()
+        assert prepared_key(graph).recipe == prepared_key(unweighted).recipe == "sym-unw"
+        assert prepared_key(graph) != prepared_key(unweighted)
 
     def test_spill_layout_is_unchanged(self, graph, tmp_path):
         # a two-field key writes the file name and archive the
         # four-field key wrote, so existing spill directories hydrate
-        key = prepared_key(graph, "cc")
+        key = prepared_key(graph)
         assert key == ArtifactKey(graph.fingerprint(), "sym-unw")
         assert key.filename() == f"{graph.fingerprint()[:20]}-prepared-k0-sym-unw.npz"
-        artifact, _ = get(GraphCatalog(), graph, "cc")
+        artifact, _ = get(GraphCatalog(), graph)
         artifact.save_npz(str(tmp_path / key.filename()))
         with np.load(tmp_path / key.filename()) as archive:
             assert archive["meta"].tolist() == [0, 3]
             assert bytes(archive["dumb_weight"]) == b"sym-unw"
 
     def test_filename_is_filesystem_safe(self, graph):
-        name = prepared_key(graph, "cc").filename()
+        name = prepared_key(graph).filename()
         assert "/" not in name and "sym-unw" in name
         assert name.endswith(".npz")
 
@@ -67,10 +79,10 @@ class TestHitMissAccounting:
         assert catalog.stats.misses == 1
         assert catalog.stats.hit_rate == 0.5
 
-    def test_different_recipe_different_artifact(self, graph):
+    def test_different_graph_different_artifact(self, graph):
         catalog = GraphCatalog()
-        get(catalog, graph, "cc")
-        get(catalog, graph, "bfs")
+        get(catalog, graph)
+        get(catalog, graph.without_weights())
         assert catalog.stats.builds == 2
         assert len(catalog) == 2
 
@@ -99,7 +111,7 @@ class TestLRUAndBudget:
     def test_eviction_order_is_lru(self):
         graphs = make_graphs(3)
         catalog = GraphCatalog(max_entries=2)
-        k0, k1, k2 = (prepared_key(g, "cc") for g in graphs)
+        k0, k1, k2 = (prepared_key(g) for g in graphs)
         get(catalog, graphs[0])
         get(catalog, graphs[1])
         # touch graph 0 so graph 1 becomes least recently used
@@ -166,15 +178,16 @@ class TestLRUAndBudget:
 
 
 class TestDiskSpill:
-    @pytest.mark.parametrize("algorithm", ["cc", "bfs"])
-    def test_spill_round_trip_prepared(self, graph, algorithm, tmp_path):
-        artifact, _ = get(GraphCatalog(), graph, algorithm)
+    def test_spill_round_trip_prepared(self, graph, tmp_path):
+        artifact, _ = get(GraphCatalog(), graph)
         path = str(tmp_path / "p.npz")
         artifact.save_npz(path)
+        with np.load(path) as archive:
+            assert "weights" not in archive.files
         loaded = load_artifact(path)
         assert loaded.key == artifact.key
         assert loaded.build_seconds == artifact.build_seconds
-        assert loaded.payload == prepare_graph(graph, algorithm)
+        assert loaded.payload == prepare_graph(graph, "cc")
 
     def test_spill_written_before_udt_retired_still_hydrates(
         self, graph, tmp_path
@@ -192,9 +205,24 @@ class TestDiskSpill:
             offsets=prepared.offsets, targets=prepared.targets,
         )
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        artifact = catalog.hydrate(prepared_key(graph, "cc"))
+        artifact = catalog.hydrate(prepared_key(graph))
         assert artifact is not None and artifact.payload == prepared
         assert artifact.build_seconds == 0.25
+
+    def test_frozen_cc_spill_hydrates(self, tmp_path):
+        # file name and archive layout are unchanged, so a cc request
+        # served from that directory hydrates and builds nothing
+        graph = rmat(48, 240, seed=2018, weight_range=(1, 6))
+        shutil.copytree(FROZEN_SPILL, tmp_path, dirs_exist_ok=True)
+        catalog = GraphCatalog(spill_dir=str(tmp_path))
+        with AnalyticsService(catalog, workers=1, backend="threads") as service:
+            service.register("g", graph)
+            result = service.run(QueryRequest("cc", "g"))
+        assert result.ok and result.cache_hit
+        assert (catalog.stats.disk_hits, catalog.stats.builds) == (1, 0)
+        artifact = catalog.peek(prepared_key(graph))
+        assert artifact.payload == prepare_graph(graph, "cc")
+        assert artifact.build_seconds > 0
 
     def test_stale_udt_spill_is_a_miss(self, graph, tmp_path):
         # kind code 0 named the retired udt transform: unknown now
@@ -236,7 +264,7 @@ class TestDiskSpill:
 
     def test_corrupt_spill_is_a_miss(self, graph, tmp_path):
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        key = prepared_key(graph, "cc")
+        key = prepared_key(graph)
         (tmp_path / key.filename()).write_bytes(b"not an npz")
         get(catalog, graph)
         assert catalog.stats.builds == 1

@@ -15,6 +15,7 @@ from repro.core.weights import DumbWeight
 from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.errors import ServiceError
+from repro.graph.builder import to_undirected
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
 from repro.service import (
@@ -74,16 +75,16 @@ class TestResultsMatchDirectCalls:
         # Acceptance criterion: warm-cache query on a Table 3 stand-in
         # does zero transform work and matches repro.algorithms exactly.
         graph = load_dataset("pokec", scale=0.2)
-        # (bfs builds the weight-stripped graph; a named udt plans `none`)
+        # (cc builds the symmetrised graph; a named udt plans `none`)
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=2) as service:
             service.register("pokec", graph)
-            cold = service.run(QueryRequest.single(
-                "bfs", "pokec", 3, transform="udt", degree_bound=8
+            cold = service.run(QueryRequest(
+                "cc", "pokec", transform="udt", degree_bound=8
             ))
             builds_after_cold = catalog.stats.builds
-            warm = service.run(QueryRequest.single(
-                "bfs", "pokec", 7, transform="udt", degree_bound=8
+            warm = service.run(QueryRequest(
+                "cc", "pokec", transform="udt", degree_bound=8
             ))
             assert not cold.cache_hit and warm.cache_hit
             if service.backend == "threads":
@@ -94,7 +95,8 @@ class TestResultsMatchDirectCalls:
                 assert catalog.stats.builds == builds_after_cold == 1
                 assert catalog.stats.hits >= 1
             assert np.array_equal(
-                warm.value(7), reference_bfs(graph.without_weights(), 7)
+                warm.value(), connected_components(
+                    to_undirected(graph.without_weights())).values
             )
 
     def test_auto_plan_serves_the_csr(self, graph):
@@ -132,8 +134,6 @@ class TestResultsMatchDirectCalls:
 
     def test_cc_symmetrized(self, service, graph):
         result = service.run(QueryRequest("cc", "g", transform="none"))
-        from repro.graph.builder import to_undirected
-
         direct = connected_components(to_undirected(graph.without_weights()))
         assert np.array_equal(result.value(), direct.values)
 
@@ -160,22 +160,22 @@ class TestConcurrency:
         with AnalyticsService(catalog, workers=4, queue_size=128) as service:
             service.register("g", graph)
             tickets = [
-                service.submit(QueryRequest.single(
-                    "bfs", "g", s % graph.num_nodes, transform="udt",
-                    degree_bound=6,
+                service.submit(QueryRequest(
+                    "cc", "g", transform="udt", degree_bound=6,
                 ))
-                for s in range(40)
+                for _ in range(40)
             ]
             results = [t.result(60) for t in tickets]
             assert all(r.ok for r in results)
             if service.backend == "threads":
                 # single-flight: 40 cold-ish queries build the
-                # weight-stripped graph exactly once (process workers
+                # symmetrised graph exactly once (process workers
                 # build in their own catalogs, at most once per worker
                 # thanks to the shared disk tier)
                 assert catalog.stats.builds == 1
-            reference = reference_bfs(graph.without_weights(), 5)
-            assert np.array_equal(results[5].value(5), reference)
+            reference = connected_components(
+                to_undirected(graph.without_weights())).values
+            assert np.array_equal(results[5].value(), reference)
 
     def test_concurrent_submitters(self, graph):
         with AnalyticsService(workers=4, queue_size=256) as service:
@@ -288,7 +288,7 @@ class TestTimeouts:
         # a spent deadline neither degrades nor rebuilds a warm batch
         with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
             service.register("g", graph)
-            request = QueryRequest.single("bfs", "g", 0, transform="udt")
+            request = QueryRequest("cc", "g", transform="udt")
             assert not service.run(request).cache_hit
             (batch,) = group_requests([request], lambda _: graph)
             rushed = service._run_batch(batch, remaining_s=0.0)
@@ -391,9 +391,9 @@ class TestErrorsAndMetrics:
         assert summary["sharded_batches"] == (1 if shards else 0)
 
     def test_metrics_summary_shape(self, service):
-        # bfs builds the weight-stripped graph once, then reads it
-        service.run(QueryRequest.single("bfs", "g", 0, transform="udt"))
-        service.run(QueryRequest.single("bfs", "g", 1, transform="udt"))
+        # cc builds the symmetrised graph once, then reads it
+        service.run(QueryRequest("cc", "g", transform="udt"))
+        service.run(QueryRequest("cc", "g", transform="udt"))
         summary = service.metrics.summary()
         assert summary["queries_total"] == 2
         assert summary["cache_hit_rate"] == 0.5
@@ -452,13 +452,15 @@ class TestCacheHitMeansNothingBuilt:
         assert first.cache_hit is (shards == 0) and again.cache_hit
 
     @pytest.mark.parametrize("algorithm", ["pr", "bfs"])
-    def test_warm_none_plans_hit(self, served, algorithm):
+    def test_warm_none_plans_hit(self, served, algorithm, shards):
         request = functools.partial(
             QueryRequest, algorithm, "g", transform="none",
             sources=(0,) if algorithm == "bfs" else (),
         )
-        assert not served.run(request()).cache_hit  # builds the preparation
-        assert served.run(request()).cache_hit
+        first, again = served.run(request()), served.run(request())
+        # a weighted graph's unweighted view is no artifact: only the
+        # sharded tier's first request builds (the shard set)
+        assert first.cache_hit is (shards == 0) and again.cache_hit
 
     def test_auto_traffic_caches_no_overlay(self, served, graph):
         for algorithm in ("bfs", "sssp", "sswp", "bc"):
@@ -469,7 +471,7 @@ class TestCacheHitMeansNothingBuilt:
             assert served.run(QueryRequest(algorithm, "g")).ok
         # (shards hold no catalog: they step the raw slice)
         keys = set(served.catalog.keys())
-        assert keys <= {prepared_key(graph, a) for a in ALGORITHMS}
+        assert keys <= {prepared_key(graph)}
         # (local hosts build in catalogs of their own)
         assert keys or served.backend == "processes"
 
@@ -480,8 +482,9 @@ def test_concurrent_dispatchers_count_only_their_own_hydrations(
     # each dispatcher hydrates one spilled prepared graph while the other
     # is inside its pipeline too; the summed hydrate_hits are the disk loads
     catalog = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
-    for algorithm in ("bfs", "cc"):
-        get(catalog, graph, algorithm)
+    unweighted = graph.without_weights()
+    for g in (graph, unweighted):
+        get(catalog, g)
     catalog.clear()  # memory tier only: both artifacts stay spilled
     overlap = threading.Barrier(2, timeout=30)
     lookup = catalog.get_for_key
@@ -495,9 +498,10 @@ def test_concurrent_dispatchers_count_only_their_own_hydrations(
     catalog.get_for_key = gated
     with AnalyticsService(catalog, workers=2, backend="threads") as service:
         service.register("g", graph)
+        service.register("uw", unweighted)
         tickets = [
-            service.submit(QueryRequest.single("bfs", "g", 0)),
             service.submit(QueryRequest("cc", "g")),
+            service.submit(QueryRequest("cc", "uw")),
         ]
         assert all(ticket.result(60).cache_hit for ticket in tickets)
         assert catalog.stats.disk_hits == 2

@@ -131,14 +131,32 @@ class TestSharedDiskTier:
         warm = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
         with AnalyticsService(warm, workers=1, backend="threads") as svc:
             svc.register("g", graph)
-            assert svc.run(QueryRequest.single("bfs", "g", 0)).ok
+            assert svc.run(QueryRequest("cc", "g")).ok
 
         fresh = GraphCatalog(spill_dir=str(tmp_path))
         with AnalyticsService(fresh, workers=1, backend="processes") as svc:
             svc.register("g", graph)
-            result = svc.run(QueryRequest.single("bfs", "g", 0))
+            result = svc.run(QueryRequest("cc", "g"))
             assert result.ok and result.cache_hit
             assert svc.metrics.summary()["hydrate_hits"] >= 1
+
+    def test_only_cc_spills_to_the_shared_tier(self, graph):
+        # bfs, pr and bc on a weighted graph read its unweighted view and
+        # write nothing beside the graph store; cc writes its one spill
+        with AnalyticsService(GraphCatalog(), workers=1, backend="processes") as svc:
+            svc.register("g", graph)
+            root = svc.shared_artifact_dir
+
+            def spills(where=root):
+                return sorted(n for n in os.listdir(where) if n.endswith(".npz"))
+
+            for algorithm, sources in (("bfs", (0,)), ("pr", ()), ("bc", (0,))):
+                result = svc.run(QueryRequest(algorithm, "g", sources=sources))
+                assert result.ok and result.cache_hit
+            assert spills() == []
+            assert len(spills(os.path.join(root, "graphs"))) == 1
+            assert not svc.run(QueryRequest("cc", "g")).cache_hit
+            assert spills() == [f"{graph.fingerprint()[:20]}-prepared-k0-sym-unw.npz"]
 
     def test_graph_export_is_content_addressed(self, graph, tmp_path):
         first = export_graph(graph, str(tmp_path))

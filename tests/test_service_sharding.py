@@ -11,12 +11,14 @@ placement).  CI's ``sharded-replay`` job re-runs this file and the CLI
 replay gate across the full shards x backend matrix.
 """
 
+import hashlib
 import io
 import json
 import socket
 import struct
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.baselines.base import prepare_graph
 from repro.engine import kernels
 from repro.engine.push import EngineOptions
 from repro.errors import QuotaExhaustedError, ServiceError, ShardLost
+import repro.graph.csr as csr_module
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
 from repro.multigpu import inedge_owner, inedge_partition
@@ -208,11 +212,10 @@ class TestScatterGatherParity:
                 ]
                 assert all(r.ok and r.transform == "none" and not r.degraded
                            for r in results)
-                # the first request builds the shard set or the
-                # weight-stripped preparation (the tier's, when it passes
-                # the batch on); weighted sssp on the single engine reads
-                # the raw CSR and builds nothing
-                cold = shards > 1 or algorithm != "sssp"
+                # the first sharded request builds the shard set; on the
+                # single engine every one reads the raw CSR or its
+                # unweighted view and builds nothing
+                cold = shards > 1
                 assert [r.cache_hit for r in results] == [not cold, True]
                 summary = service.metrics.summary()
                 assert summary["sharded_batches"] == 2 * (shards > 1)
@@ -493,19 +496,41 @@ class TestRouteMisses:
     def test_a_passed_batch_reports_what_the_tier_built(
         self, graph, route, shards
     ):
-        # the tier prepares the graph before the policy routes the batch
+        # the tier prepares cc's graph before the policy routes the batch
         # away; the single engine then reads that preparation from
         # memory, but the first request still built it
         with ShardedAnalyticsService(
             shards=shards, workers=1, policy=RoutingPolicy(route=route)
         ) as service:
             service.register("g", graph)
-            results = [service.run(QueryRequest.single("bfs", "g", 0))
+            results = [service.run(QueryRequest("cc", "g"))
                        for _ in range(2)]
             summary = service.metrics.summary()
         assert [r.cache_hit for r in results] == [False, True]
         assert summary["catalog_builds"] == 1
         assert summary["sharded_batches"] == 0
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_ten_batches_hash_the_csr_once(self, graph, weighted, monkeypatch):
+        # every batch reads one prepared object per registered graph (the
+        # graph, or its memoised unweighted view), so the shard-set key
+        # is hashed once, not once per batch
+        hashes = []
+
+        def sha256(*args):
+            hashes.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(csr_module, "hashlib", SimpleNamespace(sha256=sha256))
+        g = graph if weighted else graph.without_weights()
+        unhashed = CSRGraph(g.offsets, g.targets, g.weights)
+        with ShardedAnalyticsService(shards=2, workers=1) as service:
+            service.register("g", unhashed)
+            for source in range(10):
+                assert service.run(QueryRequest.single("bfs", "g", source)).ok
+            assert service.metrics.summary()["sharded_batches"] == 10
+        # the registered graph, plus its view when it carries weights
+        assert len(hashes) == 1 + weighted
 
     def test_auto_route_keeps_in_process_shards_single(self, shard_host):
         # every shard in this process: above the break-even too, `auto`
@@ -574,7 +599,7 @@ class TestRemoteShards:
             shards=2, workers=2, shard_remotes=[self._dead_address()]
         ) as service:
             service.register("g", graph)
-            result = service.run(QueryRequest.single("bfs", "g", 0))
+            result = service.run(QueryRequest("cc", "g"))
             summary = service.metrics.summary()
         assert result.ok and result.degraded
         assert summary["shard_fallbacks"] == 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import socket
 import sys
 import time
 
@@ -38,24 +39,37 @@ if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.errors import TigrError  # noqa: E402
-from repro.service import load_trace  # noqa: E402
+from repro.service import load_trace, parse_host_port  # noqa: E402
 from repro.service.api.client import (  # noqa: E402
     DEFAULT_HTTP_TIMEOUT_S,
     replay_trace_http,
 )
 
 
+def _accepts(address: str) -> bool:
+    try:
+        socket.create_connection(parse_host_port(address), timeout=1.0).close()
+    except (OSError, TigrError):
+        return False
+    return True
+
+
 def _wait_for_ready_file(path: str, timeout_s: float) -> str:
+    """The address in ``path`` once a server accepts on it.  A file an
+    earlier server left names a port nobody listens on, and a reader
+    can get there before the new server removes it, so keep reading."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        if os.path.exists(path):
+        try:
             with open(path, "r", encoding="utf-8") as fh:
                 address = fh.read().strip()
-            if address:
-                return address
+        except FileNotFoundError:
+            address = ""
+        if address and _accepts(address):
+            return address
         time.sleep(0.1)
     raise TigrError(
-        f"server never wrote its address to {path!r} "
+        f"no server accepted on the address in {path!r} "
         f"within {timeout_s:.0f}s"
     )
 
