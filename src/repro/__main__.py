@@ -441,8 +441,8 @@ def cmd_serve_http(args) -> int:
     with _make_service(args, catalog) as service:
         for name, graph in graphs.items():
             service.register(name, graph)
-        # Handed to the server unstarted: ApiServer.start() kicks it
-        # off right before binding, and /v1/healthz reports it.
+        # Handed to the server unstarted: serving kicks it off once
+        # the listener is bound, and /v1/healthz reports it.
         prewarmer = _prewarmer(args, service, graphs)
 
         def ready(bound_host: str, bound_port: int) -> None:

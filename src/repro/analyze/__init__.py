@@ -15,12 +15,10 @@ in prose and the code previously only promised in docstrings:
   possibly-repeating index arrays (the lost-fold race ``ufunc.at``
   exists to avoid) are rejected outside the sanctioned
   :meth:`~repro.engine.program.ReduceOp.scatter` path;
-* :mod:`repro.analyze.concurrency` — the asyncio/thread seam
-  (ASYNC001-005, LOCK004), checked over the project-wide call graph
-  in :mod:`repro.analyze.callgraph`: blocking calls transitively
-  reachable from ``async def``s, thread locks held across ``await``,
-  dropped coroutines, thread-side touches of loop-affine objects,
-  unmapped handler errors, and guarded-state mutation;
+* :mod:`repro.analyze.concurrency` — the threaded service tier
+  (ROUTE001, LOCK004), typed over the project-wide call graph in
+  :mod:`repro.analyze.callgraph`: route handlers whose errors are not
+  mapped to typed responses, and guarded-state mutation;
 * :mod:`repro.analyze.layers` — the declared layer map (LAYER001-003):
   forbidden import edges, retired names and line budgets.
 

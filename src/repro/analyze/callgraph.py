@@ -24,17 +24,11 @@ when the target is unambiguous:
 Anything else — ``getattr``, callables held in containers, lambda
 bodies (deferred execution) — produces *no* edge, so downstream rules
 err toward silence rather than noise.
-
-Async-ness propagates over resolved edges: :meth:`CallGraph.
-async_call_paths` walks breadth-first from every ``async def`` through
-*sync* callees, answering "does this function run on the event loop's
-thread?" with the shortest witness chain.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -62,8 +56,6 @@ class CallSite:
     node: ast.Call
     resolved: Optional[str] = None  #: qualname of a scanned function
     external: Optional[str] = None  #: normalized external target
-    awaited: bool = False           #: directly under an ``await``
-    discarded: bool = False         #: bare expression statement
 
     @property
     def target(self) -> Optional[str]:
@@ -79,7 +71,6 @@ class FunctionInfo:
     name: str
     path: str
     node: ast.AST
-    is_async: bool
     line: int
     cls: Optional[str] = None       #: owning class qualname
     parent: Optional[str] = None    #: enclosing function qualname
@@ -246,7 +237,6 @@ class CallGraph:
             name=node.name,
             path=source.path,
             node=node,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
             line=node.lineno,
             cls=cls,
             parent=parent,
@@ -276,7 +266,6 @@ class CallGraph:
                     name=stmt.name,
                     path=source.path,
                     node=stmt,
-                    is_async=isinstance(stmt, ast.AsyncFunctionDef),
                     line=stmt.lineno,
                     cls=cls,
                     parent=prefix,
@@ -344,7 +333,7 @@ class CallGraph:
         if expanded in self.classes:
             return expanded
         # an imported-but-unscanned class keeps its qualified name as an
-        # external token (``queue.Queue``, ``asyncio.AbstractEventLoop``)
+        # external token (``queue.Queue``, ``threading.Lock``)
         return expanded
 
     def type_of(self, node: ast.AST, scope: _Scope) -> Optional[str]:
@@ -549,26 +538,10 @@ class CallGraph:
                 scope.types[target.id] = token
 
     def _collect_calls(self, info: FunctionInfo, scope: _Scope) -> None:
-        parents: Dict[int, ast.AST] = {}
-        stack: List[ast.AST] = list(ast.iter_child_nodes(info.node))
-        for child in stack:
-            parents[id(child)] = info.node
-        order: List[ast.AST] = []
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            order.append(node)
-            for child in ast.iter_child_nodes(node):
-                parents[id(child)] = node
-                stack.append(child)
-        for node in order:
+        for node in iter_own_nodes(info.node):
             if not isinstance(node, ast.Call):
                 continue
             resolved, external = self._resolve_call(node, scope)
-            parent = parents.get(id(node))
             info.calls.append(
                 CallSite(
                     name=dotted_name(node.func),
@@ -577,8 +550,6 @@ class CallGraph:
                     node=node,
                     resolved=resolved,
                     external=external,
-                    awaited=isinstance(parent, ast.Await),
-                    discarded=isinstance(parent, ast.Expr),
                 )
             )
         info.calls.sort(key=lambda site: (site.line, site.col))
@@ -648,27 +619,3 @@ class CallGraph:
                     return None, None
                 return None, f"{receiver}.{func.attr}"
         return None, None
-
-    # -- queries --------------------------------------------------------
-    def async_call_paths(self) -> Dict[str, Tuple[str, ...]]:
-        """Sync function qualname -> shortest call chain from an
-        ``async def`` (the first element is the async root)."""
-        paths: Dict[str, Tuple[str, ...]] = {}
-        roots = sorted(
-            qual for qual, fn in self.functions.items() if fn.is_async
-        )
-        queue: deque = deque((root, (root,)) for root in roots)
-        seen = set(roots)
-        while queue:
-            qual, path = queue.popleft()
-            for site in self.functions[qual].calls:
-                target = site.resolved
-                if target is None or target not in self.functions:
-                    continue
-                callee = self.functions[target]
-                if callee.is_async or target in seen:
-                    continue
-                seen.add(target)
-                paths[target] = path + (target,)
-                queue.append((target, path + (target,)))
-        return paths

@@ -1,102 +1,25 @@
-"""Concurrency rules for the asyncio/thread seam (ASYNC001-005, LOCK004).
+"""Rules for the threaded service tier (ROUTE001, LOCK004).
 
-PR 6 put an asyncio HTTP front door on top of the threaded executor;
-these rules machine-check the invariants that seam lives by (see
-docs/http-api.md, "Concurrency invariants"):
-
-* the event loop's thread never blocks (ASYNC001) and never sleeps
-  holding a ``threading`` lock across an ``await`` (ASYNC002);
-* coroutines are awaited, not dropped (ASYNC003);
-* thread-side code touches loop-affine objects (loop, futures,
-  ``asyncio.Queue``/``Event``) only through
-  ``call_soon_threadsafe`` (ASYNC004);
-* every async route handler's module maps typed errors through
-  :func:`repro.service.api.protocol.error_response` (ASYNC005);
+* every route handler's module maps typed errors through
+  :func:`repro.service.api.protocol.error_response` (ROUTE001), so a
+  failure reaches its client as a protocol error, not a dropped
+  connection;
 * :class:`ServiceMetrics` / catalog internals are mutated only by
-  their own lock-guarded methods (LOCK004).
+  their own lock-guarded methods (LOCK004) — connection and dispatcher
+  threads share them.
 
-All reachability/typing questions are answered by the shared
-:class:`repro.analyze.callgraph.CallGraph` — blocking calls are
-flagged *transitively*: a ``queue.Queue.put`` three sync frames below
-an ``async def`` anchors a finding at the blocking line, naming the
-async entry point and the witness chain.
+Typing questions are answered by the shared
+:class:`repro.analyze.callgraph.CallGraph`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.analyze.astutils import MUTATING_METHODS, SourceFile, dotted_name
-from repro.analyze.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    iter_own_nodes,
-)
+from repro.analyze.callgraph import CallGraph, FunctionInfo, iter_own_nodes
 from repro.analyze.report import Finding
-
-#: normalized external call targets that block the calling thread.
-#: Keys match the call graph's type-expanded names (``self._queue`` of
-#: type ``queue.Queue`` calling ``.put`` yields ``queue.Queue.put``).
-BLOCKING_CALLS: Dict[str, str] = {
-    "time.sleep": "sleeps the calling thread",
-    "queue.Queue.put": "can block on a full queue",
-    "queue.Queue.get": "can block on an empty queue",
-    "queue.Queue.join": "waits for queue drain",
-    "queue.SimpleQueue.put": "can block on a full queue",
-    "queue.SimpleQueue.get": "can block on an empty queue",
-    "threading.Lock.acquire": "waits on a thread lock",
-    "threading.RLock.acquire": "waits on a thread lock",
-    "threading.Condition.acquire": "waits on a thread lock",
-    "threading.Condition.wait": "waits on a condition",
-    "threading.Semaphore.acquire": "waits on a semaphore",
-    "threading.BoundedSemaphore.acquire": "waits on a semaphore",
-    "threading.Event.wait": "waits on a thread event",
-    "threading.Thread.join": "joins a thread",
-    "subprocess.run": "waits on a child process",
-    "subprocess.call": "waits on a child process",
-    "subprocess.check_call": "waits on a child process",
-    "subprocess.check_output": "waits on a child process",
-    "subprocess.Popen.wait": "waits on a child process",
-    "subprocess.Popen.communicate": "waits on a child process",
-    "os.system": "waits on a shell",
-    "os.waitpid": "waits on a child process",
-    "socket.create_connection": "synchronous network I/O",
-    "urllib.request.urlopen": "synchronous network I/O",
-    "open": "synchronous file I/O",
-    "input": "waits on stdin",
-}
-
-#: ``threading`` lock-ish constructors (ASYNC002 context managers).
-_THREAD_LOCK_TYPES = {
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-}
-
-#: receiver-type canonicalization for loop-affine objects.  The call
-#: graph types ``loop = asyncio.get_running_loop()`` as the factory's
-#: dotted name and ``fut = loop.create_future()`` as a ``.create_future``
-#: suffix, so both spellings land in a small canonical space.
-_LOOP_TYPES = {
-    "asyncio.get_running_loop", "asyncio.get_event_loop",
-    "asyncio.new_event_loop", "asyncio.AbstractEventLoop",
-    "asyncio.base_events.BaseEventLoop", "asyncio.events.AbstractEventLoop",
-}
-
-#: (canonical receiver, method) pairs only the loop's thread may call.
-_LOOP_AFFINE: Set[Tuple[str, str]] = {
-    ("loop", "call_soon"), ("loop", "call_later"), ("loop", "call_at"),
-    ("loop", "stop"), ("loop", "create_task"),
-    ("future", "set_result"), ("future", "set_exception"),
-    ("future", "cancel"),
-    ("queue", "put_nowait"), ("queue", "get_nowait"),
-    ("event", "set"), ("event", "clear"),
-}
-
-#: thread-safe scheduling APIs — using one exempts both the call and
-#: the callback it schedules.
-_THREADSAFE_APIS = {"call_soon_threadsafe", "run_coroutine_threadsafe"}
 
 #: exception names (tails) that count as the service's typed taxonomy.
 _TAXONOMY_NAMES = {"TigrError", "ServiceError", "BadRequest", "Exception"}
@@ -110,252 +33,15 @@ _GUARDED_CLASSES = {"ServiceMetrics", "GraphCatalog"}
 
 
 def check_concurrency(context) -> List[Finding]:
-    """Run ASYNC001-005 and LOCK004 over the shared analysis context."""
-    graph = context.callgraph
-    findings: List[Finding] = []
-    findings.extend(_check_blocking(graph))
-    findings.extend(_check_lock_across_await(graph))
-    findings.extend(_check_unawaited(graph))
-    findings.extend(_check_threadside_loop_apis(graph))
-    findings.extend(_check_handler_error_mapping(context.sources, graph))
-    findings.extend(_check_guarded_mutations(graph))
-    return findings
+    """Run ROUTE001 and LOCK004 over the shared analysis context."""
+    return [
+        *_check_handler_error_mapping(context.sources),
+        *_check_guarded_mutations(context.callgraph),
+    ]
 
 
 # ----------------------------------------------------------------------
-# ASYNC001 — blocking call reachable from an async def
-# ----------------------------------------------------------------------
-def _blocking_target(site: CallSite) -> Optional[str]:
-    target = site.external
-    if target is not None and target in BLOCKING_CALLS:
-        return target
-    return None
-
-
-def _short(qualname: str) -> str:
-    """Human chain label: ``pkg.mod.Cls.meth`` -> ``Cls.meth``."""
-    parts = [p for p in qualname.split(".") if p != "<locals>"]
-    return ".".join(parts[-2:]) if len(parts) >= 2 else qualname
-
-
-def _check_blocking(graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    reach = graph.async_call_paths()
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        if fn.is_async:
-            chain: Optional[Tuple[str, ...]] = (qualname,)
-        elif qualname in reach:
-            chain = reach[qualname]
-        else:
-            continue
-        for site in fn.calls:
-            target = _blocking_target(site)
-            if target is None:
-                continue
-            reason = BLOCKING_CALLS[target]
-            if len(chain) == 1:
-                message = (
-                    f"blocking call `{target}` ({reason}) inside "
-                    f"`async def {fn.name}` stalls the event loop; await "
-                    f"an async equivalent or move it to run_in_executor"
-                )
-            else:
-                witness = " -> ".join(_short(q) for q in chain)
-                message = (
-                    f"blocking call `{target}` ({reason}) is reachable "
-                    f"from `async def {_short(chain[0])}` via {witness}; "
-                    f"it can stall the event loop"
-                )
-            findings.append(
-                Finding.make("ASYNC001", fn.path, site.line, message)
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# ASYNC002 — threading lock held across an await
-# ----------------------------------------------------------------------
-def _check_lock_across_await(graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        if not fn.is_async or fn.scope is None:
-            continue
-        for node in iter_own_nodes(fn.node):
-            if not isinstance(node, ast.With):
-                continue
-            lock_name = _threading_lock_item(node, fn, graph)
-            if lock_name is None:
-                continue
-            if any(
-                isinstance(sub, ast.Await)
-                for stmt in node.body
-                for sub in _own_walk(stmt)
-            ):
-                findings.append(
-                    Finding.make(
-                        "ASYNC002", fn.path, node.lineno,
-                        f"threading lock `{lock_name}` held across an "
-                        f"`await` in `async def {fn.name}`: the loop can "
-                        f"deadlock against the thread that needs the lock; "
-                        f"release before awaiting or use asyncio.Lock",
-                    )
-                )
-    return findings
-
-
-def _own_walk(node: ast.AST) -> Iterator[ast.AST]:
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield current
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def _threading_lock_item(
-    node: ast.With, fn: FunctionInfo, graph: CallGraph
-) -> Optional[str]:
-    for item in node.items:
-        token = graph.type_of(item.context_expr, fn.scope)
-        if token in _THREAD_LOCK_TYPES:
-            return dotted_name(item.context_expr)
-    return None
-
-
-# ----------------------------------------------------------------------
-# ASYNC003 — coroutine call never awaited
-# ----------------------------------------------------------------------
-def _check_unawaited(graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        for site in fn.calls:
-            if site.resolved is None or site.awaited or not site.discarded:
-                continue
-            callee = graph.functions.get(site.resolved)
-            if callee is None or not callee.is_async:
-                continue
-            findings.append(
-                Finding.make(
-                    "ASYNC003", fn.path, site.line,
-                    f"`{site.name}(...)` creates a coroutine for "
-                    f"`async def {callee.name}` but never awaits it — "
-                    f"the call is a no-op; await it or create a task",
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# ASYNC004 — loop/future APIs touched from thread-side code
-# ----------------------------------------------------------------------
-def _canonical_receiver(receiver: str) -> Optional[str]:
-    if receiver in _LOOP_TYPES:
-        return "loop"
-    if receiver == "asyncio.Future" or receiver.endswith(".create_future"):
-        return "future"
-    if receiver == "asyncio.Queue":
-        return "queue"
-    if receiver == "asyncio.Event":
-        return "event"
-    return None
-
-
-def _scheduled_callback_names(graph: CallGraph) -> Dict[str, Set[str]]:
-    """Module -> names passed to a thread-safe scheduling API."""
-    scheduled: Dict[str, Set[str]] = {}
-    for fn in graph.functions.values():
-        for site in fn.calls:
-            tail = site.name.rsplit(".", 1)[-1]
-            if tail not in _THREADSAFE_APIS:
-                continue
-            for arg in site.node.args[:1]:
-                if isinstance(arg, ast.Name):
-                    scheduled.setdefault(fn.module, set()).add(arg.id)
-                elif isinstance(arg, ast.Attribute):
-                    scheduled.setdefault(fn.module, set()).add(arg.attr)
-    return scheduled
-
-
-def _thread_target_names(graph: CallGraph) -> Dict[str, Set[str]]:
-    """Module -> names handed to another thread as callbacks."""
-    targets: Dict[str, Set[str]] = {}
-    for fn in graph.functions.values():
-        for site in fn.calls:
-            tail = site.name.rsplit(".", 1)[-1]
-            names: List[ast.AST] = []
-            if tail == "add_done_callback":
-                names.extend(site.node.args[:1])
-            elif tail == "Thread":
-                for kw in site.node.keywords:
-                    if kw.arg == "target":
-                        names.append(kw.value)
-            elif tail == "run_in_executor":
-                names.extend(site.node.args[1:2])
-            for arg in names:
-                if isinstance(arg, ast.Name):
-                    targets.setdefault(fn.module, set()).add(arg.id)
-                elif isinstance(arg, ast.Attribute):
-                    targets.setdefault(fn.module, set()).add(arg.attr)
-    return targets
-
-
-def _has_async_ancestor(fn: FunctionInfo, graph: CallGraph) -> bool:
-    current = fn
-    while current.parent is not None:
-        parent = graph.functions.get(current.parent)
-        if parent is None:
-            return False
-        if parent.is_async:
-            return True
-        current = parent
-    return False
-
-
-def _check_threadside_loop_apis(graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    scheduled = _scheduled_callback_names(graph)
-    thread_targets = _thread_target_names(graph)
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        if fn.is_async:
-            continue
-        if fn.name in scheduled.get(fn.module, set()):
-            continue  # runs on the loop via call_soon_threadsafe
-        is_thread_side = (
-            not _has_async_ancestor(fn, graph)
-            or fn.name in thread_targets.get(fn.module, set())
-        )
-        if not is_thread_side:
-            continue  # sync helper living inside an async def
-        for site in fn.calls:
-            if site.external is None or "." not in site.external:
-                continue
-            receiver, method = site.external.rsplit(".", 1)
-            if method in _THREADSAFE_APIS:
-                continue
-            canon = _canonical_receiver(receiver)
-            if canon is None or (canon, method) not in _LOOP_AFFINE:
-                continue
-            findings.append(
-                Finding.make(
-                    "ASYNC004", fn.path, site.line,
-                    f"`{site.name}(...)` touches a loop-affine asyncio "
-                    f"object from thread-side `{fn.name}`; asyncio "
-                    f"primitives are not thread-safe — marshal through "
-                    f"`loop.call_soon_threadsafe(...)`",
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# ASYNC005 — async route handler without typed-error mapping
+# ROUTE001 — route handler without typed-error mapping
 # ----------------------------------------------------------------------
 def _module_has_error_mapping(tree: ast.Module) -> bool:
     for node in ast.walk(tree):
@@ -409,9 +95,7 @@ def _registered_handlers(tree: ast.Module) -> Set[str]:
     return handlers
 
 
-def _check_handler_error_mapping(
-    sources: List[SourceFile], graph: CallGraph
-) -> List[Finding]:
+def _check_handler_error_mapping(sources: List[SourceFile]) -> List[Finding]:
     findings: List[Finding] = []
     for source in sources:
         handlers = _registered_handlers(source.tree)
@@ -421,13 +105,13 @@ def _check_handler_error_mapping(
             continue
         for node in ast.walk(source.tree):
             if (
-                isinstance(node, ast.AsyncFunctionDef)
+                isinstance(node, ast.FunctionDef)
                 and node.name in handlers
             ):
                 findings.append(
                     Finding.make(
-                        "ASYNC005", source.path, node.lineno,
-                        f"async route handler `{node.name}` is registered "
+                        "ROUTE001", source.path, node.lineno,
+                        f"route handler `{node.name}` is registered "
                         f"in a module with no typed-error mapping: add an "
                         f"`except (BadRequest, TigrError)` that returns "
                         f"`error_response(exc)` so failures reach clients "

@@ -131,52 +131,13 @@ RULES: Dict[str, Rule] = {
             "like an augmented assignment.",
         ),
         Rule(
-            "ASYNC001",
+            "ROUTE001",
             "error",
-            "blocking call transitively reachable from an async def",
-            "The HTTP tier is one event loop; any `time.sleep`, blocking "
-            "`queue.Queue` op, lock acquire, file/socket I/O, or "
-            "subprocess wait on a call path from an `async def` stalls "
-            "every in-flight request. Reachability is computed over the "
-            "project call graph, so the blocking call is flagged even "
-            "when it hides several sync frames deep.",
-        ),
-        Rule(
-            "ASYNC002",
-            "error",
-            "threading lock held across an await",
-            "An `await` inside `with <threading lock>:` parks the "
-            "coroutine while the lock stays held; a dispatcher thread "
-            "that needs the lock then deadlocks against the loop. Hold "
-            "thread locks only across straight-line sync code, or use "
-            "asyncio.Lock.",
-        ),
-        Rule(
-            "ASYNC003",
-            "error",
-            "coroutine call never awaited",
-            "Calling an `async def` returns a coroutine object; as a "
-            "bare expression statement the work silently never runs "
-            "(Python only warns at GC time). Await it, or wrap it in "
-            "asyncio.create_task.",
-        ),
-        Rule(
-            "ASYNC004",
-            "error",
-            "asyncio loop/future API touched from thread-side code",
-            "Event loops, futures, asyncio.Queue and asyncio.Event are "
-            "not thread-safe; dispatcher threads must marshal through "
-            "`loop.call_soon_threadsafe(...)` — the contract the "
-            "QueryTicket bridge is built on.",
-        ),
-        Rule(
-            "ASYNC005",
-            "error",
-            "async route handler without typed-error mapping",
-            "Every module that registers async handlers in a route "
-            "table must map the protocol taxonomy (`BadRequest`, "
-            "`TigrError`) through `error_response`, or failures surface "
-            "as dropped connections instead of typed wire errors.",
+            "route handler without typed-error mapping",
+            "Every module that registers handlers in a route table must "
+            "map the protocol taxonomy (`BadRequest`, `TigrError`) "
+            "through `error_response`, or failures surface as dropped "
+            "connections instead of typed wire errors.",
         ),
         Rule(
             "LOCK004",
@@ -184,8 +145,9 @@ RULES: Dict[str, Rule] = {
             "guarded service state mutated outside its owning class",
             "ServiceMetrics and the catalog guard every mutation with "
             "their own lock; code that reaches into their attributes "
-            "from outside bypasses that lock and races the dispatcher "
-            "threads. Call the owning class's methods instead.",
+            "from outside bypasses that lock and races the connection "
+            "and dispatcher threads. Call the owning class's methods "
+            "instead.",
         ),
         Rule("LAYER001", "error", "undeclared module or forbidden import edge",
              "Serving amortises the transforms (§6.5); the paper's warp model, "

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static split-safety verifier (Theorems 1/3 vs the §3.3 "
             "applicability table) plus lock-discipline, numpy "
-            "scatter-race, and asyncio concurrency lint."
+            "scatter-race, and service-tier concurrency lint."
         ),
     )
     parser.add_argument(

@@ -1,28 +1,25 @@
 """HTTP/JSON front door for the analytics service.
 
-The network tier of the serving stack, stdlib-only, in four layers:
+The network tier of the serving stack, stdlib-only, in three layers:
 
 ``http``
-    Minimal HTTP/1.1 over :mod:`asyncio` streams — request parsing,
-    fixed-length JSON responses, chunked NDJSON streams.
+    Minimal HTTP/1.1 over blocking sockets — request parsing against
+    a per-request deadline, fixed-length JSON responses, chunked NDJSON
+    streams.
 ``protocol``
     The wire schema: trace-v1 request/result lines over HTTP, and the
     typed-exception → machine-readable error-body mapping.
-``bridge``
-    The asyncio ↔ executor seam: non-blocking submission with
-    loop-native backpressure, completion-order result iteration.
 ``server`` / ``client``
-    :class:`ApiServer` (plus :func:`run_server` for processes and
-    :class:`ThreadedApiServer` for tests/benches) on one side — one
-    admission step (token auth, per-client rate limit, route and
-    content-type checks) before each route handler — and the
+    :class:`ThreadedApiServer` (plus :func:`run_server` for processes)
+    on one side — one thread per connection, capped, each request
+    passing one admission step (token auth, per-client rate limit,
+    route and content-type checks) before its route handler — and the
     synchronous :class:`HttpReplayClient` + :func:`replay_trace_http`
     trace-parity replayer on the other.
 
 See ``docs/http-api.md`` for the wire contract and operations guide.
 """
 
-from repro.service.api.bridge import as_resolved, submit_batch_async
 from repro.service.api.client import (
     HttpReplayClient,
     HttpStatusError,
@@ -42,22 +39,15 @@ from repro.service.api.protocol import (
     result_payload,
     to_query_request,
 )
-from repro.service.api.server import (
-    ApiServer,
-    ThreadedApiServer,
-    run_server,
-)
+from repro.service.api.server import ThreadedApiServer, run_server
 
 __all__ = [
-    "ApiServer",
     "ThreadedApiServer",
     "run_server",
     "HttpReplayClient",
     "HttpStatusError",
     "replay_trace_http",
     "verify_graphs",
-    "submit_batch_async",
-    "as_resolved",
     "BadRequest",
     "HttpRequest",
     "Response",

@@ -1,4 +1,4 @@
-"""Minimal HTTP/1.1 over :mod:`asyncio` streams — no dependencies.
+"""Minimal HTTP/1.1 over blocking sockets — no dependencies.
 
 The front door speaks just enough HTTP for a JSON API: request-line +
 headers + ``Content-Length`` bodies in, fixed-length JSON or chunked
@@ -16,10 +16,11 @@ and wire-schema concerns live in the sibling modules.
 
 from __future__ import annotations
 
-import asyncio
+import io
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 #: request-side guard rails (bytes).
@@ -30,6 +31,8 @@ DEFAULT_MAX_BODY = 64 * 1024 * 1024
 #: from when the server starts waiting for it: a peer that stalls or
 #: trickles mid-request gets 408 and is dropped, an idle one is closed.
 READ_TIMEOUT_S = 30.0
+#: bytes asked of one ``recv``.
+_RECV_BYTES = 64 * 1024
 
 #: the subset of status reasons this API emits.
 REASONS = {
@@ -95,93 +98,126 @@ class HttpRequest:
         return [line for line in text.splitlines() if line.strip()]
 
 
-async def read_request(
-    reader: asyncio.StreamReader, *, client: str = ""
-) -> Optional[HttpRequest]:
-    """Parse one request off the stream; ``None`` on clean EOF, or when
-    none began within :data:`READ_TIMEOUT_S`.
+class RequestReader:
+    """One connection's inbound bytes, parsed request by request.
 
-    Raises :class:`BadRequest` for anything the server should answer
-    with a 4xx before closing (408: begun but not whole in time),
-    ``asyncio.IncompleteReadError`` / ``ConnectionError`` for a peer
-    that vanished mid-request.
+    ``recv(size, timeout_s)`` returns the bytes that arrived (``b""``
+    at EOF) or raises :class:`TimeoutError`.  Each request gets one
+    deadline, :data:`READ_TIMEOUT_S` from when :meth:`next_request`
+    starts waiting for it, spent across every ``recv`` it takes: a peer
+    that trickles a byte at a time cannot hold the connection longer.
+    Bytes past the end of one request stay buffered for the next.
     """
-    # one timer cancels this task: asyncio.wait_for would wrap each
-    # read in a task of its own
-    task, fired, first = asyncio.current_task(), [], b""
-    timer = asyncio.get_running_loop().call_later(
-        READ_TIMEOUT_S, lambda: fired.append(task.cancel()))
-    try:
-        first = await reader.read(1)
-        if not first:
-            return None  # clean EOF between requests: keep-alive ended
-        return await _read_rest(reader, first, client)
-    except asyncio.CancelledError:
-        if not fired or getattr(task, "uncancel", int)():  # 3.11+ counts
-            raise  # cancelled from outside too
-        if not first:
-            return None  # an idle keep-alive connection: closed quietly
-        raise BadRequest(408, f"request not whole within {READ_TIMEOUT_S:g} s") from None
-    finally:
-        timer.cancel()
 
+    def __init__(self, recv: Callable[[int, float], bytes]) -> None:
+        self._recv = recv
+        self._data = bytearray()
+        self._deadline = 0.0
 
-async def _read_rest(reader, first: bytes, client: str) -> HttpRequest:
-    try:
-        request_line = first + await reader.readuntil(b"\r\n")
-    except asyncio.LimitOverrunError:
-        raise BadRequest(400, "request line too long") from None
-    if len(request_line) > MAX_REQUEST_LINE:
-        raise BadRequest(400, "request line too long")
-    parts = request_line.decode("latin-1").rstrip("\r\n").split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise BadRequest(400, f"malformed request line {parts!r}")
-    method, target, _version = parts
+    def next_request(self, *, client: str = "") -> Optional[HttpRequest]:
+        """Parse the next request; ``None`` on clean EOF, or when none
+        began within :data:`READ_TIMEOUT_S`.
 
-    headers: Dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        line = await reader.readuntil(b"\r\n")
-        header_bytes += len(line)
-        if header_bytes > MAX_HEADER_BYTES:
-            raise BadRequest(400, "header block too large")
-        if line in (b"\r\n", b"\n"):
-            break
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise BadRequest(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-
-    if "transfer-encoding" in headers:
-        raise BadRequest(
-            411, "chunked request bodies are not supported; "
-                 "send Content-Length"
-        )
-    body = b""
-    if "content-length" in headers:
+        Raises :class:`BadRequest` for anything the server should
+        answer with a 4xx before closing (408: begun but not whole in
+        time), ``ConnectionError`` for a peer that vanished mid-request.
+        """
+        self._deadline = time.monotonic() + READ_TIMEOUT_S
+        began = False
         try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise BadRequest(400, "Content-Length is not an integer") from None
-        if length < 0:
-            raise BadRequest(400, "Content-Length is negative")
-        if length > DEFAULT_MAX_BODY:
-            raise BadRequest(
-                413, f"body of {length} bytes exceeds the {DEFAULT_MAX_BODY} limit"
-            )
-        body = await reader.readexactly(length)
+            if not self._data and not self._fill():
+                return None  # clean EOF between requests: keep-alive ended
+            began = True
+            return self._parse(client)
+        except TimeoutError:
+            if not began:
+                return None  # an idle keep-alive connection: closed quietly
+            raise BadRequest(408, f"request not whole within {READ_TIMEOUT_S:g} s") from None
 
-    split = urlsplit(target)
-    query = {key: value for key, value in parse_qsl(split.query)}
-    return HttpRequest(
-        method=method,
-        target=target,
-        path=unquote(split.path) or "/",
-        query=query,
-        headers=headers,
-        body=body,
-        client=client,
-    )
+    def _fill(self) -> bool:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError
+        chunk = self._recv(_RECV_BYTES, remaining)
+        self._data += chunk
+        return bool(chunk)
+
+    def _line(self, limit: int, message: str) -> bytes:
+        start = 0
+        while (end := self._data.find(b"\n", start)) < 0:
+            if len(self._data) >= limit:
+                raise BadRequest(400, message)
+            start = len(self._data)
+            if not self._fill():
+                raise ConnectionError("peer closed mid-request")
+        if end >= limit:
+            raise BadRequest(400, message)
+        return self._take(end + 1)
+
+    def _take(self, size: int) -> bytes:
+        while len(self._data) < size:
+            if not self._fill():
+                raise ConnectionError("peer closed mid-request")
+        taken = bytes(self._data[:size])
+        del self._data[:size]
+        return taken
+
+    def _parse(self, client: str) -> HttpRequest:
+        request_line = self._line(MAX_REQUEST_LINE, "request line too long")
+        parts = request_line.decode("latin-1").rstrip("\r\n").split(" ")
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise BadRequest(400, f"malformed request line {parts!r}")
+        method, target, _version = parts
+
+        headers: Dict[str, str] = {}
+        header_bytes = 0
+        while True:
+            line = self._line(MAX_HEADER_BYTES - header_bytes, "header block too large")
+            header_bytes += len(line)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise BadRequest(400, f"malformed header line {line!r}")
+            headers[name.strip().lower()] = value.strip()
+
+        if "transfer-encoding" in headers:
+            raise BadRequest(
+                411, "chunked request bodies are not supported; "
+                     "send Content-Length"
+            )
+        body = b""
+        if "content-length" in headers:
+            try:
+                length = int(headers["content-length"])
+            except ValueError:
+                raise BadRequest(400, "Content-Length is not an integer") from None
+            if length < 0:
+                raise BadRequest(400, "Content-Length is negative")
+            if length > DEFAULT_MAX_BODY:
+                raise BadRequest(
+                    413, f"body of {length} bytes exceeds the {DEFAULT_MAX_BODY} limit"
+                )
+            body = self._take(length)
+
+        split = urlsplit(target)
+        query = {key: value for key, value in parse_qsl(split.query)}
+        return HttpRequest(
+            method=method,
+            target=target,
+            path=unquote(split.path) or "/",
+            query=query,
+            headers=headers,
+            body=body,
+            client=client,
+        )
+
+
+async def read_request(reader, *, client: str = "") -> Optional[HttpRequest]:
+    """Shim for callers holding an ``asyncio.StreamReader`` (the ledger's
+    layer walk): the reader's buffered bytes through :class:`RequestReader`."""
+    data = io.BytesIO(await reader.read(MAX_HEADER_BYTES + DEFAULT_MAX_BODY))
+    return RequestReader(lambda size, _timeout_s: data.read(size)).next_request(client=client)
 
 
 def _head(
@@ -240,42 +276,39 @@ class NdjsonStream:
     """A chunked ``application/x-ndjson`` response, one JSON per line.
 
     The streaming half of the wire contract: the head goes out before
-    the first result exists, each :meth:`write` is one chunk flushed
-    to the client immediately (first line lands while later tickets
-    are still in flight), and :meth:`end` terminates the chunked body
-    while keeping the connection reusable.
+    the first result exists, each :meth:`send` is one chunk written to
+    ``out`` (any object with ``write(bytes)``) at once, so the first
+    line lands while later tickets are still in flight, and :meth:`end`
+    terminates the chunked body while keeping the connection reusable.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
+    def __init__(self, out) -> None:
+        self._out = out
         self.bytes_sent = 0
         self.lines_sent = 0
 
-    async def start(self, *, status: int = 200) -> None:
-        self._writer.write(_head(status, {
+    def start(self, *, status: int = 200) -> None:
+        self._out.write(_head(status, {
             "content-type": "application/x-ndjson",
             "transfer-encoding": "chunked",
         }))
-        await self._writer.drain()
 
-    async def write(self, payload: dict) -> None:
+    def send(self, payload: dict) -> None:
         line = encode_line(payload)
-        chunk = f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
-        self._writer.write(chunk)
+        self._out.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
         self.bytes_sent += len(line)
         self.lines_sent += 1
-        await self._writer.drain()
 
-    async def end(self) -> None:
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()
+    async def write(self, payload: dict) -> None:
+        """Shim for the ledger's layer walk, which awaits it: :meth:`send`."""
+        self.send(payload)
+
+    def end(self) -> None:
+        self._out.write(b"0\r\n\r\n")
 
 
-async def send_response(
-    writer: asyncio.StreamWriter, response: Response
-) -> int:
-    """Write a fixed-length response; returns body bytes sent."""
+def send_response(out, response: Response) -> int:
+    """Write a fixed-length response to ``out``; returns body bytes sent."""
     wire, body_bytes = response.encode()
-    writer.write(wire)
-    await writer.drain()
+    out.write(wire)
     return body_bytes

@@ -1,4 +1,4 @@
-"""The HTTP/JSON front door: asyncio server over an AnalyticsService.
+"""The HTTP/JSON front door: one thread per connection over an AnalyticsService.
 
 Routes (all under ``/v1``, wire schema in
 :mod:`repro.service.api.protocol` — trace-v1 lines, nothing else):
@@ -22,40 +22,47 @@ Routes (all under ``/v1``, wire schema in
     Liveness + identity: version string, backend, registered graph
     fingerprints.  Exempt from auth and rate limiting.
 
-Every request passes one admission step (:meth:`ApiServer._check`)
-before its route handler runs: the bearer token (401), the client's
-token bucket (429), then route, method, content type and a non-empty
-body (404 / 405 / 415 / 400).
+Each connection is served end to end by one thread: it reads a request
+(:class:`~repro.service.api.http.RequestReader`), passes it through one
+admission step (:meth:`ThreadedApiServer._check`: the bearer token
+(401), the client's token bucket (429), then route, method, content
+type and a non-empty body (404 / 405 / 415 / 400)), submits it and
+waits on its tickets, and writes the answer.  At most
+:data:`MAX_CONNECTIONS` connections are served at once; one more is
+answered ``503 overloaded`` and closed.
 
-Lifecycle follows the graceful-drain contract: :meth:`stop` closes
-the listener first (no new admissions), drains the executor queue so
-in-flight tickets resolve, and only then tears connections down.
-Run it inside an existing loop (:meth:`start` / :meth:`stop`), as a
-blocking call (:func:`run_server`), or from a thread-friendly handle
-(:class:`ThreadedApiServer` — what the tests and the ``service-trace``
-bench use to front a live service without owning the main thread).
+Lifecycle follows the graceful-drain contract: :meth:`~ThreadedApiServer.stop`
+closes the listener first (no new connections), drains the executor
+queue so in-flight tickets resolve and their connections flush their
+last lines, then shuts down the sockets idle between requests so every
+connection thread exits.  Serve from a background thread
+(:meth:`~ThreadedApiServer.start`, what the tests and the
+``service-trace`` bench use) or block until SIGINT/SIGTERM
+(:func:`run_server`, the CLI's shape).
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
+import queue
 import signal
+import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import repro
-from repro.errors import ServiceError, TigrError
-from repro.service.api.bridge import as_resolved, submit_batch_async
+from repro.errors import ServiceOverloadError, TigrError
+from repro.service.api import http
 from repro.service.api.http import (
     BadRequest,
     HttpRequest,
     NdjsonStream,
+    RequestReader,
     Response,
-    read_request,
     send_response,
 )
 from repro.service.api.protocol import (
@@ -75,6 +82,18 @@ MAX_BATCH_LINES = 4096
 
 #: seconds an admission may wait out backpressure before 503.
 DEFAULT_ADMISSION_WAIT_S = 2.0
+
+#: connections served at once, one thread each; one more is answered
+#: 503 and closed.  Far below any OS thread or descriptor limit.
+MAX_CONNECTIONS = 64
+
+#: seconds :meth:`ThreadedApiServer.stop` waits for connection threads
+#: to exit after their sockets are shut down.
+JOIN_TIMEOUT_S = 5.0
+
+#: how often a :meth:`~ThreadedApiServer.start`-ed accept loop looks
+#: for a stop request (seconds).
+STOP_POLL_S = 0.05
 
 #: route -> the one method it answers (the handlers sit in ``_routes``).
 _METHODS = {
@@ -103,8 +122,30 @@ class StreamingBatch:
     submitted_at: float = field(default_factory=time.perf_counter)
 
 
-class ApiServer:
+class _Connection(socketserver.StreamRequestHandler):
+    """One accepted socket, served by :meth:`ThreadedApiServer._serve`."""
+
+    # chunked NDJSON lines would otherwise wait on delayed ACKs
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        self.server._serve(self.connection, self.wfile, self.client_address[0])
+
+
+def _recv(sock: socket.socket, size: int, timeout_s: float) -> bytes:
+    sock.settimeout(timeout_s)
+    return sock.recv(size)
+
+
+class ThreadedApiServer(socketserver.ThreadingTCPServer):
     """Front one :class:`AnalyticsService` with an HTTP/JSON edge.
+
+    The listener is bound on construction (port 0 picks one; read it
+    back from :attr:`address`).  For synchronous callers — tests, the
+    bench harness, notebook use::
+
+        with ThreadedApiServer(service) as handle:
+            urllib.request.urlopen(f"http://{handle.address}/v1/healthz")
 
     Parameters
     ----------
@@ -118,10 +159,12 @@ class ApiServer:
         its bearer token when auth is on, else its peer host.
     prewarmer:
         An unstarted :class:`~repro.service.economics.Prewarmer`;
-        :meth:`start` kicks it off just before binding, so the warm
-        set builds behind the listener while early traffic trickles
-        in.  ``/v1/healthz`` reports its progress.
+        serving kicks it off, so the warm set builds behind the
+        listener while early traffic trickles in.  ``/v1/healthz``
+        reports its progress.
     """
+
+    allow_reuse_address = True
 
     def __init__(
         self,
@@ -136,15 +179,12 @@ class ApiServer:
     ) -> None:
         self.service = service
         self.prewarmer = prewarmer
-        self.host = host
-        self.port = port
         self.auth_tokens = frozenset(t for t in auth_tokens if t)
         if rate_limit is not None:
             TokenBuckets.check(rate_limit, burst)
         self.rate_limit = rate_limit
         self.burst = float(burst)
         self._buckets = TokenBuckets()
-        self._server: Optional[asyncio.base_events.Server] = None
         self._wire_ids = itertools.count(1)
         self._routes = {
             "/v1/query": self._handle_query,
@@ -152,131 +192,184 @@ class ApiServer:
             "/v1/metrics": self._handle_metrics,
             "/v1/healthz": self._handle_healthz,
         }
+        self._lock = threading.Lock()
+        #: open connection -> the thread serving it
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        #: connections waiting for their next request (no ticket held)
+        self._idle: Set[socket.socket] = set()
+        self._stopping = False
+        self._thread: Optional[threading.Thread] = None
+        super().__init__((host, port), _Connection)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind and listen; returns the bound ``(host, port)``."""
-        if self.prewarmer is not None:
-            # Background thread; start() is idempotent, so a CLI that
-            # already kicked warming off before handing us the object
-            # is fine.  Never awaited — traffic does not wait on it.
-            self.prewarmer.start()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return self.host, self.port
-
     @property
     def address(self) -> str:
-        return f"{self.host}:{self.port}"
+        host, port = self.server_address[:2]
+        return f"{host}:{port}"
 
-    async def stop(self, *, drain_s: Optional[float] = 30.0) -> None:
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        if self.prewarmer is not None:
+            # Background thread; start() is idempotent, so a CLI that
+            # already kicked warming off is fine.  Traffic never waits
+            # on it.
+            self.prewarmer.start()
+        super().serve_forever(poll_interval)
+
+    def start(self) -> "ThreadedApiServer":
+        """Accept connections on a daemon thread; returns self."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="repro-api", daemon=True,
+            kwargs={"poll_interval": STOP_POLL_S},
+        )
+        self._thread.start()
+        return self
+
+    def stop(self, *, drain_s: Optional[float] = 30.0) -> None:
         """Graceful shutdown: stop listening, drain, then tear down."""
-        if self._server is not None:
-            # no wait_closed(): from Python 3.12 it also waits out every
-            # open connection, which an idle keep-alive client holds for
-            # READ_TIMEOUT_S; the loop's end cancels those instead
-            self._server.close()
-            self._server = None
-        # In-flight handlers hold tickets; let the executor finish
-        # them off the loop so connections flush their last lines.
+        if self._thread is not None:
+            self.shutdown()  # the accept loop returns
+            self._thread = None
+        self.server_close()
+        # In-flight connections hold tickets; let the executor finish
+        # them so each connection flushes its last lines.
         if drain_s:
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.service.drain(drain_s)
-            )
-
-    # ------------------------------------------------------------------
-    # Connection loop
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        client = peer[0] if peer else "<pipe>"
-        try:
-            while True:
-                started = time.perf_counter()
-                try:
-                    request = await read_request(reader, client=client)
-                except BadRequest as exc:
-                    response = error_response(exc)
-                    bytes_sent = await send_response(writer, response)
-                    self._observe(response.status, started, bytes_sent)
-                    return  # framing is broken; do not trust the stream
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    ConnectionError,
-                ):
-                    return
-                if request is None:
-                    return  # clean keep-alive end
-                keep_alive = request.keep_alive
-                done = await self._respond(request, writer, started)
-                if not done or not keep_alive:
-                    return
-        except asyncio.CancelledError:
-            # the loop is ending with this client still connected (its
-            # end cancels the connections left open).  Nothing awaits
-            # this task; ending it quietly keeps Python 3.11's stream
-            # callback from logging the cancellation as an error.
-            pass
-        finally:
-            writer.close()
+            self.service.drain(drain_s)
+        with self._lock:
+            self._stopping = True
+            idle = list(self._idle)
+            threads = list(self._connections.values())
+        for sock in idle:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+                sock.shutdown(socket.SHUT_RDWR)  # its recv returns at once
+            except OSError:
+                pass  # already gone
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
-    async def _respond(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        started: float,
-    ) -> bool:
-        """Admit and route the request, write its answer; False = close."""
+    def __enter__(self) -> "ThreadedApiServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # ------------------------------------------------------------------
+    # Connections
+    # ------------------------------------------------------------------
+    def process_request(self, request: socket.socket, client_address) -> None:
+        """Serve an accepted connection on a thread of its own, or
+        refuse it with one 503 when :data:`MAX_CONNECTIONS` are open."""
+        with self._lock:
+            admitted = len(self._connections) < MAX_CONNECTIONS
+            if admitted:
+                thread = self._connections[request] = threading.Thread(
+                    target=self.process_request_thread,
+                    args=(request, client_address),
+                    name="repro-api-connection", daemon=True,
+                )
+        if admitted:
+            thread.start()
+            return
+        started = time.perf_counter()
+        wire, body_bytes = error_response(ServiceOverloadError(
+            f"{MAX_CONNECTIONS} connections open; retry later"
+        )).encode()
         try:
-            outcome = self._check(request) or await self._routes[request.path](
-                request
-            )
+            request.settimeout(1.0)
+            request.sendall(wire)
+            self._observe(503, started, body_bytes)
+            request.shutdown(socket.SHUT_WR)
+            # a request already sent would turn the close into a reset
+            request.recv(http.MAX_HEADER_BYTES, socket.MSG_DONTWAIT)
+        except OSError:
+            pass
+        self.shutdown_request(request)
+
+    def close_request(self, request: socket.socket) -> None:
+        with self._lock:
+            self._connections.pop(request, None)
+            self._idle.discard(request)
+        super().close_request(request)
+
+    def _serve(self, sock: socket.socket, out, client: str) -> None:
+        """Serve one connection's requests until it closes or the
+        server stops."""
+        reader = RequestReader(lambda size, timeout_s: _recv(sock, size, timeout_s))
+        while self._set_idle(sock, True):
+            try:
+                request = reader.next_request(client=client)
+            except BadRequest as exc:
+                # framing is broken; answer, then do not trust the stream
+                self._send(out, error_response(exc), time.perf_counter())
+                return
+            except OSError:
+                return  # reset, vanished mid-request, or shut down by stop()
+            if request is None or not self._set_idle(sock, False):
+                return
+            sock.settimeout(http.READ_TIMEOUT_S)  # a write that long is a stall
+            if not self._respond(request, out) or not request.keep_alive:
+                return
+
+    def _set_idle(self, sock: socket.socket, idle: bool) -> bool:
+        """Mark ``sock`` idle (waiting for a request) or busy; False
+        once the server is stopping — the connection should close."""
+        with self._lock:
+            if self._stopping:
+                return False
+            if idle:
+                self._idle.add(sock)
+            else:
+                self._idle.discard(sock)
+            return True
+
+    def _respond(self, request: HttpRequest, out) -> bool:
+        """Admit and route the request, write its answer; False = close."""
+        started = time.perf_counter()
+        try:
+            outcome = self._check(request) or self._routes[request.path](request)
         except (BadRequest, TigrError) as exc:
             outcome = error_response(exc)
         except Exception as exc:  # pragma: no cover - defensive
             outcome = error_response(exc)
+        if isinstance(outcome, StreamingBatch):
+            return self._stream_batch(outcome, out, started)
+        return self._send(out, outcome, started)
+
+    def _send(self, out, response: Response, started: float) -> bool:
+        """Write a fixed-length answer; False if the peer went away."""
         try:
-            if isinstance(outcome, StreamingBatch):
-                stream = NdjsonStream(writer)
-                await stream.start()
-                await self._stream_batch(outcome, stream)
-                self._observe(200, started, stream.bytes_sent)
-                return True
-            assert isinstance(outcome, Response), outcome
-            bytes_sent = await send_response(writer, outcome)
-            self._observe(outcome.status, started, bytes_sent)
-            return True
-        except (ConnectionError, BrokenPipeError):
+            body_bytes = send_response(out, response)
+        except OSError:
+            self._observe(499, started, 0)
+            return False
+        self._observe(response.status, started, body_bytes)
+        return True
+
+    def _stream_batch(self, batch: StreamingBatch, out, started: float) -> bool:
+        """Write one NDJSON line per ticket, in completion order."""
+        resolved: "queue.SimpleQueue" = queue.SimpleQueue()
+        for ticket in batch.tickets:
+            ticket.add_done_callback(lambda t, result: resolved.put((t, result)))
+        stream = NdjsonStream(out)
+        try:
+            stream.start()
+            for _ in batch.tickets:
+                ticket, result = resolved.get()
+                stream.send(result_payload(
+                    batch.trace_ids[ticket.request.request_id],
+                    result,
+                    elapsed_s=time.perf_counter() - batch.submitted_at,
+                    include_values=batch.include_values,
+                ))
+            stream.end()
+        except OSError:
             # Peer went away mid-response; results already resolved.
             self._observe(499, started, 0)
             return False
-
-    async def _stream_batch(
-        self, batch: StreamingBatch, stream: NdjsonStream
-    ) -> None:
-        async for ticket, result in as_resolved(batch.tickets):
-            elapsed = time.perf_counter() - batch.submitted_at
-            await stream.write(
-                result_payload(
-                    batch.trace_ids[ticket.request.request_id],
-                    result,
-                    elapsed_s=elapsed,
-                    include_values=batch.include_values,
-                )
-            )
-        await stream.end()
+        self._observe(200, started, stream.bytes_sent)
+        return True
 
     def _observe(self, status: int, started: float, bytes_sent: int) -> None:
         """Account one served HTTP request (any route, any status)."""
@@ -381,7 +474,15 @@ class ApiServer:
             trace_ids[request.request_id] = trace_request.trace_id
         return requests, trace_ids
 
-    async def _handle_query(self, request: HttpRequest):
+    def _submit(self, requests) -> List[QueryTicket]:
+        """Admit a submission, waiting out a full queue for at most
+        :data:`DEFAULT_ADMISSION_WAIT_S` (then 503).  A tenant's quota
+        refusal (429) is the caller's pace and is never waited out."""
+        return self.service.submit_batch(
+            requests, block=True, submit_timeout_s=DEFAULT_ADMISSION_WAIT_S
+        )
+
+    def _handle_query(self, request: HttpRequest):
         payload = request.json()
         if not isinstance(payload, dict):
             raise BadRequest(400, "expected one JSON request object")
@@ -391,21 +492,19 @@ class ApiServer:
         )
         requests, trace_ids = self._to_requests([trace_request])
         started = time.perf_counter()
-        tickets = await submit_batch_async(
-            self.service, requests, max_wait_s=DEFAULT_ADMISSION_WAIT_S
-        )
-        result = await tickets[0].aresult()
+        (ticket,) = self._submit(requests)
+        result = ticket.result()
         return Response(
             200,
             result_payload(
-                trace_ids[tickets[0].request.request_id],
+                trace_ids[ticket.request.request_id],
                 result,
                 elapsed_s=time.perf_counter() - started,
                 include_values=include_values,
             ),
         )
 
-    async def _handle_batch(self, request: HttpRequest):
+    def _handle_batch(self, request: HttpRequest):
         lines = request.ndjson_lines()
         if not lines:
             raise BadRequest(400, "batch body carries no request lines")
@@ -430,19 +529,16 @@ class ApiServer:
                 )
             )
         requests, trace_ids = self._to_requests(trace_requests)
-        tickets = await submit_batch_async(
-            self.service, requests, max_wait_s=DEFAULT_ADMISSION_WAIT_S
-        )
         return StreamingBatch(
-            tickets=tickets,
+            tickets=self._submit(requests),
             trace_ids=trace_ids,
             include_values=include_values,
         )
 
-    async def _handle_metrics(self, request: HttpRequest):
+    def _handle_metrics(self, request: HttpRequest):
         return Response(200, self.service.metrics.summary())
 
-    async def _handle_healthz(self, request: HttpRequest):
+    def _handle_healthz(self, request: HttpRequest):
         graphs = {
             name: graph.fingerprint()
             for name, graph in self.service.registered().items()
@@ -464,6 +560,10 @@ class ApiServer:
         return Response(200, payload)
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def run_server(
     service: AnalyticsService,
     *,
@@ -478,100 +578,18 @@ def run_server(
     "pick one"), load generators use it to know when to connect.  On
     a termination signal the listener closes first and the executor
     queue drains before the call returns, so every admitted request
-    still gets its response line.
+    still gets its response line; connections idle between requests
+    are then closed.
     """
-
-    async def main() -> None:
-        server = ApiServer(service, **kwargs)
-        host, port = await server.start()
-        if ready_callback is not None:
-            ready_callback(host, port)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-Unix loop; Ctrl-C falls through below
-        try:
-            await stop.wait()
-        finally:
-            await server.stop(drain_s=drain_s)
-
+    server = ThreadedApiServer(service, **kwargs)
+    # SIGTERM ends the accept loop the way Ctrl-C does
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
-        asyncio.run(main())
+        if ready_callback is not None:
+            ready_callback(*server.server_address[:2])
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
-
-
-class ThreadedApiServer:
-    """An :class:`ApiServer` on a daemon thread with its own loop.
-
-    For synchronous callers — tests, the bench harness, notebook use::
-
-        with ThreadedApiServer(service) as handle:
-            urllib.request.urlopen(f"http://{handle.address}/v1/healthz")
-
-    ``start()`` returns once the listener is bound; ``stop()`` runs
-    the graceful drain on the loop and joins the thread.
-    """
-
-    def __init__(self, service: AnalyticsService, **kwargs) -> None:
-        self._server = ApiServer(service, **kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._stopped = False
-        self._drain_s: Optional[float] = 30.0
-
-    @property
-    def address(self) -> str:
-        return self._server.address
-
-    @property
-    def server(self) -> ApiServer:
-        return self._server
-
-    def start(self, timeout_s: float = 10.0) -> "ThreadedApiServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-api", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise ServiceError("API server failed to bind within timeout")
-        return self
-
-    def _run(self) -> None:
-        async def main() -> None:
-            # The stop event and loop handle are published only after
-            # the listener binds, so stop() always sees both or neither.
-            self._stop_event = asyncio.Event()
-            await self._server.start()
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-            try:
-                # start_server handles connections while the loop
-                # runs; all main() must do is stay alive until asked.
-                await self._stop_event.wait()
-            finally:
-                await self._server.stop(drain_s=self._drain_s)
-
-        # asyncio.run cancels and awaits the connections still open
-        # (an idle keep-alive client) before it closes the loop
-        asyncio.run(main())
-
-    def stop(self, *, drain_s: Optional[float] = 30.0) -> None:
-        if self._stopped or self._loop is None or self._stop_event is None:
-            return
-        self._stopped = True
-        self._drain_s = drain_s
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=(drain_s or 0) + 30)
-
-    def __enter__(self) -> "ThreadedApiServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        server.stop(drain_s=drain_s)

@@ -68,7 +68,6 @@ Design points, each of which the tests pin down:
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
 import os
@@ -138,15 +137,10 @@ class QueryTicket:
     observation hook (trace recording); it runs after the result is
     set and must never raise into the worker loop.
 
-    :meth:`aresult` is the coroutine-shaped wait: ``await
-    ticket.aresult()`` suspends the calling coroutine until a dispatcher
-    thread resolves it — no thread blocks per waiter, the resolution
-    is handed across with ``loop.call_soon_threadsafe``.  That is the
-    bridge the HTTP front door (:mod:`repro.service.api`) is built on:
-    one event loop can hold thousands of pending tickets open.
-    :meth:`add_done_callback` is the underlying primitive (a callback
-    registered after resolution fires immediately, on the caller's
-    thread).
+    :meth:`add_done_callback` runs a function on resolution, on the
+    dispatcher thread that resolves the ticket; the HTTP front door
+    (:mod:`repro.service.api`) streams ``/v1/batch`` lines in
+    completion order with it.
     """
 
     def __init__(
@@ -197,7 +191,7 @@ class QueryTicket:
         assert self._result is not None
         return self._result
 
-    # -- asyncio side --------------------------------------------------
+    # -- observation ---------------------------------------------------
     def add_done_callback(
         self, fn: Callable[["QueryTicket", QueryResult], None]
     ) -> None:
@@ -214,40 +208,6 @@ class QueryTicket:
                 self._callbacks.append(fn)
                 return
         self._run_callback(fn, self._result)
-
-    async def aresult(self, timeout: Optional[float] = None) -> QueryResult:
-        """Awaitable :meth:`result`: suspends, never blocks a thread.
-
-        Must be called from a running event loop.  ``timeout`` bounds
-        the wait the same way :meth:`result`'s does, raising the same
-        :class:`ServiceError`.
-        """
-        if self._event.is_set():
-            assert self._result is not None
-            return self._result
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[QueryResult]" = loop.create_future()
-
-        def deliver(_ticket: "QueryTicket", result: QueryResult) -> None:
-            def set_result() -> None:
-                if not future.done():
-                    future.set_result(result)
-
-            try:
-                loop.call_soon_threadsafe(set_result)
-            except RuntimeError:
-                pass  # loop already closed; nobody is awaiting
-
-        self.add_done_callback(deliver)
-        try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            raise ServiceError(
-                f"request {self.request.request_id} not finished "
-                f"within {timeout}s wait"
-            ) from None
 
     def _run_callback(
         self, fn: Callable[["QueryTicket", QueryResult], None], result
@@ -615,7 +575,10 @@ class AnalyticsService:
         Each request charges one token against its tenant's bucket as
         it is admitted; the first refusal rejects the whole submission
         (tokens already charged for earlier members stay spent — the
-        caller is over budget either way).
+        caller is over budget either way).  A full queue refuses it
+        whole too: ``submit_timeout_s`` is one deadline for all of its
+        groups, and on a refusal every ticket is cancelled, so a group
+        still queued from it does no engine work.
         """
         if self._stopped:
             raise ServiceError("service is stopped")
@@ -642,20 +605,19 @@ class AnalyticsService:
             r.request_id: QueryTicket(r, now, on_resolve=self._ticket_resolved)
             for r in requests
         }
+        deadline = None if submit_timeout_s is None else now + submit_timeout_s
         for batch in group_requests(requests, self._resolve_graph):
             item = _WorkItem(
                 batch=batch,
                 tickets=[tickets[r.request_id] for r in batch.requests],
             )
             try:
-                # the async bridge always calls with block=False (loop-side
-                # backpressure retries with asyncio.sleep), so the only
-                # blocking mode is the sync path's explicit opt-in
-                self._queue.put(  # analyze: ignore[ASYNC001]
-                    item, block=block, timeout=submit_timeout_s
-                )
+                self._queue.put(item, block=block, timeout=(
+                    None if deadline is None
+                    else max(0.0, deadline - time.perf_counter())
+                ))
             except queue.Full:
-                for ticket in item.tickets:
+                for ticket in tickets.values():
                     ticket.cancel()
                 raise ServiceOverloadError(
                     f"submission queue full ({self._queue.maxsize} pending); "

@@ -43,7 +43,7 @@ COUNTERS = (
     "strategy_shared", "strategy_sharded",
     # process backend (zero on threads: nothing crosses IPC)
     "worker_restarts", "ipc_bytes", "hydrate_hits",
-    # HTTP front door (zero without an ApiServer)
+    # HTTP front door (zero without a ThreadedApiServer)
     "http_requests", "http_2xx", "http_4xx", "http_5xx",
     "http_rate_limited", "http_bytes_sent",
     # trace capture and replay verification

@@ -608,7 +608,6 @@ def _run(
     if crash_on is not None and int(crash_on) in spec.sources:
         os._exit(17)  # test hook: simulate a host crash
     graph = graphs.get(spec.graph_fingerprint)
-    loads = graph is None
     if graph is None:
         if not os.path.exists(spec.graph_path):
             raise ServiceError(
@@ -624,7 +623,6 @@ def _run(
         **vars(outcome),
         "per_source": list(outcome.per_source.items()),
         "execution": vars(outcome.execution),
-        "hydrate_hits": outcome.hydrate_hits + loads,
     }
 
 

@@ -630,6 +630,17 @@ class TestLayers:
             ("algorithms/sub/bfs.py", 3), ("engine/push.py", 1), ("engine/push.py", 2),
             ("engine/push.py", 3)]
 
+    @pytest.mark.parametrize("line", [
+        "tickets = submit_batch_async(service, requests)",
+        "pairs = as_resolved(tickets)",
+        "result = ticket.aresult()",
+        "from repro.service.api.bridge import helper",
+    ], ids=["submit_batch_async", "as_resolved", "aresult", "api.bridge"])
+    def test_asyncio_bridge_names_are_retired(self, tmp_path, line):
+        root = write_package(tmp_path, {"service/api/server.py": f"x = 1\n{line}\n"})
+        report = analyze_paths([root], rules=["LAYER002"])
+        assert [(f.rule_id, f.line) for f in report.findings] == [("LAYER002", 2)]
+
     def test_seeded_fixtures_fire(self, capsys):
         assert load_tool("check_analyzer_fixtures").main() == 0, capsys.readouterr().err
 

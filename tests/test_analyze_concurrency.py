@@ -1,10 +1,10 @@
-"""Tests for the concurrency rule pack (ASYNC001-005, LOCK004).
+"""Tests for the service-tier rule pack (ROUTE001, LOCK004).
 
 Mirrors the SPLIT/LOCK fixture pattern in ``tests/test_analyze.py``:
 each rule gets a seeded violation caught at the right file:line and a
 near-miss that must stay quiet — the safe idioms the service tier
-actually uses (``call_soon_threadsafe`` bridging, loop-side nested
-helpers, guarded-method calls) are the negative cases.
+actually uses (a typed-error mapping, guarded-method calls) are the
+negative cases.
 """
 
 import textwrap
@@ -27,315 +27,7 @@ def findings_for(report, rule_id):
 
 
 # ----------------------------------------------------------------------
-# ASYNC001 — blocking calls reachable from async defs
-# ----------------------------------------------------------------------
-class TestBlockingReachable:
-    def test_direct_blocking_call(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "direct.py",
-            """
-            import time
-
-            async def handler():
-                time.sleep(0.5)
-            """,
-        )
-        report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC001")
-        assert finding.line == 5
-        assert "time.sleep" in finding.message
-        assert "handler" in finding.message
-
-    def test_transitive_blocking_call_names_the_chain(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "transitive.py",
-            """
-            import queue
-
-            class Service:
-                def __init__(self):
-                    self._queue = queue.Queue()
-
-                def submit(self, item):
-                    self._queue.put(item)
-
-            def relay(service: Service, item):
-                service.submit(item)
-
-            async def handler(service: Service, item):
-                relay(service, item)
-            """,
-        )
-        report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC001")
-        assert finding.line == 9  # anchored at the blocking call site
-        assert "queue.Queue.put" in finding.message
-        assert "handler" in finding.message
-        assert "relay" in finding.message
-
-    def test_not_reachable_stays_quiet(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "quiet.py",
-            """
-            import time
-
-            def worker_loop():
-                time.sleep(0.5)
-
-            async def handler():
-                return 1
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC001") == []
-
-    def test_with_lock_statement_is_not_a_blocking_call(self, tmp_path):
-        # brief `with lock:` holds are the metrics idiom; only explicit
-        # .acquire() calls and ASYNC002 (held across await) fire
-        path = write_fixture(
-            tmp_path,
-            "withlock.py",
-            """
-            import threading
-
-            class Metrics:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self.count += 1
-
-            async def handler(metrics: Metrics):
-                metrics.bump()
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC001") == []
-
-    def test_explicit_acquire_fires(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "acquire.py",
-            """
-            import threading
-
-            _lock = threading.Lock()
-
-            async def handler():
-                lock = threading.Lock()
-                lock.acquire()
-            """,
-        )
-        report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC001")
-        assert "threading.Lock.acquire" in finding.message
-
-    def test_pragma_suppression(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "suppressed.py",
-            """
-            import time
-
-            async def handler():
-                time.sleep(0.5)  # analyze: ignore[ASYNC001] -- test stub
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC001") == []
-        assert report.suppressed == 1
-
-
-# ----------------------------------------------------------------------
-# ASYNC002 — threading lock held across an await
-# ----------------------------------------------------------------------
-class TestLockAcrossAwait:
-    def test_seeded_violation(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "held.py",
-            """
-            import asyncio
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._values = {}
-
-                async def refresh(self, key):
-                    with self._lock:
-                        self._values[key] = await asyncio.sleep(0)
-            """,
-        )
-        report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC002")
-        assert finding.line == 11
-        assert "_lock" in finding.message
-
-    def test_lock_without_await_is_quiet(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "brief.py",
-            """
-            import asyncio
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._hits = 0
-
-                async def get(self, key):
-                    with self._lock:
-                        self._hits += 1
-                    await asyncio.sleep(0)
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC002") == []
-
-
-# ----------------------------------------------------------------------
-# ASYNC003 — un-awaited coroutine calls
-# ----------------------------------------------------------------------
-class TestUnawaitedCoroutine:
-    def test_seeded_violation(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "dropped.py",
-            """
-            import asyncio
-
-            async def audit(event):
-                await asyncio.sleep(0)
-
-            async def handler(event):
-                audit(event)
-            """,
-        )
-        report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC003")
-        assert finding.line == 8
-        assert "audit" in finding.message
-
-    def test_awaited_and_wrapped_calls_are_quiet(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "fine.py",
-            """
-            import asyncio
-
-            async def audit(event):
-                await asyncio.sleep(0)
-
-            async def handler(event):
-                await audit(event)
-                task = asyncio.ensure_future(audit(event))
-                return task
-
-            def entry(event):
-                asyncio.run(handler(event))
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC003") == []
-
-
-# ----------------------------------------------------------------------
-# ASYNC004 — loop-affine APIs from thread-side code
-# ----------------------------------------------------------------------
-class TestThreadsideLoopTouch:
-    def test_seeded_violations(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "touch.py",
-            """
-            import asyncio
-
-            def finish(future: asyncio.Future, value):
-                future.set_result(value)
-
-            def feed(inbox: asyncio.Queue, item):
-                inbox.put_nowait(item)
-            """,
-        )
-        report = analyze_paths([path])
-        found = findings_for(report, "ASYNC004")
-        assert [f.line for f in found] == [5, 8]
-        assert "call_soon_threadsafe" in found[0].message
-
-    def test_call_soon_threadsafe_is_the_sanctioned_path(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "bridge.py",
-            """
-            import asyncio
-
-            def deliver(loop: asyncio.AbstractEventLoop, payload):
-                def enqueue():
-                    payload.append(1)
-                loop.call_soon_threadsafe(enqueue)
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC004") == []
-
-    def test_scheduled_callback_may_touch_the_loop(self, tmp_path):
-        # the QueryTicket bridge pattern: the nested callback runs on
-        # the loop because call_soon_threadsafe scheduled it there
-        path = write_fixture(
-            tmp_path,
-            "scheduled.py",
-            """
-            import asyncio
-
-            async def aresult(ticket):
-                loop = asyncio.get_running_loop()
-                future = loop.create_future()
-
-                def set_result(value):
-                    future.set_result(value)
-
-                def deliver(value):
-                    loop.call_soon_threadsafe(set_result, value)
-
-                ticket.add_done_callback(deliver)
-                return await future
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC004") == []
-
-    def test_loop_side_nested_helper_is_quiet(self, tmp_path):
-        # a sync helper nested in an async def runs on the loop thread
-        path = write_fixture(
-            tmp_path,
-            "nested.py",
-            """
-            import asyncio
-
-            async def gather():
-                results = asyncio.Queue()
-
-                def stash(item):
-                    results.put_nowait(item)
-
-                stash(1)
-                return await results.get()
-            """,
-        )
-        report = analyze_paths([path])
-        assert findings_for(report, "ASYNC004") == []
-
-
-# ----------------------------------------------------------------------
-# ASYNC005 — handler modules without typed-error mapping
+# ROUTE001 — handler modules without typed-error mapping
 # ----------------------------------------------------------------------
 class TestHandlerErrorMapping:
     def test_seeded_violation(self, tmp_path):
@@ -347,12 +39,12 @@ class TestHandlerErrorMapping:
                 def __init__(self):
                     self._routes = {"/v1/echo": self._handle_echo}
 
-                async def _handle_echo(self, request):
+                def _handle_echo(self, request):
                     return {"echo": request}
             """,
         )
         report = analyze_paths([path])
-        (finding,) = findings_for(report, "ASYNC005")
+        (finding,) = findings_for(report, "ROUTE001")
         assert finding.line == 6
         assert "_handle_echo" in finding.message
 
@@ -368,7 +60,7 @@ class TestHandlerErrorMapping:
                 def __init__(self):
                     self._routes = {"/v1/echo": self._handle_echo}
 
-                async def _handle_echo(self, request):
+                def _handle_echo(self, request):
                     try:
                         return {"echo": request}
                     except TigrError as exc:
@@ -376,19 +68,19 @@ class TestHandlerErrorMapping:
             """,
         )
         report = analyze_paths([path])
-        assert findings_for(report, "ASYNC005") == []
+        assert findings_for(report, "ROUTE001") == []
 
     def test_module_without_routes_is_quiet(self, tmp_path):
         path = write_fixture(
             tmp_path,
             "noroutes.py",
             """
-            async def lonely_handler(request):
+            def lonely_handler(request):
                 return request
             """,
         )
         report = analyze_paths([path])
-        assert findings_for(report, "ASYNC005") == []
+        assert findings_for(report, "ROUTE001") == []
 
 
 # ----------------------------------------------------------------------
@@ -463,22 +155,7 @@ class TestServiceTierClean:
 
         report = analyze_paths(
             [os.path.dirname(api_pkg.__file__), executor_module.__file__],
-            rules=["ASYNC*", "LOCK004"],
-        )
-        assert report.findings == [], report.to_text()
-
-    def test_executor_suppression_is_documented(self):
-        # the one intentional blocking call (the sync submit path's
-        # opt-in queue.put) is pragma-suppressed, not invisible:
-        # --no-suppress resurfaces it with the async bridge chain
-        import repro.service.api.bridge as bridge_module
-        import repro.service.executor as executor_module
-
-        report = analyze_paths(
-            [bridge_module.__file__, executor_module.__file__],
-            rules=["ASYNC001"],
+            rules=["ROUTE001", "LOCK004"],
             honor_suppressions=False,
         )
-        assert [f.rule_id for f in report.findings] == ["ASYNC001"]
-        assert report.findings[0].path.endswith("executor.py")
-        assert "submit_batch_async" in report.findings[0].message
+        assert report.findings == [], report.to_text()

@@ -1,6 +1,6 @@
 """Tests for ``repro.analyze.callgraph``: module/import resolution,
-method vs function lookup, type-token inference, and async-ness
-propagation — the substrate the concurrency rule pack stands on."""
+method vs function lookup and type-token inference — the substrate the
+concurrency rule pack stands on."""
 
 import textwrap
 
@@ -181,89 +181,28 @@ class TestResolution:
             "time.sleep"
         }
 
-
-# ----------------------------------------------------------------------
-# Async-ness propagation
-# ----------------------------------------------------------------------
-class TestAsyncPropagation:
-    def test_sync_chain_from_async_root(self, tmp_path):
+    def test_inherited_methods_and_attributes_resolve_through_the_base(self, tmp_path):
         path = write(
             tmp_path,
             "mod.py",
             """
-            def leaf():
-                return 1
+            import threading
 
-            def middle():
-                return leaf()
+            class Base:
+                def __init__(self):
+                    self._lock = threading.Lock()
 
-            async def root():
-                return middle()
+                def helper(self):
+                    return 1
+
+            class Child(Base):
+                def run(self):
+                    self._lock.acquire()
+                    return self.helper()
             """,
         )
         graph = CallGraph.build(load_sources([path]))
-        paths = graph.async_call_paths()
-        assert paths["mod.middle"] == ("mod.root", "mod.middle")
-        assert paths["mod.leaf"] == ("mod.root", "mod.middle", "mod.leaf")
-
-    def test_async_callee_is_not_descended_into(self, tmp_path):
-        path = write(
-            tmp_path,
-            "mod.py",
-            """
-            def helper():
-                return 1
-
-            async def sub():
-                return helper()
-
-            async def root():
-                await sub()
-            """,
-        )
-        graph = CallGraph.build(load_sources([path]))
-        paths = graph.async_call_paths()
-        # helper is reached through sub's own root, not through root
-        assert paths["mod.helper"] == ("mod.sub", "mod.helper")
-
-    def test_cycles_terminate(self, tmp_path):
-        path = write(
-            tmp_path,
-            "mod.py",
-            """
-            def ping():
-                return pong()
-
-            def pong():
-                return ping()
-
-            async def root():
-                return ping()
-            """,
-        )
-        graph = CallGraph.build(load_sources([path]))
-        paths = graph.async_call_paths()
-        assert paths["mod.ping"] == ("mod.root", "mod.ping")
-        assert paths["mod.pong"] == ("mod.root", "mod.ping", "mod.pong")
-
-    def test_awaited_flag_and_discarded_flag(self, tmp_path):
-        path = write(
-            tmp_path,
-            "mod.py",
-            """
-            async def task():
-                return 1
-
-            async def root():
-                await task()
-                task()
-            """,
-        )
-        graph = CallGraph.build(load_sources([path]))
-        sites = graph.functions["mod.root"].calls
-        flags = {
-            (site.awaited, site.discarded)
-            for site in sites
-            if site.resolved == "mod.task"
+        assert calls_of(graph, "mod.Child.run") == {
+            "threading.Lock.acquire",
+            "mod.Base.helper",
         }
-        assert flags == {(True, False), (False, True)}

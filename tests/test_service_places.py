@@ -10,7 +10,6 @@ priorities without ``--shards``, and that ``ShardedAnalyticsService``
 is the same class with a different default.
 """
 
-import asyncio
 import http.client
 import json
 import socket
@@ -34,7 +33,6 @@ from repro.service import (
 from repro.service.api import (
     HttpReplayClient,
     ThreadedApiServer,
-    submit_batch_async,
 )
 from repro.service.workers import CRASH_SOURCE_ENV
 
@@ -310,18 +308,28 @@ class TestAdmissionWithoutShards:
         assert probes == [1, 1]
 
     def test_a_refused_submission_is_probed_once(self, graph):
-        """Earlier members are not charged again by an admission retry."""
+        """A quota refusal at the front door is answered, not retried:
+        earlier members are not charged again."""
         policy = RoutingPolicy(quotas={"t": TenantQuota(rate=1.0, burst=2.0)})
         with AnalyticsService(workers=1, policy=policy) as service:
             service.register("g", graph)
             probes = _spy_on_submissions(service)
-            requests = [
-                QueryRequest.single("bfs", "g", source, tenant="t")
+            body = "".join(
+                json.dumps({"type": "request", "id": source, "algorithm": "bfs",
+                            "graph": "g", "sources": [source], "tenant": "t"}) + "\n"
                 for source in range(3)
-            ]
-            with pytest.raises(QuotaExhaustedError):
-                asyncio.run(submit_batch_async(service, requests, max_wait_s=2.0))
+            )
+            with ThreadedApiServer(service) as server:
+                host, _, port = server.address.rpartition(":")
+                conn = http.client.HTTPConnection(host, int(port), timeout=60)
+                try:
+                    conn.request("POST", "/v1/batch", body=body,
+                                 headers={"Content-Type": "application/x-ndjson"})
+                    status = conn.getresponse().status
+                finally:
+                    conn.close()
             summary = service.metrics.summary()
+        assert status == 429
         assert probes == [3]
         assert summary["quota_rejected"] == 1
 
