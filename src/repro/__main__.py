@@ -214,39 +214,6 @@ def _apply_catalog_policy(args) -> None:
     os.environ[CATALOG_POLICY_ENV] = resolve_policy(choice)
 
 
-def _prewarmer(args, service, graphs=None):
-    """An unstarted pre-warmer for ``--prewarm-from-trace``, or ``None``."""
-    if not args.prewarm_from_trace:
-        return None
-    from repro.service import Prewarmer, load_trace
-
-    trace = load_trace(args.prewarm_from_trace, on_malformed=args.malformed)
-    return Prewarmer(service, trace, graphs=graphs)
-
-
-def _start_prewarmer(args, service, graphs=None):
-    """Kick off background pre-warming when asked; returns it or None.
-
-    With ``--prewarm-wait S`` the call blocks up to ``S`` seconds
-    (0 = until done) and prints a summary — the shape trace replays
-    and benchmarks want, where "cold start" means *before* the warm
-    set exists.
-    """
-    prewarmer = _prewarmer(args, service, graphs)
-    if prewarmer is None:
-        return None
-    prewarmer.start()
-    wait = args.prewarm_wait
-    if wait is not None:
-        prewarmer.join(timeout=wait if wait > 0 else None)
-        print(f"prewarm: built={prewarmer.built} "
-              f"already_warm={prewarmer.already_warm} "
-              f"skipped={prewarmer.skipped}", flush=True)
-        for error in prewarmer.errors:
-            print(f"prewarm skip: {error}", file=sys.stderr)
-    return prewarmer
-
-
 def cmd_query(args) -> int:
     from repro.service import AnalyticsService, GraphCatalog, QueryRequest
 
@@ -378,7 +345,6 @@ def cmd_serve_trace(args) -> int:
     catalog = _serve_catalog(args)
     try:
         with _make_service(args, catalog) as service:
-            _start_prewarmer(args, service, overrides)
             report = replay_trace(
                 trace,
                 service=service,
@@ -441,9 +407,6 @@ def cmd_serve_http(args) -> int:
     with _make_service(args, catalog) as service:
         for name, graph in graphs.items():
             service.register(name, graph)
-        # Handed to the server unstarted: serving kicks it off once
-        # the listener is bound, and /v1/healthz reports it.
-        prewarmer = _prewarmer(args, service, graphs)
 
         def ready(bound_host: str, bound_port: int) -> None:
             address = f"{bound_host}:{bound_port}"
@@ -460,7 +423,6 @@ def cmd_serve_http(args) -> int:
             auth_tokens=tuple(args.auth_token or ()),
             rate_limit=args.rate_limit,
             burst=args.burst,
-            prewarmer=prewarmer,
         )
         _print_service_metrics(service)
     return 0
@@ -501,7 +463,6 @@ def cmd_serve(args) -> int:
     start = time.perf_counter()
     with _make_service(args, catalog, recorder=recorder) as service:
         service.register(args.graph, graph)
-        _start_prewarmer(args, service)
         n = graph.num_nodes
         requests = []
         for _ in range(args.requests):
@@ -700,16 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog memory budget in MiB")
     _service_flag(p, "--spill-dir")
     _service_flag(p, "--catalog-policy")
-    p.add_argument("--prewarm-from-trace", default=None, metavar="TRACE",
-                   help="build every catalog artifact TRACE's requests "
-                        "read, in first-arrival order, on a background "
-                        "thread before serving")
-    p.add_argument("--prewarm-wait", type=float, default=None, metavar="S",
-                   help="block up to S seconds for pre-warming before "
-                        "traffic starts (0 = until done; default: serve "
-                        "immediately while warming in the background; "
-                        "ignored with --http, where /v1/healthz reports "
-                        "progress instead)")
     _service_flag(p, "--kernel-backend")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="scatter-gather shardable analytics across N shard "

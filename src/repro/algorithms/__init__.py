@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.algorithms.bc import bc, BCResult
 from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import connected_components
+from repro.algorithms.cc import connected_components, weak_components
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.programs import (
     BFSProgram,
@@ -54,6 +54,7 @@ __all__ = [
     "sssp",
     "sswp",
     "connected_components",
+    "weak_components",
     "bc",
     "BCResult",
     "pagerank",

@@ -1,21 +1,14 @@
-"""Cache economics: pre-warm cold starts, GDSF vs LRU eviction.
+"""Cache economics: digest parity and GDSF vs LRU eviction.
 
 Not a paper table — this experiment prices the serving layer's cache
-economics (:mod:`repro.service.economics`).  Three phases:
-
-``cold-start`` / ``prewarmed``
-    The ``mixed`` golden trace replayed against a fresh service,
-    without and with a pre-warm pass over the same trace.  Its one cc
-    request reads the one artifact the catalog builds, so the
-    replay's own ``builds`` read 1 cold and 0 prewarmed, and its
-    ``catalog_hits`` are all ``prewarm_hits``.
-    ``extras["prewarm_p95_ratio"]`` is prewarmed p95 / cold p95.
+economics (:mod:`repro.service.economics`).  Two phases:
 
 ``parity``
-    The same prewarmed replay across every (policy × backend) pair,
-    diffing every recorded digest — eviction economics must never
-    change answers.  The ``processes`` pairs publish cc's pre-warmed
-    graph to the shared tier and hydrate it back.
+    The ``mixed`` golden trace replayed against a fresh service under
+    every (policy × backend) pair, diffing every recorded digest —
+    eviction economics must never change answers.  Serving builds no
+    catalog artifact (cc is a union-find over the CSR as it is), so
+    each replay's ``builds`` reads 0.
 
 ``policy:mixed-cost`` / ``policy:uniform-recency``
     Synthetic eviction duels with controlled build costs.  The mixed
@@ -34,7 +27,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 from repro.bench.report import ExperimentReport
 from repro.errors import TigrError
@@ -42,7 +34,6 @@ from repro.service import (
     AnalyticsService,
     ArtifactKey,
     GraphCatalog,
-    Prewarmer,
     load_trace,
     replay_trace,
     resolve_trace_graphs,
@@ -76,23 +67,13 @@ def _sim_key(tag: str) -> ArtifactKey:
     return ArtifactKey(graph_fingerprint=f"{tag:0>64s}", recipe="none")
 
 
-def _replay_once(
-    trace, graphs, *, policy: str, backend: str, workers: int, prewarm: bool,
-):
-    """One fresh-service replay; returns (report, p95_s, seconds, hit_rate,
-    replay catalog hits, replay catalog builds, catalog)."""
+def _replay_once(trace, graphs, *, policy: str, backend: str, workers: int):
+    """One fresh-service replay; returns (report, p95_s, catalog builds)."""
     catalog = GraphCatalog(policy=policy)
     with AnalyticsService(catalog, workers=workers, backend=backend) as service:
-        if prewarm:
-            Prewarmer(service, trace, graphs=graphs).run_inline()
-        hits_before, builds_before = catalog.stats.hits, catalog.stats.builds
-        start = time.perf_counter()
         report = replay_trace(trace, service=service, graphs=graphs)
-        elapsed = time.perf_counter() - start
         p95 = service.metrics.stage_percentile("total", 0.95)
-        hit_rate = service.metrics.cache_hit_rate
-    return (report, p95, elapsed, hit_rate, catalog.stats.hits - hits_before,
-            catalog.stats.builds - builds_before, catalog)
+    return report, p95, catalog.stats.builds
 
 
 def _policy_duel(report: ExperimentReport, scale: float) -> None:
@@ -154,11 +135,10 @@ def cache_policy(
     trace_path: str = DEFAULT_TRACE,
     workers: int = 2,
 ) -> ExperimentReport:
-    """Pre-warm builds before traffic + eviction-policy economics."""
+    """Golden-trace digest parity + eviction-policy economics."""
     report = ExperimentReport(
         "Cache policy economics",
-        f"mixed golden trace, prewarm on/off, lru vs gdsf "
-        f"({workers} workers)",
+        f"mixed golden trace, lru vs gdsf ({workers} workers)",
     )
     if not os.path.exists(trace_path):
         raise TigrError(
@@ -167,40 +147,12 @@ def cache_policy(
     trace = load_trace(trace_path)
     graphs = resolve_trace_graphs(trace)
 
-    # -- cold start vs prewarmed (threads, gdsf) -----------------------
-    p95s = {}
-    for prewarm in (False, True):
-        phase = "prewarmed" if prewarm else "cold-start"
-        replay, p95, elapsed, hit_rate, hits, builds, catalog = _replay_once(
-            trace, graphs, policy="gdsf", backend="threads",
-            workers=workers, prewarm=prewarm,
-        )
-        p95s[phase] = p95
-        report.add_row(
-            phase=phase,
-            policy="gdsf",
-            backend="threads",
-            queries=replay.requests_submitted,
-            p95_ms=round(p95 * 1e3, 3),
-            seconds=round(elapsed, 4),
-            hit_rate=round(hit_rate, 3),
-            builds=builds,
-            catalog_hits=hits,
-            prewarm_built=catalog.stats.prewarm_built,
-            prewarm_hits=catalog.stats.prewarm_hits,
-            digests_ok=replay.ok,
-        )
-    report.extras["prewarm_p95_ratio"] = (
-        p95s["prewarmed"] / max(p95s["cold-start"], 1e-12)
-    )
-
     # -- digest parity across every (policy × backend) pair ------------
     parity_clean = True
     for policy in ("lru", "gdsf"):
         for backend in ("threads", "processes"):
-            replay, p95, *_ = _replay_once(
-                trace, graphs, policy=policy, backend=backend,
-                workers=workers, prewarm=True,
+            replay, p95, builds = _replay_once(
+                trace, graphs, policy=policy, backend=backend, workers=workers,
             )
             parity_clean = parity_clean and replay.ok
             report.add_row(
@@ -209,6 +161,7 @@ def cache_policy(
                 backend=backend,
                 queries=replay.requests_submitted,
                 p95_ms=round(p95 * 1e3, 3),
+                builds=builds,
                 digests_checked=replay.digests_checked,
                 digests_matched=(
                     replay.digests_checked - len(replay.mismatches)

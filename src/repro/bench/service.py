@@ -1,25 +1,20 @@
 """Serving-layer throughput: cold vs warm cache, single vs batched.
 
-Not a paper table — this experiment prices the serving layer: the
-artifact it amortises is the *prepared graph* (the input symmetrised
-for CC; the other analytics read the CSR or its one memoised
-unweighted view, and build nothing), so a layer that builds it once
-must show (a) warm queries building nothing, and (b) batched
-multi-source traffic beating the same queries issued one-by-one
-against a cold service.  Three phases over one dataset stand-in; the
-default mix (bfs, sssp) builds nothing, so it prices a service start
-per query and batching, not a build (add ``cc`` to price one):
+Not a paper table — this experiment prices the serving layer.  No
+analytic builds anything (each reads the CSR or its one memoised
+unweighted view; cc is a union-find over it), so the layer must show
+(a) every query building nothing, and (b) batched multi-source traffic
+beating the same queries issued one-by-one against a cold service.
+Three phases over one dataset stand-in, which price a service start
+per query and batching:
 
 ``cold-single``
-    A fresh service per query: every cc request pays the
-    symmetrisation (the pre-serving-layer behaviour); the others read
-    the raw CSR and build nothing.
+    A fresh service per query.
 ``warm-single``
-    One service, sequential queries: the first cc request builds the
-    prepared graph, every later one hits the catalog.
+    One service, sequential queries.
 ``warm-batched``
-    One service, requests submitted in batches: catalog hits plus
-    source dedup and shared fan-out.
+    One service, requests submitted in batches: source dedup and
+    shared fan-out.
 """
 
 from __future__ import annotations
@@ -98,9 +93,7 @@ def service_throughput(
             t0 = time.perf_counter()
             result = service.run(request)
             latencies.append(time.perf_counter() - t0)
-            # a fresh catalog builds exactly cc's symmetrised graph
-            assert result.ok
-            assert result.cache_hit is not ALGORITHMS[request.algorithm].symmetrize
+            assert result.ok and result.cache_hit  # nothing is built
             hits += result.cache_hit
     cold_elapsed = time.perf_counter() - start
     _add_phase(report, "cold-single", num_queries, cold_elapsed, latencies, hits / num_queries)
@@ -108,7 +101,7 @@ def service_throughput(
     # -- warm-single: shared catalog, sequential submission ------------
     with AnalyticsService(GraphCatalog(), workers=workers) as service:
         service.register(dataset, graph)
-        for algorithm in algorithms:  # pre-warm each analytic's preparation
+        for algorithm in algorithms:  # each analytic's first call (kernel compiles)
             service.run(_make_requests(
                 dataset, graph.num_nodes, 1, [algorithm], 0, transform)[0])
         start = time.perf_counter()

@@ -17,7 +17,9 @@ analytics run whole as well: ``bc_run`` is Brandes' forward levels and
 then its backward levels, and ``rank_run`` PageRank's loop, gathering
 by destination over the transpose ``rank_layout`` builds once per run
 (a shard gathers its slice with ``rank_gather``, once per iteration).
-Every kernel walks each active node's CSR row in order, whatever the
+Serving's cc is no superstep at all: ``components`` is a union-find
+over the CSR's edges, direction ignored, whose labels equal min-label
+propagation's over the symmetrised graph.  Every kernel walks each active node's CSR row in order, whatever the
 scheduler's ``batch()`` order (the coalesced strides of ``virtual+`` and
 Maximum Warp are a GPU remedy).  Values are **bitwise identical**: an
 ADD loop adds each row's terms in CSR order, as the numpy bodies fold
@@ -490,6 +492,19 @@ class KernelBackend:
                   np.empty(m, np.int64), np.empty(n, np.int64), *first, sym_off, sym)
         sym.resize(used, refcheck=False)  # only this array holds it
         return sym_off, sym
+
+    @_counted
+    def try_components(self, offsets, targets) -> Optional[np.ndarray]:
+        """The weak components of a CSR, edge direction ignored: each
+        node's component's least id as ``float64`` labels, or ``None``
+        to decline."""
+        fn = self.function("components")
+        n = -1 if fn is None else self._gate_walk(_NO_IDS, offsets, targets)
+        if n < 0 or offsets[n] != len(targets):
+            return None
+        labels = np.empty(n)
+        fn(offsets, targets, n, np.empty(n, np.int64), labels)
+        return labels
 
     @_counted
     def try_rank_gather(self, rank, inv_deg, layout, scratch) -> bool:
@@ -1127,6 +1142,36 @@ int64_t symmetrize(const int64_t* off, const int64_t* targets, int64_t n,
     }
     if (weighted_order) transpose(u_off, u, n, sym_off, sym, cursor);
     return k;
+}
+"""
+
+_C_UNITS["components"] = r"""
+/* x's root, halving the path on the way up (parent[x] <= x throughout) */
+static int64_t find_root(int64_t* parent, int64_t x) {
+    while (parent[x] != x) { parent[x] = parent[parent[x]]; x = parent[x]; }
+    return x;
+}
+
+/* the weak components of the n-row CSR (off, targets): each edge hooks
+   the larger of its ends' roots under the smaller (a is p's root
+   throughout its row), so a root is its tree's least id; one ascending
+   pass then writes each node's root (its parent's is already final)
+   into labels */
+void components(const int64_t* off, const int64_t* targets, int64_t n,
+                int64_t* parent, double* labels) {
+    for (int64_t v = 0; v < n; v++) parent[v] = v;
+    for (int64_t p = 0; p < n; p++) {
+        int64_t a = find_root(parent, p);
+        for (int64_t e = off[p]; e < off[p + 1]; e++) {
+            const int64_t b = find_root(parent, targets[e]);
+            if (a < b) parent[b] = a;
+            else if (b < a) { parent[a] = b; a = b; }
+        }
+    }
+    for (int64_t v = 0; v < n; v++) {
+        parent[v] = parent[parent[v]];
+        labels[v] = (double)parent[v];
+    }
 }
 """
 

@@ -66,7 +66,6 @@ from repro.service.economics import (
     EvictionPolicy,
     GdsfPolicy,
     LruPolicy,
-    Prewarmer,
     make_policy,
     resolve_policy,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "parse_request_payload",
     "percentile",
     "plan_query",
-    "Prewarmer",
     "PRIORITY_CLASSES",
     "QueryBatch",
     "QueryPlan",

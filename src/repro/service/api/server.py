@@ -157,11 +157,6 @@ class ThreadedApiServer(socketserver.ThreadingTCPServer):
         Per-client token-bucket admission (requests/second and bucket
         depth); ``rate_limit=None`` disables limiting.  A client is
         its bearer token when auth is on, else its peer host.
-    prewarmer:
-        An unstarted :class:`~repro.service.economics.Prewarmer`;
-        serving kicks it off, so the warm set builds behind the
-        listener while early traffic trickles in.  ``/v1/healthz``
-        reports its progress.
     """
 
     allow_reuse_address = True
@@ -175,10 +170,8 @@ class ThreadedApiServer(socketserver.ThreadingTCPServer):
         auth_tokens: Sequence[str] = (),
         rate_limit: Optional[float] = None,
         burst: int = 16,
-        prewarmer=None,
     ) -> None:
         self.service = service
-        self.prewarmer = prewarmer
         self.auth_tokens = frozenset(t for t in auth_tokens if t)
         if rate_limit is not None:
             TokenBuckets.check(rate_limit, burst)
@@ -208,14 +201,6 @@ class ThreadedApiServer(socketserver.ThreadingTCPServer):
     def address(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        if self.prewarmer is not None:
-            # Background thread; start() is idempotent, so a CLI that
-            # already kicked warming off is fine.  Traffic never waits
-            # on it.
-            self.prewarmer.start()
-        super().serve_forever(poll_interval)
 
     def start(self) -> "ThreadedApiServer":
         """Accept connections on a daemon thread; returns self."""
@@ -543,21 +528,13 @@ class ThreadedApiServer(socketserver.ThreadingTCPServer):
             name: graph.fingerprint()
             for name, graph in self.service.registered().items()
         }
-        payload = {
+        return Response(200, {
             "status": "ok",
             "version": repro.version_string(),
             "backend": self.service.backend,
             "workers": self.service.workers,
             "graphs": graphs,
-        }
-        if self.prewarmer is not None:
-            payload["prewarm"] = {
-                "done": self.prewarmer.done,
-                "built": self.prewarmer.built,
-                "already_warm": self.prewarmer.already_warm,
-                "skipped": self.prewarmer.skipped,
-            }
-        return Response(200, payload)
+        })
 
 
 def _interrupt(signum, frame) -> None:

@@ -1,7 +1,7 @@
 """Typed catalog artifacts: what the catalog caches and spills.
 
-A catalog artifact is cc's prepared (symmetrised) form of one
-concrete graph, the one input the serving tier builds — wrapped with
+A catalog artifact is a prepared (say, symmetrised) form of one
+concrete graph — serving builds none — wrapped with
 exactly the metadata the cache needs: a content-addressed key, a byte
 size for budget accounting, and a lossless ``.npz`` round-trip so
 artifacts evicted from memory can be reloaded from disk *without

@@ -17,7 +17,9 @@ root).  The batcher exploits that shape:
   :data:`~repro.algorithms.multi_source.DEFAULT_MAX_LANES` sources)
   whose distance matrix is sliced back per request;
 * sourceless analytics (CC/PR) collapse even harder: the whole batch
-  is one engine run whose result every member shares.
+  is one run whose result every member shares — for cc a union-find
+  over the graph as it is (:func:`~repro.algorithms.cc.weak_components`),
+  which builds no symmetrised copy.
 
 :func:`run_sources_on_target` reports how much engine work actually ran
 as a :class:`BatchExecution`, which the executor feeds to
@@ -32,7 +34,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.algorithms import ALGORITHMS, run_algorithm
+from repro.algorithms import ALGORITHMS, run_algorithm, weak_components
 from repro.algorithms._dispatch import resolve_scheduler
 from repro.algorithms.multi_source import (
     DEFAULT_MAX_LANES,
@@ -184,8 +186,9 @@ def run_sources_on_target(
             strategy="per-source",
         )
     else:  # cc, pr: one run shared by the whole batch
-        values, _ = run_algorithm(target, algorithm, None, options)
-        per_source[-1] = values
+        per_source[-1] = (
+            weak_components(target, options=options) if algorithm == "cc"
+            else run_algorithm(target, algorithm, None, options)[0])
         execution = BatchExecution(
             traversals=1, lanes=1, traversals_saved=0, strategy="shared",
         )

@@ -1,10 +1,10 @@
-"""GraphCatalog: the artifact cache behind the serving layer.
+"""GraphCatalog: a content-addressed artifact cache.
 
-CC's graph preparation (symmetrising, weights stripped) is O(|E|)
-work that every cc request on a graph would otherwise repeat.  The
-catalog caches its result — the *prepared graph*, the one artifact
-the serving layer builds (the other analytics read their input or its
-memoised unweighted view, uncached):
+Serving builds nothing into it: every analytic reads its input graph
+or that graph's memoised unweighted view, and cc is a union-find over
+the CSR as it is (:func:`~repro.algorithms.cc.weak_components`).  The
+catalog is the cache a caller with an O(|E|) artifact worth amortising
+(a symmetrised graph, say) puts it in:
 
 * **memory tier** — an LRU over :class:`TransformArtifact` entries
   with byte-size accounting against a configurable budget;
@@ -54,10 +54,6 @@ class CatalogStats:
     seconds_saved: float = 0.0
     #: build seconds actually spent on misses.
     seconds_building: float = 0.0
-    #: artifacts the pre-warmer built before traffic asked for them.
-    prewarm_built: int = 0
-    #: hits (memory or disk) served from pre-warmed artifacts.
-    prewarm_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -82,8 +78,6 @@ class CatalogStats:
             "hit_rate": self.hit_rate,
             "seconds_saved": self.seconds_saved,
             "seconds_building": self.seconds_building,
-            "prewarm_built": self.prewarm_built,
-            "prewarm_hits": self.prewarm_hits,
         }
 
 
@@ -155,8 +149,6 @@ class GraphCatalog:
         self._lock = threading.Lock()
         #: per-key build locks for single-flight construction.
         self._building: Dict[ArtifactKey, threading.Lock] = {}
-        #: keys the pre-warmer produced; hits on them count separately.
-        self._prewarmed: "set[ArtifactKey]" = set()
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -220,26 +212,13 @@ class GraphCatalog:
         """Insert an externally built artifact under ``key``.
 
         The direct-insert face of the cache for callers that already
-        hold a finished artifact (the pre-warmer, tests, offline build
-        pipelines): budget enforcement, eviction policy, and
+        hold a finished artifact (tests, offline build pipelines): budget enforcement, eviction policy, and
         write-through spill behave exactly as for a built-on-miss
         artifact.  No build is counted — nothing was constructed here.
         """
         self._insert(key, artifact)
         if self.write_through:
             self._spill(key, artifact)
-
-    def note_prewarm(self, key: ArtifactKey, *, built: bool) -> None:
-        """Mark ``key`` as pre-warmed (and count a build when fresh).
-
-        Later hits on the key — memory or disk — are counted as
-        ``prewarm_hits``, which is how an operator tells a pre-warm
-        that paid off from one that warmed dead weight.
-        """
-        with self._lock:
-            self._prewarmed.add(key)
-            if built:
-                self.stats.prewarm_built += 1
 
     def eviction_policy(self):
         """The live policy object (read-only introspection; see tests)."""
@@ -256,8 +235,6 @@ class GraphCatalog:
                 if recount:
                     self.stats.hits += 1
                     self.stats.seconds_saved += entry.build_seconds
-                    if key in self._prewarmed:
-                        self.stats.prewarm_hits += 1
                 return entry, "memory"
         # Disk tier, outside the memory lock: loads can be slow.
         loaded = self._load_spilled(key)
@@ -267,8 +244,6 @@ class GraphCatalog:
                     self.stats.misses += 1
                     self.stats.disk_hits += 1
                     self.stats.seconds_saved += loaded.build_seconds
-                    if key in self._prewarmed:
-                        self.stats.prewarm_hits += 1
             self._insert(key, loaded)
             return loaded, "disk"
         if recount:

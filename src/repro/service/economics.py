@@ -1,53 +1,40 @@
-"""Cache economics: cost-aware eviction and trace-driven pre-warming.
+"""Cache economics: cost-aware eviction for the catalog.
 
-Catalog artifacts (prepared graphs) are built once and reused — but
-a plain LRU treats an artifact that took 40 s to build and occupies
-2 MB the same as a 50 ms throwaway, so one burst of large one-shot
-requests flushes exactly the artifacts that make warm serving fast.
-This module gives the catalog an economic memory:
+Catalog artifacts are built once and reused — but a plain LRU treats
+an artifact that took 40 s to build and occupies 2 MB the same as a
+50 ms throwaway, so one burst of large one-shot requests flushes
+exactly the artifacts that make warm serving fast.  This module gives
+the catalog an economic memory: a pluggable victim-selection layer
+for :class:`~repro.service.catalog.GraphCatalog`.  ``"lru"``
+preserves the original recency order; ``"gdsf"`` is
+Greedy-Dual-Size-Frequency (Cherkasova '98), whose priority per entry
+is::
 
-* **eviction policies** — a pluggable victim-selection layer for
-  :class:`~repro.service.catalog.GraphCatalog`.  ``"lru"`` preserves
-  the original recency order; ``"gdsf"`` is Greedy-Dual-Size-Frequency
-  (Cherkasova '98), whose priority per entry is::
+    priority = clock + frequency * build_seconds / nbytes
 
-      priority = clock + frequency * build_seconds / nbytes
+The inflation ``clock`` rises to each victim's priority on eviction,
+so long-idle entries age out while small, expensive, frequently hit
+artifacts stay resident.  Policy state is guarded by the catalog's own
+lock (every callback runs under it), and its inputs —
+``build_seconds`` and ``nbytes()`` — travel inside the spilled
+``.npz`` archive, so a process worker hydrating from the shared disk
+tier recomputes the same base priority the parent computed.
 
-  The inflation ``clock`` rises to each victim's priority on eviction,
-  so long-idle entries age out while small, expensive, frequently hit
-  artifacts stay resident.  Policy state is guarded by the catalog's
-  own lock (every callback runs under it), and its inputs —
-  ``build_seconds`` and ``nbytes()`` — travel inside the spilled
-  ``.npz`` archive, so a process worker hydrating from the shared disk
-  tier recomputes the same base priority the parent computed.
-
-* **a pre-warmer** — :class:`Prewarmer` makes one pass over a recorded
-  trace-v1 stream (:mod:`repro.service.ingest`) on a background thread
-  before traffic lands (``serve --prewarm-from-trace TRACE``): each
-  distinct request signature is admitted as live traffic is, and cc's
-  prepared graph — the one artifact the catalog builds — is built then
-  for every graph an admitted cc request reads.  Progress shows in the
-  catalog stats the service metrics already surface
-  (``prewarm_built``, ``prewarm_hits``, ``evictions_<policy>``).
-
-See ``docs/cache-economics.md`` for the policy math and when LRU
-remains the right choice.
+Serving itself builds no artifact (cc reads the CSR as it is), so
+these policies act on what callers put in a catalog.  See
+``docs/cache-economics.md`` for the policy math and when LRU remains
+the right choice.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.errors import ServiceError, TigrError
+from repro.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.graph.csr import CSRGraph
     from repro.service.artifacts import ArtifactKey, TransformArtifact
-    from repro.service.catalog import GraphCatalog
-    from repro.service.executor import AnalyticsService
-    from repro.service.ingest import Trace
 
 #: environment fallback for the catalog eviction policy, mirroring
 #: REPRO_SERVICE_WORKERS / REPRO_KERNEL_BACKEND: process workers
@@ -201,167 +188,3 @@ def make_policy(name: Optional[str]) -> EvictionPolicy:
     if resolved == "gdsf":
         return GdsfPolicy()
     return LruPolicy()
-
-
-# ----------------------------------------------------------------------
-# Pre-warming
-# ----------------------------------------------------------------------
-class Prewarmer:
-    """Warm the catalog artifacts a recorded trace reads, before traffic.
-
-    Wraps one :class:`~repro.service.executor.AnalyticsService` and one
-    loaded trace.  Each request passes the check live traffic passes
-    (:func:`~repro.service.planner.plan_query`); each graph with an
-    admitted symmetrising (cc) request, in first-arrival order, has its
-    prepared graph built against the service's own catalog — the one
-    catalog artifact traffic reads.  With a write-through catalog the
-    warm set also lands in the shared disk tier, which is how
-    process-backend workers inherit it.
-
-    Progress is visible while it runs: :attr:`built` and
-    :attr:`already_warm` count each warmed artifact once, the catalog's
-    ``prewarm_built`` stat counts the fresh builds, and hits on a
-    warmed key count as ``prewarm_hits``.  Failures never propagate —
-    a rejected ``(graph, algorithm, transform)`` signature and a cc
-    graph that is missing are each recorded in :attr:`errors` and
-    skipped once; pre-warming is an optimisation, not a correctness
-    gate.
-    """
-
-    def __init__(
-        self,
-        service: "AnalyticsService",
-        trace: "Trace",
-        *,
-        graphs: Optional[Dict[str, "CSRGraph"]] = None,
-    ) -> None:
-        self.service = service
-        self.trace = trace
-        self._overrides = dict(graphs or {})
-        self._thread = threading.Thread(
-            target=self._run, name="repro-prewarm", daemon=True
-        )
-        self._started = False
-        self._lock = threading.Lock()
-        self._publish: Optional["GraphCatalog"] = None
-        #: warmed key -> whether this pass built it.
-        self._warmed: Dict["ArtifactKey", bool] = {}
-        self.built = 0
-        self.already_warm = 0
-        self.skipped = 0
-        self.errors: List[str] = []
-
-    def start(self) -> "Prewarmer":
-        """Begin warming in the background (idempotent)."""
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-        self._thread.start()
-        return self
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait for warming to finish; returns True when it has."""
-        with self._lock:
-            started = self._started
-        if not started:
-            return False
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    @property
-    def done(self) -> bool:
-        with self._lock:
-            started = self._started
-        return started and not self._thread.is_alive()
-
-    def run_inline(self) -> "Prewarmer":
-        """Warm synchronously on the calling thread (tests, CLI --prewarm-wait)."""
-        with self._lock:
-            if self._started:
-                raise ServiceError("prewarmer already started in background")
-            self._started = True
-        self._run()
-        return self
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        from repro.algorithms import ALGORITHMS
-        from repro.service.catalog import GraphCatalog
-        from repro.service.planner import plan_query
-        from repro.service.replay import resolve_trace_graphs
-
-        # Process-backend workers hydrate from the shared disk tier and
-        # never see the front-end's memory tier.  Unless the service
-        # catalog already writes through to that tier, publish every
-        # warmed artifact there via a write-through side catalog — the
-        # locked, atomic-rename spill path makes concurrent publishers
-        # safe and idempotent.
-        catalog = self.service.catalog
-        shared = getattr(self.service, "shared_artifact_dir", None)
-        if shared is not None and not (
-            catalog.write_through and catalog.spill_dir == shared
-        ):
-            self._publish = GraphCatalog(
-                spill_dir=shared, write_through=True, policy=catalog.policy
-            )
-
-        graphs = dict(self.service.registered())
-        graphs.update(self._overrides)
-        try:
-            graphs = resolve_trace_graphs(self.trace, overrides=graphs)
-        except TigrError as exc:
-            with self._lock:
-                self.errors.append(f"trace graphs: {exc}")
-        checked, warmed_graphs = set(), set()
-        for request in self.trace.requests:
-            label = f"{request.graph}/{request.algorithm} {request.transform}"
-            if label in checked:
-                continue
-            checked.add(label)
-            graph = graphs.get(request.graph)
-            try:
-                plan_query(request.to_query_request(), graph)
-                if (not ALGORITHMS[request.algorithm].symmetrize
-                        or request.graph in warmed_graphs):
-                    continue
-                warmed_graphs.add(request.graph)
-                if graph is None:
-                    raise ServiceError(
-                        "graph not registered and no usable recipe in the trace")
-                self._warm_one(graph, request.algorithm)
-            except TigrError as exc:
-                with self._lock:
-                    self.skipped += 1
-                    self.errors.append(f"{label}: {exc}")
-        # Marked once the pass ends, so a later signature re-reading an
-        # artifact this pass warmed is not counted as a ``prewarm_hits``
-        # — those count traffic only.
-        with self._lock:
-            warmed = list(self._warmed.items())
-        for key, built in warmed:
-            catalog.note_prewarm(key, built=built)
-
-    def _warm_one(self, graph: "CSRGraph", algorithm: str) -> None:
-        from repro.service.workers import prepare_with_origin, prepared_key
-
-        catalog = self.service.catalog
-        _, origin = prepare_with_origin(catalog, graph, algorithm)
-        key = prepared_key(graph)
-        self._mark(key, catalog.peek(key), origin)
-
-    def _mark(
-        self, key: "ArtifactKey", artifact: Optional["TransformArtifact"],
-        origin: str,
-    ) -> None:
-        """Count and publish one warmed artifact, once per key."""
-        with self._lock:
-            if key in self._warmed:
-                return
-            self._warmed[key] = origin == "built"
-            if origin == "built":
-                self.built += 1
-            else:
-                self.already_warm += 1
-        if self._publish is not None and artifact is not None:
-            self._publish.put(key, artifact)

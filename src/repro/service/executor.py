@@ -60,10 +60,9 @@ Design points, each of which the tests pin down:
 * **cancellation** — a ticket can be cancelled any time before a
   worker claims it; cancellation after claiming is refused (results
   are about to exist);
-* **single-flight builds** — concurrent cold queries for one prepared
-  graph build it once (catalog build locks per process; the shared
-  write-through disk tier keeps cross-process duplication to at most
-  one build per worker), everyone else waits and then hits.
+* **nothing built per request** — every batch reads its graph or the
+  graph's memoised unweighted view (cc is a union-find over the CSR as
+  it is), so a cold request and a warm one do the same work.
 """
 
 from __future__ import annotations
@@ -506,12 +505,8 @@ class AnalyticsService:
 
     @property
     def shared_artifact_dir(self) -> Optional[str]:
-        """The disk tier local hosts hydrate from (None for threads).
-
-        Builds that should benefit the local hosts — the pre-warmer's,
-        chiefly — must land here: host catalogs cannot see the
-        front-end's memory tier.
-        """
+        """The disk tier local hosts hydrate from (None for threads):
+        host catalogs cannot see the front-end's memory tier."""
         return self._process.artifacts_dir if self._process is not None else None
 
     def _priority_of(self, item: _WorkItem) -> int:

@@ -176,10 +176,8 @@ class ServiceMetrics:
         if stats is not None:
             for key, value in stats.as_dict().items():
                 out[f"catalog_{key}"] = value
-            # pre-warm and policy telemetry at top level too: these are
-            # the knobs docs/cache-economics.md tells operators to watch.
-            out["prewarm_built"] = stats.prewarm_built
-            out["prewarm_hits"] = stats.prewarm_hits
+            # policy telemetry at top level too: the knob
+            # docs/cache-economics.md tells operators to watch.
             out[f"evictions_{self.catalog_policy}"] = stats.evictions
         return out
 

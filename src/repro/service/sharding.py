@@ -10,13 +10,19 @@ frame, :func:`encode_frame`), and a router on the
 dispatcher thread fans each superstep out and reduces the answers
 back per algorithm:
 
-* **bfs / sssp / sswp / cc** — min-plus (or max-min / min-label)
-  BSP: each shard relaxes the frontier's edges it owns and returns
-  the destinations whose value improved; because MIN/MAX folds are
-  exact in float64 and each destination's in-edges never straddle
-  shards, the merged per-superstep state — and therefore the final
-  fixpoint — is **bitwise identical** to the single-engine run under
-  any transform (monotone analytics are transform-invariant);
+* **bfs / sssp / sswp** — min-plus (or max-min) BSP: each shard
+  relaxes the frontier's edges it owns and returns the destinations
+  whose value improved; because MIN/MAX folds are exact in float64 and
+  each destination's in-edges never straddle shards, the merged
+  per-superstep state — and therefore the final fixpoint — is
+  **bitwise identical** to the single-engine run under any transform
+  (monotone analytics are transform-invariant);
+* **cc** — one exchange: each shard labels its slice's weak
+  components (the compiled ``components`` union-find), and the router
+  folds the S label arrays with the same unit — an edge ``v -> L[v]``
+  per array joins exactly what that slice joined, so the fold's least
+  ids are the whole graph's, bitwise what min-label propagation
+  reaches;
 * **pr** — weighted merge: shards gather ``rank/outdeg`` over their
   edge slices *in global CSR edge order* (the destination partition
   preserves it), the router assembles the disjoint owned
@@ -77,12 +83,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.programs import (
-    BFSProgram,
-    CCProgram,
-    SSSPProgram,
-    SSWPProgram,
-)
+from repro.algorithms.cc import weak_components
+from repro.algorithms.programs import BFSProgram, SSSPProgram, SSWPProgram
 from repro.engine.push import EngineOptions, PushStep
 from repro.engine.rank import RankStep, damp, inverse_out_degrees
 from repro.engine.schedule import NodeScheduler
@@ -123,7 +125,6 @@ _PROGRAMS = {
     "bfs": BFSProgram,
     "sssp": SSSPProgram,
     "sswp": SSWPProgram,
-    "cc": CCProgram,
 }
 
 _task_ids = itertools.count(1)
@@ -330,6 +331,14 @@ class LocalShard:
         """
         return self._task(task, RankStep, "pagerank").gather(rank)[self.owned]
 
+    # -- connected components ----------------------------------------
+    def components(self, kernel_backend: Optional[str] = None) -> np.ndarray:
+        """The weak component labels of this slice (the owned nodes'
+        in-edges, direction ignored): each node's least id among the
+        nodes those edges join it to.  One call; it keeps no task."""
+        return weak_components(
+            self.subgraph, options=EngineOptions(kernel_backend=kernel_backend))
+
     # -- lifecycle -----------------------------------------------------
     def finish(self, task: int) -> None:
         with self._lock:
@@ -351,7 +360,7 @@ class LocalShard:
 #: the shard host dispatches on and the names :class:`RemoteShardHandle`
 #: forwards.  ``load`` (it *constructs* the shard) and ``run`` (a whole
 #: batch, local hosts only) are the two hand-written ops.
-SHARD_OPS = ("begin", "step", "pr_begin", "pr_step", "finish")
+SHARD_OPS = ("begin", "step", "pr_begin", "pr_step", "components", "finish")
 
 
 #: each op's parameters minus ``self`` (bound to no shard):
@@ -396,6 +405,8 @@ class RemoteShardHandle:
         self.op_timeout_s = op_timeout_s
         #: frame bytes sent and received, over the handle's lifetime
         self.wire_bytes = 0
+        #: the loaded slice's node count (what a ``components`` reply labels)
+        self.num_nodes: Optional[int] = None
         self.where = (
             f"remote shard at {address[0]}:{address[1]}"
             if isinstance(address, tuple) else "local host"
@@ -417,6 +428,7 @@ class RemoteShardHandle:
         if subgraph.weights is not None:
             message["weights"] = subgraph.weights
         self._call(message)
+        self.num_nodes = subgraph.num_nodes
 
     def run(self, spec: BatchSpec, num_nodes: int) -> BatchOutcome:
         """Execute one whole batch on the host's own catalog."""
@@ -459,6 +471,11 @@ class RemoteShardHandle:
                           self.owned[np.searchsorted(self.owned, ids)], ids))
             elif op == "pr_step":
                 ok = value.dtype == np.float64 and value.shape == self.owned.shape
+            elif op == "components":
+                # 0 <= L[v] <= v: the fold hands them to C as node ids
+                ok = (value.dtype == np.float64 and value.shape == (self.num_nodes,)
+                      and bool(np.all((value >= 0)
+                                      & (value <= np.arange(len(value))))))
             elif op == "run":
                 sources, nodes = expect
                 value = BatchOutcome(**{
@@ -726,20 +743,23 @@ class ShardRunStats:
 
 
 class ShardSet:
-    """All shards of one prepared graph plus their superstep pool.
+    """All shards of one prepared graph, and a pool for the remote ones.
 
-    One executor thread per shard: each superstep submits every
-    shard's step concurrently and joins the results (numpy releases
-    the GIL across slices; remote shards overlap on the network).
+    Each superstep puts every remote shard's op in flight on the pool
+    (one thread per remote: they overlap on the network), steps the
+    in-process slices on the calling thread meanwhile, then joins.  A
+    pool buys in-process slices nothing: their steps hold the GIL for
+    most of a superstep, and the hand-offs cost more than the overlap
+    (``docs/sharding.md``).  A set with no remote shard starts no pool.
     """
 
     def __init__(self, prepared: CSRGraph, shards: List[object]) -> None:
         self.prepared = prepared
         self.shards = shards
+        remotes = sum(isinstance(s, RemoteShardHandle) for s in shards)
         self._pool = ThreadPoolExecutor(
-            max_workers=max(len(shards), 1),
-            thread_name_prefix="repro-shard",
-        )
+            max_workers=remotes, thread_name_prefix="repro-shard",
+        ) if remotes else None
 
     @staticmethod
     def build(
@@ -782,12 +802,20 @@ class ShardSet:
 
     # -- scatter helpers ----------------------------------------------
     def _on_all(self, call: Callable[[object], object]) -> List[object]:
-        futures = [self._pool.submit(call, shard) for shard in self.shards]
-        results = []
+        """``call(shard)`` for every shard -> the results in shard order;
+        every call ends before the first error is raised."""
+        futures = {
+            index: self._pool.submit(call, shard)  # type: ignore[union-attr]
+            for index, shard in enumerate(self.shards)
+            if isinstance(shard, RemoteShardHandle)
+        }
+        results: List[object] = [None] * len(self.shards)
         error: Optional[BaseException] = None
-        for future in futures:
+        # the in-process slices first, while the remote ones are in flight
+        for index in [i for i in range(len(self.shards)) if i not in futures] + [*futures]:
             try:
-                results.append(future.result())
+                results[index] = (futures[index].result() if index in futures
+                                  else call(self.shards[index]))
             except BaseException as exc:  # join every future before raising
                 error = error or exc
         if error is not None:
@@ -806,24 +834,23 @@ class ShardSet:
     ) -> Dict[int, np.ndarray]:
         """Scatter-gather BSP to the fixpoint, one run per source.
 
-        Returns the same ``source -> values`` mapping (key ``-1`` for
-        cc) as :func:`~repro.service.batching.run_sources_on_target`,
+        Returns the same ``source -> values`` mapping as
+        :func:`~repro.service.batching.run_sources_on_target`,
         bitwise-equal to the single-engine answer under any plan.
         """
         stats = stats if stats is not None else ShardRunStats()
-        per_source: Dict[int, np.ndarray] = {}
-        for source in sources or (None,):
-            values = self._run_one_monotone(
+        return {
+            int(source): self._run_one_monotone(
                 algorithm, source, max_iterations=max_iterations,
                 kernel_backend=kernel_backend, stats=stats,
             )
-            per_source[-1 if source is None else int(source)] = values
-        return per_source
+            for source in sources
+        }
 
     def _run_one_monotone(
         self,
         algorithm: str,
-        source: Optional[int],
+        source: int,
         *,
         max_iterations: int,
         kernel_backend: Optional[str],
@@ -873,6 +900,34 @@ class ShardSet:
             return values
         finally:
             self._finish(task)
+
+    # -- connected components ----------------------------------------
+    def run_components(
+        self,
+        *,
+        kernel_backend: Optional[str] = None,
+        stats: Optional[ShardRunStats] = None,
+    ) -> Dict[int, np.ndarray]:
+        """Sharded cc in one exchange: every shard's slice labels, folded.
+
+        The fold is one more ``components`` run, over a graph whose row
+        ``v`` holds ``L[v]`` of each of the S label arrays: it joins what
+        each slice joined, so its least ids are the whole graph's.  One
+        superstep; its exchange is the S label arrays.
+        """
+        stats = stats if stats is not None else ShardRunStats()
+        labels = self._on_all(
+            lambda shard: shard.components(kernel_backend)  # type: ignore[attr-defined]
+        )
+        n, count = self.prepared.num_nodes, len(labels)
+        stats.count_step(_nbytes(*labels))  # type: ignore[arg-type]
+        rows = np.empty((n, count), dtype=NODE_DTYPE)
+        for column, part in enumerate(labels):
+            rows[:, column] = part
+        fold = CSRGraph(np.arange(n + 1, dtype=NODE_DTYPE) * count,
+                        rows.reshape(-1), validate=False)
+        return {-1: weak_components(
+            fold, options=EngineOptions(kernel_backend=kernel_backend))}
 
     # -- pagerank ------------------------------------------------------
     def run_pagerank(
@@ -935,7 +990,8 @@ class ShardSet:
                 shard.close()  # type: ignore[attr-defined]
             except (OSError, ServiceError):
                 pass
-        self._pool.shutdown(wait=False)
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
 
 
 # ----------------------------------------------------------------------
@@ -1008,6 +1064,10 @@ class ShardTier:
                 per_source = shardset.run_pagerank(
                     kernel_backend=batch.options.kernel_backend, stats=stats
                 )
+            elif algorithm == "cc":
+                per_source = shardset.run_components(
+                    kernel_backend=batch.options.kernel_backend, stats=stats
+                )
             else:
                 per_source = shardset.run_monotone(
                     algorithm, batch.sources,
@@ -1043,10 +1103,9 @@ class ShardTier:
     def _shardset_for(self, prepared: CSRGraph) -> Tuple[ShardSet, str]:
         """The (cached) shard set of one prepared graph and its origin.
 
-        Keyed by content fingerprint, so bfs and pr on one dataset
-        share slices (both read the graph's one unweighted view, whose
-        fingerprint is hashed once) while cc's symmetrised preparation
-        gets its own.
+        Keyed by content fingerprint, so bfs, cc and pr on one dataset
+        share slices (all read the graph's one unweighted view, whose
+        fingerprint is hashed once).
         """
         fingerprint = prepared.fingerprint()
         with self._lock:

@@ -13,13 +13,10 @@ and how each side rebuilds the rest:
   would erase the win of leaving the GIL behind.
 * **in the host process** lives a private memory-tier
   :class:`~repro.service.catalog.GraphCatalog` whose *disk tier is
-  shared*: every host points at one spill directory, builds are
-  written through immediately (file-locked, atomically renamed), and
-  content-addressed keys make a sibling's artifact indistinguishable
-  from your own.  A host's cold start is therefore one ``.npz``
-  hydration per cc graph, not a re-preparation.  Graphs hydrate
-  the same way from a ``graphs/`` directory keyed by fingerprint
-  (:func:`export_graph`) and are memoised per host.
+  shared* (one spill directory, builds written through, file-locked
+  and atomically renamed); serving's preparation builds nothing, so
+  it stays empty.  Graphs hydrate from a ``graphs/`` directory keyed
+  by fingerprint (:func:`export_graph`) and are memoised per host.
 * **back up the socket** comes the :class:`BatchOutcome`, its
   per-*unique-source* value arrays already projected to original node
   ids — the front-end fans them back out to each request's ticket
@@ -47,7 +44,6 @@ import numpy as np
 from repro.algorithms import ALGORITHMS, prepare_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.io import save_npz
-from repro.service.artifacts import ArtifactKey, TransformArtifact
 from repro.service.batching import BatchExecution, run_sources_on_target
 from repro.service.catalog import GraphCatalog, _spill_write_lock
 
@@ -134,35 +130,17 @@ def prepare_for_algorithm(
 def prepare_with_origin(
     catalog: GraphCatalog, graph: CSRGraph, algorithm: str
 ) -> Tuple[CSRGraph, Optional[str]]:
-    """Per-algorithm graph preparation, cached through ``catalog``.
+    """Per-algorithm graph preparation, which builds nothing.
 
-    Only a symmetrising analytic (cc) builds a new graph — O(|E|) work
-    worth amortising across requests — so only its prepared graph is a
-    catalog artifact (``kind="prepared"``, under the byte budget), with
-    the catalog's origin (``"memory"``, ``"disk"`` or ``"built"``).
-    Every other analytic reads ``graph`` or its memoised unweighted
-    view (:func:`prepare_graph`), uncached, with origin ``None``.
+    Every analytic reads ``graph`` or its memoised unweighted view —
+    cc too: serving's cc is a union-find over the CSR as it is
+    (:func:`~repro.algorithms.cc.weak_components`), not propagation
+    over a symmetrised copy.  So no preparation is a catalog artifact:
+    ``catalog`` is left untouched and the origin is ``None``.
     """
-    if not ALGORITHMS[algorithm].symmetrize:
-        return prepare_graph(graph, algorithm), None
-    key = prepared_key(graph)
-
-    def build() -> TransformArtifact:
-        start = time.perf_counter()
-        prepared = prepare_graph(graph, algorithm)
-        return TransformArtifact(
-            key=key, payload=prepared,
-            build_seconds=time.perf_counter() - start,
-        )
-
-    artifact, origin = catalog.get_for_key(key, build)
-    return artifact.payload, origin
-
-
-def prepared_key(graph: CSRGraph) -> ArtifactKey:
-    """The catalog key ``graph``'s symmetrised, weight-stripped form
-    (cc's prepared graph, the one recipe) lives under."""
-    return ArtifactKey(graph.fingerprint(), "sym-unw")
+    if ALGORITHMS[algorithm].symmetrize:
+        return graph.without_weights(), None
+    return prepare_graph(graph, algorithm), None
 
 
 def execute_pipeline(

@@ -1,16 +1,22 @@
 """Counted prepared-graph builders for the catalog suites.
 
-The catalog's one artifact is cc's prepared (symmetrised) graph
-(:func:`repro.service.workers.prepared_key`), so the suites key it the
-way traffic does and build it with :func:`repro.algorithms.prepare_graph`
-through a builder that counts its calls.
+Serving builds no catalog artifact (cc reads the CSR as it is), so the
+suites drive the catalog's mechanisms — spill, hydrate, budget, policy —
+through :meth:`~repro.service.GraphCatalog.get_for_key` directly: the
+artifact is cc's prepared (symmetrised) graph, built with
+:func:`repro.algorithms.prepare_graph` through a builder that counts
+its calls, under a key of the graph's fingerprint.
 """
 
 import time
 
 from repro.algorithms import prepare_graph
-from repro.service import TransformArtifact
-from repro.service.workers import prepared_key
+from repro.service import ArtifactKey, TransformArtifact
+
+
+def key_of(graph):
+    """The key the suites file ``graph``'s prepared form under."""
+    return ArtifactKey(graph.fingerprint(), "sym-unw")
 
 
 class CountedBuilder:
@@ -21,7 +27,7 @@ class CountedBuilder:
 
     def __init__(self, graph):
         self.graph = graph
-        self.key = prepared_key(graph)
+        self.key = key_of(graph)
         self.calls = 0
 
     def __call__(self):

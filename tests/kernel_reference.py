@@ -8,8 +8,8 @@ the C text is a transliteration of these loops, operation for
 operation (:func:`_relax`, :func:`_fold` and :func:`_run` are its
 ``RELAX``, ``FOLD`` and ``RUN`` macros; :func:`_next_frontier`,
 :func:`_bc_forward`, :func:`_bc_backward`, :func:`_pairwise`,
-:func:`_count_ids` and :func:`_transpose` its ``static`` helpers of
-those names).  Every loop walks each active
+:func:`_count_ids`, :func:`_transpose` and :func:`_find_root` its
+``static`` helpers of those names).  Every loop walks each active
 node's CSR row in order.  The ADD loops match the engines' vectorised
 numpy path bitwise: bc's numpy bodies fold their launch's edges sorted
 by CSR edge index, PageRank's gather takes each destination's sources
@@ -463,10 +463,38 @@ def symmetrize(off, targets, n, weighted_order, toff, tsrc, cursor, u_off,
     return k
 
 
+def _find_root(parent, x):
+    # x's root, halving the path on the way up
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def components(off, targets, n, parent, labels):
+    # the weak components: each edge hooks the larger of its ends' roots
+    # under the smaller (a is p's root throughout its row), then one
+    # ascending pass writes each node's root into labels
+    for v in range(n):
+        parent[v] = v
+    for p in range(n):
+        a = _find_root(parent, p)
+        for e in range(off[p], off[p + 1]):
+            b = _find_root(parent, targets[e])
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+                a = b
+    for v in range(n):
+        parent[v] = parent[parent[v]]
+        labels[v] = float(parent[v])
+
+
 #: the spec loop of every C function, by its name.
 LOOPS = {loop.__name__: loop for loop in (
     push_step, push_lanes_step, hop_step, push_run, push_lanes_run, hop_run,
-    bc_run, rank_layout, rank_gather, rank_run, symmetrize,
+    bc_run, rank_layout, rank_gather, rank_run, symmetrize, components,
 )}
 
 

@@ -641,6 +641,18 @@ class TestLayers:
         report = analyze_paths([root], rules=["LAYER002"])
         assert [(f.rule_id, f.line) for f in report.findings] == [("LAYER002", 2)]
 
+    @pytest.mark.parametrize("line", [
+        "warmer = Prewarmer(service, trace)",
+        "catalog.note_prewarm(key, built=True)",
+        "out['prewarm_hits'] = 0",
+        "flag = '--prewarm-from-trace'",
+        "key = prepared_key(graph)",
+    ], ids=["Prewarmer", "note_prewarm", "prewarm_hits", "flag", "prepared_key"])
+    def test_prewarm_names_are_retired(self, tmp_path, line):
+        root = write_package(tmp_path, {"service/economics.py": f"x = 1\n{line}\n"})
+        report = analyze_paths([root], rules=["LAYER002"])
+        assert [(f.rule_id, f.line) for f in report.findings] == [("LAYER002", 2)]
+
     def test_seeded_fixtures_fire(self, capsys):
         assert load_tool("check_analyzer_fixtures").main() == 0, capsys.readouterr().err
 

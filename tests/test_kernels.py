@@ -29,9 +29,10 @@ from hypothesis import strategies as st
 from repro.algorithms import prepare_graph
 from repro.algorithms.bc import BCStep, bc
 from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import connected_components
+from repro.algorithms.cc import connected_components, weak_components
 from repro.algorithms.multi_source import multi_source_distances
 from repro.algorithms.pagerank import pagerank
+from repro.algorithms.reference import reference_connected_components
 from repro.algorithms.programs import (
     BFSProgram,
     CCProgram,
@@ -72,7 +73,7 @@ from repro.graph.generators import (
     rmat,
     star,
 )
-from repro.service import AnalyticsService, QueryRequest, replay_trace
+from repro.service import AnalyticsService, QueryRequest, ShardSet, replay_trace
 from tests import kernel_reference
 from tests.kernel_reference import LOOPS, ReferenceBackend
 from tests.test_udt import graphs as generator_graphs
@@ -1627,6 +1628,76 @@ class TestSymmetrize:
         assert len(cols) == chunk[-1]
 
 
+@st.composite
+def component_graphs(draw):
+    """Directed multigraphs for the union-find: ``symmetrize_graphs``'
+    (empty, one node, self-loops, multi-edges, hubs, isolated nodes) or
+    a sparse scatter of many small components, then maybe an isolated
+    hub (a star of fresh nodes, its spokes pointing either way, touching
+    nothing else); weighted or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        base = draw(symmetrize_graphs())
+        (src, dst, _), n = base.to_coo(), base.num_nodes
+    else:
+        n = int(rng.integers(0, 60))
+        src, dst = rng.integers(0, max(n, 1), (2, int(rng.integers(0, n + 1))))
+    if draw(st.booleans()):
+        leaves = np.arange(n + 1, n + 2 + int(rng.integers(0, 12)))
+        out = rng.random(len(leaves)) < 0.5
+        src = np.concatenate([src, np.where(out, n, leaves)])
+        dst = np.concatenate([dst, np.where(out, leaves, n)])
+        n += len(leaves) + 1
+    weights = rng.uniform(1, 9, len(src)) if draw(st.booleans()) else None
+    return from_arrays(src, dst, weights, num_nodes=n)
+
+
+class TestComponents:
+    """cc by union-find over the CSR as it is: the compiled
+    ``components``, its spec loop, the numpy decline path (propagation
+    over the symmetrised graph), the reference union-find and the
+    sharded fold at 1-4 shards label each node with its component's
+    least id, bitwise in float64."""
+
+    @given(graph=component_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_path_labels_bitwise(self, graph):
+        want = reference_connected_components(graph).astype(np.float64).tobytes()
+        reference = ReferenceBackend()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(kernels._REGISTRY, reference.name, reference)
+            for backend in ("numpy", *JITS, reference.name):
+                jit = kernels.get_backend(backend)
+                before = jit.engaged, jit.declined
+                got = weak_components(
+                    graph, options=EngineOptions(kernel_backend=backend))
+                assert got.dtype == np.float64 and got.tobytes() == want, backend
+                moved = (jit.engaged - before[0], jit.declined - before[1])
+                assert moved == ((1, 0) if jit.jit else (0, 0)), backend
+        for shards in range(1, 5):
+            shardset = ShardSet.build(graph.without_weights(), shards)
+            try:
+                for backend in ("numpy", *JITS):
+                    got = shardset.run_components(kernel_backend=backend)[-1]
+                    assert got.tobytes() == want, (shards, backend)
+            finally:
+                shardset.close()
+
+    @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+    @pytest.mark.parametrize("dataset,scale", [
+        ("livejournal", 0.5), ("orkut", 0.25), ("twitter", 0.15),
+        ("sinaweibo", 0.5)])
+    def test_ledger_graphs_match_propagation(self, dataset, scale):
+        from repro.graph.datasets import load_dataset
+
+        graph = load_dataset(dataset, scale=scale)
+        want = connected_components(prepare_graph(graph, "cc"),
+                                    options=EngineOptions(kernel_backend="numpy"))
+        for backend in JITS:
+            got = weak_components(graph, options=EngineOptions(kernel_backend=backend))
+            assert got.tobytes() == want.values.tobytes(), backend
+
+
 @pytest.mark.skipif(
     not kernels.get_backend("cjit").is_available(), reason="no C compiler"
 )
@@ -1740,6 +1811,7 @@ HAND_COUNTED = {
     "rank_run": ("rank", _F64, [_PTR] * 8 + [_I64] + [_PTR, _I64]
                  + [_F64] * 2 + [_I64, _PTR]),
     "symmetrize": ("symmetrize", _I64, [_PTR] * 2 + [_I64, _I32] + [_PTR] * 7),
+    "components": ("components", None, [_PTR] * 2 + [_I64] + [_PTR] * 2),
 }
 
 

@@ -40,7 +40,7 @@ from repro.service.batching import (
 from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest
-from repro.service.workers import prepared_key
+from tests.catalog_cells import key_of
 
 
 def make_graph(seed, *, weighted):
@@ -351,7 +351,7 @@ class TestServiceLaneAccounting:
 # ----------------------------------------------------------------------
 class TestPreparedArtifactBudget:
     def _prepared(self, graph):
-        key = prepared_key(graph)
+        key = key_of(graph)
         return key, TransformArtifact(
             key=key, payload=graph, build_seconds=0.01
         )

@@ -657,6 +657,8 @@ class TestOverload:
                     assert status == 503
                     assert int(headers["retry-after"]) >= 1
                     assert json.loads(body)["error"]["type"] == "overloaded"
+                    # before the server's exit drains the stalled queue
+                    gate.set()
             finally:
                 gate.set()
             assert stuck.result(60.0).ok and queued.result(60.0).ok

@@ -11,15 +11,12 @@ from repro.algorithms import prepare_graph
 from repro.errors import ServiceError
 from repro.graph.generators import rmat
 from repro.service import (
-    AnalyticsService,
     ArtifactKey,
     GraphCatalog,
-    QueryRequest,
     TransformArtifact,
     load_artifact,
 )
-from repro.service.workers import prepared_key
-from tests.catalog_cells import CountedBuilder, get
+from tests.catalog_cells import CountedBuilder, get, key_of
 
 #: a write-through directory from before weight-stripped views left the
 #: catalog: one cc request on ``rmat(48, 240, seed=2018,
@@ -39,19 +36,12 @@ def make_graphs(count, nodes=60, edges=300):
 class TestArtifactKey:
     def test_content_addressed(self, graph):
         twin = rmat(120, 900, seed=5, weight_range=(1, 6))
-        assert prepared_key(graph) == prepared_key(twin)
-
-    def test_one_recipe_names_every_prepared_key(self, graph):
-        # cc's symmetrised graph is the one artifact: weighted or not,
-        # an input's key differs by its fingerprint alone
-        unweighted = graph.without_weights()
-        assert prepared_key(graph).recipe == prepared_key(unweighted).recipe == "sym-unw"
-        assert prepared_key(graph) != prepared_key(unweighted)
+        assert key_of(graph) == key_of(twin)
 
     def test_spill_layout_is_unchanged(self, graph, tmp_path):
         # a two-field key writes the file name and archive the
         # four-field key wrote, so existing spill directories hydrate
-        key = prepared_key(graph)
+        key = key_of(graph)
         assert key == ArtifactKey(graph.fingerprint(), "sym-unw")
         assert key.filename() == f"{graph.fingerprint()[:20]}-prepared-k0-sym-unw.npz"
         artifact, _ = get(GraphCatalog(), graph)
@@ -61,7 +51,7 @@ class TestArtifactKey:
             assert bytes(archive["dumb_weight"]) == b"sym-unw"
 
     def test_filename_is_filesystem_safe(self, graph):
-        name = prepared_key(graph).filename()
+        name = key_of(graph).filename()
         assert "/" not in name and "sym-unw" in name
         assert name.endswith(".npz")
 
@@ -111,7 +101,7 @@ class TestLRUAndBudget:
     def test_eviction_order_is_lru(self):
         graphs = make_graphs(3)
         catalog = GraphCatalog(max_entries=2)
-        k0, k1, k2 = (prepared_key(g) for g in graphs)
+        k0, k1, k2 = (key_of(g) for g in graphs)
         get(catalog, graphs[0])
         get(catalog, graphs[1])
         # touch graph 0 so graph 1 becomes least recently used
@@ -159,7 +149,7 @@ class TestLRUAndBudget:
         # popping the old entry — the stale artifact stayed resident
         # (and its bytes stayed accounted) while callers held the new
         # payload.  Reachable through hydrate-after-rebuild and the
-        # prewarmer's put path; the guard must drop the stale entry.
+        # put path; the guard must drop the stale entry.
         graphs = make_graphs(2, nodes=40, edges=150)
         small, _ = get(GraphCatalog(), graphs[0])
         key = small.key
@@ -205,22 +195,20 @@ class TestDiskSpill:
             offsets=prepared.offsets, targets=prepared.targets,
         )
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        artifact = catalog.hydrate(prepared_key(graph))
+        artifact = catalog.hydrate(key_of(graph))
         assert artifact is not None and artifact.payload == prepared
         assert artifact.build_seconds == 0.25
 
     def test_frozen_cc_spill_hydrates(self, tmp_path):
-        # file name and archive layout are unchanged, so a cc request
-        # served from that directory hydrates and builds nothing
+        # file name and archive layout are unchanged, so a lookup of
+        # that key in that directory hydrates and builds nothing
         graph = rmat(48, 240, seed=2018, weight_range=(1, 6))
         shutil.copytree(FROZEN_SPILL, tmp_path, dirs_exist_ok=True)
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        with AnalyticsService(catalog, workers=1, backend="threads") as service:
-            service.register("g", graph)
-            result = service.run(QueryRequest("cc", "g"))
-        assert result.ok and result.cache_hit
+        _, origin = get(catalog, graph)
+        assert origin == "disk"
         assert (catalog.stats.disk_hits, catalog.stats.builds) == (1, 0)
-        artifact = catalog.peek(prepared_key(graph))
+        artifact = catalog.peek(key_of(graph))
         assert artifact.payload == prepare_graph(graph, "cc")
         assert artifact.build_seconds > 0
 
@@ -264,7 +252,7 @@ class TestDiskSpill:
 
     def test_corrupt_spill_is_a_miss(self, graph, tmp_path):
         catalog = GraphCatalog(spill_dir=str(tmp_path))
-        key = prepared_key(graph)
+        key = key_of(graph)
         (tmp_path / key.filename()).write_bytes(b"not an npz")
         get(catalog, graph)
         assert catalog.stats.builds == 1

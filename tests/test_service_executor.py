@@ -26,7 +26,6 @@ from repro.service import (
 )
 from repro.service.batching import group_requests
 from repro.service.planner import UDT_EXECUTABLE
-from repro.service.workers import prepared_key
 from tests.catalog_cells import get
 
 
@@ -75,25 +74,22 @@ class TestResultsMatchDirectCalls:
         # Acceptance criterion: warm-cache query on a Table 3 stand-in
         # does zero transform work and matches repro.algorithms exactly.
         graph = load_dataset("pokec", scale=0.2)
-        # (cc builds the symmetrised graph; a named udt plans `none`)
+        # (cc builds nothing: a union-find over the CSR as it is; a
+        # named udt plans `none`)
         catalog = GraphCatalog()
         with AnalyticsService(catalog, workers=2) as service:
             service.register("pokec", graph)
             cold = service.run(QueryRequest(
                 "cc", "pokec", transform="udt", degree_bound=8
             ))
-            builds_after_cold = catalog.stats.builds
             warm = service.run(QueryRequest(
                 "cc", "pokec", transform="udt", degree_bound=8
             ))
-            assert not cold.cache_hit and warm.cache_hit
-            if service.backend == "threads":
-                # zero build work on the warm path, per cache
-                # counters (the process backend builds in worker-side
-                # catalogs; its warm path is pinned by cache_hit above
-                # and by tests/test_service_process_backend.py)
-                assert catalog.stats.builds == builds_after_cold == 1
-                assert catalog.stats.hits >= 1
+            assert cold.cache_hit and warm.cache_hit
+            # zero build work on either path, per cache counters (the
+            # process backend's hosts keep catalogs of their own; its
+            # paths are pinned by cache_hit above)
+            assert catalog.stats.builds == catalog.stats.misses == 0
             assert np.array_equal(
                 warm.value(), connected_components(
                     to_undirected(graph.without_weights())).values
@@ -167,12 +163,8 @@ class TestConcurrency:
             ]
             results = [t.result(60) for t in tickets]
             assert all(r.ok for r in results)
-            if service.backend == "threads":
-                # single-flight: 40 cold-ish queries build the
-                # symmetrised graph exactly once (process workers
-                # build in their own catalogs, at most once per worker
-                # thanks to the shared disk tier)
-                assert catalog.stats.builds == 1
+            # 40 cold queries build nothing (cc reads the CSR as it is)
+            assert catalog.stats.builds == 0
             reference = connected_components(
                 to_undirected(graph.without_weights())).values
             assert np.array_equal(results[5].value(), reference)
@@ -285,15 +277,15 @@ class TestTimeouts:
             assert ticket.result(10).ok
 
     def test_warm_cache_never_degrades(self, graph):
-        # a spent deadline neither degrades nor rebuilds a warm batch
+        # a spent deadline neither degrades nor builds a batch
         with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
             service.register("g", graph)
             request = QueryRequest("cc", "g", transform="udt")
-            assert not service.run(request).cache_hit
+            assert service.run(request).cache_hit
             (batch,) = group_requests([request], lambda _: graph)
             rushed = service._run_batch(batch, remaining_s=0.0)
             assert rushed.cache_hit and not rushed.degraded
-            assert service.catalog.stats.builds == 1
+            assert service.catalog.stats.builds == 0
 
     def test_tight_deadline_cold_cache_serves_the_csr(self):
         # weighted sssp reads no catalog artifact: a udt request under a
@@ -391,14 +383,13 @@ class TestErrorsAndMetrics:
         assert summary["sharded_batches"] == (1 if shards else 0)
 
     def test_metrics_summary_shape(self, service):
-        # cc builds the symmetrised graph once, then reads it
+        # cc builds nothing, cold or warm
         service.run(QueryRequest("cc", "g", transform="udt"))
         service.run(QueryRequest("cc", "g", transform="udt"))
         summary = service.metrics.summary()
         assert summary["queries_total"] == 2
-        assert summary["cache_hit_rate"] == 0.5
-        if service.backend == "threads":
-            assert summary["catalog_builds"] == 1
+        assert summary["cache_hit_rate"] == 1.0
+        assert summary["catalog_builds"] == 0
         for key in ("worker_restarts", "ipc_bytes", "hydrate_hits"):
             assert key in summary
         for stage in ("queue", "plan", "execute", "total"):
@@ -438,10 +429,18 @@ class TestCacheHitMeansNothingBuilt:
             svc.register("g", graph)
             yield svc
 
-    def test_cc_builds_its_preparation_once(self, served):
-        cold = served.run(QueryRequest("cc", "g", transform="none"))
-        warm = served.run(QueryRequest("cc", "g", transform="none"))
-        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_cc_builds_nothing(self, graph, shards, backend):
+        with AnalyticsService(
+            GraphCatalog(), workers=1, shards=shards, backend=backend
+        ) as served:
+            served.register("g", graph)
+            cold = served.run(QueryRequest("cc", "g", transform="none"))
+            warm = served.run(QueryRequest("cc", "g", transform="none"))
+            summary = served.metrics.summary()
+        # sharded, the first request builds the graph's shard set only
+        assert (cold.cache_hit, warm.cache_hit) == (shards == 0, True)
+        assert summary["catalog_builds"] == summary["hydrate_hits"] == 0
 
     def test_weighted_sssp_reads_no_artifact(self, served, shards):
         request = functools.partial(
@@ -469,18 +468,19 @@ class TestCacheHitMeansNothingBuilt:
                 assert served.run(request).ok
         for algorithm in ("cc", "pr"):
             assert served.run(QueryRequest(algorithm, "g")).ok
-        # (shards hold no catalog: they step the raw slice)
-        keys = set(served.catalog.keys())
-        assert keys <= {prepared_key(graph)}
-        # (local hosts build in catalogs of their own)
-        assert keys or served.backend == "processes"
+        # (shards hold no catalog: they step the raw slice; cc builds
+        # no symmetrised graph)
+        assert not served.catalog.keys()
+        assert served.catalog.stats.builds == 0
 
 
 def test_concurrent_dispatchers_count_only_their_own_hydrations(
     graph, tmp_path
 ):
     # each dispatcher hydrates one spilled prepared graph while the other
-    # is inside its pipeline too; the summed hydrate_hits are the disk loads
+    # is inside its pipeline too; the summed hydrate_hits are the disk
+    # loads.  Serving's own preparation reads no catalog, so the service's
+    # preparation step is one that does.
     catalog = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
     unweighted = graph.without_weights()
     for g in (graph, unweighted):
@@ -495,8 +495,13 @@ def test_concurrent_dispatchers_count_only_their_own_hydrations(
         overlap.wait()  # both have hydrated
         return found
 
+    def prepare(g, algorithm):
+        artifact, origin = get(catalog, g)
+        return artifact.payload, origin
+
     catalog.get_for_key = gated
     with AnalyticsService(catalog, workers=2, backend="threads") as service:
+        service._prepare = prepare
         service.register("g", graph)
         service.register("uw", unweighted)
         tickets = [

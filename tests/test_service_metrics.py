@@ -140,6 +140,12 @@ def scripted_summary(shards: int) -> dict:
 #: (one build, one miss and four hits fewer; 17 536 bytes held, not
 #: 28 400).  At 0 shards the first bfs now builds nothing, so 11 of 15
 #: requests hit; at 2 shards it still builds its shard set, so 6 of 15.
+#:
+#: Then cc became a union-find over the CSR as it is: it builds nothing
+#: (no build, no miss, no bytes held), so 12 of 15 requests hit at 0
+#: shards; at 2 shards it reads bfs's shard set, so 7 of 15, and its
+#: sharded run is one superstep exchanging two 200-label arrays (three
+#: supersteps and 14 384 exchange bytes fewer than propagation took).
 PARENT_COMMON = {
     "queries_total": 15, "queries_failed": 2, "queries_degraded": 0,
     "queries_timed_out": 1, "queries_cancelled": 1, "batches_merged": 3,
@@ -150,29 +156,28 @@ PARENT_COMMON = {
     "trace_results": 13, "replay_digests_checked": 2,
     "replay_digest_mismatches": 0, "shard_fallbacks": 0, "quota_rejected": 1,
     "catalog_disk_hits": 0, "catalog_evictions": 0, "catalog_spills": 0,
-    "catalog_prewarm_built": 0, "catalog_prewarm_hits": 0,
-    "prewarm_built": 0, "prewarm_hits": 0, "evictions_lru": 0,
+    "evictions_lru": 0,
 }
 PARENT_SUMMARY = {
     0: {
         **PARENT_COMMON,
-        "cache_hit_rate": 0.7333333333333333,
+        "cache_hit_rate": 0.8,
         "lanes_per_traversal": 1.2222222222222223,
         "traversals_saved": 2, "strategy_lanes": 1, "strategy_loop": 4,
         "strategy_shared": 3, "shards": 0, "sharded_batches": 0,
         "shard_supersteps": 0, "shard_exchange_bytes": 0,
-        "catalog_hits": 0, "catalog_misses": 1, "catalog_builds": 1,
-        "catalog_bytes_in_memory": 17536,
+        "catalog_hits": 0, "catalog_misses": 0, "catalog_builds": 0,
+        "catalog_bytes_in_memory": 0,
         "catalog_hit_rate": 0.0,
     },
     2: {
         **PARENT_COMMON,
-        "cache_hit_rate": 0.4, "lanes_per_traversal": 1.0,
+        "cache_hit_rate": 0.4666666666666667, "lanes_per_traversal": 1.0,
         "traversals_saved": 0, "strategy_lanes": 0, "strategy_loop": 0,
         "strategy_shared": 0, "shards": 2, "sharded_batches": 8,
-        "shard_supersteps": 84, "shard_exchange_bytes": 277296,
-        "catalog_hits": 0, "catalog_misses": 1, "catalog_builds": 1,
-        "catalog_bytes_in_memory": 17536,
+        "shard_supersteps": 81, "shard_exchange_bytes": 262912,
+        "catalog_hits": 0, "catalog_misses": 0, "catalog_builds": 0,
+        "catalog_bytes_in_memory": 0,
         "catalog_hit_rate": 0.0,
     },
 }
@@ -186,14 +191,13 @@ PARENT_KEYS = {
     "batches_merged", "cache_hit_rate", "catalog_builds",
     "catalog_bytes_in_memory", "catalog_disk_hits", "catalog_evictions",
     "catalog_hit_rate", "catalog_hits", "catalog_misses",
-    "catalog_prewarm_built", "catalog_prewarm_hits",
     "catalog_seconds_building", "catalog_seconds_saved", "catalog_spills",
     "evictions_lru", "execute_p50_ms", "execute_p95_ms", "http_2xx",
     "http_4xx", "http_5xx", "http_bytes_sent", "http_p50_ms", "http_p95_ms",
     "http_rate_limited", "http_requests", "hydrate_hits", "ipc_bytes",
     "kernel_backend", "kernel_declined", "kernel_engaged",
     "lanes_per_traversal", "max_queue_depth", "plan_p50_ms", "plan_p95_ms",
-    "prewarm_built", "prewarm_hits", "queries_cancelled", "queries_degraded",
+    "queries_cancelled", "queries_degraded",
     "queries_failed", "queries_timed_out", "queries_total", "queue_depth",
     "queue_p50_ms", "queue_p95_ms", "quota_rejected",
     "replay_digest_mismatches", "replay_digests_checked",

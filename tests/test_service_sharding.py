@@ -51,6 +51,7 @@ from repro.service.batching import QueryBatch
 from repro.service.executor import _PriorityWorkQueue
 from repro.service.sharding import (
     MAX_HEADER_BYTES,
+    LocalShard,
     RemoteShardHandle,
     _host_dispatch,
     encode_frame,
@@ -62,6 +63,19 @@ TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
 
 MONOTONE = ("bfs", "sssp", "sswp", "cc")
+
+
+def _served(graph, algorithm):
+    """The graph the tier shards for ``algorithm`` (cc: the unweighted
+    view bfs shards too, not a symmetrised copy)."""
+    return graph.without_weights() if algorithm == "cc" else prepare_graph(graph, algorithm)
+
+
+def _sharded(shardset, algorithm, sources, **kwargs):
+    """What the tier runs: cc in one exchange, the rest as BSP."""
+    if algorithm == "cc":
+        return shardset.run_components(**kwargs)
+    return shardset.run_monotone(algorithm, sources, **kwargs)
 #: kernel backends the shards can be pinned to on this machine
 KERNEL_BACKENDS = ["numpy"] + [
     name for name in ("cjit",) if kernels.get_backend(name).is_available()
@@ -168,10 +182,10 @@ class TestScatterGatherParity:
     @pytest.mark.parametrize("algorithm", MONOTONE)
     def test_monotone_bitwise(self, graph, algorithm, shards):
         prepared = prepare_graph(graph, algorithm)
-        shardset = ShardSet.build(prepared, shards)
+        shardset = ShardSet.build(_served(graph, algorithm), shards)
         try:
             sources = () if algorithm == "cc" else (0, 5)
-            per_source = shardset.run_monotone(algorithm, sources)
+            per_source = _sharded(shardset, algorithm, sources)
             for source in sources or (None,):
                 want, _ = run_algorithm(
                     prepared, algorithm, source, EngineOptions()
@@ -254,12 +268,10 @@ class TestShardsRunTheEngineStep:
                 )[0]
                 for s in sources or (None,)
             }
-            shardset = ShardSet.build(prepared, shards)
+            shardset = ShardSet.build(_served(graph, algorithm), shards)
             try:
                 before = _engaged(backend)
-                got = shardset.run_monotone(
-                    algorithm, sources, kernel_backend=backend
-                )
+                got = _sharded(shardset, algorithm, sources, kernel_backend=backend)
                 for key, values in want.items():
                     assert got[key].tobytes() == values.tobytes(), (
                         algorithm, key
@@ -497,8 +509,8 @@ class TestRouteMisses:
         self, graph, route, shards
     ):
         # the tier prepares cc's graph before the policy routes the batch
-        # away; the single engine then reads that preparation from
-        # memory, but the first request still built it
+        # away, and that preparation builds nothing (cc reads the CSR as
+        # it is): both requests, passed to the single engine, are hits
         with ShardedAnalyticsService(
             shards=shards, workers=1, policy=RoutingPolicy(route=route)
         ) as service:
@@ -506,8 +518,8 @@ class TestRouteMisses:
             results = [service.run(QueryRequest("cc", "g"))
                        for _ in range(2)]
             summary = service.metrics.summary()
-        assert [r.cache_hit for r in results] == [False, True]
-        assert summary["catalog_builds"] == 1
+        assert [r.cache_hit for r in results] == [True, True]
+        assert summary["catalog_builds"] == 0
         assert summary["sharded_batches"] == 0
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -603,8 +615,9 @@ class TestRemoteShards:
             summary = service.metrics.summary()
         assert result.ok and result.degraded
         assert summary["shard_fallbacks"] == 1
-        # the lost tier built the preparation the single engine read
-        assert not result.cache_hit
+        # cc's preparation builds nothing and the lost tier's shard set
+        # never finished, so nothing was built for this request
+        assert result.cache_hit and summary["catalog_builds"] == 0
 
     def test_lost_shard_is_typed_when_fallback_disabled(self, graph):
         with ShardedAnalyticsService(
@@ -881,8 +894,17 @@ class TestShardOpTable:
     def test_every_op_is_a_local_shard_method(self):
         from repro.service.sharding import SHARD_OPS, LocalShard
 
-        assert SHARD_OPS == ("begin", "step", "pr_begin", "pr_step", "finish")
+        assert SHARD_OPS == (
+            "begin", "step", "pr_begin", "pr_step", "components", "finish")
         assert all(callable(getattr(LocalShard, op)) for op in SHARD_OPS)
+
+    def test_components_is_dispatched_like_every_op(self, loaded, graph):
+        reply = _host_dispatch(loaded, {"op": "components", "key": "k"})
+        labels = reply["result"]
+        assert labels.dtype == np.float64 and labels.shape == (graph.num_nodes,)
+        assert np.all(labels <= np.arange(graph.num_nodes))
+        assert "bad arguments for op 'components'" in _host_dispatch(
+            loaded, {"op": "components", "key": "k", "task": 1})["refused"]
 
     def test_unknown_op_key_and_attribute_are_typed_refusals(self, loaded):
         assert "unknown op" in _host_dispatch(
@@ -1026,28 +1048,29 @@ class TestShardOpTable:
         results = {
             "step": [ids[:1], vals[:1]],
             "pr_step": np.zeros(3),
+            "components": np.array([0.0, 0.0, 2.0]),
         }
         monkeypatch.setattr(
             handle, "_call",
             lambda payload: sent.append(payload) or {
                 "ok": True, "result": results.get(payload["op"])},
         )
+        handle.num_nodes = 3  # what ``load`` records of a 3-node slice
         handle.begin(7, "sssp", 3, None)
-        handle.begin(7, "cc", None)
         handle.step(7, ids, vals)
         handle.pr_begin(8, vals, "numpy")
         handle.pr_step(8, vals)
+        handle.components()
         handle.finish(8)
         key = "fp/shard1of2"
         assert [encode_frame(m) for m in sent] == [encode_frame(m) for m in [
             {"op": "begin", "key": key, "task": 7, "algorithm": "sssp",
              "source": 3, "kernel_backend": None},
-            {"op": "begin", "key": key, "task": 7, "algorithm": "cc",
-             "source": None, "kernel_backend": None},
             {"op": "step", "key": key, "task": 7, "ids": ids, "vals": vals},
             {"op": "pr_begin", "key": key, "task": 8,
              "inv_deg": vals, "kernel_backend": "numpy"},
             {"op": "pr_step", "key": key, "task": 8, "rank": vals},
+            {"op": "components", "key": key, "kernel_backend": None},
             {"op": "finish", "key": key, "task": 8},
         ]]
         assert [list(p) for p in sent[:1]] == [[
@@ -1057,3 +1080,91 @@ class TestShardOpTable:
             handle.load_everything
         with pytest.raises(TypeError):
             handle.step(7, ids)  # a bad call fails here, not on the host
+
+
+#: ``components`` replies a 3-node slice must not accept: a label above
+#: its index, a negative or NaN one, the wrong dtype, the wrong shape.
+MALFORMED_LABELS = {
+    "above-index": np.array([0.0, 2.0, 2.0]),
+    "negative": np.array([0.0, -1.0, 2.0]),
+    "nan": np.array([0.0, np.nan, 2.0]),
+    "int64": np.array([0, 0, 2], dtype=np.int64),
+    "short": np.array([0.0, 0.0]),
+    "2-d": np.zeros((3, 1)),
+}
+
+
+class TestComponentsReply:
+    """cc's one exchange: a remote slice's labels reach the C fold only
+    if they are ``float64``, one per node, and ``0 <= L[v] <= v``."""
+
+    def _handle(self, monkeypatch, labels):
+        handle = RemoteShardHandle(0, np.arange(3), ("h", 1), key="k")
+        handle.num_nodes = 3
+        monkeypatch.setattr(handle, "_call", lambda payload: {
+            "ok": True, "result": labels})
+        return handle
+
+    @pytest.mark.parametrize("bad", MALFORMED_LABELS)
+    def test_a_malformed_reply_is_a_lost_shard(self, monkeypatch, bad):
+        handle = self._handle(monkeypatch, MALFORMED_LABELS[bad])
+        with pytest.raises(ShardLost, match="malformed 'components' reply"):
+            handle.components()
+
+    def test_a_well_formed_reply_passes(self, monkeypatch):
+        labels = np.array([0.0, 0.0, 2.0])
+        assert self._handle(monkeypatch, labels).components() is labels
+
+    @pytest.mark.parametrize("bad", ["above-index", "int64", "short"])
+    def test_the_batch_answers_degraded_from_the_single_engine(
+        self, graph, shard_host, monkeypatch, bad
+    ):
+        # the host (a thread of this process) replies with bad labels
+        wrong = {"above-index": lambda labels: labels + 1.0,
+                 "int64": lambda labels: labels.astype(np.int64),
+                 "short": lambda labels: labels[:-1]}[bad]
+        honest = LocalShard.components
+        monkeypatch.setattr(LocalShard, "components", lambda self, *args, **kwargs: (
+            wrong(honest(self, *args, **kwargs))))
+        want, _ = run_algorithm(prepare_graph(graph, "cc"), "cc", None,
+                                EngineOptions())
+        with ShardedAnalyticsService(
+            shards=2, workers=1, shard_remotes=[shard_host]
+        ) as service:
+            service.register("g", graph)
+            result = service.run(QueryRequest("cc", "g"))
+            summary = service.metrics.summary()
+        assert result.ok and result.degraded
+        assert result.values[-1].tobytes() == want.tobytes()
+        assert summary["shard_fallbacks"] == 1 and summary["sharded_batches"] == 0
+
+
+class TestComponentsExchange:
+    """The counter contract of a sharded cc batch."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_one_superstep_exchanging_the_label_arrays(self, graph, shards):
+        with ShardedAnalyticsService(shards=shards, workers=1) as service:
+            service.register("g", graph)
+            assert service.run(QueryRequest.single("bfs", "g", 0)).ok
+            before = service.metrics.summary()
+            result = service.run(QueryRequest("cc", "g"))
+            after = service.metrics.summary()
+        assert result.ok and result.cache_hit  # bfs's shard set, reused
+        assert after["sharded_batches"] - before["sharded_batches"] == 1
+        assert after["shard_supersteps"] - before["shard_supersteps"] == 1
+        assert (after["shard_exchange_bytes"] - before["shard_exchange_bytes"]
+                == shards * graph.num_nodes * 8)
+        assert after["catalog_builds"] == 0
+
+    def test_in_process_shards_start_no_pool(self, graph, shard_host):
+        local = ShardSet.build(graph.without_weights(), 3)
+        mixed = ShardSet.build(graph.without_weights(), 3, remotes=[shard_host])
+        try:
+            assert local._pool is None
+            assert mixed._pool is not None and mixed._pool._max_workers == 1
+            want = local.run_components()[-1]
+            assert mixed.run_components()[-1].tobytes() == want.tobytes()
+        finally:
+            local.close()
+            mixed.close()
