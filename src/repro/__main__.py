@@ -197,34 +197,13 @@ def _apply_kernel_backend(args) -> None:
     os.environ["REPRO_KERNEL_BACKEND"] = choice
 
 
-def _apply_catalog_policy(args) -> None:
-    """Pin the catalog eviction policy for this process tree.
-
-    Same shape as :func:`_apply_kernel_backend`: the choice travels as
-    ``$REPRO_CATALOG_POLICY`` so every :class:`GraphCatalog` this
-    process builds — including the ones local hosts build for
-    the shared write-through tier — evicts by the same rules
-    (docs/cache-economics.md).  Validated eagerly.
-    """
-    choice = getattr(args, "catalog_policy", None)
-    if choice is None:
-        return
-    from repro.service import CATALOG_POLICY_ENV, resolve_policy
-
-    os.environ[CATALOG_POLICY_ENV] = resolve_policy(choice)
-
-
 def cmd_query(args) -> int:
-    from repro.service import AnalyticsService, GraphCatalog, QueryRequest
+    from repro.service import AnalyticsService, QueryRequest
 
     _apply_kernel_backend(args)
-    _apply_catalog_policy(args)
     graph = _load(args.graph, scale=args.scale)
     sources = _parse_sources(args, graph)
-    catalog = GraphCatalog(spill_dir=args.spill_dir)
-    with AnalyticsService(
-        catalog, workers=args.workers, backend=args.backend
-    ) as service:
+    with AnalyticsService(workers=args.workers, backend=args.backend) as service:
         service.register(args.graph, graph)
         for round_no in range(args.repeat):
             requests = (
@@ -281,17 +260,7 @@ def _trace_graph_entry(name: str, scale: float, graph) -> dict:
     return {"fingerprint": graph.fingerprint()}
 
 
-def _serve_catalog(args):
-    """The catalog ``serve`` runs on (``--cache-mb``, ``--spill-dir``)."""
-    from repro.service import GraphCatalog
-
-    return GraphCatalog(
-        memory_budget_bytes=args.cache_mb * 1024 * 1024,
-        spill_dir=args.spill_dir,
-    )
-
-
-def _make_service(args, catalog, *, recorder=None):
+def _make_service(args, *, recorder=None):
     """Build the service the ``serve`` flags ask for.
 
     One constructor call for every serve mode — synthetic, trace
@@ -315,7 +284,6 @@ def _make_service(args, catalog, *, recorder=None):
         route=args.route,
     )
     return AnalyticsService(
-        catalog,
         workers=args.workers, backend=args.backend,
         queue_size=args.queue_size, default_timeout_s=args.timeout,
         recorder=recorder, policy=policy, shards=args.shards,
@@ -342,9 +310,8 @@ def cmd_serve_trace(args) -> int:
     recorder = None
     if args.record:
         recorder = TraceRecorder(args.record, graphs=trace.header.graphs)
-    catalog = _serve_catalog(args)
     try:
-        with _make_service(args, catalog) as service:
+        with _make_service(args) as service:
             report = replay_trace(
                 trace,
                 service=service,
@@ -403,8 +370,7 @@ def cmd_serve_http(args) -> int:
             "serve --http needs a graph argument and/or --trace with "
             "graph recipes, else every query would answer 404"
         )
-    catalog = _serve_catalog(args)
-    with _make_service(args, catalog) as service:
+    with _make_service(args) as service:
         for name, graph in graphs.items():
             service.register(name, graph)
 
@@ -434,7 +400,6 @@ def cmd_serve(args) -> int:
     from repro.service import QueryRequest
 
     _apply_kernel_backend(args)
-    _apply_catalog_policy(args)
     if args.http is not None:
         return cmd_serve_http(args)
     if args.trace is not None:
@@ -451,7 +416,6 @@ def cmd_serve(args) -> int:
             raise TigrError(
                 f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}"
             )
-    catalog = _serve_catalog(args)
     recorder = None
     if args.record:
         from repro.service import TraceRecorder
@@ -461,7 +425,7 @@ def cmd_serve(args) -> int:
             graphs={args.graph: _trace_graph_entry(args.graph, args.scale, graph)},
         )
     start = time.perf_counter()
-    with _make_service(args, catalog, recorder=recorder) as service:
+    with _make_service(args, recorder=recorder) as service:
         service.register(args.graph, graph)
         n = graph.num_nodes
         requests = []
@@ -517,17 +481,11 @@ _SERVICE_FLAGS = {
         help="execution backend (default: $REPRO_SERVICE_WORKERS "
              "or threads; see docs/operations.md)"),
     "--timeout": dict(type=float, default=None),
-    "--spill-dir": dict(default=None),
     "--kernel-backend": dict(
         default=None, metavar="NAME",
         help="engine kernel backend: auto (cost model), numpy, "
              "or the JIT backend cjit (docs/kernels.md); "
              "default: $REPRO_KERNEL_BACKEND or auto"),
-    "--catalog-policy": dict(
-        choices=("lru", "gdsf"), default=None,
-        help="artifact-cache eviction policy (default: "
-             "$REPRO_CATALOG_POLICY or lru; "
-             "docs/cache-economics.md)"),
 }
 
 
@@ -592,17 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated source list (batched, deduplicated)")
     _service_flag(p, "--timeout", help="per-request deadline in seconds")
     p.add_argument("--repeat", type=int, default=1,
-                   help="submit the query N times (shows warm-cache hits)")
+                   help="submit the query N times")
     _service_flag(p, "--workers", default=2)
     _service_flag(p, "--backend")
-    _service_flag(p, "--spill-dir",
-                  help="directory for evicted-artifact .npz spill "
-                       "(with --backend processes, also the tier worker "
-                       "processes hydrate from)")
     p.add_argument("--stats", action="store_true",
                    help="print service metrics after the run")
     _service_flag(p, "--kernel-backend")
-    _service_flag(p, "--catalog-policy")
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_query)
 
@@ -642,8 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace pacing: 0 = as fast as possible (default), "
                         "1 = recorded inter-arrival gaps, N = N x faster")
     p.add_argument("--loop", type=int, default=1,
-                   help="replay the trace N times through one service "
-                        "(later passes hit a warm catalog)")
+                   help="replay the trace N times through one service")
     p.add_argument("--malformed", choices=("strict", "skip"), default="strict",
                    help="malformed trace-line policy (default strict)")
     p.add_argument("--requests", type=int, default=64,
@@ -657,10 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="submission batch size (same-graph coalescing window)")
     _service_flag(p, "--timeout",
                   help="default per-request deadline in seconds")
-    p.add_argument("--cache-mb", type=int, default=256,
-                   help="catalog memory budget in MiB")
-    _service_flag(p, "--spill-dir")
-    _service_flag(p, "--catalog-policy")
+    # shims with no effect (serving caches nothing), kept while
+    # benchmarks/ledger/workloads.py passes them
+    p.add_argument("--cache-mb", help="ignored")
+    p.add_argument("--catalog-policy", help="ignored")
     _service_flag(p, "--kernel-backend")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="scatter-gather shardable analytics across N shard "

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.algorithms.bc import bc, BCResult
 from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import connected_components, weak_components
+from repro.algorithms.cc import connected_components, symmetrize, weak_components
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.programs import (
     BFSProgram,
@@ -42,7 +42,6 @@ from repro.algorithms.sswp import sswp
 from repro.engine.kernels import resolve_backend
 from repro.engine.push import EngineOptions
 from repro.errors import EngineError
-from repro.graph.builder import to_undirected
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -120,9 +119,7 @@ def prepare_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
         raise EngineError(f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}")
     g = graph
     if spec.symmetrize:
-        csr = resolve_backend(None, edges=graph.num_edges).try_symmetrize(
-            graph.offsets, graph.targets, graph.is_weighted)
-        g = to_undirected(g) if csr is None else CSRGraph(*csr, validate=False)
+        g = symmetrize(g, resolve_backend(None, edges=graph.num_edges))
     if spec.weighted:
         if g.weights is None:
             raise EngineError(f"{algorithm} requires a weighted graph")

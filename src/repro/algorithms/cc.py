@@ -6,8 +6,9 @@ import numpy as np
 
 from repro.algorithms._dispatch import Target, resolve_scheduler
 from repro.algorithms.programs import CCProgram
-from repro.engine.kernels import resolve_backend
+from repro.engine.kernels import KernelBackend, resolve_backend
 from repro.engine.push import EngineOptions, EngineResult, run_push
+from repro.graph.builder import to_undirected
 from repro.graph.csr import CSRGraph
 
 
@@ -43,8 +44,16 @@ def weak_components(
     backend = resolve_backend(options.kernel_backend, edges=graph.num_edges)
     labels = backend.try_components(graph.offsets, graph.targets)
     if labels is None:
-        from repro.algorithms import prepare_graph  # the package imports this module
-
-        labels = connected_components(
-            prepare_graph(graph, "cc"), options=options).values
+        # the backend this call resolved symmetrises: a numpy pin
+        # launches nothing compiled
+        undirected = symmetrize(graph, backend).without_weights()
+        labels = connected_components(undirected, options=options).values
     return labels
+
+
+def symmetrize(graph: CSRGraph, backend: KernelBackend) -> CSRGraph:
+    """The symmetrised graph: ``backend``'s compiled ``symmetrize`` where
+    it runs (:func:`to_undirected`'s offsets and targets byte for byte,
+    no weights), else ``to_undirected(graph)`` itself."""
+    csr = backend.try_symmetrize(graph.offsets, graph.targets, graph.is_weighted)
+    return to_undirected(graph) if csr is None else CSRGraph(*csr, validate=False)

@@ -4,9 +4,9 @@
   :func:`repro.service.api.protocol.error_response` (ROUTE001), so a
   failure reaches its client as a protocol error, not a dropped
   connection;
-* :class:`ServiceMetrics` / catalog internals are mutated only by
-  their own lock-guarded methods (LOCK004) — connection and dispatcher
-  threads share them.
+* :class:`ServiceMetrics` internals are mutated only by its own
+  lock-guarded methods (LOCK004) — connection and dispatcher threads
+  share them.
 
 Typing questions are answered by the shared
 :class:`repro.analyze.callgraph.CallGraph`.
@@ -29,7 +29,7 @@ _ROUTE_TABLE_NAMES = {"_routes", "routes", "ROUTES", "_ROUTES"}
 
 #: classes whose internal state is lock-guarded (LOCK004): every
 #: mutation must go through their own methods.
-_GUARDED_CLASSES = {"ServiceMetrics", "GraphCatalog"}
+_GUARDED_CLASSES = {"ServiceMetrics"}
 
 
 def check_concurrency(context) -> List[Finding]:
@@ -127,7 +127,7 @@ def _check_handler_error_mapping(sources: List[SourceFile]) -> List[Finding]:
 def _guarded_owner(
     expr: ast.AST, fn: FunctionInfo, graph: CallGraph
 ) -> Optional[str]:
-    """Class tail if ``expr`` reaches into ServiceMetrics/catalog state."""
+    """Class tail if ``expr`` reaches into ServiceMetrics state."""
     node = expr
     while True:
         if isinstance(node, (ast.Name, ast.Attribute)):

@@ -1,7 +1,7 @@
 """Lock-discipline lint for classes with ``threading`` locks.
 
 The serving layer (PR 1) introduced shared mutable state guarded by
-``with self._lock:`` blocks across the catalog, executor, metrics, and
+``with self._lock:`` blocks across the executor, metrics, and
 batching.  The invariant this checker enforces is *consistency*: an
 attribute that is ever mutated under one of the class's locks is part
 of that lock's protected state, so every other mutation (error), every

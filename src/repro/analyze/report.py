@@ -143,8 +143,8 @@ RULES: Dict[str, Rule] = {
             "LOCK004",
             "error",
             "guarded service state mutated outside its owning class",
-            "ServiceMetrics and the catalog guard every mutation with "
-            "their own lock; code that reaches into their attributes "
+            "ServiceMetrics guards every mutation with its own "
+            "lock; code that reaches into its attributes "
             "from outside bypasses that lock and races the connection "
             "and dispatcher threads. Call the owning class's methods "
             "instead.",

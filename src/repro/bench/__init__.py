@@ -21,7 +21,6 @@ thin wrappers that time these and assert the expected *shape* (who
 wins, by roughly what factor) — see EXPERIMENTS.md.
 """
 
-from repro.bench.cache_policy import cache_policy
 from repro.bench.chart import bar_chart, render_bar
 from repro.bench.ablations import (
     k_sweep_physical,
@@ -75,7 +74,6 @@ __all__ = [
     "hardwired_comparison",
     "transform_scaling",
     "speedup_scaling",
-    "cache_policy",
     "service_backend_sweep",
     "service_throughput",
     "service_trace_replay",

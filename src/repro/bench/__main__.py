@@ -20,7 +20,6 @@ import sys
 import time
 
 from repro.bench import (
-    cache_policy,
     degree_profile,
     device_generation_sweep,
     multigpu_orthogonality,
@@ -77,7 +76,6 @@ EXPERIMENTS = {
     "service": lambda scale: service_throughput(scale=scale),
     "service-backends": lambda scale: service_backend_sweep(scale=scale),
     "service-trace": lambda scale: service_trace_replay(scale=scale),
-    "cache-policy": lambda scale: cache_policy(scale=scale),
     "sharded": lambda scale: sharded_scaling(scale=scale),
     "multisource": lambda scale: multisource_lanes(scale=scale),
     "kernels": lambda scale: kernel_backends(scale=scale),

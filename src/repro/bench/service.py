@@ -1,4 +1,4 @@
-"""Serving-layer throughput: cold vs warm cache, single vs batched.
+"""Serving-layer throughput: cold vs warm service, single vs batched.
 
 Not a paper table — this experiment prices the serving layer.  No
 analytic builds anything (each reads the CSR or its one memoised
@@ -29,7 +29,7 @@ from typing import List
 from repro.baselines.base import ALGORITHMS
 from repro.bench.report import ExperimentReport
 from repro.graph.datasets import load_dataset
-from repro.service import AnalyticsService, GraphCatalog, QueryRequest
+from repro.service import AnalyticsService, QueryRequest
 
 
 def _make_requests(
@@ -83,12 +83,12 @@ def service_throughput(
             name, graph.num_nodes, num_queries, algorithms, seed, transform
         )
 
-    # -- cold-single: a fresh catalog per query, no reuse at all -------
+    # -- cold-single: a fresh service per query, no reuse at all -------
     start = time.perf_counter()
     latencies = []
     hits = 0
     for request in requests_for(dataset):
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register(dataset, graph)
             t0 = time.perf_counter()
             result = service.run(request)
@@ -98,8 +98,8 @@ def service_throughput(
     cold_elapsed = time.perf_counter() - start
     _add_phase(report, "cold-single", num_queries, cold_elapsed, latencies, hits / num_queries)
 
-    # -- warm-single: shared catalog, sequential submission ------------
-    with AnalyticsService(GraphCatalog(), workers=workers) as service:
+    # -- warm-single: one service, sequential submission ---------------
+    with AnalyticsService(workers=workers) as service:
         service.register(dataset, graph)
         for algorithm in algorithms:  # each analytic's first call (kernel compiles)
             service.run(_make_requests(
@@ -117,8 +117,8 @@ def service_throughput(
             service.metrics.cache_hit_rate,
         )
 
-    # -- warm-batched: shared catalog + coalesced submission -----------
-    with AnalyticsService(GraphCatalog(), workers=workers) as service:
+    # -- warm-batched: one service + coalesced submission --------------
+    with AnalyticsService(workers=workers) as service:
         service.register(dataset, graph)
         for algorithm in algorithms:
             service.run(_make_requests(
@@ -180,7 +180,7 @@ def service_backend_sweep(
     for backend in ("threads", "processes"):
         for workers in workers_list:
             with AnalyticsService(
-                GraphCatalog(), workers=workers, backend=backend,
+                workers=workers, backend=backend,
                 queue_size=max(128, num_queries),
             ) as service:
                 service.register(dataset, graph)
@@ -190,7 +190,7 @@ def service_backend_sweep(
                     )[0]
                     assert service.run(warmup).ok
                 if backend == "processes":
-                    # every worker must have hydrated before timing:
+                    # every host must have loaded the graph before timing:
                     # run one query per worker so no timed request
                     # pays a worker's first graph load
                     for _ in range(workers):
@@ -286,7 +286,7 @@ def service_trace_replay(
     sink = io.StringIO()
     recorder = TraceRecorder(sink, graphs=recipes)
     with AnalyticsService(
-        GraphCatalog(), workers=workers, recorder=recorder,
+        workers=workers, recorder=recorder,
         queue_size=max(128, num_queries),
     ) as service:
         service.register(dataset, graph)
@@ -339,7 +339,7 @@ def service_trace_replay(
 
     trace = load_trace(io.StringIO(trace_text))
     with AnalyticsService(
-        GraphCatalog(), workers=workers, queue_size=max(128, num_queries),
+        workers=workers, queue_size=max(128, num_queries),
     ) as service:
         service.register(dataset, graph)
         with ThreadedApiServer(service) as handle:

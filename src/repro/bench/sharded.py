@@ -25,7 +25,7 @@ import numpy as np
 from repro.bench.report import ExperimentReport
 from repro.bench.service import _make_requests
 from repro.graph.datasets import load_dataset
-from repro.service import AnalyticsService, GraphCatalog, percentile
+from repro.service import AnalyticsService, percentile
 
 
 def sharded_scaling(
@@ -60,11 +60,11 @@ def sharded_scaling(
     baseline_qps = None
     for shards in shard_counts:
         with AnalyticsService(
-            GraphCatalog(), shards=shards, workers=workers,
+            shards=shards, workers=workers,
             queue_size=max(128, num_queries),
         ) as service:
             service.register(dataset, graph)
-            # warm the prepared-graph cache and the shard slices so the
+            # warm the kernels and the shard slices so the
             # timed pass measures steady-state serving, not partitioning
             for algorithm in algorithms:
                 warmup = _make_requests(

@@ -227,8 +227,8 @@ class CSRGraph:
 
         Two graphs with identical offsets, targets and weights share a
         fingerprint across processes and sessions, which is what lets
-        the serving layer (:mod:`repro.service`) key transform
-        artifacts on graph *content* rather than object identity.
+        the serving layer (:mod:`repro.service`) key batches, stored
+        graphs and shard sets on *content* rather than object identity.
         The digest covers the array shapes, the raw CSR bytes, and
         whether a weight array is present; it is computed once and
         cached (the backing arrays are frozen at construction).

@@ -1,13 +1,13 @@
-"""Analytics serving layer: cache, batch, and multiplex queries.
+"""Analytics serving layer: batch and multiplex queries.
 
 Everything below :mod:`repro.algorithms` computes one analytic on one
-graph, preparing its input each call.  This package is the layer
-a production deployment actually talks to (the Gunrock lesson: a GPU
-graph library's value is its reusable runtime, not its kernels alone):
+graph.  This package is the layer a production deployment actually
+talks to (the Gunrock lesson: a GPU graph library's value is its
+reusable runtime, not its kernels alone).  Serving builds nothing per
+request — every analytic reads its graph or the graph's memoised
+unweighted view, and cc is a union-find over the CSR as it is — so
+there is no artifact cache:
 
-* :class:`GraphCatalog` — a content-addressed cache of prepared
-  graphs (LRU memory tier + optional ``.npz`` disk spill) amortising
-  per-algorithm input preparation across queries;
 * :class:`AnalyticsService` — typed :class:`QueryRequest` /
   :class:`QueryResult` envelopes, a per-request check that rejects
   what :mod:`repro.core.applicability` rules out (every request is
@@ -16,11 +16,11 @@ graph library's value is its reusable runtime, not its kernels alone):
   priority classes at admission, backpressure, per-request timeouts,
   and cancellation.  Where a batch runs is an ordered
   list of places — shard tier (``shards=N``), local host processes
-  that hydrate graphs and artifacts from a shared disk tier
+  that load graphs from a shared ``.npz`` store
   (``backend="processes"``, :mod:`repro.service.workers`), the
   dispatcher thread — with one rule for a lost place: the next one
   answers, ``degraded``;
-* :class:`ServiceMetrics` — cache hit rate, queue depth, and
+* :class:`ServiceMetrics` — request counters, queue depth, and
   per-stage latency percentiles in the same reporting style as
   :mod:`repro.gpu.metrics`;
 * :mod:`repro.service.ingest` / :mod:`repro.service.replay` — a
@@ -57,18 +57,8 @@ from repro.errors import (
     UnknownGraphError,
     WorkerLost,
 )
-from repro.service.artifacts import ArtifactKey, TransformArtifact, load_artifact
 from repro.service.batching import QueryBatch, group_requests
-from repro.service.catalog import CatalogStats, GraphCatalog
-from repro.service.economics import (
-    CATALOG_POLICIES,
-    CATALOG_POLICY_ENV,
-    EvictionPolicy,
-    GdsfPolicy,
-    LruPolicy,
-    make_policy,
-    resolve_policy,
-)
+from repro.service.catalog import GraphCatalog
 from repro.service.executor import (
     BACKENDS,
     AnalyticsService,
@@ -118,25 +108,16 @@ from repro.service.workers import BatchOutcome, BatchSpec, execute_pipeline
 
 __all__ = [
     "AnalyticsService",
-    "ArtifactKey",
     "BACKENDS",
     "BatchOutcome",
     "BatchSpec",
-    "CATALOG_POLICIES",
-    "CATALOG_POLICY_ENV",
-    "CatalogStats",
     "dataset_graph_entry",
     "DigestMismatch",
-    "EvictionPolicy",
     "execute_pipeline",
-    "GdsfPolicy",
     "GraphCatalog",
     "group_requests",
-    "load_artifact",
     "load_trace",
     "LocalShard",
-    "LruPolicy",
-    "make_policy",
     "parse_host_port",
     "parse_priority_arg",
     "parse_quota_arg",
@@ -155,7 +136,6 @@ __all__ = [
     "replay_trace",
     "ReplayReport",
     "resolve_backend",
-    "resolve_policy",
     "resolve_trace_graphs",
     "result_digest",
     "RouteDecision",
@@ -175,7 +155,6 @@ __all__ = [
     "TraceRecorder",
     "TraceRequest",
     "TraceResult",
-    "TransformArtifact",
     "UnknownGraphError",
     "WorkerLost",
 ]

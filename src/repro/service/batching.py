@@ -63,8 +63,10 @@ class QueryBatch:
     algorithm: str
     options: EngineOptions
     requests: List[QueryRequest] = field(default_factory=list)
-    #: origins of what places that passed or were lost read (cache_hit)
-    passed_origins: List[str] = field(default_factory=list)
+    #: set by the shard tier when it built this batch's shard set, even
+    #: if it then lost a shard: the batch's results report ``cache_hit``
+    #: False (nothing else a batch reads is ever built)
+    built_shardset: bool = False
 
     @property
     def sources(self) -> Tuple[int, ...]:

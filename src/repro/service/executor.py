@@ -1,13 +1,10 @@
-"""AnalyticsService: concurrent, cache-backed query execution.
+"""AnalyticsService: concurrent query execution.
 
 The service owns a bounded submission queue, a pool of dispatcher
 threads, and the places a batch can run.  The full pipeline per work
 item is::
 
     submit -> [bounded queue] -> check -> prepare -> execute
-                                           |
-                                      GraphCatalog
-                                      (LRU + spill)
 
 *Where* a batch executes is an ordered list of **places**, built once
 from the constructor arguments; :meth:`AnalyticsService._run_batch`
@@ -22,13 +19,13 @@ walks it:
    ``REPRO_SERVICE_WORKERS`` environment variable) — one host process
    per dispatcher thread (:class:`~repro.service.sharding.LocalHost`);
    the batch crosses as a :class:`~repro.service.workers.BatchSpec` in
-   the shard wire's frame (its ``run`` op), the host hydrates graphs
-   and prepared graphs from a shared ``.npz`` disk tier and replies
-   with compact per-source arrays (:mod:`repro.service.workers`).  Heavy
-   concurrent traffic scales past the GIL at the price of IPC;
-3. **this dispatcher thread** (always last) — the pipeline runs
-   against the service's own catalog.  numpy releases the GIL often
-   enough for useful overlap, and nothing is serialised or copied.
+   the shard wire's frame (its ``run`` op), the host loads the graph
+   from a shared ``.npz`` store and replies with compact per-source
+   arrays (:mod:`repro.service.workers`).  Heavy concurrent traffic
+   scales past the GIL at the price of IPC;
+3. **this dispatcher thread** (always last) — the pipeline runs here.
+   numpy releases the GIL often enough for useful overlap, and nothing
+   is serialised or copied.
 
 One failure rule serves every place: a place that is *lost* mid-batch
 raises its typed error (:class:`~repro.errors.ShardLost`,
@@ -62,7 +59,9 @@ Design points, each of which the tests pin down:
   are about to exist);
 * **nothing built per request** — every batch reads its graph or the
   graph's memoised unweighted view (cc is a union-find over the CSR as
-  it is), so a cold request and a warm one do the same work.
+  it is), so a cold request and a warm one do the same work, and a
+  result's ``cache_hit`` is false only when its batch built the shard
+  tier's shard set.
 """
 
 from __future__ import annotations
@@ -89,21 +88,13 @@ from repro.errors import (
 )
 from repro.graph.csr import CSRGraph
 from repro.service.batching import QueryBatch, fan_out_per_request, group_requests
-from repro.service.catalog import GraphCatalog
 from repro.service.ingest import TraceRecorder
 from repro.service.metrics import ServiceMetrics
 from repro.service.planner import plan_query
 from repro.service.query import QueryRequest, QueryResult, StageTimings
 from repro.service.routing import RoutingPolicy
 from repro.service.sharding import LocalHost, ShardTier
-from repro.service.workers import (
-    BatchOutcome,
-    BatchSpec,
-    execute_pipeline,
-    export_graph,
-    prepare_with_origin,
-    served_from_cache,
-)
+from repro.service.workers import BatchOutcome, BatchSpec, execute_pipeline, export_graph
 
 #: recognised execution backends.
 BACKENDS = ("threads", "processes")
@@ -291,7 +282,8 @@ class _PriorityWorkQueue(queue.Queue):
 
 class _LocalHosts:
     """The process place: one :class:`~repro.service.sharding.LocalHost`
-    per dispatcher thread, all over the shared disk tier ``root``.
+    per dispatcher thread, all reading graphs from one store, a temp
+    directory that lives exactly as long as the place.
 
     A batch takes an idle host, crosses as a :class:`BatchSpec` in the
     host's ``run`` frame and comes back as its :class:`BatchOutcome`.
@@ -302,26 +294,15 @@ class _LocalHosts:
     fallback rule, not this class's.
     """
 
-    def __init__(
-        self,
-        count: int,
-        root: str,
-        *,
-        memory_budget_bytes: int,
-        catalog_policy: str,
-        metrics: ServiceMetrics,
-    ) -> None:
-        self.artifacts_dir = root
-        self.graphs_dir = os.path.join(root, "graphs")
-        os.makedirs(self.graphs_dir, exist_ok=True)
+    def __init__(self, count: int, metrics: ServiceMetrics) -> None:
+        self.graphs_dir = tempfile.mkdtemp(prefix="repro-serve-")
         self.metrics = metrics
-        self._start = lambda: LocalHost(root, memory_budget_bytes, catalog_policy)
         # hosts start now, before any dispatcher thread does (the first
         # forks are single-threaded); the last host put back is the next
-        # taken, so a light load stays on a warm catalog
+        # taken, so a light load stays on a host whose graphs are loaded
         self._idle: "queue.LifoQueue[Optional[LocalHost]]" = queue.LifoQueue()
         for _ in range(count):
-            self._idle.put(self._start())
+            self._idle.put(LocalHost())
 
     def run(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
         """Execute a batch on an idle host; raises :class:`WorkerLost`.
@@ -342,7 +323,7 @@ class _LocalHosts:
         host = self._idle.get()
         try:
             if host is None:  # its predecessor was lost
-                host = self._start()
+                host = LocalHost()
             host.op_timeout_s = (
                 None if remaining_s == float("inf")
                 else max(remaining_s, 0.0) + WORKER_GRACE_S
@@ -364,6 +345,7 @@ class _LocalHosts:
             host = self._idle.get()
             if host is not None:
                 host.kill()
+        shutil.rmtree(self.graphs_dir, ignore_errors=True)
 
 
 class AnalyticsService:
@@ -372,12 +354,8 @@ class AnalyticsService:
     Parameters
     ----------
     catalog:
-        Shared prepared-graph cache; a private 256 MiB in-memory
-        catalog is created when omitted.  With ``backend="processes"``
-        the catalog's ``spill_dir`` (when set) becomes the shared disk
-        tier every local host hydrates from — point it at a
-        persistent directory and host cold starts skip preparation
-        work entirely.
+        Not read: a shim for the frozen benchmark ledger, which passes
+        a :class:`~repro.service.catalog.GraphCatalog` here.
     workers:
         Dispatcher-thread count, and additionally the local-host
         count when ``backend="processes"``.
@@ -422,7 +400,7 @@ class AnalyticsService:
 
     def __init__(
         self,
-        catalog: Optional[GraphCatalog] = None,
+        catalog: object = None,
         *,
         workers: int = 2,
         backend: Optional[str] = None,
@@ -440,14 +418,8 @@ class AnalyticsService:
             raise ServiceError(f"queue size must be >= 1, got {queue_size}")
         if shards < 0:
             raise ServiceError(f"shard count must be >= 0, got {shards}")
-        self.catalog = catalog if catalog is not None else GraphCatalog()
         self.backend = resolve_backend(backend)
-        self.metrics = ServiceMetrics(
-            self.catalog.stats,
-            backend=self.backend,
-            catalog_policy=self.catalog.policy,
-            shards=shards,
-        )
+        self.metrics = ServiceMetrics(backend=self.backend, shards=shards)
         self.default_timeout_s = default_timeout_s
         self.fallback = bool(fallback)
         self.policy = policy if policy is not None else RoutingPolicy()
@@ -457,7 +429,6 @@ class AnalyticsService:
             queue_size, self._priority_of
         )
         self._stopped = False
-        self._shared_tmp: Optional[str] = None
         #: where a batch runs, in the order tried; the last cannot be lost
         self._places: List[
             Callable[[QueryBatch, float], Optional[BatchOutcome]]
@@ -469,26 +440,11 @@ class AnalyticsService:
                 remotes=shard_remotes,
                 policy=self.policy,
                 metrics=self.metrics,
-                # late-bound: tests intercept preparation on the instance
-                prepare=lambda graph, algorithm: self._prepare(graph, algorithm),
             )
             self._places.append(self._shards.run)
         self._process: Optional[_LocalHosts] = None
         if self.backend == "processes":
-            # Shared state root: reuse the catalog's disk tier when it
-            # has one (hosts then hydrate artifacts the front-end or
-            # earlier runs already spilled); otherwise a temp dir that
-            # lives exactly as long as the service.
-            root = self.catalog.spill_dir
-            if root is None:
-                root = self._shared_tmp = tempfile.mkdtemp(prefix="repro-serve-")
-            self._process = _LocalHosts(
-                workers,
-                root,
-                memory_budget_bytes=self.catalog.memory_budget_bytes,
-                catalog_policy=self.catalog.policy,
-                metrics=self.metrics,
-            )
+            self._process = _LocalHosts(workers, self.metrics)
             self._places.append(self._process.run)
         self._places.append(self._run_here)
         self._workers = [
@@ -502,12 +458,6 @@ class AnalyticsService:
     def workers(self) -> int:
         """Dispatcher-thread count (and local-host count, if any)."""
         return len(self._workers)
-
-    @property
-    def shared_artifact_dir(self) -> Optional[str]:
-        """The disk tier local hosts hydrate from (None for threads):
-        host catalogs cannot see the front-end's memory tier."""
-        return self._process.artifacts_dir if self._process is not None else None
 
     def _priority_of(self, item: _WorkItem) -> int:
         """A work item runs at its most urgent member's priority class."""
@@ -695,15 +645,13 @@ class AnalyticsService:
             for thread in self._workers:
                 thread.join()
             # Only a waited close tears the places down: dispatchers
-            # are done, so no batch can reach the hosts, the shard sets
-            # or the shared directory afterwards.  A wait=False close
+            # are done, so no batch can reach the hosts, their graph
+            # store or the shard sets afterwards.  A wait=False close
             # leaves them to die with the (daemonised) interpreter.
             if self._process is not None:
                 self._process.close()
             if self._shards is not None:
                 self._shards.drop()
-            if self._shared_tmp is not None:
-                shutil.rmtree(self._shared_tmp, ignore_errors=True)
 
     def __enter__(self) -> "AnalyticsService":
         return self
@@ -786,7 +734,7 @@ class AnalyticsService:
                     request_id=ticket.request.request_id,
                     algorithm=batch.algorithm,
                     values=per_request[ticket.request.request_id],
-                    cache_hit=outcome.cache_hit,
+                    cache_hit=not batch.built_shardset,
                     degraded=outcome.degraded,
                     batched_with=len(tickets) - 1,
                     timings=timings,
@@ -820,13 +768,12 @@ class AnalyticsService:
             queries_total=size,
             queries_degraded=size if outcome.degraded else 0,
             queries_timed_out=sum(finished_at > t.deadline for t in tickets),
-            cache_hits=size if outcome.cache_hit else 0,
+            cache_hits=0 if batch.built_shardset else size,
             batches_merged=size - 1,
             sources_deduped=batch.sources_deduped,
             traversals_total=execution.traversals,
             lanes_total=execution.lanes,
             traversals_saved=execution.traversals_saved,
-            hydrate_hits=outcome.hydrate_hits,
             **{"strategy_" + execution.strategy.replace("-", "_"): 1},
         )
 
@@ -839,9 +786,7 @@ class AnalyticsService:
         that does.  Each place returns a :class:`BatchOutcome`, passes
         (``None``), or is lost with its typed error; after a loss the
         answer is correct but arrived the degraded way (module
-        docstring: the one failure rule).  What a place read before
-        handing the batch on (``batch.passed_origins``) counts in the
-        answer too.
+        docstring: the one failure rule).
         """
         *earlier, last = self._places
         lost = False
@@ -859,32 +804,16 @@ class AnalyticsService:
                 break
         else:
             outcome = last(batch, remaining_s)  # cannot pass or be lost
-        passed = batch.passed_origins
-        return replace(outcome, degraded=lost,
-                       cache_hit=outcome.cache_hit and served_from_cache(passed),
-                       hydrate_hits=outcome.hydrate_hits + passed.count("disk"))
+        return replace(outcome, degraded=lost)
 
     def _run_here(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        """Last place: this dispatcher thread, the front-end catalog."""
+        """Last place: this dispatcher thread."""
         return execute_pipeline(
-            self.catalog,
             batch.graph,
             algorithm=batch.algorithm,
             options=batch.options,
             sources=batch.sources,
-            prepare=self._prepare,
         )
-
-    def _prepare(self, graph: CSRGraph, algorithm: str) -> Tuple[CSRGraph, Optional[str]]:
-        """Per-algorithm preparation via the front-end catalog.
-
-        Thin bound-method wrapper over
-        :func:`~repro.service.workers.prepare_with_origin` so tests
-        can intercept preparation on this service instance (the
-        process backend's local hosts prepare in their own processes and
-        are not affected).
-        """
-        return prepare_with_origin(self.catalog, graph, algorithm)
 
     def _fail(
         self,
@@ -913,7 +842,5 @@ class ShardedAnalyticsService(AnalyticsService):
     exists for callers that spell the shard tier by class name.
     """
 
-    def __init__(
-        self, catalog: Optional[GraphCatalog] = None, *, shards: int = 2, **kwargs
-    ) -> None:
+    def __init__(self, catalog: object = None, *, shards: int = 2, **kwargs) -> None:
         super().__init__(catalog, shards=shards, **kwargs)

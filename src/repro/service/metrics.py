@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.engine import kernels
-from repro.service.catalog import CatalogStats
 
 #: serving stages with recorded latencies, in pipeline order.
 STAGES = ("queue", "plan", "execute", "total")
@@ -42,7 +41,7 @@ COUNTERS = (
     "strategy_lanes", "strategy_loop", "strategy_per_source",
     "strategy_shared", "strategy_sharded",
     # process backend (zero on threads: nothing crosses IPC)
-    "worker_restarts", "ipc_bytes", "hydrate_hits",
+    "worker_restarts", "ipc_bytes",
     # HTTP front door (zero without a ThreadedApiServer)
     "http_requests", "http_2xx", "http_4xx", "http_5xx",
     "http_rate_limited", "http_bytes_sent",
@@ -57,6 +56,11 @@ COUNTERS = (
 )
 
 _RATIO_TERMS = ("cache_hits", "traversals_total", "lanes_total")
+
+#: reported as constant zeros, which they are (serving caches nothing):
+#: kept while ``benchmarks/ledger/run.py`` subtracts them.
+CATALOG_KEYS = tuple(f"catalog_{name}" for name in (
+    "hits", "misses", "disk_hits", "builds", "evictions", "bytes_in_memory"))
 
 
 def percentile(samples: List[float], fraction: float) -> float:
@@ -79,19 +83,9 @@ class ServiceMetrics:
     """Aggregate serving telemetry for one :class:`AnalyticsService`:
     the :data:`COUNTERS` table, latency series, and the queue gauges."""
 
-    def __init__(
-        self,
-        catalog_stats: Optional[CatalogStats] = None,
-        *,
-        backend: str = "threads",
-        catalog_policy: str = "lru",
-        shards: int = 0,
-    ) -> None:
+    def __init__(self, *, backend: str = "threads", shards: int = 0) -> None:
         self._lock = threading.Lock()
-        self._catalog_stats = catalog_stats
         self.backend = backend
-        #: eviction policy of the attached catalog (labels evictions).
-        self.catalog_policy = catalog_policy
         self.shards = int(shards)
         self._counts: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self._series: Dict[str, Deque[float]] = {
@@ -129,7 +123,7 @@ class ServiceMetrics:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of served queries whose artifact was already cached."""
+        """Fraction of served queries whose batch built nothing."""
         with self._lock:
             return _ratio(self._counts["cache_hits"], self._counts["queries_total"])
 
@@ -172,13 +166,7 @@ class ServiceMetrics:
             samples.sort()
             out[f"{name}_p50_ms"] = _nearest_rank(samples, 0.5) * 1e3
             out[f"{name}_p95_ms"] = _nearest_rank(samples, 0.95) * 1e3
-        stats = self._catalog_stats
-        if stats is not None:
-            for key, value in stats.as_dict().items():
-                out[f"catalog_{key}"] = value
-            # policy telemetry at top level too: the knob
-            # docs/cache-economics.md tells operators to watch.
-            out[f"evictions_{self.catalog_policy}"] = stats.evictions
+        out.update(dict.fromkeys(CATALOG_KEYS, 0))
         return out
 
 

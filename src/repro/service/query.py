@@ -129,10 +129,10 @@ class QueryResult:
 
     ``values`` maps source node -> value array for source-rooted
     analytics, or holds the single array under key ``-1`` for
-    sourceless ones (CC/PR).  ``cache_hit`` is True when this request
-    built nothing: every catalog artifact it read (prepared graph,
-    shard set) came from memory or disk.  A request that
-    read none is a hit.
+    sourceless ones (CC/PR).  ``cache_hit`` is False only when this
+    request's batch built the shard tier's shard set (even if a lost
+    shard then handed the batch on): nothing else a batch reads is
+    ever built.
     """
 
     request_id: int

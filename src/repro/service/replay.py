@@ -21,8 +21,8 @@ The replay contract:
   (a replay that degrades where the recording did not) cannot create
   false mismatches — only wrong *answers* can;
 * ``loop`` replays the stream N times through one service — later
-  passes hit a warm catalog, so looping doubles as a cheap soak that
-  the cache tier returns the same bytes it was handed.
+  passes reuse the shard tier's shard sets, so looping doubles as a
+  cheap soak that a reused shard set answers the same bytes.
 
 Graphs are reconstructed from the trace header's recipes
 (:func:`resolve_trace_graphs`): dataset stand-ins regenerate from
@@ -226,7 +226,7 @@ def replay_trace(
         ``s``.
     loop:
         Replay the stream this many times through one service
-        (later passes exercise the warm catalog).
+        (later passes reuse the shard tier's shard sets).
     batch:
         Submission window: consecutive requests are grouped into
         ``submit_batch`` calls of this size, letting replay exercise

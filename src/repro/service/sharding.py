@@ -38,9 +38,9 @@ That bitwise contract is what lets the golden traces replay through
 the sharded router with zero digest mismatches — the acceptance gate
 ``serve --trace … --shards N`` enforces.
 
-A shard is its slice and a superstep: it holds no catalog and builds
-no transform.  Every request serves the CSR, so a batch's artifacts
-are the front end's prepared graph and the tier's cached shard set.
+A shard is its slice and a superstep: it caches nothing and builds
+no transform.  Every request serves the CSR, so the one thing the
+tier builds is its shard set, kept per graph until a loss drops it.
 (Transform × partition composition, the paper's §7.2 claim, is
 :mod:`repro.multigpu`'s.)
 
@@ -61,7 +61,7 @@ The host loop (:func:`serve_frames`) serves two kinds of peer over one
 frame: ``repro shard-host`` connections, and the service's own
 :class:`LocalHost` processes — its process place — whose extra ``run``
 op executes one whole batch (:func:`~repro.service.workers.
-execute_pipeline`) on the host's catalog.
+execute_pipeline`).
 """
 
 from __future__ import annotations
@@ -93,16 +93,14 @@ from repro.graph.csr import CSRGraph, NODE_DTYPE
 from repro.graph.io import load_npz
 from repro.multigpu.partition import inedge_partition
 from repro.service.batching import BatchExecution, QueryBatch
-from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.routing import RoutingPolicy
 from repro.service.workers import (
     CRASH_SOURCE_ENV,
     BatchOutcome,
     BatchSpec,
-    Prepare,
     execute_pipeline,
-    served_from_cache,
+    prepare,
 )
 
 #: analytics the scatter-gather router can serve (bc is level-
@@ -431,7 +429,7 @@ class RemoteShardHandle:
         self.num_nodes = subgraph.num_nodes
 
     def run(self, spec: BatchSpec, num_nodes: int) -> BatchOutcome:
-        """Execute one whole batch on the host's own catalog."""
+        """Execute one whole batch in the host process."""
         reply = self._call(run_request(spec))
         return self._checked("run", reply.get("result"),
                              (spec.sources or (-1,), num_nodes))
@@ -612,11 +610,9 @@ def _host_dispatch(
     return {"ok": True, "result": getattr(shard, op)(**fields)}
 
 
-def _run(
-    catalog: GraphCatalog, graphs: Dict[str, CSRGraph], fields: Dict[str, object]
-) -> Dict[str, object]:
+def _run(graphs: Dict[str, CSRGraph], fields: Dict[str, object]) -> Dict[str, object]:
     """The ``run`` op: one :class:`BatchSpec` through ``execute_pipeline``
-    on a local host's ``catalog``, its graph memoised in ``graphs``."""
+    in a local host, its graph memoised in ``graphs``."""
     spec = BatchSpec(**{  # type: ignore[arg-type]
         **fields, "sources": tuple(fields["sources"]),  # type: ignore[arg-type]
         "options": EngineOptions(**fields["options"]),  # type: ignore[arg-type]
@@ -633,7 +629,7 @@ def _run(
             )
         graph = graphs[spec.graph_fingerprint] = load_npz(spec.graph_path)
     outcome = execute_pipeline(
-        catalog, graph, algorithm=spec.algorithm,
+        graph, algorithm=spec.algorithm,
         options=spec.options, sources=spec.sources,
     )
     return {
@@ -663,18 +659,11 @@ class ShardHostServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _ShardHostHandler)
 
 
-def _host_main(
-    sock: socket.socket, artifacts_dir: str, memory_budget_bytes: int,
-    catalog_policy: Optional[str],
-) -> None:
+def _host_main(sock: socket.socket) -> None:
     """A local host process: the host loop with ``run`` over ``sock``."""
-    catalog = GraphCatalog(
-        memory_budget_bytes, spill_dir=artifacts_dir, write_through=True,
-        policy=catalog_policy,
-    )
     with sock:
         serve_frames(sock.makefile("rb"), sock.makefile("wb"),
-                     functools.partial(_run, catalog, {}))
+                     functools.partial(_run, {}))
 
 
 #: held while a pair is made and its host started, so no host is
@@ -685,13 +674,10 @@ _START_LOCK = threading.Lock()
 class LocalHost(RemoteShardHandle):
     """A service's own host: a forked (else spawned) process serving
     :func:`serve_frames` with ``run`` over one end of a
-    ``socket.socketpair()``, and the handle speaking to it.  Its catalog
-    writes through to the shared disk tier ``artifacts_dir``."""
+    ``socket.socketpair()``, and the handle speaking to it.  Graphs
+    reach it by path (:class:`BatchSpec`), never over the socket."""
 
-    def __init__(
-        self, artifacts_dir: str, memory_budget_bytes: int,
-        catalog_policy: Optional[str] = None,
-    ) -> None:
+    def __init__(self) -> None:
         import multiprocessing  # here: a threads boot never loads it
 
         # fork reuses this imported interpreter (~ms); spawn boots one (~s)
@@ -700,7 +686,7 @@ class LocalHost(RemoteShardHandle):
             ours, theirs = socket.socketpair()
             self.process = multiprocessing.get_context(method).Process(
                 target=_host_main, name="repro-host", daemon=True,
-                args=(theirs, artifacts_dir, memory_budget_bytes, catalog_policy),
+                args=(theirs,),
             )
             try:
                 self.process.start()
@@ -1007,8 +993,7 @@ class ShardTier:
     unshardable algorithm, policy routes it away), or raises the typed
     :class:`ShardLost` for the service's fallback rule to handle.
     Parameters are the service's ``shards``, ``shard_remotes`` and
-    ``policy``, plus the front-end ``prepare`` step batches are
-    prepared with.  A remote shard operation may take
+    ``policy``.  A remote shard operation may take
     :data:`SHARD_OP_TIMEOUT_S` before the shard is declared lost.
     """
 
@@ -1019,13 +1004,11 @@ class ShardTier:
         remotes: Sequence[Tuple[str, int]] = (),
         policy: RoutingPolicy,
         metrics: ServiceMetrics,
-        prepare: Prepare,
     ) -> None:
         self.num_shards = int(shards)
         self.remotes = tuple(remotes)
         self.policy = policy
         self.metrics = metrics
-        self.prepare = prepare
         self._shardsets: Dict[str, ShardSet] = {}
         self._lock = threading.Lock()
 
@@ -1033,16 +1016,15 @@ class ShardTier:
         """Prepare, route, and scatter-gather one batch (``None`` = pass).
 
         ``remaining_s`` is the place signature's and is not read.  A
-        pass or a loss leaves the origins read so far in
-        ``batch.passed_origins``.  ``plan_s`` covers the preparation and
-        the shard-set build.
+        batch that builds its shard set marks ``batch.built_shardset``,
+        answered or lost.  ``plan_s`` covers the preparation and the
+        shard-set build.
         """
         algorithm = batch.algorithm
         if algorithm not in SHARDABLE_ALGORITHMS:
             return None
         plan_start = time.perf_counter()
-        prepared, origin = self.prepare(batch.graph, algorithm)
-        origins = [origin] if origin is not None else []
+        prepared = prepare(batch.graph, algorithm)
         decision = self.policy.choose_route(
             shardable=True,
             num_edges=prepared.num_edges,
@@ -1050,13 +1032,11 @@ class ShardTier:
             remotes=len(self.remotes),
         )
         if decision.route != "sharded":
-            batch.passed_origins.extend(origins)
             return None
 
         stats = ShardRunStats()
         try:
-            shardset, origin = self._shardset_for(prepared)
-            origins.append(origin)
+            shardset, batch.built_shardset = self._shardset_for(prepared)
             plan_s = time.perf_counter() - plan_start
 
             execute_start = time.perf_counter()
@@ -1077,7 +1057,6 @@ class ShardTier:
                 )
             execute_s = time.perf_counter() - execute_start
         except ShardLost:
-            batch.passed_origins.extend(origins)
             self.metrics.count(shard_fallbacks=1)
             self.drop()
             raise
@@ -1090,18 +1069,17 @@ class ShardTier:
         runs = max(len(batch.sources), 1)
         return BatchOutcome(
             per_source=per_source,
-            cache_hit=served_from_cache(origins),
             plan_s=plan_s,
             execute_s=execute_s,
             execution=BatchExecution(
                 traversals=runs, lanes=runs, traversals_saved=0,
                 strategy="sharded",
             ),
-            hydrate_hits=origins.count("disk"),
         )
 
-    def _shardset_for(self, prepared: CSRGraph) -> Tuple[ShardSet, str]:
-        """The (cached) shard set of one prepared graph and its origin.
+    def _shardset_for(self, prepared: CSRGraph) -> Tuple[ShardSet, bool]:
+        """The (cached) shard set of one prepared graph, and whether
+        this call built it.
 
         Keyed by content fingerprint, so bfs, cc and pr on one dataset
         share slices (all read the graph's one unweighted view, whose
@@ -1111,10 +1089,10 @@ class ShardTier:
         with self._lock:
             shardset = self._shardsets.get(fingerprint)
             if shardset is not None:
-                return shardset, "memory"
+                return shardset, False
             shardset = self._shardsets[fingerprint] = ShardSet.build(
                 prepared, self.num_shards, remotes=self.remotes)
-            return shardset, "built"
+            return shardset, True
 
     def drop(self) -> None:
         """Forget cached shard sets (after a loss, or at close).

@@ -8,15 +8,12 @@ and how each side rebuilds the rest:
 * **down the socket** goes a :class:`BatchSpec` — a recipe (graph
   fingerprint + ``.npz`` path, algorithm, engine options,
   deduplicated sources, remaining deadline) framed as the
-  host's ``run`` op.  Never a live :class:`~repro.graph.csr.CSRGraph`,
-  never a catalog artifact: shipping megabytes of CSR per query
-  would erase the win of leaving the GIL behind.
-* **in the host process** lives a private memory-tier
-  :class:`~repro.service.catalog.GraphCatalog` whose *disk tier is
-  shared* (one spill directory, builds written through, file-locked
-  and atomically renamed); serving's preparation builds nothing, so
-  it stays empty.  Graphs hydrate from a ``graphs/`` directory keyed
-  by fingerprint (:func:`export_graph`) and are memoised per host.
+  host's ``run`` op.  Never a live :class:`~repro.graph.csr.CSRGraph`:
+  shipping megabytes of CSR per query would erase the win of leaving
+  the GIL behind.
+* **in the host process** graphs load from a store directory keyed
+  by fingerprint (:func:`export_graph`) and are memoised per host;
+  preparation builds nothing, so nothing else is kept.
 * **back up the socket** comes the :class:`BatchOutcome`, its
   per-*unique-source* value arrays already projected to original node
   ids — the front-end fans them back out to each request's ticket
@@ -36,19 +33,21 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
+
+try:  # POSIX advisory locks; absent on some platforms
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None  # type: ignore[assignment]
 
 from repro.algorithms import ALGORITHMS, prepare_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.io import save_npz
 from repro.service.batching import BatchExecution, run_sources_on_target
-from repro.service.catalog import GraphCatalog, _spill_write_lock
-
-#: a preparation step, shaped like :func:`prepare_with_origin`
-Prepare = Callable[[CSRGraph, str], Tuple[CSRGraph, Optional[str]]]
 
 #: test hook: a local host that sees this source in a spec calls
 #: ``os._exit`` — the only way to exercise crash recovery without
@@ -86,19 +85,13 @@ class BatchOutcome:
     """What one executed batch produced, backend-agnostic.
 
     ``per_source`` maps each unique source (or ``-1`` for sourceless
-    analytics) to a value array.  ``cache_hit`` is
-    :func:`served_from_cache` over the origins of the catalog
-    artifacts the batch read, and ``hydrate_hits`` counts the
-    ``"disk"`` ones (prepared-graph ``.npz`` reads), the process
-    backend's substitute for shared-memory cache hits.
+    analytics) to a value array.
     """
 
     per_source: Dict[int, np.ndarray]
-    cache_hit: bool
     plan_s: float
     execute_s: float
     execution: BatchExecution
-    hydrate_hits: int = 0
     #: set by the place walk when an earlier place was lost
     degraded: bool = False
 
@@ -113,59 +106,39 @@ def spec_nbytes(spec: BatchSpec) -> int:
 # ----------------------------------------------------------------------
 # The shared pipeline (every place prepares with, and two run, exactly this)
 # ----------------------------------------------------------------------
-def served_from_cache(origins: Sequence[str]) -> bool:
-    """The ``cache_hit`` rule: every catalog artifact a batch read — the
-    prepared graph, the shard set — came from memory or disk.  A batch
-    that read none built nothing."""
-    return all(origin in ("memory", "disk") for origin in origins)
-
-
-def prepare_for_algorithm(
-    catalog: GraphCatalog, graph: CSRGraph, algorithm: str
-) -> CSRGraph:
-    """:func:`prepare_with_origin` without the origin."""
-    return prepare_with_origin(catalog, graph, algorithm)[0]
-
-
-def prepare_with_origin(
-    catalog: GraphCatalog, graph: CSRGraph, algorithm: str
-) -> Tuple[CSRGraph, Optional[str]]:
+def prepare(graph: CSRGraph, algorithm: str) -> CSRGraph:
     """Per-algorithm graph preparation, which builds nothing.
 
     Every analytic reads ``graph`` or its memoised unweighted view —
     cc too: serving's cc is a union-find over the CSR as it is
     (:func:`~repro.algorithms.cc.weak_components`), not propagation
-    over a symmetrised copy.  So no preparation is a catalog artifact:
-    ``catalog`` is left untouched and the origin is ``None``.
+    over a symmetrised copy.
     """
     if ALGORITHMS[algorithm].symmetrize:
-        return graph.without_weights(), None
-    return prepare_graph(graph, algorithm), None
+        return graph.without_weights()
+    return prepare_graph(graph, algorithm)
+
+
+def prepare_for_algorithm(catalog: object, graph: CSRGraph, algorithm: str) -> CSRGraph:
+    """Shim: :func:`prepare`, with the ``catalog`` the frozen benchmark
+    ledger passes (:class:`~repro.service.catalog.GraphCatalog`), unread."""
+    return prepare(graph, algorithm)
 
 
 def execute_pipeline(
-    catalog: GraphCatalog,
     graph: CSRGraph,
     *,
     algorithm: str,
     options,
     sources: Tuple[int, ...],
-    prepare: Optional[Prepare] = None,
 ) -> BatchOutcome:
-    """Prepare ``graph`` and execute one batch against ``catalog``.
+    """Prepare ``graph`` and execute one batch on it.
 
     The place-independent core of the serving layer: the dispatcher
-    thread calls it on the service's own catalog, a local host's ``run``
-    op calls it on that host's catalog.  ``prepare`` overrides the
-    preparation step (the executor passes its bound method so tests can
-    intercept it); the default is :func:`prepare_with_origin`.
+    thread calls it, and so does a local host's ``run`` op.
     """
     plan_start = time.perf_counter()
-    if prepare is None:
-        prepared, origin = prepare_with_origin(catalog, graph, algorithm)
-    else:
-        prepared, origin = prepare(graph, algorithm)
-    origins = [origin] if origin is not None else []
+    prepared = prepare(graph, algorithm)
     plan_s = time.perf_counter() - plan_start
 
     execute_start = time.perf_counter()
@@ -176,11 +149,9 @@ def execute_pipeline(
 
     return BatchOutcome(
         per_source=per_source,
-        cache_hit=served_from_cache(origins),
         plan_s=plan_s,
         execute_s=execute_s,
         execution=execution,
-        hydrate_hits=origins.count("disk"),
     )
 
 
@@ -191,15 +162,15 @@ def export_graph(graph: CSRGraph, graphs_dir: str) -> str:
     """Publish ``graph`` to the shared store; returns its path.
 
     Content-addressed (fingerprint filename), written once: the write
-    goes to a temp file and is renamed into place under the same
-    advisory lock the catalog uses for spills, so concurrent services
-    sharing a store never tear or duplicate the file.
+    goes to a temp file and is renamed into place under an advisory
+    lock (:func:`_store_write_lock`), so concurrent services sharing a
+    store never tear or duplicate the file.
     """
     path = os.path.join(graphs_dir, f"{graph.fingerprint()[:32]}.npz")
     if os.path.exists(path):
         return path
     os.makedirs(graphs_dir, exist_ok=True)
-    with _spill_write_lock(path):
+    with _store_write_lock(path):
         if not os.path.exists(path):
             tmp = f"{path}.tmp-{os.getpid()}.npz"
             try:
@@ -209,3 +180,23 @@ def export_graph(graph: CSRGraph, graphs_dir: str) -> str:
                 if os.path.exists(tmp):
                     os.remove(tmp)
     return path
+
+
+@contextmanager
+def _store_write_lock(path: str):
+    """Advisory cross-process lock for one store file's writers.
+
+    Lives beside the file as ``<name>.lock`` (the file itself cannot be
+    locked — it is replaced by rename, which would orphan the lock).
+    Downgrades to a no-op where ``fcntl`` is unavailable; the
+    atomic-rename write keeps that safe, merely allowing duplicate work.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX fallback
+        yield
+        return
+    with open(path + ".lock", "w") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(handle, fcntl.LOCK_UN)

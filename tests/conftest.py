@@ -59,3 +59,19 @@ def regular_graph():
 def hub_source(powerlaw_graph):
     """Highest-outdegree node of the power-law fixture."""
     return int(np.argmax(powerlaw_graph.out_degrees()))
+
+
+@pytest.fixture
+def patch_prepare(monkeypatch):
+    """``patch_prepare(fn)`` makes ``fn(graph, algorithm)`` serving's
+    preparation step (:func:`repro.service.workers.prepare`) for this
+    test, wherever this process prepares a batch: the dispatcher thread
+    and the shard tier.  Local hosts prepare in their own processes, so
+    a test that stalls or observes a batch this way pins threads."""
+    from repro.service import sharding, workers
+
+    def install(fn):
+        monkeypatch.setattr(workers, "prepare", fn)
+        monkeypatch.setattr(sharding, "prepare", fn)
+
+    return install

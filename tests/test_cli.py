@@ -191,10 +191,22 @@ class TestQuery:
                      "--source", "999999"]) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_spill_dir_populated_on_eviction(self, tmp_path, capsys):
-        assert main(["query", "sssp", "pokec", "--scale", "0.1",
-                     "--source", "0",
-                     "--spill-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("command, flag", [
+        (["query", "sssp"], "--spill-dir"), (["query", "sssp"], "--catalog-policy"),
+        (["serve"], "--spill-dir"),
+    ])
+    def test_catalog_flags_are_retired(self, command, flag, tmp_path, capsys):
+        # serving caches nothing: no spill directory, no eviction policy
+        # (serve keeps --catalog-policy as an ignored ledger shim)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "pokec", "--scale", "0.1", flag, str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_the_catalog_policy_variable_is_not_read(self, monkeypatch, capsys):
+        # it used to be validated (an unknown policy exited 2)
+        monkeypatch.setenv("REPRO_CATALOG_POLICY", "bogus")
+        assert main(["query", "bfs", "pokec", "--scale", "0.1"]) == 0
 
 
 class TestServe:

@@ -1551,7 +1551,7 @@ def _same_csr(got, want):
     np.testing.assert_array_equal(got.offsets, want.offsets)
     np.testing.assert_array_equal(got.targets, want.targets)
     assert got.fingerprint() == want.fingerprint()
-    # exactly sized, owning its bytes: the catalog's budget reads nbytes
+    # exactly sized, owning its bytes
     assert got.nbytes() == want.nbytes() and got.targets.base is None
 
 
@@ -1696,6 +1696,25 @@ class TestComponents:
         for backend in JITS:
             got = weak_components(graph, options=EngineOptions(kernel_backend=backend))
             assert got.tobytes() == want.values.tobytes(), backend
+
+    @pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+    @pytest.mark.parametrize("dataset,scale", [
+        ("livejournal", 0.5), ("orkut", 0.25), ("twitter", 0.15),
+        ("sinaweibo", 0.5)])
+    def test_a_numpy_pin_launches_nothing_compiled(self, dataset, scale, monkeypatch):
+        # the decline path symmetrises with the backend weak_components
+        # resolved, not with $REPRO_KERNEL_BACKEND's or auto's
+        from repro.graph.datasets import load_dataset
+
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        graph = load_dataset(dataset, scale=scale)
+        jits = [kernels.get_backend(name) for name in JITS]
+        before = [jit.engaged for jit in jits]
+        got = weak_components(graph, options=EngineOptions(kernel_backend="numpy"))
+        assert [jit.engaged for jit in jits] == before
+        for name in JITS:
+            compiled = weak_components(graph, options=EngineOptions(kernel_backend=name))
+            assert np.array_equal(got, compiled), name
 
 
 @pytest.mark.skipif(

@@ -31,16 +31,13 @@ from repro.engine.push import EngineOptions, run_push, run_push_lanes
 from repro.engine.schedule import NodeScheduler, VirtualScheduler
 from repro.errors import EngineError
 from repro.graph.generators import rmat
-from repro.service.artifacts import TransformArtifact
 from repro.service.batching import (
     QueryBatch,
     fan_out_per_request,
     run_sources_on_target,
 )
-from repro.service.catalog import GraphCatalog
 from repro.service.metrics import ServiceMetrics
 from repro.service.query import QueryRequest
-from tests.catalog_cells import key_of
 
 
 def make_graph(seed, *, weighted):
@@ -344,44 +341,4 @@ class TestServiceLaneAccounting:
         summary = ServiceMetrics().summary()
         assert summary["lanes_per_traversal"] == 0.0
         assert summary["traversals_saved"] == 0
-
-
-# ----------------------------------------------------------------------
-# Prepared graphs live under the catalog's byte budget
-# ----------------------------------------------------------------------
-class TestPreparedArtifactBudget:
-    def _prepared(self, graph):
-        key = key_of(graph)
-        return key, TransformArtifact(
-            key=key, payload=graph, build_seconds=0.01
-        )
-
-    def test_prepared_artifacts_share_budget_and_spill(self, tmp_path):
-        g1 = make_graph(31, weighted=False)
-        g2 = make_graph(32, weighted=False)
-        key1, art1 = self._prepared(g1)
-        key2, art2 = self._prepared(g2)
-        budget = max(art1.nbytes(), art2.nbytes()) + 64
-        catalog = GraphCatalog(budget, spill_dir=str(tmp_path))
-
-        built, origin = catalog.get_for_key(key1, lambda: art1)
-        assert origin == "built"
-        assert built.payload is g1
-
-        # same key again: memory hit, no rebuild
-        def rebuilt():
-            raise AssertionError("rebuilt a cached prepared graph")
-
-        _, origin = catalog.get_for_key(key1, rebuilt)
-        assert origin == "memory"
-
-        # the second prepared graph exceeds the budget -> key1 evicts
-        catalog.get_for_key(key2, lambda: art2)
-        assert key1 not in catalog and key2 in catalog
-
-        # ...but only to the disk tier: no rebuild on the way back
-        reloaded, origin = catalog.get_for_key(key1, rebuilt)
-        assert origin == "disk"
-        assert np.array_equal(reloaded.payload.targets, g1.targets)
-        assert reloaded.payload.fingerprint() == g1.fingerprint()
 

@@ -43,7 +43,7 @@ def _compiled_kernels(monkeypatch):
 def test_the_golden_set_covers_every_simulated_experiment():
     wall_clock = {
         "table7", "scaling", "service", "service-backends", "service-trace",
-        "kernels", "sharded", "multisource", "cache-policy",
+        "kernels", "sharded", "multisource",
     }
     assert set(GOLDEN) == set(EXPERIMENTS) - wall_clock
 

@@ -20,7 +20,6 @@ import repro
 from repro.errors import ServiceError
 from repro.service import (
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     TraceRecorder,
     load_trace,
@@ -36,13 +35,14 @@ from repro.service.api import (
     verify_graphs,
 )
 from repro.service.routing import TokenBuckets
+from repro.service.workers import prepare
 
 MIXED_TRACE = str(Path(__file__).parent / "traces" / "mixed.jsonl")
 
 
 @pytest.fixture
 def service(powerlaw_graph):
-    with AnalyticsService(GraphCatalog(), workers=2) as svc:
+    with AnalyticsService(workers=2) as svc:
         svc.register("g", powerlaw_graph)
         yield svc
 
@@ -416,20 +416,19 @@ class TestBatch:
             seen[payload["id"]] = payload["digest"]
         assert seen == expected
 
-    def test_streams_before_batch_completes(self, powerlaw_graph):
+    def test_streams_before_batch_completes(self, powerlaw_graph, patch_prepare):
         gate = threading.Event()
         slow_graph = powerlaw_graph.without_weights()
-        with AnalyticsService(GraphCatalog(), workers=2) as svc:
+        with AnalyticsService(workers=2, backend="threads") as svc:
             svc.register("fast", powerlaw_graph)
             svc.register("slow", slow_graph)
-            original = svc._prepare
 
             def gated(graph, algorithm):
                 if graph is slow_graph:
                     gate.wait(30.0)
-                return original(graph, algorithm)
+                return prepare(graph, algorithm)
 
-            svc._prepare = gated
+            patch_prepare(gated)
             try:
                 with ThreadedApiServer(svc) as handle:
                     with HttpReplayClient(handle.address) as client:
@@ -624,22 +623,19 @@ class TestRateLimit:
 
 
 class TestOverload:
-    def test_full_queue_is_503(self, powerlaw_graph, monkeypatch):
+    def test_full_queue_is_503(self, powerlaw_graph, monkeypatch, patch_prepare):
         from repro.service.api import server as front_door
 
         monkeypatch.setattr(front_door, "DEFAULT_ADMISSION_WAIT_S", 0.05)
         gate = threading.Event()
-        with AnalyticsService(
-            GraphCatalog(), workers=1, queue_size=1
-        ) as svc:
+        with AnalyticsService(workers=1, queue_size=1, backend="threads") as svc:
             svc.register("g", powerlaw_graph)
-            original = svc._prepare
 
             def stalled(graph, algorithm):
                 gate.wait(30.0)
-                return original(graph, algorithm)
+                return prepare(graph, algorithm)
 
-            svc._prepare = stalled
+            patch_prepare(stalled)
             stuck = svc.submit(QueryRequest.single("bfs", "g", 0))
             time.sleep(0.05)  # worker picks it up and stalls
             queued = svc.submit(
@@ -665,7 +661,7 @@ class TestOverload:
 
 
     def test_refused_batch_charges_once_and_prepares_nothing_twice(
-        self, powerlaw_graph, monkeypatch
+        self, powerlaw_graph, monkeypatch, patch_prepare
     ):
         # one stalled worker, one queued item and one free slot: a
         # two-group batch queues its bfs group, then finds no room for
@@ -677,17 +673,17 @@ class TestOverload:
         gate = threading.Event()
         policy = RoutingPolicy(quotas={"t": TenantQuota(rate=1.0, burst=100.0)})
         with AnalyticsService(
-            GraphCatalog(), workers=1, queue_size=2, policy=policy
+            workers=1, queue_size=2, policy=policy, backend="threads"
         ) as svc:
             svc.register("g", powerlaw_graph)
-            prepared, original = [], svc._prepare
+            prepared = []
 
             def stalled(graph, algorithm):
                 prepared.append(algorithm)
                 gate.wait(30.0)
-                return original(graph, algorithm)
+                return prepare(graph, algorithm)
 
-            svc._prepare = stalled
+            patch_prepare(stalled)
             charges, try_admit = [], svc.policy.try_admit
 
             def counted(tenant):
@@ -844,20 +840,19 @@ class TestStop:
         assert not any(thread.is_alive() for thread in threads)
         assert not any(t.name == "repro-api" for t in threading.enumerate())
 
-    def test_stop_lets_an_in_flight_batch_finish(self, powerlaw_graph):
+    def test_stop_lets_an_in_flight_batch_finish(self, powerlaw_graph, patch_prepare):
         # graceful drain: the listener closes, the gated batch still
         # resolves, and its connection writes every line before it closes
         gate, entered = threading.Event(), threading.Event()
-        with AnalyticsService(GraphCatalog(), workers=1) as svc:
+        with AnalyticsService(workers=1, backend="threads") as svc:
             svc.register("g", powerlaw_graph)
-            original = svc._prepare
 
             def gated(graph, algorithm):
                 entered.set()
                 gate.wait(30.0)
-                return original(graph, algorithm)
+                return prepare(graph, algorithm)
 
-            svc._prepare = gated
+            patch_prepare(gated)
             handle = ThreadedApiServer(svc).start()
             lines = []
 
@@ -927,7 +922,7 @@ class TestGoldenTraceOverHttp:
     def mixed_setup(self):
         trace = load_trace(MIXED_TRACE)
         graphs = resolve_trace_graphs(trace)
-        with AnalyticsService(GraphCatalog(), workers=2) as svc:
+        with AnalyticsService(workers=2) as svc:
             for name, graph in graphs.items():
                 svc.register(name, graph)
             with ThreadedApiServer(svc) as handle:

@@ -12,7 +12,6 @@ from repro.engine.push import EngineOptions
 from repro.graph.generators import rmat
 from repro.service import (
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     group_requests,
 )
@@ -186,12 +185,12 @@ class TestEndToEndBatchedService:
         """The ISSUE's satellite: batched == per-source, exactly."""
         sources = (2, 9, 2, 17, 33)
         requests = [QueryRequest.single("sssp", "g", s) for s in sources]
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", graph)
             batched = [t.result(60) for t in service.submit_batch(requests)]
         individual = {}
         for source in set(sources):
-            with AnalyticsService(GraphCatalog(), workers=1) as service:
+            with AnalyticsService(workers=1) as service:
                 service.register("g", graph)
                 individual[source] = service.run(
                     QueryRequest.single("sssp", "g", source)
@@ -208,7 +207,7 @@ class TestEndToEndBatchedService:
             QueryRequest("sssp", "g", sources=(0, 1)),
             QueryRequest("sssp", "g", sources=(1, 2)),
         ]
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", graph)
             results = [t.result(60) for t in service.submit_batch(requests)]
             assert all(r.ok for r in results)
@@ -228,7 +227,7 @@ class TestEndToEndBatchedService:
         cjit = kernels.get_backend("cjit")
         # the counters are this process's, so the batch must run here:
         # pinned to threads, whatever REPRO_SERVICE_WORKERS says
-        with AnalyticsService(GraphCatalog(), workers=1,
+        with AnalyticsService(workers=1,
                               backend="threads") as service:
             service.register("g", graph)
             engaged, declined = cjit.engaged, cjit.declined
@@ -240,7 +239,7 @@ class TestEndToEndBatchedService:
     def test_transform_labels_coalesce(self, graph):
         labels = ("auto", "udt", "virtual", "none")
         requests = [QueryRequest.single("bfs", "g", 5, transform=t) for t in labels]
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", graph)
             results = [t.result(60) for t in service.submit_batch(requests)]
             summary = service.metrics.summary()
@@ -260,7 +259,7 @@ class TestEndToEndBatchedService:
             QueryRequest.single("bfs", "g", 0),
             QueryRequest("pr", "g"),
         ]
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", graph)
             results = [t.result(60) for t in service.submit_batch(requests)]
         assert [r.algorithm for r in results] == ["sssp", "bfs", "pr"]
@@ -317,7 +316,7 @@ class TestEndToEndBatchedService:
                 request.algorithm, request.graph, sources=request.sources,
                 transform=request.transform, degree_bound=request.degree_bound,
             )
-            with AnalyticsService(GraphCatalog(), workers=1) as solo:
+            with AnalyticsService(workers=1) as solo:
                 for name, g in graphs.items():
                     solo.register(name, g)
                 return solo.run(clone)
@@ -327,7 +326,7 @@ class TestEndToEndBatchedService:
             for round_index in range(3):
                 requests = random_mix(rng)
                 with AnalyticsService(
-                    GraphCatalog(), workers=2, backend=backend
+                    workers=2, backend=backend
                 ) as service:
                     for name, g in graphs.items():
                         service.register(name, g)
@@ -352,7 +351,7 @@ class TestEndToEndBatchedService:
 
     def test_multi_source_request_values_keyed_by_source(self, graph):
         request = QueryRequest("sssp", "g", sources=(4, 8))
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", graph)
             result = service.run(request)
         assert set(result.values) == {4, 8}

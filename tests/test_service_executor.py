@@ -14,24 +14,33 @@ from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
 from repro.engine import kernels
 from repro.engine.push import EngineOptions
-from repro.errors import ServiceError
+from repro.errors import EngineError, ServiceError, ShardLost
 from repro.graph.builder import to_undirected
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
-from repro.service import (
-    AnalyticsService,
-    GraphCatalog,
-    QueryRequest,
-    TransformArtifact,
-)
+from repro.service import AnalyticsService, QueryRequest
 from repro.service.batching import group_requests
 from repro.service.planner import UDT_EXECUTABLE
-from tests.catalog_cells import get
+from repro.service.sharding import SHARDABLE_ALGORITHMS, ShardSet
+from repro.service.workers import prepare
 
 
 @pytest.fixture
 def graph():
     return rmat(150, 1100, seed=9, weight_range=(1, 8))
+
+
+@pytest.fixture
+def stall(patch_prepare):
+    """An event every dispatcher-thread preparation waits on (5 s at most)."""
+    event = threading.Event()
+
+    def slow_prepare(g, algorithm):
+        event.wait(5)
+        return prepare(g, algorithm)
+
+    patch_prepare(slow_prepare)
+    return event
 
 
 @pytest.fixture
@@ -76,8 +85,7 @@ class TestResultsMatchDirectCalls:
         graph = load_dataset("pokec", scale=0.2)
         # (cc builds nothing: a union-find over the CSR as it is; a
         # named udt plans `none`)
-        catalog = GraphCatalog()
-        with AnalyticsService(catalog, workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("pokec", graph)
             cold = service.run(QueryRequest(
                 "cc", "pokec", transform="udt", degree_bound=8
@@ -86,10 +94,6 @@ class TestResultsMatchDirectCalls:
                 "cc", "pokec", transform="udt", degree_bound=8
             ))
             assert cold.cache_hit and warm.cache_hit
-            # zero build work on either path, per cache counters (the
-            # process backend's hosts keep catalogs of their own; its
-            # paths are pinned by cache_hit above)
-            assert catalog.stats.builds == catalog.stats.misses == 0
             assert np.array_equal(
                 warm.value(), connected_components(
                     to_undirected(graph.without_weights())).values
@@ -99,14 +103,12 @@ class TestResultsMatchDirectCalls:
         # auto builds nothing: an unweighted graph needs no preparation
         # and the plan reads no transform; a named virtual+ plans the same
         unweighted = graph.without_weights()
-        catalog = GraphCatalog()
-        with AnalyticsService(catalog, workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("uw", unweighted)
             result = service.run(QueryRequest.single("bfs", "uw", 0))
             vplus = service.run(
                 QueryRequest.single("bfs", "uw", 0, transform="virtual+")
             )
-            assert catalog.stats.builds == 0 and len(catalog) == 0
         assert result.transform == "none" and result.degree_bound == 0
         assert result.cache_hit and vplus.transform == "none"
         assert np.array_equal(result.value(0), vplus.value(0))
@@ -152,8 +154,7 @@ class TestResultsMatchDirectCalls:
 
 class TestConcurrency:
     def test_contended_submissions_all_complete(self, graph):
-        catalog = GraphCatalog()
-        with AnalyticsService(catalog, workers=4, queue_size=128) as service:
+        with AnalyticsService(workers=4, queue_size=128) as service:
             service.register("g", graph)
             tickets = [
                 service.submit(QueryRequest(
@@ -162,9 +163,8 @@ class TestConcurrency:
                 for _ in range(40)
             ]
             results = [t.result(60) for t in tickets]
-            assert all(r.ok for r in results)
             # 40 cold queries build nothing (cc reads the CSR as it is)
-            assert catalog.stats.builds == 0
+            assert all(r.ok and r.cache_hit for r in results)
             reference = connected_components(
                 to_undirected(graph.without_weights())).values
             assert np.array_equal(results[5].value(), reference)
@@ -190,20 +190,12 @@ class TestConcurrency:
                 t.join()
             assert len(results) == 30 and all(r.ok for r in results)
 
-    def test_backpressure_nonblocking_submit(self, graph):
+    def test_backpressure_nonblocking_submit(self, graph, stall):
         # one worker stuck on a slow item + queue of 1 -> third submit
-        # fails.  Thread backend pinned: the stall comes from
-        # monkeypatching _prepare, which process workers never call.
+        # fails.  Thread backend pinned: the stall patches preparation,
+        # which local hosts run in their own processes.
         with AnalyticsService(workers=1, queue_size=1, backend="threads") as service:
             service.register("g", graph)
-            blocker = threading.Event()
-            original = service._prepare
-
-            def slow_prepare(g, algorithm):
-                blocker.wait(5)
-                return original(g, algorithm)
-
-            service._prepare = slow_prepare
             first = service.submit(QueryRequest.single("bfs", "g", 0))
             time.sleep(0.05)  # let the worker claim it and block
             second = service.submit(
@@ -211,7 +203,7 @@ class TestConcurrency:
             )
             with pytest.raises(ServiceError, match="queue full"):
                 service.submit(QueryRequest.single("bfs", "g", 2), block=False)
-            blocker.set()
+            stall.set()
             assert first.result(10).ok and second.result(10).ok
 
     def test_queue_depth_tracked(self, service):
@@ -238,25 +230,17 @@ class TestConcurrency:
 
 
 class TestTimeouts:
-    def test_expired_in_queue_fails_fast(self, graph):
-        # thread backend pinned: the stall monkeypatches _prepare
+    def test_expired_in_queue_fails_fast(self, graph, stall):
+        # thread backend pinned: the stall patches preparation
         with AnalyticsService(workers=1, queue_size=16, backend="threads") as service:
             service.register("g", graph)
-            blocker = threading.Event()
-            original = service._prepare
-
-            def slow_prepare(g, algorithm):
-                blocker.wait(5)
-                return original(g, algorithm)
-
-            service._prepare = slow_prepare
             service.submit(QueryRequest.single("bfs", "g", 0))
             time.sleep(0.05)
             doomed = service.submit(
                 QueryRequest.single("bfs", "g", 1, timeout_s=0.01)
             )
             time.sleep(0.1)  # deadline passes while queued
-            blocker.set()
+            stall.set()
             result = doomed.result(10)
             assert not result.ok and "timed out" in result.error
             assert service.metrics.summary()["queries_timed_out"] >= 1
@@ -276,48 +260,38 @@ class TestTimeouts:
             assert ticket.deadline == float("inf")
             assert ticket.result(10).ok
 
-    def test_warm_cache_never_degrades(self, graph):
+    def test_spent_deadline_never_degrades(self, graph):
         # a spent deadline neither degrades nor builds a batch
-        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+        with AnalyticsService(workers=1, backend="threads") as service:
             service.register("g", graph)
             request = QueryRequest("cc", "g", transform="udt")
             assert service.run(request).cache_hit
             (batch,) = group_requests([request], lambda _: graph)
             rushed = service._run_batch(batch, remaining_s=0.0)
-            assert rushed.cache_hit and not rushed.degraded
-            assert service.catalog.stats.builds == 0
+            assert not rushed.degraded and not batch.built_shardset
 
     def test_tight_deadline_cold_cache_serves_the_csr(self):
-        # weighted sssp reads no catalog artifact: a udt request under a
-        # deadline shorter than any build is answered exactly, undegraded
+        # weighted sssp builds nothing: a udt request under a deadline
+        # shorter than any build is answered exactly, undegraded
         big = rmat(4000, 60000, seed=2, weight_range=(1, 5))
-        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+        with AnalyticsService(workers=1, backend="threads") as service:
             request = QueryRequest.single("sssp", "big", 0, transform="udt")
             (batch,) = group_requests([request], lambda _: big)
             rushed = service._run_batch(batch, remaining_s=1e-4)
-            assert service.catalog.stats.builds == 0
-        assert rushed.cache_hit and not rushed.degraded
+        assert not rushed.degraded and not batch.built_shardset
         assert np.array_equal(rushed.per_source[0], sssp(big, 0).values)
 
 
 class TestCancellation:
-    def test_cancel_while_queued(self, graph):
-        # thread backend pinned: the stall monkeypatches _prepare
+    def test_cancel_while_queued(self, graph, stall):
+        # thread backend pinned: the stall patches preparation
         with AnalyticsService(workers=1, queue_size=16, backend="threads") as service:
             service.register("g", graph)
-            blocker = threading.Event()
-            original = service._prepare
-
-            def slow_prepare(g, algorithm):
-                blocker.wait(5)
-                return original(g, algorithm)
-
-            service._prepare = slow_prepare
             service.submit(QueryRequest.single("bfs", "g", 0))
             time.sleep(0.05)
             victim = service.submit(QueryRequest.single("bfs", "g", 1))
             assert victim.cancel() is True
-            blocker.set()
+            stall.set()
             result = victim.result(10)
             assert not result.ok and result.error == "cancelled"
         # the cancelled claim is recorded when the worker drains the
@@ -329,22 +303,14 @@ class TestCancellation:
         ticket.result(30)
         assert ticket.cancel() is False
 
-    def test_result_wait_timeout(self, graph):
-        # thread backend pinned: the stall monkeypatches _prepare
+    def test_result_wait_timeout(self, graph, stall):
+        # thread backend pinned: the stall patches preparation
         with AnalyticsService(workers=1, backend="threads") as service:
             service.register("g", graph)
-            blocker = threading.Event()
-            original = service._prepare
-
-            def slow_prepare(g, algorithm):
-                blocker.wait(5)
-                return original(g, algorithm)
-
-            service._prepare = slow_prepare
             ticket = service.submit(QueryRequest.single("bfs", "g", 0))
             with pytest.raises(ServiceError, match="not finished"):
                 ticket.result(0.05)
-            blocker.set()
+            stall.set()
             assert ticket.result(10).ok
 
 
@@ -358,19 +324,17 @@ class TestErrorsAndMetrics:
 
     def test_rejected_udt_request_builds_nothing(self, graph):
         # the plan is checked before the graph is prepared
-        catalog = GraphCatalog()
-        with AnalyticsService(catalog, workers=1, backend="threads") as service:
+        with AnalyticsService(workers=1, backend="threads") as service:
             service.register("g", graph)
             result = service.run(QueryRequest("pr", "g", transform="udt"))
             assert not result.ok and "udt cannot serve pr" in result.error
-        assert catalog.stats.builds == 0 and not catalog.keys()
 
     @pytest.mark.parametrize("shards", [0, 2])
     def test_rejected_member_fails_alone(self, graph, shards):
         # the transform name is checked per member: the udt member
         # fails with the planner's message and the rest of its batch runs
         requests = [QueryRequest("pr", "g", transform="udt"), QueryRequest("pr", "g")]
-        with AnalyticsService(GraphCatalog(), workers=1, shards=shards) as service:
+        with AnalyticsService(workers=1, shards=shards) as service:
             service.register("g", graph)
             rejected, admitted = [t.result(60) for t in service.submit_batch(requests)]
             summary = service.metrics.summary()
@@ -389,8 +353,7 @@ class TestErrorsAndMetrics:
         summary = service.metrics.summary()
         assert summary["queries_total"] == 2
         assert summary["cache_hit_rate"] == 1.0
-        assert summary["catalog_builds"] == 0
-        for key in ("worker_restarts", "ipc_bytes", "hydrate_hits"):
+        for key in ("worker_restarts", "ipc_bytes"):
             assert key in summary
         for stage in ("queue", "plan", "execute", "total"):
             assert f"{stage}_p50_ms" in summary
@@ -419,28 +382,25 @@ class TestErrorsAndMetrics:
 
 @pytest.mark.parametrize("shards", [0, 2])
 class TestCacheHitMeansNothingBuilt:
-    """``cache_hit``: every catalog artifact the request read (prepared
-    graph, transform, shard set) came from memory or disk; a request
-    that read none is a hit."""
+    """``cache_hit`` is False only when the request's batch built the
+    shard tier's shard set."""
 
     @pytest.fixture
     def served(self, graph, shards):
-        with AnalyticsService(GraphCatalog(), workers=1, shards=shards) as svc:
+        with AnalyticsService(workers=1, shards=shards) as svc:
             svc.register("g", graph)
             yield svc
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_cc_builds_nothing(self, graph, shards, backend):
-        with AnalyticsService(
-            GraphCatalog(), workers=1, shards=shards, backend=backend
-        ) as served:
+        with AnalyticsService(workers=1, shards=shards, backend=backend) as served:
             served.register("g", graph)
             cold = served.run(QueryRequest("cc", "g", transform="none"))
             warm = served.run(QueryRequest("cc", "g", transform="none"))
             summary = served.metrics.summary()
         # sharded, the first request builds the graph's shard set only
         assert (cold.cache_hit, warm.cache_hit) == (shards == 0, True)
-        assert summary["catalog_builds"] == summary["hydrate_hits"] == 0
+        assert summary["cache_hit_rate"] == (0.5 if shards else 1.0)
 
     def test_weighted_sssp_reads_no_artifact(self, served, shards):
         request = functools.partial(
@@ -450,67 +410,51 @@ class TestCacheHitMeansNothingBuilt:
         # sharded, the first request builds the graph's shard set
         assert first.cache_hit is (shards == 0) and again.cache_hit
 
-    @pytest.mark.parametrize("algorithm", ["pr", "bfs"])
-    def test_warm_none_plans_hit(self, served, algorithm, shards):
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_only_a_shard_set_build_misses(self, graph, algorithm, shards, backend):
+        # a weighted graph's unweighted view is built by no request: only
+        # the sharded tier's first request builds (the shard set), and bc
+        # is never sharded, so it always hits
         request = functools.partial(
             QueryRequest, algorithm, "g", transform="none",
-            sources=(0,) if algorithm == "bfs" else (),
+            sources=(0,) if ALGORITHMS[algorithm].needs_source else (),
         )
-        first, again = served.run(request()), served.run(request())
-        # a weighted graph's unweighted view is no artifact: only the
-        # sharded tier's first request builds (the shard set)
-        assert first.cache_hit is (shards == 0) and again.cache_hit
+        with AnalyticsService(workers=1, shards=shards, backend=backend) as served:
+            served.register("g", graph)
+            first, again = served.run(request()), served.run(request())
+        assert first.ok and again.ok
+        builds = shards > 0 and algorithm in SHARDABLE_ALGORITHMS
+        assert (first.cache_hit, again.cache_hit) == (not builds, True)
 
-    def test_auto_traffic_caches_no_overlay(self, served, graph):
-        for algorithm in ("bfs", "sssp", "sswp", "bc"):
-            for source in (0, 7):
-                request = QueryRequest.single(algorithm, "g", source)
-                assert served.run(request).ok
-        for algorithm in ("cc", "pr"):
-            assert served.run(QueryRequest(algorithm, "g")).ok
-        # (shards hold no catalog: they step the raw slice; cc builds
-        # no symmetrised graph)
-        assert not served.catalog.keys()
-        assert served.catalog.stats.builds == 0
+    def test_lost_shard_after_build_still_misses(self, graph, shards, monkeypatch):
+        # a batch that builds its shard set and then loses a shard is
+        # answered by the next place, and still reports the build
+        def lost(*args, **kwargs):
+            raise ShardLost("gone mid-superstep", shard=0)
+
+        monkeypatch.setattr(ShardSet, "run_monotone", lost)
+        with AnalyticsService(workers=1, shards=shards) as served:
+            served.register("g", graph)
+            result = served.run(QueryRequest.single("bfs", "g", 0))
+        assert result.ok and result.degraded is bool(shards)
+        assert result.cache_hit is (shards == 0)
 
 
-def test_concurrent_dispatchers_count_only_their_own_hydrations(
-    graph, tmp_path
-):
-    # each dispatcher hydrates one spilled prepared graph while the other
-    # is inside its pipeline too; the summed hydrate_hits are the disk
-    # loads.  Serving's own preparation reads no catalog, so the service's
-    # preparation step is one that does.
-    catalog = GraphCatalog(spill_dir=str(tmp_path), write_through=True)
-    unweighted = graph.without_weights()
-    for g in (graph, unweighted):
-        get(catalog, g)
-    catalog.clear()  # memory tier only: both artifacts stay spilled
-    overlap = threading.Barrier(2, timeout=30)
-    lookup = catalog.get_for_key
-
-    def gated(*args, **kwargs):
-        overlap.wait()  # both dispatchers are inside their pipelines
-        found = lookup(*args, **kwargs)
-        overlap.wait()  # both have hydrated
-        return found
-
-    def prepare(g, algorithm):
-        artifact, origin = get(catalog, g)
-        return artifact.payload, origin
-
-    catalog.get_for_key = gated
-    with AnalyticsService(catalog, workers=2, backend="threads") as service:
-        service._prepare = prepare
-        service.register("g", graph)
-        service.register("uw", unweighted)
-        tickets = [
-            service.submit(QueryRequest("cc", "g")),
-            service.submit(QueryRequest("cc", "uw")),
-        ]
-        assert all(ticket.result(60).cache_hit for ticket in tickets)
-        assert catalog.stats.disk_hits == 2
-        assert service.metrics.summary()["hydrate_hits"] == 2
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_prepare_builds_nothing(graph, algorithm, weighted):
+    # every analytic reads the graph's own arrays (its memoised
+    # unweighted view at most), so preparing twice is one object
+    g = graph if weighted else graph.without_weights()
+    if ALGORITHMS[algorithm].weighted and not weighted:
+        with pytest.raises(EngineError, match="requires a weighted graph"):
+            prepare(g, algorithm)
+        return
+    prepared = prepare(g, algorithm)
+    assert prepared is prepare(g, algorithm)
+    assert prepared.offsets is g.offsets and prepared.targets is g.targets
+    assert prepared.weights is (g.weights if ALGORITHMS[algorithm].weighted else None)
 
 
 @pytest.mark.parametrize("kernel_backend", [
@@ -534,18 +478,16 @@ def test_named_overlays_serve_the_csr(graph, algorithm, kernel_backend):
             QueryRequest, algorithm, "g", sources=sources,
             transform=transform, options=options,
         )
-        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+        with AnalyticsService(workers=1, backend="threads") as service:
             service.register("g", graph)
             result = service.run(request())
-            builds = service.metrics.summary()["catalog_builds"]
-        with AnalyticsService(GraphCatalog(), workers=1, backend="threads") as service:
+        with AnalyticsService(workers=1, backend="threads") as service:
             (batch,) = group_requests([request()], lambda _: graph)
             rushed = service._run_batch(batch, remaining_s=1e-9)
         assert result.ok, result.error
         assert (result.transform, result.degree_bound) == ("none", 0)
-        assert not rushed.degraded
+        assert result.cache_hit and not rushed.degraded
         served[transform] = (
-            builds,
             {key: values.tobytes() for key, values in result.values.items()},
             {key: values.tobytes() for key, values in rushed.per_source.items()},
         )

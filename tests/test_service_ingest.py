@@ -12,7 +12,6 @@ from repro.errors import TraceFormatError, TraceVersionError
 from repro.service import (
     TRACE_VERSION,
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     TraceReader,
     TraceRecorder,
@@ -295,7 +294,7 @@ class TestTraceRecorder:
         sink = io.StringIO()
         recorder = TraceRecorder(sink)
         with AnalyticsService(
-            GraphCatalog(), workers=2, recorder=recorder
+            workers=2, recorder=recorder
         ) as service:
             service.register("g", powerlaw_graph)
             requests = [
@@ -320,7 +319,7 @@ class TestTraceRecorder:
     def test_detach_stops_capture(self, powerlaw_graph):
         sink = io.StringIO()
         recorder = TraceRecorder(sink)
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", powerlaw_graph)
             service.attach_recorder(recorder)
             assert service.run(QueryRequest.single("bfs", "g", 0)).ok
@@ -484,7 +483,7 @@ class TestRecorderSwapUnderLoad:
         recorders = [TraceRecorder(sink) for sink in sinks]
         stop = threading.Event()
 
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", powerlaw_graph)
             service.attach_recorder(recorders[0])
 
@@ -519,7 +518,7 @@ class TestRecorderSwapUnderLoad:
 
     def test_detach_specific_recorder_only_if_attached(self, powerlaw_graph):
         first, second = TraceRecorder(io.StringIO()), TraceRecorder(io.StringIO())
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", powerlaw_graph)
             service.attach_recorder(first)
             service.attach_recorder(second)  # replaces first

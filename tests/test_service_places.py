@@ -24,7 +24,6 @@ from repro.errors import QuotaExhaustedError
 from repro.graph.generators import rmat
 from repro.service import (
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     RoutingPolicy,
     ShardedAnalyticsService,
@@ -34,7 +33,7 @@ from repro.service.api import (
     HttpReplayClient,
     ThreadedApiServer,
 )
-from repro.service.workers import CRASH_SOURCE_ENV
+from repro.service.workers import CRASH_SOURCE_ENV, prepare
 
 
 @pytest.fixture(scope="module")
@@ -181,22 +180,21 @@ class TestShardedIsTheSameService:
 class TestAdmissionWithoutShards:
     """Quotas and priorities belong to the service, not the shard tier."""
 
-    def test_default_policy_is_strict_fifo(self, graph):
+    def test_default_policy_is_strict_fifo(self, graph, patch_prepare):
         """The always-priority queue with one class is a FIFO."""
         order = []
         gate = threading.Event()
-        # thread backend pinned: the stall monkeypatches _prepare
+        # thread backend pinned: the stall patches preparation
         with AnalyticsService(
             workers=1, queue_size=64, backend="threads"
         ) as service:
             service.register("g", graph)
-            original = service._prepare
 
             def recording(g, algorithm):
                 gate.wait(30)  # hold the one dispatcher while the rest queue
-                return original(g, algorithm)
+                return prepare(g, algorithm)
 
-            service._prepare = recording
+            patch_prepare(recording)
             run_batch = service._run_batch
 
             def spy(batch, remaining_s):
@@ -272,7 +270,7 @@ class TestAdmissionWithoutShards:
             "--quota", "t=0.001:1", "--priority", "t=interactive",
         ])
         assert args.shards == 0
-        with _make_service(args, GraphCatalog()) as service:
+        with _make_service(args) as service:
             assert type(service) is AnalyticsService
             assert service.policy.priorities == {"t": 0}
             service.register("g", graph)
@@ -291,7 +289,7 @@ class TestAdmissionWithoutShards:
             "serve", "g", "--http", "127.0.0.1:0", "--workers", "1",
             "--quota", "t=1:1",
         ])
-        with _make_service(args, GraphCatalog()) as service:
+        with _make_service(args) as service:
             service.register("g", graph)
             probes = _spy_on_submissions(service)
             with ThreadedApiServer(service) as server:

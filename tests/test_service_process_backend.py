@@ -10,12 +10,7 @@ import pytest
 
 from repro.errors import ServiceError, WorkerLost
 from repro.graph.generators import rmat
-from repro.service import (
-    AnalyticsService,
-    GraphCatalog,
-    QueryRequest,
-    resolve_backend,
-)
+from repro.service import AnalyticsService, QueryRequest, resolve_backend
 from repro.service.executor import BACKEND_ENV
 from repro.service.workers import (
     CRASH_SOURCE_ENV,
@@ -23,7 +18,6 @@ from repro.service.workers import (
     export_graph,
     spec_nbytes,
 )
-from tests.catalog_cells import get
 
 
 @pytest.fixture
@@ -125,41 +119,22 @@ class TestBackendParity:
             assert not result.ok and "udt cannot serve pr" in result.error
 
 
-class TestSharedDiskTier:
-    def test_workers_read_no_spilled_artifact(self, graph, tmp_path):
-        # a disk tier holding cc's symmetrised graph (as an older build
-        # spilled it) is never read: a host's cold cc builds nothing and
-        # hydrates nothing
-        get(GraphCatalog(spill_dir=str(tmp_path), write_through=True), graph)
-        fresh = GraphCatalog(spill_dir=str(tmp_path))
-        with AnalyticsService(fresh, workers=1, backend="processes") as svc:
-            svc.register("g", graph)
-            result = svc.run(QueryRequest("cc", "g"))
-            assert result.ok and result.cache_hit
-            assert svc.metrics.summary()["hydrate_hits"] == 0
-
+class TestGraphStore:
     @pytest.mark.parametrize("shards", [0, 2])
-    def test_nothing_spills_to_the_shared_tier(self, graph, shards):
+    def test_hosts_share_one_graph_export(self, graph, shards):
         # bfs, pr, bc and cc on a weighted graph read it or its unweighted
-        # view and write nothing beside the graph store
-        with AnalyticsService(
-            GraphCatalog(), workers=1, backend="processes", shards=shards
-        ) as svc:
+        # view: the hosts' one shared file is the graph's export
+        with AnalyticsService(workers=1, backend="processes", shards=shards) as svc:
             svc.register("g", graph)
-            root = svc.shared_artifact_dir
-
-            def spills(where=root):
-                return sorted(n for n in os.listdir(where) if n.endswith(".npz"))
-
             for algorithm, sources in (("bfs", (0,)), ("pr", ()), ("bc", (0,)),
                                        ("cc", ())):
                 result = svc.run(QueryRequest(algorithm, "g", sources=sources))
                 # sharded, the first (bfs) request builds the shard set
                 assert result.ok and result.cache_hit is (
                     shards == 0 or algorithm != "bfs")
-            assert spills() == []
             # one graph export, whichever requests reached the hosts
-            assert len(spills(os.path.join(root, "graphs"))) == 1
+            store = svc._process.graphs_dir
+            assert len([n for n in os.listdir(store) if n.endswith(".npz")]) == 1
 
     def test_graph_export_is_content_addressed(self, graph, tmp_path):
         first = export_graph(graph, str(tmp_path))

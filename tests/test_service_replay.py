@@ -9,7 +9,6 @@ from repro.errors import ServiceError, TraceFormatError
 from repro.graph.generators import rmat
 from repro.service import (
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     TraceRecorder,
     dataset_graph_entry,
@@ -19,6 +18,7 @@ from repro.service import (
     resolve_trace_graphs,
 )
 from repro.service.ingest import Trace, TraceHeader, TraceRequest, TraceResult
+from repro.service.metrics import CATALOG_KEYS
 
 TRACES = Path(__file__).parent / "traces"
 GOLDEN = sorted(p.name for p in TRACES.glob("*.jsonl"))
@@ -47,7 +47,7 @@ class TestGoldenTraces:
             GOLDEN
         )
 
-    def test_loop_reuses_warm_catalog(self):
+    def test_loop_replays_every_pass(self):
         report = replay_trace(
             str(TRACES / "bfs-heavy.jsonl"), workers=2, loop=2, batch=4
         )
@@ -57,7 +57,7 @@ class TestGoldenTraces:
         assert report.ok
 
     def test_replay_counters_land_in_metrics(self):
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             report = replay_trace(
                 str(TRACES / "mixed.jsonl"), service=service
             )
@@ -65,6 +65,40 @@ class TestGoldenTraces:
             summary = service.metrics.summary()
             assert summary["replay_digests_checked"] == report.digests_checked
             assert summary["replay_digest_mismatches"] == 0
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_summary_does_not_depend_on_the_backend(self, name, shards):
+        # every place's counts land in the one table the dispatcher keeps,
+        # so a trace reads the same on both backends; the rows that
+        # legitimately differ, and why:
+        differs = {
+            # frame bytes both ways: 0 on threads, and the reply frames
+            # carry measured seconds whose printed length varies
+            "ipc_bytes",
+            # gauges of how far submission ran ahead of the dispatchers
+            "queue_depth", "max_queue_depth",
+            # deadlines are wall time: a slower place answers more
+            # requests after theirs (degraded.jsonl's 0.1 s one)
+            "queries_timed_out",
+        }
+        # plus ``kernel_*`` (process-wide: a local host counts its own
+        # launches) and the ``*_ms`` latencies
+        summaries = {}
+        for backend in ("threads", "processes"):
+            with AnalyticsService(workers=2, backend=backend, shards=shards) as service:
+                report = replay_trace(str(TRACES / name), service=service)
+                summary = service.metrics.summary()
+            assert report.ok, report.mismatches
+            summaries[backend] = {
+                key: value for key, value in summary.items()
+                if key not in differs and not key.startswith("kernel_")
+                and not key.endswith("_ms")
+            }
+        assert summaries["threads"] == summaries["processes"]
+        # cache_hits is cache_hit_rate x queries_total
+        assert {"queries_total", "queries_failed", "queries_degraded",
+                "cache_hit_rate", *CATALOG_KEYS} <= set(summaries["threads"])
 
 
 class TestRoundTrip:
@@ -77,7 +111,7 @@ class TestRoundTrip:
             QueryRequest.single("bfs", "g", s, transform="udt")
             for s in range(6)
         ] + [QueryRequest("pr", "g", transform="virtual")]
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", powerlaw_graph)
             recorder = record_trace(service, sink)
             tickets = service.submit_batch(requests)
@@ -95,7 +129,7 @@ class TestRoundTrip:
 
     def test_rerecord_while_replaying(self, powerlaw_graph):
         first = io.StringIO()
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", powerlaw_graph)
             recorder = record_trace(service, first)
             tickets = service.submit_batch(
@@ -126,7 +160,7 @@ class TestRoundTrip:
 
     def test_mismatch_reported_not_raised(self, powerlaw_graph):
         sink = io.StringIO()
-        with AnalyticsService(GraphCatalog(), workers=1) as service:
+        with AnalyticsService(workers=1) as service:
             service.register("g", powerlaw_graph)
             recorder = record_trace(service, sink)
             assert service.run(QueryRequest.single("bfs", "g", 0)).ok

@@ -24,7 +24,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.graph.generators import rmat
-from repro.service import AnalyticsService, GraphCatalog, QueryRequest
+from repro.service import AnalyticsService, QueryRequest
+from repro.service.workers import prepare
 
 SOAK_THREADS = int(os.environ.get("REPRO_SOAK_THREADS", "4"))
 SOAK_REQUESTS = int(os.environ.get("REPRO_SOAK_REQUESTS", "40"))
@@ -36,7 +37,7 @@ class TestServiceSoak:
     def test_concurrent_mixed_workload_conserves_tickets(self):
         graph = rmat(600, 5000, seed=5, weight_range=(1, 8))
         service = AnalyticsService(
-            GraphCatalog(), workers=3, queue_size=32, backend="threads"
+            workers=3, queue_size=32, backend="threads"
         )
         service.register("g", graph)
 
@@ -55,9 +56,8 @@ class TestServiceSoak:
                 if roll < 0.15:
                     # a deadline so tight it usually expires in queue
                     kwargs["timeout_s"] = 1e-4
-                # churn the catalog: distinct K cells force cold builds,
-                # which is what keeps the queue under real pressure
-                # (pr only runs on the virtual overlay, never udt)
+                # name every transform a request may (each serves the
+                # CSR; pr may not name udt)
                 transform = (
                     "virtual"
                     if algorithm == "pr"
@@ -133,20 +133,19 @@ class TestServiceSoak:
         with pytest.raises(ServiceError, match="stopped"):
             service.submit(QueryRequest.single("bfs", "g", 0))
 
-    def test_cancel_storm_resolves_every_ticket(self):
+    def test_cancel_storm_resolves_every_ticket(self, patch_prepare):
         graph = rmat(400, 3000, seed=6, weight_range=(1, 8))
         with AnalyticsService(
-            GraphCatalog(), workers=2, queue_size=64, backend="threads"
+            workers=2, queue_size=64, backend="threads"
         ) as service:
             service.register("g", graph)
             blocker = threading.Event()
-            original = service._prepare
 
             def slow_prepare(g, algorithm):
                 blocker.wait(5)
-                return original(g, algorithm)
+                return prepare(g, algorithm)
 
-            service._prepare = slow_prepare
+            patch_prepare(slow_prepare)
             tickets = [
                 service.submit(
                     QueryRequest.single("bfs", "g", s % graph.num_nodes)

@@ -6,31 +6,32 @@ import time
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadError, UnknownGraphError
-from repro.service import AnalyticsService, GraphCatalog, QueryRequest
+from repro.service import AnalyticsService, QueryRequest
+from repro.service.workers import prepare
 
 
 @pytest.fixture
 def service(powerlaw_graph):
-    with AnalyticsService(GraphCatalog(), workers=2) as svc:
+    with AnalyticsService(workers=2) as svc:
         svc.register("g", powerlaw_graph)
         yield svc
 
 
 @pytest.fixture
-def stalled(powerlaw_graph):
+def stalled(powerlaw_graph, patch_prepare):
     """One worker stalled on a gated item, one item queued behind it:
     with ``queue_size=2`` one slot is free."""
     gate = threading.Event()
-    with AnalyticsService(GraphCatalog(), workers=1, queue_size=2) as svc:
+    with AnalyticsService(workers=1, queue_size=2, backend="threads") as svc:
         svc.register("g", powerlaw_graph)
-        prepared, original = [], svc._prepare
+        prepared = []
 
         def gated(graph, algorithm):
             prepared.append(algorithm)
             gate.wait(30.0)
-            return original(graph, algorithm)
+            return prepare(graph, algorithm)
 
-        svc._prepare = gated
+        patch_prepare(gated)
         svc.prepared = prepared
         stuck = svc.submit(QueryRequest("cc", "g"))
         time.sleep(0.05)  # the worker picks it up and stalls
@@ -55,23 +56,24 @@ class TestWaiting:
         assert ticket.result(0.0) is first
         assert time.monotonic() - started < 1.0
 
-    def test_result_timeout_names_the_request(self, service, monkeypatch):
+    def test_result_timeout_names_the_request(self, powerlaw_graph, patch_prepare):
         gate = threading.Event()
-        original = service._prepare
 
         def stalled(*args, **kwargs):
             gate.wait(30.0)
-            return original(*args, **kwargs)
+            return prepare(*args, **kwargs)
 
-        monkeypatch.setattr(service, "_prepare", stalled)
-        ticket = service.submit(QueryRequest.single("bfs", "g", 0))
-        try:
-            with pytest.raises(ServiceError, match="not finished within"):
-                ticket.result(0.05)
-            assert not ticket.done()
-        finally:
-            gate.set()
-            assert ticket.result(60.0).ok
+        patch_prepare(stalled)
+        with AnalyticsService(workers=1, backend="threads") as service:
+            service.register("g", powerlaw_graph)
+            ticket = service.submit(QueryRequest.single("bfs", "g", 0))
+            try:
+                with pytest.raises(ServiceError, match="not finished within"):
+                    ticket.result(0.05)
+                assert not ticket.done()
+            finally:
+                gate.set()
+                assert ticket.result(60.0).ok
 
     def test_many_waiters_one_ticket(self, service):
         ticket = service.submit(QueryRequest.single("bfs", "g", 0))
@@ -188,17 +190,16 @@ class TestDrain:
         # service still accepts work after a drain (unlike close)
         assert service.run(QueryRequest.single("bfs", "g", 0)).ok
 
-    def test_drain_timeout_returns_false(self, powerlaw_graph, monkeypatch):
+    def test_drain_timeout_returns_false(self, powerlaw_graph, patch_prepare):
         gate = threading.Event()
-        with AnalyticsService(GraphCatalog(), workers=1) as svc:
+        with AnalyticsService(workers=1, backend="threads") as svc:
             svc.register("g", powerlaw_graph)
-            original = svc._prepare
 
             def stalled(*args, **kwargs):
                 gate.wait(30.0)
-                return original(*args, **kwargs)
+                return prepare(*args, **kwargs)
 
-            monkeypatch.setattr(svc, "_prepare", stalled)
+            patch_prepare(stalled)
             ticket = svc.submit(QueryRequest.single("bfs", "g", 0))
             assert svc.drain(timeout_s=0.1) is False
             gate.set()

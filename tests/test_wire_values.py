@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import rmat
-from repro.service import AnalyticsService, GraphCatalog, QueryRequest, QueryResult
+from repro.service import AnalyticsService, QueryRequest, QueryResult
 from repro.service.api import ThreadedApiServer, result_payload
 from repro.service.api.http import encode_line
 
@@ -135,7 +135,7 @@ class TestOverTheWire:
 
     @pytest.fixture(scope="class")
     def served(self):
-        with AnalyticsService(GraphCatalog(), workers=2) as service:
+        with AnalyticsService(workers=2) as service:
             service.register("g", rmat(200, 1500, seed=11, weight_range=(1, 10)))
             with ThreadedApiServer(service) as handle:
                 host, _, port = handle.address.rpartition(":")

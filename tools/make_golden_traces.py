@@ -41,7 +41,6 @@ from pathlib import Path
 from repro.graph.datasets import load_dataset
 from repro.service import (
     AnalyticsService,
-    GraphCatalog,
     QueryRequest,
     TraceRecorder,
     dataset_graph_entry,
@@ -69,7 +68,7 @@ def _record(
     }
     recorder = TraceRecorder(str(path), graphs=recipes, note=note)
     with AnalyticsService(
-        GraphCatalog(), workers=workers, queue_size=256, recorder=recorder
+        workers=workers, queue_size=256, recorder=recorder
     ) as service:
         for name, spec in graphs.items():
             service.register(name, spec["graph"])
